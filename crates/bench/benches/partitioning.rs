@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use surfer_cluster::Topology;
 use surfer_graph::generators::social::{msn_like, MsnScale};
+use surfer_partition::refine::fm_refine_bounded;
 use surfer_partition::{
     bisect, quality, BisectConfig, MachineGraph, RecursivePartitioner, WGraph,
 };
@@ -28,6 +29,29 @@ fn bench_partitioning(c: &mut Criterion) {
     let kway = RecursivePartitioner::default().partition(&g, 16);
     group.bench_function("quality_metrics_8k", |b| {
         b.iter(|| quality(&g, &kway.partitioning));
+    });
+
+    // 65 K vertices / 1 M edges: the working set is well past L2, which the
+    // 8 K cases above are not — data-structure cost only shows here.
+    let small = msn_like(MsnScale::Small, 42);
+    group.bench_function("kway32_64k", |b| {
+        b.iter(|| RecursivePartitioner::default().partition(&small, 32));
+    });
+
+    // The two phases that dominate k-way, on the finest level of the root
+    // bisection: one contraction, and one FM pass from an id-parity split
+    // (balanced, and nearly every vertex starts on the boundary).
+    let w = WGraph::from_csr(&small);
+    let matching = w.heavy_edge_matching(42);
+    group.bench_function("contract_64k", |b| {
+        b.iter(|| w.contract(&matching));
+    });
+    group.bench_function("fm_pass_64k", |b| {
+        b.iter_batched(
+            || (0..w.num_vertices()).map(|v| v % 2 == 0).collect::<Vec<bool>>(),
+            |mut side| fm_refine_bounded(&w, &mut side, 1, 0.52),
+            BatchSize::LargeInput,
+        );
     });
 
     let topo = Topology::t2(4, 2, 32);

@@ -6,7 +6,7 @@
 //! each step.
 
 use crate::initial::gggp;
-use crate::refine::fm_refine_bounded;
+use crate::refine::{fm_refine_with, FmScratch};
 use crate::wgraph::WGraph;
 use surfer_graph::CsrGraph;
 
@@ -54,42 +54,41 @@ pub struct Bisection {
 /// Bisect a weighted graph with the multilevel pipeline.
 pub fn bisect_wgraph(g: &WGraph, cfg: &BisectConfig) -> Bisection {
     assert!(g.num_vertices() >= 2, "cannot bisect fewer than 2 vertices");
-    // Coarsening phase. `cur` is always the coarsest graph so far;
-    // `fine_levels[i]` is the finer graph `maps[i]` projects from.
-    let mut cur = g.clone();
-    let mut fine_levels: Vec<WGraph> = Vec::new();
-    let mut maps: Vec<Vec<u32>> = Vec::new();
-    let mut round = 0u64;
-    while cur.num_vertices() > cfg.coarsen_target {
-        let matching = cur.heavy_edge_matching(cfg.seed.wrapping_add(round));
+    // Coarsening phase. `g` is level 0; `levels[i]` holds the graph of level
+    // `i + 1` and the map from level `i`'s vertices onto it.
+    let mut levels: Vec<(WGraph, Vec<u32>)> = Vec::new();
+    loop {
+        let cur = levels.last().map_or(g, |(coarse, _)| coarse);
+        if cur.num_vertices() <= cfg.coarsen_target {
+            break;
+        }
+        let matching = cur.heavy_edge_matching(cfg.seed.wrapping_add(levels.len() as u64));
         let (coarse, map) = cur.contract(&matching);
         let shrink = coarse.num_vertices() as f64 / cur.num_vertices() as f64;
         if shrink > cfg.min_shrink {
             break; // diminishing returns (e.g. star graphs)
         }
-        fine_levels.push(cur);
-        cur = coarse;
-        maps.push(map);
-        round += 1;
+        levels.push((coarse, map));
     }
 
     // Initial partitioning on the coarsest graph.
-    let mut side = gggp(&cur, cfg.initial_tries, cfg.seed ^ 0xF00D);
-    fm_refine_bounded(&cur, &mut side, cfg.refine_passes, cfg.max_side_fraction);
+    let mut fm = FmScratch::new(g.num_vertices());
+    let coarsest = levels.last().map_or(g, |(coarse, _)| coarse);
+    let mut side = gggp(coarsest, cfg.initial_tries, cfg.seed ^ 0xF00D);
+    let mut cut_weight =
+        fm_refine_with(&mut fm, coarsest, &mut side, cfg.refine_passes, cfg.max_side_fraction);
 
     // Uncoarsening phase: project through each map, refine.
-    for level in (0..maps.len()).rev() {
-        let fine = &fine_levels[level];
-        let map = &maps[level];
-        let mut fine_side = vec![false; fine.num_vertices()];
-        for (v, &cv) in map.iter().enumerate() {
-            fine_side[v] = side[cv as usize];
-        }
-        fm_refine_bounded(fine, &mut fine_side, cfg.refine_passes, cfg.max_side_fraction);
+    for level in (0..levels.len()).rev() {
+        let fine = if level == 0 { g } else { &levels[level - 1].0 };
+        let mut fine_side: Vec<bool> =
+            levels[level].1.iter().map(|&cv| side[cv as usize]).collect();
+        cut_weight =
+            fm_refine_with(&mut fm, fine, &mut fine_side, cfg.refine_passes, cfg.max_side_fraction);
         side = fine_side;
     }
 
-    let cut_weight = g.cut_weight(&side);
+    debug_assert_eq!(cut_weight, g.cut_weight(&side));
     Bisection { side, cut_weight }
 }
 

@@ -7,41 +7,38 @@
 //! weight into the region minus edge weight out) until it holds half the
 //! vertex weight. Several seeds are tried; the lowest-cut result wins.
 
+use crate::gain_heap::GainHeap;
 use crate::wgraph::WGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+
+/// Gain of a vertex no grown neighbor has touched yet.
+const UNTOUCHED: i64 = i64::MIN;
 
 /// Grow one region from `seed_vertex` to half the total weight; returns
 /// (side assignment, cut weight). `side[v] == true` means v is in the grown
-/// region.
-fn grow_from(g: &WGraph, seed_vertex: usize) -> (Vec<bool>, u64) {
+/// region. `gain[v]` = (edge weight into the region) − (edge weight to
+/// outside), so adding v changes the cut by −gain[v]; it and `frontier` are
+/// scratch, left reset for the next call.
+fn grow_from(
+    g: &WGraph,
+    seed_vertex: usize,
+    gain: &mut [i64],
+    frontier: &mut GainHeap,
+) -> (Vec<bool>, u64) {
     let n = g.num_vertices();
-    let total = g.total_vwgt();
-    let target = total / 2;
+    let target = g.total_vwgt() / 2;
     let mut side = vec![false; n];
     let mut in_weight = 0u64;
     let mut cut = 0u64;
-    // gain[v] = (edge weight into region) - (edge weight to outside);
-    // adding v changes the cut by -gain[v].
-    let mut gain = vec![i64::MIN; n];
-    let mut heap: BinaryHeap<(i64, Reverse<usize>)> = BinaryHeap::new();
     let mut scan = 0usize; // fallback seed scan for disconnected graphs
     let mut first = true;
 
     while in_weight < target {
-        // Pop the best valid frontier vertex, or start a new region seed
-        // (first iteration, and again for disconnected graphs).
-        let v = loop {
-            match heap.pop() {
-                Some((gval, Reverse(v))) if !side[v] && gain[v] == gval => break Some(v),
-                Some(_) => continue, // stale entry
-                None => break None,
-            }
-        };
-        let v = match v {
-            Some(v) => v,
+        // Take the best frontier vertex, or start a new region seed (first
+        // iteration, and again for disconnected graphs).
+        let v = match frontier.pop() {
+            Some((_, v)) => v as usize,
             None => {
                 let fallback = if first {
                     seed_vertex
@@ -64,20 +61,22 @@ fn grow_from(g: &WGraph, seed_vertex: usize) -> (Vec<bool>, u64) {
         first = false;
         // Absorb v.
         side[v] = true;
-        in_weight += g.vwgt[v];
+        in_weight += g.vwgt()[v];
         cut = (cut as i64 - gain[v]) as u64;
-        for &(u, w) in &g.adj[v] {
+        for (u, w) in g.neighbors(v) {
             let u = u as usize;
             if side[u] {
                 continue;
             }
-            if gain[u] == i64::MIN {
+            if gain[u] == UNTOUCHED {
                 gain[u] = -(g.degree_weight(u) as i64);
             }
             gain[u] += 2 * w as i64;
-            heap.push((gain[u], Reverse(u)));
+            frontier.set(u as u32, gain[u]);
         }
     }
+    gain.fill(UNTOUCHED);
+    frontier.clear();
     (side, cut)
 }
 
@@ -87,11 +86,13 @@ pub fn gggp(g: &WGraph, tries: u32, seed: u64) -> Vec<bool> {
     let n = g.num_vertices();
     assert!(n >= 2, "cannot bisect fewer than 2 vertices");
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut gain = vec![UNTOUCHED; n];
+    let mut frontier = GainHeap::new(n);
     let first = rng.gen_range(0..n);
-    let (mut best_side, mut best_cut) = grow_from(g, first);
+    let (mut best_side, mut best_cut) = grow_from(g, first, &mut gain, &mut frontier);
     for _ in 1..tries.max(1) {
         let s = rng.gen_range(0..n);
-        let (side, cut) = grow_from(g, s);
+        let (side, cut) = grow_from(g, s, &mut gain, &mut frontier);
         if cut < best_cut {
             best_cut = cut;
             best_side = side;

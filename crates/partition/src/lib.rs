@@ -22,6 +22,7 @@ pub mod bandwidth_aware;
 pub mod bisect;
 pub mod cost;
 pub mod encoding;
+mod gain_heap;
 pub mod initial;
 pub mod machine_graph;
 pub mod partitioned;

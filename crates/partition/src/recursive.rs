@@ -9,6 +9,8 @@ use crate::assignment::Partitioning;
 use crate::bisect::{bisect_wgraph, BisectConfig};
 use crate::sketch::{PartitionSketch, SketchNode, SketchNodeId};
 use crate::wgraph::WGraph;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU32, Ordering};
 use surfer_graph::CsrGraph;
 
 /// Result of a P-way partitioning run.
@@ -28,22 +30,32 @@ pub struct RecursivePartitioner {
     pub config: BisectConfig,
 }
 
-/// Outcome of one recursion node, gathered bottom-up.
-struct SubResult {
-    /// `(vertex, pid)` assignments from this subtree.
-    assignments: Vec<(u32, u32)>,
-    /// Sketch subtree, parent-linked after the fact.
-    nodes: Vec<OwnedNode>,
+/// Below this many vertices a recursion node is not worth a thread.
+const PARALLEL_MIN_VERTICES: usize = 4096;
+
+/// What every recursion node of one `partition` call shares.
+struct Run<'a> {
+    root: &'a WGraph,
+    /// Depth of the leaves (`P = 2^levels`).
+    levels: u32,
+    /// Host parallelism; bounds the recursion's thread fan-out.
+    threads: usize,
+    /// `pids[v]`, written once per vertex by the leaf that receives it.
+    /// Relaxed stores suffice: the slots carry no other data, and every
+    /// writer is joined (scoped threads) before `partition` reads them.
+    pids: &'a [AtomicU32],
 }
 
-struct OwnedNode {
+/// A recursion node's place in the sketch. The sketch is a complete binary
+/// tree numbered in pre-order (node, left subtree, right subtree), so a node
+/// knows its own id and its children's before any of them exists.
+#[derive(Clone, Copy)]
+struct Slot {
     level: u32,
-    /// Index of the parent within the same `nodes` vec (usize::MAX = subtree root).
-    parent_local: usize,
-    children_local: Option<(usize, usize)>,
-    pid: Option<u32>,
-    cut_weight: u64,
-    vertex_count: u32,
+    id: SketchNodeId,
+    parent: Option<SketchNodeId>,
+    /// Smallest partition id under this node.
+    first_pid: u32,
 }
 
 impl RecursivePartitioner {
@@ -61,141 +73,113 @@ impl RecursivePartitioner {
             "more partitions ({num_partitions}) than vertices ({})",
             g.num_vertices()
         );
-        let levels = num_partitions.trailing_zeros();
         let w = WGraph::from_csr(g);
+        let pids: Vec<AtomicU32> = (0..g.num_vertices()).map(|_| AtomicU32::new(0)).collect();
+        let run = Run {
+            root: &w,
+            levels: num_partitions.trailing_zeros(),
+            threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            pids: &pids,
+        };
         let ids: Vec<u32> = (0..g.num_vertices()).collect();
-        let sub = self.recurse(&w, ids, 0, levels, 0, self.config.seed);
+        let root = Slot { level: 0, id: 0, parent: None, first_pid: 0 };
+        let nodes = self.recurse(&run, ids, root, self.config.seed);
 
-        // Assemble the flat assignment.
-        let mut pids = vec![0u32; g.num_vertices() as usize];
-        for &(v, p) in &sub.assignments {
-            pids[v as usize] = p;
-        }
-        let partitioning = Partitioning::new(pids, num_partitions);
-
-        // Re-link the owned subtree into a PartitionSketch (root-first push
-        // order is guaranteed: each node is appended before its children).
+        let pids = pids.into_iter().map(AtomicU32::into_inner).collect();
         let mut sketch = PartitionSketch::new();
-        let mut global_ids: Vec<SketchNodeId> = Vec::with_capacity(sub.nodes.len());
-        for node in &sub.nodes {
-            let parent =
-                (node.parent_local != usize::MAX).then(|| global_ids[node.parent_local]);
-            let id = sketch.push(SketchNode {
-                level: node.level,
-                parent,
-                children: None,
-                pid: node.pid,
-                cut_weight: node.cut_weight,
-                vertex_count: node.vertex_count,
-            });
-            global_ids.push(id);
+        for node in nodes {
+            sketch.push(node);
         }
-        for (i, node) in sub.nodes.iter().enumerate() {
-            if let Some((l, r)) = node.children_local {
-                sketch.set_children(global_ids[i], global_ids[l], global_ids[r]);
-            }
-        }
-        KWayResult { partitioning, sketch }
+        KWayResult { partitioning: Partitioning::new(pids, num_partitions), sketch }
     }
 
-    /// Partition the subgraph induced by `ids` (indices into the root graph)
-    /// into `2^(levels - level)` parts with pids starting at `first_pid`.
-    fn recurse(
-        &self,
-        root: &WGraph,
-        ids: Vec<u32>,
-        level: u32,
-        levels: u32,
-        first_pid: u32,
-        seed: u64,
-    ) -> SubResult {
-        let vertex_count = ids.len() as u32;
-        if level == levels {
-            return SubResult {
-                assignments: ids.into_iter().map(|v| (v, first_pid)).collect(),
-                nodes: vec![OwnedNode {
-                    level,
-                    parent_local: usize::MAX,
-                    children_local: None,
-                    pid: Some(first_pid),
-                    cut_weight: 0,
-                    vertex_count,
-                }],
-            };
+    /// Partition the subgraph induced by `ids` (increasing indices into the
+    /// root graph) into `2^(levels - level)` parts with pids starting at
+    /// `at.first_pid`. Returns the sketch subtree rooted at `at`, in pre-order.
+    fn recurse(&self, run: &Run<'_>, ids: Vec<u32>, at: Slot, seed: u64) -> Vec<SketchNode> {
+        let mut node = SketchNode {
+            level: at.level,
+            parent: at.parent,
+            children: None,
+            pid: None,
+            cut_weight: 0,
+            vertex_count: ids.len() as u32,
+        };
+        if at.level == run.levels {
+            for &v in &ids {
+                run.pids[v as usize].store(at.first_pid, Ordering::Relaxed);
+            }
+            node.pid = Some(at.first_pid);
+            return vec![node];
         }
-        let (sub, back) = root.induced(&ids);
-        let mut cfg = self.config.clone();
-        cfg.seed = seed;
-        let (left_ids, right_ids, cut) = if sub.num_vertices() >= 2 {
-            let b = bisect_wgraph(&sub, &cfg);
+        let (left_ids, right_ids) = if ids.len() >= 2 {
+            let mut cfg = self.config.clone();
+            cfg.seed = seed;
+            let b = bisect_wgraph(&run.root.induced(&ids), &cfg);
+            node.cut_weight = b.cut_weight;
             let mut left = Vec::new();
             let mut right = Vec::new();
-            for (local, &s) in b.side.iter().enumerate() {
+            for (&v, &s) in ids.iter().zip(&b.side) {
                 if s {
-                    left.push(back[local]);
+                    left.push(v);
                 } else {
-                    right.push(back[local]);
+                    right.push(v);
                 }
             }
             // Guard: a degenerate bisection (empty side) cannot seed the next
             // level; steal one vertex to keep the sketch complete.
             if left.is_empty() {
-                left.push(right.pop().expect("non-empty graph"));
+                left.extend(right.pop());
             } else if right.is_empty() {
-                right.push(left.pop().expect("non-empty graph"));
+                right.extend(left.pop());
             }
-            (left, right, b.cut_weight)
+            (left, right)
         } else {
             // 0- or 1-vertex subgraph: halves are (rest, empty-but-padded).
-            (ids.clone(), Vec::new(), 0)
+            (ids, Vec::new())
         };
 
-        let half = 1u32 << (levels - level - 1);
-        let (lseed, rseed) = (seed.wrapping_mul(6364136223846793005).wrapping_add(1), seed.wrapping_mul(6364136223846793005).wrapping_add(2));
-        let (mut lres, rres) = if left_ids.len() + right_ids.len() > 4096 {
-            // Parallel halves for big nodes; joining both keeps the merge
-            // deterministic regardless of scheduling.
-            std::thread::scope(|s| {
-                let lh =
-                    s.spawn(|| self.recurse(root, left_ids, level + 1, levels, first_pid, lseed));
-                let rres = self.recurse(root, right_ids, level + 1, levels, first_pid + half, rseed);
-                (lh.join().expect("left half"), rres)
-            })
+        let below = run.levels - at.level; // levels under this node; >= 1
+        let left_at = Slot {
+            level: at.level + 1,
+            id: at.id + 1,
+            parent: Some(at.id),
+            first_pid: at.first_pid,
+        };
+        let right_at = Slot {
+            id: left_at.id + (1usize << below) - 1, // skip the left subtree
+            first_pid: at.first_pid + (1u32 << (below - 1)),
+            ..left_at
+        };
+        node.children = Some((left_at.id, right_at.id));
+        let mixed = seed.wrapping_mul(6364136223846793005);
+        let (lseed, rseed) = (mixed.wrapping_add(1), mixed.wrapping_add(2));
+
+        // Level k has 2^k nodes; halves run in parallel only while that is
+        // fewer than the host's threads, and inline from there on. Either
+        // way the left subtree is listed first, so scheduling never shows.
+        let fan_out = left_ids.len() + right_ids.len() > PARALLEL_MIN_VERTICES
+            && (1usize << at.level) < run.threads;
+        let (left_nodes, right_nodes) = if fan_out {
+            let mut left_nodes = Vec::new();
+            // A panic in the spawned half resurfaces when the scope ends.
+            let right_nodes = std::thread::scope(|s| {
+                s.spawn(|| left_nodes = self.recurse(run, left_ids, left_at, lseed));
+                self.recurse(run, right_ids, right_at, rseed)
+            });
+            (left_nodes, right_nodes)
         } else {
             (
-                self.recurse(root, left_ids, level + 1, levels, first_pid, lseed),
-                self.recurse(root, right_ids, level + 1, levels, first_pid + half, rseed),
+                self.recurse(run, left_ids, left_at, lseed),
+                self.recurse(run, right_ids, right_at, rseed),
             )
         };
 
-        // Merge: self node first, then the left subtree, then the right.
-        let mut nodes = vec![OwnedNode {
-            level,
-            parent_local: usize::MAX,
-            children_local: None,
-            pid: None,
-            cut_weight: cut,
-            vertex_count,
-        }];
-        let l_root = nodes.len();
-        let l_off = nodes.len();
-        nodes.extend(lres.nodes.drain(..).map(|mut n| {
-            n.parent_local = if n.parent_local == usize::MAX { 0 } else { n.parent_local + l_off };
-            n.children_local = n.children_local.map(|(a, b)| (a + l_off, b + l_off));
-            n
-        }));
-        let r_root = nodes.len();
-        let r_off = nodes.len();
-        nodes.extend(rres.nodes.into_iter().map(|mut n| {
-            n.parent_local = if n.parent_local == usize::MAX { 0 } else { n.parent_local + r_off };
-            n.children_local = n.children_local.map(|(a, b)| (a + r_off, b + r_off));
-            n
-        }));
-        nodes[0].children_local = Some((l_root, r_root));
-
-        let mut assignments = lres.assignments;
-        assignments.extend(rres.assignments);
-        SubResult { assignments, nodes }
+        let mut nodes = Vec::with_capacity(1 + left_nodes.len() + right_nodes.len());
+        nodes.push(node);
+        nodes.extend(left_nodes);
+        nodes.extend(right_nodes);
+        nodes
     }
 }
 

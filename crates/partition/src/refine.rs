@@ -10,15 +10,63 @@
 //! balance bound), locks it, updates neighbor gains, and finally rewinds to
 //! the best prefix of the move sequence. Passes repeat until one yields no
 //! improvement.
+//!
+//! Candidates come out of a `GainHeap` per side, whose total order
+//! `(gain, smallest id)` makes the move sequence a function of the graph and
+//! the starting sides alone. A pass also stops early once a lower bound on
+//! every later prefix's cut proves that nothing after the current best
+//! prefix could be kept (see `fm_pass`); the result is the one the full
+//! pass would have rewound to.
 
+use crate::gain_heap::GainHeap;
 use crate::wgraph::WGraph;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Balance bound: neither side may exceed this fraction of the total vertex
 /// weight (0.55 allows the ~10 % slack heavy-tailed degree distributions
 /// need while keeping partitions "with similar number of edges").
 pub const DEFAULT_MAX_SIDE_FRACTION: f64 = 0.55;
+
+/// Per-vertex state of one FM pass, kept together because a neighbor update
+/// touches all of it.
+#[derive(Debug, Clone, Copy, Default)]
+struct VertexState {
+    /// Cut reduction if the vertex switches sides: external − internal weight.
+    gain: i64,
+    /// Edge weight to neighbors already locked on the `false` / `true` side.
+    to_locked: [u64; 2],
+    locked: bool,
+}
+
+impl VertexState {
+    /// Whichever side this (unlocked) vertex ends the pass on, its edges to
+    /// the locked vertices of the other side are cut.
+    #[inline]
+    fn unavoidable_cut(&self) -> u64 {
+        self.to_locked[0].min(self.to_locked[1])
+    }
+}
+
+/// Working memory for FM, sized once for the finest graph of a bisection and
+/// reused by every level and every pass.
+#[derive(Debug)]
+pub(crate) struct FmScratch {
+    state: Vec<VertexState>,
+    /// `heaps[1]`: movable vertices currently on the `true` side; `heaps[0]`:
+    /// the `false` side.
+    heaps: [GainHeap; 2],
+    moves: Vec<u32>,
+}
+
+impl FmScratch {
+    /// Scratch for graphs of up to `n` vertices.
+    pub(crate) fn new(n: usize) -> Self {
+        FmScratch {
+            state: vec![VertexState::default(); n],
+            heaps: [GainHeap::new(n), GainHeap::new(n)],
+            moves: Vec::new(),
+        }
+    }
+}
 
 /// Refine `side` in place; returns the final cut weight.
 pub fn fm_refine(g: &WGraph, side: &mut [bool], max_passes: u32) -> u64 {
@@ -32,6 +80,17 @@ pub fn fm_refine_bounded(
     max_passes: u32,
     max_side_fraction: f64,
 ) -> u64 {
+    fm_refine_with(&mut FmScratch::new(g.num_vertices()), g, side, max_passes, max_side_fraction)
+}
+
+/// [`fm_refine_bounded`] on caller-provided scratch.
+pub(crate) fn fm_refine_with(
+    scratch: &mut FmScratch,
+    g: &WGraph,
+    side: &mut [bool],
+    max_passes: u32,
+    max_side_fraction: f64,
+) -> u64 {
     assert!(
         (0.5..=1.0).contains(&max_side_fraction),
         "max_side_fraction must be in [0.5, 1], got {max_side_fraction}"
@@ -40,7 +99,7 @@ pub fn fm_refine_bounded(
     let max_side = (total as f64 * max_side_fraction) as u64;
     let mut cut = g.cut_weight(side);
     for _ in 0..max_passes {
-        let improved = fm_pass(g, side, &mut cut, max_side);
+        let improved = fm_pass(scratch, g, side, &mut cut, total, max_side);
         if !improved {
             break;
         }
@@ -53,30 +112,32 @@ pub fn fm_refine_bounded(
 /// Classic two-heap scheme: one gain heap per side, so a balance-blocked
 /// direction never starves the other — the pass can walk through
 /// cut-neutral move sequences and rewind to the best prefix.
-fn fm_pass(g: &WGraph, side: &mut [bool], cut: &mut u64, max_side: u64) -> bool {
+fn fm_pass(
+    scratch: &mut FmScratch,
+    g: &WGraph,
+    side: &mut [bool],
+    cut: &mut u64,
+    total: u64,
+    max_side: u64,
+) -> bool {
     let n = g.num_vertices();
+    let FmScratch { state, heaps, moves } = scratch;
+    let state = &mut state[..n];
     let mut weight_true = g.side_weight(side);
-    let total = g.total_vwgt();
 
-    // gain[v]: cut reduction if v switches sides = external - internal weight.
-    let mut gain = vec![0i64; n];
-    let mut locked = vec![false; n];
-    // heaps[1]: movable vertices currently on the `true` side; heaps[0]: `false` side.
-    let mut heaps: [BinaryHeap<(i64, Reverse<usize>)>; 2] =
-        [BinaryHeap::new(), BinaryHeap::new()];
     for v in 0..n {
         let (mut ext, mut int) = (0i64, 0i64);
-        for &(u, w) in &g.adj[v] {
+        for (u, w) in g.neighbors(v) {
             if side[u as usize] != side[v] {
                 ext += w as i64;
             } else {
                 int += w as i64;
             }
         }
-        gain[v] = ext - int;
+        state[v] = VertexState { gain: ext - int, to_locked: [0, 0], locked: false };
         if ext > 0 {
             // boundary vertex
-            heaps[side[v] as usize].push((gain[v], Reverse(v)));
+            heaps[side[v] as usize].set(v as u32, ext - int);
         }
     }
 
@@ -89,64 +150,43 @@ fn fm_pass(g: &WGraph, side: &mut [bool], cut: &mut u64, max_side: u64) -> bool 
     let mut best_cut = *cut;
     let mut best_feasible = start_feasible;
     let mut best_len = 0usize;
-    let mut moves: Vec<usize> = Vec::new();
+    // Lower bound on the cut of every later prefix: locked vertices keep
+    // their side for the rest of the pass, so cut edges between two of them
+    // are frozen, and each unlocked vertex adds its `unavoidable_cut`.
+    let mut frozen_cut = 0u64;
+    let mut unavoidable = 0u64;
 
     loop {
-        // Peek the best valid candidate on each side (discarding stale and
-        // locked entries).
-        let peek = |from_true: bool, heaps: &mut [BinaryHeap<(i64, Reverse<usize>)>; 2],
-                        gain: &[i64], locked: &[bool], side: &[bool]|
-         -> Option<(i64, usize)> {
-            let h = &mut heaps[from_true as usize];
-            while let Some(&(gval, Reverse(v))) = h.peek() {
-                if locked[v] || gain[v] != gval || side[v] != from_true {
-                    h.pop();
-                    continue;
-                }
-                return Some((gval, v));
-            }
-            None
-        };
-        let cand_true = peek(true, &mut heaps, &gain, &locked, side);
-        let cand_false = peek(false, &mut heaps, &gain, &locked, side);
-
         // Balance per direction: a move is allowed when it lands within the
         // bound OR strictly reduces an existing violation (repair mode).
-        let feasible = |from_true: bool, v: usize| -> bool {
-            let w = g.vwgt[v];
+        let feasible = |from_true: bool, v: u32| -> bool {
+            let w = g.vwgt()[v as usize];
             let new_true = if from_true { weight_true - w } else { weight_true + w };
             let new_false = total - new_true;
             let new_max = new_true.max(new_false);
             new_max <= max_side || new_max < weight_true.max(total - weight_true)
         };
-        let ok_true = cand_true.filter(|&(_, v)| feasible(true, v));
-        let ok_false = cand_false.filter(|&(_, v)| feasible(false, v));
+        let ok_true = heaps[1].peek().filter(|&(_, v)| feasible(true, v));
+        let ok_false = heaps[0].peek().filter(|&(_, v)| feasible(false, v));
 
         // Pick the higher gain; tie-break toward draining the heavier side.
-        let pick = match (ok_true, ok_false) {
+        let from_true = match (ok_true, ok_false) {
             (None, None) => break,
-            (Some(t), None) => (true, t),
-            (None, Some(f)) => (false, f),
-            (Some(t), Some(f)) => {
-                let heavier_true = weight_true * 2 >= total;
-                if t.0 > f.0 || (t.0 == f.0 && heavier_true) {
-                    (true, t)
-                } else {
-                    (false, f)
-                }
-            }
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (Some(t), Some(f)) => t.0 > f.0 || (t.0 == f.0 && weight_true * 2 >= total),
         };
-        let (from_true, (gval, v)) = pick;
-        heaps[from_true as usize].pop(); // consume the peeked entry
-        debug_assert_eq!(gain[v], gval);
+        let Some((gain, v)) = heaps[from_true as usize].pop() else { break };
+        let v = v as usize;
+        debug_assert_eq!(state[v].gain, gain);
 
         // Move v.
-        let w = g.vwgt[v];
+        let w = g.vwgt()[v];
         weight_true = if from_true { weight_true - w } else { weight_true + w };
-        side[v] = !side[v];
-        *cut = (*cut as i64 - gain[v]) as u64;
-        locked[v] = true;
-        moves.push(v);
+        side[v] = !from_true;
+        *cut = (*cut as i64 - gain) as u64;
+        state[v].locked = true;
+        moves.push(v as u32);
         let now_feasible = feasible_now(weight_true);
         let better = match (now_feasible, best_feasible) {
             (true, false) => true,
@@ -158,26 +198,41 @@ fn fm_pass(g: &WGraph, side: &mut [bool], cut: &mut u64, max_side: u64) -> bool 
             best_feasible = now_feasible;
             best_len = moves.len();
         }
+        let landed = !from_true as usize;
+        unavoidable -= state[v].unavoidable_cut();
+        frozen_cut += state[v].to_locked[1 - landed];
         // Update neighbor gains: u now on v's side loses 2w of gain; u on
         // the other side gains 2w.
-        for &(u, w) in &g.adj[v] {
-            let u = u as usize;
-            if locked[u] {
+        for (u, w) in g.neighbors(v) {
+            let st = &mut state[u as usize];
+            if st.locked {
                 continue;
             }
-            if side[u] == side[v] {
-                gain[u] -= 2 * w as i64;
+            if side[u as usize] == side[v] {
+                st.gain -= 2 * w as i64;
             } else {
-                gain[u] += 2 * w as i64;
+                st.gain += 2 * w as i64;
             }
-            heaps[side[u] as usize].push((gain[u], Reverse(u)));
+            unavoidable -= st.unavoidable_cut();
+            st.to_locked[landed] += w;
+            unavoidable += st.unavoidable_cut();
+            heaps[side[u as usize] as usize].set(u, st.gain);
+        }
+        // Exact cut-off: a later prefix replaces a feasible best only with a
+        // strictly smaller cut, which the bound now rules out, so everything
+        // from here on would be rewound anyway.
+        if best_feasible && frozen_cut + unavoidable >= best_cut {
+            break;
         }
     }
 
     // Rewind to the best prefix.
-    for &v in moves.iter().skip(best_len).rev() {
-        side[v] = !side[v];
+    for &v in moves[best_len..].iter().rev() {
+        side[v as usize] = !side[v as usize];
     }
+    moves.clear();
+    heaps[0].clear();
+    heaps[1].clear();
     *cut = best_cut;
     best_cut < start_cut || (best_feasible && !start_feasible)
 }

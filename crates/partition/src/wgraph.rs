@@ -12,40 +12,106 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 use surfer_graph::CsrGraph;
 
-/// Undirected weighted graph with weighted vertices.
+/// Undirected weighted graph with weighted vertices, stored as one CSR
+/// triple: the neighbors of `v` are `adjncy[xadj[v]..xadj[v + 1]]`, sorted by
+/// id with no duplicates and no self-edges, and `adjwgt` runs parallel to
+/// `adjncy`. Every edge is stored in both endpoints' rows.
 #[derive(Debug, Clone)]
 pub struct WGraph {
-    /// Vertex weights.
-    pub vwgt: Vec<u64>,
-    /// Symmetric adjacency: `adj[v]` lists `(neighbor, edge weight)`.
-    pub adj: Vec<Vec<(u32, u64)>>,
+    vwgt: Vec<u64>,
+    xadj: Vec<usize>,
+    adjncy: Vec<u32>,
+    adjwgt: Vec<u64>,
+}
+
+/// Builds CSR rows that sum the weights of repeated neighbors: a dense
+/// accumulator indexed by neighbor id plus the list of slots in use, so a row
+/// costs its own length (and a sort of its distinct neighbors) whatever the
+/// graph's size. Edge weights are positive, so a zero slot means "unused".
+struct RowMerger {
+    acc: Vec<u64>,
+    touched: Vec<u32>,
+    xadj: Vec<usize>,
+    adjncy: Vec<u32>,
+    adjwgt: Vec<u64>,
+}
+
+impl RowMerger {
+    /// For a graph of `n` vertices with at most `max_entries` adjacency entries.
+    fn new(n: usize, max_entries: usize) -> Self {
+        let mut xadj = Vec::with_capacity(n + 1);
+        xadj.push(0);
+        RowMerger {
+            acc: vec![0; n],
+            touched: Vec::new(),
+            xadj,
+            adjncy: Vec::with_capacity(max_entries),
+            adjwgt: Vec::with_capacity(max_entries),
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, u: u32, w: u64) {
+        let slot = &mut self.acc[u as usize];
+        if *slot == 0 {
+            self.touched.push(u);
+        }
+        *slot += w;
+    }
+
+    /// Close the current row: emit its neighbors in id order and leave the
+    /// accumulator all-zero for the next one.
+    fn finish_row(&mut self) {
+        self.touched.sort_unstable();
+        for &u in &self.touched {
+            self.adjncy.push(u);
+            self.adjwgt.push(std::mem::take(&mut self.acc[u as usize]));
+        }
+        self.touched.clear();
+        self.xadj.push(self.adjncy.len());
+    }
+
+    fn build(self, vwgt: Vec<u64>) -> WGraph {
+        debug_assert_eq!(self.xadj.len(), vwgt.len() + 1);
+        WGraph { vwgt, xadj: self.xadj, adjncy: self.adjncy, adjwgt: self.adjwgt }
+    }
 }
 
 impl WGraph {
     /// Build the undirected weighted view of a directed graph.
     pub fn from_csr(g: &CsrGraph) -> Self {
         let n = g.num_vertices() as usize;
-        let mut maps: Vec<BTreeMap<u32, u64>> = vec![BTreeMap::new(); n];
-        for e in g.edges() {
-            if e.src == e.dst {
-                continue; // self-loops never cross a cut
+        let incoming = g.transpose();
+        let mut rows = RowMerger::new(n, 2 * g.num_edges() as usize);
+        for v in g.vertices() {
+            for &u in g.neighbors(v).iter().chain(incoming.neighbors(v)) {
+                if u != v {
+                    rows.add(u.0, 1); // self-loops never cross a cut
+                }
             }
-            *maps[e.src.index()].entry(e.dst.0).or_insert(0) += 1;
-            *maps[e.dst.index()].entry(e.src.0).or_insert(0) += 1;
+            rows.finish_row();
         }
-        // BTreeMap iterates in key order, so each adjacency list is sorted.
-        let adj: Vec<Vec<(u32, u64)>> =
-            maps.into_iter().map(|m| m.into_iter().collect()).collect();
-        let vwgt = (0..n).map(|v| 1 + g.out_degree(surfer_graph::VertexId(v as u32)) as u64).collect();
-        WGraph { vwgt, adj }
+        let vwgt = g.vertices().map(|v| 1 + u64::from(g.out_degree(v))).collect();
+        rows.build(vwgt)
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.vwgt.len()
+    }
+
+    /// Vertex weights, indexed by vertex.
+    pub fn vwgt(&self) -> &[u64] {
+        &self.vwgt
+    }
+
+    /// `(neighbor, edge weight)` pairs of `v`, in increasing neighbor id.
+    #[inline]
+    pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let row = self.xadj[v]..self.xadj[v + 1];
+        self.adjncy[row.clone()].iter().copied().zip(self.adjwgt[row].iter().copied())
     }
 
     /// Total vertex weight.
@@ -55,12 +121,12 @@ impl WGraph {
 
     /// Sum of edge weights incident to `v`.
     pub fn degree_weight(&self, v: usize) -> u64 {
-        self.adj[v].iter().map(|&(_, w)| w).sum()
+        self.adjwgt[self.xadj[v]..self.xadj[v + 1]].iter().sum()
     }
 
     /// Total edge weight (each undirected edge counted once).
     pub fn total_edge_weight(&self) -> u64 {
-        self.adj.iter().flatten().map(|&(_, w)| w).sum::<u64>() / 2
+        self.adjwgt.iter().sum::<u64>() / 2
     }
 
     /// Heavy-edge matching in a seeded random vertex order: each unmatched
@@ -76,11 +142,11 @@ impl WGraph {
             if matched[v as usize] {
                 continue;
             }
-            let heaviest = self.adj[v as usize]
-                .iter()
-                .filter(|&&(u, _)| !matched[u as usize] && u != v)
-                .max_by_key(|&&(u, w)| (w, std::cmp::Reverse(u)));
-            if let Some(&(u, _)) = heaviest {
+            let heaviest = self
+                .neighbors(v as usize)
+                .filter(|&(u, _)| !matched[u as usize])
+                .max_by_key(|&(u, w)| (w, std::cmp::Reverse(u)));
+            if let Some((u, _)) = heaviest {
                 matched[v as usize] = true;
                 matched[u as usize] = true;
                 match_of[v as usize] = u;
@@ -95,68 +161,71 @@ impl WGraph {
     pub fn contract(&self, match_of: &[u32]) -> (WGraph, Vec<u32>) {
         let n = self.num_vertices();
         let mut coarse_of = vec![u32::MAX; n];
-        let mut next = 0u32;
+        // Coarse ids follow each pair's smaller fine id, so `firsts` is the
+        // coarse graph's row order.
+        let mut firsts: Vec<u32> = Vec::with_capacity(n);
         for v in 0..n as u32 {
             if coarse_of[v as usize] != u32::MAX {
                 continue;
             }
-            let m = match_of[v as usize];
-            coarse_of[v as usize] = next;
-            if m != v {
-                coarse_of[m as usize] = next;
-            }
-            next += 1;
+            let cv = firsts.len() as u32;
+            coarse_of[v as usize] = cv;
+            coarse_of[match_of[v as usize] as usize] = cv;
+            firsts.push(v);
         }
-        let cn = next as usize;
-        let mut vwgt = vec![0u64; cn];
+        let mut vwgt = vec![0u64; firsts.len()];
         for v in 0..n {
             vwgt[coarse_of[v] as usize] += self.vwgt[v];
         }
-        let mut maps: Vec<BTreeMap<u32, u64>> = vec![BTreeMap::new(); cn];
-        for v in 0..n {
-            let cv = coarse_of[v];
-            for &(u, w) in &self.adj[v] {
-                let cu = coarse_of[u as usize];
-                if cu != cv {
-                    *maps[cv as usize].entry(cu).or_insert(0) += w;
+        let mut rows = RowMerger::new(firsts.len(), self.adjncy.len());
+        for (cv, &v) in firsts.iter().enumerate() {
+            let partner = match_of[v as usize];
+            for member in std::iter::once(v).chain((partner != v).then_some(partner)) {
+                for (u, w) in self.neighbors(member as usize) {
+                    let cu = coarse_of[u as usize];
+                    if cu as usize != cv {
+                        rows.add(cu, w);
+                    }
                 }
             }
+            rows.finish_row();
         }
-        let adj = maps
-            .into_iter()
-            .map(|m| m.into_iter().collect::<Vec<(u32, u64)>>())
-            .collect();
-        (WGraph { vwgt, adj }, coarse_of)
+        (rows.build(vwgt), coarse_of)
     }
 
-    /// The sub-WGraph induced by `ids` (local indices into this graph).
-    /// Edges to vertices outside `ids` are dropped — exactly what recursive
-    /// bisection needs, since those edges are already counted in an
-    /// ancestor's cut. Returns the subgraph and the id mapping
-    /// (`parent_ids[local] = parent index`).
-    pub fn induced(&self, ids: &[u32]) -> (WGraph, Vec<u32>) {
-        let mut local_of = BTreeMap::new();
+    /// The sub-WGraph induced by `ids` (indices into this graph, strictly
+    /// increasing); vertex `i` of the result is `ids[i]`. Edges to vertices
+    /// outside `ids` are dropped — exactly what recursive bisection needs,
+    /// since those edges are already counted in an ancestor's cut.
+    pub fn induced(&self, ids: &[u32]) -> WGraph {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be strictly increasing");
+        let mut local_of = vec![u32::MAX; self.num_vertices()];
         for (i, &v) in ids.iter().enumerate() {
-            local_of.insert(v, i as u32);
+            local_of[v as usize] = i as u32;
         }
         let vwgt = ids.iter().map(|&v| self.vwgt[v as usize]).collect();
-        let adj = ids
-            .iter()
-            .map(|&v| {
-                self.adj[v as usize]
-                    .iter()
-                    .filter_map(|&(u, w)| local_of.get(&u).map(|&lu| (lu, w)))
-                    .collect()
-            })
-            .collect();
-        (WGraph { vwgt, adj }, ids.to_vec())
+        let mut xadj = Vec::with_capacity(ids.len() + 1);
+        xadj.push(0);
+        let (mut adjncy, mut adjwgt) = (Vec::new(), Vec::new());
+        for &v in ids {
+            // `local_of` is monotone on `ids`, so rows stay sorted.
+            for (u, w) in self.neighbors(v as usize) {
+                let lu = local_of[u as usize];
+                if lu != u32::MAX {
+                    adjncy.push(lu);
+                    adjwgt.push(w);
+                }
+            }
+            xadj.push(adjncy.len());
+        }
+        WGraph { vwgt, xadj, adjncy, adjwgt }
     }
 
     /// Edge-cut weight of a bisection (`side[v]` in {false, true}).
     pub fn cut_weight(&self, side: &[bool]) -> u64 {
         let mut cut = 0u64;
         for v in 0..self.num_vertices() {
-            for &(u, w) in &self.adj[v] {
+            for (u, w) in self.neighbors(v) {
                 if (u as usize) > v && side[v] != side[u as usize] {
                     cut += w;
                 }
@@ -175,15 +244,33 @@ impl WGraph {
 mod tests {
     use super::*;
     use surfer_graph::builder::from_edges;
-    use surfer_graph::generators::deterministic::grid;
+    use surfer_graph::generators::deterministic::{grid, star};
+    use surfer_graph::generators::erdos::gnm;
+
+    fn row(g: &WGraph, v: usize) -> Vec<(u32, u64)> {
+        g.neighbors(v).collect()
+    }
+
+    /// The representation invariants every constructor must establish.
+    fn assert_canonical(g: &WGraph) {
+        for v in 0..g.num_vertices() {
+            let r = row(g, v);
+            assert!(r.windows(2).all(|w| w[0].0 < w[1].0), "row {v} not strictly sorted: {r:?}");
+            for &(u, w) in &r {
+                assert_ne!(u as usize, v, "self-edge at {v}");
+                assert!(w > 0, "zero-weight edge {v}-{u}");
+                assert!(row(g, u as usize).contains(&(v as u32, w)), "edge {v}-{u} not mirrored");
+            }
+        }
+    }
 
     #[test]
     fn symmetrizes_and_merges_parallel_edges() {
         // 0->1 and 1->0 merge into one undirected edge of weight 2.
         let g = from_edges(2, [(0, 1), (1, 0)]);
         let w = WGraph::from_csr(&g);
-        assert_eq!(w.adj[0], vec![(1, 2)]);
-        assert_eq!(w.adj[1], vec![(0, 2)]);
+        assert_eq!(row(&w, 0), vec![(1, 2)]);
+        assert_eq!(row(&w, 1), vec![(0, 2)]);
         assert_eq!(w.total_edge_weight(), 2);
     }
 
@@ -191,7 +278,7 @@ mod tests {
     fn vertex_weight_models_record_size() {
         let g = from_edges(3, [(0, 1), (0, 2)]);
         let w = WGraph::from_csr(&g);
-        assert_eq!(w.vwgt, vec![3, 1, 1]); // 1 + out-degree
+        assert_eq!(w.vwgt(), [3, 1, 1]); // 1 + out-degree
         assert_eq!(w.total_vwgt(), 5);
     }
 
@@ -199,7 +286,16 @@ mod tests {
     fn self_loops_ignored() {
         let g = from_edges(2, [(0, 0), (0, 1)]);
         let w = WGraph::from_csr(&g);
-        assert_eq!(w.adj[0], vec![(1, 1)]);
+        assert_eq!(row(&w, 0), vec![(1, 1)]);
+    }
+
+    #[test]
+    fn from_csr_is_canonical_and_counts_every_directed_edge() {
+        let g = gnm(200, 1500, 9);
+        let w = WGraph::from_csr(&g);
+        assert_canonical(&w);
+        assert_eq!(w.total_edge_weight(), g.num_edges()); // gnm has no self-loops
+        assert_eq!(w.degree_weight(7), row(&w, 7).iter().map(|&(_, x)| x).sum::<u64>());
     }
 
     #[test]
@@ -217,14 +313,22 @@ mod tests {
 
     #[test]
     fn contraction_preserves_total_weights() {
-        let w = WGraph::from_csr(&grid(4, 4));
-        let m = w.heavy_edge_matching(2);
-        let (c, coarse_of) = w.contract(&m);
-        assert_eq!(c.total_vwgt(), w.total_vwgt());
-        assert!(c.num_vertices() < w.num_vertices());
-        assert_eq!(coarse_of.len(), 16);
-        // Every coarse id valid.
-        assert!(coarse_of.iter().all(|&c_id| (c_id as usize) < c.num_vertices()));
+        for (g, seed) in [(grid(4, 4), 2), (gnm(300, 2500, 4), 5), (star(40), 6)] {
+            let w = WGraph::from_csr(&g);
+            let m = w.heavy_edge_matching(seed);
+            let (c, coarse_of) = w.contract(&m);
+            assert_canonical(&c);
+            assert_eq!(c.total_vwgt(), w.total_vwgt());
+            assert!(c.num_vertices() < w.num_vertices());
+            assert_eq!(coarse_of.len(), w.num_vertices());
+            assert!(coarse_of.iter().all(|&c_id| (c_id as usize) < c.num_vertices()));
+            // Only the matched edges disappear; everything else is merged.
+            let absorbed: u64 = (0..w.num_vertices())
+                .filter(|&v| (m[v] as usize) > v)
+                .map(|v| row(&w, v).iter().find(|&&(u, _)| u == m[v]).map_or(0, |&(_, x)| x))
+                .sum();
+            assert_eq!(c.total_edge_weight(), w.total_edge_weight() - absorbed);
+        }
     }
 
     #[test]
@@ -239,11 +343,41 @@ mod tests {
     }
 
     #[test]
+    fn induced_drops_edges_leaving_the_subset() {
+        // Path 0-1-2-3-4 plus chord 0-4; keep {0, 2, 3, 4}.
+        let w = WGraph::from_csr(&from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 4)]));
+        let sub = w.induced(&[0, 2, 3, 4]);
+        assert_canonical(&sub);
+        assert_eq!(sub.vwgt(), [w.vwgt()[0], w.vwgt()[2], w.vwgt()[3], w.vwgt()[4]]);
+        assert_eq!(row(&sub, 0), vec![(3, 2)]); // 0-4 (both directions); 0-1 dropped
+        assert_eq!(row(&sub, 1), vec![(2, 1)]); // 2-3; 1-2 dropped
+        assert_eq!(row(&sub, 2), vec![(1, 1), (3, 1)]);
+        assert_eq!(row(&sub, 3), vec![(0, 2), (2, 1)]);
+    }
+
+    #[test]
+    fn induced_calls_are_independent() {
+        // Each call maps ids afresh: a vertex of the first subset must not
+        // leak into the second as a neighbor.
+        let w = WGraph::from_csr(&grid(3, 3));
+        let first = w.induced(&[0, 1, 3, 4]);
+        let second = w.induced(&[4, 5, 7, 8]);
+        assert_canonical(&second);
+        assert_eq!(first.total_edge_weight(), second.total_edge_weight());
+        assert_eq!(row(&second, 0), vec![(1, 2), (2, 2)]); // 4-5, 4-7 only
+        let all: Vec<u32> = (0..9).collect();
+        let whole = w.induced(&all);
+        assert_eq!(whole.total_edge_weight(), w.total_edge_weight());
+        assert!((0..9).all(|v| row(&whole, v) == row(&w, v)));
+        assert_eq!(w.induced(&[]).num_vertices(), 0);
+    }
+
+    #[test]
     fn cut_and_side_weight() {
         let g = from_edges(4, [(0, 1), (1, 2), (2, 3)]);
         let w = WGraph::from_csr(&g);
         let side = vec![false, false, true, true];
         assert_eq!(w.cut_weight(&side), 1);
-        assert_eq!(w.side_weight(&side), w.vwgt[2] + w.vwgt[3]);
+        assert_eq!(w.side_weight(&side), w.vwgt()[2] + w.vwgt()[3]);
     }
 }

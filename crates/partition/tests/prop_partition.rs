@@ -8,7 +8,7 @@ use surfer_partition::{
     bandwidth_aware_partition, bisect, parmetis_baseline_partition, quality, BisectConfig,
     MachineGraph, RecursivePartitioner, WGraph,
 };
-use surfer_partition::refine::fm_refine;
+use surfer_partition::refine::fm_refine_bounded;
 
 fn arb_graph() -> impl Strategy<Value = surfer_graph::CsrGraph> {
     (4u32..40).prop_flat_map(|n| {
@@ -31,9 +31,14 @@ proptest! {
     }
 
     #[test]
-    fn fm_improves_cut_or_repairs_balance(g in arb_graph(), seed in 0u64..50) {
+    fn fm_improves_cut_or_repairs_balance(
+        g in arb_graph(),
+        seed in 0u64..50,
+        passes in 1u32..6,
+        bound_pct in 50u32..101,
+    ) {
         use rand::{Rng, SeedableRng};
-        use surfer_partition::refine::DEFAULT_MAX_SIDE_FRACTION;
+        let max_side_fraction = f64::from(bound_pct) / 100.0;
         let w = WGraph::from_csr(&g);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut side: Vec<bool> = (0..w.num_vertices()).map(|_| rng.gen()).collect();
@@ -41,7 +46,7 @@ proptest! {
             side[0] = !side[0];
         }
         let total = w.total_vwgt();
-        let max_side = (total as f64 * DEFAULT_MAX_SIDE_FRACTION) as u64;
+        let max_side = (total as f64 * max_side_fraction) as u64;
         let imbalance = |side: &[bool]| {
             let wt = w.side_weight(side);
             wt.max(total - wt)
@@ -49,7 +54,8 @@ proptest! {
         let start_feasible = imbalance(&side) <= max_side;
         let before = w.cut_weight(&side);
         let before_imb = imbalance(&side);
-        let after = fm_refine(&w, &mut side, 4);
+        let after = fm_refine_bounded(&w, &mut side, passes, max_side_fraction);
+        // The incrementally tracked cut is exact, early pass exit included.
         prop_assert_eq!(after, w.cut_weight(&side));
         if start_feasible {
             // From a balanced start FM never worsens the cut.
