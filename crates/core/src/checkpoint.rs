@@ -216,6 +216,9 @@ pub struct RecoveryOutcome {
 struct ChaosProgram<'p, P> {
     inner: &'p P,
     iteration: AtomicU32,
+    /// Does the plan hold any UDF panic? Without one `transfer` goes
+    /// straight to the program, never through the lock below.
+    armed: bool,
     /// `(iteration, vertex, fired)` per planned panic.
     panics: Mutex<Vec<(u32, u32, bool)>>,
 }
@@ -225,6 +228,7 @@ impl<'p, P: Propagation> ChaosProgram<'p, P> {
         ChaosProgram {
             inner,
             iteration: AtomicU32::new(0),
+            armed: !plan.udf_panics.is_empty(),
             panics: Mutex::new(
                 plan.udf_panics.iter().map(|p| (p.iteration, p.vertex, false)).collect(),
             ),
@@ -251,6 +255,9 @@ impl<P: Propagation> Propagation for ChaosProgram<'_, P> {
         to: VertexId,
         g: &CsrGraph,
     ) -> Option<Self::Msg> {
+        if !self.armed {
+            return self.inner.transfer(from, state, to, g);
+        }
         let it = self.iteration.load(Ordering::Relaxed);
         let fire = {
             let mut panics =
@@ -397,6 +404,11 @@ where
     // re-homing a partition moves its tasks, not its replicas.
     let store = PartitionStore::from_assignment(cluster.topology(), pg.placement());
     let chaos = ChaosProgram::new(prog, plan);
+    // One engine — hence one spill session — for the whole job; every
+    // iteration runs it over the placement of the moment. Under a memory
+    // budget the edge blocks are written once and the session's directory
+    // goes when this function returns, whichever way it returns.
+    let job_engine = PropagationEngine::new(cluster, pg, options);
     let mut alive = vec![true; machines as usize];
     let mut total = ExecReport::new(machines);
     let mut stats = RecoveryStats::default();
@@ -465,7 +477,7 @@ where
             // Recompute the lost tail on the new placement. These are plain
             // re-runs: any UDF panic pinned inside the tail already fired
             // (and was consumed) on the first pass.
-            let engine = PropagationEngine::new(cluster, &next, options);
+            let engine = job_engine.replaced(&next);
             for t in last_ckpt..it {
                 chaos.set_iteration(t);
                 total.absorb(&engine.run_iteration(&chaos, state)?);
@@ -479,7 +491,7 @@ where
         // the machine failures into the simulated executor, charging
         // heartbeat detection and task re-assignment; a UDF panic fails the
         // attempt (state untouched) and the iteration retries.
-        let engine = PropagationEngine::new(cluster, &cur, options);
+        let engine = job_engine.replaced(&cur);
         chaos.set_iteration(it);
         // Spill-I/O faults (short writes, corrupted spill blocks) fire on
         // the iteration's *first* attempt only: the out-of-core lane fails

@@ -22,7 +22,7 @@
 //! are identical for every thread count.
 
 use crate::error::{SurferError, SurferResult};
-use crate::ooc::{working_set_bytes, MemoryBudget, OocSession};
+use crate::ooc::{working_set_bytes, MemoryBudget, MsgSink, OocSession};
 use crate::opt::OptimizationLevel;
 use crate::primitive::{Propagation, VirtualVertexTask};
 use std::collections::BTreeMap;
@@ -32,7 +32,7 @@ use surfer_cluster::{
     ExecReport, Executor, Fault, MachineId, PartitionStore, SimCluster, SpillFault, StoreReplanner,
     TaskKind, TaskSpec,
 };
-use surfer_graph::VertexId;
+use surfer_graph::{GraphError, VertexId};
 use surfer_partition::PartitionedGraph;
 
 /// Engine knobs independent of storage layout (the layout lives in the
@@ -137,14 +137,170 @@ impl EngineOptions {
     }
 }
 
-/// What one partition's Transfer scan produced: messages in exactly the
-/// order the sequential scan would have pushed them (locals and unmerged
-/// cross messages during the scan, merged cross messages after it, in
-/// destination order), plus the partition's cost tally.
-struct Outbox<M> {
-    msgs: Vec<(VertexId, M)>,
+/// Messages routed to explicit destination vertices, in emission order.
+pub(crate) type Routed<M> = Vec<(VertexId, M)>;
+
+/// One partition's Transfer scan: the per-edge body — transfer, local or
+/// cross, tally, merge or push — over whichever edge source the round has
+/// (the resident CSR, or edge blocks streamed from disk), routing into one
+/// bucket per destination partition: resident, or the spill session's
+/// mailbox segments.
+struct TransferScan<'a, P: Propagation> {
+    prog: &'a P,
+    pg: &'a PartitionedGraph,
+    state: &'a [P::State],
+    pid: u32,
     tally: PartitionTally,
     emitted: u64,
+    /// The resident bucket per destination partition; every message is
+    /// here unless the round spills its mailbox.
+    mem: Vec<Routed<P::Msg>>,
+    segments: Option<MsgSink<'a>>,
+    /// `(messages, bytes)` sent to each remote partition, folded into the
+    /// tally's ordered `cross_out` once the scan is over.
+    cross: Vec<(u64, u64)>,
+    /// Local-combination buffer: one merged message per remote destination
+    /// vertex, dense over raw ids (empty when nothing merges). `touched`
+    /// lists first arrivals, so the flush visits destinations in ascending
+    /// id order — the order an ordered map would iterate in.
+    merged: Vec<Option<P::Msg>>,
+    touched: Vec<u32>,
+}
+
+/// What one partition's Transfer scan produced. Each bucket of `mem` holds
+/// messages in exactly the order a sequential scan would have pushed them:
+/// locals and unmerged cross messages during the scan, merged cross
+/// messages after it, in destination order.
+struct Outbox<M> {
+    tally: PartitionTally,
+    emitted: u64,
+    mem: Vec<Routed<M>>,
+    /// The destination partitions a mailbox segment was written for,
+    /// ascending, each with its message count, and the frames/bytes that
+    /// took (nothing unless the round spills its mailbox).
+    written: Vec<(u32, u64)>,
+    spilled: (u64, u64),
+}
+
+impl<'a, P: Propagation> TransferScan<'a, P> {
+    fn begin(
+        prog: &'a P,
+        pg: &'a PartitionedGraph,
+        state: &'a [P::State],
+        pid: u32,
+        merge_cross: bool,
+        segments: Option<MsgSink<'a>>,
+    ) -> Self {
+        if surfer_obs::enabled() {
+            // Counter increments are commutative, so these per-partition
+            // adds are thread-count-deterministic even off-thread.
+            let members = &pg.meta(pid).members;
+            let inner = members.iter().filter(|&&v| pg.is_inner(v)).count() as u64;
+            surfer_obs::counter_add("prop.inner_vertices", inner);
+            surfer_obs::counter_add("prop.boundary_vertices", members.len() as u64 - inner);
+        }
+        let parts = pg.num_partitions() as usize;
+        let mut merged = Vec::new();
+        if merge_cross {
+            merged.resize_with(state.len(), || None);
+        }
+        TransferScan {
+            prog,
+            pg,
+            state,
+            pid,
+            tally: PartitionTally::default(),
+            emitted: 0,
+            mem: (0..parts).map(|_| Vec::new()).collect(),
+            segments,
+            cross: vec![(0, 0); parts],
+            merged,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Scan the out-edges of member `v`.
+    #[inline]
+    fn vertex(&mut self, v: VertexId, neighbors: &[VertexId]) -> SurferResult<()> {
+        let (prog, pg) = (self.prog, self.pg);
+        let from = &self.state[v.index()];
+        self.tally.transfer_calls += neighbors.len() as u64;
+        for &to in neighbors {
+            let Some(msg) = prog.transfer(v, from, to, pg.graph()) else {
+                continue;
+            };
+            self.emitted += 1;
+            let q = pg.pid_of(to);
+            if q == self.pid {
+                let bytes = prog.msg_bytes(&msg);
+                self.tally.local_bytes += bytes;
+                self.tally.local_msgs += 1;
+                if pg.is_inner(to) {
+                    self.tally.local_inner_bytes += bytes;
+                }
+                self.push(q, to, msg)?;
+            } else if self.merged.is_empty() {
+                self.send_cross(q, to, msg)?;
+            } else {
+                let slot = &mut self.merged[to.index()];
+                *slot = Some(match slot.take() {
+                    Some(prev) => prog.merge(prev, msg),
+                    None => {
+                        self.touched.push(to.0);
+                        msg
+                    }
+                });
+            }
+        }
+        Ok(())
+    }
+
+    fn send_cross(&mut self, q: u32, to: VertexId, msg: P::Msg) -> SurferResult<()> {
+        let sent = &mut self.cross[q as usize];
+        sent.0 += 1;
+        sent.1 += self.prog.msg_bytes(&msg);
+        self.push(q, to, msg)
+    }
+
+    #[inline]
+    fn push(&mut self, q: u32, to: VertexId, msg: P::Msg) -> SurferResult<()> {
+        match &mut self.segments {
+            Some(segments) => segments.push_encoded(self.prog, q, to, &msg),
+            None => {
+                self.mem[q as usize].push((to, msg));
+                Ok(())
+            }
+        }
+    }
+
+    /// Flush the merged cross messages and the mailbox segments, and close
+    /// the tally.
+    fn finish(mut self) -> SurferResult<Outbox<P::Msg>> {
+        self.touched.sort_unstable();
+        for raw in std::mem::take(&mut self.touched) {
+            let to = VertexId(raw);
+            if let Some(msg) = self.merged[to.index()].take() {
+                self.send_cross(self.pg.pid_of(to), to, msg)?;
+            }
+        }
+        for (q, &(msgs, bytes)) in self.cross.iter().enumerate() {
+            if msgs > 0 {
+                self.tally.cross_out.insert(q as u32, bytes);
+                self.tally.cross_msgs += msgs;
+            }
+        }
+        let (written, spilled) = match &mut self.segments {
+            Some(segments) => (segments.finish()?, segments.spilled()),
+            None => (Vec::new(), (0, 0)),
+        };
+        Ok(Outbox {
+            tally: self.tally,
+            emitted: self.emitted,
+            mem: self.mem,
+            written,
+            spilled,
+        })
+    }
 }
 
 /// What one partition's virtual-vertex transfer produced: `(virtual id,
@@ -250,14 +406,35 @@ pub struct PropagationEngine<'a> {
 impl<'a> PropagationEngine<'a> {
     /// Bind the engine.
     pub fn new(cluster: &'a SimCluster, graph: &'a PartitionedGraph, options: EngineOptions) -> Self {
+        let ooc = options.memory_budget.limit().map(|b| Arc::new(OocSession::new(b)));
+        Self::bind(cluster, graph, options, ooc)
+    }
+
+    fn bind(
+        cluster: &'a SimCluster,
+        graph: &'a PartitionedGraph,
+        options: EngineOptions,
+        ooc: Option<Arc<OocSession>>,
+    ) -> Self {
         for pid in graph.partitions() {
             assert!(
                 graph.machine_of(pid).0 < cluster.num_machines(),
                 "partition {pid} placed outside the cluster"
             );
         }
-        let ooc = options.memory_budget.limit().map(|b| Arc::new(OocSession::new(b)));
         PropagationEngine { cluster, graph, options, ooc }
+    }
+
+    /// This engine over `graph`, the bound graph under another placement
+    /// (the recovery loop re-homes partitions after a crash). The spill
+    /// session is shared, not renewed: edge blocks are a function of the
+    /// graph and its partitioning, which a re-homing leaves alone.
+    pub(crate) fn replaced<'b>(&self, graph: &'b PartitionedGraph) -> PropagationEngine<'b>
+    where
+        'a: 'b,
+    {
+        debug_assert_eq!(graph.partitioning(), self.graph.partitioning());
+        PropagationEngine::bind(self.cluster, graph, self.options, self.ooc.clone())
     }
 
     /// The bound partitioned graph.
@@ -275,14 +452,18 @@ impl<'a> PropagationEngine<'a> {
         self.options
     }
 
+    /// The spill session a program with this per-vertex state size runs
+    /// through, if any.
+    fn spill_session(&self, state_bytes: u64) -> Option<&OocSession> {
+        let session = self.ooc.as_deref()?;
+        (working_set_bytes(self.graph, state_bytes) > session.budget()).then_some(session)
+    }
+
     /// Will a program with this per-vertex state size run through the
     /// out-of-core lane? True exactly when a memory budget is configured
     /// and the program's [`working_set_bytes`] exceeds it.
     pub fn spill_active(&self, state_bytes: u64) -> bool {
-        match (&self.ooc, self.options.memory_budget.limit()) {
-            (Some(_), Some(budget)) => working_set_bytes(self.graph, state_bytes) > budget,
-            _ => false,
-        }
+        self.spill_session(state_bytes).is_some()
     }
 
     /// Run one iteration while injecting disk faults into the spill files
@@ -383,6 +564,12 @@ impl<'a> PropagationEngine<'a> {
         Ok(self.run_iteration_inner(prog, state, None, faults, &[])?.0)
     }
 
+    /// One Transfer→Combine round. Under a memory budget the program's
+    /// working set exceeds, the same round runs out of core: the scan reads
+    /// edge blocks streamed from the spill session instead of the CSR, and
+    /// — for programs with a spill codec — messages travel through mailbox
+    /// segments on disk instead of resident buckets. Same per-edge body,
+    /// same fold order, hence bit-identical states, tallies and reports.
     pub(crate) fn run_iteration_inner<P: Propagation>(
         &self,
         prog: &P,
@@ -391,185 +578,209 @@ impl<'a> PropagationEngine<'a> {
         faults: &[Fault],
         spill_faults: &[SpillFault],
     ) -> SurferResult<(ExecReport, u64)> {
-        if self.spill_active(prog.state_bytes()) {
-            // lint:allow(E1, spill_active is only true when self.ooc is Some)
-            let session = self.ooc.as_ref().expect("spill_active implies a session");
-            return crate::ooc::run_iteration_spilled(
-                self,
-                session,
-                prog,
-                state,
-                disk_fraction,
-                faults,
-                spill_faults,
-            );
-        }
+        let session = self.spill_session(prog.state_bytes());
         let _iter_span = surfer_obs::span_seq("prop.iteration");
         surfer_obs::journal::record(surfer_obs::journal::EventKind::IterationStart {
-            lane: "resident",
+            lane: if session.is_some() { "spill" } else { "resident" },
         });
         let pg = self.graph;
         let g = pg.graph();
-        let n = g.num_vertices() as usize;
-        assert_eq!(state.len(), n, "state vector must cover every vertex");
+        assert_eq!(state.len(), g.num_vertices() as usize, "state vector must cover every vertex");
         let threads = self.options.resolved_threads();
         let merge_cross = self.options.local_combination && prog.associative();
+        let packed = self.options.packed_adjacency;
         let enc = pg.encoding();
+        let parts = pg.num_partitions() as usize;
+        if let Some(session) = session {
+            session.begin_round(pg, packed, spill_faults)?;
+        }
+        // Programs without a spill codec stream their adjacency but keep
+        // the mailbox resident.
+        let mailbox_session = session.filter(|_| prog.spill_capable());
 
         // ---- Transfer stage (real, one worker item per partition). ----
-        // Each scan emits into a private outbox in exactly the sequential
-        // push order; outboxes are folded below in ascending pid order, so
-        // every combine() input bag — and every tally — is identical no
-        // matter how many threads ran or how they were scheduled.
+        // Each scan routes into private per-destination buckets in exactly
+        // the sequential push order; the buckets are folded below in
+        // ascending pid order, so every combine() input bag — and every
+        // tally — is identical no matter how many threads ran or how they
+        // were scheduled.
         let state_ro: &[P::State] = state;
         let pids: Vec<u32> = pg.partitions().collect();
         let transfer_span = surfer_obs::span("prop.transfer");
         let transfer_sid = transfer_span.id();
         // Work item i is partition i, so a WorkerPanic's index names the
         // failing partition directly.
-        let outboxes: Vec<Outbox<P::Msg>> = try_par_map_vec(threads, pids, |_, pid| {
+        let scanned: Vec<SurferResult<Outbox<P::Msg>>> = try_par_map_vec(threads, pids, |_, pid| {
             let _s = surfer_obs::span_under("prop.transfer.part", transfer_sid, || format!("p{pid}"));
             let t0 = surfer_obs::stopwatch();
-            let meta = pg.meta(pid);
-            if surfer_obs::enabled() {
-                // Counter increments are commutative, so these per-partition
-                // adds are thread-count-deterministic even off-thread.
-                let inner = meta.members.iter().filter(|&&v| pg.is_inner(v)).count() as u64;
-                surfer_obs::counter_add("prop.inner_vertices", inner);
-                surfer_obs::counter_add("prop.boundary_vertices", meta.members.len() as u64 - inner);
-            }
-            let mut t = PartitionTally::default();
-            let mut msgs: Vec<(VertexId, P::Msg)> = Vec::new();
-            let mut emitted = 0u64;
-            // Local-combination buffer: one merged message per remote
-            // destination vertex.
-            let mut crossbuf: BTreeMap<VertexId, P::Msg> = BTreeMap::new();
-            for &v in &meta.members {
-                for &to in g.neighbors(v) {
-                    t.transfer_calls += 1;
-                    let Some(msg) = prog.transfer(v, &state_ro[v.index()], to, g) else {
-                        continue;
-                    };
-                    emitted += 1;
-                    let q = pg.pid_of(to);
-                    if q == pid {
-                        let bytes = prog.msg_bytes(&msg);
-                        t.local_bytes += bytes;
-                        t.local_msgs += 1;
-                        if pg.is_inner(to) {
-                            t.local_inner_bytes += bytes;
-                        }
-                        msgs.push((to, msg));
-                    } else if merge_cross {
-                        match crossbuf.remove(&to) {
-                            Some(prev) => {
-                                crossbuf.insert(to, prog.merge(prev, msg));
-                            }
-                            None => {
-                                crossbuf.insert(to, msg);
-                            }
-                        }
-                    } else {
-                        let bytes = prog.msg_bytes(&msg);
-                        *t.cross_out.entry(q).or_insert(0) += bytes;
-                        t.cross_msgs += 1;
-                        msgs.push((to, msg));
+            let segments = mailbox_session.map(|s| MsgSink::new(s, pid, parts));
+            let mut scan = TransferScan::begin(prog, pg, state_ro, pid, merge_cross, segments);
+            match session {
+                Some(session) => {
+                    session.scan_edge_blocks(pid, packed, |v, nbrs| scan.vertex(v, nbrs))?
+                }
+                None => {
+                    for &v in &pg.meta(pid).members {
+                        scan.vertex(v, g.neighbors(v))?;
                     }
                 }
             }
-            for (to, msg) in crossbuf {
-                let q = pg.pid_of(to);
-                *t.cross_out.entry(q).or_insert(0) += prog.msg_bytes(&msg);
-                t.cross_msgs += 1;
-                msgs.push((to, msg));
-            }
+            let mut outbox = scan.finish()?;
             if t0.is_recording() {
-                t.transfer_ns = t0.elapsed_ns();
+                outbox.tally.transfer_ns = t0.elapsed_ns();
             }
-            Outbox { msgs, tally: t, emitted }
+            Ok(outbox)
         })
         .map_err(|e| SurferError::from_worker_panic("transfer", e))?;
         drop(transfer_span);
 
-        // ---- Flat counted mailbox: count, prefix-sum, fill. ----
-        // Slots are *encoded* ids (App. B): contiguous per partition and
-        // order-preserving within one, so each partition's incoming messages
-        // occupy one contiguous range that Combine can split off below.
-        let mut offsets = vec![0usize; n + 1];
-        for ob in &outboxes {
-            for (to, _) in &ob.msgs {
-                offsets[enc.encode(*to).index() + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut mailbox: Vec<Option<P::Msg>> = Vec::with_capacity(offsets[n]);
-        mailbox.resize_with(offsets[n], || None);
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
+        // Fold in ascending pid order, surfacing the lowest failing
+        // partition's error (deterministic at any thread count): tallies,
+        // mailbox sizes, and per destination `q` its resident buckets
+        // (`inbound[q]`) and the partitions with a segment for it
+        // (`sources[q]`), both ascending by source.
         let mut messages = 0u64;
-        let mut tally: Vec<PartitionTally> = Vec::with_capacity(outboxes.len());
-        for ob in outboxes {
-            messages += ob.emitted;
-            tally.push(ob.tally);
-            for (to, msg) in ob.msgs {
-                let slot = enc.encode(to).index();
-                mailbox[cursor[slot]] = Some(msg);
-                cursor[slot] += 1;
+        let mut tally: Vec<PartitionTally> = Vec::with_capacity(parts);
+        let mut mailbox_totals = vec![0u64; parts];
+        let mut inbound: Vec<Vec<Routed<P::Msg>>> = (0..parts).map(|_| Vec::new()).collect();
+        let mut sources: Vec<Vec<u32>> = vec![Vec::new(); parts];
+        let mut segments: Vec<(u32, u32)> = Vec::new();
+        let mut spilled = (0u64, 0u64);
+        for (p, outbox) in scanned.into_iter().enumerate() {
+            let outbox = match (outbox, session) {
+                (Ok(outbox), _) => outbox,
+                // A storage error also drops the edge blocks, so the retry
+                // rewrites them from the source graph.
+                (Err(e @ SurferError::Storage(_)), Some(session)) => {
+                    session.invalidate_edge_blocks();
+                    return Err(e);
+                }
+                (Err(e), _) => return Err(e),
+            };
+            messages += outbox.emitted;
+            for (q, bucket) in outbox.mem.into_iter().enumerate() {
+                if !bucket.is_empty() {
+                    mailbox_totals[q] += bucket.len() as u64;
+                    inbound[q].push(bucket);
+                }
             }
+            for (q, msgs) in outbox.written {
+                mailbox_totals[q as usize] += msgs;
+                segments.push((p as u32, q));
+                sources[q as usize].push(p as u32);
+            }
+            spilled = (spilled.0 + outbox.spilled.0, spilled.1 + outbox.spilled.1);
+            tally.push(outbox.tally);
+        }
+        if spilled.0 > 0 {
+            surfer_obs::journal::record(surfer_obs::journal::EventKind::SpillWrite {
+                frames: spilled.0,
+                bytes: spilled.1,
+            });
         }
         publish_transfer_counters(&tally, messages);
+        if let Some(session) = mailbox_session {
+            session.end_transfer(segments, spill_faults)?;
+        }
 
         // ---- Combine stage (real, one worker item per partition). ----
-        // Split the mailbox into disjoint per-partition slices. Workers take
-        // each message exactly once and return new member states; the main
-        // thread writes them back in pid order (raw vertex ids are scattered
-        // across `state`, so the writeback itself stays sequential).
-        let mut chunks: Vec<(u32, &mut [Option<P::Msg>])> = Vec::with_capacity(tally.len());
-        let mut rest: &mut [Option<P::Msg>] = &mut mailbox;
-        let mut consumed = 0usize;
+        // Each worker builds its partition's mailbox and returns new member
+        // states; the main thread writes them back in pid order (raw vertex
+        // ids are scattered across `state`, so the writeback itself stays
+        // sequential) and only after every partition combined cleanly — a
+        // failed iteration leaves `state` untouched and is retryable.
         let mut mailbox_sizes: Vec<u64> = Vec::new();
-        for pid in pg.partitions() {
-            let end = offsets[enc.range(pid).1.index()];
-            let (head, tail) = rest.split_at_mut(end - consumed);
-            surfer_obs::observe("prop.mailbox_size", head.len() as u64);
+        for &size in &mailbox_totals {
+            surfer_obs::observe("prop.mailbox_size", size);
             if surfer_obs::enabled() {
-                mailbox_sizes.push(head.len() as u64);
+                mailbox_sizes.push(size);
             }
-            chunks.push((pid, head));
-            consumed = end;
-            rest = tail;
         }
-        let state_ro: &[P::State] = state;
-        let offsets = &offsets;
         let combine_span = surfer_obs::span("prop.combine");
         let combine_sid = combine_span.id();
-        // Work item i is again partition i (chunks are built in pid order).
-        let combined: Vec<(Vec<P::State>, u64, u64)> =
-            try_par_map_vec(threads, chunks, |_, (pid, chunk)| {
+        // Work item i is again partition i; its buckets move into the item
+        // so workers never share message values (Msg is Send, not Sync).
+        let work: Vec<_> = inbound.into_iter().zip(sources).collect();
+        let mailbox_totals = &mailbox_totals;
+        // Per partition: new member states, messages combined, the worker's
+        // nanoseconds, and the segment frames/bytes it reread.
+        type Combined<S> = (Vec<S>, u64, u64, (u64, u64));
+        let combined: Vec<SurferResult<Combined<P::State>>> =
+            try_par_map_vec(threads, work, |i, (buckets, sources)| {
+                let pid = i as u32;
                 let _s =
                     surfer_obs::span_under("prop.combine.part", combine_sid, || format!("p{pid}"));
                 let t0 = surfer_obs::stopwatch();
-                let meta = pg.meta(pid);
-                let base = offsets[enc.range(pid).0.index()];
-                let mut new_states = Vec::with_capacity(meta.members.len());
-                let mut combine_msgs = 0u64;
-                for &v in &meta.members {
-                    let slot = enc.encode(v).index();
-                    let (lo, hi) = (offsets[slot] - base, offsets[slot + 1] - base);
-                    let mut msgs = Vec::with_capacity(hi - lo);
-                    for m in &mut chunk[lo..hi] {
-                        // lint:allow(E1, invariant: routing fills each mailbox slot exactly once)
-                        msgs.push(m.take().expect("mailbox message consumed exactly once"));
-                    }
-                    combine_msgs += msgs.len() as u64;
+                // Slots are *encoded* ids (App. B): contiguous per partition
+                // and order-preserving within one.
+                let (first, end) = (enc.range(pid).0.index(), enc.range(pid).1.index());
+                let slots = end - first;
+
+                // The mailbox: every incoming message once, in fold order
+                // (source partitions ascending, emission order within one),
+                // beside the slot it is for. Segments decode straight into
+                // their cells.
+                let routed = mailbox_totals[i] as usize;
+                let mut cells: Vec<Option<P::Msg>> = Vec::with_capacity(routed);
+                let mut slot_of: Vec<u32> = Vec::with_capacity(routed);
+                let mut deliver = |to: VertexId, msg: P::Msg| {
+                    slot_of.push((enc.encode(to).index() - first) as u32);
+                    cells.push(Some(msg));
+                };
+                for (to, msg) in buckets.into_iter().flatten() {
+                    deliver(to, msg);
+                }
+                let reread = match mailbox_session {
+                    Some(session) => session.replay_segments(prog, pid, &sources, &mut deliver)?,
+                    None => (0, 0),
+                };
+                if cells.len() != routed {
+                    return Err(SurferError::Storage(GraphError::Corrupt(format!(
+                        "mailbox of partition {pid}: replayed {} messages, the scan routed {routed}",
+                        cells.len()
+                    ))));
+                }
+
+                // A stable counting sort of the arrival indices — not of
+                // the messages — groups them per slot: the bag of `slot` is
+                // `order[offsets[slot]..offsets[slot + 1]]`.
+                let mut offsets = vec![0usize; slots + 1];
+                for &slot in &slot_of {
+                    offsets[slot as usize + 1] += 1;
+                }
+                for slot in 0..slots {
+                    offsets[slot + 1] += offsets[slot];
+                }
+                let mut cursor: Vec<usize> = offsets[..slots].to_vec();
+                let mut order = vec![0usize; cells.len()];
+                for (arrival, &slot) in slot_of.iter().enumerate() {
+                    order[cursor[slot as usize]] = arrival;
+                    cursor[slot as usize] += 1;
+                }
+
+                let members = &pg.meta(pid).members;
+                let mut new_states = Vec::with_capacity(members.len());
+                for &v in members {
+                    let slot = enc.encode(v).index() - first;
+                    let msgs: Vec<P::Msg> = order[offsets[slot]..offsets[slot + 1]]
+                        .iter()
+                        // lint:allow(E1, invariant: the counting sort lists each arrival exactly once)
+                        .map(|&arrival| cells[arrival].take().expect("message consumed exactly once"))
+                        .collect();
                     new_states.push(prog.combine(v, &state_ro[v.index()], msgs, g));
                 }
-                let ns = t0.elapsed_ns();
-                (new_states, combine_msgs, ns)
+                Ok((new_states, cells.len() as u64, t0.elapsed_ns(), reread))
             })
             .map_err(|e| SurferError::from_worker_panic("combine", e))?;
-        for (pid, (new_states, combine_msgs, combine_ns)) in combined.into_iter().enumerate() {
+        let combined: Vec<Combined<P::State>> = combined.into_iter().collect::<SurferResult<_>>()?;
+        let reread = combined.iter().fold((0, 0), |(f, b), c| (f + c.3 .0, b + c.3 .1));
+        if reread.0 > 0 {
+            surfer_obs::journal::record(surfer_obs::journal::EventKind::SpillRead {
+                frames: reread.0,
+                bytes: reread.1,
+            });
+        }
+        for (pid, (new_states, combine_msgs, combine_ns, _)) in combined.into_iter().enumerate() {
             tally[pid].combine_msgs = combine_msgs;
             tally[pid].combine_ns = combine_ns;
             for (&v, s) in pg.meta(pid as u32).members.iter().zip(new_states) {
@@ -1061,6 +1272,54 @@ mod tests {
         let (out, report) = engine.run_virtual(&DegreeCount).unwrap();
         assert_eq!(out, vec![(1, 8)]); // all 8 vertices have out-degree 1
         assert!(report.tasks_completed >= 3);
+    }
+
+    /// One token crosses 3 -> 4 in the first round and dies there: the
+    /// pair (0, 1) writes a segment once and is quiet ever after.
+    struct OneShot;
+    impl Propagation for OneShot {
+        type State = u64;
+        type Msg = u64;
+        fn init(&self, v: VertexId, _g: &CsrGraph) -> u64 {
+            (v.0 == 3) as u64
+        }
+        fn transfer(&self, from: VertexId, s: &u64, _to: VertexId, _g: &CsrGraph) -> Option<u64> {
+            (*s > 0 && from.0 != 4).then_some(*s)
+        }
+        fn combine(&self, _v: VertexId, _old: &u64, msgs: Vec<u64>, _g: &CsrGraph) -> u64 {
+            msgs.iter().sum()
+        }
+        fn msg_bytes(&self, _m: &u64) -> u64 {
+            12
+        }
+        fn spill_capable(&self) -> bool {
+            true
+        }
+        fn spill_encode(&self, msg: &u64, out: &mut Vec<u8>) {
+            crate::ooc::SpillCodec::spill_to(msg, out);
+        }
+        fn spill_decode(&self, buf: &mut &[u8]) -> Option<u64> {
+            crate::ooc::SpillCodec::spill_from(buf)
+        }
+    }
+
+    #[test]
+    fn a_pair_gone_quiet_leaves_no_segment_to_replay() {
+        let (c, pg) = two_partition_cycle();
+        let opts = EngineOptions::none().memory_budget(MemoryBudget::bytes(16));
+        let engine = PropagationEngine::new(&c, &pg, opts);
+        let segment = engine.ooc.as_ref().unwrap().seg_file(0, 1);
+        let mut state = engine.init_state(&OneShot);
+
+        assert_eq!(engine.run_iteration_counted(&OneShot, &mut state).unwrap().1, 1);
+        assert_eq!(state, [0, 0, 0, 0, 1, 0, 0, 0]);
+        assert!(segment.exists());
+
+        // Nothing is sent now. Were the first round's segment replayed,
+        // vertex 4 would keep its token.
+        assert_eq!(engine.run_iteration_counted(&OneShot, &mut state).unwrap().1, 0);
+        assert_eq!(state, [0; 8]);
+        assert!(!segment.exists(), "stale segment left on disk");
     }
 
     /// Rotate whose transfer panics when fired from a chosen vertex.

@@ -238,12 +238,9 @@ fn stage_ops(ops: &[KernelOp]) -> Vec<Vec<usize>> {
 }
 
 /// Per-run kernel context: precomputed lookup structures shared by every
-/// round. Building it once amortizes the boundary bitmap and (optionally)
-/// the packed adjacency across iterations.
+/// round. Building it once amortizes the (optional) packed adjacency across
+/// iterations.
 pub(crate) struct VecRunner {
-    /// `inner[v]` ⇔ `v` is an inner vertex of its partition (replaces the
-    /// scalar path's per-message `BTreeSet` probe).
-    inner: Vec<bool>,
     /// Packed varint adjacency when `EngineOptions::packed_adjacency`.
     packed: Option<PackedCsr>,
     /// The staged operator plan (fixed per round shape).
@@ -253,12 +250,6 @@ pub(crate) struct VecRunner {
 impl VecRunner {
     pub(crate) fn build(pg: &PartitionedGraph, packed_adjacency: bool) -> VecRunner {
         let g = pg.graph();
-        let mut inner = vec![true; g.num_vertices() as usize];
-        for pid in pg.partitions() {
-            for &b in &pg.meta(pid).boundary {
-                inner[b.index()] = false;
-            }
-        }
         let packed = if packed_adjacency { Some(PackedCsr::from_csr(g)) } else { None };
         if surfer_obs::enabled() {
             surfer_obs::counter_add(surfer_obs::names::KERNEL_ADJACENCY_RAW_BYTES, 4 * g.num_edges());
@@ -266,7 +257,7 @@ impl VecRunner {
                 surfer_obs::counter_add(surfer_obs::names::KERNEL_ADJACENCY_PACKED_BYTES, p.packed_stream_bytes());
             }
         }
-        VecRunner { inner, packed, plan: KernelPlan::propagation_round() }
+        VecRunner { packed, plan: KernelPlan::propagation_round() }
     }
 }
 
@@ -325,7 +316,7 @@ fn run_round<P: VectorizedProgram>(
         let t0 = surfer_obs::stopwatch();
         let meta = pg.meta(pid);
         if surfer_obs::enabled() {
-            let inner = meta.members.iter().filter(|&&v| runner.inner[v.index()]).count() as u64;
+            let inner = meta.members.iter().filter(|&&v| pg.is_inner(v)).count() as u64;
             surfer_obs::counter_add("prop.inner_vertices", inner);
             surfer_obs::counter_add("prop.boundary_vertices", meta.members.len() as u64 - inner);
         }
@@ -362,7 +353,7 @@ fn run_round<P: VectorizedProgram>(
                 if q == pid {
                     t.local_bytes += bytes;
                     t.local_msgs += 1;
-                    if runner.inner[to.index()] {
+                    if pg.is_inner(to) {
                         t.local_inner_bytes += bytes;
                     }
                     msgs.push((enc.encode(to).0, val));
@@ -561,8 +552,8 @@ impl<'a> PropagationEngine<'a> {
         Ok(run_round(self, prog, state, disk_fraction, &runner)?.0)
     }
 
-    /// [`PropagationEngine::run`], vectorized: the runner (boundary bitmap,
-    /// packed adjacency) is built once and amortized across iterations.
+    /// [`PropagationEngine::run`], vectorized: the runner (packed adjacency)
+    /// is built once and amortized across iterations.
     pub fn run_vectorized<P: VectorizedProgram>(
         &self,
         prog: &P,

@@ -4,18 +4,18 @@
 //! assumed; GraphD-style engines answer by streaming edges from disk and
 //! keeping only O(|V|) state resident. This module is that lane for the
 //! P-Surfer engine: when [`MemoryBudget`] is limited and a program's
-//! working set exceeds it, [`run_iteration_spilled`] replaces the
-//! in-memory iteration with one that
+//! working set exceeds it, the engine's round — the same round, not a copy
+//! of it — swaps its arrays for streams. It
 //!
 //! * streams each partition's adjacency from CRC32-framed **edge blocks**
-//!   on disk in sequential-scan order (written once per session, reread
-//!   every iteration), and
+//!   on disk in sequential-scan order (written once per session — once per
+//!   job under `run_with_recovery` — and reread every iteration), and
 //! * spills the Transfer stage's messages to per-`(source, destination)`
 //!   partition **mailbox segments**, replayed by Combine in ascending
-//!   source-partition order — the same fold order as the in-memory flat
-//!   count→prefix-sum→fill mailbox, so every `combine()` input bag, every
-//!   tally and every [`ExecReport`] is **bit-identical** to the resident
-//!   engine at any thread count.
+//!   source-partition order — the order the resident buckets are folded
+//!   in, so every `combine()` input bag, every tally and every
+//!   `ExecReport` is **bit-identical** to the resident engine at any
+//!   thread count.
 //!
 //! Message spilling needs a byte codec ([`Propagation::spill_capable`] +
 //! `spill_encode`/`spill_decode`, usually delegated to [`SpillCodec`]);
@@ -27,21 +27,16 @@
 //! as a typed [`SurferError::Storage`] with vertex state untouched, so a
 //! retry with fresh spill files recovers cleanly.
 
-use crate::engine::{
-    publish_iteration_sample, publish_transfer_counters, PartitionTally, PropagationEngine,
-};
 use crate::error::{SurferError, SurferResult};
 use crate::primitive::Propagation;
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use surfer_cluster::par::try_par_map_vec;
-use surfer_cluster::{ExecReport, Fault, SpillFault, SpillFaultKind};
+use surfer_cluster::{SpillFault, SpillFaultKind};
 use surfer_graph::block;
 use surfer_graph::{GraphError, VertexId};
-use surfer_partition::store_fs::{encode_frame, FrameStream, SPILL_MAGIC};
+use surfer_partition::store_fs::{write_frame, FrameStream, SPILL_MAGIC};
 use surfer_partition::PartitionedGraph;
 
 /// Resident-set budget of one engine, in bytes. The default is unlimited
@@ -174,14 +169,18 @@ impl SpillCodec for Vec<u32> {
 /// Distinguishes concurrently live spill directories within one process.
 static SESSION_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// One engine's spill store: a private temp directory holding the edge
-/// blocks (written lazily, reused across iterations) and the per-iteration
-/// mailbox segments. Dropped with the engine; the directory goes with it.
+/// One job's spill store: a private temp directory holding the edge blocks
+/// (written on first use, reread every iteration by every engine that
+/// shares the session) and the latest iteration's mailbox segments. The
+/// directory goes when the last engine holding the session is dropped.
 #[derive(Debug)]
 pub(crate) struct OocSession {
     dir: PathBuf,
     budget: u64,
     blocks: Mutex<bool>,
+    /// The `(source, destination)` pairs whose mailbox segment the latest
+    /// Transfer stage wrote — the files to retire before the next one.
+    segments: Mutex<Vec<(u32, u32)>>,
 }
 
 impl OocSession {
@@ -190,7 +189,12 @@ impl OocSession {
         let dir = std::env::temp_dir()
             .join("surfer-ooc")
             .join(format!("{}-{seq}", std::process::id()));
-        OocSession { dir, budget, blocks: Mutex::new(false) }
+        OocSession { dir, budget, blocks: Mutex::new(false), segments: Mutex::new(Vec::new()) }
+    }
+
+    /// The resident-set budget this session spills under.
+    pub(crate) fn budget(&self) -> u64 {
+        self.budget
     }
 
     /// The partition's on-disk edge-block file.
@@ -238,10 +242,7 @@ impl OocSession {
                 } else {
                     block::encode_edge_block(g, run)
                 };
-                let mut frame = Vec::new();
-                encode_frame(&mut frame, SPILL_MAGIC, pid, bi as u32, &payload);
-                f.write_all(&frame)?;
-                bytes += frame.len() as u64;
+                bytes += write_frame(&mut f, SPILL_MAGIC, pid, bi as u32, &payload)?;
                 nblocks += 1;
             }
             f.flush()?;
@@ -258,21 +259,137 @@ impl OocSession {
         Ok(())
     }
 
+    /// Open a spilled round: edge blocks on disk (written by the session's
+    /// first round), the previous round's mailbox segments retired, and —
+    /// chaos — edge-block damage landed before any scan streams the file.
+    pub(crate) fn begin_round(
+        &self,
+        pg: &PartitionedGraph,
+        packed: bool,
+        spill_faults: &[SpillFault],
+    ) -> SurferResult<()> {
+        self.ensure_edge_blocks(pg, packed)?;
+        self.record_segments(Vec::new());
+        for f in spill_faults {
+            if f.kind == SpillFaultKind::CorruptEdgeBlock {
+                damage_file(&self.edge_file(f.partition), f.kind)?;
+            }
+        }
+        if surfer_obs::enabled() {
+            surfer_obs::counter_add(surfer_obs::names::SPILL_ITERATIONS, 1);
+        }
+        Ok(())
+    }
+
+    /// Stream partition `pid`'s edge blocks front to back, handing `visit`
+    /// every `<id, neighbors>` record in member order — the order a scan of
+    /// the resident CSR would use.
+    pub(crate) fn scan_edge_blocks(
+        &self,
+        pid: u32,
+        packed: bool,
+        mut visit: impl FnMut(VertexId, &[VertexId]) -> SurferResult<()>,
+    ) -> SurferResult<()> {
+        let what = format!("edge blocks of partition {pid}");
+        let mut stream = FrameStream::open(self.edge_file(pid), SPILL_MAGIC, &what)?;
+        let mut neighbors = Vec::new();
+        let mut blocks_read = 0u64;
+        while let Some(frame) = stream.next_frame()? {
+            if frame.a != pid {
+                return Err(corrupt(format!("{what}: block belongs to partition {}", frame.a)));
+            }
+            blocks_read += 1;
+            block::scan_edge_block(frame.payload, packed, &mut neighbors, &mut visit)?;
+        }
+        if surfer_obs::enabled() {
+            surfer_obs::counter_add(surfer_obs::names::SPILL_EDGE_BLOCKS_READ, blocks_read);
+            surfer_obs::counter_add(surfer_obs::names::SPILL_BYTES_REREAD, stream.bytes_read());
+        }
+        Ok(())
+    }
+
+    /// Close a round's Transfer stage: `segments` — the `(source,
+    /// destination)` pairs the sinks wrote, ascending — is what Combine will
+    /// replay; chaos damage to a mailbox segment lands here, between the
+    /// writes and the reads.
+    pub(crate) fn end_transfer(
+        &self,
+        segments: Vec<(u32, u32)>,
+        spill_faults: &[SpillFault],
+    ) -> SurferResult<()> {
+        for f in spill_faults {
+            if matches!(f.kind, SpillFaultKind::ShortWrite | SpillFaultKind::CorruptFrame) {
+                if let Some(&(p, q)) = segments.iter().find(|&&(p, _)| p == f.partition) {
+                    damage_file(&self.seg_file(p, q), f.kind)?;
+                }
+            }
+        }
+        self.record_segments(segments);
+        Ok(())
+    }
+
+    /// Read partition `pid`'s incoming mailbox segments — one per partition
+    /// in `sources`, ascending — handing every decoded `(destination,
+    /// message)` record to `deliver`. Returns the `(frames, bytes)` reread.
+    pub(crate) fn replay_segments<P: Propagation>(
+        &self,
+        prog: &P,
+        pid: u32,
+        sources: &[u32],
+        deliver: &mut impl FnMut(VertexId, P::Msg),
+    ) -> SurferResult<(u64, u64)> {
+        let mut frames_read = 0u64;
+        let mut bytes_reread = 0u64;
+        for &p in sources {
+            let what = format!("mailbox segment {p}->{pid}");
+            let mut stream = FrameStream::open(self.seg_file(p, pid), SPILL_MAGIC, &what)?;
+            let mut expect_seq = 0u32;
+            while let Some(frame) = stream.next_frame()? {
+                if frame.a != p || frame.b != expect_seq {
+                    return Err(corrupt(format!(
+                        "{what}: frame labelled {}#{}, expected {p}#{expect_seq}",
+                        frame.a, frame.b
+                    )));
+                }
+                expect_seq += 1;
+                frames_read += 1;
+                let mut buf = frame.payload;
+                while !buf.is_empty() {
+                    let Some(raw) = take::<4>(&mut buf) else {
+                        return Err(corrupt(format!("{what}: truncated destination id")));
+                    };
+                    let to = VertexId(u32::from_le_bytes(raw));
+                    let Some(msg) = prog.spill_decode(&mut buf) else {
+                        return Err(corrupt(format!("{what}: undecodable message for {to}")));
+                    };
+                    deliver(to, msg);
+                }
+            }
+            bytes_reread += stream.bytes_read();
+        }
+        if surfer_obs::enabled() {
+            surfer_obs::counter_add(surfer_obs::names::SPILL_MAILBOX_FRAMES_READ, frames_read);
+            surfer_obs::counter_add(surfer_obs::names::SPILL_BYTES_REREAD, bytes_reread);
+        }
+        Ok((frames_read, bytes_reread))
+    }
+
     /// Forget (and remove) the on-disk edge blocks — called after a storage
     /// error so the next attempt rewrites them from the source graph.
-    fn invalidate_edge_blocks(&self) {
+    pub(crate) fn invalidate_edge_blocks(&self) {
         let mut ready = lock_unpoisoned(&self.blocks);
         *ready = false;
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 
-    /// Drop all mailbox segments of a previous iteration so a pair that
-    /// goes quiet this iteration cannot leave a stale segment behind.
-    fn clear_mailbox_segments(&self, partitions: u32) {
-        for p in 0..partitions {
-            for q in 0..partitions {
-                let _ = std::fs::remove_file(self.seg_file(p, q));
-            }
+    /// Replace the record of written mailbox segments with `next`, removing
+    /// the files of the pairs recorded before. Combine replays only the
+    /// pairs its own iteration recorded, so a pair that goes quiet can never
+    /// be replayed from a stale file; removing just gives the disk back.
+    fn record_segments(&self, next: Vec<(u32, u32)>) {
+        let stale = std::mem::replace(&mut *lock_unpoisoned(&self.segments), next);
+        for (p, q) in stale {
+            let _ = std::fs::remove_file(self.seg_file(p, q));
         }
     }
 }
@@ -284,7 +401,7 @@ impl Drop for OocSession {
 }
 
 /// Take a mutex whose poisoning we tolerate (the guarded state is a plain
-/// flag; a panicked writer leaves it refreshable, not corrupt).
+/// flag or list; a panicked writer leaves it refreshable, not corrupt).
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -299,391 +416,29 @@ fn corrupt(msg: String) -> SurferError {
 
 /// One partition's disk-backed message sink: per-destination buffers that
 /// flush as CRC32 frames into `mbx-<src>-<dst>.seg` once they reach the
-/// budget-derived frame target. Programs without a spill codec skip the
-/// sink and keep their messages resident.
-struct MsgSink<'s> {
+/// budget-derived frame target.
+pub(crate) struct MsgSink<'s> {
     session: &'s OocSession,
     pid: u32,
     frame_target: usize,
     bufs: Vec<Vec<u8>>,
+    /// Messages pushed per destination.
+    counts: Vec<u64>,
     seqs: Vec<u32>,
     writers: Vec<Option<std::io::BufWriter<std::fs::File>>>,
     bytes_written: u64,
     frames_written: u64,
 }
 
-/// One partition's Transfer outcome on the spilled lane.
-/// Messages routed to explicit destination vertices, in emission order.
-type Routed<M> = Vec<(VertexId, M)>;
-
-/// One partition's Combine output: new member states, combine-call count,
-/// the nanoseconds its worker spent, and the segment frames/bytes it reread
-/// (zero on the resident-mailbox path).
-type CombinedPart<S> = (Vec<S>, u64, u64, u64, u64);
-
-struct SpillOutbox<M> {
-    tally: PartitionTally,
-    emitted: u64,
-    /// Messages per destination partition (sized `P`); the mailbox-size
-    /// samples are derived from these without rereading anything.
-    dest_counts: Vec<u64>,
-    /// The resident messages when the program has no spill codec.
-    mem: Option<Routed<M>>,
-    /// Mailbox-segment frames/bytes this partition's sink wrote (zero when
-    /// the mailbox stays resident) — folded into one flight-journal
-    /// `spill_write` event on the coordinating thread.
-    sink_frames: u64,
-    sink_bytes: u64,
-}
-
-/// Run one fully-spilled propagation iteration. Mirrors
-/// `PropagationEngine::run_iteration_inner` stage for stage; see the
-/// module docs for why the results are bit-identical.
-pub(crate) fn run_iteration_spilled<P: Propagation>(
-    engine: &PropagationEngine<'_>,
-    session: &OocSession,
-    prog: &P,
-    state: &mut [P::State],
-    disk_fraction: Option<&[f64]>,
-    faults: &[Fault],
-    spill_faults: &[SpillFault],
-) -> SurferResult<(ExecReport, u64)> {
-    let _iter_span = surfer_obs::span_seq("prop.iteration");
-    surfer_obs::journal::record(surfer_obs::journal::EventKind::IterationStart { lane: "spill" });
-    let pg = engine.graph();
-    let g = pg.graph();
-    let n = g.num_vertices() as usize;
-    assert_eq!(state.len(), n, "state vector must cover every vertex");
-    let options = engine.options();
-    let threads = options.resolved_threads();
-    let merge_cross = options.local_combination && prog.associative();
-    let enc = pg.encoding();
-    let num_parts = pg.num_partitions();
-    let spill_mailbox = prog.spill_capable();
-
-    session.ensure_edge_blocks(pg, options.packed_adjacency)?;
-    session.clear_mailbox_segments(num_parts);
-    // Chaos: edge-block damage lands before the scan streams the file.
-    for f in spill_faults {
-        if f.kind == SpillFaultKind::CorruptEdgeBlock {
-            damage_file(&session.edge_file(f.partition), f.kind)?;
-        }
-    }
-    if surfer_obs::enabled() {
-        surfer_obs::counter_add(surfer_obs::names::SPILL_ITERATIONS, 1);
-    }
-
-    // ---- Transfer stage: stream edge blocks, spill messages. ----
-    // Same worker grain and emission order as the resident engine; the only
-    // difference is where the adjacency comes from and where messages go.
-    let state_ro: &[P::State] = state;
-    let pids: Vec<u32> = pg.partitions().collect();
-    let transfer_span = surfer_obs::span("prop.transfer");
-    let transfer_sid = transfer_span.id();
-    let scanned: Vec<SurferResult<SpillOutbox<P::Msg>>> =
-        try_par_map_vec(threads, pids, |_, pid| {
-            let _s =
-                surfer_obs::span_under("prop.transfer.part", transfer_sid, || format!("p{pid}"));
-            let t0 = surfer_obs::stopwatch();
-            let meta = pg.meta(pid);
-            if surfer_obs::enabled() {
-                let inner = meta.members.iter().filter(|&&v| pg.is_inner(v)).count() as u64;
-                surfer_obs::counter_add("prop.inner_vertices", inner);
-                surfer_obs::counter_add("prop.boundary_vertices", meta.members.len() as u64 - inner);
-            }
-            let mut t = PartitionTally::default();
-            let mut emitted = 0u64;
-            let mut crossbuf: BTreeMap<VertexId, P::Msg> = BTreeMap::new();
-            let mut dest_counts = vec![0u64; num_parts as usize];
-            let mut mem: Vec<(VertexId, P::Msg)> = Vec::new();
-            let mut sink: Option<MsgSink<'_>> =
-                spill_mailbox.then(|| MsgSink::new(session, pid, num_parts));
-            let push = |sink: &mut Option<MsgSink<'_>>,
-                        mem: &mut Vec<(VertexId, P::Msg)>,
-                        dest_counts: &mut Vec<u64>,
-                        q: u32,
-                        to: VertexId,
-                        msg: P::Msg|
-             -> SurferResult<()> {
-                dest_counts[q as usize] += 1;
-                match sink {
-                    Some(s) => s.push_encoded(prog, q, to, &msg),
-                    None => {
-                        mem.push((to, msg));
-                        Ok(())
-                    }
-                }
-            };
-
-            let path = session.edge_file(pid);
-            let what = format!("edge blocks of partition {pid}");
-            let mut stream = FrameStream::open(&path, SPILL_MAGIC, &what)?;
-            let mut blocks_read = 0u64;
-            while let Some(frame) = stream.next_frame()? {
-                if frame.a != pid {
-                    return Err(corrupt(format!(
-                        "{what}: block belongs to partition {}",
-                        frame.a
-                    )));
-                }
-                let records = if options.packed_adjacency {
-                    block::decode_edge_block_packed(&frame.payload)?
-                } else {
-                    block::decode_edge_block(&frame.payload)?
-                };
-                blocks_read += 1;
-                for rec in records {
-                    let v = rec.id;
-                    for &to in &rec.neighbors {
-                        t.transfer_calls += 1;
-                        let Some(msg) = prog.transfer(v, &state_ro[v.index()], to, g) else {
-                            continue;
-                        };
-                        emitted += 1;
-                        let q = pg.pid_of(to);
-                        if q == pid {
-                            let bytes = prog.msg_bytes(&msg);
-                            t.local_bytes += bytes;
-                            t.local_msgs += 1;
-                            if pg.is_inner(to) {
-                                t.local_inner_bytes += bytes;
-                            }
-                            push(&mut sink, &mut mem, &mut dest_counts, q, to, msg)?;
-                        } else if merge_cross {
-                            match crossbuf.remove(&to) {
-                                Some(prev) => {
-                                    crossbuf.insert(to, prog.merge(prev, msg));
-                                }
-                                None => {
-                                    crossbuf.insert(to, msg);
-                                }
-                            }
-                        } else {
-                            let bytes = prog.msg_bytes(&msg);
-                            *t.cross_out.entry(q).or_insert(0) += bytes;
-                            t.cross_msgs += 1;
-                            push(&mut sink, &mut mem, &mut dest_counts, q, to, msg)?;
-                        }
-                    }
-                }
-            }
-            for (to, msg) in std::mem::take(&mut crossbuf) {
-                let q = pg.pid_of(to);
-                *t.cross_out.entry(q).or_insert(0) += prog.msg_bytes(&msg);
-                t.cross_msgs += 1;
-                push(&mut sink, &mut mem, &mut dest_counts, q, to, msg)?;
-            }
-            let (sink_frames, sink_bytes) = match sink.as_mut() {
-                Some(s) => {
-                    s.finish()?;
-                    (s.frames_written, s.bytes_written)
-                }
-                None => (0, 0),
-            };
-            if surfer_obs::enabled() {
-                surfer_obs::counter_add(surfer_obs::names::SPILL_EDGE_BLOCKS_READ, blocks_read);
-                surfer_obs::counter_add(surfer_obs::names::SPILL_BYTES_REREAD, stream.bytes_read());
-            }
-            if t0.is_recording() {
-                t.transfer_ns = t0.elapsed_ns();
-            }
-            Ok(SpillOutbox {
-                tally: t,
-                emitted,
-                dest_counts,
-                mem: (!spill_mailbox).then_some(mem),
-                sink_frames,
-                sink_bytes,
-            })
-        })
-        .map_err(|e| SurferError::from_worker_panic("transfer", e))?;
-    drop(transfer_span);
-
-    // Surface the lowest failing partition's error (deterministic at any
-    // thread count); a storage error also invalidates the edge-block cache
-    // so the retry rewrites from the source graph.
-    let mut outboxes: Vec<SpillOutbox<P::Msg>> = Vec::with_capacity(scanned.len());
-    for r in scanned {
-        match r {
-            Ok(ob) => outboxes.push(ob),
-            Err(e) => {
-                if matches!(e, SurferError::Storage(_)) {
-                    session.invalidate_edge_blocks();
-                }
-                return Err(e);
-            }
-        }
-    }
-
-    // Chaos: mailbox-segment damage lands between the Transfer writes and
-    // the Combine reads (no-op for programs keeping the mailbox resident).
-    for f in spill_faults {
-        if matches!(f.kind, SpillFaultKind::ShortWrite | SpillFaultKind::CorruptFrame) {
-            if let Some(path) = (0..num_parts)
-                .map(|q| session.seg_file(f.partition, q))
-                .find(|p| p.exists())
-            {
-                damage_file(&path, f.kind)?;
-            }
-        }
-    }
-
-    // Fold tallies and mailbox sizes in ascending pid order.
-    let mut messages = 0u64;
-    let mut tally: Vec<PartitionTally> = Vec::with_capacity(outboxes.len());
-    let mut mailbox_totals = vec![0u64; num_parts as usize];
-    let mut mem_msgs: Vec<Option<Routed<P::Msg>>> = Vec::with_capacity(outboxes.len());
-    let (mut spilled_frames, mut spilled_bytes) = (0u64, 0u64);
-    for mut ob in outboxes {
-        messages += ob.emitted;
-        for (q, &c) in ob.dest_counts.iter().enumerate() {
-            mailbox_totals[q] += c;
-        }
-        spilled_frames += ob.sink_frames;
-        spilled_bytes += ob.sink_bytes;
-        tally.push(std::mem::take(&mut ob.tally));
-        mem_msgs.push(ob.mem);
-    }
-    if spilled_frames > 0 {
-        surfer_obs::journal::record(surfer_obs::journal::EventKind::SpillWrite {
-            frames: spilled_frames,
-            bytes: spilled_bytes,
-        });
-    }
-    publish_transfer_counters(&tally, messages);
-
-    // Resident mailbox for codec-less programs: identical to the in-memory
-    // fold (outboxes already sit in ascending pid order).
-    let resident: Option<Vec<Routed<P::Msg>>> = if spill_mailbox {
-        None
-    } else {
-        let mut per_part: Vec<Routed<P::Msg>> =
-            (0..num_parts).map(|_| Vec::new()).collect();
-        for msgs in mem_msgs.into_iter().flatten() {
-            for (to, msg) in msgs {
-                per_part[pg.pid_of(to) as usize].push((to, msg));
-            }
-        }
-        Some(per_part)
-    };
-
-    // ---- Combine stage: replay segments in ascending source-pid order. ----
-    let mut mailbox_sizes: Vec<u64> = Vec::new();
-    for pid in pg.partitions() {
-        let sz = mailbox_totals[pid as usize];
-        surfer_obs::observe("prop.mailbox_size", sz);
-        if surfer_obs::enabled() {
-            mailbox_sizes.push(sz);
-        }
-    }
-    let state_ro: &[P::State] = state;
-    let combine_span = surfer_obs::span("prop.combine");
-    let combine_sid = combine_span.id();
-    // Work item i is partition i; a resident mailbox moves into its item so
-    // workers never share message values (Msg is Send, not Sync).
-    let work: Vec<(u32, Option<Routed<P::Msg>>)> = match resident {
-        Some(per_part) => {
-            per_part.into_iter().enumerate().map(|(q, v)| (q as u32, Some(v))).collect()
-        }
-        None => pg.partitions().map(|pid| (pid, None)).collect(),
-    };
-    let combined: Vec<SurferResult<CombinedPart<P::State>>> =
-        try_par_map_vec(threads, work, |_, (pid, inc)| {
-            let _s =
-                surfer_obs::span_under("prop.combine.part", combine_sid, || format!("p{pid}"));
-            let t0 = surfer_obs::stopwatch();
-            let meta = pg.meta(pid);
-            let lo_enc = enc.range(pid).0.index();
-            let hi_enc = enc.range(pid).1.index();
-            let slots = hi_enc - lo_enc;
-
-            // This partition's incoming messages, in the in-memory fold
-            // order: source partitions ascending, emission order within one.
-            let (incoming, frames_read, bytes_reread): (Vec<(VertexId, P::Msg)>, u64, u64) =
-                match inc {
-                    Some(msgs) => (msgs, 0, 0),
-                    None => replay_segments(session, prog, pg, pid)?,
-                };
-
-            let mut offsets = vec![0usize; slots + 1];
-            for (to, _) in &incoming {
-                offsets[enc.encode(*to).index() - lo_enc + 1] += 1;
-            }
-            for i in 0..slots {
-                offsets[i + 1] += offsets[i];
-            }
-            let mut mailbox: Vec<Option<P::Msg>> = Vec::with_capacity(offsets[slots]);
-            mailbox.resize_with(offsets[slots], || None);
-            let mut cursor: Vec<usize> = offsets[..slots].to_vec();
-            for (to, msg) in incoming {
-                let slot = enc.encode(to).index() - lo_enc;
-                mailbox[cursor[slot]] = Some(msg);
-                cursor[slot] += 1;
-            }
-
-            let mut new_states = Vec::with_capacity(meta.members.len());
-            let mut combine_msgs = 0u64;
-            for &v in &meta.members {
-                let slot = enc.encode(v).index() - lo_enc;
-                let (lo, hi) = (offsets[slot], offsets[slot + 1]);
-                let mut msgs = Vec::with_capacity(hi - lo);
-                for m in &mut mailbox[lo..hi] {
-                    // lint:allow(E1, invariant: routing fills each mailbox slot exactly once)
-                    msgs.push(m.take().expect("mailbox message consumed exactly once"));
-                }
-                combine_msgs += msgs.len() as u64;
-                new_states.push(prog.combine(v, &state_ro[v.index()], msgs, g));
-            }
-            let ns = t0.elapsed_ns();
-            Ok((new_states, combine_msgs, ns, frames_read, bytes_reread))
-        })
-        .map_err(|e| SurferError::from_worker_panic("combine", e))?;
-
-    // Writeback only after every partition combined cleanly, in pid order —
-    // a failed iteration leaves `state` untouched and is retryable.
-    let mut results = Vec::with_capacity(combined.len());
-    for r in combined {
-        results.push(r?);
-    }
-    let (reread_frames, reread_bytes) = results
-        .iter()
-        .fold((0u64, 0u64), |(f, b), r| (f + r.3, b + r.4));
-    if reread_frames > 0 {
-        surfer_obs::journal::record(surfer_obs::journal::EventKind::SpillRead {
-            frames: reread_frames,
-            bytes: reread_bytes,
-        });
-    }
-    for (pid, (new_states, combine_msgs, combine_ns, _, _)) in results.into_iter().enumerate() {
-        tally[pid].combine_msgs = combine_msgs;
-        tally[pid].combine_ns = combine_ns;
-        for (&v, s) in pg.meta(pid as u32).members.iter().zip(new_states) {
-            state[v.index()] = s;
-        }
-    }
-    drop(combine_span);
-    publish_iteration_sample(&tally, mailbox_sizes);
-
-    let report = engine.simulate(
-        prog.transfer_ops(),
-        prog.combine_ops(),
-        prog.state_bytes(),
-        &tally,
-        disk_fraction,
-        faults,
-    )?;
-    surfer_obs::journal::record(surfer_obs::journal::EventKind::IterationEnd { messages });
-    Ok((report, messages))
-}
-
 impl<'s> MsgSink<'s> {
-    fn new(session: &'s OocSession, pid: u32, num_parts: u32) -> Self {
+    pub(crate) fn new(session: &'s OocSession, pid: u32, num_parts: usize) -> Self {
         MsgSink {
             session,
             pid,
             frame_target: session.frame_target(),
-            bufs: vec![Vec::new(); num_parts as usize],
-            seqs: vec![0; num_parts as usize],
+            bufs: vec![Vec::new(); num_parts],
+            counts: vec![0; num_parts],
+            seqs: vec![0; num_parts],
             writers: (0..num_parts).map(|_| None).collect(),
             bytes_written: 0,
             frames_written: 0,
@@ -692,13 +447,14 @@ impl<'s> MsgSink<'s> {
 
     /// Append one message to the destination partition's segment buffer,
     /// flushing a frame once the buffer reaches the target size.
-    fn push_encoded<P: Propagation>(
+    pub(crate) fn push_encoded<P: Propagation>(
         &mut self,
         prog: &P,
         q: u32,
         to: VertexId,
         msg: &P::Msg,
     ) -> SurferResult<()> {
+        self.counts[q as usize] += 1;
         let buf = &mut self.bufs[q as usize];
         buf.extend_from_slice(&to.0.to_le_bytes());
         prog.spill_encode(msg, buf);
@@ -708,9 +464,10 @@ impl<'s> MsgSink<'s> {
         Ok(())
     }
 
-    /// Write the destination's buffered messages as one framed segment.
+    /// Write the destination's buffered messages as one framed segment; the
+    /// buffer keeps its capacity for the next frame.
     fn flush_segment(&mut self, q: u32) -> SurferResult<()> {
-        let payload = std::mem::take(&mut self.bufs[q as usize]);
+        let payload = &mut self.bufs[q as usize];
         if payload.is_empty() {
             return Ok(());
         }
@@ -721,22 +478,31 @@ impl<'s> MsgSink<'s> {
                 slot.insert(std::io::BufWriter::new(f))
             }
         };
-        let mut frame = Vec::new();
-        encode_frame(&mut frame, SPILL_MAGIC, self.pid, self.seqs[q as usize], &payload);
+        self.bytes_written += write_frame(w, SPILL_MAGIC, self.pid, self.seqs[q as usize], payload)?;
+        payload.clear();
         self.seqs[q as usize] += 1;
-        w.write_all(&frame)?;
-        self.bytes_written += frame.len() as u64;
         self.frames_written += 1;
         Ok(())
     }
 
-    /// Flush every buffered segment and close the writers.
-    fn finish(&mut self) -> SurferResult<()> {
+    /// The `(frames, bytes)` written so far.
+    pub(crate) fn spilled(&self) -> (u64, u64) {
+        (self.frames_written, self.bytes_written)
+    }
+
+    /// Flush every buffered segment and close the writers. Returns the
+    /// destinations a segment was written for, ascending, each with the
+    /// number of messages in it.
+    pub(crate) fn finish(&mut self) -> SurferResult<Vec<(u32, u64)>> {
         for q in 0..self.bufs.len() as u32 {
             self.flush_segment(q)?;
         }
-        for w in self.writers.iter_mut().flatten() {
-            w.flush()?;
+        let mut written = Vec::new();
+        for (q, w) in self.writers.iter_mut().enumerate() {
+            if let Some(w) = w {
+                w.flush()?;
+                written.push((q as u32, self.counts[q]));
+            }
         }
         if surfer_obs::enabled() {
             surfer_obs::counter_add(surfer_obs::names::SPILL_BYTES_SPILLED, self.bytes_written);
@@ -745,61 +511,8 @@ impl<'s> MsgSink<'s> {
                 self.frames_written,
             );
         }
-        Ok(())
+        Ok(written)
     }
-}
-
-/// A replayed mailbox plus the spill-read traffic it cost:
-/// `(decoded (destination, message) records, frames read, bytes reread)`.
-type ReplayedMailbox<M> = (Vec<(VertexId, M)>, u64, u64);
-
-/// Read partition `pid`'s incoming mailbox segments in ascending source-pid
-/// order, decoding every `(destination, message)` record.
-fn replay_segments<P: Propagation>(
-    session: &OocSession,
-    prog: &P,
-    pg: &PartitionedGraph,
-    pid: u32,
-) -> SurferResult<ReplayedMailbox<P::Msg>> {
-    let mut incoming = Vec::new();
-    let mut frames_read = 0u64;
-    let mut bytes_reread = 0u64;
-    for p in pg.partitions() {
-        let path = session.seg_file(p, pid);
-        if !path.exists() {
-            continue;
-        }
-        let what = format!("mailbox segment {p}->{pid}");
-        let mut stream = FrameStream::open(&path, SPILL_MAGIC, &what)?;
-        let mut expect_seq = 0u32;
-        while let Some(frame) = stream.next_frame()? {
-            if frame.a != p || frame.b != expect_seq {
-                return Err(corrupt(format!(
-                    "{what}: frame labelled {}#{}, expected {p}#{expect_seq}",
-                    frame.a, frame.b
-                )));
-            }
-            expect_seq += 1;
-            frames_read += 1;
-            let mut buf: &[u8] = &frame.payload;
-            while !buf.is_empty() {
-                let Some(raw) = take::<4>(&mut buf) else {
-                    return Err(corrupt(format!("{what}: truncated destination id")));
-                };
-                let to = VertexId(u32::from_le_bytes(raw));
-                let Some(msg) = prog.spill_decode(&mut buf) else {
-                    return Err(corrupt(format!("{what}: undecodable message for {to}")));
-                };
-                incoming.push((to, msg));
-            }
-        }
-        bytes_reread += stream.bytes_read();
-    }
-    if surfer_obs::enabled() {
-        surfer_obs::counter_add(surfer_obs::names::SPILL_MAILBOX_FRAMES_READ, frames_read);
-        surfer_obs::counter_add(surfer_obs::names::SPILL_BYTES_REREAD, bytes_reread);
-    }
-    Ok((incoming, frames_read, bytes_reread))
 }
 
 /// Apply one chaos fault to a spill file on disk.

@@ -123,42 +123,97 @@ pub fn encode_edge_block_packed(g: &CsrGraph, members: &[VertexId]) -> Vec<u8> {
     buf.to_vec()
 }
 
+/// Decode one packed record from the front of `buf` (advancing it) into
+/// `neighbors`, which is cleared first; returns the record's vertex id.
+fn decode_packed_record(buf: &mut &[u8], neighbors: &mut Vec<VertexId>) -> Result<VertexId> {
+    neighbors.clear();
+    let id = get_varint(buf)?;
+    if id > u32::MAX as u64 {
+        return Err(GraphError::Corrupt("packed block vertex id overflows u32".into()));
+    }
+    let d = get_varint(buf)?;
+    if !buf.has_remaining() {
+        return Err(GraphError::Corrupt("packed block record truncated before mode".into()));
+    }
+    let mode = buf.get_u8();
+    let mut prev = 0u64;
+    for i in 0..d {
+        let raw = get_varint(buf)?;
+        let value = match mode {
+            PACKED_GAPS if i > 0 => prev + raw,
+            PACKED_GAPS | PACKED_ABSOLUTE => raw,
+            other => {
+                return Err(GraphError::Corrupt(format!(
+                    "packed block record has unknown mode {other}"
+                )))
+            }
+        };
+        if value > u32::MAX as u64 {
+            return Err(GraphError::Corrupt("packed block neighbor overflows u32".into()));
+        }
+        neighbors.push(VertexId(value as u32));
+        prev = value;
+    }
+    Ok(VertexId(id as u32))
+}
+
 /// Decode a packed block produced by [`encode_edge_block_packed`].
 pub fn decode_edge_block_packed(blob: &[u8]) -> Result<Vec<AdjacencyRecord>> {
     let mut records = Vec::new();
     let mut buf = blob;
     while buf.has_remaining() {
-        let id = get_varint(&mut buf)?;
-        if id > u32::MAX as u64 {
-            return Err(GraphError::Corrupt("packed block vertex id overflows u32".into()));
-        }
-        let d = get_varint(&mut buf)?;
-        if !buf.has_remaining() {
-            return Err(GraphError::Corrupt("packed block record truncated before mode".into()));
-        }
-        let mode = buf.get_u8();
-        let mut neighbors = Vec::with_capacity(d.min(1 << 20) as usize);
-        let mut prev = 0u64;
-        for i in 0..d {
-            let raw = get_varint(&mut buf)?;
-            let value = match mode {
-                PACKED_GAPS if i > 0 => prev + raw,
-                PACKED_GAPS | PACKED_ABSOLUTE => raw,
-                other => {
-                    return Err(GraphError::Corrupt(format!(
-                        "packed block record has unknown mode {other}"
-                    )))
-                }
-            };
-            if value > u32::MAX as u64 {
-                return Err(GraphError::Corrupt("packed block neighbor overflows u32".into()));
-            }
-            neighbors.push(VertexId(value as u32));
-            prev = value;
-        }
-        records.push(AdjacencyRecord { id: VertexId(id as u32), neighbors });
+        let mut neighbors = Vec::new();
+        let id = decode_packed_record(&mut buf, &mut neighbors)?;
+        records.push(AdjacencyRecord { id, neighbors });
     }
     Ok(records)
+}
+
+/// Walk the records of one encoded block (raw or `packed`) where they lie:
+/// `visit` sees every `<id, neighbors>` in member order, each neighbor run
+/// widened into `scratch` — one buffer for the whole scan, so no
+/// [`AdjacencyRecord`] and no allocation per vertex. Damage is reported as
+/// the [`GraphError::Corrupt`] the whole-block decoders return, once the
+/// walk reaches the record that carries it; an error of `visit` ends the
+/// walk and passes through.
+pub fn scan_edge_block<E: From<GraphError>>(
+    blob: &[u8],
+    packed: bool,
+    scratch: &mut Vec<VertexId>,
+    mut visit: impl FnMut(VertexId, &[VertexId]) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    let le32 = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let mut rest = blob;
+    while !rest.is_empty() {
+        let id = if packed {
+            decode_packed_record(&mut rest, scratch)?
+        } else {
+            if rest.len() < 8 {
+                return Err(GraphError::Corrupt(format!(
+                    "adjacency record header truncated: {} bytes remaining",
+                    rest.len()
+                ))
+                .into());
+            }
+            let id = VertexId(le32(rest));
+            let d = le32(&rest[4..]) as usize;
+            rest = &rest[8..];
+            if rest.len() / 4 < d {
+                return Err(GraphError::Corrupt(format!(
+                    "adjacency record for {id} declares degree {d} but only {} bytes remain",
+                    rest.len()
+                ))
+                .into());
+            }
+            let (run, tail) = rest.split_at(4 * d);
+            rest = tail;
+            scratch.clear();
+            scratch.extend(run.chunks_exact(4).map(|n| VertexId(le32(n))));
+            id
+        };
+        visit(id, scratch)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -56,6 +56,9 @@ pub struct PartitionedGraph {
     placement: Vec<MachineId>,
     encoding: VertexEncoding,
     meta: Vec<PartitionMeta>,
+    /// `inner[v]` ⇔ `v` is in no partition's boundary set — the per-message
+    /// form of the boundary hash tables above.
+    inner: Vec<bool>,
 }
 
 impl PartitionedGraph {
@@ -99,6 +102,7 @@ impl PartitionedGraph {
             })
             .collect();
         debug_assert_eq!(meta.len(), p);
+        let mut inner = vec![true; graph.num_vertices() as usize];
         for e in graph.edges() {
             let (ps, pd) = (partitioning.pid_of(e.src), partitioning.pid_of(e.dst));
             let m = &mut meta[ps as usize];
@@ -111,10 +115,12 @@ impl PartitionedGraph {
                 *m.cross_out_edges.entry(pd).or_insert(0) += 1;
                 // The destination is a boundary vertex of its own partition.
                 meta[pd as usize].boundary.insert(e.dst);
+                inner[e.src.index()] = false;
+                inner[e.dst.index()] = false;
             }
         }
         let encoding = VertexEncoding::new(&partitioning);
-        PartitionedGraph { graph, partitioning, placement, encoding, meta }
+        PartitionedGraph { graph, partitioning, placement, encoding, meta, inner }
     }
 
     /// The underlying graph.
@@ -170,8 +176,9 @@ impl PartitionedGraph {
 
     /// True when `v` is an inner vertex of its partition (no cross-partition
     /// edge in either direction) — the precondition for local propagation.
+    #[inline]
     pub fn is_inner(&self, v: VertexId) -> bool {
-        !self.meta[self.pid_of(v) as usize].boundary.contains(&v)
+        self.inner[v.index()]
     }
 
     /// Overall inner-edge ratio.

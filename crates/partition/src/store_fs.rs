@@ -30,10 +30,12 @@ use bytes::BytesMut;
 /// CRC-32 (IEEE 802.3, the zlib/gzip polynomial) of `data`.
 ///
 /// Table-driven, dependency-free; byte-for-byte compatible with zlib's
-/// `crc32`, so externally written checksums verify too.
+/// `crc32`, so externally written checksums verify too. Slice-by-8: eight
+/// bytes are folded per step through eight 256-entry tables (`TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes), the tail bytewise.
 pub fn crc32(data: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
+    const fn tables() -> [[u32; 256]; 8] {
+        let mut t = [[0u32; 256]; 8];
         let mut i = 0;
         while i < 256 {
             let mut c = i as u32;
@@ -42,23 +44,44 @@ pub fn crc32(data: &[u8]) -> u32 {
                 c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
                 k += 1;
             }
-            t[i] = c;
+            t[0][i] = c;
             i += 1;
+        }
+        let mut k = 1;
+        while k < 8 {
+            let mut i = 0;
+            while i < 256 {
+                let prev = t[k - 1][i];
+                t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+                i += 1;
+            }
+            k += 1;
         }
         t
     }
-    const TABLE: [u32; 256] = table();
+    const TABLES: [[u32; 256]; 8] = tables();
     let mut crc = !0u32;
-    for &b in data {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
 /// Magic prefix of a snapshot file.
 const SNAPSHOT_MAGIC: &[u8; 4] = b"SFSN";
-/// Snapshot header: magic(4) + iteration(4) + pid(4) + len(8) + crc(4).
-const SNAPSHOT_HEADER: usize = 24;
 
 /// Magic prefix of a spill frame (out-of-core edge blocks and mailbox
 /// segments). Same 24-byte header shape as a snapshot, but spill files are
@@ -67,6 +90,18 @@ const SNAPSHOT_HEADER: usize = 24;
 pub const SPILL_MAGIC: &[u8; 4] = b"SFSP";
 /// Frame header size: magic(4) + a(4) + b(4) + len(8) + crc(4).
 pub const FRAME_HEADER: usize = 24;
+
+/// The header of a frame around `payload`: magic, the two caller-defined
+/// tags, the payload length and the payload's CRC32, little-endian.
+fn frame_header(magic: &[u8; 4], a: u32, b: u32, payload: &[u8]) -> [u8; FRAME_HEADER] {
+    let mut h = [0u8; FRAME_HEADER];
+    h[..4].copy_from_slice(magic);
+    h[4..8].copy_from_slice(&a.to_le_bytes());
+    h[8..12].copy_from_slice(&b.to_le_bytes());
+    h[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    h[20..].copy_from_slice(&crc32(payload).to_le_bytes());
+    h
+}
 
 /// Append one CRC32-guarded frame to `buf`.
 ///
@@ -77,12 +112,23 @@ pub const FRAME_HEADER: usize = 24;
 /// many frames per file.
 pub fn encode_frame(buf: &mut Vec<u8>, magic: &[u8; 4], a: u32, b: u32, payload: &[u8]) {
     buf.reserve(FRAME_HEADER + payload.len());
-    buf.extend_from_slice(magic);
-    buf.extend_from_slice(&a.to_le_bytes());
-    buf.extend_from_slice(&b.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    buf.extend_from_slice(&frame_header(magic, a, b, payload));
     buf.extend_from_slice(payload);
+}
+
+/// Write one frame — the bytes [`encode_frame`] would append — straight to
+/// `w`: the header, then the payload from where it lies. Returns the
+/// frame's size in bytes.
+pub fn write_frame(
+    w: &mut impl Write,
+    magic: &[u8; 4],
+    a: u32,
+    b: u32,
+    payload: &[u8],
+) -> std::io::Result<u64> {
+    w.write_all(&frame_header(magic, a, b, payload))?;
+    w.write_all(payload)?;
+    Ok((FRAME_HEADER + payload.len()) as u64)
 }
 
 /// One decoded frame: the two header tags and the verified payload.
@@ -96,6 +142,61 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// What a frame header declares: the two tags, the payload length and the
+/// payload's CRC32.
+struct HeaderFields {
+    a: u32,
+    b: u32,
+    len: u64,
+    crc: u32,
+}
+
+/// The damage checks both frame readers share; `what` names the stream in
+/// every message.
+#[derive(Debug)]
+struct FrameCheck {
+    magic: [u8; 4],
+    what: String,
+}
+
+impl FrameCheck {
+    fn corrupt(&self, msg: String) -> GraphError {
+        GraphError::Corrupt(format!("{}: {msg}", self.what))
+    }
+
+    fn header(&self, h: &[u8]) -> Result<HeaderFields> {
+        if h[..4] != self.magic {
+            return Err(self.corrupt("bad frame magic".into()));
+        }
+        let le32 = |at: usize| u32::from_le_bytes([h[at], h[at + 1], h[at + 2], h[at + 3]]);
+        Ok(HeaderFields {
+            a: le32(4),
+            b: le32(8),
+            len: le32(12) as u64 | ((le32(16) as u64) << 32),
+            crc: le32(20),
+        })
+    }
+
+    fn truncated_header(&self, trailing: u64) -> GraphError {
+        self.corrupt(format!("truncated frame header ({trailing} trailing bytes)"))
+    }
+
+    /// A declared payload length past the end of the stream.
+    fn truncated_payload(&self, available: u64, len: u64) -> GraphError {
+        self.corrupt(format!("frame payload truncated ({available} of {len} bytes)"))
+    }
+
+    fn checksum(&self, payload: &[u8], stored: u32) -> Result<()> {
+        let actual = crc32(payload);
+        if actual != stored {
+            return Err(self.corrupt(format!(
+                "frame checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// Sequential reader over a stream of frames written by [`encode_frame`].
 ///
 /// Any damage — wrong magic, truncated header or payload, checksum
@@ -105,8 +206,7 @@ pub struct Frame {
 pub struct FrameReader {
     blob: Vec<u8>,
     pos: usize,
-    magic: [u8; 4],
-    what: String,
+    check: FrameCheck,
 }
 
 impl FrameReader {
@@ -119,7 +219,7 @@ impl FrameReader {
 
     /// Read frames from an in-memory blob (the codec tests and proptests).
     pub fn from_bytes(blob: Vec<u8>, magic: &[u8; 4], what: &str) -> FrameReader {
-        FrameReader { blob, pos: 0, magic: *magic, what: what.to_string() }
+        FrameReader { blob, pos: 0, check: FrameCheck { magic: *magic, what: what.to_string() } }
     }
 
     /// Total bytes in the underlying stream.
@@ -129,132 +229,95 @@ impl FrameReader {
 
     /// Decode the next frame, or `Ok(None)` at a clean end of stream.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
-        let corrupt = |what: &str, msg: String| GraphError::Corrupt(format!("{what}: {msg}"));
         if self.pos == self.blob.len() {
             return Ok(None);
         }
         let rest = &self.blob[self.pos..];
         if rest.len() < FRAME_HEADER {
-            return Err(corrupt(
-                &self.what,
-                format!("truncated frame header ({} trailing bytes)", rest.len()),
-            ));
+            return Err(self.check.truncated_header(rest.len() as u64));
         }
-        if rest[..4] != self.magic {
-            return Err(corrupt(&self.what, "bad frame magic".into()));
+        let h = self.check.header(&rest[..FRAME_HEADER])?;
+        let body = &rest[FRAME_HEADER..];
+        if h.len > body.len() as u64 {
+            return Err(self.check.truncated_payload(body.len() as u64, h.len));
         }
-        let le32 = |at: usize| u32::from_le_bytes([rest[at], rest[at + 1], rest[at + 2], rest[at + 3]]);
-        let a = le32(4);
-        let b = le32(8);
-        let len = (le32(12) as u64 | ((le32(16) as u64) << 32)) as usize;
-        let crc = le32(20);
-        if rest.len() < FRAME_HEADER + len {
-            return Err(corrupt(
-                &self.what,
-                format!("frame payload truncated ({} of {len} bytes)", rest.len() - FRAME_HEADER),
-            ));
-        }
-        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
-        let actual = crc32(payload);
-        if actual != crc {
-            return Err(corrupt(
-                &self.what,
-                format!("frame checksum mismatch (stored {crc:#010x}, computed {actual:#010x})"),
-            ));
-        }
-        self.pos += FRAME_HEADER + len;
-        Ok(Some(Frame { a, b, payload: payload.to_vec() }))
+        let payload = &body[..h.len as usize];
+        self.check.checksum(payload, h.crc)?;
+        self.pos += FRAME_HEADER + payload.len();
+        Ok(Some(Frame { a: h.a, b: h.b, payload: payload.to_vec() }))
     }
 }
 
-/// Refuse frame payloads above this size: a corrupted length field with a
-/// plausible magic must not drive a huge allocation before the truncation
-/// check can fire.
-const MAX_FRAME_PAYLOAD: u64 = 1 << 30;
+/// One frame of a [`FrameStream`]: the header tags and the verified
+/// payload, borrowed from the stream's buffer until the next read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRef<'s> {
+    /// First header tag (partition id for spill files).
+    pub a: u32,
+    /// Second header tag (block / segment sequence number).
+    pub b: u32,
+    /// The checksum-verified payload.
+    pub payload: &'s [u8],
+}
 
 /// Incremental reader over a stream of frames from any [`std::io::Read`] —
 /// the out-of-core engine's way of scanning spill files without holding a
 /// whole file in memory. Same layout and error discipline as
-/// [`FrameReader`].
+/// [`FrameReader`]. One payload buffer serves every frame, and a header
+/// may claim no more than the bytes the stream has left, so a damaged
+/// length field is reported before anything is allocated for it.
 #[derive(Debug)]
 pub struct FrameStream<R> {
     inner: R,
-    magic: [u8; 4],
-    what: String,
-    bytes_read: u64,
+    check: FrameCheck,
+    len: u64,
+    remaining: u64,
+    payload: Vec<u8>,
 }
 
 impl FrameStream<std::io::BufReader<std::fs::File>> {
     /// Open `path` behind a buffered reader.
     pub fn open(path: impl AsRef<Path>, magic: &[u8; 4], what: &str) -> Result<Self> {
         let f = std::fs::File::open(path.as_ref())?;
-        Ok(FrameStream::new(std::io::BufReader::new(f), magic, what))
+        let len = f.metadata()?.len();
+        Ok(FrameStream::new(std::io::BufReader::new(f), len, magic, what))
     }
 }
 
 impl<R: std::io::Read> FrameStream<R> {
-    /// Wrap a reader. `what` names the stream in error messages.
-    pub fn new(inner: R, magic: &[u8; 4], what: &str) -> FrameStream<R> {
-        FrameStream { inner, magic: *magic, what: what.to_string(), bytes_read: 0 }
+    /// Wrap a reader holding `len` bytes of frames. `what` names the stream
+    /// in error messages.
+    pub fn new(inner: R, len: u64, magic: &[u8; 4], what: &str) -> FrameStream<R> {
+        let check = FrameCheck { magic: *magic, what: what.to_string() };
+        FrameStream { inner, check, len, remaining: len, payload: Vec::new() }
     }
 
     /// Frame bytes (headers + payloads) consumed so far.
     pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
+        self.len - self.remaining
     }
 
     /// Decode the next frame, or `Ok(None)` at a clean end of stream.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>> {
-        let corrupt = |what: &str, msg: String| GraphError::Corrupt(format!("{what}: {msg}"));
-        // A clean end of stream is EOF exactly on a frame boundary; EOF
-        // anywhere inside the header is damage.
-        let mut header = [0u8; FRAME_HEADER];
-        let mut got = 0usize;
-        while got < FRAME_HEADER {
-            let n = self.inner.read(&mut header[got..])?;
-            if n == 0 {
-                break;
-            }
-            got += n;
-        }
-        if got == 0 {
+    pub fn next_frame(&mut self) -> Result<Option<FrameRef<'_>>> {
+        // A clean end of stream falls exactly on a frame boundary.
+        if self.remaining == 0 {
             return Ok(None);
         }
-        if got < FRAME_HEADER {
-            return Err(corrupt(
-                &self.what,
-                format!("truncated frame header ({got} trailing bytes)"),
-            ));
+        if self.remaining < FRAME_HEADER as u64 {
+            return Err(self.check.truncated_header(self.remaining));
         }
-        if header[..4] != self.magic {
-            return Err(corrupt(&self.what, "bad frame magic".into()));
+        let mut header = [0u8; FRAME_HEADER];
+        self.inner.read_exact(&mut header)?;
+        let h = self.check.header(&header)?;
+        let available = self.remaining - FRAME_HEADER as u64;
+        if h.len > available {
+            return Err(self.check.truncated_payload(available, h.len));
         }
-        let le32 =
-            |at: usize| u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]]);
-        let a = le32(4);
-        let b = le32(8);
-        let len = le32(12) as u64 | ((le32(16) as u64) << 32);
-        let crc = le32(20);
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(corrupt(&self.what, format!("implausible frame length {len}")));
-        }
-        let mut payload = vec![0u8; len as usize];
-        self.inner.read_exact(&mut payload).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                corrupt(&self.what, format!("frame payload truncated (wanted {len} bytes)"))
-            } else {
-                GraphError::Io(e)
-            }
-        })?;
-        let actual = crc32(&payload);
-        if actual != crc {
-            return Err(corrupt(
-                &self.what,
-                format!("frame checksum mismatch (stored {crc:#010x}, computed {actual:#010x})"),
-            ));
-        }
-        self.bytes_read += FRAME_HEADER as u64 + len;
-        Ok(Some(Frame { a, b, payload }))
+        self.payload.resize(h.len as usize, 0);
+        self.inner.read_exact(&mut self.payload)?;
+        self.check.checksum(&self.payload, h.crc)?;
+        self.remaining = available - h.len;
+        Ok(Some(FrameRef { a: h.a, b: h.b, payload: &self.payload }))
     }
 }
 
@@ -272,14 +335,13 @@ pub fn write_snapshot(path: impl AsRef<Path>, iteration: u32, pid: u32, payload:
         std::fs::create_dir_all(parent)?;
     }
     // A snapshot is exactly one frame of the shared container format.
-    let mut buf = Vec::with_capacity(SNAPSHOT_HEADER + payload.len());
-    encode_frame(&mut buf, SNAPSHOT_MAGIC, iteration, pid, payload);
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &buf)?;
+    let bytes =
+        write_frame(&mut std::fs::File::create(&tmp)?, SNAPSHOT_MAGIC, iteration, pid, payload)?;
     std::fs::rename(&tmp, path)?;
     if surfer_obs::enabled() {
         surfer_obs::counter_add("fs.snapshot.writes", 1);
-        surfer_obs::counter_add("fs.snapshot.write_bytes", buf.len() as u64);
+        surfer_obs::counter_add("fs.snapshot.write_bytes", bytes);
     }
     Ok(())
 }
@@ -624,11 +686,11 @@ mod tests {
         }
         // Blob-based reader and incremental stream agree frame for frame.
         let mut reader = FrameReader::from_bytes(blob.clone(), SPILL_MAGIC, "t");
-        let mut stream = FrameStream::new(&blob[..], SPILL_MAGIC, "t");
+        let mut stream = FrameStream::new(&blob[..], blob.len() as u64, SPILL_MAGIC, "t");
         for (i, p) in payloads.iter().enumerate() {
             let a = reader.next_frame().unwrap().unwrap();
             let b = stream.next_frame().unwrap().unwrap();
-            assert_eq!(a, b);
+            assert_eq!((a.a, a.b, &a.payload[..]), (b.a, b.b, b.payload));
             assert_eq!(a.a, 7);
             assert_eq!(a.b, i as u32);
             assert_eq!(&a.payload, p);
@@ -646,24 +708,39 @@ mod tests {
 
         // Truncated second payload.
         let cut = &blob[..blob.len() - 4];
-        let mut s = FrameStream::new(cut, SPILL_MAGIC, "t");
+        let mut s = FrameStream::new(cut, cut.len() as u64, SPILL_MAGIC, "t");
         s.next_frame().unwrap().unwrap();
         assert!(matches!(s.next_frame(), Err(GraphError::Corrupt(ref m)) if m.contains("truncated")));
 
         // Truncated header of the second frame.
         let cut = &blob[..FRAME_HEADER + 13 + 5];
-        let mut s = FrameStream::new(cut, SPILL_MAGIC, "t");
+        let mut s = FrameStream::new(cut, cut.len() as u64, SPILL_MAGIC, "t");
         s.next_frame().unwrap().unwrap();
         assert!(matches!(s.next_frame(), Err(GraphError::Corrupt(ref m)) if m.contains("header")));
 
         // Flipped payload byte.
         let mut bad = blob.clone();
         bad[FRAME_HEADER + 2] ^= 0x40;
-        let mut s = FrameStream::new(&bad[..], SPILL_MAGIC, "t");
+        let mut s = FrameStream::new(&bad[..], bad.len() as u64, SPILL_MAGIC, "t");
         assert!(matches!(s.next_frame(), Err(GraphError::Corrupt(ref m)) if m.contains("checksum")));
 
+        // A flipped high bit in the first length field claims 2^62 bytes:
+        // reported against the bytes the stream has left, nothing allocated.
+        let mut bad = blob.clone();
+        bad[19] ^= 0x40;
+        let mut s = FrameStream::new(&bad[..], bad.len() as u64, SPILL_MAGIC, "t");
+        assert!(matches!(
+            s.next_frame(),
+            Err(GraphError::Corrupt(ref m)) if m.contains("payload truncated")
+        ));
+        let mut r = FrameReader::from_bytes(bad, SPILL_MAGIC, "t");
+        assert!(matches!(
+            r.next_frame(),
+            Err(GraphError::Corrupt(ref m)) if m.contains("payload truncated")
+        ));
+
         // Wrong magic.
-        let mut s = FrameStream::new(&blob[..], SNAPSHOT_MAGIC, "t");
+        let mut s = FrameStream::new(&blob[..], blob.len() as u64, SNAPSHOT_MAGIC, "t");
         assert!(matches!(s.next_frame(), Err(GraphError::Corrupt(ref m)) if m.contains("magic")));
     }
 
