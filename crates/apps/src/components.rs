@@ -10,9 +10,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{
-    ColumnarState, Propagation, PropagationEngine, SpillCodec, StateColumn, SurferApp, SurferResult, VectorizedProgram,
-};
+use surfer_core::{Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -128,51 +126,6 @@ impl Propagation for ComponentPropagation {
     }
 }
 
-/// CC on the columnar kernel lane: a `u32` label column plus a `bool`
-/// changed column. The fold starts from `u32::MAX` (the `min` identity), so
-/// `apply`'s `acc.min(old.label)` reproduces the scalar
-/// `msgs.min().unwrap_or(old.label).min(old.label)` exactly — `u32` `min`
-/// has no ordering sensitivity, labels stay bit-identical.
-impl VectorizedProgram for ComponentPropagation {
-    type Value = u32;
-
-    fn columns(&self, state: &[CcState], _g: &CsrGraph) -> ColumnarState {
-        let mut cs = ColumnarState::new();
-        cs.push("label", StateColumn::U32(state.iter().map(|s| s.label).collect()));
-        cs.push("changed", StateColumn::Bool(state.iter().map(|s| s.changed).collect()));
-        cs
-    }
-
-    fn source_value(&self, v: VertexId, cols: &ColumnarState, _g: &CsrGraph) -> Option<u32> {
-        let changed = cols.bools("changed").and_then(|c| c.get(v.index()))?;
-        if !changed {
-            return None;
-        }
-        cols.u32s("label").and_then(|c| c.get(v.index())).copied()
-    }
-
-    fn identity(&self) -> u32 {
-        u32::MAX
-    }
-
-    fn reduce(&self, acc: u32, msg: u32) -> u32 {
-        acc.min(msg)
-    }
-
-    fn apply(
-        &self,
-        v: VertexId,
-        acc: u32,
-        _received: usize,
-        cols: &ColumnarState,
-        _g: &CsrGraph,
-    ) -> CcState {
-        let old = cols.u32s("label").and_then(|c| c.get(v.index())).copied().unwrap_or(v.0);
-        let best = acc.min(old);
-        CcState { label: best, changed: best < old }
-    }
-}
-
 // ----------------------------------------------------------------- mapreduce
 
 /// CC map: changed vertices broadcast; every vertex carries its own state.
@@ -234,8 +187,7 @@ impl SurferApp for ConnectedComponents {
     fn run_propagation(&self, engine: &PropagationEngine<'_>) -> SurferResult<(ComponentOutput, ExecReport)> {
         let prog = ComponentPropagation;
         let mut state = engine.init_state(&prog);
-        let (report, _iters) =
-            engine.run_until_converged_vectorized(&prog, &mut state, self.max_iterations)?;
+        let (report, _iters) = engine.run_until_converged(&prog, &mut state, self.max_iterations)?;
         Ok((ComponentOutput { labels: state.into_iter().map(|s| s.label).collect() }, report))
     }
 

@@ -8,9 +8,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{
-    PropagationEngine, SurferApp, SurferResult, VectorizedVirtualTask, VirtualVertexTask,
-};
+use surfer_core::{PropagationEngine, SurferApp, SurferResult, VirtualVertexTask};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -72,15 +70,6 @@ impl VirtualVertexTask for DegreeVirtualTask {
     }
 }
 
-/// VDD on the dense vectorized virtual lane: virtual ids are out-degrees,
-/// so `max_degree + 1` bounds them and the per-partition merge runs over a
-/// dense accumulator instead of a `BTreeMap`.
-impl VectorizedVirtualTask for DegreeVirtualTask {
-    fn virtual_bound(&self, g: &CsrGraph) -> u64 {
-        g.vertices().map(|v| g.out_degree(v) as u64).max().unwrap_or(0) + 1
-    }
-}
-
 // ----------------------------------------------------------------- mapreduce
 
 /// VDD map with in-map combining (one `(degree, count)` pair per distinct
@@ -132,7 +121,7 @@ impl SurferApp for VertexDegreeDistribution {
     }
 
     fn run_propagation(&self, engine: &PropagationEngine<'_>) -> SurferResult<(DegreeHistogram, ExecReport)> {
-        let (mut outputs, report) = engine.run_virtual_vectorized(&DegreeVirtualTask)?;
+        let (mut outputs, report) = engine.run_virtual(&DegreeVirtualTask)?;
         outputs.sort_unstable();
         Ok((DegreeHistogram { entries: outputs }, report))
     }

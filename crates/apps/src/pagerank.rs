@@ -9,9 +9,7 @@
 use crate::ExactOutput;
 use std::collections::HashMap;
 use surfer_cluster::ExecReport;
-use surfer_core::{
-    ColumnarState, Propagation, PropagationEngine, SpillCodec, StateColumn, SurferApp, SurferResult, VectorizedProgram,
-};
+use surfer_core::{Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -125,42 +123,6 @@ impl Propagation for PageRankPropagation {
     }
 }
 
-/// NR on the columnar kernel lane: one `f64` rank column; the per-source
-/// share `rank * d / deg` is computed once instead of once per out-edge,
-/// and the combine fold is `0.0 + m_1 + m_2 + ...` — the exact expression
-/// the scalar `msgs.iter().sum()` evaluates, so ranks stay bit-identical.
-impl VectorizedProgram for PageRankPropagation {
-    type Value = f64;
-
-    fn columns(&self, state: &[f64], _g: &CsrGraph) -> ColumnarState {
-        let mut cs = ColumnarState::new();
-        cs.push("rank", StateColumn::F64(state.to_vec()));
-        cs
-    }
-
-    fn source_value(&self, v: VertexId, cols: &ColumnarState, g: &CsrGraph) -> Option<f64> {
-        let deg = g.out_degree(v);
-        if deg == 0 {
-            return None;
-        }
-        cols.f64s("rank")
-            .and_then(|c| c.get(v.index()))
-            .map(|rank| rank * self.damping / deg as f64)
-    }
-
-    fn identity(&self) -> f64 {
-        0.0
-    }
-
-    fn reduce(&self, acc: f64, msg: f64) -> f64 {
-        acc + msg
-    }
-
-    fn apply(&self, _v: VertexId, acc: f64, _received: usize, _cols: &ColumnarState, _g: &CsrGraph) -> f64 {
-        (1.0 - self.damping) / self.n as f64 + acc
-    }
-}
-
 // ----------------------------------------------------------------- mapreduce
 
 /// Paper Algorithm 2's `map`: scan the partition once, accumulating partial
@@ -249,7 +211,7 @@ impl NetworkRanking {
         let mut total = ExecReport::new(engine.cluster().num_machines());
         for it in 1..=max_iterations {
             let prev = state.clone();
-            let report = engine.run_iteration_vectorized(&prog, &mut state)?;
+            let report = engine.run_iteration(&prog, &mut state)?;
             total.absorb(&report);
             let delta: f64 = state.iter().zip(&prev).map(|(a, b)| (a - b).abs()).sum();
             if delta < epsilon {
@@ -273,7 +235,7 @@ impl SurferApp for NetworkRanking {
         let g = engine.graph().graph();
         let prog = PageRankPropagation { damping: self.damping, n: g.num_vertices() as u64 };
         let mut state = engine.init_state(&prog);
-        let report = engine.run_vectorized(&prog, &mut state, self.iterations)?;
+        let report = engine.run(&prog, &mut state, self.iterations)?;
         Ok((PageRankOutput { ranks: state }, report))
     }
 

@@ -5,9 +5,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{
-    ColumnarState, Propagation, PropagationEngine, SpillCodec, StateColumn, SurferApp, SurferResult, VectorizedProgram,
-};
+use surfer_core::{Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -136,50 +134,6 @@ impl Propagation for BfsPropagation {
     }
 }
 
-/// BFS on the columnar kernel lane: a `u32` distance column plus a `bool`
-/// frontier column. [`UNREACHED`] is the `min` fold identity, so
-/// `apply`'s `acc.min(old.dist)` reproduces the scalar
-/// `msgs.min().unwrap_or(UNREACHED).min(old.dist)` exactly.
-impl VectorizedProgram for BfsPropagation {
-    type Value = u32;
-
-    fn columns(&self, state: &[BfsState], _g: &CsrGraph) -> ColumnarState {
-        let mut cs = ColumnarState::new();
-        cs.push("dist", StateColumn::U32(state.iter().map(|s| s.dist).collect()));
-        cs.push("frontier", StateColumn::Bool(state.iter().map(|s| s.frontier).collect()));
-        cs
-    }
-
-    fn source_value(&self, v: VertexId, cols: &ColumnarState, _g: &CsrGraph) -> Option<u32> {
-        let frontier = cols.bools("frontier").and_then(|c| c.get(v.index()))?;
-        if !frontier {
-            return None;
-        }
-        cols.u32s("dist").and_then(|c| c.get(v.index())).map(|d| d + 1)
-    }
-
-    fn identity(&self) -> u32 {
-        UNREACHED
-    }
-
-    fn reduce(&self, acc: u32, msg: u32) -> u32 {
-        acc.min(msg)
-    }
-
-    fn apply(
-        &self,
-        v: VertexId,
-        acc: u32,
-        _received: usize,
-        cols: &ColumnarState,
-        _g: &CsrGraph,
-    ) -> BfsState {
-        let old = cols.u32s("dist").and_then(|c| c.get(v.index())).copied().unwrap_or(UNREACHED);
-        let best = acc.min(old);
-        BfsState { dist: best, frontier: best < old }
-    }
-}
-
 // ----------------------------------------------------------------- mapreduce
 
 /// BFS map: frontier vertices relax their out-edges; all vertices carry
@@ -247,8 +201,7 @@ impl SurferApp for BreadthFirstSearch {
         }
         let prog = BfsPropagation { is_source };
         let mut state = engine.init_state(&prog);
-        let (report, _) =
-            engine.run_until_converged_vectorized(&prog, &mut state, self.max_iterations)?;
+        let (report, _) = engine.run_until_converged(&prog, &mut state, self.max_iterations)?;
         Ok((BfsOutput { dist: state.into_iter().map(|s| s.dist).collect() }, report))
     }
 

@@ -117,7 +117,7 @@ fn main() {
                 r.recovery_overhead_pct(),
                 r.bit_identical
             );
-            let (_, _, _, _, bench_json) = bench_threads::run(wl, 3);
+            let (_, _, _, bench_json) = bench_threads::run(wl, 3);
             let json = chaos::splice_into(&bench_json, &chaos_json);
             std::fs::write("BENCH_propagation.json", &json)
                 .unwrap_or_else(|e| die(&format!("writing BENCH_propagation.json: {e}")));
@@ -125,17 +125,11 @@ fn main() {
             println!("{json}");
         }
         "bench" => {
-            let (results, lanes, ooc, obs, json) = bench_threads::run(w.expect("workload"), 3);
+            let (results, ooc, obs, json) = bench_threads::run(w.expect("workload"), 3);
             for r in &results {
                 eprintln!(
                     "# threads={} ({} resolved): {:.1} ms, {:.0} msgs/s",
                     r.threads, r.resolved, r.wall_ms, r.messages_per_sec
-                );
-            }
-            for l in &lanes {
-                eprintln!(
-                    "# kernel lane {}: {:.1} ms, {:.0} msgs/s ({:.2}x vs scalar)",
-                    l.lane, l.wall_ms, l.messages_per_sec, l.speedup_vs_scalar
                 );
             }
             eprintln!(

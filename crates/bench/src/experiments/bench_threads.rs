@@ -50,71 +50,6 @@ pub fn sweep_counts() -> Vec<usize> {
     counts
 }
 
-/// One measured kernel lane (single-threaded, so the comparison isolates
-/// the execution model — columnar operators vs per-edge UDF dispatch —
-/// from parallel speedup).
-#[derive(Debug, Clone, Copy)]
-pub struct KernelLaneResult {
-    /// `"scalar"` or `"vectorized"`.
-    pub lane: &'static str,
-    /// Wall-clock milliseconds for all iterations.
-    pub wall_ms: f64,
-    /// Messages emitted across all iterations.
-    pub messages: u64,
-    /// Host throughput.
-    pub messages_per_sec: f64,
-    /// Throughput relative to the scalar lane (1.0 for scalar itself).
-    pub speedup_vs_scalar: f64,
-}
-
-/// Benchmark the columnar kernel lane against the scalar UDF lane on the
-/// same single-threaded PageRank job, asserting the two produce
-/// bit-identical states before reporting throughput.
-pub fn run_kernel_lanes(w: &Workload, iterations: u32) -> Vec<KernelLaneResult> {
-    let surfer = w.surfer(w.t1_cluster(), OptimizationLevel::O4);
-    let prog = PageRankPropagation { damping: 0.85, n: w.graph.num_vertices() as u64 };
-    let engine = PropagationEngine::new(
-        surfer.cluster(),
-        surfer.partitioned(),
-        EngineOptions::full().threads(1),
-    );
-
-    let mut lanes = Vec::new();
-    let mut states: Vec<Vec<f64>> = Vec::new();
-    for lane in ["scalar", "vectorized"] {
-        let mut state = engine.init_state(&prog);
-        let mut messages = 0u64;
-        // lint:allow(D2, host wall-clock is the measurement itself here)
-        let start = Instant::now();
-        for _ in 0..iterations {
-            let (_, m) = if lane == "scalar" {
-                engine.run_iteration_counted(&prog, &mut state).unwrap()
-            } else {
-                engine.run_iteration_vectorized_counted(&prog, &mut state).unwrap()
-            };
-            messages += m;
-        }
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        states.push(state);
-        lanes.push(KernelLaneResult {
-            lane,
-            wall_ms,
-            messages,
-            messages_per_sec: messages as f64 / (wall_ms / 1e3).max(1e-9),
-            speedup_vs_scalar: 1.0,
-        });
-    }
-    assert!(
-        states[0].iter().zip(&states[1]).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "vectorized lane diverged from the scalar lane"
-    );
-    let scalar_rate = lanes[0].messages_per_sec;
-    for l in &mut lanes {
-        l.speedup_vs_scalar = l.messages_per_sec / scalar_rate.max(1e-9);
-    }
-    lanes
-}
-
 /// The out-of-core lane: the same PageRank job forced through the spill
 /// path by a memory budget of ~1/10th the working set.
 #[derive(Debug, Clone, Copy)]
@@ -244,14 +179,13 @@ pub fn run_obs_overhead(w: &Workload, iterations: u32) -> ObsOverheadResult {
 
 /// Run `iterations` PageRank iterations at each thread count, checking that
 /// every run produces bit-identical states to the sequential baseline, then
-/// benchmark the scalar-vs-vectorized kernel lanes, the out-of-core lane
-/// and the flight-journal overhead lane. Returns the thread results, the
-/// kernel-lane results, the out-of-core result, the obs-overhead result and
-/// the JSON document.
+/// benchmark the out-of-core lane and the flight-journal overhead lane.
+/// Returns the thread results, the out-of-core result, the obs-overhead
+/// result and the JSON document.
 pub fn run(
     w: &Workload,
     iterations: u32,
-) -> (Vec<ThreadResult>, Vec<KernelLaneResult>, OocResult, ObsOverheadResult, String) {
+) -> (Vec<ThreadResult>, OocResult, ObsOverheadResult, String) {
     let surfer = w.surfer(w.t1_cluster(), OptimizationLevel::O4);
     let prog = PageRankPropagation { damping: 0.85, n: w.graph.num_vertices() as u64 };
 
@@ -292,22 +226,19 @@ pub fn run(
         });
     }
 
-    let lanes = run_kernel_lanes(w, iterations);
     let ooc = run_ooc_lane(w, iterations);
     let obs = run_obs_overhead(w, iterations);
-    let json = render_json(w, iterations, baseline_ms, &results, &lanes, &ooc, &obs);
-    (results, lanes, ooc, obs, json)
+    let json = render_json(w, iterations, baseline_ms, &results, &ooc, &obs);
+    (results, ooc, obs, json)
 }
 
 /// Hand-rolled JSON (the workspace deliberately has no serialization deps
 /// beyond the vendored stubs).
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     w: &Workload,
     iterations: u32,
     baseline_ms: f64,
     results: &[ThreadResult],
-    lanes: &[KernelLaneResult],
     ooc: &OocResult,
     obs: &ObsOverheadResult,
 ) -> String {
@@ -332,20 +263,6 @@ fn render_json(
             r.messages_per_sec,
             baseline_ms / r.wall_ms.max(1e-9),
             if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"kernel_lanes\": [\n");
-    for (i, l) in lanes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"lane\": \"{}\", \"threads\": 1, \"wall_ms\": {:.3}, \
-             \"messages\": {}, \"messages_per_sec\": {:.1}, \"speedup_vs_scalar\": {:.3}}}{}\n",
-            l.lane,
-            l.wall_ms,
-            l.messages,
-            l.messages_per_sec,
-            l.speedup_vs_scalar,
-            if i + 1 == lanes.len() { "" } else { "," },
         ));
     }
     out.push_str("  ],\n");
@@ -396,26 +313,18 @@ mod tests {
     fn bench_runs_and_emits_json() {
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 4, partitions: 8, seed: 2010 };
         let w = Workload::prepare(cfg);
-        let (results, lanes, ooc, obs, json) = run(&w, 1);
+        let (results, ooc, obs, json) = run(&w, 1);
         assert!(!results.is_empty());
         assert!(results.iter().all(|r| r.messages > 0));
         assert!(json.contains("\"experiment\": \"propagation_threads\""));
         assert!(json.contains("\"speedup_vs_1\""));
-        // Kernel lanes: scalar first, then vectorized; identical message
-        // counts (bit-identity of the states is asserted inside the run).
-        assert_eq!(lanes.len(), 2);
-        assert_eq!(lanes[0].lane, "scalar");
-        assert_eq!(lanes[1].lane, "vectorized");
-        assert_eq!(lanes[0].messages, lanes[1].messages);
-        assert!(json.contains("\"kernel_lanes\""));
-        assert!(json.contains("\"speedup_vs_scalar\""));
         // The out-of-core lane really spilled: both directions of spill
         // I/O are nonzero and every iteration took the spill path.
         assert!(ooc.working_set_bytes >= 10 * ooc.budget_bytes);
         assert!(ooc.bytes_spilled > 0, "no bytes were spilled");
         assert!(ooc.bytes_reread > 0, "no spilled bytes were reread");
         assert_eq!(ooc.spill_iterations, 1);
-        assert_eq!(ooc.messages, lanes[0].messages);
+        assert_eq!(ooc.messages, results[0].messages);
         assert!(json.contains("\"out_of_core\""));
         assert!(json.contains("\"bytes_spilled\""));
         // The obs-overhead lane measured both arms of the A/B (no timing

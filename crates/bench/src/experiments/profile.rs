@@ -86,12 +86,10 @@ pub fn run(w: &Workload) -> ProfileResult {
         to_e6(q.level_locality.last().copied().unwrap_or(1.0)),
     );
 
-    // 1. Propagation through the full engine, on the columnar kernel lane
-    // (the default production path) so the `kernel.*` counters and
-    // per-stage spans land in the profile and the metrics gate.
+    // 1. Propagation through the full engine.
     let engine = surfer.propagation();
     let mut state = engine.init_state(&prog);
-    engine.run_vectorized(&prog, &mut state, ITERATIONS).expect("propagation run");
+    engine.run(&prog, &mut state, ITERATIONS).expect("propagation run");
 
     // 2. MapReduce (the VDD app's map/shuffle/sort/reduce round).
     surfer.run_mapreduce(&VertexDegreeDistribution).expect("mapreduce run");

@@ -71,8 +71,7 @@ pub fn resolve_threads(threads: usize) -> usize {
 ///
 /// Oversubscribing std threads on CPU-bound partition scans only adds
 /// scheduler churn (a 1-core host running `threads = 2` measured ~0.97x of
-/// sequential), so engines clamp by default; an explicit opt-out knob
-/// restores the raw request for scheduling experiments.
+/// sequential), so the propagation engine always clamps.
 pub fn resolve_threads_clamped(threads: usize) -> usize {
     resolve_threads(threads).min(resolve_threads(0))
 }

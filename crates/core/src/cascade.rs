@@ -18,7 +18,6 @@
 
 use crate::engine::PropagationEngine;
 use crate::error::SurferResult;
-use crate::kernel::VectorizedProgram;
 use crate::primitive::Propagation;
 use std::collections::VecDeque;
 use surfer_cluster::ExecReport;
@@ -165,41 +164,6 @@ pub fn run_cascaded<P: Propagation>(
     Ok((total, analysis))
 }
 
-/// [`run_cascaded`] through the columnar kernel lane: the V_k analysis and
-/// per-iteration disk discount are identical, only each iteration executes
-/// via [`PropagationEngine::run_iteration_vectorized_discounted`] (which
-/// itself falls back to the scalar path when vectorization is off).
-pub fn run_cascaded_vectorized<P: VectorizedProgram>(
-    engine: &PropagationEngine<'_>,
-    prog: &P,
-    state: &mut [P::State],
-    iterations: u32,
-) -> SurferResult<(ExecReport, CascadeAnalysis)> {
-    let pg = engine.graph();
-    let analysis = CascadeAnalysis::analyze(pg);
-    let mut total = ExecReport::new(engine.cluster().num_machines());
-    for it in 0..iterations {
-        let pos = it % analysis.d_min + 1;
-        let _s = surfer_obs::span_with("cascade.phase", || format!("pos{pos}"));
-        if surfer_obs::enabled() {
-            surfer_obs::counter_add("cascade.iterations", 1);
-            if pos > 1 {
-                surfer_obs::counter_add("cascade.discounted_iterations", 1);
-            }
-        }
-        let frac: Vec<f64> = if pos == 1 {
-            vec![1.0; pg.num_partitions() as usize]
-        } else {
-            pg.partitions()
-                .map(|pid| 1.0 - analysis.cascadable_byte_fraction(pg, pid, pos))
-                .collect()
-        };
-        let r = engine.run_iteration_vectorized_discounted(prog, state, Some(&frac))?;
-        total.absorb(&r);
-    }
-    Ok((total, analysis))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,64 +277,6 @@ mod tests {
         assert_eq!(
             casc_report.network_bytes, naive_report.network_bytes,
             "cascading must not change network traffic"
-        );
-    }
-
-    impl VectorizedProgram for Forward {
-        type Value = u64;
-        fn columns(&self, state: &[u64], _g: &CsrGraph) -> crate::column::ColumnarState {
-            let mut cs = crate::column::ColumnarState::new();
-            cs.push("value", crate::column::StateColumn::U64(state.to_vec()));
-            cs
-        }
-        fn source_value(
-            &self,
-            v: VertexId,
-            cols: &crate::column::ColumnarState,
-            _g: &CsrGraph,
-        ) -> Option<u64> {
-            cols.u64s("value").and_then(|c| c.get(v.index())).copied()
-        }
-        fn identity(&self) -> u64 {
-            0
-        }
-        fn reduce(&self, acc: u64, msg: u64) -> u64 {
-            acc + msg
-        }
-        fn apply(
-            &self,
-            v: VertexId,
-            acc: u64,
-            _received: usize,
-            cols: &crate::column::ColumnarState,
-            _g: &CsrGraph,
-        ) -> u64 {
-            cols.u64s("value").and_then(|c| c.get(v.index())).copied().unwrap_or(0) + acc
-        }
-    }
-
-    #[test]
-    fn vectorized_cascade_matches_scalar_cascade_bit_exactly() {
-        let g = from_edges(12, (0..11u32).map(|v| (v, v + 1)).collect::<Vec<_>>());
-        let p = Partitioning::new((0..12u32).map(|v| if v < 6 { 0 } else { 1 }).collect(), 2);
-        let pg =
-            PartitionedGraph::from_parts(Arc::new(g), p, vec![MachineId(0), MachineId(1)]);
-        let c = ClusterConfig::flat(2).build();
-        let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
-
-        let prog = Forward;
-        let mut scalar_state = engine.init_state(&prog);
-        let (scalar_report, _) = run_cascaded(&engine, &prog, &mut scalar_state, 4).unwrap();
-
-        let mut vec_state = engine.init_state(&prog);
-        let (vec_report, _) =
-            run_cascaded_vectorized(&engine, &prog, &mut vec_state, 4).unwrap();
-
-        assert_eq!(scalar_state, vec_state, "vectorized cascade must not change results");
-        assert_eq!(
-            format!("{scalar_report:?}"),
-            format!("{vec_report:?}"),
-            "cost reports must match bit-exactly"
         );
     }
 

@@ -48,17 +48,6 @@ pub struct EngineOptions {
     /// `0` (the default) means one per available core; `1` runs the legacy
     /// sequential path inline. Any value produces identical results.
     pub threads: usize,
-    /// Run programs implementing `VectorizedProgram` through the columnar
-    /// kernel lane (bit-identical to the scalar UDF path). Off forces the
-    /// scalar fallback even for opted-in programs.
-    pub vectorized: bool,
-    /// Allow `threads` above the host's available cores. Off (default),
-    /// `resolved_threads` clamps to the core count — oversubscribing the
-    /// CPU-bound partition scans only adds scheduler churn.
-    pub allow_oversubscription: bool,
-    /// Serve kernel adjacency gathers from the delta/varint `PackedCsr`
-    /// instead of raw CSR target slices (trades decode CPU for footprint).
-    pub packed_adjacency: bool,
     /// Resident-set budget. Unlimited (the default) runs everything in
     /// memory; a limited budget diverts any program whose working set
     /// exceeds it through the out-of-core lane (`crate::ooc`): adjacency
@@ -88,9 +77,6 @@ impl EngineOptions {
             local_propagation: false,
             local_combination: false,
             threads: 0,
-            vectorized: true,
-            allow_oversubscription: false,
-            packed_adjacency: false,
             memory_budget: MemoryBudget::unlimited(),
         }
     }
@@ -101,24 +87,6 @@ impl EngineOptions {
         self
     }
 
-    /// Toggle the columnar kernel lane (on by default).
-    pub fn vectorized(mut self, on: bool) -> Self {
-        self.vectorized = on;
-        self
-    }
-
-    /// Opt out of the host-core clamp on `threads`.
-    pub fn allow_oversubscription(mut self, on: bool) -> Self {
-        self.allow_oversubscription = on;
-        self
-    }
-
-    /// Serve kernel gathers from the packed varint CSR.
-    pub fn packed_adjacency(mut self, on: bool) -> Self {
-        self.packed_adjacency = on;
-        self
-    }
-
     /// Cap the engine's resident set (see [`EngineOptions::memory_budget`]).
     pub fn memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.memory_budget = budget;
@@ -126,14 +94,11 @@ impl EngineOptions {
     }
 
     /// The worker count the engine stages actually use: the `threads` knob
-    /// resolved (`0` = available parallelism) and — unless
-    /// [`EngineOptions::allow_oversubscription`] — clamped to host cores.
+    /// resolved (`0` = available parallelism) and clamped to host cores —
+    /// oversubscribing the CPU-bound partition scans only adds scheduler
+    /// churn.
     pub fn resolved_threads(&self) -> usize {
-        if self.allow_oversubscription {
-            surfer_cluster::par::resolve_threads(self.threads)
-        } else {
-            surfer_cluster::par::resolve_threads_clamped(self.threads)
-        }
+        surfer_cluster::par::resolve_threads_clamped(self.threads)
     }
 }
 
@@ -307,40 +272,38 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
 /// msg)` pairs in sequential emission order, the per-machine byte row, the
 /// number of `transfer()` calls, and the scan's wall time (0 when no obs
 /// session records).
-pub(crate) type VirtualOutbox<M> = (Vec<(u64, M)>, Vec<u64>, u64, u64);
+type VirtualOutbox<M> = (Vec<(u64, M)>, Vec<u64>, u64, u64);
 
-/// Per-partition cost tally for one iteration. Shared with the vectorized
-/// kernel lane (`crate::kernel`), which must reproduce it field for field.
+/// Per-partition cost tally for one iteration.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PartitionTally {
+struct PartitionTally {
     /// transfer() invocations (edge scans).
-    pub(crate) transfer_calls: u64,
+    transfer_calls: u64,
     /// Bytes of partition-local intermediate messages.
-    pub(crate) local_bytes: u64,
+    local_bytes: u64,
     /// Bytes of partition-local messages whose destination is an inner
     /// vertex (elided from disk by local propagation).
-    pub(crate) local_inner_bytes: u64,
+    local_inner_bytes: u64,
     /// Outgoing bytes per remote partition (after local combination).
     /// Ordered so the simulated transfer DAG is built identically run to
     /// run (and for any thread count).
-    pub(crate) cross_out: BTreeMap<u32, u64>,
+    cross_out: BTreeMap<u32, u64>,
     /// Messages combined at this partition.
-    pub(crate) combine_msgs: u64,
+    combine_msgs: u64,
     /// Messages whose destination stayed in this partition.
-    pub(crate) local_msgs: u64,
+    local_msgs: u64,
     /// Messages sent across partitions (after local combination).
-    pub(crate) cross_msgs: u64,
+    cross_msgs: u64,
     /// Wall time of this partition's Transfer scan (only measured while an
     /// obs session records; not deterministic).
-    pub(crate) transfer_ns: u64,
+    transfer_ns: u64,
     /// Wall time of this partition's Combine (same caveat).
-    pub(crate) combine_ns: u64,
+    combine_ns: u64,
 }
 
 /// Publish the per-iteration Transfer-stage counters (no-op without an
-/// active obs session). Shared by the scalar and vectorized lanes so both
-/// report through one schema.
-pub(crate) fn publish_transfer_counters(tally: &[PartitionTally], messages: u64) {
+/// active obs session).
+fn publish_transfer_counters(tally: &[PartitionTally], messages: u64) {
     if !surfer_obs::enabled() {
         return;
     }
@@ -364,7 +327,7 @@ pub(crate) fn publish_transfer_counters(tally: &[PartitionTally], messages: u64)
 /// puts partition-local bytes on the diagonal and the post-combination
 /// cross bytes off it, so its diagonal/off-diagonal totals equal
 /// `prop.local_bytes`/`prop.cross_bytes`.
-pub(crate) fn publish_iteration_sample(tally: &[PartitionTally], mailbox_sizes: Vec<u64>) {
+fn publish_iteration_sample(tally: &[PartitionTally], mailbox_sizes: Vec<u64>) {
     if !surfer_obs::enabled() {
         return;
     }
@@ -588,11 +551,15 @@ impl<'a> PropagationEngine<'a> {
         assert_eq!(state.len(), g.num_vertices() as usize, "state vector must cover every vertex");
         let threads = self.options.resolved_threads();
         let merge_cross = self.options.local_combination && prog.associative();
-        let packed = self.options.packed_adjacency;
+        // A scalar associative program needs no bag: Combine folds every
+        // arrival into its slot with `merge`, in arrival order. Messages
+        // that own heap memory keep the bag — their `merge` (TFL: extend,
+        // sort, dedup) costs more per arrival than the bag it would save.
+        let fold = prog.associative() && !std::mem::needs_drop::<P::Msg>();
         let enc = pg.encoding();
         let parts = pg.num_partitions() as usize;
         if let Some(session) = session {
-            session.begin_round(pg, packed, spill_faults)?;
+            session.begin_round(pg, spill_faults)?;
         }
         // Programs without a spill codec stream their adjacency but keep
         // the mailbox resident.
@@ -617,7 +584,7 @@ impl<'a> PropagationEngine<'a> {
             let mut scan = TransferScan::begin(prog, pg, state_ro, pid, merge_cross, segments);
             match session {
                 Some(session) => {
-                    session.scan_edge_blocks(pid, packed, |v, nbrs| scan.vertex(v, nbrs))?
+                    session.scan_edge_blocks(pid, |v, nbrs| scan.vertex(v, nbrs))?
                 }
                 None => {
                     for &v in &pg.meta(pid).members {
@@ -717,15 +684,32 @@ impl<'a> PropagationEngine<'a> {
                 let slots = end - first;
 
                 // The mailbox: every incoming message once, in fold order
-                // (source partitions ascending, emission order within one),
-                // beside the slot it is for. Segments decode straight into
-                // their cells.
+                // (source partitions ascending, emission order within one).
+                // A program that folds keeps one merged message per slot;
+                // any other keeps each arrival beside the slot it is for.
+                // Segments decode straight into either.
                 let routed = mailbox_totals[i] as usize;
-                let mut cells: Vec<Option<P::Msg>> = Vec::with_capacity(routed);
-                let mut slot_of: Vec<u32> = Vec::with_capacity(routed);
+                let bagged = if fold { 0 } else { routed };
+                let mut cells: Vec<Option<P::Msg>> = Vec::with_capacity(bagged);
+                let mut slot_of: Vec<u32> = Vec::with_capacity(bagged);
+                let mut folded: Vec<Option<P::Msg>> = Vec::new();
+                if fold {
+                    folded.resize_with(slots, || None);
+                }
+                let mut arrived = 0usize;
                 let mut deliver = |to: VertexId, msg: P::Msg| {
-                    slot_of.push((enc.encode(to).index() - first) as u32);
-                    cells.push(Some(msg));
+                    let slot = enc.encode(to).index() - first;
+                    arrived += 1;
+                    if fold {
+                        let acc = &mut folded[slot];
+                        *acc = Some(match acc.take() {
+                            Some(earlier) => prog.merge(earlier, msg),
+                            None => msg,
+                        });
+                    } else {
+                        slot_of.push(slot as u32);
+                        cells.push(Some(msg));
+                    }
                 };
                 for (to, msg) in buckets.into_iter().flatten() {
                     deliver(to, msg);
@@ -734,16 +718,16 @@ impl<'a> PropagationEngine<'a> {
                     Some(session) => session.replay_segments(prog, pid, &sources, &mut deliver)?,
                     None => (0, 0),
                 };
-                if cells.len() != routed {
+                if arrived != routed {
                     return Err(SurferError::Storage(GraphError::Corrupt(format!(
-                        "mailbox of partition {pid}: replayed {} messages, the scan routed {routed}",
-                        cells.len()
+                        "mailbox of partition {pid}: replayed {arrived} messages, the scan routed {routed}"
                     ))));
                 }
 
                 // A stable counting sort of the arrival indices — not of
                 // the messages — groups them per slot: the bag of `slot` is
-                // `order[offsets[slot]..offsets[slot + 1]]`.
+                // `order[offsets[slot]..offsets[slot + 1]]`. (Nothing to
+                // sort under the fold: no arrival was kept.)
                 let mut offsets = vec![0usize; slots + 1];
                 for &slot in &slot_of {
                     offsets[slot as usize + 1] += 1;
@@ -762,14 +746,18 @@ impl<'a> PropagationEngine<'a> {
                 let mut new_states = Vec::with_capacity(members.len());
                 for &v in members {
                     let slot = enc.encode(v).index() - first;
-                    let msgs: Vec<P::Msg> = order[offsets[slot]..offsets[slot + 1]]
-                        .iter()
-                        // lint:allow(E1, invariant: the counting sort lists each arrival exactly once)
-                        .map(|&arrival| cells[arrival].take().expect("message consumed exactly once"))
-                        .collect();
+                    let msgs: Vec<P::Msg> = if fold {
+                        folded[slot].take().into_iter().collect()
+                    } else {
+                        order[offsets[slot]..offsets[slot + 1]]
+                            .iter()
+                            // lint:allow(E1, invariant: the counting sort lists each arrival exactly once)
+                            .map(|&arrival| cells[arrival].take().expect("message consumed exactly once"))
+                            .collect()
+                    };
                     new_states.push(prog.combine(v, &state_ro[v.index()], msgs, g));
                 }
-                Ok((new_states, cells.len() as u64, t0.elapsed_ns(), reread))
+                Ok((new_states, arrived as u64, t0.elapsed_ns(), reread))
             })
             .map_err(|e| SurferError::from_worker_panic("combine", e))?;
         let combined: Vec<Combined<P::State>> = combined.into_iter().collect::<SurferResult<_>>()?;
@@ -821,8 +809,8 @@ impl<'a> PropagationEngine<'a> {
     }
 
     /// Build and run the simulated task DAG for one iteration given the
-    /// per-partition tallies. Shared with the vectorized kernel lane.
-    pub(crate) fn simulate(
+    /// per-partition tallies.
+    fn simulate(
         &self,
         transfer_ops: f64,
         combine_ops: f64,
@@ -961,22 +949,6 @@ impl<'a> PropagationEngine<'a> {
             })
             .map_err(|e| SurferError::from_worker_panic("virtual-transfer", e))?;
         drop(vt_span);
-        self.finish_virtual(task, transfers)
-    }
-
-    /// Everything after the virtual Transfer stage: obs publication, the
-    /// virtual-id grouping, the real Combine and the simulated DAG. Shared
-    /// with the vectorized virtual lane, which only replaces the transfer
-    /// scan (its outboxes are bit-identical, so everything downstream is
-    /// too).
-    pub(crate) fn finish_virtual<T: VirtualVertexTask>(
-        &self,
-        task: &T,
-        transfers: Vec<VirtualOutbox<T::Msg>>,
-    ) -> SurferResult<(Vec<T::Out>, ExecReport)> {
-        let pg = self.graph;
-        let machines = self.cluster.num_machines();
-        let threads = self.options.resolved_threads();
         if surfer_obs::enabled() {
             surfer_obs::counter_add(
                 "virt.messages",
@@ -1274,14 +1246,16 @@ mod tests {
         assert!(report.tasks_completed >= 3);
     }
 
-    /// One token crosses 3 -> 4 in the first round and dies there: the
-    /// pair (0, 1) writes a segment once and is quiet ever after.
-    struct OneShot;
-    impl Propagation for OneShot {
+    /// Tokens start on the vertices of a bit mask, move one step a round
+    /// and die on vertex 4. From vertex 3 alone, one crosses 3 -> 4 in the
+    /// first round: the pair (0, 1) writes a segment once and is quiet ever
+    /// after.
+    struct Tokens(u8);
+    impl Propagation for Tokens {
         type State = u64;
         type Msg = u64;
         fn init(&self, v: VertexId, _g: &CsrGraph) -> u64 {
-            (v.0 == 3) as u64
+            u64::from((self.0 >> v.0) & 1)
         }
         fn transfer(&self, from: VertexId, s: &u64, _to: VertexId, _g: &CsrGraph) -> Option<u64> {
             (*s > 0 && from.0 != 4).then_some(*s)
@@ -1309,17 +1283,36 @@ mod tests {
         let opts = EngineOptions::none().memory_budget(MemoryBudget::bytes(16));
         let engine = PropagationEngine::new(&c, &pg, opts);
         let segment = engine.ooc.as_ref().unwrap().seg_file(0, 1);
-        let mut state = engine.init_state(&OneShot);
+        let mut state = engine.init_state(&Tokens(1 << 3));
 
-        assert_eq!(engine.run_iteration_counted(&OneShot, &mut state).unwrap().1, 1);
+        assert_eq!(engine.run_iteration_counted(&Tokens(1 << 3), &mut state).unwrap().1, 1);
         assert_eq!(state, [0, 0, 0, 0, 1, 0, 0, 0]);
         assert!(segment.exists());
 
         // Nothing is sent now. Were the first round's segment replayed,
         // vertex 4 would keep its token.
-        assert_eq!(engine.run_iteration_counted(&OneShot, &mut state).unwrap().1, 0);
+        assert_eq!(engine.run_iteration_counted(&Tokens(1 << 3), &mut state).unwrap().1, 0);
         assert_eq!(state, [0; 8]);
         assert!(!segment.exists(), "stale segment left on disk");
+    }
+
+    #[test]
+    fn a_pair_written_again_keeps_its_file_cut_to_the_new_length() {
+        let (c, pg) = two_partition_cycle();
+        let opts = EngineOptions::none().memory_budget(MemoryBudget::bytes(16));
+        let engine = PropagationEngine::new(&c, &pg, opts);
+        let segment = engine.ooc.as_ref().unwrap().seg_file(0, 0);
+        // Partition 0 sends itself two messages (1 -> 2, 2 -> 3), then one.
+        let prog = Tokens(0b110);
+        let mut state = engine.init_state(&prog);
+
+        assert_eq!(engine.run_iteration_counted(&prog, &mut state).unwrap().1, 2);
+        let longer = std::fs::metadata(&segment).unwrap().len();
+        // What the first round left past the second's end would be read
+        // back as a damaged frame.
+        assert_eq!(engine.run_iteration_counted(&prog, &mut state).unwrap().1, 2);
+        assert_eq!(state, [0, 0, 0, 1, 1, 0, 0, 0]);
+        assert!(std::fs::metadata(&segment).unwrap().len() < longer);
     }
 
     /// Rotate whose transfer panics when fired from a chosen vertex.

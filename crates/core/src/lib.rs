@@ -15,24 +15,20 @@
 
 pub mod cascade;
 pub mod checkpoint;
-pub mod column;
 pub mod engine;
 pub mod error;
-pub mod kernel;
 pub mod ooc;
 pub mod opt;
 pub mod pipeline;
 pub mod primitive;
 pub mod surfer;
 
-pub use cascade::{run_cascaded, run_cascaded_vectorized, CascadeAnalysis};
+pub use cascade::{run_cascaded, CascadeAnalysis};
 pub use checkpoint::{
     run_with_recovery, Checkpointable, RecoveryConfig, RecoveryOutcome, RecoveryStats,
 };
-pub use column::{ColumnarState, StateColumn};
 pub use engine::{EngineOptions, PropagationEngine};
 pub use error::{SurferError, SurferResult};
-pub use kernel::{ColumnValue, KernelPlan, VectorizedProgram, VectorizedVirtualTask};
 pub use ooc::{working_set_bytes, MemoryBudget, SpillCodec};
 pub use opt::OptimizationLevel;
 pub use pipeline::{Pipeline, PipelineOutcome, StageKind, StageOutcome};

@@ -179,7 +179,8 @@ pub(crate) struct OocSession {
     budget: u64,
     blocks: Mutex<bool>,
     /// The `(source, destination)` pairs whose mailbox segment the latest
-    /// Transfer stage wrote — the files to retire before the next one.
+    /// Transfer stage wrote, ascending — the files the next one overwrites
+    /// in place, or retires once their pair goes quiet.
     segments: Mutex<Vec<(u32, u32)>>,
 }
 
@@ -222,7 +223,7 @@ impl OocSession {
 
     /// Write every partition's adjacency as framed edge blocks, once per
     /// session (later iterations reread the same files).
-    fn ensure_edge_blocks(&self, pg: &PartitionedGraph, packed: bool) -> SurferResult<()> {
+    fn ensure_edge_blocks(&self, pg: &PartitionedGraph) -> SurferResult<()> {
         let mut ready = lock_unpoisoned(&self.blocks);
         if *ready {
             return Ok(());
@@ -237,11 +238,7 @@ impl OocSession {
             let mut f = std::io::BufWriter::new(std::fs::File::create(self.edge_file(pid))?);
             for (bi, span) in block::plan_edge_blocks(g, members, target).iter().enumerate() {
                 let run = &members[span.start..span.end];
-                let payload = if packed {
-                    block::encode_edge_block_packed(g, run)
-                } else {
-                    block::encode_edge_block(g, run)
-                };
+                let payload = block::encode_edge_block(g, run);
                 bytes += write_frame(&mut f, SPILL_MAGIC, pid, bi as u32, &payload)?;
                 nblocks += 1;
             }
@@ -265,11 +262,9 @@ impl OocSession {
     pub(crate) fn begin_round(
         &self,
         pg: &PartitionedGraph,
-        packed: bool,
         spill_faults: &[SpillFault],
     ) -> SurferResult<()> {
-        self.ensure_edge_blocks(pg, packed)?;
-        self.record_segments(Vec::new());
+        self.ensure_edge_blocks(pg)?;
         for f in spill_faults {
             if f.kind == SpillFaultKind::CorruptEdgeBlock {
                 damage_file(&self.edge_file(f.partition), f.kind)?;
@@ -287,7 +282,6 @@ impl OocSession {
     pub(crate) fn scan_edge_blocks(
         &self,
         pid: u32,
-        packed: bool,
         mut visit: impl FnMut(VertexId, &[VertexId]) -> SurferResult<()>,
     ) -> SurferResult<()> {
         let what = format!("edge blocks of partition {pid}");
@@ -299,7 +293,7 @@ impl OocSession {
                 return Err(corrupt(format!("{what}: block belongs to partition {}", frame.a)));
             }
             blocks_read += 1;
-            block::scan_edge_block(frame.payload, packed, &mut neighbors, &mut visit)?;
+            block::scan_edge_block(frame.payload, &mut neighbors, &mut visit)?;
         }
         if surfer_obs::enabled() {
             surfer_obs::counter_add(surfer_obs::names::SPILL_EDGE_BLOCKS_READ, blocks_read);
@@ -382,15 +376,24 @@ impl OocSession {
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 
-    /// Replace the record of written mailbox segments with `next`, removing
-    /// the files of the pairs recorded before. Combine replays only the
-    /// pairs its own iteration recorded, so a pair that goes quiet can never
-    /// be replayed from a stale file; removing just gives the disk back.
+    /// Replace the record of written mailbox segments with `next`
+    /// (ascending), removing the files of the pairs recorded before that
+    /// `next` no longer names. A pair written again was overwritten in place
+    /// by its sink and keeps its file: unlinking and re-creating every
+    /// segment every round makes a job's time follow the file system's
+    /// inode allocator (ext4 without a journal steps over every inode freed
+    /// in the last seconds on each create) rather than the bytes it moves.
+    /// Combine replays only the pairs its own iteration recorded, so a pair
+    /// that goes quiet can never be replayed from a stale file; removing
+    /// just gives the disk back.
     fn record_segments(&self, next: Vec<(u32, u32)>) {
-        let stale = std::mem::replace(&mut *lock_unpoisoned(&self.segments), next);
-        for (p, q) in stale {
-            let _ = std::fs::remove_file(self.seg_file(p, q));
+        let mut current = lock_unpoisoned(&self.segments);
+        for &(p, q) in current.iter() {
+            if next.binary_search(&(p, q)).is_err() {
+                let _ = std::fs::remove_file(self.seg_file(p, q));
+            }
         }
+        *current = next;
     }
 }
 
@@ -425,6 +428,8 @@ pub(crate) struct MsgSink<'s> {
     /// Messages pushed per destination.
     counts: Vec<u64>,
     seqs: Vec<u32>,
+    /// Bytes written per destination: where this round's segment ends.
+    lens: Vec<u64>,
     writers: Vec<Option<std::io::BufWriter<std::fs::File>>>,
     bytes_written: u64,
     frames_written: u64,
@@ -439,6 +444,7 @@ impl<'s> MsgSink<'s> {
             bufs: vec![Vec::new(); num_parts],
             counts: vec![0; num_parts],
             seqs: vec![0; num_parts],
+            lens: vec![0; num_parts],
             writers: (0..num_parts).map(|_| None).collect(),
             bytes_written: 0,
             frames_written: 0,
@@ -474,11 +480,19 @@ impl<'s> MsgSink<'s> {
         let w = match &mut self.writers[q as usize] {
             Some(w) => w,
             slot => {
-                let f = std::fs::File::create(self.session.seg_file(self.pid, q))?;
+                // Over the previous round's file when there is one;
+                // `finish` cuts off whatever of it is left past the end.
+                let f = std::fs::OpenOptions::new()
+                    .write(true)
+                    .create(true)
+                    .truncate(false)
+                    .open(self.session.seg_file(self.pid, q))?;
                 slot.insert(std::io::BufWriter::new(f))
             }
         };
-        self.bytes_written += write_frame(w, SPILL_MAGIC, self.pid, self.seqs[q as usize], payload)?;
+        let written = write_frame(w, SPILL_MAGIC, self.pid, self.seqs[q as usize], payload)?;
+        self.bytes_written += written;
+        self.lens[q as usize] += written;
         payload.clear();
         self.seqs[q as usize] += 1;
         self.frames_written += 1;
@@ -501,6 +515,7 @@ impl<'s> MsgSink<'s> {
         for (q, w) in self.writers.iter_mut().enumerate() {
             if let Some(w) = w {
                 w.flush()?;
+                w.get_ref().set_len(self.lens[q])?;
                 written.push((q as u32, self.counts[q]));
             }
         }
@@ -701,24 +716,6 @@ mod tests {
         let mut state = engine.init_state(&MemRotate);
         engine.run_iteration(&MemRotate, &mut state).unwrap();
         assert_eq!(state, reference);
-    }
-
-    #[test]
-    fn packed_adjacency_spills_identically() {
-        let (c, pg) = two_partition_cycle();
-        let run = |opts: EngineOptions| {
-            let engine = PropagationEngine::new(&c, &pg, opts);
-            let mut state = engine.init_state(&SpillRotate);
-            engine.run_iteration(&SpillRotate, &mut state).unwrap();
-            state
-        };
-        let raw = run(EngineOptions::full().memory_budget(MemoryBudget::bytes(16)));
-        let packed = run(
-            EngineOptions::full()
-                .memory_budget(MemoryBudget::bytes(16))
-                .packed_adjacency(true),
-        );
-        assert_eq!(raw, packed);
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub struct SurferBuilder {
     optimization: OptimizationLevel,
     bisect: BisectConfig,
     threads: usize,
-    vectorized: bool,
     memory_budget: MemoryBudget,
 }
 
@@ -70,13 +69,6 @@ impl SurferBuilder {
     /// identical for any value.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Toggle the columnar kernel lane for vectorized programs (on by
-    /// default; results are bit-identical either way).
-    pub fn vectorized(mut self, on: bool) -> Self {
-        self.vectorized = on;
         self
     }
 
@@ -132,7 +124,6 @@ impl SurferBuilder {
             placed,
             optimization: self.optimization,
             threads: self.threads,
-            vectorized: self.vectorized,
             memory_budget: self.memory_budget,
         }
     }
@@ -147,7 +138,6 @@ impl SurferBuilder {
             placed,
             optimization: self.optimization,
             threads: self.threads,
-            vectorized: self.vectorized,
             memory_budget: self.memory_budget,
         }
     }
@@ -162,7 +152,6 @@ pub struct Surfer {
     placed: PlacedPartitioning,
     optimization: OptimizationLevel,
     threads: usize,
-    vectorized: bool,
     memory_budget: MemoryBudget,
 }
 
@@ -175,7 +164,6 @@ impl Surfer {
             optimization: OptimizationLevel::O4,
             bisect: BisectConfig::default(),
             threads: 0,
-            vectorized: true,
             memory_budget: MemoryBudget::unlimited(),
         }
     }
@@ -211,14 +199,13 @@ impl Surfer {
     }
 
     /// A propagation engine honoring the optimization level, thread knob
-    /// and kernel-lane toggle.
+    /// and memory budget.
     pub fn propagation(&self) -> PropagationEngine<'_> {
         PropagationEngine::new(
             &self.cluster,
             &self.pg,
             EngineOptions::from_level(self.optimization)
                 .threads(self.threads)
-                .vectorized(self.vectorized)
                 .memory_budget(self.memory_budget),
         )
     }

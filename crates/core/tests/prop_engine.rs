@@ -1,11 +1,15 @@
 //! Property-based tests of the propagation engine: results must be
 //! invariant to partitioning, placement, optimization level and cluster
-//! shape; byte accounting must be exact; convergence must be stable.
+//! shape; byte accounting must be exact; convergence must be stable; and
+//! Combine folds scalar associative messages per slot while every other
+//! program keeps its bag.
 
 use proptest::prelude::*;
+use std::fmt::Debug;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use surfer_cluster::{ClusterConfig, MachineId};
-use surfer_core::{EngineOptions, Propagation, PropagationEngine};
+use surfer_cluster::{ClusterConfig, MachineId, SimCluster};
+use surfer_core::{EngineOptions, MemoryBudget, Propagation, PropagationEngine, SpillCodec};
 use surfer_graph::builder::from_edges;
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_partition::{random_partition, PartitionedGraph};
@@ -167,5 +171,199 @@ proptest! {
         prop_assert_eq!(s1, s2);
         prop_assert_eq!(multi.network_bytes, acc_net);
         prop_assert!((multi.response_time.as_secs_f64() - acc_resp).abs() < 1e-9);
+    }
+}
+
+/// A `u64`-message program whose `merge` is sensitive to order, so the
+/// state shows in which order arrivals were merged — by the engine when the
+/// program says it is associative, by `combine` itself when it does not.
+/// The state is what `combine` was handed: the bag's length, and its
+/// messages merged left to right.
+struct OrderProbe {
+    associative: bool,
+}
+
+impl Propagation for OrderProbe {
+    type State = (usize, Option<u64>);
+    type Msg = u64;
+
+    fn init(&self, _v: VertexId, _g: &CsrGraph) -> Self::State {
+        (0, None)
+    }
+    fn transfer(&self, from: VertexId, _s: &Self::State, _t: VertexId, _g: &CsrGraph) -> Option<u64> {
+        Some(from.0 as u64 + 1)
+    }
+    fn combine(&self, _v: VertexId, _o: &Self::State, msgs: Vec<u64>, _g: &CsrGraph) -> Self::State {
+        (msgs.len(), msgs.into_iter().reduce(|a, b| self.merge(a, b)))
+    }
+    fn associative(&self) -> bool {
+        self.associative
+    }
+    fn merge(&self, a: u64, b: u64) -> u64 {
+        a.wrapping_mul(1_000_003).wrapping_add(b)
+    }
+    fn msg_bytes(&self, _m: &u64) -> u64 {
+        12
+    }
+    fn combine_ops(&self) -> f64 {
+        1000.0
+    }
+    fn spill_capable(&self) -> bool {
+        true
+    }
+    fn spill_encode(&self, msg: &u64, out: &mut Vec<u8>) {
+        msg.spill_to(out);
+    }
+    fn spill_decode(&self, buf: &mut &[u8]) -> Option<u64> {
+        u64::spill_from(buf)
+    }
+}
+
+/// A `Vec<u32>`-message program (the TFL/RLG shape) that counts its `merge`
+/// calls. The state is the length of the bag `combine` was handed and the
+/// bag flattened.
+struct BagProbe {
+    associative: bool,
+    merges: AtomicUsize,
+}
+
+impl Propagation for BagProbe {
+    type State = (usize, Vec<u32>);
+    type Msg = Vec<u32>;
+
+    fn init(&self, _v: VertexId, _g: &CsrGraph) -> Self::State {
+        (0, Vec::new())
+    }
+    fn transfer(&self, from: VertexId, _s: &Self::State, _t: VertexId, _g: &CsrGraph) -> Option<Vec<u32>> {
+        Some(vec![from.0])
+    }
+    fn combine(&self, _v: VertexId, _o: &Self::State, msgs: Vec<Vec<u32>>, _g: &CsrGraph) -> Self::State {
+        (msgs.len(), msgs.concat())
+    }
+    fn associative(&self) -> bool {
+        self.associative
+    }
+    fn merge(&self, mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+        self.merges.fetch_add(1, Ordering::Relaxed);
+        a.extend(b);
+        a
+    }
+    fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
+        4 + 4 * m.len() as u64
+    }
+    fn spill_capable(&self) -> bool {
+        true
+    }
+    fn spill_encode(&self, msg: &Vec<u32>, out: &mut Vec<u8>) {
+        msg.spill_to(out);
+    }
+    fn spill_decode(&self, buf: &mut &[u8]) -> Option<Vec<u32>> {
+        Vec::spill_from(buf)
+    }
+}
+
+/// Engine runs per [`sweep`]: threads {1, 2, 0} × {resident, spilling}.
+const SWEEP_RUNS: usize = 6;
+
+/// One iteration of `prog` at every thread knob, resident and under a
+/// budget that spills edge blocks and mailbox. Every run must leave the
+/// same state and report; returns them.
+fn sweep<P: Propagation>(
+    cluster: &SimCluster,
+    pg: &PartitionedGraph,
+    opts: EngineOptions,
+    prog: &P,
+) -> (Vec<P::State>, String)
+where
+    P::State: PartialEq + Debug,
+{
+    let mut runs = Vec::new();
+    for threads in [1, 2, 0] {
+        for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(16)] {
+            let engine = PropagationEngine::new(cluster, pg, opts.threads(threads).memory_budget(budget));
+            assert_eq!(engine.spill_active(prog.state_bytes()), budget.is_limited());
+            let mut state = engine.init_state(prog);
+            let report = engine.run_iteration(prog, &mut state).unwrap();
+            runs.push((state, format!("{report:?}")));
+        }
+    }
+    assert_eq!(runs.len(), SWEEP_RUNS);
+    let first = runs.swap_remove(0);
+    for run in &runs {
+        assert_eq!(run, &first, "threads or budget changed the outcome");
+    }
+    first
+}
+
+/// The vertices that send to `dst`, in the order their messages arrive:
+/// source partitions ascending, member order within one.
+fn arrivals(pg: &PartitionedGraph, dst: VertexId) -> Vec<VertexId> {
+    let g = pg.graph();
+    let mut sources: Vec<VertexId> =
+        g.vertices().filter(|&s| g.neighbors(s).contains(&dst)).collect();
+    sources.sort_by_key(|&s| (pg.pid_of(s), s));
+    sources
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn scalar_associative_messages_fold_in_arrival_order(g in arb_graph(), seed in 0u64..50) {
+        let pg = partitioned(&g, 4u32.min(g.num_vertices()), 2, seed);
+        let cluster = ClusterConfig::flat(2).build();
+        let probe = OrderProbe { associative: true };
+        let (folded, folded_report) = sweep(&cluster, &pg, EngineOptions::none(), &probe);
+        let (bagged, bagged_report) =
+            sweep(&cluster, &pg, EngineOptions::none(), &OrderProbe { associative: false });
+        for v in g.vertices() {
+            let sources = arrivals(&pg, v);
+            let merged = sources.iter().map(|s| s.0 as u64 + 1).reduce(|a, b| probe.merge(a, b));
+            prop_assert_eq!(folded[v.index()], (sources.len().min(1), merged), "vertex {}", v);
+            prop_assert_eq!(bagged[v.index()], (sources.len(), merged), "vertex {}", v);
+        }
+        // Combine CPU is charged per arrival, folded or not.
+        prop_assert_eq!(folded_report, bagged_report);
+        // Local combination merges on the sending side first; still one
+        // message at most reaches `combine`.
+        let (combined, _) = sweep(&cluster, &pg, EngineOptions::full(), &probe);
+        prop_assert!(combined.iter().all(|seen| seen.0 <= 1));
+    }
+
+    #[test]
+    fn heap_messages_and_non_associative_programs_keep_their_bags(
+        g in arb_graph(),
+        seed in 0u64..50,
+    ) {
+        let pg = partitioned(&g, 4u32.min(g.num_vertices()), 2, seed);
+        let cluster = ClusterConfig::flat(2).build();
+        for associative in [true, false] {
+            for opts in [EngineOptions::none(), EngineOptions::full()] {
+                let probe = BagProbe { associative, merges: AtomicUsize::new(0) };
+                let (seen, _) = sweep(&cluster, &pg, opts, &probe);
+                // Local combination leaves one message per remote source
+                // partition; nothing else may merge.
+                let merge_cross = associative && opts.local_combination;
+                let mut merges = 0;
+                for v in g.vertices() {
+                    let sources = arrivals(&pg, v);
+                    let mut bag = sources.len();
+                    if merge_cross {
+                        let mut remote: Vec<u32> = sources
+                            .iter()
+                            .map(|&s| pg.pid_of(s))
+                            .filter(|&p| p != pg.pid_of(v))
+                            .collect();
+                        bag -= remote.len();
+                        remote.dedup();
+                        bag += remote.len();
+                    }
+                    merges += sources.len() - bag;
+                    let order: Vec<u32> = sources.iter().map(|s| s.0).collect();
+                    prop_assert_eq!(&seen[v.index()], &(bag, order), "vertex {}", v);
+                }
+                prop_assert_eq!(probe.merges.load(Ordering::Relaxed), SWEEP_RUNS * merges);
+            }
+        }
     }
 }

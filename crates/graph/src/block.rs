@@ -10,20 +10,14 @@
 //! member order a resident scan would use, so streamed execution is
 //! bit-identical to the in-memory path.
 //!
-//! Two codecs, selected by the engine's `packed_adjacency` knob:
-//!
-//! * **raw** — the paper's `<ID, d, neighbors>` records ([`AdjacencyRecord`]),
-//!   4 bytes per neighbor;
-//! * **packed** — delta/varint neighbor runs (the `PackedCsr` discipline:
-//!   first neighbor absolute, then plain gaps), with a per-record raw
-//!   fallback for non-sorted lists so every graph round-trips exactly.
+//! A block is the paper's `<ID, d, neighbors>` records
+//! ([`AdjacencyRecord`]) back to back, 4 bytes per neighbor.
 
 use crate::adjacency::AdjacencyRecord;
-use crate::adjacency_varint::{get_varint, put_varint};
 use crate::csr::CsrGraph;
 use crate::vertex::VertexId;
 use crate::{GraphError, Result};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BytesMut};
 
 /// One planned block: the member-index range `start..end` it covers and the
 /// *raw* encoded size of those members' adjacency records.
@@ -82,135 +76,42 @@ pub fn decode_edge_block(blob: &[u8]) -> Result<Vec<AdjacencyRecord>> {
     Ok(records)
 }
 
-/// Per-record layout tag of the packed codec: neighbors stored as
-/// first-absolute + plain gaps (requires a sorted list).
-const PACKED_GAPS: u8 = 1;
-/// Per-record layout tag: neighbors stored as absolute varints (the
-/// fallback for non-sorted lists).
-const PACKED_ABSOLUTE: u8 = 0;
-
-/// Encode the adjacency of `members` as one packed (delta/varint) block.
-///
-/// Record layout: `varint(id) varint(d) mode(1 byte) neighbors...` where
-/// `mode` selects gap encoding (sorted lists — the common CSR case) or
-/// absolute varints (anything else), so every neighbor list round-trips
-/// byte-exactly regardless of ordering.
-pub fn encode_edge_block_packed(g: &CsrGraph, members: &[VertexId]) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    for &v in members {
-        let nbrs = g.neighbors(v);
-        put_varint(&mut buf, v.0 as u64);
-        put_varint(&mut buf, nbrs.len() as u64);
-        let sorted = nbrs.windows(2).all(|w| w[0].0 <= w[1].0);
-        if sorted {
-            buf.put_u8(PACKED_GAPS);
-            let mut prev = 0u32;
-            for (i, &n) in nbrs.iter().enumerate() {
-                if i == 0 {
-                    put_varint(&mut buf, n.0 as u64);
-                } else {
-                    put_varint(&mut buf, (n.0 - prev) as u64);
-                }
-                prev = n.0;
-            }
-        } else {
-            buf.put_u8(PACKED_ABSOLUTE);
-            for &n in nbrs {
-                put_varint(&mut buf, n.0 as u64);
-            }
-        }
-    }
-    buf.to_vec()
-}
-
-/// Decode one packed record from the front of `buf` (advancing it) into
-/// `neighbors`, which is cleared first; returns the record's vertex id.
-fn decode_packed_record(buf: &mut &[u8], neighbors: &mut Vec<VertexId>) -> Result<VertexId> {
-    neighbors.clear();
-    let id = get_varint(buf)?;
-    if id > u32::MAX as u64 {
-        return Err(GraphError::Corrupt("packed block vertex id overflows u32".into()));
-    }
-    let d = get_varint(buf)?;
-    if !buf.has_remaining() {
-        return Err(GraphError::Corrupt("packed block record truncated before mode".into()));
-    }
-    let mode = buf.get_u8();
-    let mut prev = 0u64;
-    for i in 0..d {
-        let raw = get_varint(buf)?;
-        let value = match mode {
-            PACKED_GAPS if i > 0 => prev + raw,
-            PACKED_GAPS | PACKED_ABSOLUTE => raw,
-            other => {
-                return Err(GraphError::Corrupt(format!(
-                    "packed block record has unknown mode {other}"
-                )))
-            }
-        };
-        if value > u32::MAX as u64 {
-            return Err(GraphError::Corrupt("packed block neighbor overflows u32".into()));
-        }
-        neighbors.push(VertexId(value as u32));
-        prev = value;
-    }
-    Ok(VertexId(id as u32))
-}
-
-/// Decode a packed block produced by [`encode_edge_block_packed`].
-pub fn decode_edge_block_packed(blob: &[u8]) -> Result<Vec<AdjacencyRecord>> {
-    let mut records = Vec::new();
-    let mut buf = blob;
-    while buf.has_remaining() {
-        let mut neighbors = Vec::new();
-        let id = decode_packed_record(&mut buf, &mut neighbors)?;
-        records.push(AdjacencyRecord { id, neighbors });
-    }
-    Ok(records)
-}
-
-/// Walk the records of one encoded block (raw or `packed`) where they lie:
-/// `visit` sees every `<id, neighbors>` in member order, each neighbor run
-/// widened into `scratch` — one buffer for the whole scan, so no
-/// [`AdjacencyRecord`] and no allocation per vertex. Damage is reported as
-/// the [`GraphError::Corrupt`] the whole-block decoders return, once the
-/// walk reaches the record that carries it; an error of `visit` ends the
-/// walk and passes through.
+/// Walk the records of one encoded block where they lie: `visit` sees
+/// every `<id, neighbors>` in member order, each neighbor run widened into
+/// `scratch` — one buffer for the whole scan, so no [`AdjacencyRecord`] and
+/// no allocation per vertex. Damage is reported as the
+/// [`GraphError::Corrupt`] [`decode_edge_block`] returns, once the walk
+/// reaches the record that carries it; an error of `visit` ends the walk
+/// and passes through.
 pub fn scan_edge_block<E: From<GraphError>>(
     blob: &[u8],
-    packed: bool,
     scratch: &mut Vec<VertexId>,
     mut visit: impl FnMut(VertexId, &[VertexId]) -> std::result::Result<(), E>,
 ) -> std::result::Result<(), E> {
     let le32 = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     let mut rest = blob;
     while !rest.is_empty() {
-        let id = if packed {
-            decode_packed_record(&mut rest, scratch)?
-        } else {
-            if rest.len() < 8 {
-                return Err(GraphError::Corrupt(format!(
-                    "adjacency record header truncated: {} bytes remaining",
-                    rest.len()
-                ))
-                .into());
-            }
-            let id = VertexId(le32(rest));
-            let d = le32(&rest[4..]) as usize;
-            rest = &rest[8..];
-            if rest.len() / 4 < d {
-                return Err(GraphError::Corrupt(format!(
-                    "adjacency record for {id} declares degree {d} but only {} bytes remain",
-                    rest.len()
-                ))
-                .into());
-            }
-            let (run, tail) = rest.split_at(4 * d);
-            rest = tail;
-            scratch.clear();
-            scratch.extend(run.chunks_exact(4).map(|n| VertexId(le32(n))));
-            id
-        };
+        if rest.len() < 8 {
+            return Err(GraphError::Corrupt(format!(
+                "adjacency record header truncated: {} bytes remaining",
+                rest.len()
+            ))
+            .into());
+        }
+        let id = VertexId(le32(rest));
+        let d = le32(&rest[4..]) as usize;
+        rest = &rest[8..];
+        if rest.len() / 4 < d {
+            return Err(GraphError::Corrupt(format!(
+                "adjacency record for {id} declares degree {d} but only {} bytes remain",
+                rest.len()
+            ))
+            .into());
+        }
+        let (run, tail) = rest.split_at(4 * d);
+        rest = tail;
+        scratch.clear();
+        scratch.extend(run.chunks_exact(4).map(|n| VertexId(le32(n))));
         visit(id, scratch)?;
     }
     Ok(())
@@ -219,7 +120,6 @@ pub fn scan_edge_block<E: From<GraphError>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::GraphBuilder;
     use crate::generators::social::{msn_like, MsnScale};
 
     fn members_of(g: &CsrGraph) -> Vec<VertexId> {
@@ -262,49 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_block_roundtrip_and_shrinks() {
-        let g = msn_like(MsnScale::Tiny, 7);
-        let members = members_of(&g);
-        let raw = encode_edge_block(&g, &members);
-        let packed = encode_edge_block_packed(&g, &members);
-        assert!(packed.len() < raw.len(), "packed should compress: {} vs {}", packed.len(), raw.len());
-        let records = decode_edge_block_packed(&packed).unwrap();
-        for (rec, &v) in records.iter().zip(&members) {
-            assert_eq!(rec.id, v);
-            assert_eq!(rec.neighbors, g.neighbors(v));
-        }
-    }
-
-    #[test]
-    fn packed_block_survives_duplicate_and_single_neighbors() {
-        // Duplicate edges keep the gap stream non-negative; a lone vertex
-        // with no out-edges encodes an empty run.
-        let mut b = GraphBuilder::new(4).assume_distinct();
-        for (s, d) in [(0, 1), (0, 1), (0, 3), (2, 1)] {
-            b.add_edge_raw(s, d);
-        }
-        let g = b.build();
-        let members = members_of(&g);
-        let packed = encode_edge_block_packed(&g, &members);
-        let records = decode_edge_block_packed(&packed).unwrap();
-        for (rec, &v) in records.iter().zip(&members) {
-            assert_eq!(rec.neighbors, g.neighbors(v), "vertex {v}");
-        }
-    }
-
-    #[test]
     fn damaged_blocks_are_typed_errors() {
         let g = msn_like(MsnScale::Tiny, 3);
         let members = members_of(&g);
         let raw = encode_edge_block(&g, &members);
         assert!(matches!(decode_edge_block(&raw[..raw.len() - 2]), Err(GraphError::Corrupt(_))));
-        let packed = encode_edge_block_packed(&g, &members);
-        assert!(matches!(
-            decode_edge_block_packed(&packed[..packed.len() - 1]),
-            Err(GraphError::Corrupt(_))
-        ));
         // An empty blob is a valid (empty) block, not an error.
         assert!(decode_edge_block(&[]).unwrap().is_empty());
-        assert!(decode_edge_block_packed(&[]).unwrap().is_empty());
     }
 }

@@ -24,7 +24,6 @@
 //! reproduction harness is deterministic.
 
 pub mod adjacency;
-pub mod adjacency_varint;
 pub mod block;
 pub mod builder;
 pub mod csr;
@@ -35,7 +34,6 @@ pub mod properties;
 pub mod subgraph;
 pub mod vertex;
 
-pub use adjacency_varint::PackedCsr;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use edge::Edge;

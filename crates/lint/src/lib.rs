@@ -10,7 +10,7 @@
 //! | D1   | deny     | no `HashMap`/`HashSet` in core/mapreduce/partition |
 //! | D2   | deny     | no `Instant`/`SystemTime`/`thread::current` outside obs + cluster/time |
 //! | E1   | deny     | no `unwrap`/`expect`/`panic!`/`unimplemented!`/`todo!` on library paths |
-//! | P1   | advisory | no heap allocation in `for` bodies of the O1–O4 kernels (deny in `core/src/kernel.rs` + `core/src/column.rs`) |
+//! | P1   | advisory | no heap allocation in `for` bodies of the O1–O4 kernels |
 //! | W1   | deny     | waivers must name a known rule and carry a reason |
 //!
 //! Justified exceptions use `// lint:allow(RULE, reason)` inline, or a
@@ -60,7 +60,8 @@ pub fn lint_source(path: &str, src: &[u8]) -> Vec<Diagnostic> {
     let mut out: Vec<Diagnostic> = findings
         .into_iter()
         .map(|f| {
-            let severity = rules::severity_for(f.rule, path);
+            let severity =
+                rules::rule(f.rule).map(|r| r.severity).unwrap_or(Severity::Deny);
             let status = waivers
                 .iter()
                 .find(|w| waivers::covers(w, f.rule, f.line))

@@ -134,23 +134,6 @@ fn p1_in_scope(path: &str) -> bool {
         "crates/mapreduce/src/engine.rs",
     ]
     .contains(&path)
-        || p1_deny_scope(path)
-}
-
-/// Files where P1 is promoted from advisory to deny: the columnar kernel
-/// modules were written alloc-free from day one, so any allocation creeping
-/// into their `for` bodies is a regression, not legacy debt.
-fn p1_deny_scope(path: &str) -> bool {
-    ["crates/core/src/kernel.rs", "crates/core/src/column.rs"].contains(&path)
-}
-
-/// Effective severity of `rule` at `path` — the catalog severity, except
-/// P1 which escalates to deny inside the columnar kernel modules.
-pub fn severity_for(rule_id: &str, path: &str) -> Severity {
-    if rule_id == "P1" && p1_deny_scope(path) {
-        return Severity::Deny;
-    }
-    rule(rule_id).map(|r| r.severity).unwrap_or(Severity::Deny)
 }
 
 // ---------------------------------------------------------------------------
@@ -577,21 +560,5 @@ mod tests {
         let src = "impl Clone for Thing { fn clone(&self) -> Self { self.inner.to_vec(); Thing } }\n";
         let f = run("crates/core/src/engine.rs", src);
         assert!(f.iter().all(|f| f.rule != "P1"));
-    }
-
-    #[test]
-    fn p1_covers_kernel_modules_and_promotes_to_deny() {
-        let src = "fn f(xs: &[u32]) {\n    for x in xs {\n        let s = format!(\"{x}\");\n    }\n}\n";
-        for path in ["crates/core/src/kernel.rs", "crates/core/src/column.rs"] {
-            let f = run(path, src);
-            assert_eq!(f.iter().filter(|f| f.rule == "P1").count(), 1, "{path}");
-            assert_eq!(severity_for("P1", path), Severity::Deny, "{path}");
-        }
-        // Legacy scope keeps the advisory severity; out-of-scope files and
-        // unknown rules keep their defaults.
-        assert_eq!(severity_for("P1", "crates/core/src/engine.rs"), Severity::Advisory);
-        assert!(run("crates/apps/src/pagerank.rs", src).iter().all(|f| f.rule != "P1"));
-        assert_eq!(severity_for("D1", "crates/core/src/kernel.rs"), Severity::Deny);
-        assert_eq!(severity_for("ZZ", "anything.rs"), Severity::Deny);
     }
 }

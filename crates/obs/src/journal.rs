@@ -68,7 +68,7 @@ impl TraceCtx {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// A propagation iteration began on the named lane
-    /// (`"resident"`, `"spill"`, `"vectorized"`).
+    /// (`"resident"`, `"spill"`).
     IterationStart { lane: &'static str },
     /// The iteration finished, having emitted this many messages.
     IterationEnd { messages: u64 },

@@ -56,41 +56,15 @@ pub use recorder::{
 /// change to the schema (`reproduce -- profile` fails on drift).
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// The `kernel.*` metric namespace: counters emitted by the columnar
-/// propagation lane (`surfer-core/src/kernel.rs`). Kept as named constants
-/// so the emitter, the baseline pins and the metrics gate cannot drift
-/// apart on a typo. All values are per-work-item deterministic (rule 2
-/// above) and covered by `OBS_baseline.json`.
+/// Metric names shared between emitters, the baseline pins and the metrics
+/// gate, kept as named constants so they cannot drift apart on a typo. All
+/// values are per-work-item deterministic (rule 2 above) and covered by
+/// `OBS_baseline.json`.
 pub mod names {
-    /// Rounds executed on the vectorized fast path.
-    pub const KERNEL_FASTPATH_ROUNDS: &str = "kernel.fastpath_rounds";
-    /// Rounds that fell back to the scalar UDF path (lane disabled).
-    pub const KERNEL_FALLBACK_ROUNDS: &str = "kernel.fallback_rounds";
-    /// Source rows scanned by the gather operator (vertices × rounds).
-    pub const KERNEL_GATHER_ROWS: &str = "kernel.gather_rows";
-    /// Messages produced by the transfer operator.
-    pub const KERNEL_TRANSFER_ROWS: &str = "kernel.transfer_rows";
-    /// Mailbox rows folded by the reduce operator.
-    pub const KERNEL_REDUCE_ROWS: &str = "kernel.reduce_rows";
-    /// Vertices rewritten by the apply operator.
-    pub const KERNEL_APPLY_ROWS: &str = "kernel.apply_rows";
-    /// Kernel-plan stages executed (4 per fast-path round).
-    pub const KERNEL_STAGE_RUNS: &str = "kernel.stage_runs";
-    /// Adjacency footprint as raw 4-byte targets (`4 * m`).
-    pub const KERNEL_ADJACENCY_RAW_BYTES: &str = "kernel.adjacency_raw_bytes";
-    /// Adjacency footprint as the delta/varint `PackedCsr` stream.
-    pub const KERNEL_ADJACENCY_PACKED_BYTES: &str = "kernel.adjacency_packed_bytes";
-    /// Virtual-vertex rounds on the dense vectorized merge lane.
-    pub const KERNEL_VIRTUAL_FASTPATH_ROUNDS: &str = "kernel.virtual_fastpath_rounds";
-    /// Virtual-vertex rounds that fell back to the scalar merge.
-    pub const KERNEL_VIRTUAL_FALLBACK_ROUNDS: &str = "kernel.virtual_fallback_rounds";
-    /// Dense-accumulator slots flushed by the virtual fast path.
-    pub const KERNEL_VIRTUAL_ROWS: &str = "kernel.virtual_rows";
-
     // The `serve.*` namespace: admission control, scheduling and result
     // caching of the multi-tenant serving layer (`crates/serve`). All values
     // derive from simulated time and seeded arrivals, so they are
-    // deterministic and baseline-pinnable like the kernel counters.
+    // deterministic and baseline-pinnable.
 
     /// Jobs submitted (admitted or not, cache hits included).
     pub const SERVE_SUBMITTED: &str = "serve.submitted";

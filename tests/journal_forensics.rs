@@ -20,10 +20,11 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 use surfer::apps::pagerank::PageRankPropagation;
+use surfer::apps::NetworkRanking;
 use surfer::cluster::{
     ClusterConfig, FaultPlan, MachineCrash, MachineId, SimCluster, SnapshotCorruption, UdfPanicAt,
 };
-use surfer::core::{EngineOptions, PropagationEngine, RecoveryConfig};
+use surfer::core::{EngineOptions, PropagationEngine, RecoveryConfig, Surfer};
 use surfer::graph::builder::from_edges;
 use surfer::obs::postmortem::{self, PostmortemBundle};
 use surfer::obs::journal;
@@ -206,6 +207,30 @@ fn replica_exhaustion_bundle_pins_the_failed_checkpoint() {
     assert!(
         bundle.events.iter().any(|e| e.kind.name() == "replica_failover"),
         "the failed failover attempts must be on record"
+    );
+}
+
+/// An application run through the `Surfer` facade is on the flight
+/// journal like any other job: one start/end pair per iteration, on the
+/// resident lane, stamped with the iteration it belongs to.
+#[test]
+fn a_facade_run_journals_every_iteration() {
+    let _g = gate();
+    journal::reset();
+    let (c, pg) = fixture();
+    let surfer = Surfer::builder(c).partitions(4).load(pg.graph());
+    surfer.run(&NetworkRanking::new(3)).unwrap();
+    let lanes: Vec<(&str, u32)> = journal::snapshot()
+        .iter()
+        .filter_map(|e| match e.kind {
+            journal::EventKind::IterationStart { lane } => Some((lane, e.ctx.iteration)),
+            journal::EventKind::IterationEnd { .. } => Some(("end", e.ctx.iteration)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        lanes,
+        [("resident", 0), ("end", 0), ("resident", 1), ("end", 1), ("resident", 2), ("end", 2)]
     );
 }
 
