@@ -117,7 +117,7 @@ fn main() {
                 r.recovery_overhead_pct(),
                 r.bit_identical
             );
-            let (_, _, _, bench_json) = bench_threads::run(wl, 3);
+            let (_, _, bench_json) = bench_threads::run(wl, 3);
             let json = chaos::splice_into(&bench_json, &chaos_json);
             std::fs::write("BENCH_propagation.json", &json)
                 .unwrap_or_else(|e| die(&format!("writing BENCH_propagation.json: {e}")));
@@ -125,7 +125,7 @@ fn main() {
             println!("{json}");
         }
         "bench" => {
-            let (results, ooc, obs, json) = bench_threads::run(w.expect("workload"), 3);
+            let (results, ooc, json) = bench_threads::run(w.expect("workload"), 3);
             for r in &results {
                 eprintln!(
                     "# threads={} ({} resolved): {:.1} ms, {:.0} msgs/s",
@@ -142,16 +142,6 @@ fn main() {
                 ooc.bytes_spilled,
                 ooc.bytes_reread
             );
-            eprintln!(
-                "# obs overhead: journal on {:.1} ms vs off {:.1} ms = {:+.2}% (budget {:.1}%)",
-                obs.journal_on_ms, obs.journal_off_ms, obs.overhead_pct, obs.budget_pct
-            );
-            if obs.overhead_pct > obs.budget_pct {
-                eprintln!(
-                    "# warning: flight-journal overhead exceeded its {:.1}% budget",
-                    obs.budget_pct
-                );
-            }
             std::fs::write("BENCH_propagation.json", &json)
                 .unwrap_or_else(|e| die(&format!("writing BENCH_propagation.json: {e}")));
             eprintln!("# wrote BENCH_propagation.json");

@@ -121,71 +121,11 @@ pub fn run_ooc_lane(w: &Workload, iterations: u32) -> OocResult {
     }
 }
 
-/// The observability budget the flight journal must stay under on the hot
-/// path (A/B measured, percent of the journal-off wall clock).
-pub const OBS_OVERHEAD_BUDGET_PCT: f64 = 2.0;
-
-/// The obs-overhead lane: the same single-threaded PageRank job measured
-/// with the always-on flight journal enabled vs disabled.
-#[derive(Debug, Clone, Copy)]
-pub struct ObsOverheadResult {
-    /// Best-of-3 wall-clock milliseconds with the journal recording.
-    pub journal_on_ms: f64,
-    /// Best-of-3 wall-clock milliseconds with the journal disabled.
-    pub journal_off_ms: f64,
-    /// `(on - off) / off`, percent. Can dip below zero on a noisy host.
-    pub overhead_pct: f64,
-    /// The budget this lane is gated against ([`OBS_OVERHEAD_BUDGET_PCT`]).
-    pub budget_pct: f64,
-}
-
-/// Measure the flight journal's hot-path cost: A/B the same job with the
-/// journal on and off, best-of-3 repetitions each to shed scheduler noise.
-/// The journal is re-enabled afterwards regardless (it is always-on by
-/// contract; the off measurement is the only sanctioned use of
-/// `journal::set_enabled(false)` outside tests).
-pub fn run_obs_overhead(w: &Workload, iterations: u32) -> ObsOverheadResult {
-    let surfer = w.surfer(w.t1_cluster(), OptimizationLevel::O4);
-    let prog = PageRankPropagation { damping: 0.85, n: w.graph.num_vertices() as u64 };
-    let engine = PropagationEngine::new(
-        surfer.cluster(),
-        surfer.partitioned(),
-        EngineOptions::full().threads(1),
-    );
-    let measure = |journal_on: bool| -> f64 {
-        surfer_obs::journal::set_enabled(journal_on);
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let mut state = engine.init_state(&prog);
-            // lint:allow(D2, host wall-clock is the measurement itself here)
-            let start = Instant::now();
-            for _ in 0..iterations {
-                engine.run_iteration(&prog, &mut state).unwrap();
-            }
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        }
-        best
-    };
-    let journal_off_ms = measure(false);
-    let journal_on_ms = measure(true);
-    surfer_obs::journal::set_enabled(true);
-    ObsOverheadResult {
-        journal_on_ms,
-        journal_off_ms,
-        overhead_pct: (journal_on_ms - journal_off_ms) / journal_off_ms.max(1e-9) * 100.0,
-        budget_pct: OBS_OVERHEAD_BUDGET_PCT,
-    }
-}
-
 /// Run `iterations` PageRank iterations at each thread count, checking that
 /// every run produces bit-identical states to the sequential baseline, then
-/// benchmark the out-of-core lane and the flight-journal overhead lane.
-/// Returns the thread results, the out-of-core result, the obs-overhead
-/// result and the JSON document.
-pub fn run(
-    w: &Workload,
-    iterations: u32,
-) -> (Vec<ThreadResult>, OocResult, ObsOverheadResult, String) {
+/// benchmark the out-of-core lane. Returns the thread results, the
+/// out-of-core result and the JSON document.
+pub fn run(w: &Workload, iterations: u32) -> (Vec<ThreadResult>, OocResult, String) {
     let surfer = w.surfer(w.t1_cluster(), OptimizationLevel::O4);
     let prog = PageRankPropagation { damping: 0.85, n: w.graph.num_vertices() as u64 };
 
@@ -227,9 +167,8 @@ pub fn run(
     }
 
     let ooc = run_ooc_lane(w, iterations);
-    let obs = run_obs_overhead(w, iterations);
-    let json = render_json(w, iterations, baseline_ms, &results, &ooc, &obs);
-    (results, ooc, obs, json)
+    let json = render_json(w, iterations, baseline_ms, &results, &ooc);
+    (results, ooc, json)
 }
 
 /// Hand-rolled JSON (the workspace deliberately has no serialization deps
@@ -240,7 +179,6 @@ fn render_json(
     baseline_ms: f64,
     results: &[ThreadResult],
     ooc: &OocResult,
-    obs: &ObsOverheadResult,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"propagation_threads\",\n");
@@ -269,7 +207,7 @@ fn render_json(
     out.push_str(&format!(
         "  \"out_of_core\": {{\"budget_bytes\": {}, \"working_set_bytes\": {}, \
          \"wall_ms\": {:.3}, \"messages\": {}, \"messages_per_sec\": {:.1}, \
-         \"bytes_spilled\": {}, \"bytes_reread\": {}, \"spill_iterations\": {}}},\n",
+         \"bytes_spilled\": {}, \"bytes_reread\": {}, \"spill_iterations\": {}}}\n",
         ooc.budget_bytes,
         ooc.working_set_bytes,
         ooc.wall_ms,
@@ -278,15 +216,6 @@ fn render_json(
         ooc.bytes_spilled,
         ooc.bytes_reread,
         ooc.spill_iterations,
-    ));
-    out.push_str(&format!(
-        "  \"obs_overhead\": {{\"journal_on_ms\": {:.3}, \"journal_off_ms\": {:.3}, \
-         \"overhead_pct\": {:.3}, \"budget_pct\": {:.1}, \"within_budget\": {}}}\n",
-        obs.journal_on_ms,
-        obs.journal_off_ms,
-        obs.overhead_pct,
-        obs.budget_pct,
-        obs.overhead_pct <= obs.budget_pct,
     ));
     out.push_str("}\n");
     out
@@ -313,7 +242,7 @@ mod tests {
     fn bench_runs_and_emits_json() {
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 4, partitions: 8, seed: 2010 };
         let w = Workload::prepare(cfg);
-        let (results, ooc, obs, json) = run(&w, 1);
+        let (results, ooc, json) = run(&w, 1);
         assert!(!results.is_empty());
         assert!(results.iter().all(|r| r.messages > 0));
         assert!(json.contains("\"experiment\": \"propagation_threads\""));
@@ -327,14 +256,6 @@ mod tests {
         assert_eq!(ooc.messages, results[0].messages);
         assert!(json.contains("\"out_of_core\""));
         assert!(json.contains("\"bytes_spilled\""));
-        // The obs-overhead lane measured both arms of the A/B (no timing
-        // assertions — wall clock is too noisy for CI — but the arms must
-        // have run and the journal must be back on afterwards).
-        assert!(obs.journal_on_ms > 0.0 && obs.journal_off_ms > 0.0);
-        assert_eq!(obs.budget_pct, OBS_OVERHEAD_BUDGET_PCT);
-        assert!(surfer_obs::journal::enabled(), "the journal must be re-enabled after the A/B");
-        assert!(json.contains("\"obs_overhead\""));
-        assert!(json.contains("\"within_budget\""));
         // The spliced chaos entry relies on the document ending in '}'.
         assert!(json.trim_end().ends_with('}'));
     }

@@ -70,7 +70,7 @@ pub fn run(w: &Workload) -> (ChaosResult, String) {
     let mut plain_state = engine.init_state(&prog);
     let plain = engine.run(&prog, &mut plain_state, ITERATIONS).expect("plain run");
 
-    let dir = std::env::temp_dir().join(format!("surfer-chaos-bench-{}", w.cfg.seed));
+    let dir = crate::run_dir("chaos-bench");
     let cfg = RecoveryConfig::new(CKPT_INTERVAL, &dir);
 
     // 2. Checkpointed, fault-free: steady-state snapshot overhead.

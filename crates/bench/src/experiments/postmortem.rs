@@ -29,8 +29,8 @@ pub const ITERATIONS: u32 = 6;
 pub const CKPT_INTERVAL: u32 = 2;
 /// The iteration whose UDF is poisoned — the bundle must pin it.
 pub const FAULT_ITERATION: u32 = 1;
-/// Distinctive tenant ids, so the drill's journal lanes are separable from
-/// any in-process neighbor recording under the default (zero) context.
+/// Distinctive tenant ids, so the drill's journal lanes stand out from
+/// ambient work, journaled under the default (zero) context.
 pub const TENANT_HEALTHY: u16 = 701;
 pub const TENANT_FAULTED: u16 = 702;
 
@@ -53,7 +53,7 @@ pub fn run(w: &Workload) -> PostmortemResult {
     let pg = surfer.partitioned();
     let prog = PageRankPropagation { damping: 0.85, n: w.graph.num_vertices() as u64 };
 
-    let dir = std::env::temp_dir().join(format!("surfer-postmortem-{}", w.cfg.seed));
+    let dir = crate::run_dir("postmortem");
     let mut cfg = RecoveryConfig::new(CKPT_INTERVAL, &dir);
     cfg.max_udf_retries = 0; // the first poisoned attempt is terminal
     let plan = FaultPlan {
@@ -110,15 +110,11 @@ pub fn run(w: &Workload) -> PostmortemResult {
         );
         assert_eq!(bundle.fault_variant, "RetriesExhausted");
 
-        // The journal ring and the session counter state are global:
-        // in-process neighbors (parallel tests, a live `ObsSession`) may
-        // interleave foreign events or counters into the raw bundle, and
-        // could even evict this drill's events from the bundle's last-K
-        // window. Canonicalize from the full ring instead — keep only the
-        // events stamped with the drill's distinctive tenants, renumber
-        // them, and drop the (foreign-owned) counter snapshot — so the
-        // cross-thread comparison pins exactly the forensics this drill
-        // owns.
+        // The raw bundle is cut at the failure and keeps only the last-K
+        // journal events. The drill pins the whole run instead: every event
+        // of this thread's ring stamped with the drill's tenants, through
+        // the healthy job's completion, renumbered, without the counter
+        // snapshot of whatever session the caller has open.
         let mut events = journal::snapshot();
         events.retain(|e| matches!(e.ctx.tenant, TENANT_HEALTHY | TENANT_FAULTED));
         for (i, e) in events.iter_mut().enumerate() {

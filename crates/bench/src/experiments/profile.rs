@@ -95,7 +95,7 @@ pub fn run(w: &Workload) -> ProfileResult {
     surfer.run_mapreduce(&VertexDegreeDistribution).expect("mapreduce run");
 
     // 3. Checkpoint/restore under a mid-job machine crash.
-    let dir = std::env::temp_dir().join(format!("surfer-profile-{}", w.cfg.seed));
+    let dir = crate::run_dir("profile");
     let cfg = RecoveryConfig::new(CKPT_INTERVAL, &dir);
     let plan = FaultPlan {
         crashes: vec![MachineCrash { machine: pg.machine_of(0), at_iteration: ITERATIONS / 2 }],
@@ -185,7 +185,15 @@ pub fn run(w: &Workload) -> ProfileResult {
 fn render_json(w: &Workload, report: &TraceReport, placement: &[u16]) -> String {
     let q = quality_of(w);
     let locality: Vec<String> = q.level_locality.iter().map(|l| format!("{l:.6}")).collect();
-    let mm = report.machine_matrix(placement, w.cfg.machines as usize);
+    let mm = match report.machine_matrix(placement, w.cfg.machines as usize) {
+        Ok(mm) => format!(
+            "{{\"local_bytes\": {}, \"cross_bytes\": {}, \"matrix\": {}}}",
+            mm.diagonal_total(),
+            mm.off_diagonal_total(),
+            mm.to_json()
+        ),
+        Err(e) => format!("{{\"error\": \"{e}\"}}"),
+    };
     let stragglers: Vec<String> = report
         .stragglers(STRAGGLER_SKEW)
         .iter()
@@ -206,7 +214,7 @@ fn render_json(w: &Workload, report: &TraceReport, placement: &[u16]) -> String 
          \"iterations\": {it}, \"checkpoint_interval\": {iv},\n\
          \"partition_quality\": {{\"edge_cut_ratio\": {ec:.6}, \"balance\": {bal:.6}, \
          \"monotone\": {mono}, \"level_locality\": [{loc}]}},\n\
-         \"machine_matrix\": {{\"local_bytes\": {ml}, \"cross_bytes\": {mc}, \"matrix\": {mj}}},\n\
+         \"machine_matrix\": {mm},\n\
          \"stragglers\": {{\"skew_threshold\": {sk:.1}, \"flagged\": [{st}]}},\n\
          \"trace\": {t}}}\n",
         v = SCHEMA_VERSION,
@@ -220,9 +228,6 @@ fn render_json(w: &Workload, report: &TraceReport, placement: &[u16]) -> String 
         bal = q.balance,
         mono = q.monotone,
         loc = locality.join(", "),
-        ml = mm.diagonal_total(),
-        mc = mm.off_diagonal_total(),
-        mj = mm.to_json(),
         sk = STRAGGLER_SKEW,
         st = stragglers.join(", "),
         t = trace.trim_end(),
@@ -342,7 +347,7 @@ mod tests {
         assert!(r.report.span_count("prop.iteration") > 0);
         let samples = r.report.samples_of(surfer_obs::StageKind::Propagation).count();
         assert!(samples >= ITERATIONS as usize, "one flight-recorder sample per iteration");
-        let m = r.report.traffic_matrix();
+        let m = r.report.traffic_matrix().expect("one partition count");
         assert_eq!(m.rows(), w.cfg.partitions as usize);
         assert_eq!(m.diagonal_total(), r.report.counter("prop.local_bytes"));
         assert_eq!(m.off_diagonal_total(), r.report.counter("prop.cross_bytes"));

@@ -10,6 +10,8 @@ pub mod experiments;
 pub mod fmt;
 pub mod runner;
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use surfer_cluster::{ClusterConfig, MachineSpec, SimCluster, Topology};
 use surfer_core::{OptimizationLevel, Surfer};
@@ -93,6 +95,15 @@ impl Workload {
     pub fn t1_cluster(&self) -> SimCluster {
         experiment_cluster(Topology::t1(self.cfg.machines))
     }
+}
+
+/// A fresh scratch directory path for one experiment run, keyed by process
+/// id and a per-process run counter: concurrent runs — tests in one binary,
+/// two `reproduce` processes — never remove each other's files.
+pub(crate) fn run_dir(tag: &str) -> PathBuf {
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("surfer-{tag}-{}-{run}", std::process::id()))
 }
 
 /// The scaled machine spec of [`ClusterConfig::paper_regime`].

@@ -15,7 +15,8 @@
 //!   on, is returned per run, and is the source of every paper table/figure.
 //! * **`surfer-obs`** accounts the *host process* in wall-clock time —
 //!   what this binary actually did (spans, counters, the flight recorder).
-//!   It is session-gated and off by default.
+//!   It records only inside an `ObsSession`, scoped to the thread that
+//!   opened it, and is off by default.
 //!
 //! Where the two see the same event, the executor double-books it into both
 //! (see `Executor::add_task` / `add_transfer`): `exec.tasks`,

@@ -11,7 +11,9 @@
 //! reports are bit-identical to a sequential run.
 //!
 //! `threads == 1` runs inline on the calling thread — no spawn, exactly the
-//! legacy sequential execution.
+//! legacy sequential execution. Spawned workers enter the caller's
+//! `surfer_obs` recording scope, so their spans and counters land in the
+//! caller's session and nowhere else.
 //!
 //! # Panic isolation
 //!
@@ -142,11 +144,13 @@ where
 
     let mut slots: Vec<Option<T>> = Vec::new();
     let mut failure: Option<WorkerPanic> = None;
+    let obs = surfer_obs::scope();
     std::thread::scope(|s| {
         let handles: Vec<_> = queues
             .into_iter()
             .map(|queue| {
                 s.spawn(|| {
+                    let _obs = obs.enter();
                     queue
                         .into_iter()
                         .map(|(i, item)| (i, run_one(i, item)))

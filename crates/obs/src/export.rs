@@ -1,5 +1,4 @@
-//! Trace exporters: Chrome Trace Event JSON (Perfetto / chrome://tracing)
-//! and Prometheus-style text exposition.
+//! Trace exporter: Chrome Trace Event JSON (Perfetto / chrome://tracing).
 //!
 //! The Chrome export turns every recorded span into a `"ph": "X"` complete
 //! event on its OS thread's track and every flight-recorder sample into
@@ -7,10 +6,6 @@
 //! round), anchored at the wall-clock end of the round's coordinating span.
 //! `reproduce -- perfetto` writes it to `TRACE_perfetto.json`; load the
 //! file at <https://ui.perfetto.dev> or `chrome://tracing`.
-//!
-//! The Prometheus export is a plain-text snapshot of the metrics registry
-//! (counters, gauges, histograms as `_count`/`_sum`/`_min`/`_max` series)
-//! for scrapers and diff tools.
 
 use crate::{StageKind, TraceReport};
 
@@ -108,84 +103,6 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
     out
 }
 
-/// A metric name as a Prometheus identifier: `surfer_` prefix, every
-/// non-alphanumeric character folded to `_`.
-fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 7);
-    out.push_str("surfer_");
-    for c in name.chars() {
-        out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-    }
-    out
-}
-
-/// Escape a Prometheus label *value*: the text exposition format requires
-/// backslash, double-quote and newline to be backslash-escaped.
-fn prom_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// `# HELP` + `# TYPE` header of one metric family.
-fn push_family_meta(out: &mut String, n: &str, source: &str, what: &str, prom_type: &str) {
-    out.push_str(&format!("# HELP {n} Flight-recorder {what} `{source}`.\n"));
-    out.push_str(&format!("# TYPE {n} {prom_type}\n"));
-}
-
-/// The four series of one histogram (`sel` is the `{label="…"}` selector,
-/// empty for unlabeled histograms).
-fn push_hist_series(out: &mut String, n: &str, sel: &str, h: &crate::Hist) {
-    out.push_str(&format!("{n}_count{sel} {}\n", h.count));
-    out.push_str(&format!("{n}_sum{sel} {}\n", h.sum));
-    out.push_str(&format!("{n}_min{sel} {}\n", if h.count == 0 { 0 } else { h.min }));
-    out.push_str(&format!("{n}_max{sel} {}\n", h.max));
-}
-
-/// Render the metrics registry in the Prometheus text exposition format:
-/// every family gets `# HELP` and `# TYPE` lines; counters and gauges
-/// render verbatim, each histogram as four series (`_count`, `_sum`,
-/// `_min`, `_max`), and labeled histograms as one family per base name
-/// with a `{label="…"}` selector per series (label values escaped).
-pub fn prometheus_text(report: &TraceReport) -> String {
-    let mut out = String::new();
-    for (k, v) in &report.counters {
-        let n = prom_name(k);
-        push_family_meta(&mut out, &n, k, "counter", "counter");
-        out.push_str(&format!("{n} {v}\n"));
-    }
-    for (k, v) in &report.gauges {
-        let n = prom_name(k);
-        push_family_meta(&mut out, &n, k, "gauge", "gauge");
-        out.push_str(&format!("{n} {v}\n"));
-    }
-    for (k, h) in &report.hists {
-        let n = prom_name(k);
-        push_family_meta(&mut out, &n, k, "histogram", "summary");
-        push_hist_series(&mut out, &n, "", h);
-    }
-    // Labeled histograms iterate sorted by (name, label), so one family
-    // header per base name followed by its label series.
-    let mut last_base: Option<&str> = None;
-    for ((k, l), h) in &report.labeled_hists {
-        let n = prom_name(k);
-        if last_base != Some(*k) {
-            push_family_meta(&mut out, &n, k, "labeled histogram", "summary");
-            last_base = Some(*k);
-        }
-        let sel = format!("{{label=\"{}\"}}", prom_label_value(&l.to_string()));
-        push_hist_series(&mut out, &n, &sel, h);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,62 +139,6 @@ mod tests {
         let j = chrome_trace_json(&session.finish());
         assert!(!j.contains("restore.bytes"), "sample without a ckpt.restore span: {j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn prometheus_text_renders_all_metric_classes() {
-        let session = ObsSession::begin();
-        crate::counter_add("prop.messages", 7);
-        crate::gauge_set("parts", 8);
-        crate::observe("prop.mailbox_size", 3);
-        crate::observe("prop.mailbox_size", 5);
-        let text = prometheus_text(&session.finish());
-        assert!(text.contains(
-            "# HELP surfer_prop_messages Flight-recorder counter `prop.messages`.\n\
-             # TYPE surfer_prop_messages counter\nsurfer_prop_messages 7\n"
-        ));
-        assert!(text.contains(
-            "# HELP surfer_parts Flight-recorder gauge `parts`.\n\
-             # TYPE surfer_parts gauge\nsurfer_parts 8\n"
-        ));
-        assert!(text.contains(
-            "# HELP surfer_prop_mailbox_size Flight-recorder histogram `prop.mailbox_size`.\n\
-             # TYPE surfer_prop_mailbox_size summary\n"
-        ));
-        assert!(text.contains("surfer_prop_mailbox_size_count 2\n"));
-        assert!(text.contains("surfer_prop_mailbox_size_sum 8\n"));
-        assert!(text.contains("surfer_prop_mailbox_size_min 3\n"));
-        assert!(text.contains("surfer_prop_mailbox_size_max 5\n"));
-    }
-
-    #[test]
-    fn prometheus_labeled_histograms_pin_exact_family_format() {
-        let session = ObsSession::begin();
-        crate::observe_labeled("serve.tenant.latency_us", 0, 10);
-        crate::observe_labeled("serve.tenant.latency_us", 0, 20);
-        crate::observe_labeled("serve.tenant.latency_us", 2, 5);
-        let text = prometheus_text(&session.finish());
-        // One family header, then one series block per label, in order.
-        let expected = "# HELP surfer_serve_tenant_latency_us Flight-recorder labeled \
-                        histogram `serve.tenant.latency_us`.\n\
-                        # TYPE surfer_serve_tenant_latency_us summary\n\
-                        surfer_serve_tenant_latency_us_count{label=\"0\"} 2\n\
-                        surfer_serve_tenant_latency_us_sum{label=\"0\"} 30\n\
-                        surfer_serve_tenant_latency_us_min{label=\"0\"} 10\n\
-                        surfer_serve_tenant_latency_us_max{label=\"0\"} 20\n\
-                        surfer_serve_tenant_latency_us_count{label=\"2\"} 1\n\
-                        surfer_serve_tenant_latency_us_sum{label=\"2\"} 5\n\
-                        surfer_serve_tenant_latency_us_min{label=\"2\"} 5\n\
-                        surfer_serve_tenant_latency_us_max{label=\"2\"} 5\n";
-        assert_eq!(text, expected, "exact exposition format drifted:\n{text}");
-    }
-
-    #[test]
-    fn prometheus_label_values_are_escaped() {
-        assert_eq!(prom_label_value("plain"), "plain");
-        assert_eq!(prom_label_value("a\\b"), "a\\\\b");
-        assert_eq!(prom_label_value("say \"hi\""), "say \\\"hi\\\"");
-        assert_eq!(prom_label_value("line\nbreak"), "line\\nbreak");
     }
 
     #[test]

@@ -14,17 +14,16 @@
 //! * events are recorded only from *coordinating* threads (iteration
 //!   boundaries, checkpoint/restore, admission decisions), never from
 //!   inside the parallel Transfer/Combine workers;
-//! * the context stack is thread-local, so concurrent jobs on different
-//!   threads never contaminate each other's attribution.
+//! * the context stack and the ring are thread-local — the ring sits
+//!   beside the [`postmortem`](crate::postmortem) slot it feeds — so
+//!   concurrent jobs on different threads never contaminate each other's
+//!   attribution or forensics.
 //!
 //! The ring is bounded ([`RING_CAPACITY`]) and the per-event cost is one
-//! mutex lock plus a `VecDeque` push — the `obs_overhead` bench lane in
-//! `BENCH_propagation.json` keeps this under the 2% hot-path budget.
+//! `VecDeque` push.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Fixed capacity of the event ring; older events are evicted first.
 pub const RING_CAPACITY: usize = 256;
@@ -157,7 +156,7 @@ impl EventKind {
 /// at record time, and the event itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalEvent {
-    /// Monotone per-process sequence number (renumbered in bundles).
+    /// Monotone per-thread sequence number (renumbered in bundles).
     pub seq: u64,
     /// Attribution at record time.
     pub ctx: TraceCtx,
@@ -213,27 +212,9 @@ struct Ring {
     events: VecDeque<JournalEvent>,
 }
 
-fn ring() -> &'static Mutex<Ring> {
-    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(Ring { seq: 0, events: VecDeque::new() }))
-}
-
-fn lock_ring() -> std::sync::MutexGuard<'static, Ring> {
-    ring().lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The journal is on by default; [`set_enabled`] exists so the bench can
-/// measure the hot path with and without it.
-static JOURNAL_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Is the journal recording?
-pub fn enabled() -> bool {
-    JOURNAL_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn the journal on or off (bench A/B lane; it is on by default).
-pub fn set_enabled(on: bool) {
-    JOURNAL_ENABLED.store(on, Ordering::Relaxed);
+thread_local! {
+    /// This thread's ring.
+    static RING: RefCell<Ring> = const { RefCell::new(Ring { seq: 0, events: VecDeque::new() }) };
 }
 
 /// Record an event under the ambient [`current_ctx`].
@@ -243,50 +224,39 @@ pub fn record(kind: EventKind) {
 
 /// Record an event under an explicit context.
 pub fn record_with(ctx: TraceCtx, kind: EventKind) {
-    if !enabled() {
-        return;
-    }
-    let mut r = lock_ring();
-    let seq = r.seq;
-    r.seq += 1;
-    r.events.push_back(JournalEvent { seq, ctx, kind });
-    if r.events.len() > RING_CAPACITY {
-        r.events.pop_front();
-    }
+    RING.with(|r| {
+        let mut r = r.borrow_mut();
+        let seq = r.seq;
+        r.seq += 1;
+        r.events.push_back(JournalEvent { seq, ctx, kind });
+        if r.events.len() > RING_CAPACITY {
+            r.events.pop_front();
+        }
+    });
 }
 
-/// Clone out the current ring contents, oldest first.
+/// Clone out this thread's ring contents, oldest first.
 pub fn snapshot() -> Vec<JournalEvent> {
-    lock_ring().events.iter().cloned().collect()
+    RING.with(|r| r.borrow().events.iter().cloned().collect())
 }
 
-/// Number of events currently buffered.
+/// Number of events currently buffered on this thread.
 pub fn len() -> usize {
-    lock_ring().events.len()
+    RING.with(|r| r.borrow().events.len())
 }
 
-/// Clear the ring and reset the sequence counter (tests and deterministic
-/// replay runs).
+/// Clear this thread's ring and reset its sequence counter (tests and
+/// deterministic replay runs).
 pub fn reset() {
-    let mut r = lock_ring();
-    r.seq = 0;
-    r.events.clear();
+    RING.with(|r| *r.borrow_mut() = Ring { seq: 0, events: VecDeque::new() });
 }
-
-#[cfg(test)]
-pub(crate) static JOURNAL_TEST_GATE: Mutex<()> = Mutex::new(());
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        JOURNAL_TEST_GATE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     #[test]
     fn ring_is_bounded_and_evicts_oldest() {
-        let _s = serial();
         reset();
         for i in 0..(RING_CAPACITY as u64 + 10) {
             record(EventKind::IterationEnd { messages: i });
@@ -302,7 +272,6 @@ mod tests {
 
     #[test]
     fn ctx_stack_nests_and_pops() {
-        let _s = serial();
         assert_eq!(current_ctx(), TraceCtx::default());
         let outer = TraceCtx::for_job(7, 3);
         let g1 = ctx_enter(outer);
@@ -321,7 +290,6 @@ mod tests {
 
     #[test]
     fn record_stamps_ambient_context() {
-        let _s = serial();
         reset();
         let ctx = TraceCtx::for_job(11, 2).with_iteration(4);
         {
@@ -334,19 +302,6 @@ mod tests {
         assert_eq!(evs[0].ctx, ctx);
         assert_eq!(evs[0].kind.name(), "machine_crash");
         assert_eq!(evs[1].ctx.job, 12);
-        reset();
-    }
-
-    #[test]
-    fn disabling_drops_events() {
-        let _s = serial();
-        reset();
-        set_enabled(false);
-        record(EventKind::JobCompleted);
-        assert_eq!(len(), 0);
-        set_enabled(true);
-        record(EventKind::JobCompleted);
-        assert_eq!(len(), 1);
         reset();
     }
 

@@ -16,10 +16,10 @@
 //!
 //! ## Design constraints
 //!
-//! 1. **Disabled means free.** All instrumentation funnels through a single
-//!    relaxed [`AtomicBool`]; with no active session every call is a load +
-//!    branch and the `span!` macro never even formats its label. This is
-//!    what keeps `reproduce -- bench` overhead under the 2 % budget.
+//! 1. **Disabled means free.** All instrumentation funnels through one
+//!    thread-local check ([`enabled`]); on a thread that is not recording
+//!    every call is a read + branch and the `span!` macro never even
+//!    formats its label.
 //! 2. **Values are deterministic.** Counter deltas and histogram samples are
 //!    recorded per *work item* (partition, machine, checkpoint round) and
 //!    aggregated commutatively, so every non-timing value is bit-identical
@@ -27,18 +27,25 @@
 //!    timing/thread/id fields and sorts spans, producing a byte-identical
 //!    document across `threads ∈ {1, 2, max}` — the conformance and
 //!    golden-trace suites assert on exactly that.
-//! 3. **Sessions serialize.** [`ObsSession::begin`] holds a global gate so
-//!    concurrently running tests never interleave their metrics.
+//! 3. **Sessions are scoped to the thread that opened them.**
+//!    [`ObsSession::begin`] installs a fresh store in a thread-local slot and
+//!    `finish`/drop restore the previous one, so sessions nest. The one
+//!    fan-out helper (`surfer_cluster::par::try_par_map_vec`) carries the
+//!    caller's scope into its workers with [`scope`] + [`Scope::enter`]; no
+//!    other thread's work can reach a session, so two sessions on two
+//!    threads never see each other.
 //!
-//! Worker threads have no implicit span parent (the thread-local parent
-//! stack is per thread); fan-out code captures the stage span's id on the
+//! Worker threads have no implicit span parent (the span stack belongs to
+//! the thread); fan-out code captures the stage span's id on the
 //! coordinating thread and opens children with [`span_under`].
 //!
 //! [`ExecReport`]: https://docs.rs/surfer-cluster
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 mod export;
@@ -46,10 +53,10 @@ pub mod journal;
 pub mod postmortem;
 mod recorder;
 
-pub use export::{chrome_trace_json, prometheus_text};
+pub use export::chrome_trace_json;
 pub use journal::TraceCtx;
 pub use recorder::{
-    detect_stragglers, IterationSample, StageKind, StragglerReport, TrafficMatrix,
+    detect_stragglers, IterationSample, ShapeMismatch, StageKind, StragglerReport, TrafficMatrix,
 };
 
 /// Version stamp of the exported JSON documents; bump on any breaking
@@ -120,26 +127,64 @@ pub mod names {
     pub const SPILL_ITERATIONS: &str = "spill.iterations";
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// One session's recording store, shared by every thread that entered its
+/// [`Scope`].
+struct Store {
+    /// Session begin; span offsets are measured from here.
+    epoch: Instant,
+    next_span: AtomicU64,
+    state: Mutex<State>,
+}
 
-/// Is a recording session active? The single fast-path check every
+impl Store {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// What this thread records into: the entered store (`None` = inert) and
+/// the thread's open spans within it.
+#[derive(Default)]
+struct Frame {
+    store: Option<Arc<Store>>,
+    /// Open-span stack: `(id, name)` pairs, so implicit parenting reads the
+    /// id and post-mortem bundles read the names ([`span_stack`]).
+    parents: Vec<(u64, &'static str)>,
+}
+
+thread_local! {
+    static FRAME: RefCell<Frame> =
+        const { RefCell::new(Frame { store: None, parents: Vec::new() }) };
+}
+
+/// Run `f` on this thread's store, if it is recording.
+fn with_store<R>(f: impl FnOnce(&Store) -> R) -> Option<R> {
+    FRAME.with(|fr| fr.borrow().store.as_deref().map(f))
+}
+
+/// Mutate this thread's recording state; a no-op when inert.
+fn with_state(f: impl FnOnce(&mut State)) {
+    with_store(|s| f(&mut s.lock()));
+}
+
+/// Is this thread recording? The single fast-path check every
 /// instrumentation point performs first.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    FRAME.with(|fr| fr.borrow().store.is_some())
 }
 
-/// A session-gated wall-clock stopwatch.
+/// A session-scoped wall-clock stopwatch.
 ///
 /// This is the *only* way engine code may touch host time: the `Instant` is
 /// captured only while a recording session is active, so engine logic stays
 /// clock-free (lint rule D2) and timings remain a pure observability
-/// concern. When no session is recording, [`Stopwatch::elapsed_ns`] is 0 and
-/// the whole thing costs one relaxed atomic load.
+/// concern. When this thread is not recording, [`Stopwatch::elapsed_ns`] is
+/// 0 and the whole thing costs one thread-local read.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Option<Instant>);
 
-/// Start a stopwatch; inert unless a session is recording.
+/// Start a stopwatch; inert unless this thread is recording.
 #[inline]
 pub fn stopwatch() -> Stopwatch {
     Stopwatch(enabled().then(Instant::now))
@@ -212,9 +257,6 @@ impl Hist {
 
 #[derive(Default)]
 struct State {
-    /// `Some` while a session records; `None` drops late writes on the
-    /// floor (e.g. a guard outliving its session).
-    epoch: Option<Instant>,
     spans: Vec<SpanRec>,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
@@ -230,101 +272,77 @@ struct State {
     sample_seq: BTreeMap<&'static str, u32>,
 }
 
-struct Shared {
-    next_span: AtomicU64,
-    state: Mutex<State>,
-}
-
-fn shared() -> &'static Shared {
-    static S: OnceLock<Shared> = OnceLock::new();
-    S.get_or_init(|| Shared { next_span: AtomicU64::new(1), state: Mutex::new(State::default()) })
-}
-
-fn lock_state() -> MutexGuard<'static, State> {
-    shared().state.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-thread_local! {
-    /// Open-span stack of the current thread: `(id, name)` pairs, so
-    /// implicit parenting reads the id and post-mortem bundles read the
-    /// names ([`span_stack`]).
-    static PARENTS: std::cell::RefCell<Vec<(u64, &'static str)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// Names of this thread's open spans, outermost first — the "active span
 /// stack" a post-mortem bundle captures at failure time.
 pub(crate) fn span_stack() -> Vec<&'static str> {
-    PARENTS.with(|p| p.borrow().iter().map(|&(_, name)| name).collect())
+    FRAME.with(|fr| fr.borrow().parents.iter().map(|&(_, name)| name).collect())
 }
 
-/// Counter snapshot of the live session (empty map when no session is
+/// Counter snapshot of this thread's session (empty map when not
 /// recording), cloned for post-mortem bundles.
 pub(crate) fn session_counters_snapshot() -> BTreeMap<String, u64> {
-    let st = lock_state();
-    if st.epoch.is_none() {
-        return BTreeMap::new();
-    }
-    st.counters.iter().map(|(k, v)| ((*k).to_string(), *v)).collect()
+    with_store(|s| s.lock().counters.iter().map(|(k, v)| ((*k).to_string(), *v)).collect())
+        .unwrap_or_default()
 }
 
-/// Serializes sessions: only one [`ObsSession`] records at a time.
-static SESSION_GATE: Mutex<()> = Mutex::new(());
+/// A thread's recording scope, captured with [`scope`] so fan-out code can
+/// carry it into its workers with [`Scope::enter`].
+pub struct Scope(Option<Arc<Store>>);
 
-/// A recording session. Construct with [`ObsSession::begin`], harvest with
-/// [`ObsSession::finish`]. Dropping without finishing discards the data.
+/// Capture the calling thread's recording scope (inert when not recording).
+pub fn scope() -> Scope {
+    Scope(FRAME.with(|fr| fr.borrow().store.clone()))
+}
+
+impl Scope {
+    /// Record this thread's work into the captured scope, starting from an
+    /// empty span stack (workers parent explicitly via [`span_under`]),
+    /// until the guard drops and restores what the thread recorded before.
+    pub fn enter(&self) -> ScopeGuard {
+        let frame = Frame { store: self.0.clone(), parents: Vec::new() };
+        ScopeGuard { prev: FRAME.with(|fr| fr.replace(frame)), _not_send: PhantomData }
+    }
+}
+
+/// RAII entry into a [`Scope`]; restores the thread's previous scope on
+/// drop. Not `Send`: it restores the thread it was created on.
+#[must_use = "the scope is left when the guard drops"]
+pub struct ScopeGuard {
+    prev: Frame,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        FRAME.with(|fr| fr.replace(std::mem::take(&mut self.prev)));
+    }
+}
+
+/// A recording session on the calling thread. Construct with
+/// [`ObsSession::begin`], harvest with [`ObsSession::finish`]. Dropping
+/// without finishing discards the data.
 pub struct ObsSession {
-    _gate: Option<MutexGuard<'static, ()>>,
+    store: Arc<Store>,
+    _scope: ScopeGuard,
 }
-
-/// Typed error returned by [`ObsSession::try_begin`] when another session
-/// is already recording: callers get a decision point instead of a silent
-/// block on the session gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionBusy;
-
-impl std::fmt::Display for SessionBusy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "an ObsSession is already recording; finish it before beginning another")
-    }
-}
-
-impl std::error::Error for SessionBusy {}
 
 impl ObsSession {
-    /// Start recording. Blocks until any other session finishes; resets the
-    /// registry.
+    /// Start recording this thread's work (and that of the workers it fans
+    /// out to) into a fresh store. Sessions nest: the enclosing one resumes
+    /// when this one finishes.
     pub fn begin() -> ObsSession {
-        let gate = SESSION_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        Self::start(gate)
-    }
-
-    /// Start recording if no other session is active; otherwise return the
-    /// typed [`SessionBusy`] error instead of blocking.
-    pub fn try_begin() -> Result<ObsSession, SessionBusy> {
-        let gate = match SESSION_GATE.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return Err(SessionBusy),
-        };
-        Ok(Self::start(gate))
-    }
-
-    fn start(gate: MutexGuard<'static, ()>) -> ObsSession {
-        {
-            let mut st = lock_state();
-            *st = State::default();
-            st.epoch = Some(Instant::now());
-        }
-        shared().next_span.store(1, Ordering::SeqCst);
-        ENABLED.store(true, Ordering::SeqCst);
-        ObsSession { _gate: Some(gate) }
+        let store = Arc::new(Store {
+            epoch: Instant::now(),
+            next_span: AtomicU64::new(1),
+            state: Mutex::default(),
+        });
+        let _scope = Scope(Some(Arc::clone(&store))).enter();
+        ObsSession { store, _scope }
     }
 
     /// Stop recording and return everything captured.
     pub fn finish(self) -> TraceReport {
-        ENABLED.store(false, Ordering::SeqCst);
-        let state = std::mem::take(&mut *lock_state());
+        let state = std::mem::take(&mut *self.store.lock());
         TraceReport {
             spans: state.spans,
             counters: state.counters,
@@ -336,21 +354,15 @@ impl ObsSession {
     }
 }
 
-impl Drop for ObsSession {
-    fn drop(&mut self) {
-        // A session abandoned mid-panic must not leave recording enabled.
-        ENABLED.store(false, Ordering::SeqCst);
-    }
-}
-
 /// RAII span. Records its wall-clock interval on drop; a no-op (no lock, no
-/// allocation) when no session is active.
+/// allocation) when this thread is not recording.
 #[must_use = "a span measures the scope it is bound to"]
 pub struct SpanGuard {
     live: Option<LiveSpan>,
 }
 
 struct LiveSpan {
+    store: Arc<Store>,
     id: u64,
     parent: Option<u64>,
     name: &'static str,
@@ -359,7 +371,7 @@ struct LiveSpan {
 }
 
 impl SpanGuard {
-    /// The inert guard (used by the `span!` macro's disabled branch).
+    /// The inert guard.
     pub fn disabled() -> SpanGuard {
         SpanGuard { live: None }
     }
@@ -375,15 +387,14 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(live) = self.live.take() else { return };
         let end = Instant::now();
-        PARENTS.with(|p| {
-            let mut p = p.borrow_mut();
-            if p.last().map(|&(id, _)| id) == Some(live.id) {
-                p.pop();
+        FRAME.with(|fr| {
+            let parents = &mut fr.borrow_mut().parents;
+            if parents.last().map(|&(id, _)| id) == Some(live.id) {
+                parents.pop();
             }
         });
-        let mut st = lock_state();
-        let Some(epoch) = st.epoch else { return };
-        st.spans.push(SpanRec {
+        let epoch = live.store.epoch;
+        live.store.lock().spans.push(SpanRec {
             id: live.id,
             parent: live.parent,
             name: live.name,
@@ -395,31 +406,32 @@ impl Drop for SpanGuard {
     }
 }
 
-fn open_span(name: &'static str, label: String, parent: Option<u64>, implicit: bool) -> SpanGuard {
-    let id = shared().next_span.fetch_add(1, Ordering::Relaxed);
-    let parent = if implicit {
-        PARENTS.with(|p| p.borrow().last().map(|&(id, _)| id))
-    } else {
-        parent
-    };
-    PARENTS.with(|p| p.borrow_mut().push((id, name)));
-    SpanGuard { live: Some(LiveSpan { id, parent, name, label, start: Instant::now() }) }
+/// Open a span in this thread's scope. `parent: None` parents it on the
+/// thread's innermost open span; `Some(p)` parents it on `p` explicitly.
+fn open_span(
+    name: &'static str,
+    label: impl FnOnce() -> String,
+    parent: Option<Option<u64>>,
+) -> SpanGuard {
+    FRAME.with(|fr| {
+        let mut fr = fr.borrow_mut();
+        let Some(store) = fr.store.clone() else { return SpanGuard::disabled() };
+        let id = store.next_span.fetch_add(1, Ordering::Relaxed);
+        let parent = parent.unwrap_or_else(|| fr.parents.last().map(|&(id, _)| id));
+        fr.parents.push((id, name));
+        let label = label();
+        SpanGuard { live: Some(LiveSpan { store, id, parent, name, label, start: Instant::now() }) }
+    })
 }
 
 /// Open an unlabeled span under the current thread's innermost open span.
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard::disabled();
-    }
-    open_span(name, String::new(), None, true)
+    open_span(name, String::new, None)
 }
 
 /// Open a span with a lazily built label (only evaluated when recording).
 pub fn span_with(name: &'static str, label: impl FnOnce() -> String) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard::disabled();
-    }
-    open_span(name, label(), None, true)
+    open_span(name, label, None)
 }
 
 /// Open a span under an explicit parent id — the fan-out pattern: the
@@ -430,27 +442,23 @@ pub fn span_under(
     parent: Option<u64>,
     label: impl FnOnce() -> String,
 ) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard::disabled();
-    }
-    open_span(name, label(), parent, false)
+    open_span(name, label, Some(parent))
 }
 
 /// Open a span labeled with its session-wide occurrence index (`"#0"`,
 /// `"#1"`, …) — iteration numbering that stays deterministic because it is
 /// only ever called from the coordinating thread.
 pub fn span_seq(name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard::disabled();
-    }
-    let k = {
-        let mut st = lock_state();
+    let next = with_store(|s| {
+        let mut st = s.lock();
         let k = st.seq.entry(name).or_insert(0);
-        let v = *k;
         *k += 1;
-        v
-    };
-    open_span(name, format!("#{k}"), None, true)
+        *k - 1
+    });
+    match next {
+        Some(k) => open_span(name, || format!("#{k}"), None),
+        None => SpanGuard::disabled(),
+    }
 }
 
 /// `span!("name")` / `span!("name", "p{}", pid)` — sugar over [`span`] /
@@ -467,53 +475,27 @@ macro_rules! span {
 
 /// Add `delta` to counter `name`.
 pub fn counter_add(name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut st = lock_state();
-    if st.epoch.is_none() {
-        return;
-    }
-    *st.counters.entry(name).or_insert(0) += delta;
+    with_state(|st| *st.counters.entry(name).or_insert(0) += delta);
 }
 
 /// Set gauge `name` (last write wins — call from the coordinating thread
 /// only, or the value is not thread-count-deterministic).
 pub fn gauge_set(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut st = lock_state();
-    if st.epoch.is_none() {
-        return;
-    }
-    st.gauges.insert(name, value);
+    with_state(|st| {
+        st.gauges.insert(name, value);
+    });
 }
 
 /// Record one histogram sample.
 pub fn observe(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut st = lock_state();
-    if st.epoch.is_none() {
-        return;
-    }
-    st.hists.entry(name).or_insert_with(Hist::new).record(value);
+    with_state(|st| st.hists.entry(name).or_insert_with(Hist::new).record(value));
 }
 
 /// Record one sample into the `(name, label)` histogram — the per-tenant
 /// variant of [`observe`]. Labels are integers (tenant ids, partition ids),
 /// which keeps the registry allocation-free and the export keys sortable.
 pub fn observe_labeled(name: &'static str, label: u64, value: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut st = lock_state();
-    if st.epoch.is_none() {
-        return;
-    }
-    st.labeled_hists.entry((name, label)).or_insert_with(Hist::new).record(value);
+    with_state(|st| st.labeled_hists.entry((name, label)).or_insert_with(Hist::new).record(value));
 }
 
 /// Feed one engine round to the flight recorder. The recorder assigns the
@@ -522,17 +504,12 @@ pub fn observe_labeled(name: &'static str, label: u64, value: u64) {
 /// the numbering is deterministic because the engines record one sample per
 /// round after joining their workers.
 pub fn record_sample(mut sample: IterationSample) {
-    if !enabled() {
-        return;
-    }
-    let mut st = lock_state();
-    if st.epoch.is_none() {
-        return;
-    }
-    let seq = st.sample_seq.entry(sample.kind.as_str()).or_insert(0);
-    sample.seq = *seq;
-    *seq += 1;
-    st.samples.push(sample);
+    with_state(|st| {
+        let seq = st.sample_seq.entry(sample.kind.as_str()).or_insert(0);
+        sample.seq = *seq;
+        *seq += 1;
+        st.samples.push(sample);
+    });
 }
 
 /// Per-name aggregate of spans, for the per-stage breakdown.
@@ -609,25 +586,31 @@ impl TraceReport {
     /// sample's matrix summed cell-wise (empty when no propagation ran).
     /// Diagonal = partition-local bytes, off-diagonal = cross bytes, so
     /// `diagonal_total()`/`off_diagonal_total()` equal the
-    /// `prop.local_bytes`/`prop.cross_bytes` counters.
-    pub fn traffic_matrix(&self) -> TrafficMatrix {
+    /// `prop.local_bytes`/`prop.cross_bytes` counters. A session that ran
+    /// propagation at two partition counts has no single matrix: that is
+    /// the typed [`ShapeMismatch`].
+    pub fn traffic_matrix(&self) -> Result<TrafficMatrix, ShapeMismatch> {
         let mut acc = TrafficMatrix::empty();
         for s in self.samples_of(StageKind::Propagation) {
-            acc.merge(&s.traffic);
+            acc.merge(&s.traffic)?;
         }
-        acc
+        Ok(acc)
     }
 
     /// The machine-pair traffic matrix: [`TraceReport::traffic_matrix`]
     /// folded through `placement` (partition id → machine id) into an
     /// `machines × machines` matrix — the quantity the paper's
     /// bandwidth-aware partitioning minimizes off-diagonal (§4).
-    pub fn machine_matrix(&self, placement: &[u16], machines: usize) -> TrafficMatrix {
-        let m = self.traffic_matrix();
+    pub fn machine_matrix(
+        &self,
+        placement: &[u16],
+        machines: usize,
+    ) -> Result<TrafficMatrix, ShapeMismatch> {
+        let m = self.traffic_matrix()?;
         if m.is_empty() {
-            return TrafficMatrix::empty();
+            return Ok(TrafficMatrix::empty());
         }
-        m.fold(placement, placement, machines, machines)
+        Ok(m.fold(placement, placement, machines, machines))
     }
 
     /// Iterations whose slowest work item ran at least `skew_threshold`
@@ -746,13 +729,8 @@ impl TraceReport {
             ));
         }
         out.push_str("  ],\n");
-        let m = self.traffic_matrix();
-        out.push_str(&format!(
-            "  \"traffic_matrix\": {{\"local_bytes\": {}, \"cross_bytes\": {}, \"matrix\": {}}}",
-            m.diagonal_total(),
-            m.off_diagonal_total(),
-            m.to_json(),
-        ));
+        out.push_str("  \"traffic_matrix\": ");
+        out.push_str(&matrix_json(self.traffic_matrix()));
     }
 
     /// The shared counters/gauges/histograms tail of both exports.
@@ -786,6 +764,20 @@ impl TraceReport {
     }
 }
 
+/// A merged matrix as `{"local_bytes", "cross_bytes", "matrix"}`, or the
+/// merge error as `{"error"}` in its place — an export never aborts.
+fn matrix_json(m: Result<TrafficMatrix, ShapeMismatch>) -> String {
+    match m {
+        Ok(m) => format!(
+            "{{\"local_bytes\": {}, \"cross_bytes\": {}, \"matrix\": {}}}",
+            m.diagonal_total(),
+            m.off_diagonal_total(),
+            m.to_json(),
+        ),
+        Err(e) => format!("{{\"error\": \"{}\"}}", esc(&e.to_string())),
+    }
+}
+
 fn comma(i: usize, len: usize) -> &'static str {
     if i + 1 == len {
         ""
@@ -816,17 +808,8 @@ fn esc(s: &str) -> String {
 mod tests {
     use super::*;
 
-    /// Tests in this module touch the global registry outside any session
-    /// (to prove inertness), so they must not interleave with each other.
-    static TEST_GATE: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        TEST_GATE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     #[test]
     fn disabled_is_inert() {
-        let _g = serial();
         assert!(!enabled());
         counter_add("x", 5);
         observe("h", 3);
@@ -842,7 +825,6 @@ mod tests {
 
     #[test]
     fn counters_gauges_hists_accumulate() {
-        let _g = serial();
         let session = ObsSession::begin();
         counter_add("msgs", 3);
         counter_add("msgs", 4);
@@ -863,7 +845,6 @@ mod tests {
 
     #[test]
     fn spans_nest_and_record_parents() {
-        let _g = serial();
         let session = ObsSession::begin();
         let outer = span!("outer");
         let outer_id = outer.id().unwrap();
@@ -887,7 +868,6 @@ mod tests {
 
     #[test]
     fn span_seq_numbers_occurrences() {
-        let _g = serial();
         let session = ObsSession::begin();
         for _ in 0..3 {
             let _it = span_seq("iter");
@@ -900,28 +880,40 @@ mod tests {
 
     #[test]
     fn cross_thread_spans_parent_explicitly() {
-        let _g = serial();
         let session = ObsSession::begin();
         let stage = span!("stage");
         let sid = stage.id();
-        std::thread::scope(|scope| {
+        let obs = scope();
+        std::thread::scope(|s| {
             for i in 0..2 {
-                scope.spawn(move || {
+                let obs = &obs;
+                s.spawn(move || {
+                    let _in = obs.enter();
+                    assert!(span_stack().is_empty(), "workers start with no open spans");
                     let _s = span_under("stage.part", sid, || format!("p{i}"));
+                    counter_add("parts", 1);
                 });
             }
+            // A thread that never entered the scope records nothing.
+            s.spawn(|| {
+                assert!(!enabled());
+                let _s = span!("stranger");
+                counter_add("parts", 100);
+            });
         });
         drop(stage);
         let r = session.finish();
         assert_eq!(r.span_count("stage.part"), 2);
+        assert_eq!(r.span_count("stranger"), 0);
+        assert_eq!(r.counter("parts"), 2);
         for s in r.spans.iter().filter(|s| s.name == "stage.part") {
             assert_eq!(s.parent, sid);
         }
+        assert!(!enabled(), "finish must leave the scope");
     }
 
     #[test]
     fn canonical_json_strips_timing_and_sorts() {
-        let _g = serial();
         let mk = |order_flip: bool| {
             let session = ObsSession::begin();
             let stage = span!("stage");
@@ -945,7 +937,6 @@ mod tests {
 
     #[test]
     fn labeled_histograms_export_as_dotted_keys() {
-        let _g = serial();
         let session = ObsSession::begin();
         observe("serve.latency_us", 100);
         observe_labeled("serve.tenant.latency_us", 3, 40);
@@ -961,39 +952,10 @@ mod tests {
             "labeled hist in histograms object: {j}"
         );
         assert!(j.contains("\"serve.tenant.latency_us.7\""));
-        let prom = crate::export::prometheus_text(&report);
-        assert!(prom.contains("# TYPE surfer_serve_tenant_latency_us summary\n"), "{prom}");
-        assert!(prom.contains("surfer_serve_tenant_latency_us_count{label=\"3\"} 2\n"), "{prom}");
-        assert!(prom.contains("surfer_serve_tenant_latency_us_max{label=\"7\"} 9\n"));
-    }
-
-    #[test]
-    fn try_begin_while_active_is_a_typed_error_across_threads() {
-        let _g = serial();
-        let session = ObsSession::begin();
-        // Same thread: the gate is held, so try_begin must refuse.
-        let here = ObsSession::try_begin();
-        assert_eq!(here.err(), Some(SessionBusy));
-        // Another thread contending must get the same typed error, not a
-        // silent wait or a panic.
-        let from_thread = std::thread::spawn(|| match ObsSession::try_begin() {
-            Err(SessionBusy) => format!("{SessionBusy}"),
-            Ok(_) => "unexpectedly began".to_string(),
-        })
-        .join()
-        .expect("prober thread");
-        assert!(from_thread.contains("already recording"), "{from_thread}");
-        counter_add("survivor", 1);
-        let r = session.finish();
-        assert_eq!(r.counter("survivor"), 1, "the original session must be unharmed");
-        // With the gate released, try_begin succeeds.
-        let s2 = ObsSession::try_begin().expect("gate is free");
-        let _ = s2.finish();
     }
 
     #[test]
     fn span_stack_names_active_spans_outermost_first() {
-        let _g = serial();
         let session = ObsSession::begin();
         assert!(span_stack().is_empty());
         {
@@ -1007,7 +969,6 @@ mod tests {
 
     #[test]
     fn full_json_has_schema_and_stages() {
-        let _g = serial();
         let session = ObsSession::begin();
         {
             let _s = span!("work");
@@ -1025,7 +986,6 @@ mod tests {
 
     #[test]
     fn json_escaping_survives_hostile_labels() {
-        let _g = serial();
         let session = ObsSession::begin();
         {
             let _s = span_with("weird", || "a\"b\\c\nd".to_string());
@@ -1037,7 +997,6 @@ mod tests {
 
     #[test]
     fn sessions_reset_state() {
-        let _g = serial();
         let s1 = ObsSession::begin();
         counter_add("x", 1);
         let _ = s1.finish();

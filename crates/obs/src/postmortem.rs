@@ -253,11 +253,6 @@ pub fn validate(json: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::PoisonError;
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        crate::journal::JOURNAL_TEST_GATE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     fn sample_failure() -> PostmortemBundle {
         journal::reset();
@@ -272,7 +267,6 @@ mod tests {
 
     #[test]
     fn bundle_renders_valid_schema_and_lanes() {
-        let _s = serial();
         let b = sample_failure();
         assert_eq!(b.fault_variant, "ClusterLost");
         assert_eq!(b.fault_ctx.job, 3);
@@ -290,7 +284,6 @@ mod tests {
 
     #[test]
     fn events_are_renumbered_relative_to_the_bundle() {
-        let _s = serial();
         journal::reset();
         // Overfill the ring so absolute sequence numbers drift, then fail.
         for i in 0..(journal::RING_CAPACITY as u64 + 50) {
@@ -306,7 +299,6 @@ mod tests {
 
     #[test]
     fn take_last_is_thread_local_and_clearing() {
-        let _s = serial();
         let _ = take_last();
         journal::reset();
         record_failure("UdfPanic", "stage transfer panicked", TraceCtx::default());

@@ -1,4 +1,4 @@
-//! The flight recorder: a session-gated, per-iteration time-series store.
+//! The flight recorder: a session-scoped, per-iteration time-series store.
 //!
 //! The paper's central claim (§4) is that bandwidth-aware partitioning
 //! reduces *cross-partition network traffic* and balances it against the
@@ -52,6 +52,25 @@ impl StageKind {
         }
     }
 }
+
+/// [`TrafficMatrix::merge`] of two matrices of different shapes — e.g. one
+/// session that ran propagation at two partition counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShapeMismatch {
+    /// `(rows, cols)` of the accumulator.
+    pub into: (usize, usize),
+    /// `(rows, cols)` of the matrix that did not fit.
+    pub from: (usize, usize),
+}
+
+impl std::fmt::Display for ShapeMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ((r, c), (into_r, into_c)) = (self.from, self.into);
+        write!(f, "cannot merge a {r}x{c} traffic matrix into a {into_r}x{into_c}")
+    }
+}
+
+impl std::error::Error for ShapeMismatch {}
 
 /// A dense `rows × cols` byte matrix, row-major. Rows are message sources
 /// (partitions), columns destinations (partitions or machines). For square
@@ -127,26 +146,26 @@ impl TrafficMatrix {
     }
 
     /// Element-wise accumulate `other` into `self`. An empty `self` adopts
-    /// `other`'s shape; otherwise the shapes must match.
-    pub fn merge(&mut self, other: &TrafficMatrix) {
+    /// `other`'s shape; otherwise the shapes must match, and `self` is left
+    /// untouched when they do not.
+    pub fn merge(&mut self, other: &TrafficMatrix) -> Result<(), ShapeMismatch> {
         if other.is_empty() {
-            return;
+            return Ok(());
         }
         if self.is_empty() {
             *self = other.clone();
-            return;
+            return Ok(());
         }
-        assert!(
-            self.rows == other.rows && self.cols == other.cols,
-            "cannot merge a {}x{} matrix into a {}x{}",
-            other.rows,
-            other.cols,
-            self.rows,
-            self.cols
-        );
+        if (self.rows, self.cols) != (other.rows, other.cols) {
+            return Err(ShapeMismatch {
+                into: (self.rows, self.cols),
+                from: (other.rows, other.cols),
+            });
+        }
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
         }
+        Ok(())
     }
 
     /// Collapse rows and columns through group maps: cell `(r, c)` is
@@ -338,12 +357,15 @@ mod tests {
         let mut acc = TrafficMatrix::empty();
         let mut a = TrafficMatrix::new(2, 2);
         a.add(0, 1, 3);
-        acc.merge(&a);
+        acc.merge(&a).unwrap();
         assert_eq!(acc, a);
-        acc.merge(&a);
+        acc.merge(&a).unwrap();
         assert_eq!(acc.get(0, 1), 6);
-        acc.merge(&TrafficMatrix::empty()); // no-op
+        acc.merge(&TrafficMatrix::empty()).unwrap(); // no-op
         assert_eq!(acc.total(), 6);
+        let err = acc.merge(&TrafficMatrix::new(3, 3)).unwrap_err();
+        assert_eq!(err, ShapeMismatch { into: (2, 2), from: (3, 3) });
+        assert_eq!(acc.total(), 6, "a failed merge leaves the accumulator untouched");
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //! - the canonical JSON is **bit-identical across thread counts** (the
 //!   journal is timing-free and recorded only from coordinating threads).
 //!
-//! The journal ring is process-global, so every test serializes on a
-//! file-local gate and resets the ring before each run.
+//! The journal ring is thread-local, so each test resets its own ring
+//! before each run and never sees another test's events.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use surfer::apps::pagerank::PageRankPropagation;
 use surfer::apps::NetworkRanking;
 use surfer::cluster::{
@@ -33,13 +33,6 @@ use surfer::serve::{JobManager, JobSpec, PropagationJob, RecoveredJob, ServeConf
 
 const ITERATIONS: u32 = 6;
 const INTERVAL: u32 = 2;
-
-/// One global journal ring per process: serialize the whole binary.
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// The chaos fixture: a 12-cycle over 4 partitions on 4 flat-T1 machines.
 fn fixture() -> (SimCluster, PartitionedGraph) {
@@ -151,7 +144,6 @@ fn assert_forensics(
 /// iteration lanes of both tenants on record.
 #[test]
 fn udf_exhaustion_bundle_attributes_the_poisoned_iteration() {
-    let _g = gate();
     let plan = FaultPlan {
         udf_panics: vec![UdfPanicAt { iteration: 1, vertex: 4 }],
         ..FaultPlan::none()
@@ -178,7 +170,6 @@ fn udf_exhaustion_bundle_attributes_the_poisoned_iteration() {
 /// recovery loop stamps as it advances.
 #[test]
 fn cluster_lost_bundle_pins_the_crash_iteration_from_ambient_context() {
-    let _g = gate();
     let plan = FaultPlan {
         crashes: (0..4).map(|m| MachineCrash { machine: MachineId(m), at_iteration: 2 }).collect(),
         ..FaultPlan::none()
@@ -194,7 +185,6 @@ fn cluster_lost_bundle_pins_the_crash_iteration_from_ambient_context() {
 /// restore failed and records the failovers that preceded it.
 #[test]
 fn replica_exhaustion_bundle_pins_the_failed_checkpoint() {
-    let _g = gate();
     let plan = FaultPlan {
         crashes: vec![MachineCrash { machine: MachineId(0), at_iteration: 3 }],
         corruptions: vec![
@@ -215,7 +205,6 @@ fn replica_exhaustion_bundle_pins_the_failed_checkpoint() {
 /// resident lane, stamped with the iteration it belongs to.
 #[test]
 fn a_facade_run_journals_every_iteration() {
-    let _g = gate();
     journal::reset();
     let (c, pg) = fixture();
     let surfer = Surfer::builder(c).partitions(4).load(pg.graph());
@@ -245,7 +234,6 @@ proptest! {
         it in 0u32..ITERATIONS,
         vertex in 0u32..12,
     ) {
-        let _g = gate();
         let plan = FaultPlan {
             udf_panics: vec![UdfPanicAt { iteration: it, vertex }],
             ..FaultPlan::none()

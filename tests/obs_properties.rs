@@ -1,9 +1,9 @@
 //! Property and determinism tests for the `surfer-obs` tracer.
 //!
-//! Every test here begins an [`surfer::obs::ObsSession`], so the tests in
-//! this binary serialize on the session gate and never observe each
-//! other's metrics. (The conformance and end-to-end suites are deliberately
-//! session-free for the same reason.) Covered properties:
+//! Every test here begins an [`surfer::obs::ObsSession`]. A session records
+//! only the work of the thread that opened it (and the workers it fans out
+//! to), so the tests in this binary run concurrently without observing each
+//! other's metrics. Covered properties:
 //!
 //! * obs `exec.*` counters are *identical* to the `ExecReport` totals the
 //!   simulator returns, for random graphs, topologies and thread counts
@@ -16,9 +16,14 @@
 //! * flight-recorder traffic matrices: row/column sums equal the `prop.*`
 //!   byte counters, the `P×P` matrix is bit-identical across worker thread
 //!   counts {1, 2, max}, and the machine-pair matrix is invariant under a
-//!   no-op replanner (all-alive failover through the partition store).
+//!   no-op replanner (all-alive failover through the partition store);
+//!   a session that ran two partition counts gets a typed `ShapeMismatch`;
+//! * isolation: an unrecorded neighbor thread, a concurrent session on
+//!   another thread and a nested session on the same thread leave a
+//!   session's canonical trace byte-identical to a solo run's.
 
 use proptest::prelude::*;
+use std::sync::Barrier;
 use surfer::apps::pagerank::{NetworkRanking, PageRankPropagation};
 use surfer::cluster::{
     resolve_threads, ClusterConfig, FaultPlan, MachineId, PartitionStore, Topology,
@@ -28,7 +33,7 @@ use surfer::core::{
 };
 use surfer::graph::generators::social::{msn_like, MsnScale};
 use surfer::graph::CsrGraph;
-use surfer::obs::ObsSession;
+use surfer::obs::{ObsSession, ShapeMismatch};
 
 fn build(g: &CsrGraph, cluster: ClusterConfig, partitions: u32, threads: usize) -> Surfer {
     Surfer::builder(cluster.build())
@@ -85,7 +90,7 @@ proptest! {
     ) {
         let partitions = 1u32 << partitions_log2;
         let (trace, _) = propagation_trace(seed, partitions, threads);
-        let m = trace.traffic_matrix();
+        let m = trace.traffic_matrix().unwrap();
         prop_assert_eq!(m.rows(), partitions as usize);
         prop_assert_eq!(m.cols(), partitions as usize);
         prop_assert_eq!(m.diagonal_total(), trace.counter("prop.local_bytes"));
@@ -118,11 +123,11 @@ fn traffic_matrices_are_thread_invariant_and_replanner_stable() {
     let runs: Vec<_> =
         [1, 2, resolve_threads(0)].iter().map(|&t| propagation_trace(0xBEEF, PARTITIONS, t)).collect();
     let (base, placement) = &runs[0];
-    let m0 = base.traffic_matrix();
+    let m0 = base.traffic_matrix().unwrap();
     assert!(!m0.is_empty(), "propagation must record traffic");
     for (trace, _) in &runs[1..] {
         assert_eq!(
-            trace.traffic_matrix(),
+            trace.traffic_matrix().unwrap(),
             m0,
             "the P×P matrix must be bit-identical across worker thread counts"
         );
@@ -131,7 +136,7 @@ fn traffic_matrices_are_thread_invariant_and_replanner_stable() {
     // The machine-pair fold is invariant under a no-op replanner: rebuild
     // the placement through the partition store's failover path with every
     // machine alive — it must hand every partition back to its primary.
-    let mm = base.machine_matrix(placement, MATRIX_MACHINES as usize);
+    let mm = base.machine_matrix(placement, MATRIX_MACHINES as usize).unwrap();
     assert_eq!(mm.total(), m0.total(), "folding must preserve total traffic");
     let topo = Topology::t1(MATRIX_MACHINES);
     let assignment: Vec<MachineId> = placement.iter().map(|&m| MachineId(m)).collect();
@@ -142,7 +147,7 @@ fn traffic_matrices_are_thread_invariant_and_replanner_stable() {
         .collect();
     assert_eq!(&replanned, placement, "all-alive failover is the identity replanner");
     assert_eq!(
-        base.machine_matrix(&replanned, MATRIX_MACHINES as usize),
+        base.machine_matrix(&replanned, MATRIX_MACHINES as usize).unwrap(),
         mm,
         "machine-pair matrix must be invariant under a no-op replanner"
     );
@@ -218,5 +223,92 @@ fn canonical_trace_is_deterministic_and_thread_invariant() {
     assert_eq!(first, golden_trace(2, "c"), "non-timing trace content depends on thread count");
     for key in ["prop.messages", "mr.pairs", "ckpt.writes", "fs.snapshot.write_bytes"] {
         assert!(first.contains(&format!("\"{key}\"")), "golden trace missing {key}");
+    }
+}
+
+/// One session running propagation at P=4 and then P=8 has no single
+/// `P×P` matrix: the merge is a typed error, and both exports still render,
+/// with the error in the matrix's place.
+#[test]
+fn two_partition_counts_in_one_session_are_a_typed_error() {
+    let g = msn_like(MsnScale::Tiny, 0x5EED);
+    let p4 = build(&g, ClusterConfig::tree(2, 1, MATRIX_MACHINES), 4, 1);
+    let p8 = build(&g, ClusterConfig::tree(2, 1, MATRIX_MACHINES), 8, 1);
+    let session = ObsSession::begin();
+    p4.run(&NetworkRanking::new(2)).unwrap();
+    p8.run(&NetworkRanking::new(2)).unwrap();
+    let trace = session.finish();
+    let mismatch = ShapeMismatch { into: (4, 4), from: (8, 8) };
+    assert_eq!(trace.traffic_matrix(), Err(mismatch));
+    assert_eq!(trace.machine_matrix(&[0; 4], MATRIX_MACHINES as usize), Err(mismatch));
+    for json in [trace.to_json(), trace.canonical_json()] {
+        assert!(json.contains(&format!("\"traffic_matrix\": {{\"error\": \"{mismatch}\"}}")));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+}
+
+/// The canonical trace of a session that records `runs` Tiny NR runs.
+fn recorded_runs(surfer: &Surfer, runs: usize) -> String {
+    let session = ObsSession::begin();
+    for _ in 0..runs {
+        surfer.run(&NetworkRanking::new(3)).unwrap();
+    }
+    session.finish().canonical_json()
+}
+
+fn isolation_fixture(partitions: u32, threads: usize) -> Surfer {
+    build(&msn_like(MsnScale::Tiny, 0x150), ClusterConfig::tree(2, 1, 4), partitions, threads)
+}
+
+/// Run `a` and `b` on two threads released together.
+fn side_by_side<A: Send, B: Send>(
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        let hb = s.spawn(|| {
+            start.wait();
+            b()
+        });
+        start.wait();
+        (a(), hb.join().unwrap())
+    })
+}
+
+/// (a) A neighbor thread running the same engine unrecorded, and (b) a
+/// concurrent session on another thread, leave a session's trace equal to
+/// its solo run's.
+#[test]
+fn sessions_see_no_other_thread() {
+    for threads in [1, 2, 0] {
+        let (a, b) = (isolation_fixture(8, threads), isolation_fixture(4, threads));
+        let (solo_a, solo_b) = (recorded_runs(&a, 1), recorded_runs(&b, 2));
+        let (with_neighbor, _) = side_by_side(
+            || recorded_runs(&a, 1),
+            || (0..3).for_each(|_| {
+                a.run(&NetworkRanking::new(3)).unwrap();
+            }),
+        );
+        assert_eq!(with_neighbor, solo_a, "threads={threads}: the neighbor's work leaked in");
+        let (ra, rb) = side_by_side(|| recorded_runs(&a, 1), || recorded_runs(&b, 2));
+        assert_eq!(ra, solo_a, "threads={threads}: session A saw B's work");
+        assert_eq!(rb, solo_b, "threads={threads}: session B saw A's work");
+    }
+}
+
+/// (c) Sessions nest on one thread: the inner one sees only its own run,
+/// and the outer one resumes afterwards without it.
+#[test]
+fn nested_sessions_split_one_thread() {
+    for threads in [1, 2, 0] {
+        let surfer = isolation_fixture(8, threads);
+        let outer = ObsSession::begin();
+        surfer.run(&NetworkRanking::new(3)).unwrap();
+        let inner = recorded_runs(&surfer, 1);
+        surfer.run(&NetworkRanking::new(3)).unwrap();
+        let outer = outer.finish().canonical_json();
+        assert_eq!(inner, recorded_runs(&surfer, 1), "threads={threads}: inner session");
+        assert_eq!(outer, recorded_runs(&surfer, 2), "threads={threads}: outer session");
     }
 }

@@ -15,7 +15,6 @@
 
 use proptest::prelude::*;
 use std::fmt::Debug;
-use std::sync::{PoisonError, RwLock};
 use surfer::apps::{
     BreadthFirstSearch, ConnectedComponents, NetworkRanking, RecommenderSystem, ReverseLinkGraph,
     TriangleCounting, TwoHopFriends, VertexDegreeDistribution,
@@ -27,12 +26,6 @@ use surfer::graph::generators::social::{msn_like, MsnScale};
 use surfer::graph::{builder::from_edges, CsrGraph, GraphError, VertexId};
 use surfer::obs::ObsSession;
 use surfer::partition::store_fs::{encode_frame, FrameReader, SPILL_MAGIC};
-
-/// `surfer-obs` counters are process-global (ROADMAP item 1): a spilled run on
-/// any thread lands in whichever `ObsSession` is live. Until recording is
-/// scoped to the job, the two tests that read counters hold this exclusively
-/// and every other engine run in this binary holds it shared.
-static OBS_COUNTERS: RwLock<()> = RwLock::new(());
 
 const SEED: u64 = 0xE2E;
 const PARTITIONS: u32 = 8;
@@ -76,7 +69,6 @@ where
     A: SurferApp,
     A::Output: Debug,
 {
-    let _shared = OBS_COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     let probe = build(g, 1, MemoryBudget::unlimited());
     let ws = working_set_bytes(probe.partitioned(), STATE_BYTES);
     let reference = {
@@ -145,7 +137,6 @@ fn breadth_first_search_spill_conforms() {
 /// out-of-core lane — while the output still matches the in-memory engine.
 #[test]
 fn heavy_spill_records_nonzero_spill_counters() {
-    let _exclusive = OBS_COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
     let g = graph();
     let app = NetworkRanking::new(4);
     let probe = build(&g, 1, MemoryBudget::unlimited());
@@ -177,7 +168,6 @@ fn heavy_spill_records_nonzero_spill_counters() {
 /// recorder totals must be identical at every thread count.
 #[test]
 fn spill_counters_are_thread_invariant() {
-    let _exclusive = OBS_COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
     let g = graph();
     let app = NetworkRanking::new(3);
     let probe = build(&g, 1, MemoryBudget::unlimited());
@@ -217,7 +207,6 @@ proptest! {
     /// the unlimited engine bit-for-bit, whatever spills.
     #[test]
     fn random_budgets_preserve_results(g in arb_graph(), denom in 1u64..64, seed in 0u64..100) {
-        let _shared = OBS_COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
         let app = NetworkRanking::new(3);
         // Largest power of two ≤ min(4, |V|).
         let cap = g.num_vertices().max(1);

@@ -4,9 +4,8 @@
 //! leaves no spill directory behind, whether it returns `Ok` or a typed
 //! error.
 //!
-//! A single test on purpose: it points `TMPDIR` at a private directory and
-//! reads process-global obs counters, so nothing else may run beside it in
-//! this binary.
+//! A single test on purpose: it points `TMPDIR` at a private directory, so
+//! nothing else may run beside it in this binary.
 
 use surfer::apps::pagerank::PageRankPropagation;
 use surfer::cluster::{ClusterConfig, FaultPlan, MachineCrash, Topology, UdfPanicAt};
