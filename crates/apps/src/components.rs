@@ -10,7 +10,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
+use surfer_core::{Bag, Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -95,8 +95,8 @@ impl Propagation for ComponentPropagation {
         s.changed.then_some(s.label)
     }
 
-    fn combine(&self, _v: VertexId, old: &CcState, msgs: Vec<u32>, _g: &CsrGraph) -> CcState {
-        let best = msgs.into_iter().min().unwrap_or(old.label).min(old.label);
+    fn combine(&self, _v: VertexId, old: &CcState, msgs: Bag<'_, u32>, _g: &CsrGraph) -> CcState {
+        let best = msgs.min().unwrap_or(old.label).min(old.label);
         CcState { label: best, changed: best < old.label }
     }
 

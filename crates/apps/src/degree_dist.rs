@@ -8,7 +8,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{PropagationEngine, SurferApp, SurferResult, VirtualVertexTask};
+use surfer_core::{Bag, PropagationEngine, SurferApp, SurferResult, VirtualVertexTask};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -52,8 +52,8 @@ impl VirtualVertexTask for DegreeVirtualTask {
         Some((g.out_degree(v) as u64, 1))
     }
 
-    fn combine(&self, vid: u64, msgs: Vec<u64>) -> (u32, u64) {
-        (vid as u32, msgs.iter().sum())
+    fn combine(&self, vid: u64, msgs: Bag<'_, u64>) -> (u32, u64) {
+        (vid as u32, msgs.sum())
     }
 
     fn associative(&self) -> bool {

@@ -9,7 +9,9 @@
 use crate::ExactOutput;
 use std::collections::HashMap;
 use surfer_cluster::ExecReport;
-use surfer_core::{Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
+use surfer_core::{
+    Bag, Propagation, PropagationEngine, RoundCtx, SpillCodec, SurferApp, SurferResult,
+};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -93,8 +95,8 @@ impl Propagation for PageRankPropagation {
         Some(rank * self.damping / g.out_degree(from) as f64)
     }
 
-    fn combine(&self, _v: VertexId, _old: &f64, msgs: Vec<f64>, _g: &CsrGraph) -> f64 {
-        (1.0 - self.damping) / self.n as f64 + msgs.iter().sum::<f64>()
+    fn combine(&self, _v: VertexId, _old: &f64, msgs: Bag<'_, f64>, _g: &CsrGraph) -> f64 {
+        (1.0 - self.damping) / self.n as f64 + msgs.sum::<f64>()
     }
 
     fn associative(&self) -> bool {
@@ -211,7 +213,7 @@ impl NetworkRanking {
         let mut total = ExecReport::new(engine.cluster().num_machines());
         for it in 1..=max_iterations {
             let prev = state.clone();
-            let report = engine.run_iteration(&prog, &mut state)?;
+            let report = engine.run_iteration(&prog, &mut state, &RoundCtx::default())?.0;
             total.absorb(&report);
             let delta: f64 = state.iter().zip(&prev).map(|(a, b)| (a - b).abs()).sum();
             if delta < epsilon {

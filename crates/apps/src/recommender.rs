@@ -8,7 +8,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
+use surfer_core::{Bag, Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -115,8 +115,8 @@ impl Propagation for RecommendPropagation {
         adopted.then_some(())
     }
 
-    fn combine(&self, v: VertexId, adopted: &bool, msgs: Vec<()>, _g: &CsrGraph) -> bool {
-        *adopted || (!msgs.is_empty() && self.app.accepts(v))
+    fn combine(&self, v: VertexId, adopted: &bool, msgs: Bag<'_, ()>, _g: &CsrGraph) -> bool {
+        *adopted || (msgs.len() > 0 && self.app.accepts(v))
     }
 
     fn associative(&self) -> bool {

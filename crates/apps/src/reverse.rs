@@ -7,7 +7,9 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
+use surfer_core::{
+    Bag, Propagation, PropagationEngine, RoundCtx, SpillCodec, SurferApp, SurferResult,
+};
 use surfer_graph::{CsrGraph, GraphBuilder, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -68,8 +70,8 @@ impl Propagation for ReversePropagation {
         Some(vec![from.0])
     }
 
-    fn combine(&self, _v: VertexId, _old: &Vec<u32>, msgs: Vec<Vec<u32>>, _g: &CsrGraph) -> Vec<u32> {
-        let mut sources: Vec<u32> = msgs.into_iter().flatten().collect();
+    fn combine(&self, _v: VertexId, _old: &Vec<u32>, msgs: Bag<'_, Vec<u32>>, _g: &CsrGraph) -> Vec<u32> {
+        let mut sources: Vec<u32> = msgs.flatten().collect();
         sources.sort_unstable();
         sources
     }
@@ -162,7 +164,7 @@ impl SurferApp for ReverseLinkGraph {
         let g = engine.graph().graph();
         let prog = ReversePropagation;
         let mut state = engine.init_state(&prog);
-        let report = engine.run_iteration(&prog, &mut state)?;
+        let report = engine.run_iteration(&prog, &mut state, &RoundCtx::default())?.0;
         let lists =
             state.into_iter().enumerate().map(|(v, l)| (v as u32, l)).collect();
         Ok((Self::assemble(g.num_vertices(), lists), report))

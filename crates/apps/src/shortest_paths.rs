@@ -5,7 +5,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
+use surfer_core::{Bag, Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -103,8 +103,8 @@ impl Propagation for BfsPropagation {
         s.frontier.then(|| s.dist + 1)
     }
 
-    fn combine(&self, _v: VertexId, old: &BfsState, msgs: Vec<u32>, _g: &CsrGraph) -> BfsState {
-        let best = msgs.into_iter().min().unwrap_or(UNREACHED).min(old.dist);
+    fn combine(&self, _v: VertexId, old: &BfsState, msgs: Bag<'_, u32>, _g: &CsrGraph) -> BfsState {
+        let best = msgs.min().unwrap_or(UNREACHED).min(old.dist);
         BfsState { dist: best, frontier: best < old.dist }
     }
 

@@ -11,7 +11,9 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
+use surfer_core::{
+    Bag, Propagation, PropagationEngine, RoundCtx, SpillCodec, SurferApp, SurferResult,
+};
 use surfer_graph::properties::sorted_intersection_size;
 use surfer_graph::subgraph::sample_vertices;
 use surfer_graph::{CsrGraph, VertexId};
@@ -111,7 +113,7 @@ impl Propagation for TrianglePropagation {
         Some(list)
     }
 
-    fn combine(&self, v: VertexId, _old: &u64, msgs: Vec<Vec<u32>>, g: &CsrGraph) -> u64 {
+    fn combine(&self, v: VertexId, _old: &u64, msgs: Bag<'_, Vec<u32>>, g: &CsrGraph) -> u64 {
         let mine: Vec<u32> = g
             .neighbors(v)
             .iter()
@@ -245,7 +247,7 @@ impl SurferApp for TriangleCounting {
         let g = engine.graph().graph();
         let prog = TrianglePropagation { selected: self.selection(g) };
         let mut state = engine.init_state(&prog);
-        let report = engine.run_iteration(&prog, &mut state)?;
+        let report = engine.run_iteration(&prog, &mut state, &RoundCtx::default())?.0;
         Ok((TriangleCount { triangles: state.iter().sum() }, report))
     }
 

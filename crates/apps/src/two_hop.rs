@@ -9,7 +9,9 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
+use surfer_core::{
+    Bag, Propagation, PropagationEngine, RoundCtx, SpillCodec, SurferApp, SurferResult,
+};
 use surfer_graph::subgraph::sample_vertices;
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
@@ -107,8 +109,8 @@ impl Propagation for TwoHopPropagation {
         Some(g.neighbors(from).iter().map(|t| t.0).collect())
     }
 
-    fn combine(&self, _v: VertexId, _old: &Vec<u32>, msgs: Vec<Vec<u32>>, _g: &CsrGraph) -> Vec<u32> {
-        let mut all: Vec<u32> = msgs.into_iter().flatten().collect();
+    fn combine(&self, _v: VertexId, _old: &Vec<u32>, msgs: Bag<'_, Vec<u32>>, _g: &CsrGraph) -> Vec<u32> {
+        let mut all: Vec<u32> = msgs.flatten().collect();
         all.sort_unstable();
         all.dedup();
         all
@@ -220,7 +222,7 @@ impl SurferApp for TwoHopFriends {
         let g = engine.graph().graph();
         let prog = TwoHopPropagation { selected: self.selection(g) };
         let mut state = engine.init_state(&prog);
-        let report = engine.run_iteration(&prog, &mut state)?;
+        let report = engine.run_iteration(&prog, &mut state, &RoundCtx::default())?.0;
         Ok((TwoHopOutput { lists: state }, report))
     }
 

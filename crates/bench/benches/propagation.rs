@@ -10,7 +10,7 @@ use surfer_cluster::par::resolve_threads;
 use surfer_cluster::ClusterConfig;
 use surfer_core::{
     cascade::CascadeAnalysis, working_set_bytes, EngineOptions, MemoryBudget, PropagationEngine,
-    SurferApp,
+    RoundCtx, SurferApp,
 };
 use surfer_graph::generators::social::{msn_like, MsnScale};
 use surfer_mapreduce::MapReduceEngine;
@@ -42,7 +42,7 @@ fn bench_engines(c: &mut Criterion) {
             group.bench_function(&format!("{name}_t{t}"), |b| {
                 b.iter(|| {
                     let mut state = engine.init_state(&prog);
-                    engine.run_iteration(&prog, &mut state)
+                    engine.run_iteration(&prog, &mut state, &RoundCtx::default())
                 });
             });
         }
@@ -81,7 +81,7 @@ fn bench_spill_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("spill");
     group.sample_size(10);
     group.bench_function("spill_round_small", |b| {
-        b.iter(|| engine.run_iteration(&prog, &mut state));
+        b.iter(|| engine.run_iteration(&prog, &mut state, &RoundCtx::default()));
     });
     group.finish();
 }

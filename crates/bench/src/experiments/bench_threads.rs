@@ -14,7 +14,7 @@ use surfer_apps::pagerank::PageRankPropagation;
 use surfer_cluster::par::{resolve_threads, resolve_threads_clamped};
 use surfer_core::{
     working_set_bytes, EngineOptions, MemoryBudget, OptimizationLevel, Propagation,
-    PropagationEngine,
+    PropagationEngine, RoundCtx,
 };
 
 /// One measured configuration.
@@ -100,7 +100,7 @@ pub fn run_ooc_lane(w: &Workload, iterations: u32) -> OocResult {
     // lint:allow(D2, host wall-clock is the measurement itself here)
     let start = Instant::now();
     for _ in 0..iterations {
-        let (_, m) = engine.run_iteration_counted(&prog, &mut state).unwrap();
+        let (_, m) = engine.run_iteration(&prog, &mut state, &RoundCtx::default()).unwrap();
         messages += m;
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -143,7 +143,7 @@ pub fn run(w: &Workload, iterations: u32) -> (Vec<ThreadResult>, OocResult, Stri
         // lint:allow(D2, host wall-clock is the measurement itself here)
         let start = Instant::now();
         for _ in 0..iterations {
-            let (_, m) = engine.run_iteration_counted(&prog, &mut state).unwrap();
+            let (_, m) = engine.run_iteration(&prog, &mut state, &RoundCtx::default()).unwrap();
             messages += m;
         }
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;

@@ -6,7 +6,7 @@ use crate::fmt;
 use crate::Workload;
 use surfer_apps::pagerank::PageRankPropagation;
 use surfer_cluster::{Fault, MachineId, SimTime};
-use surfer_core::OptimizationLevel;
+use surfer_core::{OptimizationLevel, RoundCtx};
 
 /// The experiment's two runs.
 #[derive(Debug, Clone)]
@@ -34,19 +34,16 @@ pub fn run(w: &Workload) -> (Fig10Result, String) {
     let prog = PageRankPropagation { damping: 0.85, n: g.num_vertices() as u64 };
 
     let mut state = engine.init_state(&prog);
-    let normal = engine.run_iteration(&prog, &mut state).unwrap();
+    let normal = engine.run_iteration(&prog, &mut state, &RoundCtx::default()).unwrap().0;
     let normal_secs = normal.response_time.as_secs_f64();
 
     // Kill the machine hosting partition 0 at 35% of the normal runtime.
     let victim: MachineId = surfer.partitioned().machine_of(0);
     let kill_at = normal_secs * 0.35;
     let mut state2 = engine.init_state(&prog);
-    let faulty = engine.run_iteration_with_faults(
-        &prog,
-        &mut state2,
-        &[Fault { machine: victim, at: SimTime::from_secs_f64(kill_at) }],
-    )
-    .unwrap();
+    let faults = [Fault { machine: victim, at: SimTime::from_secs_f64(kill_at) }];
+    let ctx = RoundCtx { faults: &faults, ..RoundCtx::default() };
+    let faulty = engine.run_iteration(&prog, &mut state2, &ctx).unwrap().0;
 
     assert_eq!(state, state2, "fault recovery must not change application results");
 

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use surfer_apps::pagerank::PageRankPropagation;
 use surfer_cluster::{SimDuration, SimTime};
-use surfer_core::{EngineOptions, OptimizationLevel, PropagationEngine};
+use surfer_core::{EngineOptions, OptimizationLevel, PropagationEngine, RoundCtx};
 use surfer_obs::{names, ObsSession, TraceReport, SCHEMA_VERSION};
 use surfer_serve::{CacheKey, JobManager, JobSpec, PropagationJob, ServeConfig, TenantId};
 
@@ -67,8 +67,9 @@ pub fn run(w: &Workload) -> ServeResult {
     let probe = PropagationEngine::new(cluster, pg, EngineOptions::full());
     let mut probe_state = probe.init_state(&prog);
     let slice_us = probe
-        .run_iteration(&prog, &mut probe_state)
+        .run_iteration(&prog, &mut probe_state, &RoundCtx::default())
         .expect("calibration iteration")
+        .0
         .response_time
         .0
         .max(1);

@@ -16,7 +16,7 @@
 //! value at `v` is influenced by remote data. `v ∈ V_k ⇔ depth(v) >= k`,
 //! and `depth = ∞ ⇔ v ∈ V_inf`.
 
-use crate::engine::PropagationEngine;
+use crate::engine::{PropagationEngine, RoundCtx};
 use crate::error::SurferResult;
 use crate::primitive::Propagation;
 use std::collections::VecDeque;
@@ -141,7 +141,12 @@ pub fn run_cascaded<P: Propagation>(
     let pg = engine.graph();
     let analysis = CascadeAnalysis::analyze(pg);
     let mut total = ExecReport::new(engine.cluster().num_machines());
+    // One journal frame whose iteration advances with the loop, as in
+    // `PropagationEngine::run`.
+    let _ctx = surfer_obs::journal::ctx_enter(surfer_obs::journal::current_ctx());
+    let mut frac = vec![1.0; pg.num_partitions() as usize];
     for it in 0..iterations {
+        surfer_obs::journal::set_iteration(it);
         // Position within the current phase, 1-based.
         let pos = it % analysis.d_min + 1;
         let _s = surfer_obs::span_with("cascade.phase", || format!("pos{pos}"));
@@ -151,15 +156,11 @@ pub fn run_cascaded<P: Propagation>(
                 surfer_obs::counter_add("cascade.discounted_iterations", 1);
             }
         }
-        let frac: Vec<f64> = if pos == 1 {
-            vec![1.0; pg.num_partitions() as usize]
-        } else {
-            pg.partitions()
-                .map(|pid| 1.0 - analysis.cascadable_byte_fraction(pg, pid, pos))
-                .collect()
-        };
-        let r = engine.run_iteration_discounted(prog, state, Some(&frac))?;
-        total.absorb(&r);
+        for (pid, f) in pg.partitions().zip(&mut frac) {
+            *f = if pos == 1 { 1.0 } else { 1.0 - analysis.cascadable_byte_fraction(pg, pid, pos) };
+        }
+        let ctx = RoundCtx { disk_fraction: Some(&frac), ..RoundCtx::default() };
+        total.absorb(&engine.run_iteration(prog, state, &ctx)?.0);
     }
     Ok((total, analysis))
 }
@@ -168,6 +169,7 @@ pub fn run_cascaded<P: Propagation>(
 mod tests {
     use super::*;
     use crate::engine::EngineOptions;
+    use crate::primitive::Bag;
     use std::sync::Arc;
     use surfer_cluster::{ClusterConfig, MachineId};
     use surfer_graph::builder::from_edges;
@@ -224,8 +226,8 @@ mod tests {
         fn transfer(&self, _f: VertexId, s: &u64, _t: VertexId, _g: &CsrGraph) -> Option<u64> {
             Some(*s)
         }
-        fn combine(&self, _v: VertexId, old: &u64, msgs: Vec<u64>, _g: &CsrGraph) -> u64 {
-            old + msgs.iter().sum::<u64>()
+        fn combine(&self, _v: VertexId, old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
+            old + msgs.sum::<u64>()
         }
         fn associative(&self) -> bool {
             true

@@ -19,9 +19,9 @@
 //! for any thread count), a recovered run finishes with vertex states
 //! **bit-identical** to a fault-free run of the same job.
 
-use crate::engine::{EngineOptions, PropagationEngine};
+use crate::engine::{EngineOptions, PropagationEngine, RoundCtx};
 use crate::error::{SurferError, SurferResult};
-use crate::primitive::Propagation;
+use crate::primitive::{Bag, Propagation};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -281,7 +281,7 @@ impl<P: Propagation> Propagation for ChaosProgram<'_, P> {
         &self,
         v: VertexId,
         old: &Self::State,
-        msgs: Vec<Self::Msg>,
+        msgs: Bag<'_, Self::Msg>,
         g: &CsrGraph,
     ) -> Self::State {
         self.inner.combine(v, old, msgs, g)
@@ -480,7 +480,7 @@ where
             let engine = job_engine.replaced(&next);
             for t in last_ckpt..it {
                 chaos.set_iteration(t);
-                total.absorb(&engine.run_iteration(&chaos, state)?);
+                total.absorb(&engine.run_iteration(&chaos, state, &RoundCtx::default())?.0);
                 stats.tail_iterations_recomputed += 1;
                 surfer_obs::counter_add("ckpt.tail_recomputed", 1);
             }
@@ -503,15 +503,14 @@ where
         let spill_faults = plan.spill_faults_at(it);
         let mut attempts = 0u32;
         let report = loop {
-            let result = if !iter_faults.is_empty() {
-                engine.run_iteration_with_faults(&chaos, state, &iter_faults)
-            } else if attempts == 0 && !spill_faults.is_empty() {
-                engine.run_iteration_with_spill_faults(&chaos, state, &spill_faults)
-            } else {
-                engine.run_iteration(&chaos, state)
+            let first_clean_attempt = iter_faults.is_empty() && attempts == 0;
+            let ctx = RoundCtx {
+                faults: &iter_faults,
+                spill_faults: if first_clean_attempt { &spill_faults } else { &[] },
+                ..RoundCtx::default()
             };
-            match result {
-                Ok(r) => break r,
+            match engine.run_iteration(&chaos, state, &ctx) {
+                Ok((r, _)) => break r,
                 Err(SurferError::Storage(_))
                     if attempts == 0 && iter_faults.is_empty() && !spill_faults.is_empty() =>
                 {
@@ -802,8 +801,8 @@ mod tests {
         fn transfer(&self, _f: VertexId, s: &u64, _t: VertexId, _g: &CsrGraph) -> Option<u64> {
             Some(*s)
         }
-        fn combine(&self, _v: VertexId, _old: &u64, msgs: Vec<u64>, _g: &CsrGraph) -> u64 {
-            msgs.iter().sum()
+        fn combine(&self, _v: VertexId, _old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
+            msgs.sum()
         }
         fn associative(&self) -> bool {
             true

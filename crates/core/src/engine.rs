@@ -24,7 +24,7 @@
 use crate::error::{SurferError, SurferResult};
 use crate::ooc::{working_set_bytes, MemoryBudget, MsgSink, OocSession};
 use crate::opt::OptimizationLevel;
-use crate::primitive::{Propagation, VirtualVertexTask};
+use crate::primitive::{Bag, Propagation, VirtualVertexTask};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use surfer_cluster::par::try_par_map_vec;
@@ -100,6 +100,28 @@ impl EngineOptions {
     pub fn resolved_threads(&self) -> usize {
         surfer_cluster::par::resolve_threads_clamped(self.threads)
     }
+}
+
+/// What one round runs under besides the program and its state. The
+/// default is a plain round.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RoundCtx<'a> {
+    /// A per-partition multiplier on partition disk traffic. Cascaded
+    /// propagation (§5.2) passes a fraction < 1 for iterations whose `V_k`
+    /// vertices were already handled in a batch at the phase start — the
+    /// computation is identical, only the charged partition read/write
+    /// shrinks.
+    pub disk_fraction: Option<&'a [f64]>,
+    /// Machine failures injected into the simulated execution (App. B /
+    /// Figure 10). The job manager's recovery policy applies: tasks of a
+    /// dead machine move to a surviving replica holder of their partition;
+    /// Combine tasks first re-receive their remote inputs. Application
+    /// results are unaffected — fault tolerance is a property of the
+    /// simulated runtime.
+    pub faults: &'a [Fault],
+    /// Disk faults injected into the out-of-core lane's spill files (chaos
+    /// testing). When nothing spills they have no surface to land on.
+    pub spill_faults: &'a [SpillFault],
 }
 
 /// Messages routed to explicit destination vertices, in emission order.
@@ -429,117 +451,32 @@ impl<'a> PropagationEngine<'a> {
         self.spill_session(state_bytes).is_some()
     }
 
-    /// Run one iteration while injecting disk faults into the spill files
-    /// of the out-of-core lane (chaos testing). With an unlimited budget —
-    /// or a working set under it — nothing spills and the faults have no
-    /// surface to land on, so this behaves exactly like
-    /// [`PropagationEngine::run_iteration`].
-    pub fn run_iteration_with_spill_faults<P: Propagation>(
-        &self,
-        prog: &P,
-        state: &mut [P::State],
-        spill_faults: &[SpillFault],
-    ) -> SurferResult<ExecReport> {
-        Ok(self.run_iteration_inner(prog, state, None, &[], spill_faults)?.0)
-    }
-
     /// Initialize the per-vertex state vector for a program.
     pub fn init_state<P: Propagation>(&self, prog: &P) -> Vec<P::State> {
         let g = self.graph.graph();
         g.vertices().map(|v| prog.init(v, g)).collect()
     }
 
-    /// Run one propagation iteration, updating `state` in place and
-    /// returning the simulated-cost report.
+    /// One Transfer→Combine round under `ctx`, updating `state` in place.
+    /// Returns the simulated-cost report and the number of messages
+    /// `transfer` emitted (the signal
+    /// [`PropagationEngine::run_until_converged`] stops on).
     ///
     /// A panic in the program's `transfer`/`combine` surfaces as
     /// [`SurferError::UdfPanic`]; `state` is then untouched (writeback only
     /// happens after every worker succeeds), so the iteration is retryable.
+    ///
+    /// Under a memory budget the program's working set exceeds, the same
+    /// round runs out of core: the scan reads edge blocks streamed from the
+    /// spill session instead of the CSR, and — for programs with a spill
+    /// codec — messages travel through mailbox segments on disk instead of
+    /// resident buckets. Same per-edge body, same fold order, hence
+    /// bit-identical states, tallies and reports.
     pub fn run_iteration<P: Propagation>(
         &self,
         prog: &P,
         state: &mut [P::State],
-    ) -> SurferResult<ExecReport> {
-        self.run_iteration_discounted(prog, state, None)
-    }
-
-    /// [`PropagationEngine::run_iteration`] with a per-partition multiplier
-    /// on partition disk traffic. Cascaded propagation (§5.2) passes a
-    /// fraction < 1 for iterations whose `V_k` vertices were already handled
-    /// in a batch at the phase start — the computation is identical, only
-    /// the charged partition read/write shrinks.
-    pub fn run_iteration_discounted<P: Propagation>(
-        &self,
-        prog: &P,
-        state: &mut [P::State],
-        disk_fraction: Option<&[f64]>,
-    ) -> SurferResult<ExecReport> {
-        Ok(self.run_iteration_inner(prog, state, disk_fraction, &[], &[])?.0)
-    }
-
-    /// Run one iteration and also report how many messages `transfer`
-    /// emitted — the signal convergence-driven jobs
-    /// ([`PropagationEngine::run_until_converged`]) stop on.
-    pub fn run_iteration_counted<P: Propagation>(
-        &self,
-        prog: &P,
-        state: &mut [P::State],
-    ) -> SurferResult<(ExecReport, u64)> {
-        self.run_iteration_inner(prog, state, None, &[], &[])
-    }
-
-    /// Iterate until an iteration emits no messages (quiescence, the
-    /// Pregel-style halting condition) or `max_iterations` is reached.
-    /// Returns the accumulated report and the number of iterations run.
-    ///
-    /// Programs drive this by returning `None` from `transfer` once their
-    /// vertex state stops changing (see the connected-components and
-    /// BFS extension apps).
-    pub fn run_until_converged<P: Propagation>(
-        &self,
-        prog: &P,
-        state: &mut [P::State],
-        max_iterations: u32,
-    ) -> SurferResult<(ExecReport, u32)> {
-        let mut total = ExecReport::new(self.cluster.num_machines());
-        for it in 0..max_iterations {
-            let (report, messages) = self.run_iteration_counted(prog, state)?;
-            total.absorb(&report);
-            if messages == 0 {
-                return Ok((total, it + 1));
-            }
-        }
-        Ok((total, max_iterations))
-    }
-
-    /// Run one iteration while injecting machine failures into the simulated
-    /// execution (App. B / Figure 10). The job manager's recovery policy
-    /// applies: tasks of a dead machine move to a surviving replica holder
-    /// of their partition; Combine tasks first re-receive their remote
-    /// inputs. Application results are unaffected — fault tolerance is a
-    /// property of the simulated runtime.
-    pub fn run_iteration_with_faults<P: Propagation>(
-        &self,
-        prog: &P,
-        state: &mut [P::State],
-        faults: &[Fault],
-    ) -> SurferResult<ExecReport> {
-        Ok(self.run_iteration_inner(prog, state, None, faults, &[])?.0)
-    }
-
-    /// One Transfer→Combine round. Under a memory budget the program's
-    /// working set exceeds, the same round runs out of core: the scan reads
-    /// edge blocks streamed from the spill session instead of the CSR, and
-    /// — for programs with a spill codec — messages travel through mailbox
-    /// segments on disk instead of resident buckets. Same per-edge body,
-    /// same fold order, hence bit-identical states, tallies and reports.
-    pub(crate) fn run_iteration_inner<P: Propagation>(
-        &self,
-        prog: &P,
-        state: &mut [P::State],
-        disk_fraction: Option<&[f64]>,
-        faults: &[Fault],
-        spill_faults: &[SpillFault],
+        ctx: &RoundCtx<'_>,
     ) -> SurferResult<(ExecReport, u64)> {
         let session = self.spill_session(prog.state_bytes());
         let _iter_span = surfer_obs::span_seq("prop.iteration");
@@ -551,15 +488,16 @@ impl<'a> PropagationEngine<'a> {
         assert_eq!(state.len(), g.num_vertices() as usize, "state vector must cover every vertex");
         let threads = self.options.resolved_threads();
         let merge_cross = self.options.local_combination && prog.associative();
-        // A scalar associative program needs no bag: Combine folds every
-        // arrival into its slot with `merge`, in arrival order. Messages
-        // that own heap memory keep the bag — their `merge` (TFL: extend,
-        // sort, dedup) costs more per arrival than the bag it would save.
+        // A scalar associative program needs no sorted mailbox: Combine
+        // folds every arrival into its slot with `merge`, in arrival order,
+        // and hands `combine` the one folded value. Messages that own heap
+        // memory keep the sorted run — their `merge` (TFL: extend, sort,
+        // dedup) costs more per arrival than the sort it would save.
         let fold = prog.associative() && !std::mem::needs_drop::<P::Msg>();
         let enc = pg.encoding();
         let parts = pg.num_partitions() as usize;
         if let Some(session) = session {
-            session.begin_round(pg, spill_faults)?;
+            session.begin_round(pg, ctx.spill_faults)?;
         }
         // Programs without a spill codec stream their adjacency but keep
         // the mailbox resident.
@@ -647,7 +585,7 @@ impl<'a> PropagationEngine<'a> {
         }
         publish_transfer_counters(&tally, messages);
         if let Some(session) = mailbox_session {
-            session.end_transfer(segments, spill_faults)?;
+            session.end_transfer(segments, ctx.spill_faults)?;
         }
 
         // ---- Combine stage (real, one worker item per partition). ----
@@ -686,12 +624,11 @@ impl<'a> PropagationEngine<'a> {
                 // The mailbox: every incoming message once, in fold order
                 // (source partitions ascending, emission order within one).
                 // A program that folds keeps one merged message per slot;
-                // any other keeps each arrival beside the slot it is for.
+                // any other keeps each arrival as a `(slot, msg)` pair.
                 // Segments decode straight into either.
                 let routed = mailbox_totals[i] as usize;
-                let bagged = if fold { 0 } else { routed };
-                let mut cells: Vec<Option<P::Msg>> = Vec::with_capacity(bagged);
-                let mut slot_of: Vec<u32> = Vec::with_capacity(bagged);
+                let mut mailbox: Vec<(u32, P::Msg)> =
+                    Vec::with_capacity(if fold { 0 } else { routed });
                 let mut folded: Vec<Option<P::Msg>> = Vec::new();
                 if fold {
                     folded.resize_with(slots, || None);
@@ -707,8 +644,7 @@ impl<'a> PropagationEngine<'a> {
                             None => msg,
                         });
                     } else {
-                        slot_of.push(slot as u32);
-                        cells.push(Some(msg));
+                        mailbox.push((slot as u32, msg));
                     }
                 };
                 for (to, msg) in buckets.into_iter().flatten() {
@@ -724,38 +660,50 @@ impl<'a> PropagationEngine<'a> {
                     ))));
                 }
 
-                // A stable counting sort of the arrival indices — not of
-                // the messages — groups them per slot: the bag of `slot` is
-                // `order[offsets[slot]..offsets[slot + 1]]`. (Nothing to
-                // sort under the fold: no arrival was kept.)
-                let mut offsets = vec![0usize; slots + 1];
-                for &slot in &slot_of {
-                    offsets[slot as usize + 1] += 1;
+                // A counting sort moves the pairs into one run per slot,
+                // slots descending, arrival order kept within one.
+                // `bound[slot]` counts the slot's pairs, then becomes where
+                // its next pair goes, and each pair's slot is overwritten
+                // with that position; a cycle-following pass swaps every
+                // pair home. After it, `bound[slot]` ends the slot's run
+                // and `bound[slot + 1]` (0 past the last slot) starts it.
+                // Members ascend through their slots, so each finds its bag
+                // at the mailbox's tail and drains it without moving the
+                // rest. Under the fold the mailbox holds only the one
+                // folded value of the member at hand.
+                let mut bound = vec![0u32; if fold { 0 } else { slots }];
+                for &(slot, _) in &mailbox {
+                    bound[slot as usize] += 1;
                 }
-                for slot in 0..slots {
-                    offsets[slot + 1] += offsets[slot];
+                let mut start = mailbox.len() as u32;
+                for b in &mut bound {
+                    start -= *b;
+                    *b = start;
                 }
-                let mut cursor: Vec<usize> = offsets[..slots].to_vec();
-                let mut order = vec![0usize; cells.len()];
-                for (arrival, &slot) in slot_of.iter().enumerate() {
-                    order[cursor[slot as usize]] = arrival;
-                    cursor[slot as usize] += 1;
+                for pair in &mut mailbox {
+                    let next = &mut bound[pair.0 as usize];
+                    pair.0 = *next;
+                    *next += 1;
+                }
+                for at in 0..mailbox.len() {
+                    while mailbox[at].0 as usize != at {
+                        let home = mailbox[at].0 as usize;
+                        mailbox.swap(at, home);
+                    }
                 }
 
                 let members = &pg.meta(pid).members;
                 let mut new_states = Vec::with_capacity(members.len());
                 for &v in members {
                     let slot = enc.encode(v).index() - first;
-                    let msgs: Vec<P::Msg> = if fold {
-                        folded[slot].take().into_iter().collect()
+                    let start = if fold {
+                        mailbox.extend(folded[slot].take().map(|msg| (slot as u32, msg)));
+                        0
                     } else {
-                        order[offsets[slot]..offsets[slot + 1]]
-                            .iter()
-                            // lint:allow(E1, invariant: the counting sort lists each arrival exactly once)
-                            .map(|&arrival| cells[arrival].take().expect("message consumed exactly once"))
-                            .collect()
+                        bound.get(slot + 1).map_or(0, |&b| b as usize)
                     };
-                    new_states.push(prog.combine(v, &state_ro[v.index()], msgs, g));
+                    let bag = Bag(mailbox.drain(start..));
+                    new_states.push(prog.combine(v, &state_ro[v.index()], bag, g));
                 }
                 Ok((new_states, arrived as u64, t0.elapsed_ns(), reread))
             })
@@ -783,8 +731,8 @@ impl<'a> PropagationEngine<'a> {
             prog.combine_ops(),
             prog.state_bytes(),
             &tally,
-            disk_fraction,
-            faults,
+            ctx.disk_fraction,
+            ctx.faults,
         )?;
         surfer_obs::journal::record(surfer_obs::journal::EventKind::IterationEnd { messages });
         Ok((report, messages))
@@ -798,14 +746,47 @@ impl<'a> PropagationEngine<'a> {
         state: &mut [P::State],
         iterations: u32,
     ) -> SurferResult<ExecReport> {
+        Ok(self.rounds(prog, state, iterations, false)?.0)
+    }
+
+    /// Iterate until an iteration emits no messages (quiescence, the
+    /// Pregel-style halting condition) or `max_iterations` is reached.
+    /// Returns the accumulated report and the number of iterations run.
+    ///
+    /// Programs drive this by returning `None` from `transfer` once their
+    /// vertex state stops changing (see the connected-components and
+    /// BFS extension apps).
+    pub fn run_until_converged<P: Propagation>(
+        &self,
+        prog: &P,
+        state: &mut [P::State],
+        max_iterations: u32,
+    ) -> SurferResult<(ExecReport, u32)> {
+        self.rounds(prog, state, max_iterations, true)
+    }
+
+    /// Up to `iterations` plain rounds under one journal frame whose
+    /// iteration advances with the loop, stopping after the first quiet
+    /// round when `until_quiet`. Returns the accumulated report and the
+    /// rounds run.
+    fn rounds<P: Propagation>(
+        &self,
+        prog: &P,
+        state: &mut [P::State],
+        iterations: u32,
+        until_quiet: bool,
+    ) -> SurferResult<(ExecReport, u32)> {
         let mut total = ExecReport::new(self.cluster.num_machines());
         let _ctx = surfer_obs::journal::ctx_enter(surfer_obs::journal::current_ctx());
         for it in 0..iterations {
             surfer_obs::journal::set_iteration(it);
-            let r = self.run_iteration(prog, state)?;
-            total.absorb(&r);
+            let (report, messages) = self.run_iteration(prog, state, &RoundCtx::default())?;
+            total.absorb(&report);
+            if until_quiet && messages == 0 {
+                return Ok((total, it + 1));
+            }
         }
-        Ok(total)
+        Ok((total, iterations))
     }
 
     /// Build and run the simulated task DAG for one iteration given the
@@ -994,14 +975,16 @@ impl<'a> PropagationEngine<'a> {
         }
 
         // Group per virtual vertex, folding outboxes in ascending pid order
-        // so each group's message order matches the sequential run.
-        let mut groups: BTreeMap<u64, Vec<T::Msg>> = BTreeMap::new();
+        // so each group's message order matches the sequential run. Each
+        // message sits beside the partition that sent it: a bag drains
+        // `(key, msg)` pairs.
+        let mut groups: BTreeMap<u64, Vec<(u32, T::Msg)>> = BTreeMap::new();
         // bytes_to[pid][machine]
         let mut bytes_to: Vec<Vec<u64>> = Vec::with_capacity(transfers.len());
         let mut transfer_calls: Vec<u64> = Vec::with_capacity(transfers.len());
-        for (msgs, bytes_row, calls, _) in transfers {
+        for (pid, (msgs, bytes_row, calls, _)) in (0u32..).zip(transfers) {
             for (vid, msg) in msgs {
-                groups.entry(vid).or_default().push(msg);
+                groups.entry(vid).or_default().push((pid, msg));
             }
             bytes_to.push(bytes_row);
             transfer_calls.push(calls);
@@ -1009,7 +992,7 @@ impl<'a> PropagationEngine<'a> {
 
         // Real combine, one worker item per virtual vertex; outputs come
         // back in virtual-id order because the group list is sorted.
-        let entries: Vec<(u64, Vec<T::Msg>)> = groups.into_iter().collect();
+        let entries: Vec<_> = groups.into_iter().collect();
         let mut combine_msgs = vec![0u64; machines as usize];
         for (vid, msgs) in &entries {
             combine_msgs[(*vid % machines as u64) as usize] += msgs.len() as u64;
@@ -1019,9 +1002,9 @@ impl<'a> PropagationEngine<'a> {
         let vids: Vec<u64> = entries.iter().map(|(vid, _)| *vid).collect();
         let vc_span = surfer_obs::span("virt.combine");
         let vc_sid = vc_span.id();
-        let outputs: Vec<T::Out> = try_par_map_vec(threads, entries, |_, (vid, msgs)| {
+        let outputs: Vec<T::Out> = try_par_map_vec(threads, entries, |_, (vid, mut msgs)| {
             let _s = surfer_obs::span_under("virt.combine.vertex", vc_sid, || format!("v{vid}"));
-            task.combine(vid, msgs)
+            task.combine(vid, Bag(msgs.drain(..)))
         })
         .map_err(|e| SurferError::UdfPanic {
             stage: "virtual-combine",
@@ -1094,8 +1077,8 @@ mod tests {
         fn transfer(&self, _from: VertexId, s: &u64, _to: VertexId, _g: &CsrGraph) -> Option<u64> {
             Some(*s)
         }
-        fn combine(&self, _v: VertexId, _old: &u64, msgs: Vec<u64>, _g: &CsrGraph) -> u64 {
-            msgs.iter().sum()
+        fn combine(&self, _v: VertexId, _old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
+            msgs.sum()
         }
         fn associative(&self) -> bool {
             true
@@ -1125,7 +1108,7 @@ mod tests {
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
         let prog = Rotate;
         let mut state = engine.init_state(&prog);
-        engine.run_iteration(&prog, &mut state).unwrap();
+        engine.run_iteration(&prog, &mut state, &RoundCtx::default()).unwrap();
         // Vertex v now holds the old value of v-1 (mod 8).
         let expect: Vec<u64> = (0..8u64).map(|v| (v + 7) % 8 + 1).collect();
         assert_eq!(state, expect);
@@ -1151,7 +1134,7 @@ mod tests {
         // (3->4 and 7->0), one message each way, 12 bytes each.
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::none());
         let mut state = engine.init_state(&Rotate);
-        let r = engine.run_iteration(&Rotate, &mut state).unwrap();
+        let r = engine.run_iteration(&Rotate, &mut state, &RoundCtx::default()).unwrap().0;
         assert_eq!(r.network_bytes, 24);
     }
 
@@ -1174,7 +1157,7 @@ mod tests {
         let run = |opts: EngineOptions| {
             let engine = PropagationEngine::new(&c, &pg, opts);
             let mut state = engine.init_state(&Rotate);
-            engine.run_iteration(&Rotate, &mut state).unwrap()
+            engine.run_iteration(&Rotate, &mut state, &RoundCtx::default()).unwrap().0
         };
         let plain = run(EngineOptions::none());
         let opt = run(EngineOptions::full());
@@ -1189,7 +1172,7 @@ mod tests {
         let run = |opts: EngineOptions| {
             let engine = PropagationEngine::new(&c, &pg, opts);
             let mut state = engine.init_state(&Rotate);
-            engine.run_iteration(&Rotate, &mut state).unwrap()
+            engine.run_iteration(&Rotate, &mut state, &RoundCtx::default()).unwrap().0
         };
         let plain = run(EngineOptions::none());
         let opt = run(EngineOptions::full());
@@ -1211,7 +1194,7 @@ mod tests {
         let c = ClusterConfig::flat(1).build();
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
         let mut state = engine.init_state(&Rotate);
-        engine.run_iteration(&Rotate, &mut state).unwrap();
+        engine.run_iteration(&Rotate, &mut state, &RoundCtx::default()).unwrap();
         assert_eq!(state[0], 0, "head vertex should have been combined with an empty bag");
     }
 
@@ -1223,8 +1206,8 @@ mod tests {
         fn transfer(&self, v: VertexId, g: &CsrGraph) -> Option<(u64, u64)> {
             Some((g.out_degree(v) as u64, 1))
         }
-        fn combine(&self, vid: u64, msgs: Vec<u64>) -> (u64, u64) {
-            (vid, msgs.iter().sum())
+        fn combine(&self, vid: u64, msgs: Bag<'_, u64>) -> (u64, u64) {
+            (vid, msgs.sum())
         }
         fn associative(&self) -> bool {
             true
@@ -1260,8 +1243,8 @@ mod tests {
         fn transfer(&self, from: VertexId, s: &u64, _to: VertexId, _g: &CsrGraph) -> Option<u64> {
             (*s > 0 && from.0 != 4).then_some(*s)
         }
-        fn combine(&self, _v: VertexId, _old: &u64, msgs: Vec<u64>, _g: &CsrGraph) -> u64 {
-            msgs.iter().sum()
+        fn combine(&self, _v: VertexId, _old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
+            msgs.sum()
         }
         fn msg_bytes(&self, _m: &u64) -> u64 {
             12
@@ -1283,15 +1266,16 @@ mod tests {
         let opts = EngineOptions::none().memory_budget(MemoryBudget::bytes(16));
         let engine = PropagationEngine::new(&c, &pg, opts);
         let segment = engine.ooc.as_ref().unwrap().seg_file(0, 1);
-        let mut state = engine.init_state(&Tokens(1 << 3));
+        let prog = Tokens(1 << 3);
+        let mut state = engine.init_state(&prog);
 
-        assert_eq!(engine.run_iteration_counted(&Tokens(1 << 3), &mut state).unwrap().1, 1);
+        assert_eq!(engine.run_iteration(&prog, &mut state, &RoundCtx::default()).unwrap().1, 1);
         assert_eq!(state, [0, 0, 0, 0, 1, 0, 0, 0]);
         assert!(segment.exists());
 
         // Nothing is sent now. Were the first round's segment replayed,
         // vertex 4 would keep its token.
-        assert_eq!(engine.run_iteration_counted(&Tokens(1 << 3), &mut state).unwrap().1, 0);
+        assert_eq!(engine.run_iteration(&prog, &mut state, &RoundCtx::default()).unwrap().1, 0);
         assert_eq!(state, [0; 8]);
         assert!(!segment.exists(), "stale segment left on disk");
     }
@@ -1306,11 +1290,11 @@ mod tests {
         let prog = Tokens(0b110);
         let mut state = engine.init_state(&prog);
 
-        assert_eq!(engine.run_iteration_counted(&prog, &mut state).unwrap().1, 2);
+        assert_eq!(engine.run_iteration(&prog, &mut state, &RoundCtx::default()).unwrap().1, 2);
         let longer = std::fs::metadata(&segment).unwrap().len();
         // What the first round left past the second's end would be read
         // back as a damaged frame.
-        assert_eq!(engine.run_iteration_counted(&prog, &mut state).unwrap().1, 2);
+        assert_eq!(engine.run_iteration(&prog, &mut state, &RoundCtx::default()).unwrap().1, 2);
         assert_eq!(state, [0, 0, 0, 1, 1, 0, 0, 0]);
         assert!(std::fs::metadata(&segment).unwrap().len() < longer);
     }
@@ -1327,8 +1311,8 @@ mod tests {
             assert_ne!(from.0, self.0, "poisoned transfer");
             Some(*s)
         }
-        fn combine(&self, _v: VertexId, _old: &u64, msgs: Vec<u64>, _g: &CsrGraph) -> u64 {
-            msgs.iter().sum()
+        fn combine(&self, _v: VertexId, _old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
+            msgs.sum()
         }
         fn msg_bytes(&self, _m: &u64) -> u64 {
             12
@@ -1344,7 +1328,7 @@ mod tests {
             let prog = PoisonedRotate(5); // vertex 5 lives in partition 1
             let mut state = engine.init_state(&prog);
             let before = state.clone();
-            let err = engine.run_iteration(&prog, &mut state).unwrap_err();
+            let err = engine.run_iteration(&prog, &mut state, &RoundCtx::default()).unwrap_err();
             match err {
                 SurferError::UdfPanic { stage, item, ref message } => {
                     assert_eq!(stage, "transfer", "threads = {threads}");

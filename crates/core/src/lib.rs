@@ -19,7 +19,6 @@ pub mod engine;
 pub mod error;
 pub mod ooc;
 pub mod opt;
-pub mod pipeline;
 pub mod primitive;
 pub mod surfer;
 
@@ -27,10 +26,9 @@ pub use cascade::{run_cascaded, CascadeAnalysis};
 pub use checkpoint::{
     run_with_recovery, Checkpointable, RecoveryConfig, RecoveryOutcome, RecoveryStats,
 };
-pub use engine::{EngineOptions, PropagationEngine};
+pub use engine::{EngineOptions, PropagationEngine, RoundCtx};
 pub use error::{SurferError, SurferResult};
 pub use ooc::{working_set_bytes, MemoryBudget, SpillCodec};
 pub use opt::OptimizationLevel;
-pub use pipeline::{Pipeline, PipelineOutcome, StageKind, StageOutcome};
-pub use primitive::{Propagation, VirtualVertexTask};
+pub use primitive::{Bag, Propagation, VirtualVertexTask};
 pub use surfer::{auto_partition_count, Surfer, SurferApp, SurferBuilder, SurferRun};

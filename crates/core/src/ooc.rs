@@ -557,7 +557,8 @@ pub(crate) fn damage_file(path: &Path, kind: SpillFaultKind) -> SurferResult<()>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineOptions, PropagationEngine};
+    use crate::engine::{EngineOptions, PropagationEngine, RoundCtx};
+    use crate::primitive::Bag;
     use std::sync::Arc;
     use surfer_cluster::{ClusterConfig, MachineId};
     use surfer_graph::generators::deterministic::cycle;
@@ -575,8 +576,8 @@ mod tests {
         fn transfer(&self, _from: VertexId, s: &u64, _to: VertexId, _g: &CsrGraph) -> Option<u64> {
             Some(*s)
         }
-        fn combine(&self, _v: VertexId, _old: &u64, msgs: Vec<u64>, _g: &CsrGraph) -> u64 {
-            msgs.iter().sum()
+        fn combine(&self, _v: VertexId, _old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
+            msgs.sum()
         }
         fn associative(&self) -> bool {
             true
@@ -610,7 +611,7 @@ mod tests {
         fn transfer(&self, f: VertexId, s: &u64, t: VertexId, g: &CsrGraph) -> Option<u64> {
             SpillRotate.transfer(f, s, t, g)
         }
-        fn combine(&self, v: VertexId, o: &u64, m: Vec<u64>, g: &CsrGraph) -> u64 {
+        fn combine(&self, v: VertexId, o: &u64, m: Bag<'_, u64>, g: &CsrGraph) -> u64 {
             SpillRotate.combine(v, o, m, g)
         }
         fn associative(&self) -> bool {
@@ -674,12 +675,13 @@ mod tests {
     #[test]
     fn spilled_iterations_are_bit_identical() {
         let (c, pg) = two_partition_cycle();
+        let plain = RoundCtx::default();
         for opts in [EngineOptions::full(), EngineOptions::none()] {
             let reference = {
                 let engine = PropagationEngine::new(&c, &pg, opts);
                 let mut state = engine.init_state(&SpillRotate);
                 let reports: Vec<_> = (0..3)
-                    .map(|_| engine.run_iteration(&SpillRotate, &mut state).unwrap())
+                    .map(|_| engine.run_iteration(&SpillRotate, &mut state, &plain).unwrap().0)
                     .collect();
                 (state, reports)
             };
@@ -690,7 +692,7 @@ mod tests {
                 assert!(engine.spill_active(SpillRotate.state_bytes()));
                 let mut state = engine.init_state(&SpillRotate);
                 let reports: Vec<_> = (0..3)
-                    .map(|_| engine.run_iteration(&SpillRotate, &mut state).unwrap())
+                    .map(|_| engine.run_iteration(&SpillRotate, &mut state, &plain).unwrap().0)
                     .collect();
                 assert_eq!(state, reference.0, "threads={threads}");
                 assert_eq!(
@@ -708,13 +710,13 @@ mod tests {
         let reference = {
             let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
             let mut state = engine.init_state(&MemRotate);
-            engine.run_iteration(&MemRotate, &mut state).unwrap();
+            engine.run_iteration(&MemRotate, &mut state, &RoundCtx::default()).unwrap();
             state
         };
         let budgeted = EngineOptions::full().memory_budget(MemoryBudget::bytes(1));
         let engine = PropagationEngine::new(&c, &pg, budgeted);
         let mut state = engine.init_state(&MemRotate);
-        engine.run_iteration(&MemRotate, &mut state).unwrap();
+        engine.run_iteration(&MemRotate, &mut state, &RoundCtx::default()).unwrap();
         assert_eq!(state, reference);
     }
 
@@ -729,9 +731,8 @@ mod tests {
             [SpillFaultKind::CorruptEdgeBlock, SpillFaultKind::ShortWrite, SpillFaultKind::CorruptFrame]
         {
             let fault = SpillFault { iteration: 0, partition: 0, kind };
-            let err = engine
-                .run_iteration_with_spill_faults(&SpillRotate, &mut state, &[fault])
-                .unwrap_err();
+            let ctx = RoundCtx { spill_faults: &[fault], ..RoundCtx::default() };
+            let err = engine.run_iteration(&SpillRotate, &mut state, &ctx).unwrap_err();
             assert!(
                 matches!(err, SurferError::Storage(_)),
                 "{kind:?} should be a typed storage error, got {err:?}"
@@ -739,7 +740,7 @@ mod tests {
             assert_eq!(state, before, "{kind:?} must leave state untouched");
         }
         // Clean retry recovers (edge-block cache invalidated on error).
-        engine.run_iteration(&SpillRotate, &mut state).unwrap();
+        engine.run_iteration(&SpillRotate, &mut state, &RoundCtx::default()).unwrap();
         let expect: Vec<u64> = (0..8u64).map(|v| (v + 7) % 8 + 1).collect();
         assert_eq!(state, expect);
     }

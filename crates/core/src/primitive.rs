@@ -18,6 +18,33 @@
 
 use surfer_graph::{CsrGraph, VertexId};
 
+/// The bag of values `combine` is handed: every message that reached one
+/// vertex this round, in arrival order (source partitions ascending,
+/// emission order within one). It drains a run of `(key, msg)` pairs from
+/// the engine's mailbox as it is read — the key is the engine's and never
+/// shows — and whatever `combine` leaves unread is dropped with it.
+pub struct Bag<'a, M>(pub(crate) std::vec::Drain<'a, (u32, M)>);
+
+impl<M> Iterator for Bag<'_, M> {
+    type Item = M;
+
+    #[inline]
+    fn next(&mut self) -> Option<M> {
+        self.0.next().map(|(_, msg)| msg)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl<M> ExactSizeIterator for Bag<'_, M> {}
+
+// `Flatten` and `Fuse` skip their own exhaustion bookkeeping for fused
+// iterators; without this a `combine` that flattens its bag (TFL, RLG) runs
+// measurably slower.
+impl<M> std::iter::FusedIterator for Bag<'_, M> {}
+
 /// An edge-oriented propagation program.
 ///
 /// Programs are immutable during an iteration and shared by the engine's
@@ -45,7 +72,7 @@ pub trait Propagation: Sync {
     /// The paper's `combine(v, bag of values)`: fold the received messages
     /// into the vertex's new state. Called for every vertex each iteration
     /// (with an empty bag when nothing arrived).
-    fn combine(&self, v: VertexId, old: &Self::State, msgs: Vec<Self::Msg>, g: &CsrGraph)
+    fn combine(&self, v: VertexId, old: &Self::State, msgs: Bag<'_, Self::Msg>, g: &CsrGraph)
         -> Self::State;
 
     /// True when `combine` is associative and commutative over messages, so
@@ -121,7 +148,7 @@ pub trait VirtualVertexTask: Sync {
     fn transfer(&self, v: VertexId, g: &CsrGraph) -> Option<(u64, Self::Msg)>;
 
     /// Combine all values that reached virtual vertex `vid`.
-    fn combine(&self, vid: u64, msgs: Vec<Self::Msg>) -> Self::Out;
+    fn combine(&self, vid: u64, msgs: Bag<'_, Self::Msg>) -> Self::Out;
 
     /// True when `combine` tolerates pre-merged messages.
     fn associative(&self) -> bool {

@@ -11,7 +11,9 @@
 
 use std::sync::Arc;
 use surfer_cluster::{ClusterConfig, ExecReport, MachineId};
-use surfer_core::{EngineOptions, Propagation, PropagationEngine, VirtualVertexTask};
+use surfer_core::{
+    Bag, EngineOptions, Propagation, PropagationEngine, RoundCtx, VirtualVertexTask,
+};
 use surfer_graph::generators::social::{msn_like, MsnScale};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_partition::{random_partition, PartitionedGraph};
@@ -30,7 +32,7 @@ impl Propagation for PageRankish {
     fn transfer(&self, from: VertexId, s: &f64, _to: VertexId, g: &CsrGraph) -> Option<f64> {
         Some(*s / g.out_degree(from).max(1) as f64)
     }
-    fn combine(&self, _v: VertexId, _old: &f64, msgs: Vec<f64>, _g: &CsrGraph) -> f64 {
+    fn combine(&self, _v: VertexId, _old: &f64, msgs: Bag<'_, f64>, _g: &CsrGraph) -> f64 {
         let mut acc = 0.15;
         for m in msgs {
             acc += 0.85 * m;
@@ -61,8 +63,8 @@ impl Propagation for ShortestPaths {
     fn transfer(&self, _f: VertexId, s: &u64, _t: VertexId, _g: &CsrGraph) -> Option<u64> {
         (*s != u64::MAX).then(|| s + 1)
     }
-    fn combine(&self, _v: VertexId, old: &u64, msgs: Vec<u64>, _g: &CsrGraph) -> u64 {
-        msgs.into_iter().fold(*old, |a, b| a.min(b))
+    fn combine(&self, _v: VertexId, old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
+        msgs.fold(*old, |a, b| a.min(b))
     }
     fn associative(&self) -> bool {
         true
@@ -85,8 +87,8 @@ impl VirtualVertexTask for DegreeHistogram {
     fn transfer(&self, v: VertexId, g: &CsrGraph) -> Option<(u64, f64)> {
         Some((g.out_degree(v) as u64, 1.0 + v.0 as f64 * 1e-6))
     }
-    fn combine(&self, vid: u64, msgs: Vec<f64>) -> (u64, f64) {
-        (vid, msgs.into_iter().sum())
+    fn combine(&self, vid: u64, msgs: Bag<'_, f64>) -> (u64, f64) {
+        (vid, msgs.sum())
     }
     fn associative(&self) -> bool {
         true
@@ -146,7 +148,7 @@ fn run_propagation<P: Propagation>(
     let mut reports = String::new();
     let mut messages = 0u64;
     for _ in 0..iterations {
-        let (r, m) = engine.run_iteration_counted(prog, &mut state).unwrap();
+        let (r, m) = engine.run_iteration(prog, &mut state, &RoundCtx::default()).unwrap();
         reports.push_str(&report_key(&r));
         messages += m;
     }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use surfer_cluster::{ClusterConfig, MachineId};
 use surfer_core::{
     cascade::{CascadeAnalysis, INF},
-    run_cascaded, EngineOptions, Propagation, PropagationEngine,
+    run_cascaded, Bag, EngineOptions, Propagation, PropagationEngine,
 };
 use surfer_graph::builder::from_edges;
 use surfer_graph::{CsrGraph, VertexId};
@@ -24,8 +24,8 @@ impl Propagation for SumForward {
     fn transfer(&self, _f: VertexId, s: &u64, _t: VertexId, _g: &CsrGraph) -> Option<u64> {
         Some(*s & 0xFFFF) // bounded so sums never overflow over iterations
     }
-    fn combine(&self, _v: VertexId, _o: &u64, msgs: Vec<u64>, _g: &CsrGraph) -> u64 {
-        msgs.iter().sum()
+    fn combine(&self, _v: VertexId, _o: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
+        msgs.sum()
     }
     fn associative(&self) -> bool {
         true

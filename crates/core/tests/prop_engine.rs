@@ -9,7 +9,9 @@ use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use surfer_cluster::{ClusterConfig, MachineId, SimCluster};
-use surfer_core::{EngineOptions, MemoryBudget, Propagation, PropagationEngine, SpillCodec};
+use surfer_core::{
+    Bag, EngineOptions, MemoryBudget, Propagation, PropagationEngine, RoundCtx, SpillCodec,
+};
 use surfer_graph::builder::from_edges;
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_partition::{random_partition, PartitionedGraph};
@@ -29,8 +31,8 @@ impl Propagation for SumForward {
     fn transfer(&self, _f: VertexId, s: &u64, _t: VertexId, _g: &CsrGraph) -> Option<u64> {
         Some(*s)
     }
-    fn combine(&self, _v: VertexId, _old: &u64, msgs: Vec<u64>, _g: &CsrGraph) -> u64 {
-        msgs.iter().sum()
+    fn combine(&self, _v: VertexId, _old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
+        msgs.sum()
     }
     fn associative(&self) -> bool {
         true
@@ -85,7 +87,7 @@ proptest! {
             let pg = partitioned(&g, p, 3, seed);
             let engine = PropagationEngine::new(&cluster, &pg, opts);
             let mut state = engine.init_state(&SumForward);
-            engine.run_iteration(&SumForward, &mut state).unwrap();
+            engine.run_iteration(&SumForward, &mut state, &RoundCtx::default()).unwrap();
             prop_assert_eq!(&state, &expected);
         }
     }
@@ -104,7 +106,7 @@ proptest! {
         let cluster = ClusterConfig::flat(machines).build();
         let engine = PropagationEngine::new(&cluster, &pg, EngineOptions::none());
         let mut state = engine.init_state(&SumForward);
-        let report = engine.run_iteration(&SumForward, &mut state).unwrap();
+        let report = engine.run_iteration(&SumForward, &mut state, &RoundCtx::default()).unwrap().0;
         let cross: u64 = pg
             .partitions()
             .map(|pid| pg.meta(pid).cross_out_edges.values().sum::<u64>())
@@ -120,7 +122,8 @@ proptest! {
         let run = |opts| {
             let engine = PropagationEngine::new(&cluster, &pg, opts);
             let mut state = engine.init_state(&SumForward);
-            engine.run_iteration(&SumForward, &mut state).unwrap().network_bytes
+            let round = engine.run_iteration(&SumForward, &mut state, &RoundCtx::default());
+            round.unwrap().0.network_bytes
         };
         prop_assert!(run(EngineOptions::full()) <= run(EngineOptions::none()));
     }
@@ -136,7 +139,7 @@ proptest! {
             fn transfer(&self, _f: VertexId, _s: &(), _t: VertexId, _g: &CsrGraph) -> Option<()> {
                 None
             }
-            fn combine(&self, _v: VertexId, _o: &(), _m: Vec<()>, _g: &CsrGraph) {}
+            fn combine(&self, _v: VertexId, _o: &(), _m: Bag<'_, ()>, _g: &CsrGraph) {}
             fn msg_bytes(&self, _m: &()) -> u64 {
                 4
             }
@@ -162,7 +165,7 @@ proptest! {
         let mut acc_net = 0u64;
         let mut acc_resp = 0.0;
         for _ in 0..iters {
-            let r = engine.run_iteration(&SumForward, &mut s1).unwrap();
+            let r = engine.run_iteration(&SumForward, &mut s1, &RoundCtx::default()).unwrap().0;
             acc_net += r.network_bytes;
             acc_resp += r.response_time.as_secs_f64();
         }
@@ -193,8 +196,8 @@ impl Propagation for OrderProbe {
     fn transfer(&self, from: VertexId, _s: &Self::State, _t: VertexId, _g: &CsrGraph) -> Option<u64> {
         Some(from.0 as u64 + 1)
     }
-    fn combine(&self, _v: VertexId, _o: &Self::State, msgs: Vec<u64>, _g: &CsrGraph) -> Self::State {
-        (msgs.len(), msgs.into_iter().reduce(|a, b| self.merge(a, b)))
+    fn combine(&self, _v: VertexId, _o: &Self::State, msgs: Bag<'_, u64>, _g: &CsrGraph) -> Self::State {
+        (msgs.len(), msgs.reduce(|a, b| self.merge(a, b)))
     }
     fn associative(&self) -> bool {
         self.associative
@@ -237,8 +240,8 @@ impl Propagation for BagProbe {
     fn transfer(&self, from: VertexId, _s: &Self::State, _t: VertexId, _g: &CsrGraph) -> Option<Vec<u32>> {
         Some(vec![from.0])
     }
-    fn combine(&self, _v: VertexId, _o: &Self::State, msgs: Vec<Vec<u32>>, _g: &CsrGraph) -> Self::State {
-        (msgs.len(), msgs.concat())
+    fn combine(&self, _v: VertexId, _o: &Self::State, msgs: Bag<'_, Vec<u32>>, _g: &CsrGraph) -> Self::State {
+        (msgs.len(), msgs.flatten().collect())
     }
     fn associative(&self) -> bool {
         self.associative
@@ -247,6 +250,38 @@ impl Propagation for BagProbe {
         self.merges.fetch_add(1, Ordering::Relaxed);
         a.extend(b);
         a
+    }
+    fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
+        4 + 4 * m.len() as u64
+    }
+    fn spill_capable(&self) -> bool {
+        true
+    }
+    fn spill_encode(&self, msg: &Vec<u32>, out: &mut Vec<u8>) {
+        msg.spill_to(out);
+    }
+    fn spill_decode(&self, buf: &mut &[u8]) -> Option<Vec<u32>> {
+        Vec::spill_from(buf)
+    }
+}
+
+/// A `Vec<u32>`-message program whose `combine` reads the first message of
+/// its bag on even vertices and none on odd ones. The state is the bag's
+/// length and what was read.
+struct FirstOnly;
+
+impl Propagation for FirstOnly {
+    type State = (usize, Option<Vec<u32>>);
+    type Msg = Vec<u32>;
+
+    fn init(&self, _v: VertexId, _g: &CsrGraph) -> Self::State {
+        (0, None)
+    }
+    fn transfer(&self, from: VertexId, _s: &Self::State, _t: VertexId, _g: &CsrGraph) -> Option<Vec<u32>> {
+        Some(vec![from.0])
+    }
+    fn combine(&self, v: VertexId, _o: &Self::State, mut msgs: Bag<'_, Vec<u32>>, _g: &CsrGraph) -> Self::State {
+        (msgs.len(), if v.0.is_multiple_of(2) { msgs.next() } else { None })
     }
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
         4 + 4 * m.len() as u64
@@ -283,7 +318,7 @@ where
             let engine = PropagationEngine::new(cluster, pg, opts.threads(threads).memory_budget(budget));
             assert_eq!(engine.spill_active(prog.state_bytes()), budget.is_limited());
             let mut state = engine.init_state(prog);
-            let report = engine.run_iteration(prog, &mut state).unwrap();
+            let report = engine.run_iteration(prog, &mut state, &RoundCtx::default()).unwrap().0;
             runs.push((state, format!("{report:?}")));
         }
     }
@@ -363,6 +398,20 @@ proptest! {
                     prop_assert_eq!(&seen[v.index()], &(bag, order), "vertex {}", v);
                 }
                 prop_assert_eq!(probe.merges.load(Ordering::Relaxed), SWEEP_RUNS * merges);
+            }
+        }
+    }
+
+    #[test]
+    fn messages_left_unread_stay_in_their_own_bag(g in arb_graph(), seed in 0u64..50) {
+        let pg = partitioned(&g, 4u32.min(g.num_vertices()), 2, seed);
+        let cluster = ClusterConfig::flat(2).build();
+        for opts in [EngineOptions::none(), EngineOptions::full()] {
+            let (seen, _) = sweep(&cluster, &pg, opts, &FirstOnly);
+            for v in g.vertices() {
+                let sources = arrivals(&pg, v);
+                let first = sources.first().filter(|_| v.0.is_multiple_of(2)).map(|s| vec![s.0]);
+                prop_assert_eq!(&seen[v.index()], &(sources.len(), first), "vertex {}", v);
             }
         }
     }

@@ -15,7 +15,7 @@ use crate::cache::CacheKey;
 use surfer_cluster::{FaultPlan, SimCluster, SimDuration, SimTime};
 use surfer_core::{
     run_with_recovery, Checkpointable, EngineOptions, Propagation, PropagationEngine,
-    RecoveryConfig, SurferResult,
+    RecoveryConfig, RoundCtx, SurferResult,
 };
 use surfer_partition::PartitionedGraph;
 
@@ -145,7 +145,8 @@ where
         // manager pushed it) so a failing slice's forensics name the
         // iteration, not just the job.
         surfer_obs::journal::set_iteration(self.completed);
-        let report = self.engine.run_iteration(self.prog, &mut self.state)?;
+        let (report, _) =
+            self.engine.run_iteration(self.prog, &mut self.state, &RoundCtx::default())?;
         self.completed += 1;
         if self.completed == self.iterations {
             Ok(StepOutcome::Done {

@@ -9,7 +9,7 @@
 
 use surfer::apps::pagerank::PageRankPropagation;
 use surfer::cluster::{render_gantt, utilization, Fault, SimTime};
-use surfer::core::OptimizationLevel;
+use surfer::core::{OptimizationLevel, RoundCtx};
 use surfer::prelude::*;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
 
     // Normal run.
     let mut clean = engine.init_state(&prog);
-    let normal = engine.run_iteration(&prog, &mut clean).unwrap();
+    let normal = engine.run_iteration(&prog, &mut clean, &RoundCtx::default()).unwrap().0;
     println!("normal iteration: {:.2}s", normal.response_time.as_secs_f64());
     println!("{}", render_gantt(&normal, 72));
 
@@ -32,12 +32,9 @@ fn main() {
     let victim = surfer.partitioned().machine_of(0);
     let kill_at = normal.response_time.as_secs_f64() * 0.4;
     let mut recovered = engine.init_state(&prog);
-    let faulty = engine.run_iteration_with_faults(
-        &prog,
-        &mut recovered,
-        &[Fault { machine: victim, at: SimTime::from_secs_f64(kill_at) }],
-    )
-    .unwrap();
+    let faults = [Fault { machine: victim, at: SimTime::from_secs_f64(kill_at) }];
+    let ctx = RoundCtx { faults: &faults, ..RoundCtx::default() };
+    let faulty = engine.run_iteration(&prog, &mut recovered, &ctx).unwrap().0;
 
     println!(
         "killed {victim} at t={kill_at:.2}s -> detected by heartbeat, {} tasks re-planned",

@@ -13,7 +13,7 @@ use surfer::cluster::{
 };
 use surfer::core::{
     run_with_recovery, working_set_bytes, EngineOptions, MemoryBudget, Propagation,
-    PropagationEngine, RecoveryConfig, SurferError,
+    PropagationEngine, RecoveryConfig, RoundCtx, SurferError,
 };
 use surfer::graph::builder::from_edges;
 use surfer::partition::{PartitionedGraph, Partitioning};
@@ -360,7 +360,7 @@ fn corrupt_spill_block_is_typed_and_leaves_all_partitions_untouched() {
     let p = prog();
     let clean = PropagationEngine::new(&c, &pg, EngineOptions::full());
     let mut expect = clean.init_state(&p);
-    clean.run_iteration(&p, &mut expect).unwrap();
+    clean.run_iteration(&p, &mut expect, &RoundCtx::default()).unwrap();
 
     let spilling =
         PropagationEngine::new(&c, &pg, EngineOptions::full().memory_budget(spill_budget(&pg)));
@@ -370,9 +370,8 @@ fn corrupt_spill_block_is_typed_and_leaves_all_partitions_untouched() {
         let mut state = spilling.init_state(&p);
         let before = bits(&state);
         let fault = SpillFault { iteration: 0, partition: 1, kind };
-        let err = spilling
-            .run_iteration_with_spill_faults(&p, &mut state, &[fault])
-            .unwrap_err();
+        let ctx = RoundCtx { spill_faults: &[fault], ..RoundCtx::default() };
+        let err = spilling.run_iteration(&p, &mut state, &ctx).unwrap_err();
         assert!(
             matches!(err, SurferError::Storage(_)),
             "{kind:?}: expected a typed Storage error, got {err:?}"
@@ -380,7 +379,7 @@ fn corrupt_spill_block_is_typed_and_leaves_all_partitions_untouched() {
         assert_eq!(bits(&state), before, "{kind:?}: a failed iteration must not touch state");
         // The engine dropped its damaged spill files; the retry rewrites
         // them and lands on the in-memory result exactly.
-        spilling.run_iteration(&p, &mut state).unwrap();
+        spilling.run_iteration(&p, &mut state, &RoundCtx::default()).unwrap();
         assert_eq!(bits(&state), bits(&expect), "{kind:?}: retry diverged from in-memory");
     }
 }

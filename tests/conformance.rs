@@ -33,7 +33,8 @@ use surfer::apps::{
 use surfer::cluster::{resolve_threads, ClusterConfig, FaultPlan, MachineId, SimCluster, Topology};
 use surfer::core::{
     run_cascaded, run_with_recovery, working_set_bytes, EngineOptions, MemoryBudget,
-    OptimizationLevel, Propagation, PropagationEngine, RecoveryConfig, Surfer, SurferApp,
+    OptimizationLevel, Propagation, PropagationEngine, RecoveryConfig, RoundCtx, Surfer,
+    SurferApp,
 };
 use surfer::graph::builder::from_edges;
 use surfer::graph::generators::social::{msn_like, MsnScale};
@@ -274,7 +275,8 @@ fn rounds_digest<P: Propagation>(
     let mut d = Fnv::new();
     let mut state = engine.init_state(prog);
     for _ in 0..max_rounds {
-        let (report, messages) = engine.run_iteration_counted(prog, &mut state).expect("round");
+        let (report, messages) =
+            engine.run_iteration(prog, &mut state, &RoundCtx::default()).expect("round");
         d = d.word(messages).debug(&report);
         if messages == 0 {
             break;

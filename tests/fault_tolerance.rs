@@ -4,7 +4,7 @@
 
 use surfer::apps::pagerank::PageRankPropagation;
 use surfer::cluster::{ClusterConfig, Fault, SimTime, Topology};
-use surfer::core::{OptimizationLevel, Surfer};
+use surfer::core::{OptimizationLevel, RoundCtx, Surfer};
 use surfer::graph::generators::social::{msn_like, MsnScale};
 
 const SEED: u64 = 0xFA17;
@@ -23,17 +23,14 @@ fn single_failure_recovers_with_identical_results() {
     let prog = PageRankPropagation { damping: 0.85, n };
 
     let mut clean = engine.init_state(&prog);
-    let normal = engine.run_iteration(&prog, &mut clean).unwrap();
+    let normal = engine.run_iteration(&prog, &mut clean, &RoundCtx::default()).unwrap().0;
 
     let victim = s.partitioned().machine_of(0);
     let kill_at = SimTime::from_secs_f64(normal.response_time.as_secs_f64() * 0.4);
     let mut faulty_state = engine.init_state(&prog);
-    let faulty = engine.run_iteration_with_faults(
-        &prog,
-        &mut faulty_state,
-        &[Fault { machine: victim, at: kill_at }],
-    )
-    .unwrap();
+    let faults = [Fault { machine: victim, at: kill_at }];
+    let ctx = RoundCtx { faults: &faults, ..RoundCtx::default() };
+    let faulty = engine.run_iteration(&prog, &mut faulty_state, &ctx).unwrap().0;
 
     assert_eq!(clean, faulty_state, "recovery changed application results");
     assert!(faulty.tasks_recovered > 0);
@@ -50,12 +47,9 @@ fn failure_before_start_just_relocates_work() {
 
     let victim = s.partitioned().machine_of(1);
     let mut state = engine.init_state(&prog);
-    let report = engine.run_iteration_with_faults(
-        &prog,
-        &mut state,
-        &[Fault { machine: victim, at: SimTime::ZERO }],
-    )
-    .unwrap();
+    let faults = [Fault { machine: victim, at: SimTime::ZERO }];
+    let ctx = RoundCtx { faults: &faults, ..RoundCtx::default() };
+    let report = engine.run_iteration(&prog, &mut state, &ctx).unwrap().0;
     assert!(report.tasks_recovered >= 2, "transfer+combine of the victim's partitions move");
     // Dead machine does no work after t=0 (it never started anything).
     assert_eq!(report.machine_busy[victim.index()].0, 0);
@@ -69,25 +63,23 @@ fn two_failures_still_complete() {
     let prog = PageRankPropagation { damping: 0.85, n };
 
     let mut clean = engine.init_state(&prog);
-    engine.run_iteration(&prog, &mut clean).unwrap();
+    engine.run_iteration(&prog, &mut clean, &RoundCtx::default()).unwrap();
 
     let normal_secs = {
         let mut st = engine.init_state(&prog);
-        engine.run_iteration(&prog, &mut st).unwrap().response_time.as_secs_f64()
+        let report = engine.run_iteration(&prog, &mut st, &RoundCtx::default()).unwrap().0;
+        report.response_time.as_secs_f64()
     };
     let m1 = s.partitioned().machine_of(0);
     let m2 = s.partitioned().machine_of(4);
     assert_ne!(m1, m2, "fixture should spread partitions");
     let mut state = engine.init_state(&prog);
-    let report = engine.run_iteration_with_faults(
-        &prog,
-        &mut state,
-        &[
-            Fault { machine: m1, at: SimTime::from_secs_f64(normal_secs * 0.2) },
-            Fault { machine: m2, at: SimTime::from_secs_f64(normal_secs * 0.5) },
-        ],
-    )
-    .unwrap();
+    let faults = [
+        Fault { machine: m1, at: SimTime::from_secs_f64(normal_secs * 0.2) },
+        Fault { machine: m2, at: SimTime::from_secs_f64(normal_secs * 0.5) },
+    ];
+    let ctx = RoundCtx { faults: &faults, ..RoundCtx::default() };
+    let report = engine.run_iteration(&prog, &mut state, &ctx).unwrap().0;
     assert_eq!(clean, state);
     assert!(report.tasks_recovered >= 2);
 }
@@ -101,12 +93,9 @@ fn recovery_reads_replicas_not_the_dead_machine() {
     let prog = PageRankPropagation { damping: 0.85, n };
     let victim = s.partitioned().machine_of(0);
     let mut state = engine.init_state(&prog);
-    let report = engine.run_iteration_with_faults(
-        &prog,
-        &mut state,
-        &[Fault { machine: victim, at: SimTime::ZERO }],
-    )
-    .unwrap();
+    let faults = [Fault { machine: victim, at: SimTime::ZERO }];
+    let ctx = RoundCtx { faults: &faults, ..RoundCtx::default() };
+    let report = engine.run_iteration(&prog, &mut state, &ctx).unwrap().0;
     assert_eq!(
         report.machine_busy[victim.index()].0, 0,
         "dead machine must not execute tasks"
@@ -125,13 +114,12 @@ fn heartbeat_delay_shows_up_in_response_time() {
         let prog = PageRankPropagation { damping: 0.85, n: g.num_vertices() as u64 };
         let mut state = engine.init_state(&prog);
         let victim = s.partitioned().machine_of(0);
+        let faults = [Fault { machine: victim, at: SimTime::ZERO }];
+        let ctx = RoundCtx { faults: &faults, ..RoundCtx::default() };
         engine
-            .run_iteration_with_faults(
-                &prog,
-                &mut state,
-                &[Fault { machine: victim, at: SimTime::ZERO }],
-            )
+            .run_iteration(&prog, &mut state, &ctx)
             .unwrap()
+            .0
             .response_time
             .as_secs_f64()
     };

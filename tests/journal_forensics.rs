@@ -20,11 +20,11 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
 use surfer::apps::pagerank::PageRankPropagation;
-use surfer::apps::NetworkRanking;
+use surfer::apps::{ConnectedComponents, NetworkRanking};
 use surfer::cluster::{
     ClusterConfig, FaultPlan, MachineCrash, MachineId, SimCluster, SnapshotCorruption, UdfPanicAt,
 };
-use surfer::core::{EngineOptions, PropagationEngine, RecoveryConfig, Surfer};
+use surfer::core::{run_cascaded, EngineOptions, PropagationEngine, RecoveryConfig, Surfer};
 use surfer::graph::builder::from_edges;
 use surfer::obs::postmortem::{self, PostmortemBundle};
 use surfer::obs::journal;
@@ -200,27 +200,48 @@ fn replica_exhaustion_bundle_pins_the_failed_checkpoint() {
     );
 }
 
-/// An application run through the `Surfer` facade is on the flight
-/// journal like any other job: one start/end pair per iteration, on the
-/// resident lane, stamped with the iteration it belongs to.
-#[test]
-fn a_facade_run_journals_every_iteration() {
-    journal::reset();
-    let (c, pg) = fixture();
-    let surfer = Surfer::builder(c).partitions(4).load(pg.graph());
-    surfer.run(&NetworkRanking::new(3)).unwrap();
-    let lanes: Vec<(&str, u32)> = journal::snapshot()
+/// The iteration lanes journaled since the last reset: `(lane, iteration)`
+/// per start, `("end", iteration)` per end.
+fn journaled_lanes() -> Vec<(&'static str, u32)> {
+    journal::snapshot()
         .iter()
         .filter_map(|e| match e.kind {
             journal::EventKind::IterationStart { lane } => Some((lane, e.ctx.iteration)),
             journal::EventKind::IterationEnd { .. } => Some(("end", e.ctx.iteration)),
             _ => None,
         })
-        .collect();
-    assert_eq!(
-        lanes,
-        [("resident", 0), ("end", 0), ("resident", 1), ("end", 1), ("resident", 2), ("end", 2)]
-    );
+        .collect()
+}
+
+/// One resident start/end pair for each of the iterations `0..k`.
+fn resident_iterations(k: u32) -> Vec<(&'static str, u32)> {
+    (0..k).flat_map(|it| [("resident", it), ("end", it)]).collect()
+}
+
+/// An application run through the `Surfer` facade is on the flight
+/// journal like any other job: one start/end pair per iteration, on the
+/// resident lane, stamped with the iteration it belongs to — whether the
+/// job runs a fixed count, runs to quiescence, or runs cascaded phases.
+#[test]
+fn a_facade_run_journals_every_iteration() {
+    journal::reset();
+    let (c, pg) = fixture();
+    let surfer = Surfer::builder(c.clone()).partitions(4).load(pg.graph());
+    surfer.run(&NetworkRanking::new(3)).unwrap();
+    assert_eq!(journaled_lanes(), resident_iterations(3));
+
+    // Min-label flooding along the directed 12-cycle: label 0 reaches
+    // vertex 11 in round 11, vertex 11 sends once more in round 12, and
+    // round 13 is the quiet one.
+    journal::reset();
+    surfer.run(&ConnectedComponents::new()).unwrap();
+    assert_eq!(journaled_lanes(), resident_iterations(13));
+
+    journal::reset();
+    let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
+    let mut state = engine.init_state(&prog());
+    run_cascaded(&engine, &prog(), &mut state, 3).unwrap();
+    assert_eq!(journaled_lanes(), resident_iterations(3));
 }
 
 proptest! {

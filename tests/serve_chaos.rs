@@ -20,7 +20,9 @@ use surfer::apps::pagerank::PageRankPropagation;
 use surfer::cluster::{
     ClusterConfig, FaultPlan, MachineCrash, MachineId, SimCluster, SnapshotCorruption, UdfPanicAt,
 };
-use surfer::core::{EngineOptions, Propagation, PropagationEngine, RecoveryConfig, SurferError};
+use surfer::core::{
+    Bag, EngineOptions, Propagation, PropagationEngine, RecoveryConfig, SurferError,
+};
 use surfer::graph::builder::from_edges;
 use surfer::graph::{CsrGraph, VertexId};
 use surfer::partition::{PartitionedGraph, Partitioning};
@@ -86,7 +88,7 @@ impl Propagation for PoisonedPageRank {
         &self,
         v: VertexId,
         old: &Self::State,
-        msgs: Vec<Self::Msg>,
+        msgs: Bag<'_, Self::Msg>,
         g: &CsrGraph,
     ) -> Self::State {
         self.inner.combine(v, old, msgs, g)

@@ -11,7 +11,7 @@ use surfer::apps::pagerank::PageRankPropagation;
 use surfer::cluster::{ClusterConfig, FaultPlan, MachineCrash, Topology, UdfPanicAt};
 use surfer::core::{
     run_with_recovery, working_set_bytes, EngineOptions, MemoryBudget, OptimizationLevel,
-    Propagation, PropagationEngine, RecoveryConfig, Surfer, SurferError,
+    Propagation, PropagationEngine, RecoveryConfig, RoundCtx, Surfer, SurferError,
 };
 use surfer::graph::generators::social::{msn_like, MsnScale};
 use surfer::obs::ObsSession;
@@ -54,7 +54,7 @@ fn recovery_under_a_budget_spills_edge_blocks_once_and_cleans_up() {
     let blocks = {
         let session = ObsSession::begin();
         let engine = PropagationEngine::new(c, pg, EngineOptions::full().memory_budget(budget));
-        engine.run_iteration(&prog, &mut engine.init_state(&prog)).unwrap();
+        engine.run_iteration(&prog, &mut engine.init_state(&prog), &RoundCtx::default()).unwrap();
         let report = session.finish();
         let written = report.counter("spill.edge_blocks_written");
         assert_eq!(report.counter("spill.edge_blocks_read"), written);
