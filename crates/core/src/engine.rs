@@ -3,18 +3,27 @@
 //! One iteration runs in two stages per partition:
 //!
 //! * **Transfer** — scan the partition once, calling `transfer` on every
-//!   out-edge. Messages to vertices of the *same* partition stay local;
-//!   with **local propagation** they are consumed in memory, otherwise they
-//!   are spilled to disk as intermediate results. Messages crossing
+//!   out-edge. Messages to vertices of the *same* partition stay local. A
+//!   program that folds (associative, with a scalar message) merges each
+//!   one into its partition's slot accumulator during the scan, so it is
+//!   never routed, and that accumulator becomes Combine's starting point;
+//!   any other program routes its local messages to its own Combine. With
+//!   **local propagation** the simulator charges local messages as consumed
+//!   in memory, otherwise as spilled to disk and reread. Messages crossing
 //!   partitions are — with **local combination**, when `combine` is
 //!   associative — first merged per remote destination vertex, then sent
 //!   over the (simulated) network sized by the topology's pair bandwidth.
 //! * **Combine** — once all incoming data is local, call `combine` on every
-//!   member vertex with its bag of messages and write the updated values.
+//!   member vertex with its messages and write the updated values. A
+//!   folding program's messages to one vertex meet in the order: the
+//!   vertex's own partition in scan order, then the other source partitions
+//!   ascending, emission order within one. Any other program's bag holds
+//!   them with source partitions ascending, own partition included.
 //!
 //! Computation is real: the engine produces exact application results. The
 //! cluster charges time/bytes through the discrete-event executor with the
-//! *actual* message byte counts.
+//! *actual* message byte counts, every local message included, folded or
+//! not — so the optimization levels change only what is charged.
 //!
 //! Both real stages run on host worker threads, one partition per work item
 //! (see [`EngineOptions::threads`]). Results are reassembled in ascending
@@ -45,8 +54,8 @@ pub struct EngineOptions {
     /// program is associative (§5.1 local combination).
     pub local_combination: bool,
     /// Host worker threads for the real Transfer/Combine computation.
-    /// `0` (the default) means one per available core; `1` runs the legacy
-    /// sequential path inline. Any value produces identical results.
+    /// `0` (the default) means one per available core; `1` runs every
+    /// partition on the calling thread. Any value produces identical results.
     pub threads: usize,
     /// Resident-set budget. Unlimited (the default) runs everything in
     /// memory; a limited budget diverts any program whose working set
@@ -127,11 +136,16 @@ pub struct RoundCtx<'a> {
 /// Messages routed to explicit destination vertices, in emission order.
 pub(crate) type Routed<M> = Vec<(VertexId, M)>;
 
+/// One destination partition's slot accumulator: one merged message per
+/// slot — the destination's encoded id less its partition's first — and
+/// empty until the first message to that partition arrives.
+type SlotAcc<M> = Vec<Option<M>>;
+
 /// One partition's Transfer scan: the per-edge body — transfer, local or
-/// cross, tally, merge or push — over whichever edge source the round has
-/// (the resident CSR, or edge blocks streamed from disk), routing into one
-/// bucket per destination partition: resident, or the spill session's
-/// mailbox segments.
+/// cross, tally, fold, merge or push — over whichever edge source the round
+/// has (the resident CSR, or edge blocks streamed from disk), routing what
+/// must cross into one bucket per destination partition: resident, or the
+/// spill session's mailbox segments.
 struct TransferScan<'a, P: Propagation> {
     prog: &'a P,
     pg: &'a PartitionedGraph,
@@ -139,29 +153,40 @@ struct TransferScan<'a, P: Propagation> {
     pid: u32,
     tally: PartitionTally,
     emitted: u64,
-    /// The resident bucket per destination partition; every message is
-    /// here unless the round spills its mailbox.
+    /// Local propagation executed in the scan: a folding program merges
+    /// each message to its own partition into `acc[pid]`, in scan order,
+    /// and routes none of them.
+    fold: bool,
+    /// Local combination: cross messages merge into `acc[q]` and are
+    /// flushed once the scan is over.
+    merge_cross: bool,
+    /// The resident bucket per destination partition; every routed message
+    /// is here unless the round spills its mailbox.
     mem: Vec<Routed<P::Msg>>,
     segments: Option<MsgSink<'a>>,
     /// `(messages, bytes)` sent to each remote partition, folded into the
     /// tally's ordered `cross_out` once the scan is over.
     cross: Vec<(u64, u64)>,
-    /// Local-combination buffer: one merged message per remote destination
-    /// vertex, dense over raw ids (empty when nothing merges). `touched`
-    /// lists first arrivals, so the flush visits destinations in ascending
-    /// id order — the order an ordered map would iterate in.
-    merged: Vec<Option<P::Msg>>,
+    /// One slot accumulator per destination partition, sized to it.
+    /// `acc[pid]` moves to Combine; the others are flushed by `finish`.
+    acc: Vec<SlotAcc<P::Msg>>,
+    /// Raw ids of the remote destinations merged into `acc`, in order of
+    /// first arrival; sorted, they flush each bucket in ascending id order
+    /// — the order an ordered map would iterate in.
     touched: Vec<u32>,
 }
 
 /// What one partition's Transfer scan produced. Each bucket of `mem` holds
 /// messages in exactly the order a sequential scan would have pushed them:
-/// locals and unmerged cross messages during the scan, merged cross
-/// messages after it, in destination order.
+/// unfolded locals and unmerged cross messages during the scan, merged
+/// cross messages after it, in destination order.
 struct Outbox<M> {
     tally: PartitionTally,
     emitted: u64,
     mem: Vec<Routed<M>>,
+    /// The partition's own slot accumulator: its local messages, folded in
+    /// scan order (empty unless the program folds and sent itself any).
+    local: SlotAcc<M>,
     /// The destination partitions a mailbox segment was written for,
     /// ascending, each with its message count, and the frames/bytes that
     /// took (nothing unless the round spills its mailbox).
@@ -175,6 +200,7 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
         pg: &'a PartitionedGraph,
         state: &'a [P::State],
         pid: u32,
+        fold: bool,
         merge_cross: bool,
         segments: Option<MsgSink<'a>>,
     ) -> Self {
@@ -187,10 +213,6 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
             surfer_obs::counter_add("prop.boundary_vertices", members.len() as u64 - inner);
         }
         let parts = pg.num_partitions() as usize;
-        let mut merged = Vec::new();
-        if merge_cross {
-            merged.resize_with(state.len(), || None);
-        }
         TransferScan {
             prog,
             pg,
@@ -198,10 +220,12 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
             pid,
             tally: PartitionTally::default(),
             emitted: 0,
+            fold,
+            merge_cross,
             mem: (0..parts).map(|_| Vec::new()).collect(),
             segments,
             cross: vec![(0, 0); parts],
-            merged,
+            acc: (0..parts).map(|_| Vec::new()).collect(),
             touched: Vec::new(),
         }
     }
@@ -225,21 +249,43 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
                 if pg.is_inner(to) {
                     self.tally.local_inner_bytes += bytes;
                 }
-                self.push(q, to, msg)?;
-            } else if self.merged.is_empty() {
-                self.send_cross(q, to, msg)?;
+                if self.fold {
+                    self.accumulate(q, to, msg);
+                } else {
+                    self.push(q, to, msg)?;
+                }
+            } else if self.merge_cross {
+                if self.accumulate(q, to, msg) {
+                    self.touched.push(to.0);
+                }
             } else {
-                let slot = &mut self.merged[to.index()];
-                *slot = Some(match slot.take() {
-                    Some(prev) => prog.merge(prev, msg),
-                    None => {
-                        self.touched.push(to.0);
-                        msg
-                    }
-                });
+                self.send_cross(q, to, msg)?;
             }
         }
         Ok(())
+    }
+
+    /// Merge `msg` into its slot of partition `q`'s accumulator, which the
+    /// first message to `q` allocates. Returns whether the slot was empty.
+    #[inline]
+    fn accumulate(&mut self, q: u32, to: VertexId, msg: P::Msg) -> bool {
+        let enc = self.pg.encoding();
+        let (first, end) = enc.range(q);
+        let acc = &mut self.acc[q as usize];
+        if acc.is_empty() {
+            acc.resize_with(end.index() - first.index(), || None);
+        }
+        let slot = &mut acc[enc.encode(to).index() - first.index()];
+        match slot.take() {
+            Some(prev) => {
+                *slot = Some(self.prog.merge(prev, msg));
+                false
+            }
+            None => {
+                *slot = Some(msg);
+                true
+            }
+        }
     }
 
     fn send_cross(&mut self, q: u32, to: VertexId, msg: P::Msg) -> SurferResult<()> {
@@ -263,11 +309,14 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
     /// Flush the merged cross messages and the mailbox segments, and close
     /// the tally.
     fn finish(mut self) -> SurferResult<Outbox<P::Msg>> {
+        let enc = self.pg.encoding();
         self.touched.sort_unstable();
         for raw in std::mem::take(&mut self.touched) {
             let to = VertexId(raw);
-            if let Some(msg) = self.merged[to.index()].take() {
-                self.send_cross(self.pg.pid_of(to), to, msg)?;
+            let q = self.pg.pid_of(to);
+            let slot = enc.encode(to).index() - enc.range(q).0.index();
+            if let Some(msg) = self.acc[q as usize][slot].take() {
+                self.send_cross(q, to, msg)?;
             }
         }
         for (q, &(msgs, bytes)) in self.cross.iter().enumerate() {
@@ -284,6 +333,7 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
             tally: self.tally,
             emitted: self.emitted,
             mem: self.mem,
+            local: std::mem::take(&mut self.acc[self.pid as usize]),
             written,
             spilled,
         })
@@ -469,9 +519,9 @@ impl<'a> PropagationEngine<'a> {
     /// Under a memory budget the program's working set exceeds, the same
     /// round runs out of core: the scan reads edge blocks streamed from the
     /// spill session instead of the CSR, and — for programs with a spill
-    /// codec — messages travel through mailbox segments on disk instead of
-    /// resident buckets. Same per-edge body, same fold order, hence
-    /// bit-identical states, tallies and reports.
+    /// codec — routed messages travel through mailbox segments on disk
+    /// instead of resident buckets. Same per-edge body, same fold order,
+    /// hence bit-identical states, tallies and reports.
     pub fn run_iteration<P: Propagation>(
         &self,
         prog: &P,
@@ -488,11 +538,13 @@ impl<'a> PropagationEngine<'a> {
         assert_eq!(state.len(), g.num_vertices() as usize, "state vector must cover every vertex");
         let threads = self.options.resolved_threads();
         let merge_cross = self.options.local_combination && prog.associative();
-        // A scalar associative program needs no sorted mailbox: Combine
-        // folds every arrival into its slot with `merge`, in arrival order,
-        // and hands `combine` the one folded value. Messages that own heap
-        // memory keep the sorted run — their `merge` (TFL: extend, sort,
-        // dedup) costs more per arrival than the sort it would save.
+        // A scalar associative program needs no sorted mailbox: every
+        // message is folded into its destination's slot with `merge` — a
+        // local one by the scan itself, the rest by Combine in ascending
+        // source order — and `combine` is handed the one folded value.
+        // Messages that own heap memory keep the sorted run — their `merge`
+        // (TFL: extend, sort, dedup) costs more per arrival than the sort
+        // it would save.
         let fold = prog.associative() && !std::mem::needs_drop::<P::Msg>();
         let enc = pg.encoding();
         let parts = pg.num_partitions() as usize;
@@ -504,11 +556,12 @@ impl<'a> PropagationEngine<'a> {
         let mailbox_session = session.filter(|_| prog.spill_capable());
 
         // ---- Transfer stage (real, one worker item per partition). ----
-        // Each scan routes into private per-destination buckets in exactly
-        // the sequential push order; the buckets are folded below in
-        // ascending pid order, so every combine() input bag — and every
-        // tally — is identical no matter how many threads ran or how they
-        // were scheduled.
+        // Each scan folds its own partition's messages in scan order (a
+        // folding program) and routes the rest into private
+        // per-destination buckets in exactly the sequential push order; the
+        // buckets are gathered below in ascending pid order, so every
+        // combine() input — and every tally — is identical no matter how
+        // many threads ran or how they were scheduled.
         let state_ro: &[P::State] = state;
         let pids: Vec<u32> = pg.partitions().collect();
         let transfer_span = surfer_obs::span("prop.transfer");
@@ -519,7 +572,8 @@ impl<'a> PropagationEngine<'a> {
             let _s = surfer_obs::span_under("prop.transfer.part", transfer_sid, || format!("p{pid}"));
             let t0 = surfer_obs::stopwatch();
             let segments = mailbox_session.map(|s| MsgSink::new(s, pid, parts));
-            let mut scan = TransferScan::begin(prog, pg, state_ro, pid, merge_cross, segments);
+            let mut scan =
+                TransferScan::begin(prog, pg, state_ro, pid, fold, merge_cross, segments);
             match session {
                 Some(session) => {
                     session.scan_edge_blocks(pid, |v, nbrs| scan.vertex(v, nbrs))?
@@ -539,14 +593,17 @@ impl<'a> PropagationEngine<'a> {
         .map_err(|e| SurferError::from_worker_panic("transfer", e))?;
         drop(transfer_span);
 
-        // Fold in ascending pid order, surfacing the lowest failing
+        // Gather in ascending pid order, surfacing the lowest failing
         // partition's error (deterministic at any thread count): tallies,
-        // mailbox sizes, and per destination `q` its resident buckets
-        // (`inbound[q]`) and the partitions with a segment for it
-        // (`sources[q]`), both ascending by source.
+        // mailbox sizes (every message to the partition, folded in the scan
+        // or routed), and per destination `q` its own scan's accumulator
+        // with the messages folded into it (`local[q]`), its resident
+        // buckets (`inbound[q]`) and the partitions with a segment for it
+        // (`sources[q]`), the last two ascending by source.
         let mut messages = 0u64;
         let mut tally: Vec<PartitionTally> = Vec::with_capacity(parts);
         let mut mailbox_totals = vec![0u64; parts];
+        let mut local: Vec<(SlotAcc<P::Msg>, u64)> = Vec::with_capacity(parts);
         let mut inbound: Vec<Vec<Routed<P::Msg>>> = (0..parts).map(|_| Vec::new()).collect();
         let mut sources: Vec<Vec<u32>> = vec![Vec::new(); parts];
         let mut segments: Vec<(u32, u32)> = Vec::new();
@@ -563,6 +620,9 @@ impl<'a> PropagationEngine<'a> {
                 (Err(e), _) => return Err(e),
             };
             messages += outbox.emitted;
+            let folded = if fold { outbox.tally.local_msgs } else { 0 };
+            mailbox_totals[p] += folded;
+            local.push((outbox.local, folded));
             for (q, bucket) in outbox.mem.into_iter().enumerate() {
                 if !bucket.is_empty() {
                     mailbox_totals[q] += bucket.len() as u64;
@@ -603,15 +663,16 @@ impl<'a> PropagationEngine<'a> {
         }
         let combine_span = surfer_obs::span("prop.combine");
         let combine_sid = combine_span.id();
-        // Work item i is again partition i; its buckets move into the item
-        // so workers never share message values (Msg is Send, not Sync).
-        let work: Vec<_> = inbound.into_iter().zip(sources).collect();
+        // Work item i is again partition i; its accumulator and buckets move
+        // into the item so workers never share message values (Msg is Send,
+        // not Sync).
+        let work: Vec<_> = local.into_iter().zip(inbound).zip(sources).collect();
         let mailbox_totals = &mailbox_totals;
         // Per partition: new member states, messages combined, the worker's
         // nanoseconds, and the segment frames/bytes it reread.
         type Combined<S> = (Vec<S>, u64, u64, (u64, u64));
         let combined: Vec<SurferResult<Combined<P::State>>> =
-            try_par_map_vec(threads, work, |i, (buckets, sources)| {
+            try_par_map_vec(threads, work, |i, (((mut folded, in_scan), buckets), sources)| {
                 let pid = i as u32;
                 let _s =
                     surfer_obs::span_under("prop.combine.part", combine_sid, || format!("p{pid}"));
@@ -621,19 +682,20 @@ impl<'a> PropagationEngine<'a> {
                 let (first, end) = (enc.range(pid).0.index(), enc.range(pid).1.index());
                 let slots = end - first;
 
-                // The mailbox: every incoming message once, in fold order
+                // The mailbox: every routed message once, in fold order
                 // (source partitions ascending, emission order within one).
-                // A program that folds keeps one merged message per slot;
-                // any other keeps each arrival as a `(slot, msg)` pair.
-                // Segments decode straight into either.
+                // A program that folds keeps one merged message per slot,
+                // starting from the accumulator its own scan folded the
+                // partition's local messages into; any other keeps each
+                // arrival as a `(slot, msg)` pair. Segments decode straight
+                // into either.
                 let routed = mailbox_totals[i] as usize;
                 let mut mailbox: Vec<(u32, P::Msg)> =
                     Vec::with_capacity(if fold { 0 } else { routed });
-                let mut folded: Vec<Option<P::Msg>> = Vec::new();
-                if fold {
+                if fold && folded.is_empty() {
                     folded.resize_with(slots, || None);
                 }
-                let mut arrived = 0usize;
+                let mut arrived = in_scan as usize;
                 let mut deliver = |to: VertexId, msg: P::Msg| {
                     let slot = enc.encode(to).index() - first;
                     arrived += 1;
@@ -1066,7 +1128,7 @@ mod tests {
     use surfer_partition::Partitioning;
 
     /// Each vertex forwards a counter; combine sums. One iteration on a
-    /// cycle rotates the values.
+    /// cycle rotates the values. It folds, and has a spill codec.
     struct Rotate;
     impl Propagation for Rotate {
         type State = u64;
@@ -1088,6 +1150,15 @@ mod tests {
         }
         fn msg_bytes(&self, _m: &u64) -> u64 {
             12
+        }
+        fn spill_capable(&self) -> bool {
+            true
+        }
+        fn spill_encode(&self, msg: &u64, out: &mut Vec<u8>) {
+            crate::ooc::SpillCodec::spill_to(msg, out);
+        }
+        fn spill_decode(&self, buf: &mut &[u8]) -> Option<u64> {
+            crate::ooc::SpillCodec::spill_from(buf)
         }
     }
 
@@ -1297,6 +1368,27 @@ mod tests {
         assert_eq!(engine.run_iteration(&prog, &mut state, &RoundCtx::default()).unwrap().1, 2);
         assert_eq!(state, [0, 0, 0, 1, 1, 0, 0, 0]);
         assert!(std::fs::metadata(&segment).unwrap().len() < longer);
+    }
+
+    #[test]
+    fn a_folding_program_spills_only_what_crosses() {
+        let (c, pg) = two_partition_cycle();
+        let opts = EngineOptions::full().memory_budget(MemoryBudget::bytes(16));
+        let engine = PropagationEngine::new(&c, &pg, opts);
+        let session = engine.ooc.as_ref().unwrap();
+        let mut state = engine.init_state(&Rotate);
+        for round in 1..=3u64 {
+            // Each partition sends itself three messages and the other one.
+            let (_, messages) =
+                engine.run_iteration(&Rotate, &mut state, &RoundCtx::default()).unwrap();
+            assert_eq!(messages, 8);
+            for p in 0..2 {
+                assert!(!session.seg_file(p, p).exists(), "round {round}: {p} spilled to itself");
+                assert!(session.seg_file(p, 1 - p).exists(), "round {round}: {p} sent nothing");
+            }
+            let expect: Vec<u64> = (0..8u64).map(|v| (v + 8 - round) % 8 + 1).collect();
+            assert_eq!(state, expect, "round {round}");
+        }
     }
 
     /// Rotate whose transfer panics when fired from a chosen vertex.

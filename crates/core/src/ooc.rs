@@ -10,12 +10,20 @@
 //! * streams each partition's adjacency from CRC32-framed **edge blocks**
 //!   on disk in sequential-scan order (written once per session — once per
 //!   job under `run_with_recovery` — and reread every iteration), and
-//! * spills the Transfer stage's messages to per-`(source, destination)`
-//!   partition **mailbox segments**, replayed by Combine in ascending
-//!   source-partition order — the order the resident buckets are folded
-//!   in, so every `combine()` input bag, every tally and every
+//! * spills the messages the Transfer stage routes to per-`(source,
+//!   destination)` partition **mailbox segments**, replayed by Combine in
+//!   ascending source-partition order — the order the resident buckets are
+//!   gathered in, so every `combine()` input, every tally and every
 //!   `ExecReport` is **bit-identical** to the resident engine at any
 //!   thread count.
+//!
+//! A folding program (associative, scalar message) routes only what
+//! crosses partitions: its local messages are folded during the scan into
+//! the partition's slot accumulator, in both lanes, and never reach a
+//! segment — no `(p, p)` segment is written. What stays resident is then
+//! the state plus one accumulator slot per vertex, O(|V|); only
+//! cross-partition messages go to disk. Any other program spills its local
+//! messages to its `(p, p)` segment like the rest.
 //!
 //! Message spilling needs a byte codec ([`Propagation::spill_capable`] +
 //! `spill_encode`/`spill_decode`, usually delegated to [`SpillCodec`]);

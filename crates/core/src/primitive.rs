@@ -20,9 +20,13 @@ use surfer_graph::{CsrGraph, VertexId};
 
 /// The bag of values `combine` is handed: every message that reached one
 /// vertex this round, in arrival order (source partitions ascending,
-/// emission order within one). It drains a run of `(key, msg)` pairs from
-/// the engine's mailbox as it is read — the key is the engine's and never
-/// shows — and whatever `combine` leaves unread is dropped with it.
+/// emission order within one). For a program whose messages the engine
+/// folds — [`Propagation::associative`] with a message type that owns no
+/// heap memory — it holds at most one value: every arrival merged in the
+/// order given at [`Propagation::merge`]. It drains a run of `(key, msg)`
+/// pairs from the engine's mailbox as it is read — the key is the engine's
+/// and never shows — and whatever `combine` leaves unread is dropped with
+/// it.
 pub struct Bag<'a, M>(pub(crate) std::vec::Drain<'a, (u32, M)>);
 
 impl<M> Iterator for Bag<'_, M> {
@@ -85,6 +89,17 @@ pub trait Propagation: Sync {
     /// Merge two messages destined for the same vertex. Must satisfy
     /// `combine(v, s, [merge(a,b), rest...]) == combine(v, s, [a, b, rest...])`.
     /// Only called when [`Propagation::associative`] is true.
+    ///
+    /// The engine calls it as `merge(earlier, next)`. Under local
+    /// combination a partition first merges its messages to each remote
+    /// vertex, in scan order. A message type that owns no heap memory is
+    /// then folded per destination vertex in a fixed order: the messages
+    /// from the vertex's own partition, in scan order (merged during that
+    /// partition's scan), then those from each other partition, source
+    /// partitions ascending, emission order within one. The order is the
+    /// same at any thread count and memory budget; for a merely
+    /// approximately associative `merge` (floating-point sums) it still
+    /// decides the last bits.
     fn merge(&self, _a: Self::Msg, _b: Self::Msg) -> Self::Msg {
         // lint:allow(E1, documented contract: only called when associative() is true)
         panic!("merge() called on a non-associative propagation program")

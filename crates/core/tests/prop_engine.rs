@@ -330,13 +330,26 @@ where
     first
 }
 
-/// The vertices that send to `dst`, in the order their messages arrive:
-/// source partitions ascending, member order within one.
-fn arrivals(pg: &PartitionedGraph, dst: VertexId) -> Vec<VertexId> {
+/// The order in which messages to one vertex meet.
+#[derive(Clone, Copy)]
+enum Order {
+    /// A bag: source partitions ascending, member order within one.
+    Bag,
+    /// A fold: the destination's own partition first, folded by its scan in
+    /// member order, then the other source partitions ascending.
+    Fold,
+}
+
+/// The vertices that send to `dst`, in the order their messages meet.
+fn arrivals(pg: &PartitionedGraph, dst: VertexId, order: Order) -> Vec<VertexId> {
     let g = pg.graph();
     let mut sources: Vec<VertexId> =
         g.vertices().filter(|&s| g.neighbors(s).contains(&dst)).collect();
-    sources.sort_by_key(|&s| (pg.pid_of(s), s));
+    let own = pg.pid_of(dst);
+    match order {
+        Order::Bag => sources.sort_by_key(|&s| (pg.pid_of(s), s)),
+        Order::Fold => sources.sort_by_key(|&s| (pg.pid_of(s) != own, pg.pid_of(s), s)),
+    }
     sources
 }
 
@@ -352,10 +365,14 @@ proptest! {
         let (bagged, bagged_report) =
             sweep(&cluster, &pg, EngineOptions::none(), &OrderProbe { associative: false });
         for v in g.vertices() {
-            let sources = arrivals(&pg, v);
-            let merged = sources.iter().map(|s| s.0 as u64 + 1).reduce(|a, b| probe.merge(a, b));
-            prop_assert_eq!(folded[v.index()], (sources.len().min(1), merged), "vertex {}", v);
-            prop_assert_eq!(bagged[v.index()], (sources.len(), merged), "vertex {}", v);
+            let merged = |order| {
+                let sources = arrivals(&pg, v, order);
+                let values = sources.iter().map(|s| s.0 as u64 + 1);
+                (sources.len(), values.reduce(|a, b| probe.merge(a, b)))
+            };
+            let (sent, in_fold_order) = merged(Order::Fold);
+            prop_assert_eq!(folded[v.index()], (sent.min(1), in_fold_order), "vertex {}", v);
+            prop_assert_eq!(bagged[v.index()], merged(Order::Bag), "vertex {}", v);
         }
         // Combine CPU is charged per arrival, folded or not.
         prop_assert_eq!(folded_report, bagged_report);
@@ -381,7 +398,7 @@ proptest! {
                 let merge_cross = associative && opts.local_combination;
                 let mut merges = 0;
                 for v in g.vertices() {
-                    let sources = arrivals(&pg, v);
+                    let sources = arrivals(&pg, v, Order::Bag);
                     let mut bag = sources.len();
                     if merge_cross {
                         let mut remote: Vec<u32> = sources
@@ -409,7 +426,7 @@ proptest! {
         for opts in [EngineOptions::none(), EngineOptions::full()] {
             let (seen, _) = sweep(&cluster, &pg, opts, &FirstOnly);
             for v in g.vertices() {
-                let sources = arrivals(&pg, v);
+                let sources = arrivals(&pg, v, Order::Bag);
                 let first = sources.first().filter(|_| v.0.is_multiple_of(2)).map(|s| vec![s.0]);
                 prop_assert_eq!(&seen[v.index()], &(sources.len(), first), "vertex {}", v);
             }
