@@ -45,43 +45,33 @@ impl CascadeAnalysis {
         let g = pg.graph();
         let n = g.num_vertices() as usize;
         let mut depth = vec![INF; n];
+        // Sources: the targets of the CSR's cross-partition edges. No walk
+        // below leaves a partition, so one multi-source BFS serves them all;
+        // its depths do not depend on the order sources are queued in.
+        let mut queue: VecDeque<VertexId> = VecDeque::new();
+        for v in g.vertices() {
+            for &t in g.neighbors(v) {
+                if pg.pid_of(t) != pg.pid_of(v) && depth[t.index()] == INF {
+                    depth[t.index()] = 0;
+                    queue.push_back(t);
+                }
+            }
+        }
+        // BFS along within-partition out-edges.
+        while let Some(v) = queue.pop_front() {
+            let d = depth[v.index()];
+            for &t in g.neighbors(v) {
+                if pg.pid_of(t) == pg.pid_of(v) && depth[t.index()] == INF {
+                    depth[t.index()] = d + 1;
+                    queue.push_back(t);
+                }
+            }
+        }
         let mut d_min = u32::MAX;
         for pid in pg.partitions() {
             let meta = pg.meta(pid);
             if meta.members.is_empty() {
                 continue;
-            }
-            // Sources: members with an incoming cross-partition edge. The
-            // remote_dest_pid maps of *other* partitions name exactly these,
-            // but walking our in-edges via the boundary set is direct:
-            // a boundary member is a source iff some in-edge is external —
-            // recompute precisely from the transpose-free structure below.
-            let mut queue: VecDeque<VertexId> = VecDeque::new();
-            // Mark members for membership tests.
-            // (Partition sizes are modest; a HashSet would also work, but
-            // members are sorted so binary search keeps allocations low.)
-            let in_partition =
-                |v: VertexId| meta.members.binary_search(&v).is_ok();
-            for other in pg.partitions() {
-                if other == pid {
-                    continue;
-                }
-                for (&dst, &dst_pid) in &pg.meta(other).remote_dest_pid {
-                    if dst_pid == pid && depth[dst.index()] == INF {
-                        depth[dst.index()] = 0;
-                        queue.push_back(dst);
-                    }
-                }
-            }
-            // BFS along within-partition out-edges.
-            while let Some(v) = queue.pop_front() {
-                let d = depth[v.index()];
-                for &t in g.neighbors(v) {
-                    if in_partition(t) && depth[t.index()] == INF {
-                        depth[t.index()] = d + 1;
-                        queue.push_back(t);
-                    }
-                }
             }
             // Partition diameter bounds the useful phase length.
             let sub = induced(g, &meta.members);
@@ -170,11 +160,12 @@ mod tests {
     use super::*;
     use crate::engine::EngineOptions;
     use crate::primitive::Bag;
+    use proptest::prelude::*;
     use std::sync::Arc;
     use surfer_cluster::{ClusterConfig, MachineId};
     use surfer_graph::builder::from_edges;
     use surfer_graph::CsrGraph;
-    use surfer_partition::Partitioning;
+    use surfer_partition::{random_partition, Partitioning};
 
     /// Partition 0: chain 0 -> 1 -> 2 -> 3 (+ the cross edge 4 -> 0 coming
     /// in from partition 1). Depths in partition 0: 0 at v0, then 1, 2, 3.
@@ -196,6 +187,55 @@ mod tests {
         assert_eq!(a.depth[4], INF);
         assert_eq!(a.depth[5], INF);
         assert!((a.v_inf_ratio() - 2.0 / 6.0).abs() < 1e-12);
+    }
+
+    /// The depths by definition: from every vertex with an incoming
+    /// cross-partition edge, a BFS of its own along within-partition
+    /// out-edges; a vertex's depth is the least distance any of them
+    /// reaches it at.
+    fn brute_force_depths(pg: &PartitionedGraph) -> Vec<u32> {
+        let g = pg.graph();
+        let n = g.num_vertices() as usize;
+        let within = |a: VertexId, b: VertexId| pg.pid_of(a) == pg.pid_of(b);
+        let mut depth = vec![INF; n];
+        for s in g.vertices().filter(|&s| g.edges().any(|e| e.dst == s && !within(e.src, s))) {
+            let mut dist = vec![INF; n];
+            dist[s.index()] = 0;
+            let mut queue = VecDeque::from([s]);
+            while let Some(v) = queue.pop_front() {
+                for &t in g.neighbors(v).iter().filter(|&&t| within(v, t)) {
+                    if dist[t.index()] == INF {
+                        dist[t.index()] = dist[v.index()] + 1;
+                        queue.push_back(t);
+                    }
+                }
+            }
+            for (d, reached) in depth.iter_mut().zip(dist) {
+                *d = (*d).min(reached);
+            }
+        }
+        depth
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn depths_equal_a_brute_force_bfs_from_every_cross_target(
+            g in (2u32..40).prop_flat_map(|n| {
+                collection::vec((0..n, 0..n), 0..120).prop_map(move |edges| from_edges(n, edges))
+            }),
+            p in 1u32..5,
+            seed in 0u64..1000,
+        ) {
+            let (n, p) = (g.num_vertices(), p.min(g.num_vertices()));
+            let pg = PartitionedGraph::from_parts(
+                Arc::new(g),
+                random_partition(n, p, seed),
+                vec![MachineId(0); p as usize],
+            );
+            prop_assert_eq!(CascadeAnalysis::analyze(&pg).depth, brute_force_depths(&pg));
+        }
     }
 
     #[test]

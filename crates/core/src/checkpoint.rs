@@ -413,11 +413,7 @@ where
     let mut total = ExecReport::new(machines);
     let mut stats = RecoveryStats::default();
     // The placement tasks currently run on; re-homed after each crash.
-    let mut cur = PartitionedGraph::from_parts(
-        pg.graph_arc(),
-        pg.partitioning().clone(),
-        pg.placement().to_vec(),
-    );
+    let mut cur = pg.clone();
     let mut last_ckpt = 0u32;
 
     // Checkpoint 0: the initial state, written before any work runs.
@@ -471,8 +467,7 @@ where
                     }
                 })
                 .collect();
-            let next =
-                PartitionedGraph::from_parts(pg.graph_arc(), pg.partitioning().clone(), new_placement);
+            let next = pg.with_placement(new_placement);
 
             // Recompute the lost tail on the new placement. These are plain
             // re-runs: any UDF panic pinned inside the tail already fired

@@ -3,7 +3,12 @@
 //! One iteration runs in two stages per partition:
 //!
 //! * **Transfer** — scan the partition once, calling `transfer` on every
-//!   out-edge. Messages to vertices of the *same* partition stay local. A
+//!   out-edge. Each edge arrives with its destination code
+//!   ([`surfer_partition::DestCode`], built once per loaded graph): a local
+//!   edge's code is its target's slot in the partition plus the target's
+//!   inner bit, so a message to the *same* partition is placed and tallied
+//!   without a lookup; only a cross edge asks the partitioning for its
+//!   remote partition. Messages to the same partition stay local. A
 //!   program that folds (associative, with a scalar message) merges each
 //!   one into its partition's slot accumulator during the scan, so it is
 //!   never routed, and that accumulator becomes Combine's starting point;
@@ -42,7 +47,7 @@ use surfer_cluster::{
     TaskKind, TaskSpec,
 };
 use surfer_graph::{GraphError, VertexId};
-use surfer_partition::PartitionedGraph;
+use surfer_partition::{DestCode, PartitionedGraph};
 
 /// Engine knobs independent of storage layout (the layout lives in the
 /// [`PartitionedGraph`]'s placement).
@@ -137,15 +142,25 @@ pub struct RoundCtx<'a> {
 pub(crate) type Routed<M> = Vec<(VertexId, M)>;
 
 /// One destination partition's slot accumulator: one merged message per
-/// slot — the destination's encoded id less its partition's first — and
-/// empty until the first message to that partition arrives.
+/// slot — the destination's encoded id less its partition's first.
 type SlotAcc<M> = Vec<Option<M>>;
 
+/// Merge `msg` into an accumulator slot, after whatever it already holds.
+#[inline]
+fn merge_into<P: Propagation>(prog: &P, slot: &mut Option<P::Msg>, msg: P::Msg) {
+    *slot = Some(match slot.take() {
+        Some(earlier) => prog.merge(earlier, msg),
+        None => msg,
+    });
+}
+
 /// One partition's Transfer scan: the per-edge body — transfer, local or
-/// cross, tally, fold, merge or push — over whichever edge source the round
-/// has (the resident CSR, or edge blocks streamed from disk), routing what
-/// must cross into one bucket per destination partition: resident, or the
-/// spill session's mailbox segments.
+/// cross by the edge's destination code, tally, fold, merge or push — over
+/// whichever edge source the round has (the resident CSR with the
+/// partition's stored codes, or edge blocks streamed from disk with codes
+/// derived per record), routing what must cross into one bucket per
+/// destination partition: resident, or the spill session's mailbox
+/// segments.
 struct TransferScan<'a, P: Propagation> {
     prog: &'a P,
     pg: &'a PartitionedGraph,
@@ -154,9 +169,13 @@ struct TransferScan<'a, P: Propagation> {
     tally: PartitionTally,
     emitted: u64,
     /// Local propagation executed in the scan: a folding program merges
-    /// each message to its own partition into `acc[pid]`, in scan order,
-    /// and routes none of them.
+    /// each message to its own partition into `own`, in scan order, and
+    /// routes none of them.
     fold: bool,
+    /// The partition's own slot accumulator, indexed by a local edge's
+    /// slot; sized to the partition when the program folds, empty
+    /// otherwise. It moves to Combine.
+    own: SlotAcc<P::Msg>,
     /// Local combination: cross messages merge into `acc[q]` and are
     /// flushed once the scan is over.
     merge_cross: bool,
@@ -167,8 +186,8 @@ struct TransferScan<'a, P: Propagation> {
     /// `(messages, bytes)` sent to each remote partition, folded into the
     /// tally's ordered `cross_out` once the scan is over.
     cross: Vec<(u64, u64)>,
-    /// One slot accumulator per destination partition, sized to it.
-    /// `acc[pid]` moves to Combine; the others are flushed by `finish`.
+    /// One slot accumulator per remote destination partition, sized to it
+    /// by the first message merged into it, and flushed by `finish`.
     acc: Vec<SlotAcc<P::Msg>>,
     /// Raw ids of the remote destinations merged into `acc`, in order of
     /// first arrival; sorted, they flush each bucket in ascending id order
@@ -185,7 +204,7 @@ struct Outbox<M> {
     emitted: u64,
     mem: Vec<Routed<M>>,
     /// The partition's own slot accumulator: its local messages, folded in
-    /// scan order (empty unless the program folds and sent itself any).
+    /// scan order (empty unless the program folds).
     local: SlotAcc<M>,
     /// The destination partitions a mailbox segment was written for,
     /// ascending, each with its message count, and the frames/bytes that
@@ -204,15 +223,21 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
         merge_cross: bool,
         segments: Option<MsgSink<'a>>,
     ) -> Self {
+        let meta = pg.meta(pid);
         if surfer_obs::enabled() {
             // Counter increments are commutative, so these per-partition
             // adds are thread-count-deterministic even off-thread.
-            let members = &pg.meta(pid).members;
-            let inner = members.iter().filter(|&&v| pg.is_inner(v)).count() as u64;
-            surfer_obs::counter_add("prop.inner_vertices", inner);
-            surfer_obs::counter_add("prop.boundary_vertices", members.len() as u64 - inner);
+            surfer_obs::counter_add("prop.inner_vertices", meta.inner_members);
+            surfer_obs::counter_add(
+                "prop.boundary_vertices",
+                meta.members.len() as u64 - meta.inner_members,
+            );
         }
         let parts = pg.num_partitions() as usize;
+        let mut own = Vec::new();
+        if fold {
+            own.resize_with(meta.members.len(), || None);
+        }
         TransferScan {
             prog,
             pg,
@@ -221,6 +246,7 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
             tally: PartitionTally::default(),
             emitted: 0,
             fold,
+            own,
             merge_cross,
             mem: (0..parts).map(|_| Vec::new()).collect(),
             segments,
@@ -230,43 +256,58 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
         }
     }
 
-    /// Scan the out-edges of member `v`.
+    /// Scan the out-edges of member `v`; `codes[i]` is the destination code
+    /// of `neighbors[i]`. The tallies build up in locals and are added once.
     #[inline]
-    fn vertex(&mut self, v: VertexId, neighbors: &[VertexId]) -> SurferResult<()> {
-        let (prog, pg) = (self.prog, self.pg);
+    fn vertex(
+        &mut self,
+        v: VertexId,
+        neighbors: &[VertexId],
+        codes: &[DestCode],
+    ) -> SurferResult<()> {
+        debug_assert_eq!(neighbors.len(), codes.len());
+        let (prog, g) = (self.prog, self.pg.graph());
         let from = &self.state[v.index()];
-        self.tally.transfer_calls += neighbors.len() as u64;
-        for &to in neighbors {
-            let Some(msg) = prog.transfer(v, from, to, pg.graph()) else {
+        let (mut emitted, mut local_msgs, mut local_bytes, mut local_inner_bytes) = (0, 0, 0, 0);
+        for (&to, &code) in neighbors.iter().zip(codes) {
+            let Some(msg) = prog.transfer(v, from, to, g) else {
                 continue;
             };
-            self.emitted += 1;
-            let q = pg.pid_of(to);
-            if q == self.pid {
+            emitted += 1;
+            if let Some((slot, inner)) = code.local() {
                 let bytes = prog.msg_bytes(&msg);
-                self.tally.local_bytes += bytes;
-                self.tally.local_msgs += 1;
-                if pg.is_inner(to) {
-                    self.tally.local_inner_bytes += bytes;
+                local_bytes += bytes;
+                local_msgs += 1;
+                if inner {
+                    local_inner_bytes += bytes;
                 }
                 if self.fold {
-                    self.accumulate(q, to, msg);
+                    merge_into(prog, &mut self.own[slot], msg);
                 } else {
-                    self.push(q, to, msg)?;
-                }
-            } else if self.merge_cross {
-                if self.accumulate(q, to, msg) {
-                    self.touched.push(to.0);
+                    self.push(self.pid, to, msg)?;
                 }
             } else {
-                self.send_cross(q, to, msg)?;
+                let q = self.pg.pid_of(to);
+                if self.merge_cross {
+                    if self.accumulate(q, to, msg) {
+                        self.touched.push(to.0);
+                    }
+                } else {
+                    self.send_cross(q, to, msg)?;
+                }
             }
         }
+        self.emitted += emitted;
+        self.tally.transfer_calls += neighbors.len() as u64;
+        self.tally.local_msgs += local_msgs;
+        self.tally.local_bytes += local_bytes;
+        self.tally.local_inner_bytes += local_inner_bytes;
         Ok(())
     }
 
-    /// Merge `msg` into its slot of partition `q`'s accumulator, which the
-    /// first message to `q` allocates. Returns whether the slot was empty.
+    /// Merge `msg` into its slot of remote partition `q`'s accumulator,
+    /// which the first message to `q` allocates. Returns whether the slot
+    /// was empty.
     #[inline]
     fn accumulate(&mut self, q: u32, to: VertexId, msg: P::Msg) -> bool {
         let enc = self.pg.encoding();
@@ -276,16 +317,9 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
             acc.resize_with(end.index() - first.index(), || None);
         }
         let slot = &mut acc[enc.encode(to).index() - first.index()];
-        match slot.take() {
-            Some(prev) => {
-                *slot = Some(self.prog.merge(prev, msg));
-                false
-            }
-            None => {
-                *slot = Some(msg);
-                true
-            }
-        }
+        let was_empty = slot.is_none();
+        merge_into(self.prog, slot, msg);
+        was_empty
     }
 
     fn send_cross(&mut self, q: u32, to: VertexId, msg: P::Msg) -> SurferResult<()> {
@@ -333,7 +367,7 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
             tally: self.tally,
             emitted: self.emitted,
             mem: self.mem,
-            local: std::mem::take(&mut self.acc[self.pid as usize]),
+            local: self.own,
             written,
             spilled,
         })
@@ -575,12 +609,15 @@ impl<'a> PropagationEngine<'a> {
             let mut scan =
                 TransferScan::begin(prog, pg, state_ro, pid, fold, merge_cross, segments);
             match session {
-                Some(session) => {
-                    session.scan_edge_blocks(pid, |v, nbrs| scan.vertex(v, nbrs))?
-                }
+                Some(session) => session
+                    .scan_edge_blocks(pg, pid, |v, nbrs, codes| scan.vertex(v, nbrs, codes))?,
                 None => {
+                    let mut codes = pg.dest_codes(pid);
                     for &v in &pg.meta(pid).members {
-                        scan.vertex(v, g.neighbors(v))?;
+                        let nbrs = g.neighbors(v);
+                        let (row, rest) = codes.split_at(nbrs.len());
+                        scan.vertex(v, nbrs, row)?;
+                        codes = rest;
                     }
                 }
             }
@@ -692,19 +729,12 @@ impl<'a> PropagationEngine<'a> {
                 let routed = mailbox_totals[i] as usize;
                 let mut mailbox: Vec<(u32, P::Msg)> =
                     Vec::with_capacity(if fold { 0 } else { routed });
-                if fold && folded.is_empty() {
-                    folded.resize_with(slots, || None);
-                }
                 let mut arrived = in_scan as usize;
                 let mut deliver = |to: VertexId, msg: P::Msg| {
                     let slot = enc.encode(to).index() - first;
                     arrived += 1;
                     if fold {
-                        let acc = &mut folded[slot];
-                        *acc = Some(match acc.take() {
-                            Some(earlier) => prog.merge(earlier, msg),
-                            None => msg,
-                        });
+                        merge_into(prog, &mut folded[slot], msg);
                     } else {
                         mailbox.push((slot as u32, msg));
                     }

@@ -9,7 +9,12 @@
 //!
 //! * streams each partition's adjacency from CRC32-framed **edge blocks**
 //!   on disk in sequential-scan order (written once per session — once per
-//!   job under `run_with_recovery` — and reread every iteration), and
+//!   job under `run_with_recovery` — and reread every iteration), deriving
+//!   each streamed record's destination codes with
+//!   [`PartitionedGraph::dest_code`] into one reused row instead of reading
+//!   the graph's stored O(|E|) codes — the edge-block format carries none,
+//!   and the scan's per-edge body sees exactly the codes the resident lane
+//!   reads, and
 //! * spills the messages the Transfer stage routes to per-`(source,
 //!   destination)` partition **mailbox segments**, replayed by Combine in
 //!   ascending source-partition order — the order the resident buckets are
@@ -45,7 +50,7 @@ use surfer_cluster::{SpillFault, SpillFaultKind};
 use surfer_graph::block;
 use surfer_graph::{GraphError, VertexId};
 use surfer_partition::store_fs::{write_frame, FrameStream, SPILL_MAGIC};
-use surfer_partition::PartitionedGraph;
+use surfer_partition::{DestCode, PartitionedGraph};
 
 /// Resident-set budget of one engine, in bytes. The default is unlimited
 /// (the classic all-in-RAM engine); a limited budget makes any program
@@ -286,22 +291,30 @@ impl OocSession {
 
     /// Stream partition `pid`'s edge blocks front to back, handing `visit`
     /// every `<id, neighbors>` record in member order — the order a scan of
-    /// the resident CSR would use.
+    /// the resident CSR would use — with the neighbors' destination codes,
+    /// derived per record into one reused row (the stored codes are
+    /// O(|E|); the row is one record long).
     pub(crate) fn scan_edge_blocks(
         &self,
+        pg: &PartitionedGraph,
         pid: u32,
-        mut visit: impl FnMut(VertexId, &[VertexId]) -> SurferResult<()>,
+        mut visit: impl FnMut(VertexId, &[VertexId], &[DestCode]) -> SurferResult<()>,
     ) -> SurferResult<()> {
         let what = format!("edge blocks of partition {pid}");
         let mut stream = FrameStream::open(self.edge_file(pid), SPILL_MAGIC, &what)?;
         let mut neighbors = Vec::new();
+        let mut codes = Vec::new();
         let mut blocks_read = 0u64;
         while let Some(frame) = stream.next_frame()? {
             if frame.a != pid {
                 return Err(corrupt(format!("{what}: block belongs to partition {}", frame.a)));
             }
             blocks_read += 1;
-            block::scan_edge_block(frame.payload, &mut neighbors, &mut visit)?;
+            block::scan_edge_block(frame.payload, &mut neighbors, |v, nbrs| {
+                codes.clear();
+                codes.extend(nbrs.iter().map(|&to| pg.dest_code(pid, to)));
+                visit(v, nbrs, &codes)
+            })?;
         }
         if surfer_obs::enabled() {
             surfer_obs::counter_add(surfer_obs::names::SPILL_EDGE_BLOCKS_READ, blocks_read);
@@ -709,6 +722,29 @@ mod tests {
                     "threads={threads}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn streamed_records_carry_the_stored_destination_codes() {
+        let g = surfer_graph::generators::social::msn_like(
+            surfer_graph::generators::social::MsnScale::Tiny,
+            7,
+        );
+        let part = surfer_partition::hash_partition(g.num_vertices(), 4);
+        let pg = PartitionedGraph::from_parts(Arc::new(g), part, vec![MachineId(0); 4]);
+        let session = OocSession::new(1 << 16);
+        session.begin_round(&pg, &[]).unwrap();
+        for pid in pg.partitions() {
+            let mut streamed = Vec::new();
+            session
+                .scan_edge_blocks(&pg, pid, |_, nbrs, codes| {
+                    assert_eq!(nbrs.len(), codes.len());
+                    streamed.extend_from_slice(codes);
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(streamed, pg.dest_codes(pid), "partition {pid}");
         }
     }
 

@@ -109,7 +109,7 @@ proptest! {
         let report = engine.run_iteration(&SumForward, &mut state, &RoundCtx::default()).unwrap().0;
         let cross: u64 = pg
             .partitions()
-            .map(|pid| pg.meta(pid).cross_out_edges.values().sum::<u64>())
+            .map(|pid| pg.meta(pid).cross_out_edges.iter().sum::<u64>())
             .sum();
         prop_assert_eq!(report.network_bytes, cross * 12);
     }

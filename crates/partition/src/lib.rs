@@ -42,7 +42,7 @@ pub use bisect::{bisect, BisectConfig, Bisection};
 pub use cost::{simulate_partitioning, PartitioningCostModel};
 pub use encoding::VertexEncoding;
 pub use machine_graph::MachineGraph;
-pub use partitioned::{PartitionMeta, PartitionedGraph};
+pub use partitioned::{DestCode, PartitionMeta, PartitionedGraph};
 pub use random::{hash_partition, random_partition};
 pub use wgraph::WGraph;
 pub use recursive::{KWayResult, RecursivePartitioner};

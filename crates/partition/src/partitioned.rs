@@ -3,15 +3,31 @@
 //! Along with each partition, Surfer stores the per-partition structures of
 //! §5.1: *"a hash table constructed from the set of boundary vertices"* and
 //! *"a map on (v, pid), where v is the destination vertex of \[a\]
-//! cross-partition edge and pid is the ID of the remote partition"*. This
-//! module precomputes those plus the statistics the optimizers need (inner
-//! vertex sets, per-remote-partition cross-edge counts, partition byte
-//! sizes).
+//! cross-partition edge and pid is the ID of the remote partition"*. Both
+//! exist so the partition scan can route a message without a global lookup,
+//! and here they take the form that routing reads:
+//!
+//! * the boundary table is a dense **inner bitmap** over all vertices
+//!   ([`PartitionedGraph::is_inner`]): `v` is inner ⇔ no cross-partition edge
+//!   touches it, in either direction;
+//! * the (v, pid) map becomes one **destination code** per member out-edge
+//!   ([`DestCode`]), stored per partition in scan order — members ascending,
+//!   each member's neighbours in CSR order. A local edge's code is its
+//!   target's *slot*, the App. B encoded id less the partition's first, with
+//!   the target's inner bit, so Transfer places a local message by array
+//!   index. A cross edge's code only says "cross"; the remote pid is the
+//!   partitioning's.
+//!
+//! Both are built once per loaded graph by [`PartitionedGraph::from_parts`]:
+//! one pass over the edges classifies them and takes the statistics the
+//! optimizers need (inner-member and inner-edge counts, cross edges per
+//! remote partition, partition byte sizes), and a second writes the codes
+//! through [`PartitionedGraph::dest_code`] — the one definition, which the
+//! out-of-core lane also calls for every record it streams from disk.
 
 use crate::assignment::Partitioning;
 use crate::bandwidth_aware::PlacedPartitioning;
 use crate::encoding::VertexEncoding;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use surfer_cluster::MachineId;
 use surfer_graph::{CsrGraph, VertexId};
@@ -21,14 +37,12 @@ use surfer_graph::{CsrGraph, VertexId};
 pub struct PartitionMeta {
     /// Vertices of this partition (ascending).
     pub members: Vec<VertexId>,
-    /// The boundary-vertex hash table (vertices with at least one
-    /// cross-partition edge, in either direction).
-    pub boundary: BTreeSet<VertexId>,
-    /// The (v, pid) map: destination vertices of outgoing cross-partition
-    /// edges and the remote partition holding them.
-    pub remote_dest_pid: BTreeMap<VertexId, u32>,
-    /// Outgoing cross-edge count per remote partition.
-    pub cross_out_edges: BTreeMap<u32, u64>,
+    /// Members that are inner vertices (no cross-partition edge in either
+    /// direction); the rest are the paper's boundary vertices.
+    pub inner_members: u64,
+    /// Outgoing cross-edge count per destination partition, indexed by pid
+    /// (zero at this partition's own).
+    pub cross_out_edges: Vec<u64>,
     /// Number of edges fully inside this partition.
     pub inner_edges: u64,
     /// Total out-edges of members.
@@ -43,7 +57,31 @@ impl PartitionMeta {
         if self.members.is_empty() {
             return 1.0;
         }
-        1.0 - self.boundary.len() as f64 / self.members.len() as f64
+        self.inner_members as f64 / self.members.len() as f64
+    }
+}
+
+/// Where a member out-edge leads, as the Transfer scan needs it: a slot of
+/// the scanning partition together with the target's inner bit, or "cross".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct DestCode(u32);
+
+impl DestCode {
+    /// The code of every cross-partition edge.
+    const CROSS: DestCode = DestCode(u32::MAX);
+    /// Set on a local edge whose target is an inner vertex. Partitions have
+    /// fewer than 2³¹ members, so a slot never reaches this bit and a local
+    /// code never equals [`DestCode::CROSS`].
+    const INNER: u32 = 1 << 31;
+
+    /// `Some((slot, inner))` for an edge that stays in its partition — the
+    /// target's slot and whether it is an inner vertex — and `None` for a
+    /// cross edge.
+    #[inline]
+    pub fn local(self) -> Option<(usize, bool)> {
+        (self != Self::CROSS)
+            .then_some(((self.0 & !Self::INNER) as usize, self.0 & Self::INNER != 0))
     }
 }
 
@@ -56,9 +94,11 @@ pub struct PartitionedGraph {
     placement: Vec<MachineId>,
     encoding: VertexEncoding,
     meta: Vec<PartitionMeta>,
-    /// `inner[v]` ⇔ `v` is in no partition's boundary set — the per-message
-    /// form of the boundary hash tables above.
+    /// `inner[v]` ⇔ `v` is an inner vertex of its partition — §5.1's
+    /// boundary tables, one bit per vertex.
     inner: Vec<bool>,
+    /// Per partition, one [`DestCode`] per member out-edge in scan order.
+    codes: Vec<Vec<DestCode>>,
 }
 
 impl PartitionedGraph {
@@ -84,43 +124,80 @@ impl PartitionedGraph {
             "placement must name one machine per partition"
         );
         let p = partitioning.num_partitions() as usize;
-        let members = partitioning.members();
-        let mut meta: Vec<PartitionMeta> = members
+        let mut meta: Vec<PartitionMeta> = partitioning
+            .members()
             .into_iter()
-            .map(|members| {
-                let bytes =
-                    members.iter().map(|&v| 8 + 4 * graph.out_degree(v) as u64).sum::<u64>();
+            .enumerate()
+            .map(|(pid, members)| {
+                assert!(
+                    members.len() < 1 << 31,
+                    "partition {pid} has {} vertices; destination codes address fewer than 2^31",
+                    members.len()
+                );
                 PartitionMeta {
                     members,
-                    boundary: BTreeSet::new(),
-                    remote_dest_pid: BTreeMap::new(),
-                    cross_out_edges: BTreeMap::new(),
+                    inner_members: 0,
+                    cross_out_edges: vec![0; p],
                     inner_edges: 0,
                     total_out_edges: 0,
-                    bytes,
+                    bytes: 0,
                 }
             })
             .collect();
-        debug_assert_eq!(meta.len(), p);
         let mut inner = vec![true; graph.num_vertices() as usize];
-        for e in graph.edges() {
-            let (ps, pd) = (partitioning.pid_of(e.src), partitioning.pid_of(e.dst));
+        for v in graph.vertices() {
+            let ps = partitioning.pid_of(v);
             let m = &mut meta[ps as usize];
-            m.total_out_edges += 1;
-            if ps == pd {
-                m.inner_edges += 1;
-            } else {
-                m.boundary.insert(e.src);
-                m.remote_dest_pid.insert(e.dst, pd);
-                *m.cross_out_edges.entry(pd).or_insert(0) += 1;
-                // The destination is a boundary vertex of its own partition.
-                meta[pd as usize].boundary.insert(e.dst);
-                inner[e.src.index()] = false;
-                inner[e.dst.index()] = false;
+            let neighbors = graph.neighbors(v);
+            m.total_out_edges += neighbors.len() as u64;
+            m.bytes += 8 + 4 * neighbors.len() as u64;
+            for &to in neighbors {
+                let pd = partitioning.pid_of(to);
+                if pd == ps {
+                    m.inner_edges += 1;
+                } else {
+                    m.cross_out_edges[pd as usize] += 1;
+                    inner[v.index()] = false;
+                    inner[to.index()] = false;
+                }
             }
         }
+        for m in &mut meta {
+            m.inner_members = m.members.iter().filter(|v| inner[v.index()]).count() as u64;
+        }
         let encoding = VertexEncoding::new(&partitioning);
-        PartitionedGraph { graph, partitioning, placement, encoding, meta, inner }
+        let mut pg = PartitionedGraph {
+            graph,
+            partitioning,
+            placement,
+            encoding,
+            meta,
+            inner,
+            codes: Vec::new(),
+        };
+        pg.codes = pg
+            .partitions()
+            .map(|pid| {
+                let m = pg.meta(pid);
+                let mut codes = Vec::with_capacity(m.total_out_edges as usize);
+                for &v in &m.members {
+                    codes.extend(pg.graph.neighbors(v).iter().map(|&to| pg.dest_code(pid, to)));
+                }
+                codes
+            })
+            .collect();
+        pg
+    }
+
+    /// This graph under another placement. The partitioning stays, and with
+    /// it every structure built from it, so nothing is recomputed.
+    pub fn with_placement(&self, placement: Vec<MachineId>) -> Self {
+        assert_eq!(
+            placement.len(),
+            self.placement.len(),
+            "placement must name one machine per partition"
+        );
+        PartitionedGraph { placement, ..self.clone() }
     }
 
     /// The underlying graph.
@@ -181,6 +258,23 @@ impl PartitionedGraph {
         self.inner[v.index()]
     }
 
+    /// The destination code of an out-edge of partition `pid` that leads to
+    /// `to`.
+    #[inline]
+    pub fn dest_code(&self, pid: u32, to: VertexId) -> DestCode {
+        if self.partitioning.pid_of(to) != pid {
+            return DestCode::CROSS;
+        }
+        let slot = self.encoding.encode(to).0 - self.encoding.range(pid).0 .0;
+        DestCode(if self.inner[to.index()] { slot | DestCode::INNER } else { slot })
+    }
+
+    /// Partition `pid`'s destination codes: one per member out-edge, members
+    /// ascending, each member's neighbours in CSR order.
+    pub fn dest_codes(&self, pid: u32) -> &[DestCode] {
+        &self.codes[pid as usize]
+    }
+
     /// Overall inner-edge ratio.
     pub fn inner_edge_ratio(&self) -> f64 {
         let inner: u64 = self.meta.iter().map(|m| m.inner_edges).sum();
@@ -220,17 +314,23 @@ mod tests {
         for v in [0u32, 1, 4, 5] {
             assert!(pg.is_inner(VertexId(v)), "vertex {v} should be inner");
         }
-        assert!(pg.meta(0).boundary.contains(&VertexId(2)));
-        assert!(pg.meta(1).boundary.contains(&VertexId(3)));
+        assert_eq!(pg.meta(0).inner_members, 2);
+        assert_eq!(pg.meta(1).inner_members, 2);
     }
 
     #[test]
-    fn remote_dest_map_matches_paper_structure() {
+    fn dest_codes_carry_slot_inner_bit_or_cross() {
         let pg = fixture();
-        let m0 = pg.meta(0);
-        assert_eq!(m0.remote_dest_pid.get(&VertexId(3)), Some(&1));
-        assert_eq!(m0.cross_out_edges.get(&1), Some(&1));
-        assert!(pg.meta(1).remote_dest_pid.is_empty(), "partition 1 has no outgoing cross edges");
+        let local = |slot, inner| Some((slot, inner));
+        // Partition 0 scans 0->1, 1->2, 2->0, 2->3; vertex 2 is boundary.
+        let codes: Vec<_> = pg.dest_codes(0).iter().map(|c| c.local()).collect();
+        assert_eq!(codes, [local(1, true), local(2, false), local(0, true), None]);
+        assert_eq!(pg.dest_codes(0)[3], DestCode::CROSS);
+        // Partition 1 scans 3->4, 4->5, 5->3; its slots start at vertex 3.
+        let codes: Vec<_> = pg.dest_codes(1).iter().map(|c| c.local()).collect();
+        assert_eq!(codes, [local(1, true), local(2, true), local(0, false)]);
+        assert_eq!(pg.meta(0).cross_out_edges, [0, 1]);
+        assert_eq!(pg.meta(1).cross_out_edges, [0, 0], "partition 1 has no outgoing cross edges");
     }
 
     #[test]
@@ -265,6 +365,9 @@ mod tests {
         assert_eq!(pg.machine_of(1), MachineId(1));
         assert_eq!(pg.num_partitions(), 2);
         assert_eq!(pg.partitions().count(), 2);
+        let moved = pg.with_placement(vec![MachineId(1), MachineId(1)]);
+        assert_eq!(moved.placement(), [MachineId(1), MachineId(1)]);
+        assert_eq!(moved.dest_codes(0), pg.dest_codes(0));
     }
 
     #[test]

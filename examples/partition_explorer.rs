@@ -67,7 +67,7 @@ fn main() {
             meta.members.len(),
             meta.bytes,
             meta.inner_vertex_ratio() * 100.0,
-            meta.boundary.len()
+            meta.members.len() as u64 - meta.inner_members
         );
     }
 }

@@ -1,8 +1,9 @@
 //! Property-based integration tests over the whole stack: random graphs and
 //! random configurations must preserve the core invariants — codecs
 //! round-trip, partitionings are total and disjoint, the contiguous
-//! encoding is a bijection, engines agree with serial references, and the
-//! simulator is deterministic.
+//! encoding is a bijection, destination codes route as the partitioning and
+//! encoding do, engines agree with serial references, and the simulator is
+//! deterministic.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -10,10 +11,12 @@ use surfer::apps::pagerank::NetworkRanking;
 use surfer::apps::ExactOutput;
 use surfer::cluster::{ClusterConfig, MachineId};
 use surfer::core::{EngineOptions, PropagationEngine, Surfer, SurferApp};
-use surfer::graph::{adjacency, builder::from_edges, CsrGraph, GraphBuilder, VertexId};
+use surfer::graph::{
+    adjacency, block, builder::from_edges, CsrGraph, GraphBuilder, GraphError, VertexId,
+};
 use surfer::partition::{
-    quality, random_partition, Partitioning, PartitionedGraph, RecursivePartitioner,
-    VertexEncoding,
+    hash_partition, quality, random_partition, Partitioning, PartitionedGraph,
+    RecursivePartitioner, VertexEncoding,
 };
 
 /// Strategy: a random directed graph with 2..=40 vertices.
@@ -122,21 +125,82 @@ proptest! {
         let part = random_partition(n, p, seed);
         let placement = (0..p).map(|i| MachineId(i as u16 % 2)).collect();
         let pg = PartitionedGraph::from_parts(Arc::new(g.clone()), Partitioning::new(part.as_slice().to_vec(), p), placement);
+        // A boundary vertex has a cross edge in some direction; every other
+        // vertex is inner. Cross edges are counted per (source, destination)
+        // partition pair.
+        let mut boundary = vec![false; n as usize];
+        let mut cross_out = vec![vec![0u64; p as usize]; p as usize];
+        for e in g.edges() {
+            let (ps, pd) = (part.pid_of(e.src), part.pid_of(e.dst));
+            if ps != pd {
+                boundary[e.src.index()] = true;
+                boundary[e.dst.index()] = true;
+                cross_out[ps as usize][pd as usize] += 1;
+            }
+        }
         let mut total_edges = 0u64;
         let mut inner = 0u64;
         for pid in pg.partitions() {
             let m = pg.meta(pid);
             total_edges += m.total_out_edges;
             inner += m.inner_edges;
-            // Every boundary vertex has a cross edge in some direction;
-            // every member is either inner or boundary.
             for &v in &m.members {
-                prop_assert_eq!(pg.is_inner(v), !m.boundary.contains(&v));
+                prop_assert_eq!(pg.is_inner(v), !boundary[v.index()]);
             }
+            let inner_members = m.members.iter().filter(|v| !boundary[v.index()]).count();
+            prop_assert_eq!(m.inner_members, inner_members as u64);
+            prop_assert_eq!(&m.cross_out_edges, &cross_out[pid as usize]);
         }
         prop_assert_eq!(total_edges, g.num_edges());
         let cross: u64 = g.num_edges() - inner;
         let q = quality(&g, pg.partitioning());
         prop_assert_eq!(cross, q.cross_edges);
+    }
+
+    #[test]
+    fn dest_codes_decode_to_the_routing_they_replace(g in arb_graph(), p in 0u32..3) {
+        // A power of two no larger than the vertex count, for the recursive
+        // partitioner.
+        let n = g.num_vertices();
+        let mut p = 1u32 << p;
+        while p > n {
+            p /= 2;
+        }
+        let recursive = RecursivePartitioner::default().partition(&g, p).partitioning;
+        for part in [hash_partition(n, p), recursive] {
+            let placement = vec![MachineId(0); p as usize];
+            let pg = PartitionedGraph::from_parts(Arc::new(g.clone()), part, placement);
+            let enc = pg.encoding();
+            for pid in pg.partitions() {
+                let first = enc.range(pid).0.index();
+                let members = &pg.meta(pid).members;
+                let stored = pg.dest_codes(pid);
+                // Scan order: members ascending, CSR neighbour order.
+                let targets: Vec<VertexId> =
+                    members.iter().flat_map(|&v| g.neighbors(v).iter().copied()).collect();
+                prop_assert_eq!(stored.len(), targets.len());
+                for (&to, code) in targets.iter().zip(stored) {
+                    let routed = (pg.pid_of(to) == pid)
+                        .then(|| (enc.encode(to).index() - first, pg.is_inner(to)));
+                    prop_assert_eq!(code.local(), routed, "edge to {} in partition {}", to, pid);
+                }
+                // The spilled lane codes each record it streams from the
+                // partition's edge blocks into one reused row; the rows, in
+                // stream order, are the stored slice.
+                let (mut row, mut scratch, mut at) = (Vec::new(), Vec::new(), 0);
+                for span in block::plan_edge_blocks(&g, members, 64) {
+                    let blob = block::encode_edge_block(&g, &members[span.start..span.end]);
+                    block::scan_edge_block::<GraphError>(&blob, &mut scratch, |_, nbrs| {
+                        row.clear();
+                        row.extend(nbrs.iter().map(|&to| pg.dest_code(pid, to)));
+                        assert_eq!(row[..], stored[at..at + row.len()], "partition {pid}");
+                        at += row.len();
+                        Ok(())
+                    })
+                    .unwrap();
+                }
+                prop_assert_eq!(at, stored.len());
+            }
+        }
     }
 }
