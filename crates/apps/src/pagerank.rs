@@ -9,9 +9,7 @@
 use crate::ExactOutput;
 use std::collections::HashMap;
 use surfer_cluster::ExecReport;
-use surfer_core::{
-    Bag, Propagation, PropagationEngine, RoundCtx, SpillCodec, SurferApp, SurferResult,
-};
+use surfer_core::{Bag, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -110,18 +108,6 @@ impl Propagation for PageRankPropagation {
 
     fn msg_bytes(&self, _m: &f64) -> u64 {
         12 // 4-byte destination id + 8-byte partial rank
-    }
-
-    fn spill_capable(&self) -> bool {
-        true
-    }
-
-    fn spill_encode(&self, msg: &f64, out: &mut Vec<u8>) {
-        msg.spill_to(out);
-    }
-
-    fn spill_decode(&self, buf: &mut &[u8]) -> Option<f64> {
-        f64::spill_from(buf)
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Bag, Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
+use surfer_core::{Bag, Propagation, PropagationEngine, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -128,18 +128,6 @@ impl Propagation for RecommendPropagation {
 
     fn msg_bytes(&self, _m: &()) -> u64 {
         5 // 4-byte destination + 1-byte flag
-    }
-
-    fn spill_capable(&self) -> bool {
-        true
-    }
-
-    fn spill_encode(&self, msg: &(), out: &mut Vec<u8>) {
-        msg.spill_to(out);
-    }
-
-    fn spill_decode(&self, buf: &mut &[u8]) -> Option<()> {
-        <()>::spill_from(buf)
     }
 }
 

@@ -7,9 +7,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{
-    Bag, Propagation, PropagationEngine, RoundCtx, SpillCodec, SurferApp, SurferResult,
-};
+use surfer_core::{Bag, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, GraphBuilder, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -88,18 +86,6 @@ impl Propagation for ReversePropagation {
 
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
         8 + 4 * m.len() as u64 // destination + length header + ids
-    }
-
-    fn spill_capable(&self) -> bool {
-        true
-    }
-
-    fn spill_encode(&self, msg: &Vec<u32>, out: &mut Vec<u8>) {
-        msg.spill_to(out);
-    }
-
-    fn spill_decode(&self, buf: &mut &[u8]) -> Option<Vec<u32>> {
-        Vec::<u32>::spill_from(buf)
     }
 
     fn state_bytes(&self) -> u64 {

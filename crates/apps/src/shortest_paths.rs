@@ -5,7 +5,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Bag, Propagation, PropagationEngine, SpillCodec, SurferApp, SurferResult};
+use surfer_core::{Bag, Propagation, PropagationEngine, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -119,18 +119,6 @@ impl Propagation for BfsPropagation {
 
     fn msg_bytes(&self, _m: &u32) -> u64 {
         8
-    }
-
-    fn spill_capable(&self) -> bool {
-        true
-    }
-
-    fn spill_encode(&self, msg: &u32, out: &mut Vec<u8>) {
-        msg.spill_to(out);
-    }
-
-    fn spill_decode(&self, buf: &mut &[u8]) -> Option<u32> {
-        u32::spill_from(buf)
     }
 }
 

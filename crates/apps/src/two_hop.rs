@@ -9,9 +9,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{
-    Bag, Propagation, PropagationEngine, RoundCtx, SpillCodec, SurferApp, SurferResult,
-};
+use surfer_core::{Bag, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
 use surfer_graph::subgraph::sample_vertices;
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
@@ -130,18 +128,6 @@ impl Propagation for TwoHopPropagation {
 
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
         8 + 4 * m.len() as u64
-    }
-
-    fn spill_capable(&self) -> bool {
-        true
-    }
-
-    fn spill_encode(&self, msg: &Vec<u32>, out: &mut Vec<u8>) {
-        msg.spill_to(out);
-    }
-
-    fn spill_decode(&self, buf: &mut &[u8]) -> Option<Vec<u32>> {
-        Vec::<u32>::spill_from(buf)
     }
 
     fn combine_ops(&self) -> f64 {

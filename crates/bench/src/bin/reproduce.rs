@@ -7,18 +7,14 @@
 //! ```
 //!
 //! Subcommands: all, table1, table2, table3, table4, table5, fig6, fig7,
-//! fig9, fig10, fig11, fig12, cascade, bench, chaos, serve, profile,
-//! perfetto, baseline, gate. Options: `--scale tiny|small|medium|large`
-//! (default small), `--machines N` (default 32), `--partitions P` (default
-//! 64).
+//! fig9, fig10, fig11, fig12, cascade, ablation, chaos, profile, perfetto,
+//! postmortem, baseline, gate, lint, lint-baseline. Options: `--scale
+//! tiny|small|medium|large` (default small), `--machines N` (default 32),
+//! `--partitions P` (default 64).
 //!
-//! `bench` measures host wall-clock of the real propagation computation at
-//! worker-thread counts {1, 2, max} and writes `BENCH_propagation.json`.
-//! `chaos` additionally measures checkpoint + crash-recovery overhead and
-//! splices the result into the same JSON document. `serve` drives the
-//! multi-tenant serving layer under a seeded open-loop arrival process and
-//! writes `BENCH_serve.json` (throughput, admission counters, per-tenant
-//! latency). `profile` records a
+//! Host wall-clock is measured by `surfbench` (`benchmark/`), not here.
+//! `chaos` prints the simulated checkpoint and crash-recovery overhead of a
+//! PageRank job as JSON. `profile` records a
 //! `surfer-obs` trace of the real execution path (propagation, MapReduce,
 //! checkpoint/restore, replica I/O), writes `TRACE_profile.json`, prints a
 //! per-thread span Gantt, and exits non-zero on schema drift (after printing
@@ -79,8 +75,7 @@ fn main() {
     let needs_workload = matches!(
         cmd.as_str(),
         "all" | "table1" | "table2" | "table3" | "fig6" | "fig7" | "fig9" | "fig10" | "fig12"
-            | "cascade" | "bench" | "chaos" | "profile" | "perfetto" | "gate" | "baseline"
-            | "serve" | "postmortem"
+            | "cascade" | "chaos" | "profile" | "perfetto" | "gate" | "baseline" | "postmortem"
     );
     let workload = needs_workload.then(|| {
         eprintln!("# generating + partitioning the MSN-like graph ...");
@@ -109,42 +104,13 @@ fn main() {
         "fig12" => println!("{}", fig12::run(w.expect("workload")).1),
         "cascade" => println!("{}", cascade::run(w.expect("workload")).1),
         "chaos" => {
-            let wl = w.expect("workload");
-            let (r, chaos_json) = chaos::run(wl);
+            let (r, json) = chaos::run(w.expect("workload"));
             eprintln!(
                 "# chaos: ckpt overhead {:.1}%, recovery overhead {:.1}%, bit-identical: {}",
                 r.checkpoint_overhead_pct(),
                 r.recovery_overhead_pct(),
                 r.bit_identical
             );
-            let (_, _, bench_json) = bench_threads::run(wl, 3);
-            let json = chaos::splice_into(&bench_json, &chaos_json);
-            std::fs::write("BENCH_propagation.json", &json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_propagation.json: {e}")));
-            eprintln!("# wrote BENCH_propagation.json (with chaos entry)");
-            println!("{json}");
-        }
-        "bench" => {
-            let (results, ooc, json) = bench_threads::run(w.expect("workload"), 3);
-            for r in &results {
-                eprintln!(
-                    "# threads={} ({} resolved): {:.1} ms, {:.0} msgs/s",
-                    r.threads, r.resolved, r.wall_ms, r.messages_per_sec
-                );
-            }
-            eprintln!(
-                "# out-of-core ({} B budget / {} B working set): {:.1} ms, {:.0} msgs/s, \
-                 {} B spilled, {} B reread",
-                ooc.budget_bytes,
-                ooc.working_set_bytes,
-                ooc.wall_ms,
-                ooc.messages_per_sec,
-                ooc.bytes_spilled,
-                ooc.bytes_reread
-            );
-            std::fs::write("BENCH_propagation.json", &json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_propagation.json: {e}")));
-            eprintln!("# wrote BENCH_propagation.json");
             println!("{json}");
         }
         "ablation" => {
@@ -177,21 +143,6 @@ fn main() {
                     problems.len()
                 ));
             }
-            println!("{}", r.json);
-        }
-        "serve" => {
-            let r = serve::run(w.expect("workload"));
-            eprintln!(
-                "# serve: {} offered, {} completed, {} rejected (typed back-pressure), \
-                 {:.1} jobs/s simulated",
-                serve::ARRIVALS,
-                r.completed,
-                r.rejected,
-                r.jobs_per_sec
-            );
-            std::fs::write("BENCH_serve.json", &r.json)
-                .unwrap_or_else(|e| die(&format!("writing BENCH_serve.json: {e}")));
-            eprintln!("# wrote BENCH_serve.json");
             println!("{}", r.json);
         }
         "postmortem" => {
@@ -299,7 +250,7 @@ fn main() {
             );
         }
         other => die(&format!(
-            "unknown experiment '{other}' (all|table1..table5|fig6|fig7|fig9|fig10|fig11|fig12|cascade|ablation|bench|chaos|serve|postmortem|profile|perfetto|baseline|gate|lint|lint-baseline)"
+            "unknown experiment '{other}' (all|table1..table5|fig6|fig7|fig9|fig10|fig11|fig12|cascade|ablation|chaos|postmortem|profile|perfetto|baseline|gate|lint|lint-baseline)"
         )),
     };
 

@@ -13,12 +13,10 @@
 //!
 //! All three must end with bit-identical vertex states; the simulated
 //! response times give the checkpoint and recovery overheads the paper's
-//! Figure 10 discusses. The `reproduce -- chaos` subcommand splices the
-//! result into `BENCH_propagation.json` next to the thread-sweep numbers.
+//! Figure 10 discusses. The `reproduce -- chaos` subcommand prints them as
+//! JSON.
 
 use crate::Workload;
-// lint:allow(D2, the bench harness measures real host wall-clock by design)
-use std::time::Instant;
 use surfer_apps::pagerank::PageRankPropagation;
 use surfer_cluster::{FaultPlan, MachineCrash, UdfPanicAt};
 use surfer_core::{run_with_recovery, EngineOptions, OptimizationLevel, PropagationEngine};
@@ -38,8 +36,6 @@ pub struct ChaosResult {
     pub ckpt_secs: f64,
     /// Simulated seconds with checkpointing + injected faults.
     pub chaos_secs: f64,
-    /// Host wall-clock of the chaos run, milliseconds.
-    pub chaos_wall_ms: f64,
     /// Recovery bookkeeping of the chaos run.
     pub stats: RecoveryStats,
     /// Did all three runs end bit-identical?
@@ -97,8 +93,6 @@ pub fn run(w: &Workload) -> (ChaosResult, String) {
         ..FaultPlan::none()
     };
     let mut chaos_state = engine.init_state(&prog);
-    // lint:allow(D2, host wall-clock is the measurement itself here)
-    let start = Instant::now();
     let chaos = run_with_recovery(
         cluster,
         pg,
@@ -110,7 +104,6 @@ pub fn run(w: &Workload) -> (ChaosResult, String) {
         &plan,
     )
     .expect("chaos run");
-    let chaos_wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let _ = std::fs::remove_dir_all(&dir);
 
     let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -122,7 +115,6 @@ pub fn run(w: &Workload) -> (ChaosResult, String) {
         plain_secs: plain.response_time.as_secs_f64(),
         ckpt_secs: ckpt.report.response_time.as_secs_f64(),
         chaos_secs: chaos.report.response_time.as_secs_f64(),
-        chaos_wall_ms,
         stats: chaos.stats,
         bit_identical,
     };
@@ -130,18 +122,17 @@ pub fn run(w: &Workload) -> (ChaosResult, String) {
     (result, json)
 }
 
-/// The `"chaos"` JSON object (hand-rolled, like the rest of the harness).
+/// The result as a JSON object (hand-rolled, like the rest of the harness).
 fn render_json(r: &ChaosResult) -> String {
     format!(
-        "{{\n    \"iterations\": {it}, \"checkpoint_interval\": {iv},\n    \
+        "{{\n  \"iterations\": {it}, \"checkpoint_interval\": {iv},\n  \
          \"plain_sim_secs\": {p:.4}, \"checkpointed_sim_secs\": {c:.4}, \
-         \"chaos_sim_secs\": {x:.4},\n    \
-         \"checkpoint_overhead_pct\": {co:.2}, \"recovery_overhead_pct\": {ro:.2},\n    \
-         \"chaos_wall_ms\": {wm:.3},\n    \
+         \"chaos_sim_secs\": {x:.4},\n  \
+         \"checkpoint_overhead_pct\": {co:.2}, \"recovery_overhead_pct\": {ro:.2},\n  \
          \"checkpoints_written\": {cw}, \"snapshot_bytes\": {sb}, \"restores\": {rs}, \
          \"replica_failovers\": {rf}, \"corrupt_snapshots\": {cs}, \"udf_retries\": {ur}, \
-         \"machine_crashes\": {mc}, \"tail_iterations_recomputed\": {ti},\n    \
-         \"bit_identical\": {bi}\n  }}",
+         \"machine_crashes\": {mc}, \"tail_iterations_recomputed\": {ti},\n  \
+         \"bit_identical\": {bi}\n}}",
         it = ITERATIONS,
         iv = CKPT_INTERVAL,
         p = r.plain_secs,
@@ -149,7 +140,6 @@ fn render_json(r: &ChaosResult) -> String {
         x = r.chaos_secs,
         co = r.checkpoint_overhead_pct(),
         ro = r.recovery_overhead_pct(),
-        wm = r.chaos_wall_ms,
         cw = r.stats.checkpoints_written,
         sb = r.stats.snapshot_bytes,
         rs = r.stats.restores,
@@ -160,18 +150,6 @@ fn render_json(r: &ChaosResult) -> String {
         ti = r.stats.tail_iterations_recomputed,
         bi = r.bit_identical,
     )
-}
-
-/// Splice the chaos object into the thread-sweep JSON document produced by
-/// [`crate::experiments::bench_threads::run`], right before the closing
-/// brace.
-pub fn splice_into(bench_json: &str, chaos_obj: &str) -> String {
-    let body = bench_json
-        .trim_end()
-        .strip_suffix('}')
-        .expect("bench json ends with '}'")
-        .trim_end();
-    format!("{body},\n  \"chaos\": {chaos_obj}\n}}\n")
 }
 
 #[cfg(test)]
@@ -192,17 +170,6 @@ mod tests {
         assert!(r.ckpt_secs > r.plain_secs, "checkpointing must cost simulated time");
         assert!(r.chaos_secs > r.ckpt_secs, "recovery must cost simulated time");
         assert!(json.contains("\"recovery_overhead_pct\""));
-    }
-
-    #[test]
-    fn splice_produces_valid_nesting() {
-        let bench = "{\n  \"results\": [\n    {\"threads\": 1}\n  ]\n}\n";
-        let out = splice_into(bench, "{\n    \"x\": 1\n  }");
-        assert!(out.contains("\"chaos\""));
-        assert!(out.trim_end().ends_with('}'));
-        // Braces balance.
-        let open = out.matches('{').count();
-        let close = out.matches('}').count();
-        assert_eq!(open, close);
+        assert_eq!(json.matches('{').count(), json.matches('}').count(), "{json}");
     }
 }

@@ -100,7 +100,7 @@ pub fn serve_snapshot(report: &TraceReport) -> Snapshot {
 pub fn full_snapshot(w: &Workload) -> Snapshot {
     let r = profile::run(w);
     let mut s = snapshot(&r.report);
-    s.extend(serve_snapshot(&super::serve::run(w).report));
+    s.extend(serve_snapshot(&super::serve::run(w)));
     s
 }
 
@@ -269,8 +269,7 @@ mod tests {
     #[test]
     fn serve_benchmark_metrics_are_gated_under_their_own_namespace() {
         let w = tiny();
-        let sv = super::super::serve::run(&w);
-        let snap = serve_snapshot(&sv.report);
+        let snap = serve_snapshot(&super::super::serve::run(&w));
         assert!(snap.contains_key("servebench.submitted"), "{:?}", snap.keys());
         assert!(snap.contains_key("servebench.admitted"));
         assert!(snap.contains_key("servebench.latency_us.count"));
@@ -281,7 +280,7 @@ mod tests {
         );
         // The serving benchmark is simulated-clock deterministic, so the
         // merged snapshot is just as pinnable as the profiled job's.
-        let again = serve_snapshot(&super::super::serve::run(&w).report);
+        let again = serve_snapshot(&super::super::serve::run(&w));
         assert_eq!(snap, again, "serve snapshot must replay bit-identically");
     }
 

@@ -6,7 +6,6 @@
 //! the paper's numbers.
 
 pub mod ablation;
-pub mod bench_threads;
 pub mod cascade;
 pub mod chaos;
 pub mod fig10;

@@ -19,10 +19,9 @@
 //!    lane by a ~1/10th-working-set memory budget, so the `spill.*` byte
 //!    counters are pinned too.
 //!
-//! The result is exported as `TRACE_profile.json` next to
-//! `BENCH_propagation.json` and validated against the expected schema —
-//! `reproduce -- profile` exits non-zero on drift, which is what the CI
-//! profile job runs.
+//! The result is exported as `TRACE_profile.json` and validated against the
+//! expected schema — `reproduce -- profile` exits non-zero on drift, which
+//! is what the CI profile job runs.
 
 use crate::Workload;
 use surfer_apps::pagerank::PageRankPropagation;

@@ -1,7 +1,8 @@
 //! Checkpoint/restore for the real execution path.
 //!
 //! Every `checkpoint_interval` iterations the driver snapshots each
-//! partition's vertex states into a CRC32-framed file
+//! partition's vertex states, encoded member after member with their
+//! [`Codec`], into a CRC32-framed file
 //! (`<dir>/m<machine>/part-<pid>.ckpt`, see
 //! [`surfer_partition::write_snapshot`]) on every alive machine of the
 //! partition's GFS-style replica set. When a machine fail-stops, the driver
@@ -19,6 +20,7 @@
 //! for any thread count), a recovered run finishes with vertex states
 //! **bit-identical** to a fault-free run of the same job.
 
+use crate::codec::Codec;
 use crate::engine::{EngineOptions, PropagationEngine, RoundCtx};
 use crate::error::{SurferError, SurferResult};
 use crate::primitive::{Bag, Propagation};
@@ -31,105 +33,6 @@ use surfer_cluster::{
 };
 use surfer_graph::{CsrGraph, GraphError, VertexId};
 use surfer_partition::{read_snapshot, write_snapshot, PartitionedGraph};
-
-/// Fixed-layout binary serialization for per-vertex state, so snapshots
-/// round-trip bit-exactly (little-endian throughout, matching the snapshot
-/// container's framing).
-pub trait Checkpointable: Sized {
-    /// Append this value's encoding to `out`.
-    fn write_to(&self, out: &mut Vec<u8>);
-    /// Decode one value from the front of `buf`, advancing it. `None` means
-    /// the buffer is truncated or malformed.
-    fn read_from(buf: &mut &[u8]) -> Option<Self>;
-}
-
-macro_rules! checkpointable_scalar {
-    ($($t:ty),*) => {$(
-        impl Checkpointable for $t {
-            fn write_to(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
-            fn read_from(buf: &mut &[u8]) -> Option<Self> {
-                const N: usize = std::mem::size_of::<$t>();
-                let (head, tail) = buf.split_at_checked(N)?;
-                *buf = tail;
-                Some(<$t>::from_le_bytes(head.try_into().ok()?))
-            }
-        }
-    )*};
-}
-checkpointable_scalar!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
-
-impl Checkpointable for bool {
-    fn write_to(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-    fn read_from(buf: &mut &[u8]) -> Option<Self> {
-        u8::read_from(buf).map(|b| b != 0)
-    }
-}
-
-impl<A: Checkpointable, B: Checkpointable> Checkpointable for (A, B) {
-    fn write_to(&self, out: &mut Vec<u8>) {
-        self.0.write_to(out);
-        self.1.write_to(out);
-    }
-    fn read_from(buf: &mut &[u8]) -> Option<Self> {
-        Some((A::read_from(buf)?, B::read_from(buf)?))
-    }
-}
-
-impl<A: Checkpointable, B: Checkpointable, C: Checkpointable> Checkpointable for (A, B, C) {
-    fn write_to(&self, out: &mut Vec<u8>) {
-        self.0.write_to(out);
-        self.1.write_to(out);
-        self.2.write_to(out);
-    }
-    fn read_from(buf: &mut &[u8]) -> Option<Self> {
-        Some((A::read_from(buf)?, B::read_from(buf)?, C::read_from(buf)?))
-    }
-}
-
-impl<T: Checkpointable> Checkpointable for Option<T> {
-    fn write_to(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.write_to(out);
-            }
-        }
-    }
-    fn read_from(buf: &mut &[u8]) -> Option<Self> {
-        match u8::read_from(buf)? {
-            0 => Some(None),
-            1 => Some(Some(T::read_from(buf)?)),
-            _ => None,
-        }
-    }
-}
-
-impl<T: Checkpointable> Checkpointable for Vec<T> {
-    fn write_to(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).write_to(out);
-        for v in self {
-            v.write_to(out);
-        }
-    }
-    fn read_from(buf: &mut &[u8]) -> Option<Self> {
-        let n = u64::read_from(buf)?;
-        // Guard against absurd lengths from damaged buffers: each element
-        // takes at least one byte.
-        if n > buf.len() as u64 {
-            return None;
-        }
-        let mut v = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            v.push(T::read_from(buf)?);
-        }
-        Some(v)
-    }
-}
 
 /// Knobs for [`run_with_recovery`].
 #[derive(Debug, Clone)]
@@ -303,18 +206,6 @@ impl<P: Propagation> Propagation for ChaosProgram<'_, P> {
         self.inner.state_bytes()
     }
 
-    fn spill_capable(&self) -> bool {
-        self.inner.spill_capable()
-    }
-
-    fn spill_encode(&self, msg: &Self::Msg, out: &mut Vec<u8>) {
-        self.inner.spill_encode(msg, out)
-    }
-
-    fn spill_decode(&self, buf: &mut &[u8]) -> Option<Self::Msg> {
-        self.inner.spill_decode(buf)
-    }
-
     fn transfer_ops(&self) -> f64 {
         self.inner.transfer_ops()
     }
@@ -363,7 +254,7 @@ pub fn run_with_recovery<P>(
 ) -> SurferResult<RecoveryOutcome>
 where
     P: Propagation,
-    P::State: Checkpointable,
+    P::State: Codec,
 {
     // One journal frame for the whole run: it inherits the ambient
     // job/tenant (the serving layer pushes one) and the loop advances its
@@ -396,7 +287,7 @@ fn run_with_recovery_inner<P>(
 ) -> SurferResult<RecoveryOutcome>
 where
     P: Propagation,
-    P::State: Checkpointable,
+    P::State: Codec,
 {
     assert!(cfg.checkpoint_interval >= 1, "checkpoint interval must be at least 1");
     let machines = cluster.num_machines();
@@ -550,7 +441,7 @@ where
 /// checkpoint round (local write on the partition's home, replicated write
 /// plus network transfer on the siblings).
 #[allow(clippy::too_many_arguments)]
-fn write_checkpoint<S: Checkpointable>(
+fn write_checkpoint<S: Codec>(
     cluster: &SimCluster,
     cur: &PartitionedGraph,
     store: &PartitionStore,
@@ -593,7 +484,7 @@ fn write_checkpoint<S: Checkpointable>(
         }
         let mut payload = Vec::new();
         for &v in &cur.meta(pid).members {
-            state[v.index()].write_to(&mut payload);
+            state[v.index()].encode(&mut payload);
         }
         let len = payload.len() as u64;
         let home = cur.machine_of(pid);
@@ -664,7 +555,7 @@ fn write_checkpoint<S: Checkpointable>(
 /// from the first alive replica whose copy verifies; returns the simulated
 /// restore round (replica read + transfer to the partition's home).
 #[allow(clippy::too_many_arguments)]
-fn restore_checkpoint<S: Checkpointable>(
+fn restore_checkpoint<S: Codec>(
     cluster: &SimCluster,
     cur: &PartitionedGraph,
     store: &PartitionStore,
@@ -713,7 +604,7 @@ fn restore_checkpoint<S: Checkpointable>(
         };
         let mut buf = payload.as_slice();
         for &v in &cur.meta(pid).members {
-            state[v.index()] = S::read_from(&mut buf).ok_or_else(|| {
+            state[v.index()] = S::decode(&mut buf).ok_or_else(|| {
                 GraphError::Corrupt(format!("snapshot of partition {pid} too short"))
             })?;
         }
@@ -757,32 +648,6 @@ mod tests {
         let dir = std::env::temp_dir().join("surfer-checkpoint").join(name);
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn checkpointable_roundtrips_bit_exactly() {
-        let mut buf = Vec::new();
-        42u64.write_to(&mut buf);
-        (-7i32).write_to(&mut buf);
-        0.25f64.write_to(&mut buf);
-        true.write_to(&mut buf);
-        (3u32, 9u64).write_to(&mut buf);
-        Some(5u8).write_to(&mut buf);
-        Option::<u8>::None.write_to(&mut buf);
-        vec![1u16, 2, 3].write_to(&mut buf);
-        let mut r = buf.as_slice();
-        assert_eq!(u64::read_from(&mut r), Some(42));
-        assert_eq!(i32::read_from(&mut r), Some(-7));
-        assert_eq!(f64::read_from(&mut r), Some(0.25));
-        assert_eq!(bool::read_from(&mut r), Some(true));
-        assert_eq!(<(u32, u64)>::read_from(&mut r), Some((3, 9)));
-        assert_eq!(Option::<u8>::read_from(&mut r), Some(Some(5)));
-        assert_eq!(Option::<u8>::read_from(&mut r), Some(None));
-        assert_eq!(Vec::<u16>::read_from(&mut r), Some(vec![1, 2, 3]));
-        assert!(r.is_empty());
-        // A truncated buffer decodes to None, never to garbage.
-        let mut short = &buf[..3];
-        assert_eq!(u64::read_from(&mut short), None);
     }
 
     /// Each vertex forwards its value around a cycle; combine sums.

@@ -332,7 +332,7 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
     #[inline]
     fn push(&mut self, q: u32, to: VertexId, msg: P::Msg) -> SurferResult<()> {
         match &mut self.segments {
-            Some(segments) => segments.push_encoded(self.prog, q, to, &msg),
+            Some(segments) => segments.push_encoded(q, to, &msg),
             None => {
                 self.mem[q as usize].push((to, msg));
                 Ok(())
@@ -552,10 +552,11 @@ impl<'a> PropagationEngine<'a> {
     ///
     /// Under a memory budget the program's working set exceeds, the same
     /// round runs out of core: the scan reads edge blocks streamed from the
-    /// spill session instead of the CSR, and — for programs with a spill
-    /// codec — routed messages travel through mailbox segments on disk
-    /// instead of resident buckets. Same per-edge body, same fold order,
-    /// hence bit-identical states, tallies and reports.
+    /// spill session instead of the CSR, and routed messages travel through
+    /// mailbox segments on disk, in the message type's
+    /// [`Codec`](crate::Codec), instead of resident buckets. Same per-edge
+    /// body, same fold order, hence bit-identical states, tallies and
+    /// reports.
     pub fn run_iteration<P: Propagation>(
         &self,
         prog: &P,
@@ -585,9 +586,6 @@ impl<'a> PropagationEngine<'a> {
         if let Some(session) = session {
             session.begin_round(pg, ctx.spill_faults)?;
         }
-        // Programs without a spill codec stream their adjacency but keep
-        // the mailbox resident.
-        let mailbox_session = session.filter(|_| prog.spill_capable());
 
         // ---- Transfer stage (real, one worker item per partition). ----
         // Each scan folds its own partition's messages in scan order (a
@@ -605,7 +603,7 @@ impl<'a> PropagationEngine<'a> {
         let scanned: Vec<SurferResult<Outbox<P::Msg>>> = try_par_map_vec(threads, pids, |_, pid| {
             let _s = surfer_obs::span_under("prop.transfer.part", transfer_sid, || format!("p{pid}"));
             let t0 = surfer_obs::stopwatch();
-            let segments = mailbox_session.map(|s| MsgSink::new(s, pid, parts));
+            let segments = session.map(|s| MsgSink::new(s, pid, parts));
             let mut scan =
                 TransferScan::begin(prog, pg, state_ro, pid, fold, merge_cross, segments);
             match session {
@@ -681,7 +679,7 @@ impl<'a> PropagationEngine<'a> {
             });
         }
         publish_transfer_counters(&tally, messages);
-        if let Some(session) = mailbox_session {
+        if let Some(session) = session {
             session.end_transfer(segments, ctx.spill_faults)?;
         }
 
@@ -742,8 +740,8 @@ impl<'a> PropagationEngine<'a> {
                 for (to, msg) in buckets.into_iter().flatten() {
                     deliver(to, msg);
                 }
-                let reread = match mailbox_session {
-                    Some(session) => session.replay_segments(prog, pid, &sources, &mut deliver)?,
+                let reread = match session {
+                    Some(session) => session.replay_segments(pid, &sources, &mut deliver)?,
                     None => (0, 0),
                 };
                 if arrived != routed {
@@ -1158,7 +1156,7 @@ mod tests {
     use surfer_partition::Partitioning;
 
     /// Each vertex forwards a counter; combine sums. One iteration on a
-    /// cycle rotates the values. It folds, and has a spill codec.
+    /// cycle rotates the values. It folds.
     struct Rotate;
     impl Propagation for Rotate {
         type State = u64;
@@ -1180,15 +1178,6 @@ mod tests {
         }
         fn msg_bytes(&self, _m: &u64) -> u64 {
             12
-        }
-        fn spill_capable(&self) -> bool {
-            true
-        }
-        fn spill_encode(&self, msg: &u64, out: &mut Vec<u8>) {
-            crate::ooc::SpillCodec::spill_to(msg, out);
-        }
-        fn spill_decode(&self, buf: &mut &[u8]) -> Option<u64> {
-            crate::ooc::SpillCodec::spill_from(buf)
         }
     }
 
@@ -1349,15 +1338,6 @@ mod tests {
         }
         fn msg_bytes(&self, _m: &u64) -> u64 {
             12
-        }
-        fn spill_capable(&self) -> bool {
-            true
-        }
-        fn spill_encode(&self, msg: &u64, out: &mut Vec<u8>) {
-            crate::ooc::SpillCodec::spill_to(msg, out);
-        }
-        fn spill_decode(&self, buf: &mut &[u8]) -> Option<u64> {
-            crate::ooc::SpillCodec::spill_from(buf)
         }
     }
 

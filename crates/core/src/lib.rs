@@ -15,6 +15,7 @@
 
 pub mod cascade;
 pub mod checkpoint;
+pub mod codec;
 pub mod engine;
 pub mod error;
 pub mod ooc;
@@ -23,12 +24,11 @@ pub mod primitive;
 pub mod surfer;
 
 pub use cascade::{run_cascaded, CascadeAnalysis};
-pub use checkpoint::{
-    run_with_recovery, Checkpointable, RecoveryConfig, RecoveryOutcome, RecoveryStats,
-};
+pub use checkpoint::{run_with_recovery, RecoveryConfig, RecoveryOutcome, RecoveryStats};
+pub use codec::Codec;
 pub use engine::{EngineOptions, PropagationEngine, RoundCtx};
 pub use error::{SurferError, SurferResult};
-pub use ooc::{working_set_bytes, MemoryBudget, SpillCodec};
+pub use ooc::{working_set_bytes, MemoryBudget};
 pub use opt::OptimizationLevel;
 pub use primitive::{Bag, Propagation, VirtualVertexTask};
 pub use surfer::{auto_partition_count, Surfer, SurferApp, SurferBuilder, SurferRun};

@@ -30,18 +30,18 @@
 //! cross-partition messages go to disk. Any other program spills its local
 //! messages to its `(p, p)` segment like the rest.
 //!
-//! Message spilling needs a byte codec ([`Propagation::spill_capable`] +
-//! `spill_encode`/`spill_decode`, usually delegated to [`SpillCodec`]);
-//! programs without one still stream their adjacency but keep the mailbox
-//! resident. The virtual-vertex lane never spills.
+//! Every message type has a byte [`Codec`] (a bound of
+//! [`Propagation::Msg`](crate::Propagation::Msg)), so every program's
+//! mailbox spills; a record is the destination id and the message, both
+//! in that codec. The virtual-vertex lane never spills.
 //!
 //! All spill I/O is checksummed ([`surfer_partition::store_fs`] frames):
 //! damage — including the [`SpillFault`]s a chaos plan injects — surfaces
 //! as a typed [`SurferError::Storage`] with vertex state untouched, so a
 //! retry with fresh spill files recovers cleanly.
 
+use crate::codec::Codec;
 use crate::error::{SurferError, SurferResult};
-use crate::primitive::Propagation;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,95 +88,6 @@ impl MemoryBudget {
 pub fn working_set_bytes(pg: &PartitionedGraph, state_bytes: u64) -> u64 {
     let adjacency: u64 = pg.partitions().map(|pid| pg.meta(pid).bytes).sum();
     adjacency + pg.graph().num_vertices() as u64 * state_bytes
-}
-
-/// Byte codec for spillable message types: `spill_to` appends a
-/// self-delimiting encoding, `spill_from` consumes exactly those bytes back
-/// (advancing the slice) or returns `None` on damage — never panics.
-pub trait SpillCodec: Sized {
-    /// Append this value's encoding to `out`.
-    fn spill_to(&self, out: &mut Vec<u8>);
-    /// Decode one value from the front of `buf`, advancing it.
-    fn spill_from(buf: &mut &[u8]) -> Option<Self>;
-}
-
-/// Split `N` bytes off the front of `buf`.
-fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
-    if buf.len() < N {
-        return None;
-    }
-    let (head, rest) = buf.split_at(N);
-    let mut a = [0u8; N];
-    a.copy_from_slice(head);
-    *buf = rest;
-    Some(a)
-}
-
-impl SpillCodec for u32 {
-    fn spill_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn spill_from(buf: &mut &[u8]) -> Option<Self> {
-        take::<4>(buf).map(u32::from_le_bytes)
-    }
-}
-
-impl SpillCodec for u64 {
-    fn spill_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn spill_from(buf: &mut &[u8]) -> Option<Self> {
-        take::<8>(buf).map(u64::from_le_bytes)
-    }
-}
-
-impl SpillCodec for f64 {
-    fn spill_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn spill_from(buf: &mut &[u8]) -> Option<Self> {
-        take::<8>(buf).map(|b| f64::from_bits(u64::from_le_bytes(b)))
-    }
-}
-
-impl SpillCodec for bool {
-    fn spill_to(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-    fn spill_from(buf: &mut &[u8]) -> Option<Self> {
-        match take::<1>(buf)?[0] {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-}
-
-impl SpillCodec for () {
-    fn spill_to(&self, _out: &mut Vec<u8>) {}
-    fn spill_from(_buf: &mut &[u8]) -> Option<Self> {
-        Some(())
-    }
-}
-
-impl SpillCodec for Vec<u32> {
-    fn spill_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        for x in self {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-    fn spill_from(buf: &mut &[u8]) -> Option<Self> {
-        let len = u32::from_le_bytes(take::<4>(buf)?) as usize;
-        if buf.len() < 4 * len {
-            return None;
-        }
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(u32::from_le_bytes(take::<4>(buf)?));
-        }
-        Some(v)
-    }
 }
 
 /// Distinguishes concurrently live spill directories within one process.
@@ -346,12 +257,11 @@ impl OocSession {
     /// Read partition `pid`'s incoming mailbox segments — one per partition
     /// in `sources`, ascending — handing every decoded `(destination,
     /// message)` record to `deliver`. Returns the `(frames, bytes)` reread.
-    pub(crate) fn replay_segments<P: Propagation>(
+    pub(crate) fn replay_segments<M: Codec>(
         &self,
-        prog: &P,
         pid: u32,
         sources: &[u32],
-        deliver: &mut impl FnMut(VertexId, P::Msg),
+        deliver: &mut impl FnMut(VertexId, M),
     ) -> SurferResult<(u64, u64)> {
         let mut frames_read = 0u64;
         let mut bytes_reread = 0u64;
@@ -370,11 +280,10 @@ impl OocSession {
                 frames_read += 1;
                 let mut buf = frame.payload;
                 while !buf.is_empty() {
-                    let Some(raw) = take::<4>(&mut buf) else {
+                    let Some(to) = u32::decode(&mut buf).map(VertexId) else {
                         return Err(corrupt(format!("{what}: truncated destination id")));
                     };
-                    let to = VertexId(u32::from_le_bytes(raw));
-                    let Some(msg) = prog.spill_decode(&mut buf) else {
+                    let Some(msg) = M::decode(&mut buf) else {
                         return Err(corrupt(format!("{what}: undecodable message for {to}")));
                     };
                     deliver(to, msg);
@@ -474,17 +383,11 @@ impl<'s> MsgSink<'s> {
 
     /// Append one message to the destination partition's segment buffer,
     /// flushing a frame once the buffer reaches the target size.
-    pub(crate) fn push_encoded<P: Propagation>(
-        &mut self,
-        prog: &P,
-        q: u32,
-        to: VertexId,
-        msg: &P::Msg,
-    ) -> SurferResult<()> {
+    pub(crate) fn push_encoded<M: Codec>(&mut self, q: u32, to: VertexId, msg: &M) -> SurferResult<()> {
         self.counts[q as usize] += 1;
         let buf = &mut self.bufs[q as usize];
-        buf.extend_from_slice(&to.0.to_le_bytes());
-        prog.spill_encode(msg, buf);
+        to.0.encode(buf);
+        msg.encode(buf);
         if buf.len() >= self.frame_target {
             self.flush_segment(q)?;
         }
@@ -579,14 +482,14 @@ pub(crate) fn damage_file(path: &Path, kind: SpillFaultKind) -> SurferResult<()>
 mod tests {
     use super::*;
     use crate::engine::{EngineOptions, PropagationEngine, RoundCtx};
-    use crate::primitive::Bag;
+    use crate::primitive::{Bag, Propagation};
     use std::sync::Arc;
     use surfer_cluster::{ClusterConfig, MachineId};
     use surfer_graph::generators::deterministic::cycle;
     use surfer_graph::CsrGraph;
     use surfer_partition::Partitioning;
 
-    /// Rotate-and-sum (the engine's own test program) with a spill codec.
+    /// Rotate-and-sum (the engine's own test program).
     struct SpillRotate;
     impl Propagation for SpillRotate {
         type State = u64;
@@ -609,41 +512,6 @@ mod tests {
         fn msg_bytes(&self, _m: &u64) -> u64 {
             12
         }
-        fn spill_capable(&self) -> bool {
-            true
-        }
-        fn spill_encode(&self, msg: &u64, out: &mut Vec<u8>) {
-            msg.spill_to(out);
-        }
-        fn spill_decode(&self, buf: &mut &[u8]) -> Option<u64> {
-            u64::spill_from(buf)
-        }
-    }
-
-    /// Same program without a codec: the budget streams adjacency but the
-    /// mailbox stays resident.
-    struct MemRotate;
-    impl Propagation for MemRotate {
-        type State = u64;
-        type Msg = u64;
-        fn init(&self, v: VertexId, g: &CsrGraph) -> u64 {
-            SpillRotate.init(v, g)
-        }
-        fn transfer(&self, f: VertexId, s: &u64, t: VertexId, g: &CsrGraph) -> Option<u64> {
-            SpillRotate.transfer(f, s, t, g)
-        }
-        fn combine(&self, v: VertexId, o: &u64, m: Bag<'_, u64>, g: &CsrGraph) -> u64 {
-            SpillRotate.combine(v, o, m, g)
-        }
-        fn associative(&self) -> bool {
-            true
-        }
-        fn merge(&self, a: u64, b: u64) -> u64 {
-            a + b
-        }
-        fn msg_bytes(&self, _m: &u64) -> u64 {
-            12
-        }
     }
 
     fn two_partition_cycle() -> (surfer_cluster::SimCluster, PartitionedGraph) {
@@ -652,29 +520,6 @@ mod tests {
         let pg =
             PartitionedGraph::from_parts(Arc::new(g), p, vec![MachineId(0), MachineId(1)]);
         (ClusterConfig::flat(2).build(), pg)
-    }
-
-    #[test]
-    fn codec_roundtrips() {
-        let mut out = Vec::new();
-        7u32.spill_to(&mut out);
-        u64::MAX.spill_to(&mut out);
-        (-1.5f64).spill_to(&mut out);
-        true.spill_to(&mut out);
-        ().spill_to(&mut out);
-        vec![3u32, 9, 27].spill_to(&mut out);
-        let mut buf: &[u8] = &out;
-        assert_eq!(u32::spill_from(&mut buf), Some(7));
-        assert_eq!(u64::spill_from(&mut buf), Some(u64::MAX));
-        assert_eq!(f64::spill_from(&mut buf), Some(-1.5));
-        assert_eq!(bool::spill_from(&mut buf), Some(true));
-        assert_eq!(<()>::spill_from(&mut buf), Some(()));
-        assert_eq!(Vec::<u32>::spill_from(&mut buf), Some(vec![3, 9, 27]));
-        assert!(buf.is_empty());
-        // Damage decodes to None, never a panic.
-        assert_eq!(u64::spill_from(&mut &out[..3]), None);
-        assert_eq!(Vec::<u32>::spill_from(&mut &[9u8, 0, 0, 0][..]), None);
-        assert_eq!(bool::spill_from(&mut &[7u8][..]), None);
     }
 
     #[test]
@@ -746,22 +591,6 @@ mod tests {
                 .unwrap();
             assert_eq!(streamed, pg.dest_codes(pid), "partition {pid}");
         }
-    }
-
-    #[test]
-    fn codec_less_program_streams_adjacency_only() {
-        let (c, pg) = two_partition_cycle();
-        let reference = {
-            let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
-            let mut state = engine.init_state(&MemRotate);
-            engine.run_iteration(&MemRotate, &mut state, &RoundCtx::default()).unwrap();
-            state
-        };
-        let budgeted = EngineOptions::full().memory_budget(MemoryBudget::bytes(1));
-        let engine = PropagationEngine::new(&c, &pg, budgeted);
-        let mut state = engine.init_state(&MemRotate);
-        engine.run_iteration(&MemRotate, &mut state, &RoundCtx::default()).unwrap();
-        assert_eq!(state, reference);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! developer-chosen virtual vertex id, and `combine` runs on the virtual
 //! vertices — emulating MapReduce within Surfer (§3.2's VDD example).
 
+use crate::codec::Codec;
 use surfer_graph::{CsrGraph, VertexId};
 
 /// The bag of values `combine` is handed: every message that reached one
@@ -56,8 +57,9 @@ impl<M> std::iter::FusedIterator for Bag<'_, M> {}
 pub trait Propagation: Sync {
     /// Per-vertex state, persisted across iterations.
     type State: Clone + Send + Sync;
-    /// The value transferred along an edge.
-    type Msg: Clone + Send;
+    /// The value transferred along an edge. Its [`Codec`] is how the
+    /// out-of-core lane writes it to a mailbox segment and reads it back.
+    type Msg: Codec + Clone + Send;
 
     /// Initial state of vertex `v`.
     fn init(&self, v: VertexId, g: &CsrGraph) -> Self::State;
@@ -113,29 +115,6 @@ pub trait Propagation: Sync {
     /// stage writes results back to disk).
     fn state_bytes(&self) -> u64 {
         12
-    }
-
-    /// Can this program's messages round-trip through the out-of-core
-    /// mailbox spill? Programs opting in must implement
-    /// [`Propagation::spill_encode`] / [`Propagation::spill_decode`]
-    /// (usually by delegating to `surfer_core::SpillCodec`); the encoding
-    /// must be self-delimiting and byte-exact. Programs that stay `false`
-    /// still stream their adjacency under a memory budget but keep the
-    /// mailbox resident.
-    fn spill_capable(&self) -> bool {
-        false
-    }
-
-    /// Append `msg`'s spill encoding to `out`. Only called when
-    /// [`Propagation::spill_capable`] is true.
-    fn spill_encode(&self, _msg: &Self::Msg, _out: &mut Vec<u8>) {}
-
-    /// Decode one message from the front of `buf`, advancing it; `None`
-    /// signals damage (surfaced by the engine as a typed storage error,
-    /// never a panic). Only called when [`Propagation::spill_capable`] is
-    /// true.
-    fn spill_decode(&self, _buf: &mut &[u8]) -> Option<Self::Msg> {
-        None
     }
 
     /// CPU record-operations per transfer call.

@@ -9,9 +9,7 @@ use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use surfer_cluster::{ClusterConfig, MachineId, SimCluster};
-use surfer_core::{
-    Bag, EngineOptions, MemoryBudget, Propagation, PropagationEngine, RoundCtx, SpillCodec,
-};
+use surfer_core::{Bag, EngineOptions, MemoryBudget, Propagation, PropagationEngine, RoundCtx};
 use surfer_graph::builder::from_edges;
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_partition::{random_partition, PartitionedGraph};
@@ -211,15 +209,6 @@ impl Propagation for OrderProbe {
     fn combine_ops(&self) -> f64 {
         1000.0
     }
-    fn spill_capable(&self) -> bool {
-        true
-    }
-    fn spill_encode(&self, msg: &u64, out: &mut Vec<u8>) {
-        msg.spill_to(out);
-    }
-    fn spill_decode(&self, buf: &mut &[u8]) -> Option<u64> {
-        u64::spill_from(buf)
-    }
 }
 
 /// A `Vec<u32>`-message program (the TFL/RLG shape) that counts its `merge`
@@ -254,15 +243,6 @@ impl Propagation for BagProbe {
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
         4 + 4 * m.len() as u64
     }
-    fn spill_capable(&self) -> bool {
-        true
-    }
-    fn spill_encode(&self, msg: &Vec<u32>, out: &mut Vec<u8>) {
-        msg.spill_to(out);
-    }
-    fn spill_decode(&self, buf: &mut &[u8]) -> Option<Vec<u32>> {
-        Vec::spill_from(buf)
-    }
 }
 
 /// A `Vec<u32>`-message program whose `combine` reads the first message of
@@ -285,15 +265,6 @@ impl Propagation for FirstOnly {
     }
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
         4 + 4 * m.len() as u64
-    }
-    fn spill_capable(&self) -> bool {
-        true
-    }
-    fn spill_encode(&self, msg: &Vec<u32>, out: &mut Vec<u8>) {
-        msg.spill_to(out);
-    }
-    fn spill_decode(&self, buf: &mut &[u8]) -> Option<Vec<u32>> {
-        Vec::spill_from(buf)
     }
 }
 

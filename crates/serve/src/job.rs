@@ -14,8 +14,8 @@
 use crate::cache::CacheKey;
 use surfer_cluster::{FaultPlan, SimCluster, SimDuration, SimTime};
 use surfer_core::{
-    run_with_recovery, Checkpointable, EngineOptions, Propagation, PropagationEngine,
-    RecoveryConfig, RoundCtx, SurferResult,
+    run_with_recovery, Codec, EngineOptions, Propagation, PropagationEngine, RecoveryConfig,
+    RoundCtx, SurferResult,
 };
 use surfer_partition::PartitionedGraph;
 
@@ -99,13 +99,12 @@ impl JobSpec {
     }
 }
 
-/// Encode a state vector with its [`Checkpointable`] layout — the same
-/// fixed little-endian encoding snapshots use, so equal states are equal
-/// bytes.
-pub fn encode_states<S: Checkpointable>(states: &[S]) -> Vec<u8> {
+/// Encode a state vector with its [`Codec`] — the same fixed little-endian
+/// encoding snapshots use, so equal states are equal bytes.
+pub fn encode_states<S: Codec>(states: &[S]) -> Vec<u8> {
     let mut out = Vec::new();
     for s in states {
-        s.write_to(&mut out);
+        s.encode(&mut out);
     }
     out
 }
@@ -131,7 +130,7 @@ impl<'a, P: Propagation> PropagationJob<'a, P> {
 
 impl<P: Propagation> JobTask for PropagationJob<'_, P>
 where
-    P::State: Checkpointable,
+    P::State: Codec,
 {
     fn step(&mut self) -> SurferResult<StepOutcome> {
         if self.completed >= self.iterations {
@@ -197,7 +196,7 @@ impl<'a, P: Propagation> RecoveredJob<'a, P> {
 
 impl<P: Propagation> JobTask for RecoveredJob<'_, P>
 where
-    P::State: Checkpointable,
+    P::State: Codec,
 {
     fn step(&mut self) -> SurferResult<StepOutcome> {
         let engine = PropagationEngine::new(self.cluster, self.pg, self.options);
@@ -239,12 +238,12 @@ mod tests {
     }
 
     #[test]
-    fn state_encoding_matches_checkpointable_layout() {
+    fn state_encoding_matches_the_codec_layout() {
         let states = [1.0f64, 2.5f64];
         let bytes = encode_states(&states);
         let mut expect = Vec::new();
         for s in &states {
-            s.write_to(&mut expect);
+            s.encode(&mut expect);
         }
         assert_eq!(bytes, expect);
         assert_eq!(bytes.len(), 16);
