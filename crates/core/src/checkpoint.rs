@@ -32,6 +32,7 @@ use surfer_cluster::{
     SimTime, TaskKind, TaskSpec,
 };
 use surfer_graph::{CsrGraph, GraphError, VertexId};
+use surfer_obs::journal::{self, EventKind};
 use surfer_partition::{read_snapshot, write_snapshot, PartitionedGraph};
 
 /// Knobs for [`run_with_recovery`].
@@ -215,6 +216,31 @@ impl<P: Propagation> Propagation for ChaosProgram<'_, P> {
     }
 }
 
+/// Record one recovery fact: fold it into `stats` and journal it, which
+/// also moves its `ckpt.*` counter — one call, one record, so the stats,
+/// the counters and the journal cannot disagree.
+fn note(stats: &mut RecoveryStats, event: EventKind) {
+    let field = match &event {
+        EventKind::CheckpointWrite { bytes, .. } => {
+            stats.snapshot_bytes += bytes;
+            Some(&mut stats.checkpoints_written)
+        }
+        EventKind::CheckpointRestore { .. } => Some(&mut stats.restores),
+        EventKind::ReplicaFailover { .. } => Some(&mut stats.replica_failovers),
+        EventKind::CorruptSnapshot { .. } => Some(&mut stats.corrupt_snapshots),
+        EventKind::UdfRetry { .. } => Some(&mut stats.udf_retries),
+        EventKind::SnapshotWriteRetry { .. } => Some(&mut stats.snapshot_write_retries),
+        EventKind::MachineCrash { .. } => Some(&mut stats.machine_crashes),
+        EventKind::SpillRetry => Some(&mut stats.spill_retries),
+        EventKind::TailRecompute { .. } => Some(&mut stats.tail_iterations_recomputed),
+        _ => None,
+    };
+    if let Some(field) = field {
+        *field += 1;
+    }
+    journal::record(event);
+}
+
 fn snapshot_path(dir: &Path, machine: MachineId, pid: u32) -> PathBuf {
     dir.join(format!("m{}", machine.0)).join(format!("part-{pid}.ckpt"))
 }
@@ -320,12 +346,8 @@ where
             for &m in &crashed {
                 alive[m.0 as usize] = false;
                 iter_faults.push(Fault { machine: m, at: SimTime::ZERO });
-                surfer_obs::journal::record(surfer_obs::journal::EventKind::MachineCrash {
-                    machine: m.0,
-                });
+                note(&mut stats, EventKind::MachineCrash { machine: m.0 });
             }
-            stats.machine_crashes += crashed.len() as u32;
-            surfer_obs::counter_add("ckpt.machine_crashes", crashed.len() as u64);
             let alive_ids: Vec<MachineId> = (0..machines)
                 .map(MachineId)
                 .filter(|m| alive[m.0 as usize])
@@ -339,8 +361,6 @@ where
             total.absorb(&restore_checkpoint(
                 cluster, &cur, &store, &alive, cfg, last_ckpt, state, &mut stats,
             )?);
-            stats.restores += 1;
-            surfer_obs::counter_add("ckpt.restores", 1);
 
             // Re-home partitions stranded on dead machines: prefer an alive
             // replica holder (the data is already there), else any alive
@@ -367,8 +387,7 @@ where
             for t in last_ckpt..it {
                 chaos.set_iteration(t);
                 total.absorb(&engine.run_iteration(&chaos, state, &RoundCtx::default())?.0);
-                stats.tail_iterations_recomputed += 1;
-                surfer_obs::counter_add("ckpt.tail_recomputed", 1);
+                note(&mut stats, EventKind::TailRecompute { iteration: t });
             }
             cur = next;
         }
@@ -401,17 +420,11 @@ where
                     if attempts == 0 && iter_faults.is_empty() && !spill_faults.is_empty() =>
                 {
                     attempts += 1;
-                    stats.spill_retries += 1;
-                    surfer_obs::counter_add("ckpt.spill_retries", 1);
-                    surfer_obs::journal::record(surfer_obs::journal::EventKind::SpillRetry);
+                    note(&mut stats, EventKind::SpillRetry);
                 }
                 Err(e) if e.is_retryable() && attempts < cfg.max_udf_retries => {
                     attempts += 1;
-                    stats.udf_retries += 1;
-                    surfer_obs::counter_add("ckpt.udf_retries", 1);
-                    surfer_obs::journal::record(surfer_obs::journal::EventKind::UdfRetry {
-                        attempt: attempts,
-                    });
+                    note(&mut stats, EventKind::UdfRetry { attempt: attempts });
                 }
                 Err(e) if e.is_retryable() => {
                     return Err(SurferError::RetriesExhausted {
@@ -479,8 +492,7 @@ fn write_checkpoint<S: Codec>(
         }
         for attempt in 0..hiccups {
             backoff_wait += SimDuration(cfg.snapshot_retry_backoff.0 << attempt);
-            stats.snapshot_write_retries += 1;
-            surfer_obs::counter_add("ckpt.snapshot_write_retries", 1);
+            note(stats, EventKind::SnapshotWriteRetry { partition: pid, attempt: attempt + 1 });
         }
         let mut payload = Vec::new();
         for &v in &cur.meta(pid).members {
@@ -495,9 +507,7 @@ fn write_checkpoint<S: Codec>(
             }
             let path = snapshot_path(&cfg.dir, m, pid);
             write_snapshot(&path, iteration, pid, &payload)?;
-            stats.snapshot_bytes += len;
             round_bytes += len;
-            surfer_obs::counter_add("ckpt.snapshot_bytes", len);
             // Recorder split: the home replica's copy is a local disk
             // write; sibling copies ship the payload over the network.
             if m == home {
@@ -516,12 +526,7 @@ fn write_checkpoint<S: Codec>(
         specs.push((home, len, sinks));
     }
     surfer_obs::record_sample(sample);
-    stats.checkpoints_written += 1;
-    surfer_obs::counter_add("ckpt.writes", 1);
-    surfer_obs::journal::record(surfer_obs::journal::EventKind::CheckpointWrite {
-        checkpoint: iteration,
-        bytes: round_bytes,
-    });
+    note(stats, EventKind::CheckpointWrite { checkpoint: iteration, bytes: round_bytes });
 
     // Simulated cost: the home machine serializes + writes its local copy;
     // each sibling replica receives the payload over the network and writes
@@ -566,9 +571,7 @@ fn restore_checkpoint<S: Codec>(
     stats: &mut RecoveryStats,
 ) -> SurferResult<ExecReport> {
     let _s = surfer_obs::span_with("ckpt.restore", || format!("it{iteration}"));
-    surfer_obs::journal::record(surfer_obs::journal::EventKind::CheckpointRestore {
-        checkpoint: iteration,
-    });
+    note(stats, EventKind::CheckpointRestore { checkpoint: iteration });
     let mut sources: Vec<(MachineId, u64)> = Vec::new();
     let mut sample = surfer_obs::IterationSample::new(surfer_obs::StageKind::Restore);
     for pid in cur.partitions() {
@@ -576,11 +579,7 @@ fn restore_checkpoint<S: Codec>(
         let mut found: Option<(MachineId, u64, Vec<u8>)> = None;
         for &m in &store.replicas(pid).machines {
             if !alive[m.0 as usize] {
-                stats.replica_failovers += 1;
-                surfer_obs::counter_add("ckpt.replica_failovers", 1);
-                surfer_obs::journal::record(surfer_obs::journal::EventKind::ReplicaFailover {
-                    partition: pid,
-                });
+                note(stats, EventKind::ReplicaFailover { partition: pid });
                 continue;
             }
             let path = snapshot_path(&cfg.dir, m, pid);
@@ -593,8 +592,7 @@ fn restore_checkpoint<S: Codec>(
                 // missing file all disqualify this copy the same way: try
                 // the next replica.
                 Ok(_) | Err(GraphError::Corrupt(_)) | Err(GraphError::Io(_)) => {
-                    stats.corrupt_snapshots += 1;
-                    surfer_obs::counter_add("ckpt.corrupt_snapshots", 1);
+                    note(stats, EventKind::CorruptSnapshot { partition: pid });
                 }
                 Err(e) => return Err(e.into()),
             }

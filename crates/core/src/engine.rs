@@ -211,6 +211,9 @@ struct Outbox<M> {
     /// took (nothing unless the round spills its mailbox).
     written: Vec<(u32, u64)>,
     spilled: (u64, u64),
+    /// The edge blocks/bytes the scan streamed from disk (nothing on the
+    /// resident lane).
+    streamed: (u64, u64),
 }
 
 impl<'a, P: Propagation> TransferScan<'a, P> {
@@ -370,6 +373,7 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
             local: self.own,
             written,
             spilled,
+            streamed: (0, 0),
         })
     }
 }
@@ -583,9 +587,10 @@ impl<'a> PropagationEngine<'a> {
         let fold = prog.associative() && !std::mem::needs_drop::<P::Msg>();
         let enc = pg.encoding();
         let parts = pg.num_partitions() as usize;
-        if let Some(session) = session {
-            session.begin_round(pg, ctx.spill_faults)?;
-        }
+        let blocks_written = match session {
+            Some(session) => session.begin_round(pg, ctx.spill_faults)?,
+            None => (0, 0),
+        };
 
         // ---- Transfer stage (real, one worker item per partition). ----
         // Each scan folds its own partition's messages in scan order (a
@@ -606,7 +611,7 @@ impl<'a> PropagationEngine<'a> {
             let segments = session.map(|s| MsgSink::new(s, pid, parts));
             let mut scan =
                 TransferScan::begin(prog, pg, state_ro, pid, fold, merge_cross, segments);
-            match session {
+            let streamed = match session {
                 Some(session) => session
                     .scan_edge_blocks(pg, pid, |v, nbrs, codes| scan.vertex(v, nbrs, codes))?,
                 None => {
@@ -617,9 +622,11 @@ impl<'a> PropagationEngine<'a> {
                         scan.vertex(v, nbrs, row)?;
                         codes = rest;
                     }
+                    (0, 0)
                 }
-            }
+            };
             let mut outbox = scan.finish()?;
+            outbox.streamed = streamed;
             if t0.is_recording() {
                 outbox.tally.transfer_ns = t0.elapsed_ns();
             }
@@ -643,6 +650,7 @@ impl<'a> PropagationEngine<'a> {
         let mut sources: Vec<Vec<u32>> = vec![Vec::new(); parts];
         let mut segments: Vec<(u32, u32)> = Vec::new();
         let mut spilled = (0u64, 0u64);
+        let mut streamed = (0u64, 0u64);
         for (p, outbox) in scanned.into_iter().enumerate() {
             let outbox = match (outbox, session) {
                 (Ok(outbox), _) => outbox,
@@ -670,12 +678,14 @@ impl<'a> PropagationEngine<'a> {
                 sources[q as usize].push(p as u32);
             }
             spilled = (spilled.0 + outbox.spilled.0, spilled.1 + outbox.spilled.1);
+            streamed = (streamed.0 + outbox.streamed.0, streamed.1 + outbox.streamed.1);
             tally.push(outbox.tally);
         }
-        if spilled.0 > 0 {
+        if session.is_some() {
             surfer_obs::journal::record(surfer_obs::journal::EventKind::SpillWrite {
-                frames: spilled.0,
-                bytes: spilled.1,
+                edge_blocks: blocks_written.0,
+                mailbox_frames: spilled.0,
+                bytes: blocks_written.1 + spilled.1,
             });
         }
         publish_transfer_counters(&tally, messages);
@@ -800,10 +810,11 @@ impl<'a> PropagationEngine<'a> {
             .map_err(|e| SurferError::from_worker_panic("combine", e))?;
         let combined: Vec<Combined<P::State>> = combined.into_iter().collect::<SurferResult<_>>()?;
         let reread = combined.iter().fold((0, 0), |(f, b), c| (f + c.3 .0, b + c.3 .1));
-        if reread.0 > 0 {
+        if session.is_some() {
             surfer_obs::journal::record(surfer_obs::journal::EventKind::SpillRead {
-                frames: reread.0,
-                bytes: reread.1,
+                edge_blocks: streamed.0,
+                mailbox_frames: reread.0,
+                bytes: streamed.1 + reread.1,
             });
         }
         for (pid, (new_states, combine_msgs, combine_ns, _)) in combined.into_iter().enumerate() {

@@ -146,11 +146,12 @@ impl OocSession {
     }
 
     /// Write every partition's adjacency as framed edge blocks, once per
-    /// session (later iterations reread the same files).
-    fn ensure_edge_blocks(&self, pg: &PartitionedGraph) -> SurferResult<()> {
+    /// session (later iterations reread the same files). Returns the
+    /// `(blocks, bytes)` written, nothing once the blocks are on disk.
+    fn ensure_edge_blocks(&self, pg: &PartitionedGraph) -> SurferResult<(u64, u64)> {
         let mut ready = lock_unpoisoned(&self.blocks);
         if *ready {
-            return Ok(());
+            return Ok((0, 0));
         }
         std::fs::create_dir_all(&self.dir)?;
         let g = pg.graph();
@@ -168,49 +169,40 @@ impl OocSession {
             }
             f.flush()?;
         }
-        if surfer_obs::enabled() {
-            surfer_obs::counter_add(surfer_obs::names::SPILL_BYTES_SPILLED, bytes);
-            surfer_obs::counter_add(surfer_obs::names::SPILL_EDGE_BLOCKS_WRITTEN, nblocks);
-        }
-        surfer_obs::journal::record(surfer_obs::journal::EventKind::SpillWrite {
-            frames: nblocks,
-            bytes,
-        });
         *ready = true;
-        Ok(())
+        Ok((nblocks, bytes))
     }
 
     /// Open a spilled round: edge blocks on disk (written by the session's
     /// first round), the previous round's mailbox segments retired, and —
     /// chaos — edge-block damage landed before any scan streams the file.
+    /// Returns the `(blocks, bytes)` of edge blocks this round wrote.
     pub(crate) fn begin_round(
         &self,
         pg: &PartitionedGraph,
         spill_faults: &[SpillFault],
-    ) -> SurferResult<()> {
-        self.ensure_edge_blocks(pg)?;
+    ) -> SurferResult<(u64, u64)> {
+        let written = self.ensure_edge_blocks(pg)?;
         for f in spill_faults {
             if f.kind == SpillFaultKind::CorruptEdgeBlock {
                 damage_file(&self.edge_file(f.partition), f.kind)?;
             }
         }
-        if surfer_obs::enabled() {
-            surfer_obs::counter_add(surfer_obs::names::SPILL_ITERATIONS, 1);
-        }
-        Ok(())
+        Ok(written)
     }
 
     /// Stream partition `pid`'s edge blocks front to back, handing `visit`
     /// every `<id, neighbors>` record in member order — the order a scan of
     /// the resident CSR would use — with the neighbors' destination codes,
     /// derived per record into one reused row (the stored codes are
-    /// O(|E|); the row is one record long).
+    /// O(|E|); the row is one record long). Returns the `(blocks, bytes)`
+    /// streamed.
     pub(crate) fn scan_edge_blocks(
         &self,
         pg: &PartitionedGraph,
         pid: u32,
         mut visit: impl FnMut(VertexId, &[VertexId], &[DestCode]) -> SurferResult<()>,
-    ) -> SurferResult<()> {
+    ) -> SurferResult<(u64, u64)> {
         let what = format!("edge blocks of partition {pid}");
         let mut stream = FrameStream::open(self.edge_file(pid), SPILL_MAGIC, &what)?;
         let mut neighbors = Vec::new();
@@ -227,11 +219,7 @@ impl OocSession {
                 visit(v, nbrs, &codes)
             })?;
         }
-        if surfer_obs::enabled() {
-            surfer_obs::counter_add(surfer_obs::names::SPILL_EDGE_BLOCKS_READ, blocks_read);
-            surfer_obs::counter_add(surfer_obs::names::SPILL_BYTES_REREAD, stream.bytes_read());
-        }
-        Ok(())
+        Ok((blocks_read, stream.bytes_read()))
     }
 
     /// Close a round's Transfer stage: `segments` — the `(source,
@@ -290,10 +278,6 @@ impl OocSession {
                 }
             }
             bytes_reread += stream.bytes_read();
-        }
-        if surfer_obs::enabled() {
-            surfer_obs::counter_add(surfer_obs::names::SPILL_MAILBOX_FRAMES_READ, frames_read);
-            surfer_obs::counter_add(surfer_obs::names::SPILL_BYTES_REREAD, bytes_reread);
         }
         Ok((frames_read, bytes_reread))
     }
@@ -442,13 +426,6 @@ impl<'s> MsgSink<'s> {
                 w.get_ref().set_len(self.lens[q])?;
                 written.push((q as u32, self.counts[q]));
             }
-        }
-        if surfer_obs::enabled() {
-            surfer_obs::counter_add(surfer_obs::names::SPILL_BYTES_SPILLED, self.bytes_written);
-            surfer_obs::counter_add(
-                surfer_obs::names::SPILL_MAILBOX_FRAMES_WRITTEN,
-                self.frames_written,
-            );
         }
         Ok(written)
     }

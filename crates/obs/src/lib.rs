@@ -81,7 +81,8 @@ pub mod names {
     pub const SERVE_REJECTED_OVERLOADED: &str = "serve.rejected_overloaded";
     /// Submissions rejected because the tenant hit its quota.
     pub const SERVE_REJECTED_QUOTA: &str = "serve.rejected_quota";
-    /// Jobs that finished successfully (cache hits excluded).
+    /// Jobs that finished successfully, cache hits included (a hit
+    /// completes at submission).
     pub const SERVE_COMPLETED: &str = "serve.completed";
     /// Jobs that finished with a typed error.
     pub const SERVE_FAILED: &str = "serve.failed";
@@ -125,6 +126,31 @@ pub mod names {
     pub const SPILL_MAILBOX_FRAMES_READ: &str = "spill.mailbox_frames_read";
     /// Iterations executed on the out-of-core lane.
     pub const SPILL_ITERATIONS: &str = "spill.iterations";
+
+    // The `ckpt.*` namespace: checkpoint/restore and the recovery loop
+    // (`surfer-core/src/checkpoint.rs`). On a job that returns `Ok`, each
+    // counter equals its `RecoveryStats` field.
+
+    /// Checkpoint rounds written (checkpoint 0 included).
+    pub const CKPT_WRITES: &str = "ckpt.writes";
+    /// Snapshot bytes written across all replicas.
+    pub const CKPT_SNAPSHOT_BYTES: &str = "ckpt.snapshot_bytes";
+    /// Rollbacks to the last checkpoint.
+    pub const CKPT_RESTORES: &str = "ckpt.restores";
+    /// Snapshot reads redirected past a dead replica holder.
+    pub const CKPT_REPLICA_FAILOVERS: &str = "ckpt.replica_failovers";
+    /// Snapshot copies rejected as corrupt, stale or unreadable.
+    pub const CKPT_CORRUPT_SNAPSHOTS: &str = "ckpt.corrupt_snapshots";
+    /// Iterations re-run after a UDF panic.
+    pub const CKPT_UDF_RETRIES: &str = "ckpt.udf_retries";
+    /// Snapshot writes re-attempted after a transient failure.
+    pub const CKPT_SNAPSHOT_WRITE_RETRIES: &str = "ckpt.snapshot_write_retries";
+    /// Machines that fail-stopped.
+    pub const CKPT_MACHINE_CRASHES: &str = "ckpt.machine_crashes";
+    /// Iterations re-run after a spill-I/O fault.
+    pub const CKPT_SPILL_RETRIES: &str = "ckpt.spill_retries";
+    /// Iterations of the lost tail recomputed after a rollback.
+    pub const CKPT_TAIL_RECOMPUTED: &str = "ckpt.tail_recomputed";
 }
 
 /// One session's recording store, shared by every thread that entered its
@@ -152,14 +178,36 @@ struct Frame {
     parents: Vec<(u64, &'static str)>,
 }
 
+/// Everything obs keeps per thread, in one slot: the recording frame that
+/// [`Scope::enter`] (and so [`ObsSession::begin`]) swaps, and the journal's
+/// context stack, event ring and last post-mortem bundle, which nothing
+/// swaps — they outlive every session the thread opens.
+struct Local {
+    frame: Frame,
+    ctx: Vec<TraceCtx>,
+    ring: journal::Ring,
+    last: Option<postmortem::PostmortemBundle>,
+}
+
 thread_local! {
-    static FRAME: RefCell<Frame> =
-        const { RefCell::new(Frame { store: None, parents: Vec::new() }) };
+    static LOCAL: RefCell<Local> = const {
+        RefCell::new(Local {
+            frame: Frame { store: None, parents: Vec::new() },
+            ctx: Vec::new(),
+            ring: journal::Ring::new(),
+            last: None,
+        })
+    };
+}
+
+/// Run `f` on this thread's obs state; `f` must not call back into obs.
+fn local<R>(f: impl FnOnce(&mut Local) -> R) -> R {
+    LOCAL.with(|l| f(&mut l.borrow_mut()))
 }
 
 /// Run `f` on this thread's store, if it is recording.
 fn with_store<R>(f: impl FnOnce(&Store) -> R) -> Option<R> {
-    FRAME.with(|fr| fr.borrow().store.as_deref().map(f))
+    LOCAL.with(|l| l.borrow().frame.store.as_deref().map(f))
 }
 
 /// Mutate this thread's recording state; a no-op when inert.
@@ -171,7 +219,7 @@ fn with_state(f: impl FnOnce(&mut State)) {
 /// instrumentation point performs first.
 #[inline]
 pub fn enabled() -> bool {
-    FRAME.with(|fr| fr.borrow().store.is_some())
+    LOCAL.with(|l| l.borrow().frame.store.is_some())
 }
 
 /// A session-scoped wall-clock stopwatch.
@@ -275,7 +323,7 @@ struct State {
 /// Names of this thread's open spans, outermost first — the "active span
 /// stack" a post-mortem bundle captures at failure time.
 pub(crate) fn span_stack() -> Vec<&'static str> {
-    FRAME.with(|fr| fr.borrow().parents.iter().map(|&(_, name)| name).collect())
+    LOCAL.with(|l| l.borrow().frame.parents.iter().map(|&(_, name)| name).collect())
 }
 
 /// Counter snapshot of this thread's session (empty map when not
@@ -291,7 +339,7 @@ pub struct Scope(Option<Arc<Store>>);
 
 /// Capture the calling thread's recording scope (inert when not recording).
 pub fn scope() -> Scope {
-    Scope(FRAME.with(|fr| fr.borrow().store.clone()))
+    Scope(LOCAL.with(|l| l.borrow().frame.store.clone()))
 }
 
 impl Scope {
@@ -300,7 +348,7 @@ impl Scope {
     /// until the guard drops and restores what the thread recorded before.
     pub fn enter(&self) -> ScopeGuard {
         let frame = Frame { store: self.0.clone(), parents: Vec::new() };
-        ScopeGuard { prev: FRAME.with(|fr| fr.replace(frame)), _not_send: PhantomData }
+        ScopeGuard { prev: local(|l| std::mem::replace(&mut l.frame, frame)), _not_send: PhantomData }
     }
 }
 
@@ -314,7 +362,8 @@ pub struct ScopeGuard {
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        FRAME.with(|fr| fr.replace(std::mem::take(&mut self.prev)));
+        let prev = std::mem::take(&mut self.prev);
+        local(|l| std::mem::replace(&mut l.frame, prev));
     }
 }
 
@@ -387,8 +436,8 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(live) = self.live.take() else { return };
         let end = Instant::now();
-        FRAME.with(|fr| {
-            let parents = &mut fr.borrow_mut().parents;
+        local(|l| {
+            let parents = &mut l.frame.parents;
             if parents.last().map(|&(id, _)| id) == Some(live.id) {
                 parents.pop();
             }
@@ -413,8 +462,8 @@ fn open_span(
     label: impl FnOnce() -> String,
     parent: Option<Option<u64>>,
 ) -> SpanGuard {
-    FRAME.with(|fr| {
-        let mut fr = fr.borrow_mut();
+    local(|l| {
+        let fr = &mut l.frame;
         let Some(store) = fr.store.clone() else { return SpanGuard::disabled() };
         let id = store.next_span.fetch_add(1, Ordering::Relaxed);
         let parent = parent.unwrap_or_else(|| fr.parents.last().map(|&(id, _)| id));
@@ -804,9 +853,96 @@ fn esc(s: &str) -> String {
     out
 }
 
+/// Shape problems of a rendered JSON document (empty = well-formed): each
+/// of `required_keys` the text does not contain, a body that is not one
+/// object, and braces, brackets or quotes that do not balance outside
+/// string literals. The one check every exported document goes through.
+pub fn json_problems(doc: &str, required_keys: &[&str]) -> Vec<String> {
+    let mut problems: Vec<String> = required_keys
+        .iter()
+        .filter(|k| !doc.contains(*k))
+        .map(|k| format!("missing {k}"))
+        .collect();
+    if !doc.trim_start().starts_with('{') || !doc.trim_end().ends_with('}') {
+        problems.push("not a JSON object".to_string());
+    }
+    let (mut braces, mut brackets) = (0i64, 0i64);
+    let (mut in_str, mut escaped) = (false, false);
+    for c in doc.chars() {
+        if in_str {
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_str = false;
+            }
+            continue;
+        }
+        match c {
+            '"' => in_str = true,
+            '{' => braces += 1,
+            '}' => braces -= 1,
+            '[' => brackets += 1,
+            ']' => brackets -= 1,
+            _ => {}
+        }
+        if braces < 0 || brackets < 0 {
+            problems.push("unbalanced closing delimiter".to_string());
+            return problems;
+        }
+    }
+    if braces != 0 {
+        problems.push(format!("unbalanced braces ({braces:+})"));
+    }
+    if brackets != 0 {
+        problems.push(format!("unbalanced brackets ({brackets:+})"));
+    }
+    if in_str {
+        problems.push("unterminated string literal".to_string());
+    }
+    problems
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn journal_ring_context_and_bundle_outlive_sessions_and_scopes() {
+        journal::reset();
+        let _ = postmortem::take_last();
+        let ctx = TraceCtx::for_job(5, 2);
+        let guard = journal::ctx_enter(ctx);
+        journal::record(journal::EventKind::JobCompleted);
+        postmortem::record_failure("ClusterLost", "gone", ctx);
+        let session = ObsSession::begin();
+        assert_eq!(journal::current_ctx(), ctx, "begin must not swap the context stack");
+        journal::record(journal::EventKind::AdmissionAdmit);
+        {
+            let _in = scope().enter();
+            assert_eq!(journal::current_ctx(), ctx, "enter must not swap the context stack");
+            assert_eq!(journal::len(), 3, "enter must not swap the ring");
+        }
+        let _ = session.finish();
+        assert_eq!(journal::current_ctx(), ctx, "finish must not swap the context stack");
+        let kinds: Vec<&str> = journal::snapshot().iter().map(|e| e.kind.name()).collect();
+        assert_eq!(kinds, ["job_completed", "error", "admission_admit"]);
+        assert!(postmortem::last_is_for_job(5), "the bundle slot outlives the session");
+        drop(guard);
+        let _ = postmortem::take_last();
+        journal::reset();
+    }
+
+    #[test]
+    fn json_problems_skips_delimiters_inside_strings() {
+        assert!(json_problems("{\"a\": \"}{ ][\"}", &["\"a\""]).is_empty());
+        let p = json_problems("{\"a\": [1, 2}", &["\"b\""]);
+        assert!(p.iter().any(|p| p.contains("missing \"b\"")), "{p:?}");
+        assert!(p.iter().any(|p| p.contains("unbalanced")), "{p:?}");
+        assert!(json_problems("{\"a\": \"open}", &[]).iter().any(|p| p.contains("unterminated")));
+        assert!(json_problems("[]", &[]).iter().any(|p| p.contains("object")));
+    }
 
     #[test]
     fn disabled_is_inert() {

@@ -15,7 +15,6 @@
 //! no timestamps, and are only ever recorded from coordinating threads.
 
 use crate::journal::{self, EventKind, JournalEvent, TraceCtx};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Version stamp of the bundle schema.
@@ -136,21 +135,16 @@ fn ctx_json(ctx: &TraceCtx) -> String {
     )
 }
 
-thread_local! {
-    /// The most recent bundle recorded by this thread. Thread-local so
-    /// concurrent jobs (and parallel tests) never clobber each other's
-    /// forensics.
-    static LAST: RefCell<Option<PostmortemBundle>> = const { RefCell::new(None) };
-}
-
 /// Flush a post-mortem bundle for a typed failure: records an `error`
 /// journal event under `ctx`, snapshots the last-K events, the failing
 /// thread's span stack and the live session counters (if any), and stores
-/// the bundle in this thread's [`take_last`] slot.
+/// the bundle in this thread's [`take_last`] slot — thread-local, so
+/// concurrent jobs (and parallel tests) never clobber each other's
+/// forensics.
 pub fn record_failure(variant: &'static str, detail: &str, ctx: TraceCtx) {
     journal::record_with(ctx, EventKind::Error { variant, detail: detail.to_string() });
     let bundle = build_bundle(variant, detail, ctx);
-    LAST.with(|l| *l.borrow_mut() = Some(bundle));
+    crate::local(|l| l.last = Some(bundle));
 }
 
 fn build_bundle(variant: &str, detail: &str, ctx: TraceCtx) -> PostmortemBundle {
@@ -173,7 +167,7 @@ fn build_bundle(variant: &str, detail: &str, ctx: TraceCtx) -> PostmortemBundle 
 
 /// Take (and clear) the most recent bundle recorded by this thread.
 pub fn take_last() -> Option<PostmortemBundle> {
-    LAST.with(|l| l.borrow_mut().take())
+    crate::local(|l| l.last.take())
 }
 
 /// Does this thread's pending bundle (if any) already attribute its fault
@@ -181,73 +175,31 @@ pub fn take_last() -> Option<PostmortemBundle> {
 /// job — keep the richer bundle the failing engine flushed moments
 /// earlier instead of clobbering it with a coarser one.
 pub fn last_is_for_job(job: u64) -> bool {
-    LAST.with(|l| l.borrow().as_ref().is_some_and(|b| b.fault_ctx.job == job))
+    crate::local(|l| l.last.as_ref().is_some_and(|b| b.fault_ctx.job == job))
 }
 
-/// Validate a rendered bundle against the schema: returns the list of
-/// problems (empty = valid). Checks required keys and that braces,
-/// brackets and quotes balance outside string literals.
+/// Validate a rendered bundle against the schema: the
+/// [`json_problems`](crate::json_problems) of its required keys (empty =
+/// valid).
 pub fn validate(json: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    for key in [
-        "\"schema_version\"",
-        "\"fault\"",
-        "\"variant\"",
-        "\"detail\"",
-        "\"ctx\"",
-        "\"job\"",
-        "\"tenant\"",
-        "\"attempt\"",
-        "\"iteration\"",
-        "\"span_stack\"",
-        "\"events\"",
-        "\"lanes\"",
-        "\"counters\"",
-    ] {
-        if !json.contains(key) {
-            problems.push(format!("missing required key {key}"));
-        }
-    }
-    if !json.trim_start().starts_with('{') || !json.trim_end().ends_with('}') {
-        problems.push("bundle is not a JSON object".to_string());
-    }
-    let (mut braces, mut brackets) = (0i64, 0i64);
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in json.chars() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => braces += 1,
-            '}' => braces -= 1,
-            '[' => brackets += 1,
-            ']' => brackets -= 1,
-            _ => {}
-        }
-        if braces < 0 || brackets < 0 {
-            problems.push("unbalanced closing delimiter".to_string());
-            return problems;
-        }
-    }
-    if braces != 0 {
-        problems.push(format!("unbalanced braces ({braces:+})"));
-    }
-    if brackets != 0 {
-        problems.push(format!("unbalanced brackets ({brackets:+})"));
-    }
-    if in_str {
-        problems.push("unterminated string literal".to_string());
-    }
-    problems
+    crate::json_problems(
+        json,
+        &[
+            "\"schema_version\"",
+            "\"fault\"",
+            "\"variant\"",
+            "\"detail\"",
+            "\"ctx\"",
+            "\"job\"",
+            "\"tenant\"",
+            "\"attempt\"",
+            "\"iteration\"",
+            "\"span_stack\"",
+            "\"events\"",
+            "\"lanes\"",
+            "\"counters\"",
+        ],
+    )
 }
 
 #[cfg(test)]

@@ -152,7 +152,6 @@ impl<'a> JobManager<'a> {
         let tenant_in_flight =
             self.active.iter().filter(|j| j.spec.tenant == tenant).count() as u32;
         if tenant_in_flight >= self.cfg.tenant_quota {
-            surfer_obs::counter_add(names::SERVE_REJECTED_QUOTA, 1);
             journal::record_with(
                 TraceCtx::for_job(self.next_id, tenant.0),
                 EventKind::AdmissionReject { reason: "quota" },
@@ -165,7 +164,6 @@ impl<'a> JobManager<'a> {
         }
         let in_flight = self.active.len() as u32;
         if in_flight >= self.cfg.capacity {
-            surfer_obs::counter_add(names::SERVE_REJECTED_OVERLOADED, 1);
             journal::record_with(
                 TraceCtx::for_job(self.next_id, tenant.0),
                 EventKind::AdmissionReject { reason: "overloaded" },
@@ -178,12 +176,10 @@ impl<'a> JobManager<'a> {
         }
         let id = JobId(self.next_id);
         self.next_id += 1;
-        surfer_obs::counter_add(names::SERVE_ADMITTED, 1);
         journal::record_with(TraceCtx::for_job(id.0, tenant.0), EventKind::AdmissionAdmit);
 
         if let Some(key) = &spec.cache_key {
             if let Some(output) = self.cache.get(key) {
-                surfer_obs::counter_add(names::SERVE_COMPLETED, 1);
                 journal::record_with(TraceCtx::for_job(id.0, tenant.0), EventKind::JobCompleted);
                 surfer_obs::observe(names::SERVE_LATENCY_US, 0);
                 surfer_obs::observe_labeled(names::SERVE_TENANT_LATENCY_US, tenant.0 as u64, 0);
@@ -276,7 +272,6 @@ impl<'a> JobManager<'a> {
         let tenant = self.active[idx].spec.tenant;
         if let Some(d) = self.active[idx].spec.deadline {
             if self.now >= d {
-                surfer_obs::counter_add(names::SERVE_DEADLINE_EXCEEDED, 1);
                 let job = self.active.remove(idx);
                 self.finish(job, Err(SurferError::DeadlineExceeded { deadline: d, now: self.now }));
                 return true;
@@ -361,7 +356,6 @@ impl<'a> JobManager<'a> {
         let mut ctx = TraceCtx::for_job(job.id.0, job.spec.tenant.0).with_attempt(job.retries);
         match &result {
             Ok(output) => {
-                surfer_obs::counter_add(names::SERVE_COMPLETED, 1);
                 journal::record_with(ctx, EventKind::JobCompleted);
                 self.service.0 += 1;
                 self.service.1 += latency.0;
@@ -370,7 +364,6 @@ impl<'a> JobManager<'a> {
                 }
             }
             Err(e) => {
-                surfer_obs::counter_add(names::SERVE_FAILED, 1);
                 if let Some(it) = e.iteration() {
                     ctx = ctx.with_iteration(it);
                 }
