@@ -16,6 +16,7 @@ use surfer::core::{
     PropagationEngine, RecoveryConfig, RoundCtx, SurferError,
 };
 use surfer::graph::builder::from_edges;
+use surfer::obs::ObsSession;
 use surfer::partition::{PartitionedGraph, Partitioning};
 
 const ITERATIONS: u32 = 6;
@@ -480,5 +481,60 @@ proptest! {
             seed
         );
         let _ = std::fs::remove_dir_all(&cfg.dir);
+    }
+
+    /// Every `RecoveryStats` field equals its `ckpt.*` counter — both are
+    /// folds of the same journal events — under seeded crashes, snapshot
+    /// corruption, write hiccups and UDF panics plus a spill fault, at
+    /// every thread count.
+    #[test]
+    fn seeded_fault_plans_keep_every_recovery_stat_equal_to_its_counter(seed in 0u64..200) {
+        let (c, pg) = fixture();
+        let p = prog();
+        let mut plan = FaultPlan::random(seed, 4, ITERATIONS, 4, 12);
+        // The spill fault lands on an iteration no crash or panic touches,
+        // so its first attempt is the one that fails.
+        let busy: Vec<u32> = plan
+            .crashes
+            .iter()
+            .map(|c| c.at_iteration)
+            .chain(plan.udf_panics.iter().map(|u| u.iteration))
+            .collect();
+        if let Some(iteration) = (0..ITERATIONS).rev().find(|i| !busy.contains(i)) {
+            let kinds = [
+                SpillFaultKind::ShortWrite,
+                SpillFaultKind::CorruptFrame,
+                SpillFaultKind::CorruptEdgeBlock,
+            ];
+            plan.spill_faults.push(SpillFault {
+                iteration,
+                partition: (seed % 4) as u32,
+                kind: kinds[(seed % 3) as usize],
+            });
+        }
+        for threads in [1usize, 2, 0] {
+            let opts = EngineOptions::full().threads(threads).memory_budget(spill_budget(&pg));
+            let cfg = RecoveryConfig::new(INTERVAL, tmp(&format!("stats-{seed}-{threads}")));
+            let mut state = PropagationEngine::new(&c, &pg, opts).init_state(&p);
+            let session = ObsSession::begin();
+            let out = run_with_recovery(&c, &pg, opts, &p, &mut state, ITERATIONS, &cfg, &plan);
+            let report = session.finish();
+            let _ = std::fs::remove_dir_all(&cfg.dir);
+            let s = out.unwrap().stats;
+            for (name, stat) in [
+                ("ckpt.writes", u64::from(s.checkpoints_written)),
+                ("ckpt.snapshot_bytes", s.snapshot_bytes),
+                ("ckpt.restores", u64::from(s.restores)),
+                ("ckpt.replica_failovers", u64::from(s.replica_failovers)),
+                ("ckpt.corrupt_snapshots", u64::from(s.corrupt_snapshots)),
+                ("ckpt.udf_retries", u64::from(s.udf_retries)),
+                ("ckpt.snapshot_write_retries", u64::from(s.snapshot_write_retries)),
+                ("ckpt.machine_crashes", u64::from(s.machine_crashes)),
+                ("ckpt.spill_retries", u64::from(s.spill_retries)),
+                ("ckpt.tail_recomputed", u64::from(s.tail_iterations_recomputed)),
+            ] {
+                prop_assert_eq!(report.counter(name), stat, "seed {} threads {}: {}", seed, threads, name);
+            }
+        }
     }
 }
