@@ -131,7 +131,7 @@ fn main() {
             std::fs::write("TRACE_profile.json", &r.json)
                 .unwrap_or_else(|e| die(&format!("writing TRACE_profile.json: {e}")));
             eprintln!("# wrote TRACE_profile.json");
-            let problems = profile::validate_schema(&r.json);
+            let problems = surfer_obs::json_problems(&r.json, profile::REQUIRED_KEYS);
             if !problems.is_empty() {
                 eprintln!("error: TRACE_profile.json drifted from the expected schema:");
                 for p in &problems {

@@ -26,33 +26,25 @@ pub fn run(w: &Workload) -> PerfettoResult {
 }
 
 /// Validate a Chrome Trace Event document against the subset of the format
-/// we emit. Returns every structural complaint; empty = loadable.
+/// we emit: the [`json_problems`](surfer_obs::json_problems) of its keys,
+/// every event phase we emit (thread metadata `M`, complete slices `X`,
+/// counter samples `C`) and every event field. Empty = loadable.
 pub fn validate(json: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    for key in ["\"displayTimeUnit\"", "\"traceEvents\""] {
-        if !json.contains(key) {
-            problems.push(format!("missing {key}"));
-        }
-    }
-    // Every event phase we emit must appear: thread metadata (M), complete
-    // slices (X) and counter samples (C).
-    for ph in ["\"ph\": \"M\"", "\"ph\": \"X\"", "\"ph\": \"C\""] {
-        if !json.contains(ph) {
-            problems.push(format!("no {ph} events"));
-        }
-    }
-    for field in ["\"pid\"", "\"tid\"", "\"ts\"", "\"dur\"", "\"args\""] {
-        if !json.contains(field) {
-            problems.push(format!("missing event field {field}"));
-        }
-    }
-    if json.matches('{').count() != json.matches('}').count() {
-        problems.push("unbalanced braces".into());
-    }
-    if json.matches('[').count() != json.matches(']').count() {
-        problems.push("unbalanced brackets".into());
-    }
-    problems
+    surfer_obs::json_problems(
+        json,
+        &[
+            "\"displayTimeUnit\"",
+            "\"traceEvents\"",
+            "\"ph\": \"M\"",
+            "\"ph\": \"X\"",
+            "\"ph\": \"C\"",
+            "\"pid\"",
+            "\"tid\"",
+            "\"ts\"",
+            "\"dur\"",
+            "\"args\"",
+        ],
+    )
 }
 
 #[cfg(test)]

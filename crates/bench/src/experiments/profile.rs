@@ -292,26 +292,10 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "\"spill.iterations\"",
 ];
 
-/// Validate an exported profile document. Returns every missing key plus a
-/// structural complaint when braces don't balance; empty = conforming.
-pub fn validate_schema(json: &str) -> Vec<String> {
-    let mut problems: Vec<String> = REQUIRED_KEYS
-        .iter()
-        .filter(|k| !json.contains(*k))
-        .map(|k| format!("missing {k}"))
-        .collect();
-    if json.matches('{').count() != json.matches('}').count() {
-        problems.push("unbalanced braces".into());
-    }
-    if !json.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")) {
-        problems.push(format!("schema_version is not {SCHEMA_VERSION}"));
-    }
-    problems
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use surfer_obs::json_problems;
     use crate::ExpConfig;
     use surfer_graph::generators::social::MsnScale;
 
@@ -352,7 +336,7 @@ mod tests {
         assert_eq!(m.off_diagonal_total(), r.report.counter("prop.cross_bytes"));
         assert!(r.report.gauges.contains_key("part.edge_cut_ratio_e6"), "quality gauges set");
         assert!(r.gantt.contains('T'), "gantt should show transfer spans:\n{}", r.gantt);
-        let problems = validate_schema(&r.json);
+        let problems = json_problems(&r.json, REQUIRED_KEYS);
         assert!(problems.is_empty(), "schema drift: {problems:?}\n{}", r.json);
     }
 
@@ -361,8 +345,8 @@ mod tests {
         let w = tiny();
         let r = run(&w);
         let broken = r.json.replace("prop.messages", "prop.renamed");
-        let problems = validate_schema(&broken);
+        let problems = json_problems(&broken, REQUIRED_KEYS);
         assert!(problems.iter().any(|p| p.contains("prop.messages")), "{problems:?}");
-        assert!(validate_schema("{").iter().any(|p| p.contains("braces")));
+        assert!(json_problems("{", REQUIRED_KEYS).iter().any(|p| p.contains("braces")));
     }
 }
