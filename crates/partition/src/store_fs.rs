@@ -86,7 +86,7 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"SFSN";
 /// Magic prefix of a spill frame (out-of-core edge blocks and mailbox
 /// segments). Same 24-byte header shape as a snapshot, but spill files are
 /// *streams* of frames: a file holds any number of them back to back, read
-/// sequentially by [`FrameReader`].
+/// sequentially by [`FrameStream`].
 pub const SPILL_MAGIC: &[u8; 4] = b"SFSP";
 /// Frame header size: magic(4) + a(4) + b(4) + len(8) + crc(4).
 pub const FRAME_HEADER: usize = 24;
@@ -103,22 +103,13 @@ fn frame_header(magic: &[u8; 4], a: u32, b: u32, payload: &[u8]) -> [u8; FRAME_H
     h
 }
 
-/// Append one CRC32-guarded frame to `buf`.
+/// Write one CRC32-guarded frame straight to `w`: the header, then the
+/// payload from where it lies. Returns the frame's size in bytes.
 ///
 /// The header carries two caller-defined tags `a` and `b` (a partition id
 /// and a block/segment sequence number for the out-of-core spill files),
-/// the payload length and the payload's CRC32. This is the same framing
-/// discipline as [`write_snapshot`], generalized so spill files can hold
-/// many frames per file.
-pub fn encode_frame(buf: &mut Vec<u8>, magic: &[u8; 4], a: u32, b: u32, payload: &[u8]) {
-    buf.reserve(FRAME_HEADER + payload.len());
-    buf.extend_from_slice(&frame_header(magic, a, b, payload));
-    buf.extend_from_slice(payload);
-}
-
-/// Write one frame — the bytes [`encode_frame`] would append — straight to
-/// `w`: the header, then the payload from where it lies. Returns the
-/// frame's size in bytes.
+/// the payload length and the payload's CRC32. A snapshot is one frame; a
+/// spill file holds many back to back.
 pub fn write_frame(
     w: &mut impl Write,
     magic: &[u8; 4],
@@ -129,17 +120,6 @@ pub fn write_frame(
     w.write_all(&frame_header(magic, a, b, payload))?;
     w.write_all(payload)?;
     Ok((FRAME_HEADER + payload.len()) as u64)
-}
-
-/// One decoded frame: the two header tags and the verified payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// First header tag (partition id for spill files).
-    pub a: u32,
-    /// Second header tag (block / segment sequence number).
-    pub b: u32,
-    /// The checksum-verified payload.
-    pub payload: Vec<u8>,
 }
 
 /// What a frame header declares: the two tags, the payload length and the
@@ -197,57 +177,6 @@ impl FrameCheck {
     }
 }
 
-/// Sequential reader over a stream of frames written by [`encode_frame`].
-///
-/// Any damage — wrong magic, truncated header or payload, checksum
-/// mismatch — surfaces as [`GraphError::Corrupt`] (or [`GraphError::Io`]
-/// for host I/O failures), never as a panic or a silently wrong payload.
-#[derive(Debug)]
-pub struct FrameReader {
-    blob: Vec<u8>,
-    pos: usize,
-    check: FrameCheck,
-}
-
-impl FrameReader {
-    /// Open `path` and verify nothing yet; frames are checked as they are
-    /// read. `what` names the stream in error messages.
-    pub fn open(path: impl AsRef<Path>, magic: &[u8; 4], what: &str) -> Result<FrameReader> {
-        let blob = std::fs::read(path.as_ref())?;
-        Ok(FrameReader::from_bytes(blob, magic, what))
-    }
-
-    /// Read frames from an in-memory blob (the codec tests and proptests).
-    pub fn from_bytes(blob: Vec<u8>, magic: &[u8; 4], what: &str) -> FrameReader {
-        FrameReader { blob, pos: 0, check: FrameCheck { magic: *magic, what: what.to_string() } }
-    }
-
-    /// Total bytes in the underlying stream.
-    pub fn len_bytes(&self) -> u64 {
-        self.blob.len() as u64
-    }
-
-    /// Decode the next frame, or `Ok(None)` at a clean end of stream.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>> {
-        if self.pos == self.blob.len() {
-            return Ok(None);
-        }
-        let rest = &self.blob[self.pos..];
-        if rest.len() < FRAME_HEADER {
-            return Err(self.check.truncated_header(rest.len() as u64));
-        }
-        let h = self.check.header(&rest[..FRAME_HEADER])?;
-        let body = &rest[FRAME_HEADER..];
-        if h.len > body.len() as u64 {
-            return Err(self.check.truncated_payload(body.len() as u64, h.len));
-        }
-        let payload = &body[..h.len as usize];
-        self.check.checksum(payload, h.crc)?;
-        self.pos += FRAME_HEADER + payload.len();
-        Ok(Some(Frame { a: h.a, b: h.b, payload: payload.to_vec() }))
-    }
-}
-
 /// One frame of a [`FrameStream`]: the header tags and the verified
 /// payload, borrowed from the stream's buffer until the next read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,9 +190,12 @@ pub struct FrameRef<'s> {
 }
 
 /// Incremental reader over a stream of frames from any [`std::io::Read`] —
-/// the out-of-core engine's way of scanning spill files without holding a
-/// whole file in memory. Same layout and error discipline as
-/// [`FrameReader`]. One payload buffer serves every frame, and a header
+/// snapshots, and the out-of-core engine's spill files, scanned without
+/// holding a whole file in memory. Any damage — wrong magic, truncated
+/// header or payload, checksum mismatch — surfaces as
+/// [`GraphError::Corrupt`] (or [`GraphError::Io`] for host I/O failures),
+/// never as a panic or a silently wrong payload. One payload buffer serves
+/// every frame, and a header
 /// may claim no more than the bytes the stream has left, so a damaged
 /// length field is reported before anything is allocated for it.
 #[derive(Debug)]
@@ -357,22 +289,23 @@ pub fn read_snapshot(path: impl AsRef<Path>, expect_pid: u32) -> Result<(u32, Ve
     let _s = surfer_obs::span_with("fs.snapshot.read", || format!("p{expect_pid}"));
     let path = path.as_ref();
     let what = format!("snapshot {}", path.display());
-    let mut reader = FrameReader::open(path, SNAPSHOT_MAGIC, &what)?;
+    let mut stream = FrameStream::open(path, SNAPSHOT_MAGIC, &what)?;
     if surfer_obs::enabled() {
         surfer_obs::counter_add("fs.snapshot.reads", 1);
-        surfer_obs::counter_add("fs.snapshot.read_bytes", reader.len_bytes());
+        surfer_obs::counter_add("fs.snapshot.read_bytes", stream.len);
     }
     let corrupt = |msg: String| GraphError::Corrupt(format!("{what}: {msg}"));
-    let Some(frame) = reader.next_frame()? else {
+    let Some(frame) = stream.next_frame()? else {
         return Err(corrupt("empty snapshot file".into()));
     };
     if frame.b != expect_pid {
         return Err(corrupt(format!("holds partition {}, expected {expect_pid}", frame.b)));
     }
-    if reader.next_frame()?.is_some() {
+    let (iteration, payload) = (frame.a, frame.payload.to_vec());
+    if stream.next_frame()?.is_some() {
         return Err(corrupt("trailing data after the snapshot frame".into()));
     }
-    Ok((frame.a, frame.payload))
+    Ok((iteration, payload))
 }
 
 /// Manifest of a stored partitioned graph.
@@ -682,20 +615,13 @@ mod tests {
         let payloads: Vec<Vec<u8>> =
             (0..5u8).map(|i| (0..50 * i as usize).map(|j| (i as usize * 31 + j) as u8).collect()).collect();
         for (i, p) in payloads.iter().enumerate() {
-            encode_frame(&mut blob, SPILL_MAGIC, 7, i as u32, p);
+            write_frame(&mut blob, SPILL_MAGIC, 7, i as u32, p).unwrap();
         }
-        // Blob-based reader and incremental stream agree frame for frame.
-        let mut reader = FrameReader::from_bytes(blob.clone(), SPILL_MAGIC, "t");
         let mut stream = FrameStream::new(&blob[..], blob.len() as u64, SPILL_MAGIC, "t");
         for (i, p) in payloads.iter().enumerate() {
-            let a = reader.next_frame().unwrap().unwrap();
-            let b = stream.next_frame().unwrap().unwrap();
-            assert_eq!((a.a, a.b, &a.payload[..]), (b.a, b.b, b.payload));
-            assert_eq!(a.a, 7);
-            assert_eq!(a.b, i as u32);
-            assert_eq!(&a.payload, p);
+            let f = stream.next_frame().unwrap().unwrap();
+            assert_eq!((f.a, f.b, f.payload), (7, i as u32, &p[..]));
         }
-        assert!(reader.next_frame().unwrap().is_none());
         assert!(stream.next_frame().unwrap().is_none());
         assert_eq!(stream.bytes_read(), blob.len() as u64);
     }
@@ -703,8 +629,8 @@ mod tests {
     #[test]
     fn frame_stream_reports_damage_as_corrupt() {
         let mut blob = Vec::new();
-        encode_frame(&mut blob, SPILL_MAGIC, 1, 0, b"payload bytes");
-        encode_frame(&mut blob, SPILL_MAGIC, 1, 1, b"more payload");
+        write_frame(&mut blob, SPILL_MAGIC, 1, 0, b"payload bytes").unwrap();
+        write_frame(&mut blob, SPILL_MAGIC, 1, 1, b"more payload").unwrap();
 
         // Truncated second payload.
         let cut = &blob[..blob.len() - 4];
@@ -731,11 +657,6 @@ mod tests {
         let mut s = FrameStream::new(&bad[..], bad.len() as u64, SPILL_MAGIC, "t");
         assert!(matches!(
             s.next_frame(),
-            Err(GraphError::Corrupt(ref m)) if m.contains("payload truncated")
-        ));
-        let mut r = FrameReader::from_bytes(bad, SPILL_MAGIC, "t");
-        assert!(matches!(
-            r.next_frame(),
             Err(GraphError::Corrupt(ref m)) if m.contains("payload truncated")
         ));
 

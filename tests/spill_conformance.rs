@@ -25,7 +25,7 @@ use surfer::graph::block;
 use surfer::graph::generators::social::{msn_like, MsnScale};
 use surfer::graph::{builder::from_edges, CsrGraph, GraphError, VertexId};
 use surfer::obs::ObsSession;
-use surfer::partition::store_fs::{encode_frame, FrameReader, SPILL_MAGIC};
+use surfer::partition::store_fs::{write_frame, FrameStream, SPILL_MAGIC};
 
 const SEED: u64 = 0xE2E;
 const PARTITIONS: u32 = 8;
@@ -259,15 +259,15 @@ proptest! {
     {
         let mut blob = Vec::new();
         for (i, p) in payloads.iter().enumerate() {
-            encode_frame(&mut blob, SPILL_MAGIC, 7, i as u32, p);
+            write_frame(&mut blob, SPILL_MAGIC, 7, i as u32, p).unwrap();
         }
         // Clean read: every frame comes back byte-exact.
-        let mut r = FrameReader::from_bytes(blob.clone(), SPILL_MAGIC, "test");
+        let mut r = FrameStream::new(&blob[..], blob.len() as u64, SPILL_MAGIC, "test");
         for (i, p) in payloads.iter().enumerate() {
             let f = r.next_frame().unwrap().expect("frame present");
             prop_assert_eq!(f.a, 7u32);
             prop_assert_eq!(f.b, i as u32);
-            prop_assert_eq!(&f.payload, p);
+            prop_assert_eq!(f.payload, &p[..]);
         }
         prop_assert!(r.next_frame().unwrap().is_none());
 
@@ -278,12 +278,12 @@ proptest! {
         let mut flipped = blob.clone();
         let fi = flip % flipped.len();
         flipped[fi] ^= 0x01;
-        let mut r = FrameReader::from_bytes(flipped, SPILL_MAGIC, "test");
+        let mut r = FrameStream::new(&flipped[..], flipped.len() as u64, SPILL_MAGIC, "test");
         let mut out = Vec::new();
         let mut corrupted = false;
         loop {
             match r.next_frame() {
-                Ok(Some(f)) => out.push((f.a, f.b, f.payload)),
+                Ok(Some(f)) => out.push((f.a, f.b, f.payload.to_vec())),
                 Ok(None) => break,
                 Err(GraphError::Corrupt(_)) => { corrupted = true; break; }
                 Err(e) => panic!("unexpected error {e:?}"),
@@ -301,7 +301,7 @@ proptest! {
 
         // Truncation anywhere but a frame boundary is typed damage too.
         let cut_at = cut % blob.len();
-        let mut r = FrameReader::from_bytes(blob[..cut_at].to_vec(), SPILL_MAGIC, "test");
+        let mut r = FrameStream::new(&blob[..cut_at], cut_at as u64, SPILL_MAGIC, "test");
         let mut saw_error = false;
         loop {
             match r.next_frame() {
