@@ -60,8 +60,8 @@ impl VirtualVertexTask for DegreeVirtualTask {
         true
     }
 
-    fn merge(&self, a: u64, b: u64) -> u64 {
-        a + b
+    fn merge(&self, acc: &mut u64, next: &u64) {
+        *acc += next;
     }
     // LOC:END(vdd_propagation)
 

@@ -97,12 +97,14 @@ impl Propagation for PageRankPropagation {
         (1.0 - self.damping) / self.n as f64 + msgs.sum::<f64>()
     }
 
+    fn per_source(&self) -> bool { true }
+
     fn associative(&self) -> bool {
         true
     }
 
-    fn merge(&self, a: f64, b: f64) -> f64 {
-        a + b
+    fn merge(&self, acc: &mut f64, next: &f64) {
+        *acc += next;
     }
     // LOC:END(nr_propagation)
 

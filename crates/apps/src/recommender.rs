@@ -119,11 +119,13 @@ impl Propagation for RecommendPropagation {
         *adopted || (msgs.len() > 0 && self.app.accepts(v))
     }
 
+    fn per_source(&self) -> bool { true }
+
     fn associative(&self) -> bool {
         true
     }
 
-    fn merge(&self, _a: (), _b: ()) {}
+    fn merge(&self, _acc: &mut (), _next: &()) {}
     // LOC:END(rs_propagation)
 
     fn msg_bytes(&self, _m: &()) -> u64 {

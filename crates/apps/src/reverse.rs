@@ -69,18 +69,20 @@ impl Propagation for ReversePropagation {
     }
 
     fn combine(&self, _v: VertexId, _old: &Vec<u32>, msgs: Bag<'_, Vec<u32>>, _g: &CsrGraph) -> Vec<u32> {
-        let mut sources: Vec<u32> = msgs.flatten().collect();
+        // Under the engine's fold the bag holds one message: move it out.
+        let mut sources = msgs.reduce(|mut a, b| { self.merge(&mut a, &b); a }).unwrap_or_default();
         sources.sort_unstable();
         sources
     }
+
+    fn per_source(&self) -> bool { true }
 
     fn associative(&self) -> bool {
         true
     }
 
-    fn merge(&self, mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
-        a.extend(b);
-        a
+    fn merge(&self, acc: &mut Vec<u32>, next: &Vec<u32>) {
+        acc.extend_from_slice(next);
     }
     // LOC:END(rlg_propagation)
 

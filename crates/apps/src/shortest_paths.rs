@@ -108,12 +108,14 @@ impl Propagation for BfsPropagation {
         BfsState { dist: best, frontier: best < old.dist }
     }
 
+    fn per_source(&self) -> bool { true }
+
     fn associative(&self) -> bool {
         true
     }
 
-    fn merge(&self, a: u32, b: u32) -> u32 {
-        a.min(b)
+    fn merge(&self, acc: &mut u32, next: &u32) {
+        *acc = (*acc).min(*next);
     }
     // LOC:END(bfs_propagation)
 

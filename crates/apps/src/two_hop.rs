@@ -108,21 +108,31 @@ impl Propagation for TwoHopPropagation {
     }
 
     fn combine(&self, _v: VertexId, _old: &Vec<u32>, msgs: Bag<'_, Vec<u32>>, _g: &CsrGraph) -> Vec<u32> {
-        let mut all: Vec<u32> = msgs.flatten().collect();
+        // Under the engine's fold the bag holds one message: move it out.
+        let mut all = msgs.reduce(|mut a, b| { self.merge(&mut a, &b); a }).unwrap_or_default();
         all.sort_unstable();
         all.dedup();
         all
     }
 
+    fn per_source(&self) -> bool { true }
+
     fn associative(&self) -> bool {
         true
     }
 
-    fn merge(&self, mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
-        a.extend(b);
-        a.sort_unstable();
-        a.dedup();
-        a
+    fn merge(&self, acc: &mut Vec<u32>, next: &Vec<u32>) {
+        // One pass over two sorted lists; an id both hold is written once.
+        let (a, b) = (std::mem::take(acc), next);
+        acc.reserve(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            acc.push(a[i].min(b[j]));
+            (i, j) = (i + usize::from(a[i] <= b[j]), j + usize::from(b[j] <= a[i]));
+        }
+        acc.extend_from_slice(&a[i..]);
+        acc.extend_from_slice(&b[j..]);
+        acc.dedup();
     }
     // LOC:END(tfl_propagation)
 

@@ -272,8 +272,8 @@ mod tests {
         fn associative(&self) -> bool {
             true
         }
-        fn merge(&self, a: u64, b: u64) -> u64 {
-            a + b
+        fn merge(&self, acc: &mut u64, next: &u64) {
+            *acc += next;
         }
         fn msg_bytes(&self, _m: &u64) -> u64 {
             12

@@ -191,12 +191,16 @@ impl<P: Propagation> Propagation for ChaosProgram<'_, P> {
         self.inner.combine(v, old, msgs, g)
     }
 
+    fn per_source(&self) -> bool {
+        self.inner.per_source()
+    }
+
     fn associative(&self) -> bool {
         self.inner.associative()
     }
 
-    fn merge(&self, a: Self::Msg, b: Self::Msg) -> Self::Msg {
-        self.inner.merge(a, b)
+    fn merge(&self, acc: &mut Self::Msg, next: &Self::Msg) {
+        self.inner.merge(acc, next)
     }
 
     fn msg_bytes(&self, msg: &Self::Msg) -> u64 {
@@ -665,8 +669,8 @@ mod tests {
         fn associative(&self) -> bool {
             true
         }
-        fn merge(&self, a: u64, b: u64) -> u64 {
-            a + b
+        fn merge(&self, acc: &mut u64, next: &u64) {
+            *acc += next;
         }
         fn msg_bytes(&self, _m: &u64) -> u64 {
             12

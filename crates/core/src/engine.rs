@@ -8,19 +8,21 @@
 //!   edge's code is its target's slot in the partition plus the target's
 //!   inner bit, so a message to the *same* partition is placed and tallied
 //!   without a lookup; only a cross edge asks the partitioning for its
-//!   remote partition. Messages to the same partition stay local. A
-//!   program that folds (associative, with a scalar message) merges each
-//!   one into its partition's slot accumulator during the scan, so it is
-//!   never routed, and that accumulator becomes Combine's starting point;
-//!   any other program routes its local messages to its own Combine. With
+//!   remote partition. A [`Propagation::per_source`] program has
+//!   `transfer` called once per member with out-edges and its value sent
+//!   along each of them. Messages to the same partition stay local. An
+//!   associative program folds: it merges each one into its partition's
+//!   slot accumulator during the scan, so it is never routed, and that
+//!   accumulator becomes Combine's starting point; any other program
+//!   routes its local messages to its own Combine. With
 //!   **local propagation** the simulator charges local messages as consumed
 //!   in memory, otherwise as spilled to disk and reread. Messages crossing
 //!   partitions are — with **local combination**, when `combine` is
 //!   associative — first merged per remote destination vertex, then sent
 //!   over the (simulated) network sized by the topology's pair bandwidth.
 //! * **Combine** — once all incoming data is local, call `combine` on every
-//!   member vertex with its messages and write the updated values. A
-//!   folding program's messages to one vertex meet in the order: the
+//!   member vertex with its messages and write the updated values. An
+//!   associative program's messages to one vertex meet in the order: the
 //!   vertex's own partition in scan order, then the other source partitions
 //!   ascending, emission order within one. Any other program's bag holds
 //!   them with source partitions ascending, own partition included.
@@ -39,6 +41,8 @@ use crate::error::{SurferError, SurferResult};
 use crate::ooc::{working_set_bytes, MemoryBudget, MsgSink, OocSession};
 use crate::opt::OptimizationLevel;
 use crate::primitive::{Bag, Propagation, VirtualVertexTask};
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use surfer_cluster::par::try_par_map_vec;
@@ -146,12 +150,24 @@ pub(crate) type Routed<M> = Vec<(VertexId, M)>;
 type SlotAcc<M> = Vec<Option<M>>;
 
 /// Merge `msg` into an accumulator slot, after whatever it already holds.
+/// A borrowed (per-source) message is cloned only when it fills an empty
+/// slot.
 #[inline]
-fn merge_into<P: Propagation>(prog: &P, slot: &mut Option<P::Msg>, msg: P::Msg) {
-    *slot = Some(match slot.take() {
-        Some(earlier) => prog.merge(earlier, msg),
-        None => msg,
-    });
+fn merge_into<P: Propagation>(prog: &P, slot: &mut Option<P::Msg>, msg: Cow<'_, P::Msg>) {
+    match slot {
+        Some(acc) => prog.merge(acc, &msg),
+        None => *slot = Some(msg.into_owned()),
+    }
+}
+
+/// One vertex's scan tallies, kept in locals and added to the partition's
+/// once.
+#[derive(Default)]
+struct EdgeCounts {
+    emitted: u64,
+    local_msgs: u64,
+    local_bytes: u64,
+    local_inner_bytes: u64,
 }
 
 /// One partition's Transfer scan: the per-edge body — transfer, local or
@@ -168,9 +184,9 @@ struct TransferScan<'a, P: Propagation> {
     pid: u32,
     tally: PartitionTally,
     emitted: u64,
-    /// Local propagation executed in the scan: a folding program merges
-    /// each message to its own partition into `own`, in scan order, and
-    /// routes none of them.
+    /// Local propagation executed in the scan: an associative program
+    /// merges each message to its own partition into `own`, in scan order,
+    /// and routes none of them.
     fold: bool,
     /// The partition's own slot accumulator, indexed by a local edge's
     /// slot; sized to the partition when the program folds, empty
@@ -260,7 +276,8 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
     }
 
     /// Scan the out-edges of member `v`; `codes[i]` is the destination code
-    /// of `neighbors[i]`. The tallies build up in locals and are added once.
+    /// of `neighbors[i]`. A per-source program's one value is lent to every
+    /// edge; any other program's `transfer` runs per edge.
     #[inline]
     fn vertex(
         &mut self,
@@ -271,48 +288,72 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
         debug_assert_eq!(neighbors.len(), codes.len());
         let (prog, g) = (self.prog, self.pg.graph());
         let from = &self.state[v.index()];
-        let (mut emitted, mut local_msgs, mut local_bytes, mut local_inner_bytes) = (0, 0, 0, 0);
-        for (&to, &code) in neighbors.iter().zip(codes) {
-            let Some(msg) = prog.transfer(v, from, to, g) else {
-                continue;
-            };
-            emitted += 1;
-            if let Some((slot, inner)) = code.local() {
-                let bytes = prog.msg_bytes(&msg);
-                local_bytes += bytes;
-                local_msgs += 1;
-                if inner {
-                    local_inner_bytes += bytes;
+        let mut n = EdgeCounts::default();
+        let edges = neighbors.iter().zip(codes);
+        if prog.per_source() {
+            let first = neighbors.first();
+            if let Some(msg) = first.and_then(|&to| prog.transfer(v, from, to, g)) {
+                for (&to, &code) in edges {
+                    self.edge(&mut n, to, code, Cow::Borrowed(&msg))?;
                 }
-                if self.fold {
-                    merge_into(prog, &mut self.own[slot], msg);
-                } else {
-                    self.push(self.pid, to, msg)?;
-                }
-            } else {
-                let q = self.pg.pid_of(to);
-                if self.merge_cross {
-                    if self.accumulate(q, to, msg) {
-                        self.touched.push(to.0);
-                    }
-                } else {
-                    self.send_cross(q, to, msg)?;
+            }
+        } else {
+            for (&to, &code) in edges {
+                if let Some(msg) = prog.transfer(v, from, to, g) {
+                    self.edge(&mut n, to, code, Cow::Owned(msg))?;
                 }
             }
         }
-        self.emitted += emitted;
+        self.emitted += n.emitted;
         self.tally.transfer_calls += neighbors.len() as u64;
-        self.tally.local_msgs += local_msgs;
-        self.tally.local_bytes += local_bytes;
-        self.tally.local_inner_bytes += local_inner_bytes;
+        self.tally.local_msgs += n.local_msgs;
+        self.tally.local_bytes += n.local_bytes;
+        self.tally.local_inner_bytes += n.local_inner_bytes;
         Ok(())
+    }
+
+    /// One message along one edge: local or cross by the edge's code, then
+    /// folded, merged or pushed.
+    #[inline]
+    fn edge(
+        &mut self,
+        n: &mut EdgeCounts,
+        to: VertexId,
+        code: DestCode,
+        msg: Cow<'_, P::Msg>,
+    ) -> SurferResult<()> {
+        n.emitted += 1;
+        if let Some((slot, inner)) = code.local() {
+            let bytes = self.prog.msg_bytes(&msg);
+            n.local_bytes += bytes;
+            n.local_msgs += 1;
+            if inner {
+                n.local_inner_bytes += bytes;
+            }
+            if self.fold {
+                merge_into(self.prog, &mut self.own[slot], msg);
+                Ok(())
+            } else {
+                self.push(self.pid, to, msg)
+            }
+        } else {
+            let q = self.pg.pid_of(to);
+            if self.merge_cross {
+                if self.accumulate(q, to, msg) {
+                    self.touched.push(to.0);
+                }
+                Ok(())
+            } else {
+                self.send_cross(q, to, msg)
+            }
+        }
     }
 
     /// Merge `msg` into its slot of remote partition `q`'s accumulator,
     /// which the first message to `q` allocates. Returns whether the slot
     /// was empty.
     #[inline]
-    fn accumulate(&mut self, q: u32, to: VertexId, msg: P::Msg) -> bool {
+    fn accumulate(&mut self, q: u32, to: VertexId, msg: Cow<'_, P::Msg>) -> bool {
         let enc = self.pg.encoding();
         let (first, end) = enc.range(q);
         let acc = &mut self.acc[q as usize];
@@ -325,19 +366,22 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
         was_empty
     }
 
-    fn send_cross(&mut self, q: u32, to: VertexId, msg: P::Msg) -> SurferResult<()> {
+    fn send_cross(&mut self, q: u32, to: VertexId, msg: Cow<'_, P::Msg>) -> SurferResult<()> {
         let sent = &mut self.cross[q as usize];
         sent.0 += 1;
         sent.1 += self.prog.msg_bytes(&msg);
         self.push(q, to, msg)
     }
 
+    /// Route `msg` to partition `q`: encoded into its mailbox segment, or
+    /// into its resident bucket — the one place a borrowed message is
+    /// cloned outside [`merge_into`].
     #[inline]
-    fn push(&mut self, q: u32, to: VertexId, msg: P::Msg) -> SurferResult<()> {
+    fn push(&mut self, q: u32, to: VertexId, msg: Cow<'_, P::Msg>) -> SurferResult<()> {
         match &mut self.segments {
-            Some(segments) => segments.push_encoded(q, to, &msg),
+            Some(segments) => segments.push_encoded(q, to, &*msg),
             None => {
-                self.mem[q as usize].push((to, msg));
+                self.mem[q as usize].push((to, msg.into_owned()));
                 Ok(())
             }
         }
@@ -353,7 +397,7 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
             let q = self.pg.pid_of(to);
             let slot = enc.encode(to).index() - enc.range(q).0.index();
             if let Some(msg) = self.acc[q as usize][slot].take() {
-                self.send_cross(q, to, msg)?;
+                self.send_cross(q, to, Cow::Owned(msg))?;
             }
         }
         for (q, &(msgs, bytes)) in self.cross.iter().enumerate() {
@@ -577,14 +621,11 @@ impl<'a> PropagationEngine<'a> {
         assert_eq!(state.len(), g.num_vertices() as usize, "state vector must cover every vertex");
         let threads = self.options.resolved_threads();
         let merge_cross = self.options.local_combination && prog.associative();
-        // A scalar associative program needs no sorted mailbox: every
-        // message is folded into its destination's slot with `merge` — a
-        // local one by the scan itself, the rest by Combine in ascending
-        // source order — and `combine` is handed the one folded value.
-        // Messages that own heap memory keep the sorted run — their `merge`
-        // (TFL: extend, sort, dedup) costs more per arrival than the sort
-        // it would save.
-        let fold = prog.associative() && !std::mem::needs_drop::<P::Msg>();
+        // An associative program needs no sorted mailbox: every message is
+        // folded into its destination's slot with `merge` — a local one by
+        // the scan itself, the rest by Combine in ascending source order —
+        // and `combine` is handed the one folded value.
+        let fold = prog.associative();
         let enc = pg.encoding();
         let parts = pg.num_partitions() as usize;
         let blocks_written = match session {
@@ -593,8 +634,8 @@ impl<'a> PropagationEngine<'a> {
         };
 
         // ---- Transfer stage (real, one worker item per partition). ----
-        // Each scan folds its own partition's messages in scan order (a
-        // folding program) and routes the rest into private
+        // Each scan folds its own partition's messages in scan order (an
+        // associative program) and routes the rest into private
         // per-destination buckets in exactly the sequential push order; the
         // buckets are gathered below in ascending pid order, so every
         // combine() input — and every tally — is identical no matter how
@@ -729,7 +770,7 @@ impl<'a> PropagationEngine<'a> {
 
                 // The mailbox: every routed message once, in fold order
                 // (source partitions ascending, emission order within one).
-                // A program that folds keeps one merged message per slot,
+                // An associative program keeps one merged message per slot,
                 // starting from the accumulator its own scan folded the
                 // partition's local messages into; any other keeps each
                 // arrival as a `(slot, msg)` pair. Segments decode straight
@@ -742,7 +783,7 @@ impl<'a> PropagationEngine<'a> {
                     let slot = enc.encode(to).index() - first;
                     arrived += 1;
                     if fold {
-                        merge_into(prog, &mut folded[slot], msg);
+                        merge_into(prog, &mut folded[slot], Cow::Owned(msg));
                     } else {
                         mailbox.push((slot as u32, msg));
                     }
@@ -1008,12 +1049,10 @@ impl<'a> PropagationEngine<'a> {
                     calls += 1;
                     if let Some((vid, msg)) = task.transfer(v, g) {
                         if merge {
-                            match local.remove(&vid) {
-                                Some(prev) => {
-                                    local.insert(vid, task.merge(prev, msg));
-                                }
-                                None => {
-                                    local.insert(vid, msg);
+                            match local.entry(vid) {
+                                Entry::Occupied(mut acc) => task.merge(acc.get_mut(), &msg),
+                                Entry::Vacant(slot) => {
+                                    slot.insert(msg);
                                 }
                             }
                         } else {
@@ -1184,8 +1223,8 @@ mod tests {
         fn associative(&self) -> bool {
             true
         }
-        fn merge(&self, a: u64, b: u64) -> u64 {
-            a + b
+        fn merge(&self, acc: &mut u64, next: &u64) {
+            *acc += next;
         }
         fn msg_bytes(&self, _m: &u64) -> u64 {
             12
@@ -1313,8 +1352,8 @@ mod tests {
         fn associative(&self) -> bool {
             true
         }
-        fn merge(&self, a: u64, b: u64) -> u64 {
-            a + b
+        fn merge(&self, acc: &mut u64, next: &u64) {
+            *acc += next;
         }
         fn msg_bytes(&self, _m: &u64) -> u64 {
             16

@@ -21,13 +21,13 @@ use surfer_graph::{CsrGraph, VertexId};
 
 /// The bag of values `combine` is handed: every message that reached one
 /// vertex this round, in arrival order (source partitions ascending,
-/// emission order within one). For a program whose messages the engine
-/// folds — [`Propagation::associative`] with a message type that owns no
-/// heap memory — it holds at most one value: every arrival merged in the
-/// order given at [`Propagation::merge`]. It drains a run of `(key, msg)`
-/// pairs from the engine's mailbox as it is read — the key is the engine's
-/// and never shows — and whatever `combine` leaves unread is dropped with
-/// it.
+/// emission order within one). For an [`Propagation::associative`]
+/// program the engine folds every message, heap-owning ones included, so
+/// the bag holds at most one value — every arrival merged in the order
+/// given at [`Propagation::merge`] — which `combine` may move out. It
+/// drains a run of `(key, msg)` pairs from the engine's mailbox as it is
+/// read — the key is the engine's and never shows — and whatever `combine`
+/// leaves unread is dropped with it.
 pub struct Bag<'a, M>(pub(crate) std::vec::Drain<'a, (u32, M)>);
 
 impl<M> Iterator for Bag<'_, M> {
@@ -81,6 +81,15 @@ pub trait Propagation: Sync {
     fn combine(&self, v: VertexId, old: &Self::State, msgs: Bag<'_, Self::Msg>, g: &CsrGraph)
         -> Self::State;
 
+    /// True when `transfer`'s value does not depend on `to`. The engine then
+    /// calls `transfer` once per member with at least one out-edge (passing
+    /// its first out-neighbor as `to`) and sends that one value along every
+    /// out-edge; a member without out-edges gets no call. Cost accounting
+    /// still counts one transfer per edge.
+    fn per_source(&self) -> bool {
+        false
+    }
+
     /// True when `combine` is associative and commutative over messages, so
     /// the engine may pre-merge messages with [`Propagation::merge`]
     /// (local combination, §5.1).
@@ -88,21 +97,24 @@ pub trait Propagation: Sync {
         false
     }
 
-    /// Merge two messages destined for the same vertex. Must satisfy
-    /// `combine(v, s, [merge(a,b), rest...]) == combine(v, s, [a, b, rest...])`.
-    /// Only called when [`Propagation::associative`] is true.
+    /// Merge `next` into `acc`, two messages destined for the same vertex.
+    /// Must satisfy `combine(v, s, [a ⊕ b, rest...]) == combine(v, s, [a, b,
+    /// rest...])`, where `a ⊕ b` is `a` after `merge(&mut a, &b)`. Only
+    /// called when [`Propagation::associative`] is true. `next` is borrowed
+    /// because one [`Propagation::per_source`] value may merge into many
+    /// destinations; the engine clones a message only to fill an empty slot.
     ///
-    /// The engine calls it as `merge(earlier, next)`. Under local
-    /// combination a partition first merges its messages to each remote
-    /// vertex, in scan order. A message type that owns no heap memory is
-    /// then folded per destination vertex in a fixed order: the messages
-    /// from the vertex's own partition, in scan order (merged during that
-    /// partition's scan), then those from each other partition, source
-    /// partitions ascending, emission order within one. The order is the
-    /// same at any thread count and memory budget; for a merely
+    /// The engine folds every message of an associative program per
+    /// destination vertex, with `acc` holding the earlier arrivals. Under
+    /// local combination a partition first merges its messages to each
+    /// remote vertex, in scan order. The fold then runs in a fixed order:
+    /// the messages from the vertex's own partition, in scan order (merged
+    /// during that partition's scan), then those from each other partition,
+    /// source partitions ascending, emission order within one. The order is
+    /// the same at any thread count and memory budget; for a merely
     /// approximately associative `merge` (floating-point sums) it still
     /// decides the last bits.
-    fn merge(&self, _a: Self::Msg, _b: Self::Msg) -> Self::Msg {
+    fn merge(&self, _acc: &mut Self::Msg, _next: &Self::Msg) {
         // lint:allow(E1, documented contract: only called when associative() is true)
         panic!("merge() called on a non-associative propagation program")
     }
@@ -149,8 +161,9 @@ pub trait VirtualVertexTask: Sync {
         false
     }
 
-    /// Merge two messages for the same virtual vertex.
-    fn merge(&self, _a: Self::Msg, _b: Self::Msg) -> Self::Msg {
+    /// Merge `next` into `acc`, two messages for the same virtual vertex
+    /// (the contract of [`Propagation::merge`]).
+    fn merge(&self, _acc: &mut Self::Msg, _next: &Self::Msg) {
         // lint:allow(E1, documented contract: only called when associative() is true)
         panic!("merge() called on a non-associative virtual-vertex task")
     }

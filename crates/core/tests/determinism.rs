@@ -42,8 +42,8 @@ impl Propagation for PageRankish {
     fn associative(&self) -> bool {
         true
     }
-    fn merge(&self, a: f64, b: f64) -> f64 {
-        a + b
+    fn merge(&self, acc: &mut f64, next: &f64) {
+        *acc += next;
     }
     fn msg_bytes(&self, _m: &f64) -> u64 {
         12
@@ -69,8 +69,8 @@ impl Propagation for ShortestPaths {
     fn associative(&self) -> bool {
         true
     }
-    fn merge(&self, a: u64, b: u64) -> u64 {
-        a.min(b)
+    fn merge(&self, acc: &mut u64, next: &u64) {
+        *acc = (*acc).min(*next);
     }
     fn msg_bytes(&self, _m: &u64) -> u64 {
         12
@@ -93,8 +93,8 @@ impl VirtualVertexTask for DegreeHistogram {
     fn associative(&self) -> bool {
         true
     }
-    fn merge(&self, a: f64, b: f64) -> f64 {
-        a + b
+    fn merge(&self, acc: &mut f64, next: &f64) {
+        *acc += next;
     }
     fn msg_bytes(&self, _m: &f64) -> u64 {
         16

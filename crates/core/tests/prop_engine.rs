@@ -1,15 +1,18 @@
 //! Property-based tests of the propagation engine: results must be
 //! invariant to partitioning, placement, optimization level and cluster
-//! shape; byte accounting must be exact; convergence must be stable; and
-//! Combine folds scalar associative messages per slot while every other
-//! program keeps its bag.
+//! shape; byte accounting must be exact; convergence must be stable;
+//! Combine folds every associative program's messages per slot, heap
+//! messages included, while a non-associative program keeps its bag; and a
+//! per-source `transfer` changes nothing but how often it is called.
 
 use proptest::prelude::*;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use surfer_cluster::{ClusterConfig, MachineId, SimCluster};
-use surfer_core::{Bag, EngineOptions, MemoryBudget, Propagation, PropagationEngine, RoundCtx};
+use surfer_core::{
+    Bag, EngineOptions, MemoryBudget, OptimizationLevel, Propagation, PropagationEngine, RoundCtx,
+};
 use surfer_graph::builder::from_edges;
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_partition::{random_partition, PartitionedGraph};
@@ -35,8 +38,8 @@ impl Propagation for SumForward {
     fn associative(&self) -> bool {
         true
     }
-    fn merge(&self, a: u64, b: u64) -> u64 {
-        a + b
+    fn merge(&self, acc: &mut u64, next: &u64) {
+        *acc += next;
     }
     fn msg_bytes(&self, _m: &u64) -> u64 {
         12
@@ -175,6 +178,11 @@ proptest! {
     }
 }
 
+/// [`OrderProbe`]'s merge: the result shows the order of its operands.
+fn order_merge(a: u64, b: u64) -> u64 {
+    a.wrapping_mul(1_000_003).wrapping_add(b)
+}
+
 /// A `u64`-message program whose `merge` is sensitive to order, so the
 /// state shows in which order arrivals were merged — by the engine when the
 /// program says it is associative, by `combine` itself when it does not.
@@ -195,13 +203,13 @@ impl Propagation for OrderProbe {
         Some(from.0 as u64 + 1)
     }
     fn combine(&self, _v: VertexId, _o: &Self::State, msgs: Bag<'_, u64>, _g: &CsrGraph) -> Self::State {
-        (msgs.len(), msgs.reduce(|a, b| self.merge(a, b)))
+        (msgs.len(), msgs.reduce(order_merge))
     }
     fn associative(&self) -> bool {
         self.associative
     }
-    fn merge(&self, a: u64, b: u64) -> u64 {
-        a.wrapping_mul(1_000_003).wrapping_add(b)
+    fn merge(&self, acc: &mut u64, next: &u64) {
+        *acc = order_merge(*acc, *next);
     }
     fn msg_bytes(&self, _m: &u64) -> u64 {
         12
@@ -235,10 +243,9 @@ impl Propagation for BagProbe {
     fn associative(&self) -> bool {
         self.associative
     }
-    fn merge(&self, mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+    fn merge(&self, acc: &mut Vec<u32>, next: &Vec<u32>) {
         self.merges.fetch_add(1, Ordering::Relaxed);
-        a.extend(b);
-        a
+        acc.extend_from_slice(next);
     }
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
         4 + 4 * m.len() as u64
@@ -339,7 +346,7 @@ proptest! {
             let merged = |order| {
                 let sources = arrivals(&pg, v, order);
                 let values = sources.iter().map(|s| s.0 as u64 + 1);
-                (sources.len(), values.reduce(|a, b| probe.merge(a, b)))
+                (sources.len(), values.reduce(order_merge))
             };
             let (sent, in_fold_order) = merged(Order::Fold);
             prop_assert_eq!(folded[v.index()], (sent.min(1), in_fold_order), "vertex {}", v);
@@ -354,7 +361,7 @@ proptest! {
     }
 
     #[test]
-    fn heap_messages_and_non_associative_programs_keep_their_bags(
+    fn associative_heap_messages_fold_and_non_associative_programs_keep_their_bags(
         g in arb_graph(),
         seed in 0u64..50,
     ) {
@@ -364,26 +371,18 @@ proptest! {
             for opts in [EngineOptions::none(), EngineOptions::full()] {
                 let probe = BagProbe { associative, merges: AtomicUsize::new(0) };
                 let (seen, _) = sweep(&cluster, &pg, opts, &probe);
-                // Local combination leaves one message per remote source
-                // partition; nothing else may merge.
-                let merge_cross = associative && opts.local_combination;
+                // Each merge turns two messages into one, whether the sender
+                // merged them (local combination) or Combine folded them: an
+                // associative program merges n arrivals into one with n - 1
+                // calls, a non-associative one never merges.
                 let mut merges = 0;
                 for v in g.vertices() {
-                    let sources = arrivals(&pg, v, Order::Bag);
-                    let mut bag = sources.len();
-                    if merge_cross {
-                        let mut remote: Vec<u32> = sources
-                            .iter()
-                            .map(|&s| pg.pid_of(s))
-                            .filter(|&p| p != pg.pid_of(v))
-                            .collect();
-                        bag -= remote.len();
-                        remote.dedup();
-                        bag += remote.len();
-                    }
+                    let order = if associative { Order::Fold } else { Order::Bag };
+                    let sources = arrivals(&pg, v, order);
+                    let bag = if associative { sources.len().min(1) } else { sources.len() };
                     merges += sources.len() - bag;
-                    let order: Vec<u32> = sources.iter().map(|s| s.0).collect();
-                    prop_assert_eq!(&seen[v.index()], &(bag, order), "vertex {}", v);
+                    let flat: Vec<u32> = sources.iter().map(|s| s.0).collect();
+                    prop_assert_eq!(&seen[v.index()], &(bag, flat), "vertex {}", v);
                 }
                 prop_assert_eq!(probe.merges.load(Ordering::Relaxed), SWEEP_RUNS * merges);
             }
@@ -402,5 +401,112 @@ proptest! {
                 prop_assert_eq!(&seen[v.index()], &(sources.len(), first), "vertex {}", v);
             }
         }
+    }
+}
+
+/// Runs `inner` with its `per_source` declaration set to `per_source`,
+/// counting `transfer` calls per source vertex.
+struct PerSource<'a, P> {
+    inner: &'a P,
+    per_source: bool,
+    calls: Vec<AtomicUsize>,
+}
+
+impl<P: Propagation> Propagation for PerSource<'_, P> {
+    type State = P::State;
+    type Msg = P::Msg;
+
+    fn init(&self, v: VertexId, g: &CsrGraph) -> P::State {
+        self.inner.init(v, g)
+    }
+    fn transfer(&self, from: VertexId, s: &P::State, to: VertexId, g: &CsrGraph) -> Option<P::Msg> {
+        self.calls[from.index()].fetch_add(1, Ordering::Relaxed);
+        self.inner.transfer(from, s, to, g)
+    }
+    fn combine(&self, v: VertexId, old: &P::State, msgs: Bag<'_, P::Msg>, g: &CsrGraph) -> P::State {
+        self.inner.combine(v, old, msgs, g)
+    }
+    fn per_source(&self) -> bool {
+        self.per_source
+    }
+    fn associative(&self) -> bool {
+        self.inner.associative()
+    }
+    fn merge(&self, acc: &mut P::Msg, next: &P::Msg) {
+        self.inner.merge(acc, next)
+    }
+    fn msg_bytes(&self, m: &P::Msg) -> u64 {
+        self.inner.msg_bytes(m)
+    }
+}
+
+/// What one traced iteration leaves: states, the report, the `prop.*`
+/// counters and the canonical trace.
+type Traced<S> = (Vec<S>, String, Vec<(&'static str, u64)>, String);
+
+/// One iteration of `prog` with `per_source` forced either way, at every
+/// optimization level, threads {1, 2}, resident and spilling. The two
+/// declarations must leave bit-identical runs; a per-source program's
+/// `transfer` runs once per member with out-edges, never for one without.
+fn assert_per_source_is_invisible<P: Propagation>(
+    cluster: &SimCluster,
+    pg: &PartitionedGraph,
+    prog: &P,
+)
+where
+    P::State: PartialEq + Debug,
+{
+    let g = pg.graph();
+    for level in OptimizationLevel::ALL {
+        for threads in [1, 2] {
+            for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(16)] {
+                let opts = EngineOptions::from_level(level).threads(threads).memory_budget(budget);
+                let run = |per_source: bool| -> Traced<P::State> {
+                    let wrapped = PerSource {
+                        inner: prog,
+                        per_source,
+                        calls: g.vertices().map(|_| AtomicUsize::new(0)).collect(),
+                    };
+                    let session = surfer_obs::ObsSession::begin();
+                    let engine = PropagationEngine::new(cluster, pg, opts);
+                    let mut state = engine.init_state(&wrapped);
+                    let report =
+                        engine.run_iteration(&wrapped, &mut state, &RoundCtx::default()).unwrap().0;
+                    let trace = session.finish();
+                    for v in g.vertices() {
+                        let degree = g.out_degree(v) as usize;
+                        let expected = if per_source { degree.min(1) } else { degree };
+                        let calls = wrapped.calls[v.index()].load(Ordering::Relaxed);
+                        assert_eq!(calls, expected, "transfer calls from {v}, per_source {per_source}");
+                    }
+                    let prop = trace
+                        .counters
+                        .iter()
+                        .filter(|(name, _)| name.starts_with("prop."))
+                        .map(|(&name, &value)| (name, value))
+                        .collect();
+                    (state, format!("{report:?}"), prop, trace.canonical_json())
+                };
+                let (broadcast, per_edge) = (run(true), run(false));
+                assert!(!broadcast.2.is_empty());
+                assert_eq!(broadcast, per_edge, "{level:?}, threads {threads}, {budget:?}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn per_source_transfer_changes_only_the_call_count(g in arb_graph(), seed in 0u64..50) {
+        let pg = partitioned(&g, 4u32.min(g.num_vertices()), 2, seed);
+        let cluster = ClusterConfig::flat(2).build();
+        for associative in [true, false] {
+            assert_per_source_is_invisible(&cluster, &pg, &OrderProbe { associative });
+            let probe = BagProbe { associative, merges: AtomicUsize::new(0) };
+            assert_per_source_is_invisible(&cluster, &pg, &probe);
+        }
+        assert_per_source_is_invisible(&cluster, &pg, &FirstOnly);
     }
 }

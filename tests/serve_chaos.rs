@@ -94,12 +94,16 @@ impl Propagation for PoisonedPageRank {
         self.inner.combine(v, old, msgs, g)
     }
 
+    fn per_source(&self) -> bool {
+        self.inner.per_source()
+    }
+
     fn associative(&self) -> bool {
         self.inner.associative()
     }
 
-    fn merge(&self, a: Self::Msg, b: Self::Msg) -> Self::Msg {
-        self.inner.merge(a, b)
+    fn merge(&self, acc: &mut Self::Msg, next: &Self::Msg) {
+        self.inner.merge(acc, next)
     }
 
     fn msg_bytes(&self, msg: &Self::Msg) -> u64 {
