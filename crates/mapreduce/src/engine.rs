@@ -161,17 +161,26 @@ impl<'a> MapReduceEngine<'a> {
         }
 
         // ---- Shuffle: hash keys to reducer machines, count bytes. ----
-        // bytes_to[pid][r] = intermediate bytes from partition pid to reducer r.
+        // The pairs move into their groups. bytes_to[pid][r] = intermediate
+        // bytes from partition pid to reducer r; a pair is local when its
+        // reducer runs on the machine that mapped it.
         let shuffle_span = surfer_obs::span("mr.shuffle");
         let mut bytes_to: Vec<Vec<u64>> =
             vec![vec![0; n_machines as usize]; pg.num_partitions() as usize];
         let mut groups: Vec<BTreeMap<M::Key, Vec<M::Value>>> =
             (0..n_machines).map(|_| BTreeMap::new()).collect();
-        for (pid, pairs) in per_partition.iter().enumerate() {
+        let (mut local_msgs, mut cross_msgs) = (0u64, 0u64);
+        for (pid, pairs) in per_partition.into_iter().enumerate() {
+            let home = pg.machine_of(pid as u32).0;
             for (k, v) in pairs {
-                let r = hash_to_reducer(k, n_machines);
-                bytes_to[pid][r as usize] += mapper.pair_bytes(k, v);
-                groups[r as usize].entry(k.clone()).or_default().push(v.clone());
+                let r = hash_to_reducer(&k, n_machines);
+                bytes_to[pid][r as usize] += mapper.pair_bytes(&k, &v);
+                if r == home {
+                    local_msgs += 1;
+                } else {
+                    cross_msgs += 1;
+                }
+                groups[r as usize].entry(k).or_default().push(v);
             }
         }
         if surfer_obs::enabled() {
@@ -232,16 +241,8 @@ impl<'a> MapReduceEngine<'a> {
                     }
                 }
             }
-            for (pid, pairs) in per_partition.iter().enumerate() {
-                let home = pg.machine_of(pid as u32).0 as usize;
-                for (k, _) in pairs {
-                    if hash_to_reducer(k, n_machines) as usize == home {
-                        sample.local_msgs += 1;
-                    } else {
-                        sample.cross_msgs += 1;
-                    }
-                }
-            }
+            sample.local_msgs = local_msgs;
+            sample.cross_msgs = cross_msgs;
             sample.transfer_ns = map_ns;
             sample.combine_ns = reduce_ns;
             sample.mailbox = reduce_cost.iter().map(|c| c.0).collect();
