@@ -13,7 +13,7 @@ pub mod runner;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use surfer_cluster::{ClusterConfig, MachineSpec, SimCluster, Topology};
+use surfer_cluster::{ClusterConfig, SimCluster, Topology};
 use surfer_core::{OptimizationLevel, Surfer};
 use surfer_graph::generators::social::{msn_like, MsnScale};
 use surfer_graph::CsrGraph;
@@ -104,11 +104,6 @@ pub(crate) fn run_dir(tag: &str) -> PathBuf {
     static RUNS: AtomicU64 = AtomicU64::new(0);
     let run = RUNS.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("surfer-{tag}-{}-{run}", std::process::id()))
-}
-
-/// The scaled machine spec of [`ClusterConfig::paper_regime`].
-pub fn experiment_spec() -> MachineSpec {
-    *ClusterConfig::paper_regime(Topology::t1(1)).build().spec()
 }
 
 /// An experiment cluster on `topology` in the paper's regime (see

@@ -309,11 +309,6 @@ impl<'c> Executor<'c> {
         id
     }
 
-    /// Number of tasks added so far.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Run to completion without faults.
     pub fn run(self) -> ExecReport {
         self.run_with_faults(&[], &mut RoundRobinReplanner::default())

@@ -58,11 +58,6 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, writer: W) -> crate::Result<()> {
     Ok(())
 }
 
-/// Read a text edge list from a file path.
-pub fn read_edge_list_file(path: impl AsRef<Path>) -> crate::Result<CsrGraph> {
-    read_edge_list(std::fs::File::open(path)?, None)
-}
-
 /// Write a graph to a binary adjacency-list file.
 pub fn write_binary_file(g: &CsrGraph, path: impl AsRef<Path>) -> crate::Result<()> {
     std::fs::write(path, adjacency::encode_graph(g))?;

@@ -205,11 +205,6 @@ impl PartitionedGraph {
         &self.graph
     }
 
-    /// Shared handle to the underlying graph.
-    pub fn graph_arc(&self) -> Arc<CsrGraph> {
-        Arc::clone(&self.graph)
-    }
-
     /// Number of partitions.
     pub fn num_partitions(&self) -> u32 {
         self.partitioning.num_partitions()
