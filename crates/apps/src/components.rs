@@ -126,11 +126,10 @@ pub struct ComponentMapper<'a> {
 }
 
 impl PartitionMapper for ComponentMapper<'_> {
-    type Key = u32;
     type Value = u32;
 
     // LOC:BEGIN(cc_mapreduce)
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, u32>) {
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32>) {
         let g = pg.graph();
         for &v in &pg.meta(pid).members {
             let s = self.states[v.index()];
@@ -144,7 +143,7 @@ impl PartitionMapper for ComponentMapper<'_> {
     }
     // LOC:END(cc_mapreduce)
 
-    fn pair_bytes(&self, _k: &u32, _v: &u32) -> u64 {
+    fn pair_bytes(&self, _v: &u32) -> u64 {
         8
     }
 }
@@ -154,7 +153,6 @@ impl PartitionMapper for ComponentMapper<'_> {
 pub struct ComponentReducer;
 
 impl Reducer for ComponentReducer {
-    type Key = u32;
     type Value = u32;
     type Out = (u32, u32);
 

@@ -78,11 +78,10 @@ impl VirtualVertexTask for DegreeVirtualTask {
 pub struct DegreeMapper;
 
 impl PartitionMapper for DegreeMapper {
-    type Key = u32;
     type Value = u64;
 
     // LOC:BEGIN(vdd_mapreduce)
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, u64>) {
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u64>) {
         let g = pg.graph();
         let mut counts = std::collections::BTreeMap::new();
         for &v in &pg.meta(pid).members {
@@ -100,7 +99,6 @@ impl PartitionMapper for DegreeMapper {
 pub struct DegreeReducer;
 
 impl Reducer for DegreeReducer {
-    type Key = u32;
     type Value = u64;
     type Out = (u32, u64);
 

@@ -126,11 +126,10 @@ pub struct PageRankMapper<'a> {
 }
 
 impl PartitionMapper for PageRankMapper<'_> {
-    type Key = u32;
     type Value = f64;
 
     // LOC:BEGIN(nr_mapreduce)
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, f64>) {
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<f64>) {
         let g = pg.graph();
         let mut r_table: HashMap<u32, f64> = HashMap::new();
         for &v in &pg.meta(pid).members {
@@ -154,7 +153,7 @@ impl PartitionMapper for PageRankMapper<'_> {
     }
     // LOC:END(nr_mapreduce)
 
-    fn pair_bytes(&self, _k: &u32, _v: &f64) -> u64 {
+    fn pair_bytes(&self, _v: &f64) -> u64 {
         12
     }
 }
@@ -169,7 +168,6 @@ pub struct PageRankReducer {
 }
 
 impl Reducer for PageRankReducer {
-    type Key = u32;
     type Value = f64;
     type Out = (u32, f64);
 

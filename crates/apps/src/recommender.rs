@@ -144,11 +144,10 @@ pub struct RecommendMapper<'a> {
 }
 
 impl PartitionMapper for RecommendMapper<'_> {
-    type Key = u32;
     type Value = u8;
 
     // LOC:BEGIN(rs_mapreduce)
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, u8>) {
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u8>) {
         let g = pg.graph();
         for &v in &pg.meta(pid).members {
             // Every vertex's adoption state must flow through the dataflow:
@@ -163,7 +162,7 @@ impl PartitionMapper for RecommendMapper<'_> {
     }
     // LOC:END(rs_mapreduce)
 
-    fn pair_bytes(&self, _k: &u32, _v: &u8) -> u64 {
+    fn pair_bytes(&self, _v: &u8) -> u64 {
         5
     }
 }
@@ -180,7 +179,6 @@ pub struct RecommendReducer {
 }
 
 impl Reducer for RecommendReducer {
-    type Key = u32;
     type Value = u8;
     type Out = (u32, bool);
 

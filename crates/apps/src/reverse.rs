@@ -102,11 +102,10 @@ impl Propagation for ReversePropagation {
 pub struct ReverseMapper;
 
 impl PartitionMapper for ReverseMapper {
-    type Key = u32;
     type Value = u32;
 
     // LOC:BEGIN(rlg_mapreduce)
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, u32>) {
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32>) {
         let g = pg.graph();
         for &v in &pg.meta(pid).members {
             for &t in g.neighbors(v) {
@@ -116,7 +115,7 @@ impl PartitionMapper for ReverseMapper {
     }
     // LOC:END(rlg_mapreduce)
 
-    fn pair_bytes(&self, _k: &u32, _v: &u32) -> u64 {
+    fn pair_bytes(&self, _v: &u32) -> u64 {
         8
     }
 }
@@ -126,7 +125,6 @@ impl PartitionMapper for ReverseMapper {
 pub struct ReverseReducer;
 
 impl Reducer for ReverseReducer {
-    type Key = u32;
     type Value = u32;
     type Out = (u32, Vec<u32>);
 

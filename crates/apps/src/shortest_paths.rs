@@ -135,11 +135,10 @@ pub struct BfsMapper<'a> {
 }
 
 impl PartitionMapper for BfsMapper<'_> {
-    type Key = u32;
     type Value = u32;
 
     // LOC:BEGIN(bfs_mapreduce)
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, u32>) {
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32>) {
         let g = pg.graph();
         for &v in &pg.meta(pid).members {
             let s = self.states[v.index()];
@@ -153,7 +152,7 @@ impl PartitionMapper for BfsMapper<'_> {
     }
     // LOC:END(bfs_mapreduce)
 
-    fn pair_bytes(&self, _k: &u32, _v: &u32) -> u64 {
+    fn pair_bytes(&self, _v: &u32) -> u64 {
         8
     }
 }
@@ -163,7 +162,6 @@ impl PartitionMapper for BfsMapper<'_> {
 pub struct BfsReducer;
 
 impl Reducer for BfsReducer {
-    type Key = u32;
     type Value = u32;
     type Out = (u32, u32);
 

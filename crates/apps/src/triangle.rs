@@ -163,11 +163,10 @@ pub struct TriangleMapper<'a> {
 }
 
 impl PartitionMapper for TriangleMapper<'_> {
-    type Key = u32;
     type Value = Vec<u32>;
 
     // LOC:BEGIN(tc_mapreduce)
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, Vec<u32>>) {
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<Vec<u32>>) {
         let g = pg.graph();
         for &v in &pg.meta(pid).members {
             if !self.selected[v.index()] {
@@ -186,7 +185,7 @@ impl PartitionMapper for TriangleMapper<'_> {
     }
     // LOC:END(tc_mapreduce)
 
-    fn pair_bytes(&self, _k: &u32, list: &Vec<u32>) -> u64 {
+    fn pair_bytes(&self, list: &Vec<u32>) -> u64 {
         8 + 4 * list.len() as u64 // same record format as the propagation side
     }
 }
@@ -201,7 +200,6 @@ pub struct TriangleReducer<'a> {
 }
 
 impl Reducer for TriangleReducer<'_> {
-    type Key = u32;
     type Value = Vec<u32>;
     type Out = u64;
 

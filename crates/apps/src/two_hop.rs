@@ -159,11 +159,10 @@ pub struct TwoHopMapper<'a> {
 }
 
 impl PartitionMapper for TwoHopMapper<'_> {
-    type Key = u32;
     type Value = Vec<u32>;
 
     // LOC:BEGIN(tfl_mapreduce)
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, Vec<u32>>) {
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<Vec<u32>>) {
         let g = pg.graph();
         for &v in &pg.meta(pid).members {
             if !self.selected[v.index()] {
@@ -177,7 +176,7 @@ impl PartitionMapper for TwoHopMapper<'_> {
     }
     // LOC:END(tfl_mapreduce)
 
-    fn pair_bytes(&self, _k: &u32, list: &Vec<u32>) -> u64 {
+    fn pair_bytes(&self, list: &Vec<u32>) -> u64 {
         8 + 4 * list.len() as u64 // same record format as the propagation side
     }
 }
@@ -187,7 +186,6 @@ impl PartitionMapper for TwoHopMapper<'_> {
 pub struct TwoHopReducer;
 
 impl Reducer for TwoHopReducer {
-    type Key = u32;
     type Value = Vec<u32>;
     type Out = (u32, Vec<u32>);
 

@@ -42,7 +42,6 @@ use crate::ooc::{working_set_bytes, MemoryBudget, MsgSink, OocSession};
 use crate::opt::OptimizationLevel;
 use crate::primitive::{Bag, Propagation, VirtualVertexTask};
 use std::borrow::Cow;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use surfer_cluster::par::try_par_map_vec;
@@ -51,6 +50,7 @@ use surfer_cluster::{
     TaskKind, TaskSpec,
 };
 use surfer_graph::{GraphError, VertexId};
+use surfer_mapreduce::shuffle::{group, Traffic};
 use surfer_partition::{DestCode, PartitionedGraph};
 
 /// Engine knobs independent of storage layout (the layout lives in the
@@ -422,11 +422,9 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
     }
 }
 
-/// What one partition's virtual-vertex transfer produced: `(virtual id,
-/// msg)` pairs in sequential emission order, the per-machine byte row, the
-/// number of `transfer()` calls, and the scan's wall time (0 when no obs
-/// session records).
-type VirtualOutbox<M> = (Vec<(u64, M)>, Vec<u64>, u64, u64);
+/// One partition's virtual-vertex shuffle outbox: `(virtual id, (pid,
+/// msg))` pairs.
+type VirtualOutbox<M> = Vec<(u64, (u32, M))>;
 
 /// Per-partition cost tally for one iteration.
 #[derive(Debug, Clone, Default)]
@@ -1018,7 +1016,8 @@ impl<'a> PropagationEngine<'a> {
     /// Run a vertex-oriented task through virtual vertices (§3.2): every
     /// vertex contributes to a developer-chosen virtual vertex; virtual
     /// vertices are hash-distributed over machines, so this emulates
-    /// MapReduce inside Surfer. Returns outputs in virtual-id order.
+    /// MapReduce inside Surfer, through MapReduce's own keyed shuffle.
+    /// Returns outputs in virtual-id order.
     pub fn run_virtual<T: VirtualVertexTask>(
         &self,
         task: &T,
@@ -1027,122 +1026,70 @@ impl<'a> PropagationEngine<'a> {
         let pg = self.graph;
         let g = pg.graph();
         let machines = self.cluster.num_machines();
+        let route = |vid: u64| (vid % machines as u64) as u16;
         let threads = self.options.resolved_threads();
         let merge = self.options.local_combination && task.associative();
 
-        // Real transfer + routing, one worker item per partition. Each
-        // outbox lists `(virtual id, msg)` in the sequential emission order
-        // (merged messages appended after the scan in virtual-id order)
-        // plus the partition's per-machine byte row and call count.
+        // Real transfer, one worker item per partition. Each outbox lists
+        // `(virtual id, (pid, msg))` in the sequential emission order — a
+        // bag drains `(key, msg)` pairs, so each message sits beside the
+        // partition that sent it. Under local combination a stable sort by
+        // virtual id and an in-order fold leave one message per id, the
+        // earlier arrivals merged first.
         let pids: Vec<u32> = pg.partitions().collect();
         let vt_span = surfer_obs::span("virt.transfer");
         let vt_sid = vt_span.id();
-        let transfers: Vec<VirtualOutbox<T::Msg>> =
-            try_par_map_vec(threads, pids, |_, pid| {
+        let transfers: Vec<(VirtualOutbox<T::Msg>, u64)> =
+            try_par_map_vec(threads, pids.clone(), |_, pid| {
                 let _s = surfer_obs::span_under("virt.transfer.part", vt_sid, || format!("p{pid}"));
                 let t0 = surfer_obs::stopwatch();
-                let mut msgs: Vec<(u64, T::Msg)> = Vec::new();
-                let mut bytes_row = vec![0u64; machines as usize];
-                let mut calls = 0u64;
-                let mut local: BTreeMap<u64, T::Msg> = BTreeMap::new();
-                for &v in &pg.meta(pid).members {
-                    calls += 1;
-                    if let Some((vid, msg)) = task.transfer(v, g) {
-                        if merge {
-                            match local.entry(vid) {
-                                Entry::Occupied(mut acc) => task.merge(acc.get_mut(), &msg),
-                                Entry::Vacant(slot) => {
-                                    slot.insert(msg);
-                                }
-                            }
-                        } else {
-                            bytes_row[(vid % machines as u64) as usize] += task.msg_bytes(&msg);
-                            msgs.push((vid, msg));
+                let members = pg.meta(pid).members.iter();
+                let mut msgs: VirtualOutbox<T::Msg> = members
+                    .filter_map(|&v| task.transfer(v, g).map(|(vid, msg)| (vid, (pid, msg))))
+                    .collect();
+                if merge {
+                    msgs.sort_by_key(|&(vid, _)| vid);
+                    msgs.dedup_by(|later, earlier| {
+                        later.0 == earlier.0 && {
+                            task.merge(&mut earlier.1 .1, &later.1 .1);
+                            true
                         }
-                    }
+                    });
                 }
-                for (vid, msg) in local {
-                    bytes_row[(vid % machines as u64) as usize] += task.msg_bytes(&msg);
-                    msgs.push((vid, msg));
-                }
-                let ns = t0.elapsed_ns();
-                (msgs, bytes_row, calls, ns)
+                (msgs, t0.elapsed_ns())
             })
             .map_err(|e| SurferError::from_worker_panic("virtual-transfer", e))?;
         drop(vt_span);
+        let (outboxes, transfer_ns): (Vec<_>, Vec<u64>) = transfers.into_iter().unzip();
+        let homes = pids.iter().map(|&pid| pg.machine_of(pid).0).collect();
+        let traffic =
+            Traffic::new(&outboxes, homes, machines, route, |(_, msg)| task.msg_bytes(msg));
         if surfer_obs::enabled() {
-            surfer_obs::counter_add(
-                "virt.messages",
-                transfers.iter().map(|(m, _, _, _)| m.len() as u64).sum(),
-            );
-            surfer_obs::counter_add(
-                "virt.transfer_calls",
-                transfers.iter().map(|(_, _, c, _)| *c).sum(),
-            );
-            surfer_obs::counter_add(
-                "virt.cross_bytes",
-                transfers.iter().flat_map(|(_, row, _, _)| row.iter()).sum(),
-            );
+            surfer_obs::counter_add("virt.messages", outboxes.iter().map(|m| m.len() as u64).sum());
+            surfer_obs::counter_add("virt.transfer_calls", g.num_vertices() as u64);
+            surfer_obs::counter_add("virt.cross_bytes", traffic.total());
 
-            // Flight recorder: virtual rounds route partition → machine
-            // (virtual vertices are hash-distributed), so the matrix is
-            // P×M; "local" means the destination machine already holds the
-            // source partition.
-            let mut sample = surfer_obs::IterationSample::new(surfer_obs::StageKind::Virtual);
-            let mut traffic =
-                surfer_obs::TrafficMatrix::new(transfers.len(), machines as usize);
-            for (pid, (msgs, row, _, ns)) in transfers.iter().enumerate() {
-                let home = pg.machine_of(pid as u32).0 as usize;
-                for (m, &bytes) in row.iter().enumerate() {
-                    traffic.add(pid, m, bytes);
-                    if m == home {
-                        sample.local_bytes += bytes;
-                    } else {
-                        sample.cross_bytes += bytes;
-                    }
-                }
-                for (vid, _) in msgs {
-                    if (*vid % machines as u64) as usize == home {
-                        sample.local_msgs += 1;
-                    } else {
-                        sample.cross_msgs += 1;
-                    }
-                }
-                sample.transfer_ns.push(*ns);
-            }
-            sample.traffic = traffic;
+            // Flight recorder: virtual rounds route partition → machine, so
+            // the matrix is P×M.
+            let mut sample = traffic.sample(surfer_obs::StageKind::Virtual);
+            sample.transfer_ns = transfer_ns;
             surfer_obs::record_sample(sample);
         }
 
-        // Group per virtual vertex, folding outboxes in ascending pid order
-        // so each group's message order matches the sequential run. Each
-        // message sits beside the partition that sent it: a bag drains
-        // `(key, msg)` pairs.
-        let mut groups: BTreeMap<u64, Vec<(u32, T::Msg)>> = BTreeMap::new();
-        // bytes_to[pid][machine]
-        let mut bytes_to: Vec<Vec<u64>> = Vec::with_capacity(transfers.len());
-        let mut transfer_calls: Vec<u64> = Vec::with_capacity(transfers.len());
-        for (pid, (msgs, bytes_row, calls, _)) in (0u32..).zip(transfers) {
-            for (vid, msg) in msgs {
-                groups.entry(vid).or_default().push((pid, msg));
-            }
-            bytes_to.push(bytes_row);
-            transfer_calls.push(calls);
-        }
-
-        // Real combine, one worker item per virtual vertex; outputs come
-        // back in virtual-id order because the group list is sorted.
-        let entries: Vec<_> = groups.into_iter().collect();
+        // Real combine, one worker item per virtual vertex; the shuffle's
+        // runs come in virtual-id order, each in (source pid, emission)
+        // order, so the outputs do too.
+        let runs = group(outboxes);
         let mut combine_msgs = vec![0u64; machines as usize];
-        for (vid, msgs) in &entries {
-            combine_msgs[(*vid % machines as u64) as usize] += msgs.len() as u64;
+        for (vid, msgs) in &runs {
+            combine_msgs[route(*vid) as usize] += msgs.len() as u64;
         }
-        // Map a failing entry index back to its virtual-vertex id so the
+        // Map a failing run index back to its virtual-vertex id so the
         // error names something meaningful to the caller.
-        let vids: Vec<u64> = entries.iter().map(|(vid, _)| *vid).collect();
+        let vids: Vec<u64> = runs.iter().map(|(vid, _)| *vid).collect();
         let vc_span = surfer_obs::span("virt.combine");
         let vc_sid = vc_span.id();
-        let outputs: Vec<T::Out> = try_par_map_vec(threads, entries, |_, (vid, mut msgs)| {
+        let outputs: Vec<T::Out> = try_par_map_vec(threads, runs, |_, (vid, mut msgs)| {
             let _s = surfer_obs::span_under("virt.combine.vertex", vc_sid, || format!("v{vid}"));
             task.combine(vid, Bag(msgs.drain(..)))
         })
@@ -1171,25 +1118,14 @@ impl<'a> PropagationEngine<'a> {
             .collect();
         for pid in pg.partitions() {
             let meta = pg.meta(pid);
-            let machine = pg.machine_of(pid);
             let tt = ex.add_task(
-                TaskSpec::new(machine, TaskKind::Transfer)
+                TaskSpec::new(pg.machine_of(pid), TaskKind::Transfer)
                     .label(pid as u64)
-                    .cpu(transfer_calls[pid as usize] as f64 * task.transfer_ops())
+                    .cpu(meta.members.len() as f64 * task.transfer_ops())
                     .reads(meta.bytes)
                     .random_io(!pg.fits_in_memory(pid, self.cluster.spec().memory_bytes)),
             );
-            for m in 0..machines {
-                let bytes = bytes_to[pid as usize][m as usize];
-                if bytes == 0 {
-                    continue;
-                }
-                if MachineId(m) == machine {
-                    ex.add_dep(tt, combine_tasks[m as usize]);
-                } else {
-                    ex.add_transfer(tt, combine_tasks[m as usize], bytes);
-                }
-            }
+            traffic.wire(&mut ex, pid as usize, tt, &combine_tasks);
         }
         Ok((outputs, ex.run()))
     }

@@ -145,7 +145,7 @@ pub trait Propagation: Sync {
 /// Shared by the engine's worker threads, hence the `Sync` bound.
 pub trait VirtualVertexTask: Sync {
     /// The value each vertex contributes.
-    type Msg: Clone + Send;
+    type Msg: Send;
     /// A combined output per virtual vertex.
     type Out: Send;
 

@@ -9,6 +9,8 @@
 //! equality here proves the parallel engine folds every message bag in
 //! exactly the sequential order, not merely "the same multiset".
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use surfer_cluster::{ClusterConfig, ExecReport, MachineId};
 use surfer_core::{
@@ -188,12 +190,43 @@ fn shortest_paths_states_reports_and_counts_match_across_threads() {
     }
 }
 
+/// The virtual-vertex fold the keyed shuffle replaced: ordered maps,
+/// partitions ascending; under local combination each partition first
+/// merges its messages per virtual id, in scan order.
+fn reference_histogram(pg: &PartitionedGraph, merge: bool) -> Vec<(u64, f64)> {
+    let g = pg.graph();
+    let mut groups: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+    for pid in pg.partitions() {
+        let mut local: BTreeMap<u64, f64> = BTreeMap::new();
+        for &v in &pg.meta(pid).members {
+            let (vid, msg) = DegreeHistogram.transfer(v, g).unwrap();
+            match local.entry(vid) {
+                Entry::Occupied(mut acc) if merge => DegreeHistogram.merge(acc.get_mut(), &msg),
+                Entry::Vacant(slot) if merge => {
+                    slot.insert(msg);
+                }
+                _ => groups.entry(vid).or_default().push(msg),
+            }
+        }
+        for (vid, msg) in local {
+            groups.entry(vid).or_default().push(msg);
+        }
+    }
+    groups.into_iter().map(|(vid, msgs)| (vid, msgs.into_iter().sum())).collect()
+}
+
 #[test]
 fn virtual_vertices_match_across_threads() {
     let (cluster, pg) = testbed();
     for base in option_matrix() {
         let engine = PropagationEngine::new(&cluster, &pg, base);
         let (out1, rep1) = engine.run_virtual(&DegreeHistogram).unwrap();
+        let reference = reference_histogram(&pg, base.local_combination);
+        assert_eq!(out1.len(), reference.len());
+        assert!(
+            out1.iter().zip(&reference).all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),
+            "virtual outputs diverged from the ordered-map fold, opts={base:?}"
+        );
         for t in THREAD_COUNTS {
             let engine = PropagationEngine::new(&cluster, &pg, base.threads(t));
             let (out, rep) = engine.run_virtual(&DegreeHistogram).unwrap();

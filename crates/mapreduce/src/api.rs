@@ -8,13 +8,16 @@
 
 use surfer_partition::PartitionedGraph;
 
-/// Collects the key/value pairs a map task emits.
+/// Collects the `(key, value)` pairs a map task emits. Every key in a
+/// MapReduce job is a `u32` (a vertex id or a degree); each is stored
+/// widened to the shuffle's `u64` key, whose high half the engine fills
+/// with the key's reducer machine.
 #[derive(Debug)]
-pub struct Emitter<K, V> {
-    pairs: Vec<(K, V)>,
+pub struct Emitter<V> {
+    pairs: Vec<(u64, V)>,
 }
 
-impl<K, V> Emitter<K, V> {
+impl<V> Emitter<V> {
     /// A fresh, empty emitter.
     pub fn new() -> Self {
         Emitter { pairs: Vec::new() }
@@ -22,27 +25,17 @@ impl<K, V> Emitter<K, V> {
 
     /// Emit one intermediate pair.
     #[inline]
-    pub fn emit(&mut self, key: K, value: V) {
-        self.pairs.push((key, value));
+    pub fn emit(&mut self, key: u32, value: V) {
+        self.pairs.push((key as u64, value));
     }
 
-    /// Number of pairs emitted so far.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True when nothing was emitted.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// Consume into the raw pair list.
-    pub fn into_pairs(self) -> Vec<(K, V)> {
+    /// Consume into the shuffle's outbox, in emission order.
+    pub(crate) fn into_pairs(self) -> Vec<(u64, V)> {
         self.pairs
     }
 }
 
-impl<K, V> Default for Emitter<K, V> {
+impl<V> Default for Emitter<V> {
     fn default() -> Self {
         Emitter::new()
     }
@@ -52,20 +45,18 @@ impl<K, V> Default for Emitter<K, V> {
 ///
 /// Mappers are immutable during a job and shared by the engine's worker
 /// threads, hence the `Sync` bound; pairs move between threads, hence
-/// `Send` on the key/value types.
+/// `Send` on the value type. Intermediate keys are `u32`.
 pub trait PartitionMapper: Sync {
-    /// Intermediate key.
-    type Key: Ord + Clone + std::hash::Hash + Send;
     /// Intermediate value.
-    type Value: Clone + Send;
+    type Value: Send;
 
     /// Process partition `pid` of `pg`, emitting intermediate pairs.
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<Self::Key, Self::Value>);
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<Self::Value>);
 
     /// Serialized size of one intermediate pair in bytes (drives the
     /// simulated shuffle volume). Default: 4-byte key + 8-byte value;
     /// variable-size payloads (neighbor lists) override per pair.
-    fn pair_bytes(&self, _key: &Self::Key, _value: &Self::Value) -> u64 {
+    fn pair_bytes(&self, _value: &Self::Value) -> u64 {
         12
     }
 
@@ -81,15 +72,13 @@ pub trait PartitionMapper: Sync {
 /// Reducers run on worker threads like mappers: `Sync` on the reducer,
 /// `Send` on everything that crosses back to the main thread.
 pub trait Reducer: Sync {
-    /// Intermediate key (must match the mapper's).
-    type Key: Send;
     /// Intermediate value (must match the mapper's).
     type Value: Send;
     /// Final output record.
     type Out: Send;
 
     /// Combine all values of `key` into zero or more outputs.
-    fn reduce(&self, key: &Self::Key, values: &[Self::Value], out: &mut Vec<Self::Out>);
+    fn reduce(&self, key: &u32, values: &[Self::Value], out: &mut Vec<Self::Out>);
 
     /// Serialized size of one output record (drives simulated output I/O).
     fn output_bytes(&self) -> u64 {
@@ -108,11 +97,9 @@ mod tests {
 
     #[test]
     fn emitter_collects_in_order() {
-        let mut e: Emitter<u32, u64> = Emitter::new();
-        assert!(e.is_empty());
+        let mut e: Emitter<u64> = Emitter::new();
         e.emit(2, 10);
         e.emit(1, 20);
-        assert_eq!(e.len(), 2);
         assert_eq!(e.into_pairs(), vec![(2, 10), (1, 20)]);
     }
 }

@@ -16,8 +16,8 @@
 //! identical for every thread count.
 
 use crate::api::{Emitter, PartitionMapper, Reducer};
+use crate::shuffle::{group, Traffic};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use surfer_cluster::par::try_par_map_vec;
 use surfer_cluster::{ExecReport, Executor, MachineId, SimCluster, TaskKind, TaskSpec};
@@ -100,11 +100,6 @@ impl<'a> MapReduceEngine<'a> {
         self
     }
 
-    /// The configured thread knob (`0` = auto).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The bound partitioned graph.
     pub fn graph(&self) -> &PartitionedGraph {
         self.graph
@@ -123,7 +118,7 @@ impl<'a> MapReduceEngine<'a> {
     pub fn run<M, R>(&self, mapper: &M, reducer: &R) -> Result<MapReduceRun<R::Out>, MapReduceError>
     where
         M: PartitionMapper,
-        R: Reducer<Key = M::Key, Value = M::Value>,
+        R: Reducer<Value = M::Value>,
     {
         let _run_span = surfer_obs::span("mr.run");
         let n_machines = self.cluster.num_machines();
@@ -136,58 +131,38 @@ impl<'a> MapReduceEngine<'a> {
         let map_span = surfer_obs::span("mr.map");
         let map_sid = map_span.id();
         // Per-partition map output paired with its worker wall-time (ns).
-        type TimedPairs<K, V> = Vec<(Vec<(K, V)>, u64)>;
-        let per_partition: TimedPairs<M::Key, M::Value> =
-            try_par_map_vec(self.threads, pids.clone(), |_, pid| {
-                let _s = surfer_obs::span_under("mr.map.part", map_sid, || format!("p{pid}"));
-                let t0 = surfer_obs::stopwatch();
-                let mut em = Emitter::new();
-                mapper.map(pg, pid, &mut em);
-                (em.into_pairs(), t0.elapsed_ns())
-            })
-            .map_err(|e| MapReduceError::MapPanic {
-                partition: pids[e.index],
-                message: e.message,
-            })?;
-        let map_ns: Vec<u64> = per_partition.iter().map(|(_, ns)| *ns).collect();
-        let per_partition: Vec<Vec<(M::Key, M::Value)>> =
-            per_partition.into_iter().map(|(p, _)| p).collect();
+        let per_partition = try_par_map_vec(self.threads, pids.clone(), |_, pid| {
+            let _s = surfer_obs::span_under("mr.map.part", map_sid, || format!("p{pid}"));
+            let t0 = surfer_obs::stopwatch();
+            let mut em = Emitter::new();
+            mapper.map(pg, pid, &mut em);
+            (em.into_pairs(), t0.elapsed_ns())
+        })
+        .map_err(|e| MapReduceError::MapPanic { partition: pids[e.index], message: e.message })?;
+        let (mut outboxes, map_ns): (Vec<_>, Vec<u64>) = per_partition.into_iter().unzip();
         drop(map_span);
         if surfer_obs::enabled() {
-            surfer_obs::counter_add(
-                "mr.pairs",
-                per_partition.iter().map(|p| p.len() as u64).sum(),
-            );
+            surfer_obs::counter_add("mr.pairs", outboxes.iter().map(|p| p.len() as u64).sum());
         }
 
-        // ---- Shuffle: hash keys to reducer machines, count bytes. ----
-        // The pairs move into their groups. bytes_to[pid][r] = intermediate
-        // bytes from partition pid to reducer r; a pair is local when its
-        // reducer runs on the machine that mapped it.
+        // ---- Shuffle: hash keys to reducer machines, count bytes, group.
+        // A pair's shuffle key is its reducer machine above its own key, so
+        // the runs come by reducer machine, then key. A pair is local when
+        // its reducer runs on the machine that mapped it.
         let shuffle_span = surfer_obs::span("mr.shuffle");
-        let mut bytes_to: Vec<Vec<u64>> =
-            vec![vec![0; n_machines as usize]; pg.num_partitions() as usize];
-        let mut groups: Vec<BTreeMap<M::Key, Vec<M::Value>>> =
-            (0..n_machines).map(|_| BTreeMap::new()).collect();
-        let (mut local_msgs, mut cross_msgs) = (0u64, 0u64);
-        for (pid, pairs) in per_partition.into_iter().enumerate() {
-            let home = pg.machine_of(pid as u32).0;
-            for (k, v) in pairs {
-                let r = hash_to_reducer(&k, n_machines);
-                bytes_to[pid][r as usize] += mapper.pair_bytes(&k, &v);
-                if r == home {
-                    local_msgs += 1;
-                } else {
-                    cross_msgs += 1;
-                }
-                groups[r as usize].entry(k).or_default().push(v);
-            }
+        for (key, _) in outboxes.iter_mut().flatten() {
+            *key |= (hash_to_reducer(*key as u32, n_machines) as u64) << 32;
+        }
+        let homes = pids.iter().map(|&pid| pg.machine_of(pid).0).collect();
+        let route = |key: u64| (key >> 32) as u16;
+        let traffic = Traffic::new(&outboxes, homes, n_machines, route, |v| mapper.pair_bytes(v));
+        let mut groups: Vec<Vec<(u32, Vec<M::Value>)>> =
+            (0..n_machines).map(|_| Vec::new()).collect();
+        for (key, values) in group(outboxes) {
+            groups[(key >> 32) as usize].push((key as u32, values));
         }
         if surfer_obs::enabled() {
-            surfer_obs::counter_add(
-                "mr.shuffle.bytes",
-                bytes_to.iter().flatten().sum(),
-            );
+            surfer_obs::counter_add("mr.shuffle.bytes", traffic.total());
         }
         drop(shuffle_span);
 
@@ -224,29 +199,11 @@ impl<'a> MapReduceEngine<'a> {
             surfer_obs::counter_add("mr.outputs", outputs.len() as u64);
 
             // Flight recorder: one sample per MapReduce round. The shuffle
-            // routes partition → reducer machine, so the matrix is P×M;
-            // "local" means the reducer ran on the machine that mapped the
-            // partition (no network hop in the simulated shuffle).
-            let mut sample = surfer_obs::IterationSample::new(surfer_obs::StageKind::MapReduce);
-            let mut traffic =
-                surfer_obs::TrafficMatrix::new(bytes_to.len(), n_machines as usize);
-            for (pid, row) in bytes_to.iter().enumerate() {
-                let home = pg.machine_of(pid as u32).0 as usize;
-                for (m, &bytes) in row.iter().enumerate() {
-                    traffic.add(pid, m, bytes);
-                    if m == home {
-                        sample.local_bytes += bytes;
-                    } else {
-                        sample.cross_bytes += bytes;
-                    }
-                }
-            }
-            sample.local_msgs = local_msgs;
-            sample.cross_msgs = cross_msgs;
+            // routes partition → reducer machine, so the matrix is P×M.
+            let mut sample = traffic.sample(surfer_obs::StageKind::MapReduce);
             sample.transfer_ns = map_ns;
             sample.combine_ns = reduce_ns;
             sample.mailbox = reduce_cost.iter().map(|c| c.0).collect();
-            sample.traffic = traffic;
             surfer_obs::record_sample(sample);
         }
 
@@ -260,9 +217,7 @@ impl<'a> MapReduceEngine<'a> {
         let reduce_tasks: Vec<usize> = (0..n_machines)
             .map(|m| {
                 let (values, outs) = reduce_cost[m as usize];
-                let incoming: u64 = (0..pg.num_partitions())
-                    .map(|pid| bytes_to[pid as usize][m as usize])
-                    .sum();
+                let incoming = traffic.incoming(m as usize);
                 // The reduce side sorts its pulled pairs before grouping
                 // (external merge sort): n log n comparisons on top of the
                 // user reduce work. Propagation's Combine has no such sort —
@@ -281,28 +236,15 @@ impl<'a> MapReduceEngine<'a> {
             .collect();
         for pid in pg.partitions() {
             let meta = pg.meta(pid);
-            let machine = pg.machine_of(pid);
-            let intermediate: u64 = bytes_to[pid as usize].iter().sum();
             let map_task = ex.add_task(
-                TaskSpec::new(machine, TaskKind::Map)
+                TaskSpec::new(pg.machine_of(pid), TaskKind::Map)
                     .label(pid as u64)
                     .cpu(meta.total_out_edges as f64 * mapper.ops_per_edge())
                     .reads(meta.bytes)
-                    .writes(intermediate)
+                    .writes(traffic.bytes[pid as usize].iter().sum())
                     .random_io(!pg.fits_in_memory(pid, self.cluster.spec().memory_bytes)),
             );
-            for r in 0..n_machines {
-                let bytes = bytes_to[pid as usize][r as usize];
-                let rt = reduce_tasks[r as usize];
-                if bytes == 0 {
-                    continue;
-                }
-                if MachineId(r) == machine {
-                    ex.add_dep(map_task, rt);
-                } else {
-                    ex.add_transfer(map_task, rt, bytes);
-                }
-            }
+            traffic.wire(&mut ex, pid as usize, map_task, &reduce_tasks);
         }
         let report = ex.run();
         Ok(MapReduceRun { outputs, report })
@@ -310,7 +252,7 @@ impl<'a> MapReduceEngine<'a> {
 }
 
 /// Deterministic hash-partitioning of a key over `n` reducers.
-fn hash_to_reducer<K: Hash>(key: &K, n: u16) -> u16 {
+fn hash_to_reducer(key: u32, n: u16) -> u16 {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() % n as u64) as u16
@@ -323,15 +265,15 @@ mod tests {
     use surfer_cluster::ClusterConfig;
     use surfer_graph::builder::from_edges;
     use surfer_graph::generators::deterministic::grid;
+    use surfer_graph::generators::social::{msn_like, MsnScale};
     use surfer_graph::CsrGraph;
     use surfer_partition::{hash_partition, Partitioning, PartitionedGraph};
 
     /// Mapper: emit (out-degree, 1) per vertex — the VDD skeleton.
     struct DegreeMapper;
     impl PartitionMapper for DegreeMapper {
-        type Key = u32;
         type Value = u64;
-        fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, u64>) {
+        fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u64>) {
             for &v in &pg.meta(pid).members {
                 out.emit(pg.graph().out_degree(v), 1);
             }
@@ -341,7 +283,6 @@ mod tests {
     /// Reducer: sum counts.
     struct SumReducer;
     impl Reducer for SumReducer {
-        type Key = u32;
         type Value = u64;
         type Out = (u32, u64);
         fn reduce(&self, key: &u32, values: &[u64], out: &mut Vec<(u32, u64)>) {
@@ -384,13 +325,20 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let g = grid(5, 5);
+        // A power-law graph: many distinct degrees, so many keys per reducer.
+        let g = msn_like(MsnScale::Tiny, 9);
         let (cluster, pg) = setup(g, 4, 2);
         let engine = MapReduceEngine::new(&cluster, &pg);
         let a = engine.run(&DegreeMapper, &SumReducer).unwrap();
-        let b = engine.run(&DegreeMapper, &SumReducer).unwrap();
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.report.response_time, b.report.response_time);
+        // Outputs come by reducer machine, then key, at any thread count.
+        let order: Vec<(u16, u32)> =
+            a.outputs.iter().map(|&(k, _)| (hash_to_reducer(k, 2), k)).collect();
+        assert!(order.len() > 20 && order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
+        for threads in [1, 2, 0] {
+            let b = engine.with_threads(threads).run(&DegreeMapper, &SumReducer).unwrap();
+            assert_eq!(a.outputs, b.outputs);
+            assert_eq!(a.report.response_time, b.report.response_time);
+        }
     }
 
     #[test]
@@ -409,9 +357,8 @@ mod tests {
     /// Mapper that panics on one partition.
     struct PoisonedMapper;
     impl PartitionMapper for PoisonedMapper {
-        type Key = u32;
         type Value = u64;
-        fn map(&self, _pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, u64>) {
+        fn map(&self, _pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u64>) {
             if pid == 2 {
                 panic!("poisoned map");
             }
@@ -422,7 +369,6 @@ mod tests {
     /// Reducer that panics on a chosen key.
     struct PoisonedReducer;
     impl Reducer for PoisonedReducer {
-        type Key = u32;
         type Value = u64;
         type Out = (u32, u64);
         fn reduce(&self, key: &u32, values: &[u64], out: &mut Vec<(u32, u64)>) {
@@ -456,7 +402,6 @@ mod tests {
         let poisoned_key = reference[0].0;
         struct PanicOn(u32);
         impl Reducer for PanicOn {
-            type Key = u32;
             type Value = u64;
             type Out = (u32, u64);
             fn reduce(&self, key: &u32, values: &[u64], out: &mut Vec<(u32, u64)>) {

@@ -7,10 +7,13 @@
 //! Map tasks take whole graph partitions as input (so developers *can* hand
 //! optimize with partition-level aggregation); the shuffle hash-partitions
 //! intermediate keys across all machines, oblivious to the graph structure —
-//! the obliviousness whose cost §6.4 quantifies against propagation.
+//! the obliviousness whose cost §6.4 quantifies against propagation. The
+//! keyed shuffle ([`shuffle`]) is also what `surfer-core`'s virtual vertices
+//! group through (§3.2).
 
 pub mod api;
 pub mod engine;
+pub mod shuffle;
 
 pub use api::{Emitter, PartitionMapper, Reducer};
 pub use engine::{MapReduceEngine, MapReduceError, MapReduceRun};

@@ -12,9 +12,8 @@ use surfer_partition::{random_partition, PartitionedGraph};
 /// of the reduce fold.
 struct EdgeWeightMapper;
 impl PartitionMapper for EdgeWeightMapper {
-    type Key = u32;
     type Value = f64;
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, f64>) {
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<f64>) {
         let g = pg.graph();
         for &v in &pg.meta(pid).members {
             for &t in g.neighbors(v) {
@@ -26,7 +25,6 @@ impl PartitionMapper for EdgeWeightMapper {
 
 struct SumReducer;
 impl Reducer for SumReducer {
-    type Key = u32;
     type Value = f64;
     type Out = (u32, f64);
     fn reduce(&self, key: &u32, values: &[f64], out: &mut Vec<(u32, f64)>) {

@@ -13,9 +13,8 @@ use surfer_partition::{random_partition, PartitionedGraph};
 /// Mapper: emit (dst, 1) for every edge — in-degree counting.
 struct InDegreeMapper;
 impl PartitionMapper for InDegreeMapper {
-    type Key = u32;
     type Value = u64;
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u32, u64>) {
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<u64>) {
         let g = pg.graph();
         for &v in &pg.meta(pid).members {
             for &t in g.neighbors(v) {
@@ -27,7 +26,6 @@ impl PartitionMapper for InDegreeMapper {
 
 struct SumReducer;
 impl Reducer for SumReducer {
-    type Key = u32;
     type Value = u64;
     type Out = (u32, u64);
     fn reduce(&self, k: &u32, values: &[u64], out: &mut Vec<(u32, u64)>) {
