@@ -8,7 +8,7 @@
 //!
 //! Subcommands: all, table1, table2, table3, table4, table5, fig6, fig7,
 //! fig9, fig10, fig11, fig12, cascade, ablation, chaos, profile, perfetto,
-//! postmortem, baseline, gate, lint, lint-baseline. Options: `--scale
+//! postmortem, baseline, gate, lint. Options: `--scale
 //! tiny|small|medium|large` (default small), `--machines N` (default 32),
 //! `--partitions P` (default 64).
 //!
@@ -29,8 +29,8 @@
 //! job + serving benchmark) into `OBS_baseline.json`; `gate` re-runs both
 //! and fails on any metric
 //! drifting beyond tolerance — the CI metrics regression gate. `lint` runs
-//! the `surfer-lint` static-analysis gate against `LINT_baseline.json`
-//! (writing `LINT_report.json`); `lint-baseline` refreshes the baseline.
+//! the `surfer-lint` static-analysis gate, which fails on any active deny
+//! finding, and writes `LINT_report.json`.
 
 use surfer_bench::experiments::*;
 use surfer_bench::{ExpConfig, Workload};
@@ -216,41 +216,24 @@ fn main() {
             }
         }
         "lint" => {
-            let baseline = std::fs::read_to_string("LINT_baseline.json").ok();
-            let r = lint::run(baseline.as_deref()).unwrap_or_else(|e| die(&e));
+            let r = lint::run().unwrap_or_else(|e| die(&e));
             print!("{}", r.table);
             std::fs::write("LINT_report.json", &r.json)
                 .unwrap_or_else(|e| die(&format!("writing LINT_report.json: {e}")));
             eprintln!("# wrote LINT_report.json ({} files scanned)", r.outcome.files_scanned);
-            for w in &r.warnings {
-                eprintln!("# warning: {w}");
-            }
             if r.failures.is_empty() {
-                eprintln!("# lint gate: PASS (no unwaived diagnostics)");
+                eprintln!("# lint gate: PASS (no active deny findings)");
             } else {
                 eprintln!("error: lint gate FAILED — {} problem(s):", r.failures.len());
                 for f in &r.failures {
                     eprintln!("  - {f}");
                 }
-                die(
-                    "waive justified sites inline with `// lint:allow(RULE, reason)`, \
-                     or grandfather them via `reproduce -- lint-baseline` and edit the \
-                     UNREVIEWED reasons in LINT_baseline.json before committing",
-                );
+                die("fix each site, or waive a justified one inline with \
+                     `// lint:allow(RULE, reason)`");
             }
         }
-        "lint-baseline" => {
-            let old = std::fs::read_to_string("LINT_baseline.json").ok();
-            let doc = lint::refreshed_baseline(old.as_deref()).unwrap_or_else(|e| die(&e));
-            std::fs::write("LINT_baseline.json", &doc)
-                .unwrap_or_else(|e| die(&format!("writing LINT_baseline.json: {e}")));
-            eprintln!(
-                "# wrote LINT_baseline.json — replace any UNREVIEWED reasons with real \
-                 justifications, then commit"
-            );
-        }
         other => die(&format!(
-            "unknown experiment '{other}' (all|table1..table5|fig6|fig7|fig9|fig10|fig11|fig12|cascade|ablation|chaos|postmortem|profile|perfetto|baseline|gate|lint|lint-baseline)"
+            "unknown experiment '{other}' (all|table1..table5|fig6|fig7|fig9|fig10|fig11|fig12|cascade|ablation|chaos|postmortem|profile|perfetto|baseline|gate|lint)"
         )),
     };
 

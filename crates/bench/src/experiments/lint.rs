@@ -1,10 +1,9 @@
-//! The `reproduce -- lint` / `lint-baseline` subcommands: run `surfer-lint`
-//! over the workspace, gate against `LINT_baseline.json`, and write the
-//! machine-readable `LINT_report.json` (CI uploads it as an artifact).
+//! The `reproduce -- lint` subcommand: run `surfer-lint` over the
+//! workspace, fail on any active deny finding, and write the
+//! machine-readable `LINT_report.json` (committed; CI checks it is current).
 
 use std::path::PathBuf;
-use surfer_lint::baseline::Baseline;
-use surfer_lint::{lint_workspace, refresh_baseline, report, Outcome};
+use surfer_lint::{lint_workspace, report, Outcome};
 
 /// Locate the workspace root: the compile-time manifest dir's grandparent,
 /// falling back to the current directory (e.g. when the binary moved).
@@ -23,53 +22,21 @@ pub struct GateResult {
     pub table: String,
     /// JSON report document (write to `LINT_report.json`).
     pub json: String,
-    /// Hard failures: unwaived deny findings and unreviewed baseline reasons.
+    /// Hard failures: active deny findings.
     pub failures: Vec<String>,
-    /// Soft notes (stale baseline entries).
-    pub warnings: Vec<String>,
 }
 
-/// Run the lint gate. `baseline_text` is the committed `LINT_baseline.json`
-/// content, if present.
-pub fn run(baseline_text: Option<&str>) -> Result<GateResult, String> {
-    let baseline = match baseline_text {
-        Some(t) => Some(Baseline::parse(t)?),
-        None => None,
-    };
-    let outcome = lint_workspace(&workspace_root(), baseline.as_ref())?;
-    let mut failures = Vec::new();
-    for d in outcome.fatal() {
-        failures.push(format!("{} {}:{} {}", d.rule, d.file, d.line, d.message));
-    }
-    if let Some(b) = &baseline {
-        for e in b.unreviewed() {
-            failures.push(format!(
-                "baseline entry {} {} ({:?}) is UNREVIEWED — write a real reason",
-                e.rule, e.file, e.snippet
-            ));
-        }
-    }
-    let warnings = outcome
-        .stale_baseline
+/// Run the lint gate.
+pub fn run() -> Result<GateResult, String> {
+    let outcome = lint_workspace(&workspace_root())?;
+    let failures = outcome
+        .fatal()
         .iter()
-        .map(|(r, f, s, n)| {
-            format!("stale baseline entry {r} {f} ({s:?}) x{n} — refresh to drop")
-        })
+        .map(|d| format!("{} {}:{} {}", d.rule, d.file, d.line, d.message))
         .collect();
     let table = report::render_table(&outcome.diagnostics, false);
     let json = report::render_json(&outcome.diagnostics);
-    Ok(GateResult { outcome, table, json, failures, warnings })
-}
-
-/// Refresh `LINT_baseline.json`: lint without a baseline, keep reasons for
-/// surviving entries, stamp new ones UNREVIEWED. Returns the document text.
-pub fn refreshed_baseline(old_text: Option<&str>) -> Result<String, String> {
-    let old = match old_text {
-        Some(t) => Some(Baseline::parse(t)?),
-        None => None,
-    };
-    let outcome = lint_workspace(&workspace_root(), None)?;
-    Ok(refresh_baseline(&outcome, old.as_ref()).render())
+    Ok(GateResult { outcome, table, json, failures })
 }
 
 #[cfg(test)]
@@ -84,10 +51,8 @@ mod tests {
     }
 
     #[test]
-    fn gate_runs_against_committed_baseline() {
-        let root = workspace_root();
-        let text = std::fs::read_to_string(root.join("LINT_baseline.json")).ok();
-        let r = run(text.as_deref()).expect("lint run");
+    fn gate_lints_the_workspace() {
+        let r = run().expect("lint run");
         assert!(r.outcome.files_scanned > 0);
         assert!(r.json.contains("\"schema\": 1"));
     }

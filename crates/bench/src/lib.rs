@@ -1,8 +1,7 @@
 //! # surfer-bench
 //!
 //! The reproduction harness: one module per table/figure of the paper's
-//! evaluation (§6 / App. F), shared by the `reproduce` binary and the
-//! Criterion micro-benchmarks.
+//! evaluation (§6 / App. F), driven by the `reproduce` binary.
 //!
 //! Run everything: `cargo run --release -p surfer-bench --bin reproduce -- all`
 

@@ -44,7 +44,7 @@ pub use fault::{
     UdfPanicAt,
 };
 pub use jobmanager::StoreReplanner;
-pub use par::{par_map_indexed, par_map_vec, resolve_threads, try_par_map_vec, WorkerPanic};
+pub use par::{resolve_threads, try_par_map_vec, WorkerPanic};
 pub use machine::{MachineId, MachineSpec};
 pub use metrics::{ExecReport, TaskTrace, TimeSeries};
 pub use trace::{render_gantt, render_span_gantt, span_glyph, utilization};

@@ -85,24 +85,8 @@ pub fn resolve_threads_clamped(threads: usize) -> usize {
 /// partitions across workers). `f` receives `(index, item)` so callers can
 /// use the original partition id.
 ///
-/// A panicking closure panics the calling thread with the worker's message.
-/// Engine stages that run *user* code should prefer [`try_par_map_vec`].
-pub fn par_map_vec<I, T, F>(threads: usize, items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    match try_par_map_vec(threads, items, f) {
-        Ok(out) => out,
-        // lint:allow(E1, the infallible variant re-raises worker panics by contract)
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`par_map_vec`] with panic capture: a panic in `f` surfaces as a
-/// [`WorkerPanic`] for the smallest failing item index, instead of tearing
-/// down the process.
+/// A panic in `f` surfaces as a [`WorkerPanic`] for the smallest failing
+/// item index, instead of tearing down the process.
 ///
 /// All items are attempted regardless of earlier failures, so `f`'s side
 /// effects are the same whether the batch runs on one thread or many.
@@ -187,16 +171,6 @@ where
     Ok(slots.into_iter().map(|slot| slot.expect("every item produces an output")).collect())
 }
 
-/// [`par_map_vec`] over the index range `0..count` — for stages whose work
-/// items are just partition ids.
-pub fn par_map_indexed<T, F>(threads: usize, count: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_vec(threads, (0..count).collect::<Vec<_>>(), |_, i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,31 +198,32 @@ mod tests {
         let items: Vec<u64> = (0..37).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for t in [1, 2, 3, 8, 64] {
-            let got = par_map_vec(t, items.clone(), |_, x| x * x);
+            let got = try_par_map_vec(t, items.clone(), |_, x| x * x).unwrap();
             assert_eq!(got, expect, "threads = {t}");
         }
     }
 
     #[test]
     fn index_matches_item_position() {
-        let got = par_map_vec(4, vec!['a', 'b', 'c'], |i, c| (i, c));
+        let got = try_par_map_vec(4, vec!['a', 'b', 'c'], |i, c| (i, c)).unwrap();
         assert_eq!(got, vec![(0, 'a'), (1, 'b'), (2, 'c')]);
     }
 
     #[test]
     fn all_items_run_exactly_once() {
         let count = AtomicUsize::new(0);
-        let out = par_map_indexed(5, 100, |i| {
+        let out = try_par_map_vec(5, (0..100).collect(), |_, i| {
             count.fetch_add(1, Ordering::Relaxed);
             i
-        });
+        })
+        .unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 100);
         assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u32> = par_map_vec(4, Vec::<u32>::new(), |_, x| x);
+        let out: Vec<u32> = try_par_map_vec(4, Vec::<u32>::new(), |_, x| x).unwrap();
         assert!(out.is_empty());
     }
 

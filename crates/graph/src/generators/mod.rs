@@ -14,14 +14,10 @@
 
 pub mod deterministic;
 pub mod erdos;
-pub mod preferential;
 pub mod rmat;
 pub mod social;
-pub mod watts;
 
 pub use deterministic::{binary_tree, complete, cycle, grid, path, star};
 pub use erdos::gnm;
-pub use preferential::{barabasi_albert, BarabasiAlbertConfig};
 pub use rmat::{rmat, RmatConfig};
 pub use social::{msn_like, stitched_small_worlds, SocialGraphConfig};
-pub use watts::{watts_strogatz, WattsStrogatzConfig};

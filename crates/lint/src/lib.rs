@@ -13,18 +13,16 @@
 //! | P1   | advisory | no heap allocation in `for` bodies of the O1–O4 kernels |
 //! | W1   | deny     | waivers must name a known rule and carry a reason |
 //!
-//! Justified exceptions use `// lint:allow(RULE, reason)` inline, or a
-//! `LINT_baseline.json` entry for grandfathered sites. `reproduce -- lint`
-//! gates CI: non-zero exit on any unwaived, unbaselined deny finding.
+//! A justified exception is waived inline with
+//! `// lint:allow(RULE, reason)`; nothing else suppresses a finding.
+//! `reproduce -- lint` gates CI: non-zero exit on any active deny finding.
 
-pub mod baseline;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 pub mod waivers;
 pub mod walker;
 
-use baseline::{Baseline, Matcher};
 use report::{Diagnostic, Status};
 use rules::Severity;
 use std::path::Path;
@@ -32,11 +30,9 @@ use std::path::Path;
 /// The outcome of linting a set of files.
 #[derive(Debug, Default)]
 pub struct Outcome {
-    /// Every diagnostic, resolved (active / waived / baselined), ordered by
-    /// file then line.
+    /// Every diagnostic, resolved (active / waived), ordered by file then
+    /// line.
     pub diagnostics: Vec<Diagnostic>,
-    /// Baseline entries that matched nothing (stale; refresh to drop).
-    pub stale_baseline: Vec<(String, String, String, u64)>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -49,8 +45,8 @@ impl Outcome {
 }
 
 /// Lint one source buffer as though it lived at `path` (workspace-relative,
-/// forward slashes). No baseline is applied — findings resolve to Active or
-/// Waived. This is the entry point fixtures and editors use.
+/// forward slashes). Findings resolve to Active or Waived. This is the entry
+/// point fixtures and editors use.
 pub fn lint_source(path: &str, src: &[u8]) -> Vec<Diagnostic> {
     let lexed = lexer::lex(src);
     let mask = rules::test_mask(src, &lexed);
@@ -86,61 +82,16 @@ pub fn lint_source(path: &str, src: &[u8]) -> Vec<Diagnostic> {
     out
 }
 
-/// Lint the whole workspace under `root`, resolving findings against an
-/// optional baseline.
-pub fn lint_workspace(root: &Path, baseline: Option<&Baseline>) -> Result<Outcome, String> {
+/// Lint the whole workspace under `root`.
+pub fn lint_workspace(root: &Path) -> Result<Outcome, String> {
     let files = walker::workspace_files(root)?;
-    let mut matcher = baseline.map(Matcher::new);
     let mut out = Outcome { files_scanned: files.len(), ..Outcome::default() };
     for rel in &files {
         let bytes = std::fs::read(root.join(rel))
             .map_err(|e| format!("read {rel}: {e}"))?;
-        for mut d in lint_source(rel, &bytes) {
-            if d.status == Status::Active && d.severity == Severity::Deny {
-                if let Some(m) = matcher.as_mut() {
-                    if let Some(reason) = m.claim(d.rule, &d.file, &d.snippet) {
-                        d.status = Status::Baselined(reason);
-                    }
-                }
-            }
-            out.diagnostics.push(d);
-        }
-    }
-    if let Some(m) = &matcher {
-        out.stale_baseline = m.stale();
+        out.diagnostics.extend(lint_source(rel, &bytes));
     }
     Ok(out)
-}
-
-/// Build a refreshed baseline from the current active deny findings,
-/// carrying over reasons from `old` where the (rule, file, snippet) key
-/// survives and stamping new entries `UNREVIEWED`.
-pub fn refresh_baseline(outcome: &Outcome, old: Option<&Baseline>) -> Baseline {
-    use std::collections::BTreeMap;
-    let mut counts: BTreeMap<(String, String, String), u64> = BTreeMap::new();
-    for d in outcome.diagnostics.iter().filter(|d| d.is_fatal() || matches!(d.status, Status::Baselined(_))) {
-        *counts
-            .entry((d.rule.to_string(), d.file.clone(), d.snippet.clone()))
-            .or_insert(0) += 1;
-    }
-    let old_reason = |rule: &str, file: &str, snippet: &str| -> Option<String> {
-        old?.entries
-            .iter()
-            .find(|e| e.rule == rule && e.file == file && e.snippet == snippet)
-            .map(|e| e.reason.clone())
-    };
-    let entries = counts
-        .into_iter()
-        .map(|((rule, file, snippet), count)| {
-            let reason = old_reason(&rule, &file, &snippet).unwrap_or_else(|| {
-                let summary =
-                    rules::rule(&rule).map(|r| r.summary).unwrap_or("unknown rule");
-                format!("{}: justify or fix ({summary})", baseline::UNREVIEWED)
-            });
-            baseline::Entry { rule, file, snippet, count, reason }
-        })
-        .collect();
-    Baseline { entries }
 }
 
 #[cfg(test)]
@@ -155,48 +106,5 @@ mod tests {
         assert!(matches!(diags[0].status, Status::Waived(_)));
         assert_eq!(diags[1].status, Status::Active);
         assert_eq!(diags[1].line, 3);
-    }
-
-    #[test]
-    fn refresh_preserves_old_reasons_and_stamps_new() {
-        let outcome = Outcome {
-            diagnostics: vec![
-                Diagnostic {
-                    rule: "E1",
-                    severity: Severity::Deny,
-                    file: "crates/core/src/a.rs".into(),
-                    line: 1,
-                    snippet: "x.unwrap();".into(),
-                    message: String::new(),
-                    status: Status::Active,
-                },
-                Diagnostic {
-                    rule: "E1",
-                    severity: Severity::Deny,
-                    file: "crates/core/src/b.rs".into(),
-                    line: 1,
-                    snippet: "y.unwrap();".into(),
-                    message: String::new(),
-                    status: Status::Active,
-                },
-            ],
-            stale_baseline: vec![],
-            files_scanned: 2,
-        };
-        let old = Baseline {
-            entries: vec![baseline::Entry {
-                rule: "E1".into(),
-                file: "crates/core/src/a.rs".into(),
-                snippet: "x.unwrap();".into(),
-                count: 1,
-                reason: "reviewed: fine".into(),
-            }],
-        };
-        let b = refresh_baseline(&outcome, Some(&old));
-        assert_eq!(b.entries.len(), 2);
-        let a = b.entries.iter().find(|e| e.file.ends_with("a.rs")).unwrap();
-        assert_eq!(a.reason, "reviewed: fine");
-        let nb = b.entries.iter().find(|e| e.file.ends_with("b.rs")).unwrap();
-        assert!(nb.reason.starts_with(baseline::UNREVIEWED));
     }
 }

@@ -7,12 +7,10 @@ use crate::rules::Severity;
 /// How a finding was resolved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Status {
-    /// Unwaived, not in the baseline: fails the gate if the rule denies.
+    /// Unwaived: fails the gate if the rule denies.
     Active,
     /// Suppressed by an inline `lint:allow` with this reason.
     Waived(String),
-    /// Grandfathered by a `LINT_baseline.json` entry with this reason.
-    Baselined(String),
 }
 
 impl Status {
@@ -20,14 +18,13 @@ impl Status {
         match self {
             Status::Active => "active",
             Status::Waived(_) => "waived",
-            Status::Baselined(_) => "baselined",
         }
     }
 
     pub fn reason(&self) -> Option<&str> {
         match self {
             Status::Active => None,
-            Status::Waived(r) | Status::Baselined(r) => Some(r),
+            Status::Waived(r) => Some(r),
         }
     }
 }
@@ -40,7 +37,7 @@ pub struct Diagnostic {
     /// Workspace-relative path with forward slashes.
     pub file: String,
     pub line: u32,
-    /// The trimmed source line (doubles as the baseline matching key).
+    /// The trimmed source line.
     pub snippet: String,
     pub message: String,
     pub status: Status,
@@ -53,8 +50,8 @@ impl Diagnostic {
     }
 }
 
-/// Render the human table. Waived/baselined rows are summarized, not listed,
-/// unless `verbose`.
+/// Render the human table. Waived rows are summarized, not listed, unless
+/// `verbose`.
 pub fn render_table(diags: &[Diagnostic], verbose: bool) -> String {
     let mut out = String::new();
     let shown: Vec<&Diagnostic> =
@@ -80,18 +77,16 @@ pub fn render_table(diags: &[Diagnostic], verbose: bool) -> String {
             ));
         }
     }
-    let (mut active, mut waived, mut baselined, mut advisory) = (0usize, 0, 0, 0);
+    let (mut active, mut waived, mut advisory) = (0usize, 0, 0);
     for d in diags {
         match (&d.status, d.severity) {
             (Status::Active, Severity::Deny) => active += 1,
             (Status::Active, Severity::Advisory) => advisory += 1,
             (Status::Waived(_), _) => waived += 1,
-            (Status::Baselined(_), _) => baselined += 1,
         }
     }
     out.push_str(&format!(
-        "summary: {active} active deny, {advisory} active advisory, \
-         {waived} waived, {baselined} baselined\n"
+        "summary: {active} active deny, {advisory} active advisory, {waived} waived\n"
     ));
     out
 }
@@ -168,7 +163,6 @@ mod tests {
     fn fatality() {
         assert!(diag(Status::Active).is_fatal());
         assert!(!diag(Status::Waived("r".into())).is_fatal());
-        assert!(!diag(Status::Baselined("r".into())).is_fatal());
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn scan_comment(src: &[u8], c: &Comment, waivers: &mut Vec<Waiver>, findings: &m
             .map(|p| open + p)
             .unwrap_or(text.len());
         let body = &text[open..body_end];
-        at = body_end + 1;
+        at = (body_end + 1).min(text.len());
         let (rule_name, reason) = match body.iter().position(|&b| b == b',') {
             Some(comma) => (trim(&body[..comma]), trim(&body[comma + 1..])),
             None => (trim(body), &b""[..]),
@@ -113,6 +113,14 @@ mod tests {
         assert_eq!(w[0].rule, "E1");
         assert_eq!(w[0].reason, "invariant: slot filled once (see above)");
         assert_eq!(w[0].line, 1);
+    }
+
+    #[test]
+    fn unclosed_marker_ends_the_scan() {
+        let (w, f) = scan("// lint:allow(E1, reason runs to the end\n");
+        assert!(f.is_empty());
+        assert_eq!(w.len(), 1);
+        assert_eq!(w[0].reason, "reason runs to the end");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::assignment::Partitioning;
 use crate::bisect::BisectConfig;
 use crate::machine_graph::MachineGraph;
 use crate::recursive::RecursivePartitioner;
-use crate::sketch::{PartitionSketch, SketchNodeId};
+use crate::sketch::{PartitionSketch, SketchKind, SketchNodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -110,19 +110,22 @@ fn walk(
     placement: &mut [MachineId],
 ) {
     machine_sets[node] = mg.machines().to_vec();
-    let n = sketch.node(node);
-    match n.children {
-        None => {
-            // Leaf: store the partition (Algorithm 4 lines 7-9).
-            let pid = n.pid.expect("leaf has pid") as usize;
-            placement[pid] = match policy {
-                PlacementPolicy::BandwidthAware => mg.best_connected_machine(),
+    match sketch.node(node).kind {
+        SketchKind::Leaf { pid } => {
+            // Store the partition (Algorithm 4 lines 7-9).
+            let slot = &mut placement[pid as usize];
+            match policy {
+                PlacementPolicy::BandwidthAware => *slot = mg.best_connected_machine(),
                 PlacementPolicy::RandomBaseline => {
-                    *mg.machines().choose(rng).expect("non-empty machine set")
+                    // `place` redraws every slot after the walk; this draw
+                    // stays because it advances the RNG the later draws share.
+                    if let Some(&m) = mg.machines().choose(rng) {
+                        *slot = m;
+                    }
                 }
-            };
+            }
         }
-        Some((l, r)) => {
+        SketchKind::Split { left: l, right: r } => {
             if mg.len() == 1 {
                 // Single machine finishes the whole subtree locally
                 // (Algorithm 4 lines 2-5).

@@ -15,6 +15,7 @@
 //! where the exchange traffic lands in the topology.
 
 use crate::bandwidth_aware::PlacedPartitioning;
+use crate::sketch::SketchKind;
 use std::collections::BTreeMap;
 use surfer_cluster::{ExecReport, Executor, MachineId, SimCluster, TaskKind, TaskSpec};
 use surfer_graph::CsrGraph;
@@ -71,76 +72,67 @@ pub fn simulate_partitioning(
 
     // Bisection phase: sketch nodes are stored parent-before-children, so a
     // single forward pass sees every parent first.
-    for node in 0..sketch.nodes().len() {
-        let n = sketch.node(node);
+    for (node, n) in sketch.nodes().iter().enumerate() {
         let frac = n.vertex_count as f64 / total_vertices;
         let node_bytes = graph_bytes * frac;
         let node_edges = total_edges * frac;
         let set = &placed.machine_sets[node];
-        let parent = n.parent;
+        // The node's data share arrives from the tasks of its parent's set,
+        // or from the load tasks for the root.
+        let sources: Vec<(MachineId, usize)> = match n.parent {
+            Some(p) => placed.machine_sets[p].iter().map(|&s| (s, node_task[&(p, s)])).collect(),
+            None => root_set.iter().map(|&s| (s, load_task[&s])).collect(),
+        };
 
-        if n.children.is_some() {
-            // A bisection job on `set`.
-            let share_bytes = node_bytes / set.len() as f64;
-            let share_edges = node_edges / set.len() as f64;
-            let mut tasks = Vec::with_capacity(set.len());
-            for &m in set {
-                let t = ex.add_task(
-                    TaskSpec::new(m, TaskKind::Partition)
-                        .label(node as u64)
-                        .cpu(share_edges * model.ops_per_edge)
-                        .reads(share_bytes as u64)
-                        .writes(share_bytes as u64),
-                );
-                tasks.push((m, t));
-                node_task.insert((node, m), t);
-            }
-            // Inputs: this node's data share arrives from the parent set
-            // (or the load tasks for the root). All-to-all exchange volume:
-            // exchange_factor x node bytes, spread over source-target pairs.
-            let src_set: Vec<MachineId> = if node == root {
-                root_set.clone()
-            } else {
-                placed.machine_sets[parent.expect("non-root")].clone()
-            };
-            let volume = node_bytes * model.exchange_factor;
-            let pair_bytes = volume / (src_set.len() * set.len()) as f64;
-            for &(m, t) in &tasks {
-                for &s in &src_set {
-                    let src_task = if node == root {
-                        load_task[&s]
-                    } else {
-                        node_task[&(parent.expect("non-root"), s)]
-                    };
-                    if s == m {
-                        // Same machine: just a control dependency.
-                        ex.add_dep(src_task, t);
-                    } else {
-                        ex.add_transfer(src_task, t, pair_bytes as u64);
+        match n.kind {
+            SketchKind::Split { .. } => {
+                // A bisection job on `set`.
+                let share_bytes = node_bytes / set.len() as f64;
+                let share_edges = node_edges / set.len() as f64;
+                let mut tasks = Vec::with_capacity(set.len());
+                for &m in set {
+                    let t = ex.add_task(
+                        TaskSpec::new(m, TaskKind::Partition)
+                            .label(node as u64)
+                            .cpu(share_edges * model.ops_per_edge)
+                            .reads(share_bytes as u64)
+                            .writes(share_bytes as u64),
+                    );
+                    tasks.push((m, t));
+                    node_task.insert((node, m), t);
+                }
+                // All-to-all exchange volume: exchange_factor x node bytes,
+                // spread over source-target pairs.
+                let volume = node_bytes * model.exchange_factor;
+                let pair_bytes = volume / (sources.len() * set.len()) as f64;
+                for &(m, t) in &tasks {
+                    for &(s, src_task) in &sources {
+                        if s == m {
+                            // Same machine: just a control dependency.
+                            ex.add_dep(src_task, t);
+                        } else {
+                            ex.add_transfer(src_task, t, pair_bytes as u64);
+                        }
                     }
                 }
             }
-        } else {
-            // Leaf: ship the finished partition from the machines that
-            // computed it (the parent set) to its storage machine and write
-            // it out.
-            let pid = n.pid.expect("leaf has pid");
-            let dst = placed.placement[pid as usize];
-            let store = ex.add_task(
-                TaskSpec::new(dst, TaskKind::Partition)
-                    .label(u64::MAX - 1)
-                    .writes(node_bytes as u64),
-            );
-            let src_set =
-                if let Some(p) = parent { &placed.machine_sets[p] } else { &root_set };
-            let share = node_bytes / src_set.len() as f64;
-            for &s in src_set {
-                let src_task =
-                    if let Some(p) = parent { node_task[&(p, s)] } else { load_task[&s] };
-                if s == dst {
-                    ex.add_dep(src_task, store);
-                } else {
-                    ex.add_transfer(src_task, store, share as u64);
+            SketchKind::Leaf { pid } => {
+                // Ship the finished partition from the machines that
+                // computed it (the parent set) to its storage machine and
+                // write it out.
+                let dst = placed.placement[pid as usize];
+                let store = ex.add_task(
+                    TaskSpec::new(dst, TaskKind::Partition)
+                        .label(u64::MAX - 1)
+                        .writes(node_bytes as u64),
+                );
+                let share = node_bytes / sources.len() as f64;
+                for &(s, src_task) in &sources {
+                    if s == dst {
+                        ex.add_dep(src_task, store);
+                    } else {
+                        ex.add_transfer(src_task, store, share as u64);
+                    }
                 }
             }
         }

@@ -46,7 +46,9 @@ pub use partitioned::{DestCode, PartitionMeta, PartitionedGraph};
 pub use random::{hash_partition, random_partition};
 pub use wgraph::WGraph;
 pub use recursive::{KWayResult, RecursivePartitioner};
-pub use sketch::{sketch_quality, PartitionSketch, SketchNode, SketchNodeId, SketchQuality};
+pub use sketch::{
+    sketch_quality, PartitionSketch, SketchKind, SketchNode, SketchNodeId, SketchQuality,
+};
 pub use store_fs::{
     crc32, load_partitioned, read_manifest, read_partition, read_partition_verified,
     read_snapshot, write_partitioned, write_snapshot, Manifest,

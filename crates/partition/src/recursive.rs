@@ -7,7 +7,7 @@
 
 use crate::assignment::Partitioning;
 use crate::bisect::{bisect_wgraph, BisectConfig};
-use crate::sketch::{PartitionSketch, SketchNode, SketchNodeId};
+use crate::sketch::{PartitionSketch, SketchKind, SketchNode, SketchNodeId};
 use crate::wgraph::WGraph;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -97,26 +97,24 @@ impl RecursivePartitioner {
     /// root graph) into `2^(levels - level)` parts with pids starting at
     /// `at.first_pid`. Returns the sketch subtree rooted at `at`, in pre-order.
     fn recurse(&self, run: &Run<'_>, ids: Vec<u32>, at: Slot, seed: u64) -> Vec<SketchNode> {
-        let mut node = SketchNode {
+        let vertex_count = ids.len() as u32;
+        let sketch_node = |kind, cut_weight| SketchNode {
             level: at.level,
             parent: at.parent,
-            children: None,
-            pid: None,
-            cut_weight: 0,
-            vertex_count: ids.len() as u32,
+            kind,
+            cut_weight,
+            vertex_count,
         };
         if at.level == run.levels {
             for &v in &ids {
                 run.pids[v as usize].store(at.first_pid, Ordering::Relaxed);
             }
-            node.pid = Some(at.first_pid);
-            return vec![node];
+            return vec![sketch_node(SketchKind::Leaf { pid: at.first_pid }, 0)];
         }
-        let (left_ids, right_ids) = if ids.len() >= 2 {
+        let (left_ids, right_ids, cut_weight) = if ids.len() >= 2 {
             let mut cfg = self.config.clone();
             cfg.seed = seed;
             let b = bisect_wgraph(&run.root.induced(&ids), &cfg);
-            node.cut_weight = b.cut_weight;
             let mut left = Vec::new();
             let mut right = Vec::new();
             for (&v, &s) in ids.iter().zip(&b.side) {
@@ -133,10 +131,10 @@ impl RecursivePartitioner {
             } else if right.is_empty() {
                 right.extend(left.pop());
             }
-            (left, right)
+            (left, right, b.cut_weight)
         } else {
             // 0- or 1-vertex subgraph: halves are (rest, empty-but-padded).
-            (ids, Vec::new())
+            (ids, Vec::new(), 0)
         };
 
         let below = run.levels - at.level; // levels under this node; >= 1
@@ -151,7 +149,8 @@ impl RecursivePartitioner {
             first_pid: at.first_pid + (1u32 << (below - 1)),
             ..left_at
         };
-        node.children = Some((left_at.id, right_at.id));
+        let split = SketchKind::Split { left: left_at.id, right: right_at.id };
+        let node = sketch_node(split, cut_weight);
         let mixed = seed.wrapping_mul(6364136223846793005);
         let (lseed, rseed) = (mixed.wrapping_add(1), mixed.wrapping_add(2));
 
@@ -230,11 +229,10 @@ mod tests {
         let r = RecursivePartitioner::default().partition(&g, 4);
         let root = r.sketch.root().unwrap();
         assert_eq!(r.sketch.node(root).vertex_count, 64);
-        let (l, rr) = r.sketch.node(root).children.unwrap();
-        assert_eq!(
-            r.sketch.node(l).vertex_count + r.sketch.node(rr).vertex_count,
-            64
-        );
+        let SketchKind::Split { left, right } = r.sketch.node(root).kind else {
+            panic!("the root of a 4-way sketch is a split");
+        };
+        assert_eq!(r.sketch.node(left).vertex_count + r.sketch.node(right).vertex_count, 64);
     }
 
     #[test]

@@ -23,16 +23,31 @@ pub struct SketchNode {
     pub level: u32,
     /// Parent node, `None` for the root.
     pub parent: Option<SketchNodeId>,
-    /// Children produced by this node's bisection (`None` for leaves).
-    pub children: Option<(SketchNodeId, SketchNodeId)>,
-    /// The partition id, for leaves.
-    pub pid: Option<u32>,
+    /// A final partition, or a bisection into two children.
+    pub kind: SketchKind,
     /// Weight of the cut between the two children (0 for leaves). In the
     /// symmetrized weighted view, a pair of antiparallel directed edges
     /// contributes 2.
     pub cut_weight: u64,
     /// Number of vertices in this node's subgraph.
     pub vertex_count: u32,
+}
+
+/// What a sketch node is: a leaf holding a partition, or a split.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SketchKind {
+    /// A final partition.
+    Leaf {
+        /// Its partition id.
+        pid: u32,
+    },
+    /// A bisected subgraph.
+    Split {
+        /// The child holding the first half of the pids.
+        left: SketchNodeId,
+        /// The child holding the second half.
+        right: SketchNodeId,
+    },
 }
 
 /// The binary tree recording a recursive bisection run.
@@ -60,11 +75,6 @@ impl PartitionSketch {
         self.nodes.len() - 1
     }
 
-    /// Record the children of `parent` after its bisection.
-    pub fn set_children(&mut self, parent: SketchNodeId, left: SketchNodeId, right: SketchNodeId) {
-        self.nodes[parent].children = Some((left, right));
-    }
-
     /// All nodes.
     pub fn nodes(&self) -> &[SketchNode] {
         &self.nodes
@@ -82,10 +92,17 @@ impl PartitionSketch {
 
     /// Leaf node ids in pid order.
     pub fn leaves(&self) -> Vec<SketchNodeId> {
-        let mut l: Vec<SketchNodeId> =
-            (0..self.nodes.len()).filter(|&i| self.nodes[i].pid.is_some()).collect();
-        l.sort_by_key(|&i| self.nodes[i].pid);
-        l
+        let mut l: Vec<(u32, SketchNodeId)> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, n)| match n.kind {
+                SketchKind::Leaf { pid } => Some((pid, i)),
+                SketchKind::Split { .. } => None,
+            })
+            .collect();
+        l.sort_unstable();
+        l.into_iter().map(|(_, i)| i).collect()
     }
 
     /// Number of levels (`log2 P + 1` for a complete sketch of P leaves).
@@ -107,24 +124,6 @@ impl PartitionSketch {
         (1..self.num_levels()).all(|l| self.total_cut_at_level(l - 1) <= self.total_cut_at_level(l))
     }
 
-    /// The deepest common ancestor level of two leaves — proximity (§4.1)
-    /// says leaves with a *lower* (deeper) common ancestor share more
-    /// cross-partition edges and should be stored close together.
-    pub fn common_ancestor_level(&self, a: SketchNodeId, b: SketchNodeId) -> u32 {
-        let (mut x, mut y) = (a, b);
-        while self.nodes[x].level > self.nodes[y].level {
-            x = self.nodes[x].parent.expect("deeper node has parent");
-        }
-        while self.nodes[y].level > self.nodes[x].level {
-            y = self.nodes[y].parent.expect("deeper node has parent");
-        }
-        while x != y {
-            x = self.nodes[x].parent.expect("non-root");
-            y = self.nodes[y].parent.expect("non-root");
-        }
-        self.nodes[x].level
-    }
-
     /// Map every partition id to its ancestor group at level `l`: leaves
     /// deeper than `l` walk up to their level-`l` ancestor, shallower
     /// leaves stay themselves. Group ids are densified in first-seen pid
@@ -135,10 +134,12 @@ impl PartitionSketch {
             std::collections::BTreeMap::new();
         let mut groups = Vec::with_capacity(leaves.len());
         for &leaf in &leaves {
-            let mut n = leaf;
-            while self.nodes[n].level > l {
-                n = self.nodes[n].parent.expect("deeper node has parent");
-            }
+            // The leaf's ancestor at level `l`, or the leaf itself when it
+            // is no deeper than `l`.
+            let n = std::iter::successors(Some(leaf), |&a| self.nodes[a].parent)
+                .take_while(|&a| self.nodes[a].level >= l)
+                .last()
+                .unwrap_or(leaf);
             let next = dense.len() as u32;
             groups.push(*dense.entry(n).or_insert(next));
         }
@@ -200,56 +201,21 @@ pub fn sketch_quality(g: &CsrGraph, p: &Partitioning, sketch: &PartitionSketch) 
 mod tests {
     use super::*;
 
+    fn node(level: u32, parent: Option<SketchNodeId>, kind: SketchKind, cut: u64) -> SketchNode {
+        SketchNode { level, parent, kind, cut_weight: cut, vertex_count: 100 >> level }
+    }
+
     /// Build the example sketch from Figure 2: root bisected into two,
     /// each bisected into two leaves (P = 4).
     fn fig2() -> PartitionSketch {
+        let split = |left, right| SketchKind::Split { left, right };
+        let leaf = |pid| SketchKind::Leaf { pid };
         let mut s = PartitionSketch::new();
-        let root = s.push(SketchNode {
-            level: 0,
-            parent: None,
-            children: None,
-            pid: None,
-            cut_weight: 10,
-            vertex_count: 100,
-        });
-        let l = s.push(SketchNode {
-            level: 1,
-            parent: Some(root),
-            children: None,
-            pid: None,
-            cut_weight: 4,
-            vertex_count: 50,
-        });
-        let r = s.push(SketchNode {
-            level: 1,
-            parent: Some(root),
-            children: None,
-            pid: None,
-            cut_weight: 6,
-            vertex_count: 50,
-        });
-        s.set_children(root, l, r);
-        let mut pid = 0;
-        for &p in &[l, r] {
-            let a = s.push(SketchNode {
-                level: 2,
-                parent: Some(p),
-                children: None,
-                pid: Some(pid),
-                cut_weight: 0,
-                vertex_count: 25,
-            });
-            pid += 1;
-            let b = s.push(SketchNode {
-                level: 2,
-                parent: Some(p),
-                children: None,
-                pid: Some(pid),
-                cut_weight: 0,
-                vertex_count: 25,
-            });
-            pid += 1;
-            s.set_children(p, a, b);
+        s.push(node(0, None, split(1, 2), 10));
+        s.push(node(1, Some(0), split(3, 4), 4));
+        s.push(node(1, Some(0), split(5, 6), 6));
+        for (pid, parent) in [(0, 1), (1, 1), (2, 2), (3, 2)] {
+            s.push(node(2, Some(parent), leaf(pid), 0));
         }
         s
     }
@@ -260,8 +226,8 @@ mod tests {
         assert_eq!(s.num_levels(), 3); // log2(4) + 1
         let leaves = s.leaves();
         assert_eq!(leaves.len(), 4);
-        assert_eq!(s.node(leaves[0]).pid, Some(0));
-        assert_eq!(s.node(leaves[3]).pid, Some(3));
+        assert_eq!(s.node(leaves[0]).kind, SketchKind::Leaf { pid: 0 });
+        assert_eq!(s.node(leaves[3]).kind, SketchKind::Leaf { pid: 3 });
     }
 
     #[test]
@@ -273,14 +239,22 @@ mod tests {
         assert!(s.is_monotone());
     }
 
-    #[test]
-    fn common_ancestors() {
-        let s = fig2();
-        let leaves = s.leaves();
-        // Siblings share a level-1 ancestor; cousins only the root.
-        assert_eq!(s.common_ancestor_level(leaves[0], leaves[1]), 1);
-        assert_eq!(s.common_ancestor_level(leaves[0], leaves[2]), 0);
-        assert_eq!(s.common_ancestor_level(leaves[2], leaves[2]), 2);
+    /// `level_groups` by a plain parent walk per leaf.
+    fn walked_groups(s: &PartitionSketch, l: u32) -> (Vec<u32>, u32) {
+        let mut seen: Vec<SketchNodeId> = Vec::new();
+        let mut groups = Vec::new();
+        for leaf in s.leaves() {
+            let mut n = leaf;
+            while s.node(n).level > l {
+                n = s.node(n).parent.unwrap();
+            }
+            let g = seen.iter().position(|&x| x == n).unwrap_or_else(|| {
+                seen.push(n);
+                seen.len() - 1
+            });
+            groups.push(g as u32);
+        }
+        (groups, seen.len() as u32)
     }
 
     #[test]
@@ -292,6 +266,17 @@ mod tests {
         assert_eq!((g1, n1), (vec![0, 0, 1, 1], 2));
         let (g2, n2) = s.level_groups(2);
         assert_eq!((g2, n2), (vec![0, 1, 2, 3], 4));
+
+        let g = surfer_graph::generators::deterministic::grid(8, 8);
+        for p in [1, 2, 16] {
+            let s = crate::RecursivePartitioner::default().partition(&g, p).sketch;
+            assert_eq!(s.leaves().len(), p as usize);
+            for l in 0..=s.num_levels() {
+                let got = s.level_groups(l);
+                assert_eq!(got, walked_groups(&s, l), "P={p} level {l}");
+                assert_eq!(got.1, p.min(1 << l), "P={p} level {l}");
+            }
+        }
     }
 
     #[test]
@@ -322,13 +307,6 @@ mod tests {
     #[should_panic(expected = "root is level 0")]
     fn root_must_be_level_zero() {
         let mut s = PartitionSketch::new();
-        s.push(SketchNode {
-            level: 1,
-            parent: None,
-            children: None,
-            pid: None,
-            cut_weight: 0,
-            vertex_count: 1,
-        });
+        s.push(node(1, None, SketchKind::Leaf { pid: 0 }, 0));
     }
 }
