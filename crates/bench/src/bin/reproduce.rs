@@ -7,19 +7,21 @@
 //! ```
 //!
 //! Subcommands: all, table1, table2, table3, table4, table5, fig6, fig7,
-//! fig9, fig10, fig11, fig12, cascade, ablation, chaos, profile, perfetto,
+//! fig9, fig10, fig11, fig12, cascade, ablation, chaos, profile,
 //! postmortem, baseline, gate, lint. Options: `--scale
 //! tiny|small|medium|large` (default small), `--machines N` (default 32),
 //! `--partitions P` (default 64).
 //!
 //! Host wall-clock is measured by `surfbench` (`benchmark/`), not here.
 //! `chaos` prints the simulated checkpoint and crash-recovery overhead of a
-//! PageRank job as JSON. `profile` records a
+//! PageRank job as JSON. `profile` records one
 //! `surfer-obs` trace of the real execution path (propagation, MapReduce,
-//! checkpoint/restore, replica I/O), writes `TRACE_profile.json`, prints a
-//! per-thread span Gantt, and exits non-zero on schema drift (after printing
-//! a field-level diff). `perfetto` writes the same session as Chrome Trace
-//! Event JSON (`TRACE_perfetto.json`, loadable at ui.perfetto.dev).
+//! checkpoint/restore, replica I/O, serving, spill), prints its per-stage
+//! span totals and stragglers on stderr, and writes two documents: the
+//! timing-free `TRACE_profile.json` (byte-identical at every thread count)
+//! and the session's spans as Chrome Trace Event JSON
+//! (`TRACE_perfetto.json`, loadable at ui.perfetto.dev). It exits non-zero
+//! when either document fails its schema check, after listing the problems.
 //! `postmortem` runs the forensics drill: a fault-injected job through the
 //! job manager at thread counts {1, 2, max}, asserting the flight journal's
 //! post-mortem bundle is bit-identical across them, schema-valid, and
@@ -75,7 +77,7 @@ fn main() {
     let needs_workload = matches!(
         cmd.as_str(),
         "all" | "table1" | "table2" | "table3" | "fig6" | "fig7" | "fig9" | "fig10" | "fig12"
-            | "cascade" | "chaos" | "profile" | "perfetto" | "gate" | "baseline" | "postmortem"
+            | "cascade" | "chaos" | "profile" | "gate" | "baseline" | "postmortem"
     );
     let workload = needs_workload.then(|| {
         eprintln!("# generating + partitioning the MSN-like graph ...");
@@ -119,13 +121,21 @@ fn main() {
         }
         "profile" => {
             let r = profile::run(w.expect("workload"));
-            eprintln!("{}", r.gantt);
             for st in r.report.stage_summary() {
                 eprintln!(
                     "# stage {:<22} count {:>5}  total {:>9.3} ms",
                     st.name,
                     st.count,
                     st.total_ns as f64 / 1e6
+                );
+            }
+            for s in r.report.stragglers(profile::STRAGGLER_SKEW) {
+                let at = if s.round.is_empty() { s.span } else { format!("{} > {}", s.round, s.span) };
+                eprintln!(
+                    "# straggler {at}: lane {} ran {:.3} ms, {:.2}x the median lane",
+                    s.worst,
+                    s.max_ns as f64 / 1e6,
+                    s.skew
                 );
             }
             std::fs::write("TRACE_profile.json", &r.json)
@@ -142,6 +152,21 @@ fn main() {
                      profile::REQUIRED_KEYS (and bump SCHEMA_VERSION on breaking changes)",
                     problems.len()
                 ));
+            }
+            let perfetto = surfer_obs::chrome_trace_json(&r.report);
+            std::fs::write("TRACE_perfetto.json", &perfetto)
+                .unwrap_or_else(|e| die(&format!("writing TRACE_perfetto.json: {e}")));
+            eprintln!(
+                "# wrote TRACE_perfetto.json ({} spans) — load it at https://ui.perfetto.dev",
+                r.report.spans.len()
+            );
+            let problems = perfetto::validate(&perfetto);
+            if !problems.is_empty() {
+                eprintln!("error: TRACE_perfetto.json is not a loadable trace:");
+                for p in &problems {
+                    eprintln!("  - {p}");
+                }
+                die(&format!("{} trace problem(s)", problems.len()));
             }
             println!("{}", r.json);
         }
@@ -164,23 +189,6 @@ fn main() {
                 .unwrap_or_else(|e| die(&format!("writing POSTMORTEM.json: {e}")));
             eprintln!("# wrote POSTMORTEM.json (schema-valid forensics bundle)");
             println!("{}", r.bundle_json);
-        }
-        "perfetto" => {
-            let r = perfetto::run(w.expect("workload"));
-            std::fs::write("TRACE_perfetto.json", &r.json)
-                .unwrap_or_else(|e| die(&format!("writing TRACE_perfetto.json: {e}")));
-            eprintln!(
-                "# wrote TRACE_perfetto.json ({} spans) — load it at https://ui.perfetto.dev",
-                r.profile.report.spans.len()
-            );
-            let problems = perfetto::validate(&r.json);
-            if !problems.is_empty() {
-                eprintln!("error: TRACE_perfetto.json is not a loadable trace:");
-                for p in &problems {
-                    eprintln!("  - {p}");
-                }
-                die(&format!("{} trace problem(s)", problems.len()));
-            }
         }
         "baseline" => {
             let wl = w.expect("workload");
@@ -233,7 +241,7 @@ fn main() {
             }
         }
         other => die(&format!(
-            "unknown experiment '{other}' (all|table1..table5|fig6|fig7|fig9|fig10|fig11|fig12|cascade|ablation|chaos|postmortem|profile|perfetto|baseline|gate|lint)"
+            "unknown experiment '{other}' (all|table1..table5|fig6|fig7|fig9|fig10|fig11|fig12|cascade|ablation|chaos|postmortem|profile|baseline|gate|lint)"
         )),
     };
 

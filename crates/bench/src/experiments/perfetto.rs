@@ -1,29 +1,8 @@
-//! `reproduce -- perfetto`: export the profiled trace as a Chrome Trace
-//! Event JSON document loadable in [ui.perfetto.dev](https://ui.perfetto.dev).
-//!
-//! Runs the same four-subsystem session as `reproduce -- profile`, then
-//! renders `surfer_obs::chrome_trace_json` — thread-lane "X" slices for
-//! every span plus "C" counter tracks carrying the flight recorder's
-//! per-iteration message/byte series — and writes `TRACE_perfetto.json`.
-
-use super::profile::{self, ProfileResult};
-use crate::Workload;
-use surfer_obs::chrome_trace_json;
-
-/// The exported Perfetto document plus the profile run it came from.
-pub struct PerfettoResult {
-    /// The underlying profile capture.
-    pub profile: ProfileResult,
-    /// The Chrome Trace Event JSON (written to `TRACE_perfetto.json`).
-    pub json: String,
-}
-
-/// Capture a profile session and render it as Chrome Trace Event JSON.
-pub fn run(w: &Workload) -> PerfettoResult {
-    let profile = profile::run(w);
-    let json = chrome_trace_json(&profile.report);
-    PerfettoResult { profile, json }
-}
+//! The Chrome Trace Event document `reproduce -- profile` writes to
+//! `TRACE_perfetto.json` (loadable in [ui.perfetto.dev](https://ui.perfetto.dev)):
+//! `surfer_obs::chrome_trace_json` of the profile session — thread-lane "X"
+//! slices for every span plus "C" counter tracks carrying the flight
+//! recorder's per-iteration message/byte series.
 
 /// Validate a Chrome Trace Event document against the subset of the format
 /// we emit: the [`json_problems`](surfer_obs::json_problems) of its keys,
@@ -50,18 +29,19 @@ pub fn validate(json: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExpConfig;
+    use crate::experiments::profile;
+    use crate::{ExpConfig, Workload};
     use surfer_graph::generators::social::MsnScale;
 
     #[test]
     fn perfetto_export_validates_and_carries_counter_tracks() {
         let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 4, partitions: 4, seed: 31 };
         let w = Workload::prepare(cfg);
-        let r = run(&w);
-        let problems = validate(&r.json);
+        let json = surfer_obs::chrome_trace_json(&profile::run(&w).report);
+        let problems = validate(&json);
         assert!(problems.is_empty(), "perfetto drift: {problems:?}");
-        assert!(r.json.contains("propagation.bytes"), "traffic counter track present");
-        assert!(r.json.contains("\"name\": \"prop.iteration\""), "iteration slices present");
+        assert!(json.contains("propagation.bytes"), "traffic counter track present");
+        assert!(json.contains("\"name\": \"prop.iteration\""), "iteration slices present");
         assert!(validate("{}").len() >= 2, "validator must flag an empty document");
     }
 }

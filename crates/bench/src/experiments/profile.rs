@@ -21,12 +21,15 @@
 //!
 //! The result is exported as `TRACE_profile.json` and validated against the
 //! expected schema — `reproduce -- profile` exits non-zero on drift, which
-//! is what the CI profile job runs.
+//! is what the CI profile job runs. The document embeds the timing-free
+//! [`TraceReport::canonical_json`], so it is byte-identical at every
+//! worker-thread count; the session's host time goes to the Perfetto
+//! export instead (`TRACE_perfetto.json`).
 
 use crate::Workload;
 use surfer_apps::pagerank::PageRankPropagation;
 use surfer_apps::VertexDegreeDistribution;
-use surfer_cluster::{render_span_gantt, FaultPlan, MachineCrash};
+use surfer_cluster::{FaultPlan, MachineCrash};
 use surfer_core::{
     run_with_recovery, working_set_bytes, EngineOptions, MemoryBudget, OptimizationLevel,
     Propagation, PropagationEngine, RecoveryConfig,
@@ -39,7 +42,7 @@ use surfer_serve::{CacheKey, JobManager, JobSpec, PropagationJob, ServeConfig, T
 pub const ITERATIONS: u32 = 4;
 /// Checkpoint interval of the recovery stage.
 pub const CKPT_INTERVAL: u32 = 2;
-/// Straggler skew threshold of the profile report (`max >= 2x median`).
+/// Straggler skew threshold of the stderr summary (`max >= 2x median`).
 pub const STRAGGLER_SKEW: f64 = 2.0;
 
 /// Fixed-point export of a ratio-valued quality metric (`x * 1e6`, rounded) —
@@ -54,14 +57,12 @@ pub fn quality_of(w: &Workload) -> SketchQuality {
     sketch_quality(&w.graph, &w.kway.partitioning, &w.kway.sketch)
 }
 
-/// The captured profile: the raw trace plus its rendered artifacts.
+/// The captured profile: the raw trace plus its exported document.
 pub struct ProfileResult {
     /// Everything the session recorded.
     pub report: TraceReport,
     /// The exported JSON document (written to `TRACE_profile.json`).
     pub json: String,
-    /// Per-thread wall-clock Gantt of the recorded spans.
-    pub gantt: String,
 }
 
 /// Run the four instrumented subsystems under one recording session.
@@ -174,13 +175,11 @@ pub fn run(w: &Workload) -> ProfileResult {
     let report = session.finish();
     let placement: Vec<u16> = pg.placement().iter().map(|m| m.0).collect();
     let json = render_json(w, &report, &placement);
-    let gantt = render_span_gantt(&report, 72);
-    ProfileResult { report, json, gantt }
+    ProfileResult { report, json }
 }
 
-/// The `TRACE_profile.json` document: run configuration and the flight
-/// recorder's derived analytics (partition quality, machine-pair traffic,
-/// stragglers) wrapping the trace export.
+/// The `TRACE_profile.json` document: run configuration, partition quality
+/// and the machine-pair traffic wrapping the canonical trace export.
 fn render_json(w: &Workload, report: &TraceReport, placement: &[u16]) -> String {
     let q = quality_of(w);
     let locality: Vec<String> = q.level_locality.iter().map(|l| format!("{l:.6}")).collect();
@@ -193,20 +192,7 @@ fn render_json(w: &Workload, report: &TraceReport, placement: &[u16]) -> String 
         ),
         Err(e) => format!("{{\"error\": \"{e}\"}}"),
     };
-    let stragglers: Vec<String> = report
-        .stragglers(STRAGGLER_SKEW)
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"kind\": \"{}\", \"seq\": {}, \"worst\": {}, \"skew\": {:.3}}}",
-                s.kind.as_str(),
-                s.seq,
-                s.worst,
-                s.skew
-            )
-        })
-        .collect();
-    let trace = report.to_json();
+    let trace = report.canonical_json();
     format!(
         "{{\n\"schema_version\": {v},\n\"experiment\": \"profile\",\n\
          \"scale\": \"{sc:?}\", \"machines\": {m}, \"partitions\": {p}, \"seed\": {s},\n\
@@ -214,7 +200,6 @@ fn render_json(w: &Workload, report: &TraceReport, placement: &[u16]) -> String 
          \"partition_quality\": {{\"edge_cut_ratio\": {ec:.6}, \"balance\": {bal:.6}, \
          \"monotone\": {mono}, \"level_locality\": [{loc}]}},\n\
          \"machine_matrix\": {mm},\n\
-         \"stragglers\": {{\"skew_threshold\": {sk:.1}, \"flagged\": [{st}]}},\n\
          \"trace\": {t}}}\n",
         v = SCHEMA_VERSION,
         sc = w.cfg.scale,
@@ -227,8 +212,6 @@ fn render_json(w: &Workload, report: &TraceReport, placement: &[u16]) -> String 
         bal = q.balance,
         mono = q.monotone,
         loc = locality.join(", "),
-        sk = STRAGGLER_SKEW,
-        st = stragglers.join(", "),
         t = trace.trim_end(),
     )
 }
@@ -241,7 +224,6 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "\"schema_version\"",
     "\"experiment\"",
     "\"trace\"",
-    "\"stages\"",
     "\"counters\"",
     "\"gauges\"",
     "\"histograms\"",
@@ -250,7 +232,6 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "\"iterations\"",
     "\"traffic_matrix\"",
     "\"machine_matrix\"",
-    "\"stragglers\"",
     // Partition-sketch quality analytics.
     "\"partition_quality\"",
     "\"level_locality\"",
@@ -335,7 +316,6 @@ mod tests {
         assert_eq!(m.diagonal_total(), r.report.counter("prop.local_bytes"));
         assert_eq!(m.off_diagonal_total(), r.report.counter("prop.cross_bytes"));
         assert!(r.report.gauges.contains_key("part.edge_cut_ratio_e6"), "quality gauges set");
-        assert!(r.gantt.contains('T'), "gantt should show transfer spans:\n{}", r.gantt);
         let problems = json_problems(&r.json, REQUIRED_KEYS);
         assert!(problems.is_empty(), "schema drift: {problems:?}\n{}", r.json);
     }

@@ -47,7 +47,7 @@ pub use jobmanager::StoreReplanner;
 pub use par::{resolve_threads, try_par_map_vec, WorkerPanic};
 pub use machine::{MachineId, MachineSpec};
 pub use metrics::{ExecReport, TaskTrace, TimeSeries};
-pub use trace::{render_gantt, render_span_gantt, span_glyph, utilization};
+pub use trace::{render_gantt, utilization};
 pub use replication::{place_replicas, ReplicaSet};
 pub use storage::{PartitionId, PartitionStore};
 pub use time::{SimDuration, SimTime};

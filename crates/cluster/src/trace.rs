@@ -8,6 +8,7 @@
 
 use crate::exec::TaskKind;
 use crate::metrics::{ExecReport, TaskTrace};
+use crate::time::SimTime;
 
 /// Glyph used for a task kind in the Gantt chart.
 pub fn kind_glyph(kind: TaskKind) -> char {
@@ -50,87 +51,15 @@ pub fn render_gantt(report: &ExecReport, width: usize) -> String {
     out
 }
 
+/// Paint `t`'s glyph over its interval of a `width`-column row. Every task
+/// gets at least one cell.
 fn paint(row: &mut [char], t: &TaskTrace, horizon: f64, width: usize) {
-    paint_interval(row, t.start.as_secs_f64(), t.end.as_secs_f64(), horizon, width, kind_glyph(t.kind));
-}
-
-/// Paint `glyph` over the `[start, end)` interval (in the same unit as
-/// `horizon`) of a `width`-column row. Every interval gets at least one cell.
-fn paint_interval(row: &mut [char], start: f64, end: f64, horizon: f64, width: usize, glyph: char) {
-    let to_col = |x: f64| ((x / horizon) * width as f64) as usize;
-    let a = to_col(start).min(width - 1);
-    let b = to_col(end).clamp(a + 1, width);
+    let to_col = |x: SimTime| ((x.as_secs_f64() / horizon) * width as f64) as usize;
+    let a = to_col(t.start).min(width - 1);
+    let b = to_col(t.end).clamp(a + 1, width);
     for c in row[a..b].iter_mut() {
-        *c = glyph;
+        *c = kind_glyph(t.kind);
     }
-}
-
-/// Glyph for an observability span, keyed on its stage name.
-pub fn span_glyph(name: &str) -> char {
-    if name.contains("transfer") {
-        'T'
-    } else if name.contains("combine") {
-        'C'
-    } else if name.contains("map") {
-        'M'
-    } else if name.contains("reduce") {
-        'R'
-    } else if name.contains("restore") || name.contains("read") {
-        'L'
-    } else if name.contains("ckpt") || name.contains("write") {
-        'S'
-    } else if name.contains("simulate") {
-        'P'
-    } else {
-        '#'
-    }
-}
-
-/// Render a per-thread wall-clock Gantt chart of an observability trace.
-///
-/// Each row is one OS thread that recorded spans; each span paints its glyph
-/// over its wall-time interval. Spans are painted parents-first (sorted by
-/// start ascending, end descending) so nested child spans overpaint their
-/// parents, exactly like later tasks overpaint earlier ones in
-/// [`render_gantt`].
-pub fn render_span_gantt(report: &surfer_obs::TraceReport, width: usize) -> String {
-    assert!(width >= 10, "gantt needs at least 10 columns");
-    if report.spans.is_empty() {
-        // A misleading "wall 0 .. 0.00ms" header with zero rows reads like a
-        // truncated chart; say explicitly that nothing was recorded.
-        return String::from("wall (no spans recorded)\n");
-    }
-    let mut threads: Vec<&str> = report.spans.iter().map(|s| s.thread.as_str()).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    let horizon = report.spans.iter().map(|s| s.end_ns).max().unwrap_or(0).max(1) as f64;
-    let mut rows = vec![vec!['.'; width]; threads.len()];
-    let mut order: Vec<&surfer_obs::SpanRec> = report.spans.iter().collect();
-    order.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(b.end_ns.cmp(&a.end_ns)));
-    for s in &order {
-        // lint:allow(E1, every span thread was inserted into `threads` above)
-        let row = threads.binary_search(&s.thread.as_str()).expect("thread listed");
-        paint_interval(
-            &mut rows[row],
-            s.start_ns as f64,
-            s.end_ns as f64,
-            horizon,
-            width,
-            span_glyph(s.name),
-        );
-    }
-    let mut out = String::new();
-    out.push_str(&format!(
-        "wall 0 .. {:.2}ms ({} spans; T=transfer C=combine M=map R=reduce S=write L=read)\n",
-        horizon / 1e6,
-        report.spans.len()
-    ));
-    for (t, row) in threads.iter().zip(&rows) {
-        out.push_str(&format!("{t:<10} |"));
-        out.extend(row.iter());
-        out.push_str("|\n");
-    }
-    out
 }
 
 /// A compact utilization summary: busy fraction per machine.
@@ -191,58 +120,5 @@ mod tests {
     #[should_panic(expected = "10 columns")]
     fn tiny_width_rejected() {
         render_gantt(&demo_report(), 3);
-    }
-
-    #[test]
-    fn span_gantt_has_one_row_per_thread() {
-        let session = surfer_obs::ObsSession::begin();
-        {
-            let _outer = surfer_obs::span("prop.transfer");
-            let _inner = surfer_obs::span("prop.combine");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let report = session.finish();
-        let g = render_span_gantt(&report, 40);
-        // One recording thread -> exactly one timeline row between the header
-        // and the trailing newline.
-        assert_eq!(g.lines().count(), 2, "{g}");
-        assert!(g.contains('C'), "child span should overpaint parent: {g}");
-    }
-
-    #[test]
-    fn span_gantt_on_empty_trace_says_so() {
-        let g = render_span_gantt(&surfer_obs::TraceReport::default(), 40);
-        assert_eq!(g, "wall (no spans recorded)\n");
-        // An abandoned session (begin/finish with no spans) renders the same.
-        let session = surfer_obs::ObsSession::begin();
-        let g = render_span_gantt(&session.finish(), 40);
-        assert_eq!(g, "wall (no spans recorded)\n");
-    }
-
-    #[test]
-    fn span_gantt_on_single_span_fills_its_row() {
-        let session = surfer_obs::ObsSession::begin();
-        {
-            let _only = surfer_obs::span("prop.transfer");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let report = session.finish();
-        assert_eq!(report.spans.len(), 1);
-        let g = render_span_gantt(&report, 40);
-        assert_eq!(g.lines().count(), 2, "header + one thread row: {g}");
-        let row = g.lines().nth(1).unwrap();
-        // The lone span defines the horizon, so its glyph reaches the right
-        // wall and dominates the row (it may start a hair after 0).
-        assert!(row.trim_end().ends_with("T|"), "{g}");
-        assert!(row.matches('T').count() >= 38, "{g}");
-    }
-
-    #[test]
-    fn span_glyphs_cover_stage_names() {
-        assert_eq!(span_glyph("prop.transfer.part"), 'T');
-        assert_eq!(span_glyph("mr.reduce"), 'R');
-        assert_eq!(span_glyph("ckpt.restore"), 'L');
-        assert_eq!(span_glyph("ckpt.write"), 'S');
-        assert_eq!(span_glyph("cascade.phase"), '#');
     }
 }

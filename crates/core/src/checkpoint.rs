@@ -480,7 +480,6 @@ fn write_checkpoint<S: Codec>(
     // (exponential backoff: base, 2·base, 4·base, …).
     let mut backoff_wait = SimDuration::ZERO;
     for pid in cur.partitions() {
-        let t0 = surfer_obs::stopwatch();
         // Transient write failures are detected immediately (unlike
         // corruption, which only surfaces at restore): the plan says how
         // many consecutive attempts hiccup before one goes through. Each
@@ -523,9 +522,6 @@ fn write_checkpoint<S: Codec>(
                 corrupt_snapshot_file(&path)?;
             }
             sinks.push((m, len));
-        }
-        if t0.is_recording() {
-            sample.transfer_ns.push(t0.elapsed_ns());
         }
         specs.push((home, len, sinks));
     }
@@ -579,7 +575,6 @@ fn restore_checkpoint<S: Codec>(
     let mut sources: Vec<(MachineId, u64)> = Vec::new();
     let mut sample = surfer_obs::IterationSample::new(surfer_obs::StageKind::Restore);
     for pid in cur.partitions() {
-        let t0 = surfer_obs::stopwatch();
         let mut found: Option<(MachineId, u64, Vec<u8>)> = None;
         for &m in &store.replicas(pid).machines {
             if !alive[m.0 as usize] {
@@ -616,9 +611,6 @@ fn restore_checkpoint<S: Codec>(
             sample.local_bytes += len;
         } else {
             sample.cross_bytes += len;
-        }
-        if t0.is_recording() {
-            sample.transfer_ns.push(t0.elapsed_ns());
         }
         sources.push((m, len));
     }

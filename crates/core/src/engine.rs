@@ -446,11 +446,6 @@ struct PartitionTally {
     local_msgs: u64,
     /// Messages sent across partitions (after local combination).
     cross_msgs: u64,
-    /// Wall time of this partition's Transfer scan (only measured while an
-    /// obs session records; not deterministic).
-    transfer_ns: u64,
-    /// Wall time of this partition's Combine (same caveat).
-    combine_ns: u64,
 }
 
 /// Publish the per-iteration Transfer-stage counters (no-op without an
@@ -499,8 +494,6 @@ fn publish_iteration_sample(tally: &[PartitionTally], mailbox_sizes: Vec<u64>) {
         sample.local_bytes += t.local_bytes;
         sample.cross_bytes += t.cross_out.values().sum::<u64>();
     }
-    sample.transfer_ns = tally.iter().map(|t| t.transfer_ns).collect();
-    sample.combine_ns = tally.iter().map(|t| t.combine_ns).collect();
     sample.mailbox = mailbox_sizes;
     sample.traffic = traffic;
     surfer_obs::record_sample(sample);
@@ -646,7 +639,6 @@ impl<'a> PropagationEngine<'a> {
         // failing partition directly.
         let scanned: Vec<SurferResult<Outbox<P::Msg>>> = try_par_map_vec(threads, pids, |_, pid| {
             let _s = surfer_obs::span_under("prop.transfer.part", transfer_sid, || format!("p{pid}"));
-            let t0 = surfer_obs::stopwatch();
             let segments = session.map(|s| MsgSink::new(s, pid, parts));
             let mut scan =
                 TransferScan::begin(prog, pg, state_ro, pid, fold, merge_cross, segments);
@@ -666,9 +658,6 @@ impl<'a> PropagationEngine<'a> {
             };
             let mut outbox = scan.finish()?;
             outbox.streamed = streamed;
-            if t0.is_recording() {
-                outbox.tally.transfer_ns = t0.elapsed_ns();
-            }
             Ok(outbox)
         })
         .map_err(|e| SurferError::from_worker_panic("transfer", e))?;
@@ -752,15 +741,14 @@ impl<'a> PropagationEngine<'a> {
         // not Sync).
         let work: Vec<_> = local.into_iter().zip(inbound).zip(sources).collect();
         let mailbox_totals = &mailbox_totals;
-        // Per partition: new member states, messages combined, the worker's
-        // nanoseconds, and the segment frames/bytes it reread.
-        type Combined<S> = (Vec<S>, u64, u64, (u64, u64));
+        // Per partition: new member states, messages combined, and the
+        // segment frames/bytes it reread.
+        type Combined<S> = (Vec<S>, u64, (u64, u64));
         let combined: Vec<SurferResult<Combined<P::State>>> =
             try_par_map_vec(threads, work, |i, (((mut folded, in_scan), buckets), sources)| {
                 let pid = i as u32;
                 let _s =
                     surfer_obs::span_under("prop.combine.part", combine_sid, || format!("p{pid}"));
-                let t0 = surfer_obs::stopwatch();
                 // Slots are *encoded* ids (App. B): contiguous per partition
                 // and order-preserving within one.
                 let (first, end) = (enc.range(pid).0.index(), enc.range(pid).1.index());
@@ -844,11 +832,11 @@ impl<'a> PropagationEngine<'a> {
                     let bag = Bag(mailbox.drain(start..));
                     new_states.push(prog.combine(v, &state_ro[v.index()], bag, g));
                 }
-                Ok((new_states, arrived as u64, t0.elapsed_ns(), reread))
+                Ok((new_states, arrived as u64, reread))
             })
             .map_err(|e| SurferError::from_worker_panic("combine", e))?;
         let combined: Vec<Combined<P::State>> = combined.into_iter().collect::<SurferResult<_>>()?;
-        let reread = combined.iter().fold((0, 0), |(f, b), c| (f + c.3 .0, b + c.3 .1));
+        let reread = combined.iter().fold((0, 0), |(f, b), c| (f + c.2 .0, b + c.2 .1));
         if session.is_some() {
             surfer_obs::journal::record(surfer_obs::journal::EventKind::SpillRead {
                 edge_blocks: streamed.0,
@@ -856,9 +844,8 @@ impl<'a> PropagationEngine<'a> {
                 bytes: streamed.1 + reread.1,
             });
         }
-        for (pid, (new_states, combine_msgs, combine_ns, _)) in combined.into_iter().enumerate() {
+        for (pid, (new_states, combine_msgs, _)) in combined.into_iter().enumerate() {
             tally[pid].combine_msgs = combine_msgs;
-            tally[pid].combine_ns = combine_ns;
             for (&v, s) in pg.meta(pid as u32).members.iter().zip(new_states) {
                 state[v.index()] = s;
             }
@@ -1039,10 +1026,9 @@ impl<'a> PropagationEngine<'a> {
         let pids: Vec<u32> = pg.partitions().collect();
         let vt_span = surfer_obs::span("virt.transfer");
         let vt_sid = vt_span.id();
-        let transfers: Vec<(VirtualOutbox<T::Msg>, u64)> =
+        let outboxes: Vec<VirtualOutbox<T::Msg>> =
             try_par_map_vec(threads, pids.clone(), |_, pid| {
                 let _s = surfer_obs::span_under("virt.transfer.part", vt_sid, || format!("p{pid}"));
-                let t0 = surfer_obs::stopwatch();
                 let members = pg.meta(pid).members.iter();
                 let mut msgs: VirtualOutbox<T::Msg> = members
                     .filter_map(|&v| task.transfer(v, g).map(|(vid, msg)| (vid, (pid, msg))))
@@ -1056,11 +1042,10 @@ impl<'a> PropagationEngine<'a> {
                         }
                     });
                 }
-                (msgs, t0.elapsed_ns())
+                msgs
             })
             .map_err(|e| SurferError::from_worker_panic("virtual-transfer", e))?;
         drop(vt_span);
-        let (outboxes, transfer_ns): (Vec<_>, Vec<u64>) = transfers.into_iter().unzip();
         let homes = pids.iter().map(|&pid| pg.machine_of(pid).0).collect();
         let traffic =
             Traffic::new(&outboxes, homes, machines, route, |(_, msg)| task.msg_bytes(msg));
@@ -1071,9 +1056,7 @@ impl<'a> PropagationEngine<'a> {
 
             // Flight recorder: virtual rounds route partition → machine, so
             // the matrix is P×M.
-            let mut sample = traffic.sample(surfer_obs::StageKind::Virtual);
-            sample.transfer_ns = transfer_ns;
-            surfer_obs::record_sample(sample);
+            surfer_obs::record_sample(traffic.sample(surfer_obs::StageKind::Virtual));
         }
 
         // Real combine, one worker item per virtual vertex; the shuffle's

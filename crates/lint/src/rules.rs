@@ -295,8 +295,9 @@ pub fn check(path: &str, src: &[u8], lexed: &Lexed, skip: &[bool]) -> Vec<Findin
                     line: tok(k).line,
                     offset: tok(k).start,
                     message: format!(
-                        "host clock ({}) outside the obs/time boundary; use \
-                         surfer_obs::stopwatch() or cluster::time::SimTime",
+                        "host clock ({}) outside the obs/time boundary; host time \
+                         enters only through surfer_obs spans, simulated time through \
+                         cluster::time::SimTime",
                         String::from_utf8_lossy(t)
                     ),
                 });

@@ -130,16 +130,13 @@ impl<'a> MapReduceEngine<'a> {
         let pids: Vec<u32> = pg.partitions().collect();
         let map_span = surfer_obs::span("mr.map");
         let map_sid = map_span.id();
-        // Per-partition map output paired with its worker wall-time (ns).
-        let per_partition = try_par_map_vec(self.threads, pids.clone(), |_, pid| {
+        let mut outboxes = try_par_map_vec(self.threads, pids.clone(), |_, pid| {
             let _s = surfer_obs::span_under("mr.map.part", map_sid, || format!("p{pid}"));
-            let t0 = surfer_obs::stopwatch();
             let mut em = Emitter::new();
             mapper.map(pg, pid, &mut em);
-            (em.into_pairs(), t0.elapsed_ns())
+            em.into_pairs()
         })
         .map_err(|e| MapReduceError::MapPanic { partition: pids[e.index], message: e.message })?;
-        let (mut outboxes, map_ns): (Vec<_>, Vec<u64>) = per_partition.into_iter().unzip();
         drop(map_span);
         if surfer_obs::enabled() {
             surfer_obs::counter_add("mr.pairs", outboxes.iter().map(|p| p.len() as u64).sum());
@@ -172,26 +169,22 @@ impl<'a> MapReduceEngine<'a> {
         // Work item i is reducer machine i.
         let reduce_span = surfer_obs::span("mr.reduce");
         let reduce_sid = reduce_span.id();
-        let reduced: Vec<(Vec<R::Out>, u64, u64)> = try_par_map_vec(self.threads, groups, |m, g| {
+        let reduced: Vec<(Vec<R::Out>, u64)> = try_par_map_vec(self.threads, groups, |m, g| {
             let _s = surfer_obs::span_under("mr.reduce.machine", reduce_sid, || format!("m{m}"));
-            let t0 = surfer_obs::stopwatch();
             let mut outs = Vec::new();
             let mut values = 0u64;
             for (k, vs) in &g {
                 values += vs.len() as u64;
                 reducer.reduce(k, vs, &mut outs);
             }
-            let ns = t0.elapsed_ns();
-            (outs, values, ns)
+            (outs, values)
         })
         .map_err(|e| MapReduceError::ReducePanic { machine: e.index as u16, message: e.message })?;
         drop(reduce_span);
         let mut outputs = Vec::new();
         let mut reduce_cost: Vec<(u64, u64)> = Vec::new(); // (values, outputs) per machine
-        let mut reduce_ns: Vec<u64> = Vec::with_capacity(reduced.len());
-        for (outs, values, ns) in reduced {
+        for (outs, values) in reduced {
             reduce_cost.push((values, outs.len() as u64));
-            reduce_ns.push(ns);
             outputs.extend(outs);
         }
         if surfer_obs::enabled() {
@@ -201,8 +194,6 @@ impl<'a> MapReduceEngine<'a> {
             // Flight recorder: one sample per MapReduce round. The shuffle
             // routes partition → reducer machine, so the matrix is P×M.
             let mut sample = traffic.sample(surfer_obs::StageKind::MapReduce);
-            sample.transfer_ns = map_ns;
-            sample.combine_ns = reduce_ns;
             sample.mailbox = reduce_cost.iter().map(|c| c.0).collect();
             surfer_obs::record_sample(sample);
         }

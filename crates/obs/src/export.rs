@@ -4,8 +4,8 @@
 //! event on its OS thread's track and every flight-recorder sample into
 //! `"ph": "C"` counter events (local/cross bytes and messages per engine
 //! round), anchored at the wall-clock end of the round's coordinating span.
-//! `reproduce -- perfetto` writes it to `TRACE_perfetto.json`; load the
-//! file at <https://ui.perfetto.dev> or `chrome://tracing`.
+//! It is the one timed export; `reproduce -- profile` writes it to
+//! `TRACE_perfetto.json` (load it at <https://ui.perfetto.dev>).
 
 use crate::{StageKind, TraceReport};
 
@@ -113,7 +113,7 @@ mod tests {
         let session = ObsSession::begin();
         {
             let _it = crate::span_seq("prop.iteration");
-            let _t = crate::span!("prop.transfer", "p{}", 0);
+            let _t = crate::span_with("prop.transfer", || "p0".into());
         }
         let mut s = IterationSample::new(StageKind::Propagation);
         s.local_bytes = 12;
@@ -168,7 +168,7 @@ mod tests {
     fn chrome_trace_of_a_single_span_is_valid() {
         let session = ObsSession::begin();
         {
-            let _only = crate::span!("prop.iteration");
+            let _only = crate::span("prop.iteration");
         }
         let j = chrome_trace_json(&session.finish());
         // Exactly one metadata event and one complete event, no trailing

@@ -333,11 +333,6 @@ pub fn snapshot() -> Vec<JournalEvent> {
     crate::local(|l| l.ring.events.iter().cloned().collect())
 }
 
-/// Number of events currently buffered on this thread.
-pub fn len() -> usize {
-    crate::local(|l| l.ring.events.len())
-}
-
 /// Clear this thread's ring and reset its sequence counter (tests and
 /// deterministic replay runs).
 pub fn reset() {
@@ -360,7 +355,7 @@ mod tests {
         assert_eq!(evs[0].seq, 10);
         assert_eq!(evs.last().map(|e| e.seq), Some(RING_CAPACITY as u64 + 9));
         reset();
-        assert_eq!(len(), 0);
+        assert!(snapshot().is_empty());
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! (propagation iteration, MapReduce round, virtual-vertex run,
 //! checkpoint/restore), each carrying:
 //!
-//! * per-partition transfer/combine **wall time** (host clock — the only
-//!   non-deterministic fields, stripped from the canonical export);
 //! * messages and bytes split **local vs cross** partition;
 //! * per-partition **mailbox sizes**;
 //! * a full **traffic matrix** — `P×P` partition-pair bytes for
@@ -17,13 +15,12 @@
 //!   which [`TrafficMatrix::fold`] collapses through the placement into the
 //!   machine-pair matrix the paper's §4 reasons about.
 //!
-//! Derived analytics live on [`TraceReport`]: merged traffic matrices and
-//! straggler detection (per-iteration max/median partition time against a
-//! configurable skew threshold).
-//!
-//! Everything except the `*_ns` timing lanes is recorded per work item and
+//! [`TraceReport`] merges the matrices. Samples carry no host time: a work
+//! item's wall time is its span. Every field is recorded per work item and
 //! aggregated commutatively, so samples are bit-identical across worker
 //! thread counts — the invariant the traffic-matrix proptests pin down.
+//!
+//! [`TraceReport`]: crate::TraceReport
 
 /// Which engine round produced a sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,9 +212,8 @@ impl TrafficMatrix {
     }
 }
 
-/// One engine round as the flight recorder saw it. Every field except the
-/// `*_ns` lanes is deterministic (bit-identical across worker thread
-/// counts).
+/// One engine round as the flight recorder saw it. Every field is
+/// deterministic (bit-identical across worker thread counts).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterationSample {
     /// Which engine produced the round.
@@ -225,14 +221,6 @@ pub struct IterationSample {
     /// Occurrence index among samples of the same kind (assigned by the
     /// recorder in record order on the coordinating thread).
     pub seq: u32,
-    /// Per-work-item transfer/map/write wall time, host nanoseconds.
-    /// Indexed by partition id for propagation/checkpoint, by partition for
-    /// MapReduce map tasks. **Not deterministic** — stripped from the
-    /// canonical export.
-    pub transfer_ns: Vec<u64>,
-    /// Per-work-item combine/reduce wall time (partition for propagation,
-    /// reducer machine for MapReduce). Not deterministic either.
-    pub combine_ns: Vec<u64>,
     /// Messages whose destination stayed in the source partition.
     pub local_msgs: u64,
     /// Messages that crossed partitions.
@@ -256,8 +244,6 @@ impl IterationSample {
         IterationSample {
             kind,
             seq: 0,
-            transfer_ns: Vec::new(),
-            combine_ns: Vec::new(),
             local_msgs: 0,
             cross_msgs: 0,
             local_bytes: 0,
@@ -266,68 +252,6 @@ impl IterationSample {
             traffic: TrafficMatrix::empty(),
         }
     }
-
-    /// Wall time of work item `i`: its transfer lane plus its combine lane
-    /// (lanes may have different lengths; missing entries count 0).
-    pub fn lane_ns(&self, i: usize) -> u64 {
-        self.transfer_ns.get(i).copied().unwrap_or(0)
-            + self.combine_ns.get(i).copied().unwrap_or(0)
-    }
-
-    /// Number of timing lanes (max of the two stage vectors).
-    pub fn lanes(&self) -> usize {
-        self.transfer_ns.len().max(self.combine_ns.len())
-    }
-}
-
-/// One iteration whose slowest work item exceeded the skew threshold —
-/// the straggler signal the paper's job manager would surface (App. B).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StragglerReport {
-    /// Engine round kind.
-    pub kind: StageKind,
-    /// Occurrence index of the iteration within its kind.
-    pub seq: u32,
-    /// Slowest work item's wall time.
-    pub max_ns: u64,
-    /// Median work-item wall time.
-    pub median_ns: u64,
-    /// Index (partition / machine) of the slowest work item.
-    pub worst: usize,
-    /// `max_ns / median_ns`.
-    pub skew: f64,
-}
-
-/// Scan `samples` for iterations whose max/median work-item time ratio
-/// reaches `skew_threshold`. Iterations with fewer than two timed lanes or
-/// a zero median are skipped (nothing meaningful to compare).
-pub fn detect_stragglers(samples: &[IterationSample], skew_threshold: f64) -> Vec<StragglerReport> {
-    let mut out = Vec::new();
-    for s in samples {
-        let lanes = s.lanes();
-        if lanes < 2 {
-            continue;
-        }
-        let mut times: Vec<u64> = (0..lanes).map(|i| s.lane_ns(i)).collect();
-        let Some((max_ns, worst)) = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i))
-            .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
-        else {
-            continue;
-        };
-        times.sort_unstable();
-        let median_ns = times[lanes / 2];
-        if median_ns == 0 {
-            continue;
-        }
-        let skew = max_ns as f64 / median_ns as f64;
-        if skew >= skew_threshold {
-            out.push(StragglerReport { kind: s.kind, seq: s.seq, max_ns, median_ns, worst, skew });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -391,29 +315,5 @@ mod tests {
         m.add(1, 2, 9);
         let j = m.to_json();
         assert_eq!(j, "{\"rows\": 2, \"cols\": 3, \"data\": [[0,0,0], [0,0,9]]}");
-    }
-
-    #[test]
-    fn straggler_detection_flags_skewed_iterations() {
-        let mut even = IterationSample::new(StageKind::Propagation);
-        even.transfer_ns = vec![100, 110, 90, 105];
-        let mut skewed = IterationSample::new(StageKind::Propagation);
-        skewed.seq = 1;
-        skewed.transfer_ns = vec![100, 100, 100, 100];
-        skewed.combine_ns = vec![0, 0, 900, 0];
-        let found = detect_stragglers(&[even.clone(), skewed.clone()], 3.0);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].seq, 1);
-        assert_eq!(found[0].worst, 2);
-        assert_eq!(found[0].max_ns, 1000);
-        assert!((found[0].skew - 10.0).abs() < 1e-9, "skew {}", found[0].skew);
-        // Threshold above the skew: nothing flagged.
-        assert!(detect_stragglers(&[skewed], 11.0).is_empty());
-        // Degenerate inputs are skipped, not divided by zero.
-        let mut zeros = IterationSample::new(StageKind::MapReduce);
-        zeros.transfer_ns = vec![0, 0, 5];
-        assert!(detect_stragglers(&[zeros], 1.0).is_empty());
-        let single = IterationSample::new(StageKind::Checkpoint);
-        assert!(detect_stragglers(&[single], 1.0).is_empty());
     }
 }

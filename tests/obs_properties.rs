@@ -12,7 +12,7 @@
 //!   parent's interval and every parent id resolves;
 //! * golden-trace determinism: the canonical (timing-stripped) JSON export
 //!   is byte-identical run-to-run at a fixed seed, and across worker
-//!   thread counts;
+//!   thread counts; so are whole flight-recorder samples of every kind;
 //! * flight-recorder traffic matrices: row/column sums equal the `prop.*`
 //!   byte counters, the `P×P` matrix is bit-identical across worker thread
 //!   counts {1, 2, max}, and the machine-pair matrix is invariant under a
@@ -25,8 +25,9 @@
 use proptest::prelude::*;
 use std::sync::Barrier;
 use surfer::apps::pagerank::{NetworkRanking, PageRankPropagation};
+use surfer::apps::VertexDegreeDistribution;
 use surfer::cluster::{
-    resolve_threads, ClusterConfig, FaultPlan, MachineId, PartitionStore, Topology,
+    resolve_threads, ClusterConfig, FaultPlan, MachineCrash, MachineId, PartitionStore, Topology,
 };
 use surfer::core::{
     run_with_recovery, EngineOptions, OptimizationLevel, PropagationEngine, RecoveryConfig, Surfer,
@@ -226,8 +227,41 @@ fn canonical_trace_is_deterministic_and_thread_invariant() {
     }
 }
 
+/// The flight recorder carries no host time: one session of NR, VDD
+/// (virtual vertices, then MapReduce) and a crashed, checkpointed PageRank
+/// records the same samples, whole, at every worker-thread count.
+#[test]
+fn iteration_samples_are_thread_invariant() {
+    let g = msn_like(MsnScale::Tiny, 0x5A3);
+    let prog = PageRankPropagation { damping: 0.85, n: g.num_vertices() as u64 };
+    let samples = |threads: usize| {
+        let surfer = build(&g, ClusterConfig::tree(2, 1, 4), 8, threads);
+        let pg = surfer.partitioned();
+        let session = ObsSession::begin();
+        surfer.run(&NetworkRanking::new(3)).unwrap();
+        surfer.run(&VertexDegreeDistribution).unwrap();
+        surfer.run_mapreduce(&VertexDegreeDistribution).unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("surfer-samples-{}-{threads}", std::process::id()));
+        let opts = EngineOptions::full().threads(threads);
+        let crash = MachineCrash { machine: pg.machine_of(0), at_iteration: 2 };
+        let plan = FaultPlan { crashes: vec![crash], ..FaultPlan::none() };
+        let mut state = PropagationEngine::new(surfer.cluster(), pg, opts).init_state(&prog);
+        let cfg = RecoveryConfig::new(2, &dir);
+        run_with_recovery(surfer.cluster(), pg, opts, &prog, &mut state, 4, &cfg, &plan).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        session.finish().iterations
+    };
+    let one = samples(1);
+    let kinds: std::collections::BTreeSet<&str> = one.iter().map(|s| s.kind.as_str()).collect();
+    assert_eq!(kinds.len(), 5, "every engine round kind recorded: {kinds:?}");
+    for threads in [2, resolve_threads(0)] {
+        assert!(one == samples(threads), "flight-recorder samples differ at {threads} threads");
+    }
+}
+
 /// One session running propagation at P=4 and then P=8 has no single
-/// `P×P` matrix: the merge is a typed error, and both exports still render,
+/// `P×P` matrix: the merge is a typed error, and the export still renders,
 /// with the error in the matrix's place.
 #[test]
 fn two_partition_counts_in_one_session_are_a_typed_error() {
@@ -241,10 +275,9 @@ fn two_partition_counts_in_one_session_are_a_typed_error() {
     let mismatch = ShapeMismatch { into: (4, 4), from: (8, 8) };
     assert_eq!(trace.traffic_matrix(), Err(mismatch));
     assert_eq!(trace.machine_matrix(&[0; 4], MATRIX_MACHINES as usize), Err(mismatch));
-    for json in [trace.to_json(), trace.canonical_json()] {
-        assert!(json.contains(&format!("\"traffic_matrix\": {{\"error\": \"{mismatch}\"}}")));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
+    let json = trace.canonical_json();
+    assert!(json.contains(&format!("\"traffic_matrix\": {{\"error\": \"{mismatch}\"}}")));
+    assert_eq!(json.matches('{').count(), json.matches('}').count());
 }
 
 /// The canonical trace of a session that records `runs` Tiny NR runs.
