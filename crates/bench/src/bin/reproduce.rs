@@ -8,31 +8,26 @@
 //!
 //! Subcommands: all, table1, table2, table3, table4, table5, fig6, fig7,
 //! fig9, fig10, fig11, fig12, cascade, ablation, chaos, profile,
-//! postmortem, baseline, gate, lint. Options: `--scale
-//! tiny|small|medium|large` (default small), `--machines N` (default 32),
-//! `--partitions P` (default 64).
+//! postmortem, lint. Options: `--scale tiny|small|medium|large` (default
+//! small), `--machines N` (default 32), `--partitions P` (default 64).
 //!
 //! Host wall-clock is measured by `surfbench` (`benchmark/`), not here.
 //! `chaos` prints the simulated checkpoint and crash-recovery overhead of a
-//! PageRank job as JSON. `profile` records one
-//! `surfer-obs` trace of the real execution path (propagation, MapReduce,
-//! checkpoint/restore, replica I/O, serving, spill), prints its per-stage
-//! span totals and stragglers on stderr, and writes two documents: the
-//! timing-free `TRACE_profile.json` (byte-identical at every thread count)
-//! and the session's spans as Chrome Trace Event JSON
-//! (`TRACE_perfetto.json`, loadable at ui.perfetto.dev). It exits non-zero
-//! when either document fails its schema check, after listing the problems.
-//! `postmortem` runs the forensics drill: a fault-injected job through the
-//! job manager at thread counts {1, 2, max}, asserting the flight journal's
-//! post-mortem bundle is bit-identical across them, schema-valid, and
-//! attributes the failure to the right job/tenant/iteration — then writes
-//! `POSTMORTEM.json`.
-//! `baseline` snapshots the deterministic flight-recorder metrics (profiled
-//! job + serving benchmark) into `OBS_baseline.json`; `gate` re-runs both
-//! and fails on any metric
-//! drifting beyond tolerance — the CI metrics regression gate. `lint` runs
-//! the `surfer-lint` static-analysis gate, which fails on any active deny
-//! finding, and writes `LINT_report.json`.
+//! PageRank job as JSON. `profile` records one `surfer-obs` trace of the
+//! real execution path (propagation, MapReduce, checkpoint/restore, replica
+//! I/O, open-loop serving, spill), prints its per-stage span totals and
+//! stragglers on stderr, and writes two documents: the timing-free
+//! `TRACE_profile.json` (byte-identical at every thread count; the
+//! committed copy pins the run's deterministic work) and the session's
+//! spans as Chrome Trace Event JSON (`TRACE_perfetto.json`, loadable at
+//! ui.perfetto.dev). It exits non-zero when either document fails its
+//! schema check, after listing the problems. `postmortem` runs the
+//! forensics drill: a fault-injected job through the job manager at thread
+//! counts {1, 2, max}, asserting the flight journal's post-mortem bundle is
+//! bit-identical across them, schema-valid, and attributes the failure to
+//! the right job/tenant/iteration — then writes `POSTMORTEM.json`. `lint`
+//! runs the `surfer-lint` static-analysis gate, which fails on any active
+//! deny finding, and writes `LINT_report.json`.
 
 use surfer_bench::experiments::*;
 use surfer_bench::{ExpConfig, Workload};
@@ -77,7 +72,7 @@ fn main() {
     let needs_workload = matches!(
         cmd.as_str(),
         "all" | "table1" | "table2" | "table3" | "fig6" | "fig7" | "fig9" | "fig10" | "fig12"
-            | "cascade" | "chaos" | "profile" | "gate" | "baseline" | "postmortem"
+            | "cascade" | "chaos" | "profile" | "postmortem"
     );
     let workload = needs_workload.then(|| {
         eprintln!("# generating + partitioning the MSN-like graph ...");
@@ -190,39 +185,6 @@ fn main() {
             eprintln!("# wrote POSTMORTEM.json (schema-valid forensics bundle)");
             println!("{}", r.bundle_json);
         }
-        "baseline" => {
-            let wl = w.expect("workload");
-            let doc = gate::render_baseline(wl, &gate::full_snapshot(wl));
-            std::fs::write("OBS_baseline.json", &doc)
-                .unwrap_or_else(|e| die(&format!("writing OBS_baseline.json: {e}")));
-            eprintln!("# wrote OBS_baseline.json (commit it to pin the metrics)");
-            println!("{doc}");
-        }
-        "gate" => {
-            let baseline = std::fs::read_to_string("OBS_baseline.json").unwrap_or_else(|e| {
-                die(&format!(
-                    "reading OBS_baseline.json: {e} (run `reproduce -- baseline` first)"
-                ))
-            });
-            let drifts =
-                gate::run(w.expect("workload"), &baseline).unwrap_or_else(|e| die(&e));
-            if drifts.is_empty() {
-                eprintln!("# metrics gate: PASS (all pinned metrics match OBS_baseline.json)");
-            } else {
-                eprintln!(
-                    "error: metrics gate FAILED — {} metric(s) drifted from OBS_baseline.json:",
-                    drifts.len()
-                );
-                for d in &drifts {
-                    eprintln!("  - {}", d.message);
-                }
-                die(
-                    "if the drift is intentional, refresh the baseline with \
-                     `cargo run --release -p surfer-bench --bin reproduce -- baseline \
-                     --scale tiny --machines 4 --partitions 8` and commit OBS_baseline.json",
-                );
-            }
-        }
         "lint" => {
             let r = lint::run().unwrap_or_else(|e| die(&e));
             print!("{}", r.table);
@@ -241,7 +203,7 @@ fn main() {
             }
         }
         other => die(&format!(
-            "unknown experiment '{other}' (all|table1..table5|fig6|fig7|fig9|fig10|fig11|fig12|cascade|ablation|chaos|postmortem|profile|baseline|gate|lint)"
+            "unknown experiment '{other}' (all|table1..table5|fig6|fig7|fig9|fig10|fig11|fig12|cascade|ablation|chaos|postmortem|profile|lint)"
         )),
     };
 

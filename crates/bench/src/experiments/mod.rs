@@ -14,12 +14,10 @@ pub mod fig12;
 pub mod fig6;
 pub mod fig7;
 pub mod fig9;
-pub mod gate;
 pub mod lint;
 pub mod perfetto;
 pub mod postmortem;
 pub mod profile;
-pub mod serve;
 pub mod table1;
 pub mod table2_3;
 pub mod table4;

@@ -1,7 +1,7 @@
 //! `reproduce -- profile`: a per-stage wall-time/bytes breakdown of the
 //! *real* execution path, captured with `surfer-obs`.
 //!
-//! One recording session covers the five instrumented subsystems:
+//! One recording session covers six instrumented subsystems:
 //!
 //! 1. **Propagation** — PageRank iterations through the O4 engine
 //!    (Transfer/Combine stages, per-partition worker spans);
@@ -11,28 +11,32 @@
 //!    recomputation;
 //! 4. **Replica I/O** — a partitioned-graph store round-trip through
 //!    `surfer_partition::store_fs`;
-//! 5. **Serving** — a deterministic two-tenant `JobManager` session
-//!    (admission, fair-share dispatch, one result-cache hit), so the
-//!    `serve.*` counters and per-tenant latency histograms are pinned by
-//!    the same metrics gate;
+//! 5. **Serving** — the job manager (App. B) under open-loop overload:
+//!    seeded exponential arrivals from four tenants, offered past the
+//!    single-server service rate, so the queue fills and admission answers
+//!    with typed back-pressure; once the queue drains, one completed cached
+//!    query is submitted again and answered from the result cache;
 //! 6. **Out-of-core** — the same PageRank job forced through the spill
 //!    lane by a ~1/10th-working-set memory budget, so the `spill.*` byte
-//!    counters are pinned too.
+//!    counters are recorded too.
 //!
 //! The result is exported as `TRACE_profile.json` and validated against the
-//! expected schema — `reproduce -- profile` exits non-zero on drift, which
-//! is what the CI profile job runs. The document embeds the timing-free
-//! [`TraceReport::canonical_json`], so it is byte-identical at every
-//! worker-thread count; the session's host time goes to the Perfetto
-//! export instead (`TRACE_perfetto.json`).
+//! expected schema — `reproduce -- profile` exits non-zero on drift. The
+//! document embeds the timing-free [`TraceReport::canonical_json`], so it is
+//! byte-identical at every worker-thread count, and the committed copy pins
+//! every counter, histogram and flight-recorder sample of the run (CI diffs
+//! it). The session's host time goes to the Perfetto export instead
+//! (`TRACE_perfetto.json`).
 
 use crate::Workload;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use surfer_apps::pagerank::PageRankPropagation;
 use surfer_apps::VertexDegreeDistribution;
-use surfer_cluster::{FaultPlan, MachineCrash};
+use surfer_cluster::{FaultPlan, MachineCrash, SimDuration, SimTime};
 use surfer_core::{
     run_with_recovery, working_set_bytes, EngineOptions, MemoryBudget, OptimizationLevel,
-    Propagation, PropagationEngine, RecoveryConfig,
+    Propagation, PropagationEngine, RecoveryConfig, RoundCtx,
 };
 use surfer_obs::{ObsSession, TraceReport, SCHEMA_VERSION};
 use surfer_partition::{load_partitioned, sketch_quality, write_partitioned, SketchQuality};
@@ -44,12 +48,15 @@ pub const ITERATIONS: u32 = 4;
 pub const CKPT_INTERVAL: u32 = 2;
 /// Straggler skew threshold of the stderr summary (`max >= 2x median`).
 pub const STRAGGLER_SKEW: f64 = 2.0;
-
-/// Fixed-point export of a ratio-valued quality metric (`x * 1e6`, rounded) —
-/// the gauge registry is integer-only by design.
-pub fn to_e6(x: f64) -> u64 {
-    (x * 1e6).round() as u64
-}
+/// Open-loop arrivals offered to the serving stage.
+const ARRIVALS: usize = 24;
+/// Tenants in the serving stage's mix.
+const TENANTS: u16 = 4;
+/// Offered load relative to the single-server service rate (jobs average 2
+/// iteration slices; interarrival mean = 2 * slice / OFFERED_LOAD). Well
+/// past saturation so the queue must fill and admission control must
+/// engage, even with the result cache absorbing the repeat queries.
+const OFFERED_LOAD: f64 = 4.0;
 
 /// The workload's partition-sketch quality (§4.1 metrics over the shared
 /// k-way result).
@@ -65,26 +72,28 @@ pub struct ProfileResult {
     pub json: String,
 }
 
-/// Run the four instrumented subsystems under one recording session.
+/// Run the six instrumented subsystems under one recording session.
 pub fn run(w: &Workload) -> ProfileResult {
     let surfer = w.surfer(w.t1_cluster(), OptimizationLevel::O4);
     let cluster = surfer.cluster();
     let pg = surfer.partitioned();
     let prog = PageRankPropagation { damping: 0.85, n: w.graph.num_vertices() as u64 };
 
-    let session = ObsSession::begin();
+    // Calibrate the serving stage's service rate before the session opens,
+    // so the probe's propagation counters stay out of the trace. One engine
+    // iteration is one scheduling slice; jobs average 2 iterations.
+    let probe = PropagationEngine::new(cluster, pg, EngineOptions::full());
+    let mut probe_state = probe.init_state(&prog);
+    let slice_us = probe
+        .run_iteration(&prog, &mut probe_state, &RoundCtx::default())
+        .expect("calibration iteration")
+        .0
+        .response_time
+        .0
+        .max(1);
+    let mean_interarrival_us = ((slice_us as f64 * 2.0) / OFFERED_LOAD).ceil() as u64;
 
-    // 0. Partition-sketch quality analytics, as fixed-point gauges riding
-    // the same deterministic registry as the engine counters (and hence the
-    // same regression gate).
-    let q = quality_of(w);
-    surfer_obs::gauge_set("part.edge_cut_ratio_e6", to_e6(q.edge_cut_ratio));
-    surfer_obs::gauge_set("part.balance_e6", to_e6(q.balance));
-    surfer_obs::gauge_set("part.monotone", q.monotone as u64);
-    surfer_obs::gauge_set(
-        "part.leaf_locality_e6",
-        to_e6(q.level_locality.last().copied().unwrap_or(1.0)),
-    );
+    let session = ObsSession::begin();
 
     // 1. Propagation through the full engine.
     let engine = surfer.propagation();
@@ -120,39 +129,63 @@ pub fn run(w: &Workload) -> ProfileResult {
     load_partitioned(&store_dir).expect("store load");
     let _ = std::fs::remove_dir_all(&dir);
 
-    // 5. The serving layer: a deterministic two-tenant mini-session so the
-    // `serve.*` admission counters and (per-tenant) latency histograms land
-    // in the same trace and the same regression gate. Two distinct cached
-    // queries run to completion, then a repeat of the first is answered
-    // from the result cache.
-    let mut jm = JobManager::new(ServeConfig::default());
-    let key = |iters: u32| CacheKey {
-        app: "pagerank-profile",
-        graph_version: w.cfg.seed,
-        params: u64::from(iters),
-    };
-    for (tenant, iters) in [(0u16, 2u32), (1, 1)] {
-        jm.submit(
-            JobSpec::new(TenantId(tenant)).cached_as(key(iters)),
-            Box::new(PropagationJob::new(
-                PropagationEngine::new(cluster, pg, EngineOptions::full()),
-                &prog,
-                iters,
-            )),
-        )
-        .expect("serve submit");
-    }
-    jm.run_to_completion();
-    jm.submit(
-        JobSpec::new(TenantId(0)).cached_as(key(2)),
+    // 5. The serving layer under open-loop overload. Arrivals do not slow
+    // down when the server falls behind, so the queue fills to capacity and
+    // the overflow is answered with typed back-pressure instead of latency
+    // collapse. Everything runs on the simulated clock.
+    let mut jm = JobManager::new(ServeConfig {
+        capacity: 6,
+        tenant_quota: 3,
+        ..ServeConfig::default()
+    });
+    let job = |iterations: u32| {
         Box::new(PropagationJob::new(
             PropagationEngine::new(cluster, pg, EngineOptions::full()),
             &prog,
-            2,
-        )),
-    )
-    .expect("serve cache-hit submit");
+            iterations,
+        ))
+    };
+    // A quarter of the offered jobs are repeatable queries: same app, same
+    // graph version, parameterized by iteration count.
+    let key = |iterations: u32| CacheKey {
+        app: "pagerank",
+        graph_version: w.cfg.seed,
+        params: u64::from(iterations),
+    };
+    let mut rng = StdRng::seed_from_u64(w.cfg.seed ^ 0x5E7E_BEEF);
+    let mut t = SimTime::ZERO;
+    let mut repeatable = Vec::new();
+    for _ in 0..ARRIVALS {
+        // Exponential interarrival: -ln(1-u) * mean, u uniform in [0, 1).
+        let u: f64 = rng.gen();
+        let dt = (-(1.0 - u).ln() * mean_interarrival_us as f64).ceil() as u64;
+        t += SimDuration(dt.max(1));
+        jm.run_until(t);
+
+        let tenant = TenantId(rng.gen_range(0..TENANTS));
+        let iterations = rng.gen_range(1..4u32);
+        let cached = rng.gen_bool(0.25);
+        let mut spec = JobSpec::new(tenant);
+        if cached {
+            spec = spec.cached_as(key(iterations));
+        }
+        match jm.submit(spec, job(iterations)) {
+            Ok(id) if cached => repeatable.push((id, tenant, iterations)),
+            Ok(_) => {}
+            // Typed back-pressure, counted by the manager.
+            Err(e) if e.is_backpressure() => {}
+            Err(e) => panic!("unexpected admission error: {e}"),
+        }
+    }
     jm.run_to_completion();
+    // A repeat of the first repeatable query that completed is served from
+    // the result cache.
+    let &(_, tenant, iterations) = repeatable
+        .iter()
+        .find(|(id, ..)| jm.outcome(*id).is_some_and(|o| o.result.is_ok()))
+        .expect("a repeatable query completed");
+    jm.submit(JobSpec::new(tenant).cached_as(key(iterations)), job(iterations))
+        .expect("cache-hit submit");
 
     // 6. Out-of-core propagation: the same job under a memory budget of
     // ~1/10th the working set streams adjacency from spilled edge blocks
@@ -225,7 +258,6 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "\"experiment\"",
     "\"trace\"",
     "\"counters\"",
-    "\"gauges\"",
     "\"histograms\"",
     "\"spans\"",
     // Flight recorder.
@@ -235,14 +267,10 @@ pub const REQUIRED_KEYS: &[&str] = &[
     // Partition-sketch quality analytics.
     "\"partition_quality\"",
     "\"level_locality\"",
-    "\"part.edge_cut_ratio_e6\"",
-    "\"part.balance_e6\"",
-    "\"part.leaf_locality_e6\"",
     // Propagation.
     "\"prop.messages\"",
     "\"prop.transfer_calls\"",
     "\"prop.iterations\"",
-    "\"prop.mailbox_size\"",
     "\"prop.local_bytes\"",
     "\"prop.cross_bytes\"",
     // MapReduce.
@@ -264,6 +292,8 @@ pub const REQUIRED_KEYS: &[&str] = &[
     // Serving (the labeled per-tenant histogram exports as
     // `serve.tenant.latency_us.<tenant>`, hence the open-ended key).
     "\"serve.admitted\"",
+    "\"serve.rejected_overloaded\"",
+    "\"serve.rejected_quota\"",
     "\"serve.cache_hits\"",
     "\"serve.latency_us\"",
     "\"serve.tenant.latency_us.",
@@ -276,36 +306,44 @@ pub const REQUIRED_KEYS: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use surfer_obs::json_problems;
     use crate::ExpConfig;
     use surfer_graph::generators::social::MsnScale;
-
-    fn tiny() -> Workload {
-        let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 4, partitions: 4, seed: 31 };
-        Workload::prepare(cfg)
-    }
+    use surfer_obs::{json_problems, names};
 
     #[test]
     fn profile_covers_all_subsystems_and_validates() {
-        let w = tiny();
+        let cfg = ExpConfig { scale: MsnScale::Tiny, machines: 4, partitions: 4, seed: 31 };
+        let w = Workload::prepare(cfg);
         let r = run(&w);
-        assert!(r.report.counter("prop.messages") > 0, "propagation instrumented");
-        assert!(r.report.counter("mr.pairs") > 0, "mapreduce instrumented");
-        assert!(r.report.counter("ckpt.writes") > 0, "checkpointing instrumented");
-        assert!(r.report.counter("ckpt.restores") > 0, "crash must trigger a restore");
-        assert!(r.report.counter("fs.part.write_bytes") > 0, "store writes instrumented");
-        assert!(r.report.counter("fs.snapshot.read_bytes") > 0, "snapshot reads instrumented");
-        assert_eq!(r.report.counter("serve.admitted"), 3, "serving mini-session instrumented");
-        assert_eq!(r.report.counter("serve.cache_hits"), 1, "repeat query must hit the cache");
-        assert!(r.report.counter("spill.bytes_spilled") > 0, "out-of-core stage spilled");
-        assert!(r.report.counter("spill.bytes_reread") > 0, "spilled bytes were reread");
+        let c = |name: &str| r.report.counter(name);
+        assert!(c("prop.messages") > 0, "propagation instrumented");
+        assert!(c("mr.pairs") > 0, "mapreduce instrumented");
+        assert!(c("ckpt.writes") > 0, "checkpointing instrumented");
+        assert!(c("ckpt.restores") > 0, "crash must trigger a restore");
+        assert!(c("fs.part.write_bytes") > 0, "store writes instrumented");
+        assert!(c("fs.snapshot.read_bytes") > 0, "snapshot reads instrumented");
+        // Open loop past saturation: the queue must fill and typed
+        // back-pressure must engage, but never starve the system.
+        let rejected = c(names::SERVE_REJECTED_OVERLOADED) + c(names::SERVE_REJECTED_QUOTA);
+        assert!(rejected > 0, "no back-pressure past saturation");
+        assert!(c(names::SERVE_COMPLETED) > 0, "nothing completed");
+        let submitted = ARRIVALS as u64 + 1;
+        assert_eq!(c(names::SERVE_SUBMITTED), submitted, "every arrival and the repeat counted");
         assert_eq!(
-            r.report.counter("spill.iterations"),
+            c(names::SERVE_ADMITTED) + rejected,
+            submitted,
+            "admitted + rejected must partition the submissions"
+        );
+        assert_eq!(c(names::SERVE_CACHE_HITS), 1, "the repeat query must hit the cache");
+        assert!(c("spill.bytes_spilled") > 0, "out-of-core stage spilled");
+        assert!(c("spill.bytes_reread") > 0, "spilled bytes were reread");
+        assert_eq!(
+            c("spill.iterations"),
             ITERATIONS as u64,
             "every out-of-core iteration took the spill lane"
         );
         assert!(
-            r.report.labeled_hist("serve.tenant.latency_us", 0).is_some(),
+            r.report.labeled_hist(names::SERVE_TENANT_LATENCY_US, 0).is_some(),
             "per-tenant latency recorded"
         );
         assert!(r.report.span_count("prop.iteration") > 0);
@@ -313,17 +351,17 @@ mod tests {
         assert!(samples >= ITERATIONS as usize, "one flight-recorder sample per iteration");
         let m = r.report.traffic_matrix().expect("one partition count");
         assert_eq!(m.rows(), w.cfg.partitions as usize);
-        assert_eq!(m.diagonal_total(), r.report.counter("prop.local_bytes"));
-        assert_eq!(m.off_diagonal_total(), r.report.counter("prop.cross_bytes"));
-        assert!(r.report.gauges.contains_key("part.edge_cut_ratio_e6"), "quality gauges set");
+        assert_eq!(m.diagonal_total(), c("prop.local_bytes"));
+        assert_eq!(m.off_diagonal_total(), c("prop.cross_bytes"));
+        let q = quality_of(&w);
+        assert!(
+            r.json.contains(&format!("\"edge_cut_ratio\": {:.6}", q.edge_cut_ratio)),
+            "partition quality exported"
+        );
         let problems = json_problems(&r.json, REQUIRED_KEYS);
         assert!(problems.is_empty(), "schema drift: {problems:?}\n{}", r.json);
-    }
 
-    #[test]
-    fn validator_flags_drift() {
-        let w = tiny();
-        let r = run(&w);
+        // The validator flags drift in the same document.
         let broken = r.json.replace("prop.messages", "prop.renamed");
         let problems = json_problems(&broken, REQUIRED_KEYS);
         assert!(problems.iter().any(|p| p.contains("prop.messages")), "{problems:?}");

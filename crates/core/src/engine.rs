@@ -474,7 +474,7 @@ fn publish_transfer_counters(tally: &[PartitionTally], messages: u64) {
 /// puts partition-local bytes on the diagonal and the post-combination
 /// cross bytes off it, so its diagonal/off-diagonal totals equal
 /// `prop.local_bytes`/`prop.cross_bytes`.
-fn publish_iteration_sample(tally: &[PartitionTally], mailbox_sizes: Vec<u64>) {
+fn publish_iteration_sample(tally: &[PartitionTally], mailbox_sizes: &[u64]) {
     if !surfer_obs::enabled() {
         return;
     }
@@ -494,7 +494,7 @@ fn publish_iteration_sample(tally: &[PartitionTally], mailbox_sizes: Vec<u64>) {
         sample.local_bytes += t.local_bytes;
         sample.cross_bytes += t.cross_out.values().sum::<u64>();
     }
-    sample.mailbox = mailbox_sizes;
+    sample.mailbox = mailbox_sizes.to_vec();
     sample.traffic = traffic;
     surfer_obs::record_sample(sample);
 }
@@ -727,13 +727,6 @@ impl<'a> PropagationEngine<'a> {
         // ids are scattered across `state`, so the writeback itself stays
         // sequential) and only after every partition combined cleanly — a
         // failed iteration leaves `state` untouched and is retryable.
-        let mut mailbox_sizes: Vec<u64> = Vec::new();
-        for &size in &mailbox_totals {
-            surfer_obs::observe("prop.mailbox_size", size);
-            if surfer_obs::enabled() {
-                mailbox_sizes.push(size);
-            }
-        }
         let combine_span = surfer_obs::span("prop.combine");
         let combine_sid = combine_span.id();
         // Work item i is again partition i; its accumulator and buckets move
@@ -851,7 +844,7 @@ impl<'a> PropagationEngine<'a> {
             }
         }
         drop(combine_span);
-        publish_iteration_sample(&tally, mailbox_sizes);
+        publish_iteration_sample(&tally, mailbox_totals);
 
         let report = self.simulate(
             prog.transfer_ops(),

@@ -13,8 +13,8 @@
 //!   thread, parent span and a label
 //!   (`span_with("prop.transfer.part", || format!("p{pid}"))`). Spans are
 //!   the only record of host time.
-//! * **Metrics** — a registry of counters ([`counter_add`]), gauges
-//!   ([`gauge_set`]) and count/sum/min/max histograms ([`observe`]).
+//! * **Metrics** — a registry of counters ([`counter_add`]) and
+//!   count/sum/min/max histograms ([`observe`]).
 //!
 //! ## Design constraints
 //!
@@ -63,15 +63,15 @@ pub use recorder::{IterationSample, ShapeMismatch, StageKind, TrafficMatrix};
 /// change to the schema (`reproduce -- profile` fails on drift).
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Metric names shared between emitters, the baseline pins and the metrics
-/// gate, kept as named constants so they cannot drift apart on a typo. All
-/// values are per-work-item deterministic (rule 2 above) and covered by
-/// `OBS_baseline.json`.
+/// Metric names shared between emitters and their readers, kept as named
+/// constants so they cannot drift apart on a typo. All values are
+/// per-work-item deterministic (rule 2 above) and pinned in the counters and
+/// histograms of the committed `TRACE_profile.json`.
 pub mod names {
     // The `serve.*` namespace: admission control, scheduling and result
     // caching of the multi-tenant serving layer (`crates/serve`). All values
     // derive from simulated time and seeded arrivals, so they are
-    // deterministic and baseline-pinnable.
+    // deterministic and pinnable.
 
     /// Jobs submitted (admitted or not, cache hits included).
     pub const SERVE_SUBMITTED: &str = "serve.submitted";
@@ -109,7 +109,7 @@ pub mod names {
     // The `spill.*` namespace: the out-of-core lane (`surfer-core/src/ooc`).
     // Byte and frame totals are functions of the graph, program and budget
     // alone (frame boundaries derive from the budget, never the thread
-    // schedule), so they are deterministic and baseline-pinnable.
+    // schedule), so they are deterministic and pinnable.
 
     /// Bytes written to spill files (edge blocks + mailbox segments,
     /// framing included).
@@ -274,7 +274,6 @@ impl Hist {
 struct State {
     spans: Vec<SpanRec>,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Hist>,
     /// Histograms keyed by `(name, integer label)` — the per-tenant series
     /// of the serving layer (`serve.tenant.latency_us` per tenant id).
@@ -362,7 +361,6 @@ impl ObsSession {
         TraceReport {
             spans: state.spans,
             counters: state.counters,
-            gauges: state.gauges,
             hists: state.hists,
             labeled_hists: state.labeled_hists,
             iterations: state.samples,
@@ -482,14 +480,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
     with_state(|st| *st.counters.entry(name).or_insert(0) += delta);
 }
 
-/// Set gauge `name` (last write wins — call from the coordinating thread
-/// only, or the value is not thread-count-deterministic).
-pub fn gauge_set(name: &'static str, value: u64) {
-    with_state(|st| {
-        st.gauges.insert(name, value);
-    });
-}
-
 /// Record one histogram sample.
 pub fn observe(name: &'static str, value: u64) {
     with_state(|st| st.hists.entry(name).or_insert_with(Hist::new).record(value));
@@ -556,8 +546,6 @@ pub struct TraceReport {
     pub spans: Vec<SpanRec>,
     /// Counter totals.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Gauge values.
-    pub gauges: BTreeMap<&'static str, u64>,
     /// Histograms.
     pub hists: BTreeMap<&'static str, Hist>,
     /// Labeled histograms keyed `(name, label)`; exported as `name.label`.
@@ -737,14 +725,10 @@ impl TraceReport {
         out.push_str(&matrix_json(self.traffic_matrix()));
     }
 
-    /// The counters/gauges/histograms section of the export.
+    /// The counters/histograms section of the export.
     fn push_metrics_json(&self, out: &mut String) {
         out.push_str("  \"counters\": {");
         for (i, (k, v)) in self.counters.iter().enumerate() {
-            out.push_str(&format!("{}\n    \"{}\": {}", if i == 0 { "" } else { "," }, esc(k), v));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
             out.push_str(&format!("{}\n    \"{}\": {}", if i == 0 { "" } else { "," }, esc(k), v));
         }
         out.push_str("\n  },\n  \"histograms\": {");
@@ -904,7 +888,6 @@ mod tests {
         assert!(!enabled());
         counter_add("x", 5);
         observe("h", 3);
-        gauge_set("g", 1);
         let s = span_with("nothing", || unreachable!("labels are built only while recording"));
         assert_eq!(s.id(), None);
         drop(s);
@@ -915,18 +898,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_hists_accumulate() {
+    fn counters_and_hists_accumulate() {
         let session = ObsSession::begin();
         counter_add("msgs", 3);
         counter_add("msgs", 4);
-        gauge_set("parts", 8);
-        gauge_set("parts", 9);
         observe("mailbox", 0);
         observe("mailbox", 5);
         observe("mailbox", 5);
         let r = session.finish();
         assert_eq!(r.counter("msgs"), 7);
-        assert_eq!(r.gauges["parts"], 9);
         let h = &r.hists["mailbox"];
         assert_eq!((h.count, h.sum, h.min, h.max), (3, 10, 0, 5));
         assert!(!enabled(), "finish must disable recording");
