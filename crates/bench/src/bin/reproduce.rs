@@ -8,7 +8,7 @@
 //!
 //! Subcommands: all, table1, table2, table3, table4, table5, fig6, fig7,
 //! fig9, fig10, fig11, fig12, cascade, ablation, chaos, profile,
-//! postmortem, lint. Options: `--scale tiny|small|medium|large` (default
+//! postmortem. Options: `--scale tiny|small|medium|large` (default
 //! small), `--machines N` (default 32), `--partitions P` (default 64).
 //!
 //! Host wall-clock is measured by `surfbench` (`benchmark/`), not here.
@@ -25,9 +25,7 @@
 //! forensics drill: a fault-injected job through the job manager at thread
 //! counts {1, 2, max}, asserting the flight journal's post-mortem bundle is
 //! bit-identical across them, schema-valid, and attributes the failure to
-//! the right job/tenant/iteration — then writes `POSTMORTEM.json`. `lint`
-//! runs the `surfer-lint` static-analysis gate, which fails on any active
-//! deny finding, and writes `LINT_report.json`.
+//! the right job/tenant/iteration — then writes `POSTMORTEM.json`.
 
 use surfer_bench::experiments::*;
 use surfer_bench::{ExpConfig, Workload};
@@ -185,25 +183,8 @@ fn main() {
             eprintln!("# wrote POSTMORTEM.json (schema-valid forensics bundle)");
             println!("{}", r.bundle_json);
         }
-        "lint" => {
-            let r = lint::run().unwrap_or_else(|e| die(&e));
-            print!("{}", r.table);
-            std::fs::write("LINT_report.json", &r.json)
-                .unwrap_or_else(|e| die(&format!("writing LINT_report.json: {e}")));
-            eprintln!("# wrote LINT_report.json ({} files scanned)", r.outcome.files_scanned);
-            if r.failures.is_empty() {
-                eprintln!("# lint gate: PASS (no active deny findings)");
-            } else {
-                eprintln!("error: lint gate FAILED — {} problem(s):", r.failures.len());
-                for f in &r.failures {
-                    eprintln!("  - {f}");
-                }
-                die("fix each site, or waive a justified one inline with \
-                     `// lint:allow(RULE, reason)`");
-            }
-        }
         other => die(&format!(
-            "unknown experiment '{other}' (all|table1..table5|fig6|fig7|fig9|fig10|fig11|fig12|cascade|ablation|chaos|postmortem|profile|lint)"
+            "unknown experiment '{other}' (all|table1..table5|fig6|fig7|fig9|fig10|fig11|fig12|cascade|ablation|chaos|postmortem|profile)"
         )),
     };
 

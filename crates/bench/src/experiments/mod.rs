@@ -14,7 +14,6 @@ pub mod fig12;
 pub mod fig6;
 pub mod fig7;
 pub mod fig9;
-pub mod lint;
 pub mod perfetto;
 pub mod postmortem;
 pub mod profile;

@@ -56,19 +56,41 @@ pub enum TaskKind {
     Generic,
 }
 
-/// Every machine of the cluster has failed: no replica can take over, the
-/// job cannot make progress. The typed replacement for the old
-/// divide-by-zero / assertion panics on the recovery path.
+/// Why [`Executor::run_with_faults`] could not finish a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterLost;
+pub enum ExecError {
+    /// Every machine of the cluster has failed: no replica can take over,
+    /// the job cannot make progress.
+    ClusterLost,
+    /// A fault names a machine beyond the cluster's `machines`.
+    UnknownMachine { machine: MachineId, machines: u16 },
+    /// The [`Replanner`] moved `task` to a machine that is not alive.
+    DeadReplacement { task: TaskId, machine: MachineId },
+    /// The event queue drained with `finished < tasks`: the dependencies
+    /// form a cycle.
+    Deadlock { finished: usize, tasks: usize },
+}
 
-impl std::fmt::Display for ClusterLost {
+impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "all machines failed; no alive replica can take over the job")
+        match self {
+            ExecError::ClusterLost => {
+                write!(f, "all machines failed; no alive replica can take over the job")
+            }
+            ExecError::UnknownMachine { machine, machines } => {
+                write!(f, "fault on unknown machine {machine} (the cluster has {machines})")
+            }
+            ExecError::DeadReplacement { task, machine } => {
+                write!(f, "replanner moved task {task} to machine {machine}, which is not alive")
+            }
+            ExecError::Deadlock { finished, tasks } => {
+                write!(f, "executor deadlock: {finished}/{tasks} tasks finished (cyclic deps)")
+            }
+        }
     }
 }
 
-impl std::error::Error for ClusterLost {}
+impl std::error::Error for ExecError {}
 
 /// Description of one task.
 #[derive(Debug, Clone)]
@@ -163,9 +185,9 @@ pub struct ReassignRequest<'a> {
 /// holding a replica of its partition).
 pub trait Replanner {
     /// Pick the replacement machine; must be one of `req.alive`. Returns
-    /// [`ClusterLost`] when no machine can take the task over (in practice:
-    /// `req.alive` is empty).
-    fn reassign(&mut self, req: ReassignRequest<'_>) -> Result<MachineId, ClusterLost>;
+    /// [`ExecError::ClusterLost`] when no machine can take the task over (in
+    /// practice: `req.alive` is empty).
+    fn reassign(&mut self, req: ReassignRequest<'_>) -> Result<MachineId, ExecError>;
 }
 
 /// Replanner that spreads affected tasks over alive machines round-robin —
@@ -177,9 +199,9 @@ pub struct RoundRobinReplanner {
 }
 
 impl Replanner for RoundRobinReplanner {
-    fn reassign(&mut self, req: ReassignRequest<'_>) -> Result<MachineId, ClusterLost> {
+    fn reassign(&mut self, req: ReassignRequest<'_>) -> Result<MachineId, ExecError> {
         if req.alive.is_empty() {
-            return Err(ClusterLost);
+            return Err(ExecError::ClusterLost);
         }
         let m = req.alive[self.next % req.alive.len()];
         self.next += 1;
@@ -309,23 +331,30 @@ impl<'c> Executor<'c> {
         id
     }
 
-    /// Run to completion without faults.
+    /// Run to completion without faults. Panics if the task dependencies
+    /// form a cycle.
+    #[expect(
+        clippy::expect_used,
+        reason = "without faults only a cyclic task graph fails, a caller bug"
+    )]
     pub fn run(self) -> ExecReport {
         self.run_with_faults(&[], &mut RoundRobinReplanner::default())
-            // lint:allow(E1, invariant: ClusterLost requires injected faults and none are passed)
-            .expect("a fault-free run cannot lose the cluster")
+            .expect("a fault-free run fails only by deadlock on cyclic dependencies")
     }
 
     /// Run to completion with injected machine failures, consulting
     /// `replanner` for every task stranded on a dead machine. Returns
-    /// [`ClusterLost`] when every machine has failed before the job
-    /// finished.
+    /// [`ExecError::ClusterLost`] when every machine has failed before the
+    /// job finished; the other [`ExecError`]s name a caller's mistake.
     pub fn run_with_faults(
         mut self,
         faults: &[Fault],
         replanner: &mut dyn Replanner,
-    ) -> Result<ExecReport, ClusterLost> {
+    ) -> Result<ExecReport, ExecError> {
         let n = self.cluster.num_machines();
+        if let Some(f) = faults.iter().find(|f| f.machine.0 >= n) {
+            return Err(ExecError::UnknownMachine { machine: f.machine, machines: n });
+        }
         let mut report = ExecReport::new(n);
         let mut machines: Vec<MachineState> = (0..n)
             .map(|_| MachineState {
@@ -349,7 +378,6 @@ impl<'c> Executor<'c> {
         };
 
         for f in faults {
-            assert!(f.machine.0 < n, "fault on unknown machine {}", f.machine);
             push(&mut queue, &mut events, &mut seq, f.at, Event::MachineFail { machine: f.machine });
         }
 
@@ -486,7 +514,7 @@ impl<'c> Executor<'c> {
                         .filter(|m| machines[m.index()].alive)
                         .collect();
                     if alive.is_empty() {
-                        return Err(ClusterLost);
+                        return Err(ExecError::ClusterLost);
                     }
                     let affected: Vec<TaskId> = (0..self.tasks.len())
                         .filter(|&id| {
@@ -502,10 +530,9 @@ impl<'c> Executor<'c> {
                             label: self.tasks[id].spec.label,
                             alive: &alive,
                         })?;
-                        assert!(
-                            machines[new_m.index()].alive,
-                            "replanner chose dead machine {new_m}"
-                        );
+                        if !machines.get(new_m.index()).is_some_and(|s| s.alive) {
+                            return Err(ExecError::DeadReplacement { task: id, machine: new_m });
+                        }
                         report.tasks_recovered += 1;
                         self.tasks[id].spec.machine = new_m;
                         self.tasks[id].generation += 1;
@@ -566,13 +593,9 @@ impl<'c> Executor<'c> {
             }
         }
 
-        assert!(
-            finished == self.tasks.len(),
-            "executor deadlock: {}/{} tasks finished (cyclic deps, or tasks stranded \
-             on a failed machine with no replanner rerun)",
-            finished,
-            self.tasks.len()
-        );
+        if finished != self.tasks.len() {
+            return Err(ExecError::Deadlock { finished, tasks: self.tasks.len() });
+        }
         report.response_time = end_time - SimTime::ZERO;
         Ok(report)
     }
@@ -791,6 +814,17 @@ mod tests {
     }
 
     #[test]
+    fn fault_on_unknown_machine_is_a_typed_error() {
+        let c = flat(2);
+        let mut ex = Executor::new(&c);
+        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).cpu(50e6));
+        let faults = [Fault { machine: MachineId(2), at: SimTime::ZERO }];
+        let err = ex.run_with_faults(&faults, &mut RoundRobinReplanner::default()).unwrap_err();
+        assert_eq!(err, ExecError::UnknownMachine { machine: MachineId(2), machines: 2 });
+        assert!(err.to_string().contains("unknown machine"), "{err}");
+    }
+
+    #[test]
     fn failure_mid_run_reexecutes_and_retransfers() {
         let c = ClusterConfig::flat(3)
             .transfer_latency(SimDuration::ZERO)
@@ -805,7 +839,7 @@ mod tests {
         ex.add_transfer(a, b, 125_000_000);
         struct ToMachine2;
         impl Replanner for ToMachine2 {
-            fn reassign(&mut self, _req: ReassignRequest<'_>) -> Result<MachineId, ClusterLost> {
+            fn reassign(&mut self, _req: ReassignRequest<'_>) -> Result<MachineId, ExecError> {
                 Ok(MachineId(2))
             }
         }
@@ -851,6 +885,30 @@ mod tests {
         ex.add_dep(a, b);
         ex.add_dep(b, a);
         ex.run();
+    }
+
+    #[test]
+    fn caller_mistakes_are_typed_errors() {
+        let c = flat(2);
+        let mut ex = Executor::new(&c);
+        let a = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic));
+        let b = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic));
+        ex.add_dep(a, b);
+        ex.add_dep(b, a);
+        let err = ex.run_with_faults(&[], &mut RoundRobinReplanner::default()).unwrap_err();
+        assert_eq!(err, ExecError::Deadlock { finished: 0, tasks: 2 });
+
+        struct BackToFailed;
+        impl Replanner for BackToFailed {
+            fn reassign(&mut self, req: ReassignRequest<'_>) -> Result<MachineId, ExecError> {
+                Ok(req.failed)
+            }
+        }
+        let mut ex = Executor::new(&c);
+        ex.add_task(TaskSpec::new(MachineId(1), TaskKind::Generic).cpu(50e6));
+        let faults = [Fault { machine: MachineId(1), at: SimTime::ZERO }];
+        let err = ex.run_with_faults(&faults, &mut BackToFailed).unwrap_err();
+        assert_eq!(err, ExecError::DeadReplacement { task: 0, machine: MachineId(1) });
     }
 
     #[test]

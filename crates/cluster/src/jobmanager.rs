@@ -7,7 +7,7 @@
 //! re-executing (the executor handles the re-transfer mechanics; the policy
 //! here picks the machine).
 
-use crate::exec::{ClusterLost, ReassignRequest, Replanner};
+use crate::exec::{ExecError, ReassignRequest, Replanner};
 use crate::machine::MachineId;
 use crate::storage::PartitionStore;
 
@@ -30,10 +30,10 @@ impl<'a> StoreReplanner<'a> {
 }
 
 impl Replanner for StoreReplanner<'_> {
-    fn reassign(&mut self, req: ReassignRequest<'_>) -> Result<MachineId, ClusterLost> {
+    fn reassign(&mut self, req: ReassignRequest<'_>) -> Result<MachineId, ExecError> {
         if req.alive.is_empty() {
             // Every machine is down: there is nowhere to re-queue the task.
-            return Err(ClusterLost);
+            return Err(ExecError::ClusterLost);
         }
         let pid = req.label as u32;
         if pid < self.store.num_partitions() {
@@ -112,6 +112,6 @@ mod tests {
             label: 0,
             alive: &[],
         });
-        assert_eq!(err, Err(ClusterLost));
+        assert_eq!(err, Err(ExecError::ClusterLost));
     }
 }

@@ -36,7 +36,7 @@ pub mod trace;
 
 pub use cluster::{ClusterConfig, SimCluster};
 pub use exec::{
-    ClusterLost, Executor, Fault, ReassignRequest, Replanner, RoundRobinReplanner, TaskId,
+    ExecError, Executor, Fault, ReassignRequest, Replanner, RoundRobinReplanner, TaskId,
     TaskKind, TaskSpec, TransferId,
 };
 pub use fault::{

@@ -145,7 +145,10 @@ where
         for h in handles {
             // Workers never unwind (panics are caught per item); a join
             // failure would be a harness bug, not a user one.
-            // lint:allow(E1, harness invariant: workers catch per-item panics and never unwind)
+            #[expect(
+                clippy::expect_used,
+                reason = "harness invariant: workers catch per-item panics and never unwind"
+            )]
             for (i, out) in h.join().expect("worker harness panicked") {
                 match out {
                     Ok(v) => {
@@ -167,8 +170,12 @@ where
     if let Some(e) = failure {
         return Err(e);
     }
-    // lint:allow(E1, invariant: the loop above fills every slot or returned Err already)
-    Ok(slots.into_iter().map(|slot| slot.expect("every item produces an output")).collect())
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the loop above fills every slot or returned Err already"
+    )]
+    let outs = slots.into_iter().map(|slot| slot.expect("every item produces an output")).collect();
+    Ok(outs)
 }
 
 #[cfg(test)]

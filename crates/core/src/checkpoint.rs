@@ -174,8 +174,11 @@ impl<P: Propagation> Propagation for ChaosProgram<'_, P> {
                 None => false,
             }
         };
+        #[expect(
+            clippy::panic,
+            reason = "chaos harness injects panics by design; the engine isolates them"
+        )]
         if fire {
-            // lint:allow(E1, chaos harness injects panics by design; the engine isolates them)
             panic!("chaos: injected transfer panic at iteration {it}, vertex {}", from.0);
         }
         self.inner.transfer(from, state, to, g)
@@ -271,7 +274,10 @@ fn corrupt_snapshot_file(path: &Path) -> SurferResult<()> {
 /// [`TraceCtx`](surfer_obs::TraceCtx), and any typed error flushes a
 /// post-mortem bundle attributing the failure to the ambient
 /// job/tenant and the failing iteration (DESIGN.md §15).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the engine's inputs plus the recovery config and fault plan, each independent"
+)]
 pub fn run_with_recovery<P>(
     cluster: &SimCluster,
     pg: &PartitionedGraph,
@@ -304,7 +310,7 @@ where
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the same arguments as run_with_recovery")]
 fn run_with_recovery_inner<P>(
     cluster: &SimCluster,
     pg: &PartitionedGraph,
@@ -319,7 +325,11 @@ where
     P: Propagation,
     P::State: Codec,
 {
-    assert!(cfg.checkpoint_interval >= 1, "checkpoint interval must be at least 1");
+    if cfg.checkpoint_interval == 0 {
+        return Err(SurferError::InvalidArgument {
+            detail: "checkpoint interval must be at least 1".into(),
+        });
+    }
     let machines = cluster.num_machines();
     // Replica sets are fixed at job start from the *original* placement —
     // re-homing a partition moves its tasks, not its replicas.
@@ -457,7 +467,10 @@ where
 /// replica set, stamped with `iteration`; returns the simulated cost of the
 /// checkpoint round (local write on the partition's home, replicated write
 /// plus network transfer on the siblings).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a private helper of the recovery loop; its locals are passed as they are"
+)]
 fn write_checkpoint<S: Codec>(
     cluster: &SimCluster,
     cur: &PartitionedGraph,
@@ -559,7 +572,10 @@ fn write_checkpoint<S: Codec>(
 /// Reload every partition's checkpoint-`iteration` snapshot into `state`
 /// from the first alive replica whose copy verifies; returns the simulated
 /// restore round (replica read + transfer to the partition's home).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a private helper of the recovery loop; its locals are passed as they are"
+)]
 fn restore_checkpoint<S: Codec>(
     cluster: &SimCluster,
     cur: &PartitionedGraph,
@@ -769,6 +785,31 @@ mod tests {
             matches!(err, SurferError::RetriesExhausted { iteration: 0, attempts: 1 }),
             "got {err:?}"
         );
+        let _ = std::fs::remove_dir_all(&cfg.dir);
+    }
+
+    #[test]
+    fn zero_checkpoint_interval_is_a_typed_error() {
+        let (c, pg) = fixture(2);
+        // `new` rejects 0; the field is public, so the run checks it too.
+        let mut cfg = RecoveryConfig::new(1, tmp("zero-interval"));
+        cfg.checkpoint_interval = 0;
+        let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
+        let mut state = engine.init_state(&Rotate);
+        let before = state.clone();
+        let err = run_with_recovery(
+            &c,
+            &pg,
+            EngineOptions::full(),
+            &Rotate,
+            &mut state,
+            3,
+            &cfg,
+            &FaultPlan::none(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, SurferError::InvalidArgument { .. }), "got {err:?}");
+        assert_eq!(state, before);
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 }

@@ -602,14 +602,22 @@ impl<'a> PropagationEngine<'a> {
         state: &mut [P::State],
         ctx: &RoundCtx<'_>,
     ) -> SurferResult<(ExecReport, u64)> {
+        let pg = self.graph;
+        let g = pg.graph();
+        if state.len() != g.num_vertices() as usize {
+            return Err(SurferError::InvalidArgument {
+                detail: format!(
+                    "state vector has {} entries for {} vertices",
+                    state.len(),
+                    g.num_vertices()
+                ),
+            });
+        }
         let session = self.spill_session(prog.state_bytes());
         let _iter_span = surfer_obs::span_seq("prop.iteration");
         surfer_obs::journal::record(surfer_obs::journal::EventKind::IterationStart {
             lane: if session.is_some() { "spill" } else { "resident" },
         });
-        let pg = self.graph;
-        let g = pg.graph();
-        assert_eq!(state.len(), g.num_vertices() as usize, "state vector must cover every vertex");
         let threads = self.options.resolved_threads();
         let merge_cross = self.options.local_combination && prog.associative();
         // An associative program needs no sorted mailbox: every message is
@@ -1164,6 +1172,17 @@ mod tests {
         // Vertex v now holds the old value of v-1 (mod 8).
         let expect: Vec<u64> = (0..8u64).map(|v| (v + 7) % 8 + 1).collect();
         assert_eq!(state, expect);
+    }
+
+    #[test]
+    fn short_state_vector_is_a_typed_error() {
+        let (c, pg) = two_partition_cycle();
+        let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
+        let mut state = vec![1u64; 7];
+        let err = engine.run_iteration(&Rotate, &mut state, &RoundCtx::default()).unwrap_err();
+        assert!(matches!(err, SurferError::InvalidArgument { .. }), "{err}");
+        assert!(err.to_string().contains("7 entries for 8 vertices"), "{err}");
+        assert_eq!(state, vec![1u64; 7], "a rejected call leaves the state untouched");
     }
 
     #[test]

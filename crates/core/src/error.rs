@@ -4,10 +4,10 @@
 //! damaged checkpoint storage — surfaces as a [`SurferError`] value instead
 //! of a panic, so callers can retry, fail over, or report. Lower layers keep
 //! their own narrow types ([`WorkerPanic`] in the thread pool,
-//! [`ClusterLost`] in the executor, [`MapReduceError`] in the baseline
+//! [`ExecError`] in the executor, [`MapReduceError`] in the baseline
 //! engine, [`GraphError`] on storage); `From` impls funnel them all here.
 
-use surfer_cluster::exec::ClusterLost;
+use surfer_cluster::exec::ExecError;
 use surfer_cluster::par::WorkerPanic;
 use surfer_cluster::{SimDuration, SimTime};
 use surfer_graph::GraphError;
@@ -34,6 +34,16 @@ pub enum SurferError {
     },
     /// Every machine failed; no alive replica can take the job over.
     ClusterLost,
+    /// The simulated executor rejected the job's task graph or fault list
+    /// (every [`ExecError`] but `ClusterLost`, which maps to
+    /// [`SurferError::ClusterLost`]).
+    Executor(ExecError),
+    /// The caller broke a documented precondition: a state vector that does
+    /// not cover the graph, or a zero checkpoint interval.
+    InvalidArgument {
+        /// What was wrong, with the offending values.
+        detail: String,
+    },
     /// A checkpoint snapshot could not be restored from any replica: every
     /// copy was on a dead machine or failed its checksum.
     ReplicasExhausted {
@@ -106,6 +116,8 @@ impl std::fmt::Display for SurferError {
             SurferError::ClusterLost => {
                 write!(f, "all machines failed; no alive replica can take over the job")
             }
+            SurferError::Executor(e) => write!(f, "executor error: {e}"),
+            SurferError::InvalidArgument { detail } => write!(f, "invalid argument: {detail}"),
             SurferError::ReplicasExhausted { partition, iteration } => write!(
                 f,
                 "no replica holds a valid checkpoint-{iteration} snapshot of partition {partition}"
@@ -139,14 +151,18 @@ impl std::error::Error for SurferError {
         match self {
             SurferError::Storage(e) => Some(e),
             SurferError::MapReduce(e) => Some(e),
+            SurferError::Executor(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<ClusterLost> for SurferError {
-    fn from(_: ClusterLost) -> Self {
-        SurferError::ClusterLost
+impl From<ExecError> for SurferError {
+    fn from(e: ExecError) -> Self {
+        match e {
+            ExecError::ClusterLost => SurferError::ClusterLost,
+            e => SurferError::Executor(e),
+        }
     }
 }
 
@@ -192,6 +208,8 @@ impl SurferError {
         match self {
             SurferError::UdfPanic { .. } => "UdfPanic",
             SurferError::ClusterLost => "ClusterLost",
+            SurferError::Executor(_) => "Executor",
+            SurferError::InvalidArgument { .. } => "InvalidArgument",
             SurferError::ReplicasExhausted { .. } => "ReplicasExhausted",
             SurferError::RetriesExhausted { .. } => "RetriesExhausted",
             SurferError::Storage(_) => "Storage",
@@ -221,7 +239,7 @@ mod tests {
 
     #[test]
     fn conversions_preserve_meaning() {
-        let e: SurferError = ClusterLost.into();
+        let e: SurferError = ExecError::ClusterLost.into();
         assert!(matches!(e, SurferError::ClusterLost));
         let e: SurferError = GraphError::Corrupt("x".into()).into();
         assert!(matches!(e, SurferError::Storage(GraphError::Corrupt(_))));
@@ -232,6 +250,16 @@ mod tests {
         assert!(e.is_retryable());
         assert!(e.to_string().contains("transfer"));
         assert!(e.to_string().contains("3"));
+    }
+
+    #[test]
+    fn executor_errors_keep_their_type() {
+        let machine = surfer_cluster::MachineId(9);
+        let e: SurferError = ExecError::UnknownMachine { machine, machines: 4 }.into();
+        assert!(matches!(e, SurferError::Executor(ExecError::UnknownMachine { .. })));
+        assert_eq!(e.variant_name(), "Executor");
+        assert!(!e.is_retryable());
+        assert!(e.to_string().contains("unknown machine"), "{e}");
     }
 
     #[test]

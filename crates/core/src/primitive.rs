@@ -114,8 +114,8 @@ pub trait Propagation: Sync {
     /// the same at any thread count and memory budget; for a merely
     /// approximately associative `merge` (floating-point sums) it still
     /// decides the last bits.
+    #[expect(clippy::panic, reason = "documented contract: only called when associative() is true")]
     fn merge(&self, _acc: &mut Self::Msg, _next: &Self::Msg) {
-        // lint:allow(E1, documented contract: only called when associative() is true)
         panic!("merge() called on a non-associative propagation program")
     }
 
@@ -163,8 +163,8 @@ pub trait VirtualVertexTask: Sync {
 
     /// Merge `next` into `acc`, two messages for the same virtual vertex
     /// (the contract of [`Propagation::merge`]).
+    #[expect(clippy::panic, reason = "documented contract: only called when associative() is true")]
     fn merge(&self, _acc: &mut Self::Msg, _next: &Self::Msg) {
-        // lint:allow(E1, documented contract: only called when associative() is true)
         panic!("merge() called on a non-associative virtual-vertex task")
     }
 

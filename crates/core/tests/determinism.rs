@@ -9,6 +9,11 @@
 //! equality here proves the parallel engine folds every message bag in
 //! exactly the sequential order, not merely "the same multiset".
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "the run and reference helpers unwrap so a failure fails the test that called them"
+)]
+
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;

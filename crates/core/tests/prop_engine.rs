@@ -5,6 +5,11 @@
 //! messages included, while a non-associative program keeps its bag; and a
 //! per-source `transfer` changes nothing but how often it is called.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "the property helpers unwrap so a failed run fails the property that called them"
+)]
+
 use proptest::prelude::*;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -111,8 +111,11 @@ impl GraphBuilder {
 
     /// Build, panicking on invalid input. Convenient for generators and tests
     /// whose edges are range-checked by construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking variant; try_build is the fallible twin"
+    )]
     pub fn build(self) -> CsrGraph {
-        // lint:allow(E1, documented panicking variant; try_build is the fallible twin)
         self.try_build().expect("graph builder produced invalid graph")
     }
 }

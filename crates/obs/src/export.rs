@@ -37,7 +37,7 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
     let mut threads: Vec<&str> = report.spans.iter().map(|s| s.thread.as_str()).collect();
     threads.sort_unstable();
     threads.dedup();
-    // lint:allow(E1, every span thread was inserted into `threads` above)
+    #[expect(clippy::expect_used, reason = "every span thread was inserted into `threads` above")]
     let tid_of = |t: &str| threads.binary_search(&t).expect("thread listed") as u64;
 
     let mut events: Vec<String> = Vec::new();

@@ -20,8 +20,11 @@ impl Partitioning {
     /// Wrap a raw assignment. Every entry must be `< num_partitions`.
     pub fn new(pids: Vec<u32>, num_partitions: u32) -> Self {
         assert!(num_partitions >= 1, "need at least one partition");
+        #[expect(
+            clippy::panic,
+            reason = "documented constructor validation; misuse is a caller bug"
+        )]
         if let Some(&bad) = pids.iter().find(|&&p| p >= num_partitions) {
-            // lint:allow(E1, documented constructor validation; misuse is a caller bug)
             panic!("partition id {bad} out of range (P = {num_partitions})");
         }
         Partitioning { pids, num_partitions }

@@ -180,7 +180,10 @@ pub struct RecoveredJob<'a, P: Propagation> {
 impl<'a, P: Propagation> RecoveredJob<'a, P> {
     /// A job running `iterations` of `prog` under `cfg`'s checkpointing and
     /// `plan`'s injected faults.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "mirrors run_with_recovery's arguments, which the job passes through"
+    )]
     pub fn new(
         cluster: &'a SimCluster,
         pg: &'a PartitionedGraph,
