@@ -131,11 +131,6 @@ impl FaultPlan {
         self.crashes.iter().filter(move |c| c.at_iteration == iteration).map(|c| c.machine)
     }
 
-    /// Poisoned vertices for `iteration`, in plan order.
-    pub fn panics_at(&self, iteration: u32) -> impl Iterator<Item = u32> + '_ {
-        self.udf_panics.iter().filter(move |p| p.iteration == iteration).map(|p| p.vertex)
-    }
-
     /// Is the copy of `partition`'s snapshot from checkpoint iteration
     /// `checkpoint` on replica `replica` corrupted?
     pub fn corrupts(&self, checkpoint: u32, partition: u32, replica: usize) -> bool {
@@ -273,7 +268,6 @@ mod tests {
         };
         assert_eq!(plan.crashes_at(2).collect::<Vec<_>>(), vec![MachineId(1), MachineId(3)]);
         assert_eq!(plan.crashes_at(0).count(), 0);
-        assert_eq!(plan.panics_at(1).collect::<Vec<_>>(), vec![42]);
         assert!(plan.corrupts(0, 3, 1));
         assert!(!plan.corrupts(0, 3, 0));
         assert_eq!(plan.write_failures_for(2, 1), 2);

@@ -97,11 +97,6 @@ impl TimeSeries {
         self.buckets.iter().map(|b| b / secs).collect()
     }
 
-    /// Total bytes across all buckets.
-    pub fn total_bytes(&self) -> f64 {
-        self.buckets.iter().sum()
-    }
-
     fn grow_to(&mut self, len: usize) {
         if self.buckets.len() < len {
             self.buckets.resize(len, 0.0);
@@ -213,7 +208,6 @@ mod tests {
         assert!((ts.buckets[0] - 50.0).abs() < 1e-9);
         assert!((ts.buckets[1] - 100.0).abs() < 1e-9);
         assert!((ts.buckets[2] - 50.0).abs() < 1e-9);
-        assert!((ts.total_bytes() - 200.0).abs() < 1e-9);
     }
 
     #[test]

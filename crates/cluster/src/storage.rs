@@ -41,11 +41,6 @@ impl PartitionStore {
         &self.replicas[pid as usize]
     }
 
-    /// Partitions whose primary lives on `m` — the work that machine performs.
-    pub fn partitions_on(&self, m: MachineId) -> Vec<PartitionId> {
-        (0..self.num_partitions()).filter(|&p| self.primary(p) == m).collect()
-    }
-
     /// The machine that should take over partition `pid` when `failed` dies:
     /// the first alive replica holder, falling back to any alive machine
     /// (re-replication from a surviving copy).
@@ -73,12 +68,6 @@ mod tests {
         for p in 0..4 {
             assert_eq!(s.primary(p), MachineId(p as u16));
         }
-    }
-
-    #[test]
-    fn partitions_on_machine() {
-        let (_, s) = store4();
-        assert_eq!(s.partitions_on(MachineId(2)), vec![2]);
     }
 
     #[test]
