@@ -8,6 +8,7 @@
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
 use surfer_core::{Bag, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
+use surfer_graph::adjacency::record_bytes;
 use surfer_graph::{CsrGraph, GraphBuilder, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -87,7 +88,7 @@ impl Propagation for ReversePropagation {
     // LOC:END(rlg_propagation)
 
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
-        8 + 4 * m.len() as u64 // destination + length header + ids
+        record_bytes(m.len()) // destination + length header + ids
     }
 
     fn state_bytes(&self) -> u64 {

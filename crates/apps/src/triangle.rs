@@ -12,6 +12,7 @@
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
 use surfer_core::{Bag, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
+use surfer_graph::adjacency::record_bytes;
 use surfer_graph::properties::sorted_intersection_size;
 use surfer_graph::subgraph::sample_vertices;
 use surfer_graph::{CsrGraph, VertexId};
@@ -127,7 +128,7 @@ impl Propagation for TrianglePropagation {
     // LOC:END(tc_propagation)
 
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
-        8 + 4 * m.len() as u64
+        record_bytes(m.len())
     }
 
     fn combine_ops(&self) -> f64 {
@@ -186,7 +187,7 @@ impl PartitionMapper for TriangleMapper<'_> {
     // LOC:END(tc_mapreduce)
 
     fn pair_bytes(&self, list: &Vec<u32>) -> u64 {
-        8 + 4 * list.len() as u64 // same record format as the propagation side
+        record_bytes(list.len()) // same record format as the propagation side
     }
 }
 

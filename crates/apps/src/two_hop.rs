@@ -10,6 +10,7 @@
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
 use surfer_core::{Bag, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
+use surfer_graph::adjacency::record_bytes;
 use surfer_graph::subgraph::sample_vertices;
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
@@ -137,7 +138,7 @@ impl Propagation for TwoHopPropagation {
     // LOC:END(tfl_propagation)
 
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
-        8 + 4 * m.len() as u64
+        record_bytes(m.len())
     }
 
     fn combine_ops(&self) -> f64 {
@@ -177,7 +178,7 @@ impl PartitionMapper for TwoHopMapper<'_> {
     // LOC:END(tfl_mapreduce)
 
     fn pair_bytes(&self, list: &Vec<u32>) -> u64 {
-        8 + 4 * list.len() as u64 // same record format as the propagation side
+        record_bytes(list.len()) // same record format as the propagation side
     }
 }
 

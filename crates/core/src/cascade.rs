@@ -21,6 +21,7 @@ use crate::error::SurferResult;
 use crate::primitive::Propagation;
 use std::collections::VecDeque;
 use surfer_cluster::ExecReport;
+use surfer_graph::adjacency::record_bytes;
 use surfer_graph::properties::estimate_diameter;
 use surfer_graph::subgraph::induced;
 use surfer_graph::VertexId;
@@ -113,7 +114,7 @@ impl CascadeAnalysis {
             .members
             .iter()
             .filter(|v| self.depth[v.index()] >= k)
-            .map(|&v| 8 + 4 * g.out_degree(v) as u64)
+            .map(|&v| record_bytes(g.out_degree(v) as usize))
             .sum();
         cascadable as f64 / meta.bytes as f64
     }

@@ -652,7 +652,7 @@ impl<'a> PropagationEngine<'a> {
                 TransferScan::begin(prog, pg, state_ro, pid, fold, merge_cross, segments);
             let streamed = match session {
                 Some(session) => session
-                    .scan_edge_blocks(pg, pid, |v, nbrs, codes| scan.vertex(v, nbrs, codes))?,
+                    .stream_edge_blocks(pg, pid, |v, nbrs, codes| scan.vertex(v, nbrs, codes))?,
                 None => {
                     let mut codes = pg.dest_codes(pid);
                     for &v in &pg.meta(pid).members {

@@ -9,7 +9,9 @@
 //!
 //! * streams each partition's adjacency from CRC32-framed **edge blocks**
 //!   on disk in sequential-scan order (written once per session — once per
-//!   job under `run_with_recovery` — and reread every iteration), deriving
+//!   job under `run_with_recovery` — and reread every iteration; planned,
+//!   encoded and scanned in place by [`surfer_graph::adjacency`], whose
+//!   `<ID, d, neighbors>` records are a block's whole payload), deriving
 //!   each streamed record's destination codes with
 //!   [`PartitionedGraph::dest_code`] into one reused row instead of reading
 //!   the graph's stored O(|E|) codes — the edge-block format carries none,
@@ -47,7 +49,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use surfer_cluster::{SpillFault, SpillFaultKind};
-use surfer_graph::block;
+use surfer_graph::adjacency;
 use surfer_graph::{GraphError, VertexId};
 use surfer_partition::store_fs::{write_frame, FrameStream, SPILL_MAGIC};
 use surfer_partition::{DestCode, PartitionedGraph};
@@ -158,12 +160,13 @@ impl OocSession {
         let target = self.block_target();
         let mut bytes = 0u64;
         let mut nblocks = 0u64;
+        let mut payload = Vec::new();
         for pid in pg.partitions() {
             let members = &pg.meta(pid).members;
             let mut f = std::io::BufWriter::new(std::fs::File::create(self.edge_file(pid))?);
-            for (bi, span) in block::plan_edge_blocks(g, members, target).iter().enumerate() {
-                let run = &members[span.start..span.end];
-                let payload = block::encode_edge_block(g, run);
+            for (bi, span) in adjacency::plan_edge_blocks(g, members, target).iter().enumerate() {
+                payload.clear();
+                adjacency::encode(g, &members[span.start..span.end], &mut payload);
                 bytes += write_frame(&mut f, SPILL_MAGIC, pid, bi as u32, &payload)?;
                 nblocks += 1;
             }
@@ -197,7 +200,7 @@ impl OocSession {
     /// derived per record into one reused row (the stored codes are
     /// O(|E|); the row is one record long). Returns the `(blocks, bytes)`
     /// streamed.
-    pub(crate) fn scan_edge_blocks(
+    pub(crate) fn stream_edge_blocks(
         &self,
         pg: &PartitionedGraph,
         pid: u32,
@@ -213,7 +216,7 @@ impl OocSession {
                 return Err(corrupt(format!("{what}: block belongs to partition {}", frame.a)));
             }
             blocks_read += 1;
-            block::scan_edge_block(frame.payload, &mut neighbors, |v, nbrs| {
+            adjacency::scan(frame.payload, &mut neighbors, |v, nbrs| {
                 codes.clear();
                 codes.extend(nbrs.iter().map(|&to| pg.dest_code(pid, to)));
                 visit(v, nbrs, &codes)
@@ -560,7 +563,7 @@ mod tests {
         for pid in pg.partitions() {
             let mut streamed = Vec::new();
             session
-                .scan_edge_blocks(&pg, pid, |_, nbrs, codes| {
+                .stream_edge_blocks(&pg, pid, |_, nbrs, codes| {
                     assert_eq!(nbrs.len(), codes.len());
                     streamed.extend_from_slice(codes);
                     Ok(())

@@ -135,10 +135,10 @@ impl CsrGraph {
     }
 
     /// Size of this graph in the paper's `<ID, d, neighbors>` adjacency-list
-    /// storage format: 8 bytes of header per vertex (u32 id + u32 degree) plus
-    /// 4 bytes per neighbor. Used to size partitions (`P = 2^ceil(log2 ||G||/r)`).
+    /// storage format: one [`record_bytes`](crate::adjacency::record_bytes)
+    /// per vertex. Used to size partitions (`P = 2^ceil(log2 ||G||/r)`).
     pub fn storage_bytes(&self) -> u64 {
-        8 * self.num_vertices() as u64 + 4 * self.num_edges()
+        self.vertices().map(|v| crate::adjacency::record_bytes(self.out_degree(v) as usize)).sum()
     }
 
     /// The symmetric closure: every edge plus its reverse (deduplicated).

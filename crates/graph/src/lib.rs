@@ -11,7 +11,8 @@
 //!   in-memory representation every engine operates on.
 //! * [`GraphBuilder`] — an edge-list accumulator that deduplicates and sorts
 //!   into a [`CsrGraph`].
-//! * [`adjacency`] — the paper's on-disk adjacency-list record codec.
+//! * [`adjacency`] — the paper's `<ID, d, neighbors>` record: its size, its
+//!   one encoder, its one in-place decoder and the edge-block planner.
 //! * [`generators`] — seeded synthetic graph generators, including the
 //!   R-MAT-communities-stitched-with-rewiring construction the paper uses for
 //!   its synthetic 100 GB graphs (App. F.1) and an MSN-like social graph.
@@ -24,7 +25,6 @@
 //! reproduction harness is deterministic.
 
 pub mod adjacency;
-pub mod block;
 pub mod builder;
 pub mod csr;
 pub mod edge;

@@ -2,7 +2,7 @@
 //! traversals and generators under randomized inputs.
 
 use proptest::prelude::*;
-use surfer_graph::adjacency::{encode_graph, AdjacencyRecord, RecordReader};
+use surfer_graph::adjacency::{encode, encode_graph, record_bytes, scan};
 use surfer_graph::builder::{from_edges, GraphBuilder};
 use surfer_graph::generators::rmat::{rmat, RmatConfig};
 use surfer_graph::io::{read_edge_list, write_edge_list};
@@ -11,7 +11,6 @@ use surfer_graph::properties::{
 };
 use surfer_graph::subgraph::induced;
 use surfer_graph::VertexId;
-use bytes::BytesMut;
 
 fn arb_edges(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0..n, 0..n), 0..max_edges)
@@ -44,15 +43,18 @@ proptest! {
 
     #[test]
     fn record_codec_roundtrips(id in 0u32..1000, nbrs in proptest::collection::vec(0u32..1000, 0..50)) {
-        let rec = AdjacencyRecord {
-            id: VertexId(id),
-            neighbors: nbrs.into_iter().map(VertexId).collect(),
-        };
-        let mut buf = BytesMut::new();
-        rec.encode(&mut buf);
-        prop_assert_eq!(buf.len(), rec.encoded_len());
-        let back: Vec<_> = RecordReader::new(&buf).collect::<Result<_, _>>().unwrap();
-        prop_assert_eq!(back, vec![rec]);
+        let g = from_edges(1000, nbrs.into_iter().map(|n| (id, n)));
+        let v = VertexId(id);
+        let mut buf = Vec::new();
+        encode(&g, &[v], &mut buf);
+        prop_assert_eq!(buf.len() as u64, record_bytes(g.neighbors(v).len()));
+        let mut back = Vec::new();
+        scan(&buf, &mut Vec::new(), |id, n| {
+            back.push((id, n.to_vec()));
+            Ok::<(), surfer_graph::GraphError>(())
+        })
+        .unwrap();
+        prop_assert_eq!(back, vec![(v, g.neighbors(v).to_vec())]);
     }
 
     #[test]

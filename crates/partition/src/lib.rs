@@ -50,6 +50,6 @@ pub use sketch::{
     sketch_quality, PartitionSketch, SketchKind, SketchNode, SketchNodeId, SketchQuality,
 };
 pub use store_fs::{
-    crc32, load_partitioned, read_manifest, read_partition, read_partition_verified,
-    read_snapshot, write_partitioned, write_snapshot, Manifest,
+    crc32, load_partitioned, read_manifest, read_snapshot, write_partitioned, write_snapshot,
+    Manifest,
 };

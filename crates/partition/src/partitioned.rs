@@ -30,6 +30,7 @@ use crate::bandwidth_aware::PlacedPartitioning;
 use crate::encoding::VertexEncoding;
 use std::sync::Arc;
 use surfer_cluster::MachineId;
+use surfer_graph::adjacency::record_bytes;
 use surfer_graph::{CsrGraph, VertexId};
 
 /// Per-partition runtime metadata.
@@ -150,7 +151,7 @@ impl PartitionedGraph {
             let m = &mut meta[ps as usize];
             let neighbors = graph.neighbors(v);
             m.total_out_edges += neighbors.len() as u64;
-            m.bytes += 8 + 4 * neighbors.len() as u64;
+            m.bytes += record_bytes(neighbors.len());
             for &to in neighbors {
                 let pd = partitioning.pid_of(to);
                 if pd == ps {

@@ -10,8 +10,13 @@
 //! <dir>/part-<pid>.adj    concatenated adjacency records of the members
 //! ```
 //!
-//! Everything on this path is **checksummed**: the manifest (v2) records a
-//! CRC32 per partition blob, verified on load, and [`write_snapshot`] /
+//! The blobs' bytes belong to [`surfer_graph::adjacency`]: written by its
+//! one encoder, read back by its in-place scan straight into the
+//! [`GraphBuilder`], with no per-record allocation.
+//!
+//! Everything on this path is **checksummed**: the manifest records a
+//! CRC32 per partition blob, verified on load along with each blob's
+//! record count, and [`write_snapshot`] /
 //! [`read_snapshot`] provide a framed, CRC32-guarded container for
 //! per-partition *state* snapshots (the checkpoint files of the
 //! fault-tolerant execution path). Bit rot surfaces as
@@ -23,9 +28,8 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 use surfer_cluster::MachineId;
-use surfer_graph::adjacency::{AdjacencyRecord, RecordReader};
-use surfer_graph::{GraphBuilder, GraphError, Result};
-use bytes::BytesMut;
+use surfer_graph::adjacency;
+use surfer_graph::{Edge, GraphBuilder, GraphError, Result};
 
 /// CRC-32 (IEEE 802.3, the zlib/gzip polynomial) of `data`.
 ///
@@ -315,8 +319,7 @@ pub struct Manifest {
     pub num_vertices: u32,
     /// One entry per partition: `(machine, member count)`.
     pub partitions: Vec<(MachineId, u32)>,
-    /// CRC32 of each partition's `.adj` blob; empty when loaded from a v1
-    /// manifest (written before checksumming existed).
+    /// CRC32 of each partition's `.adj` blob, one per partition.
     pub checksums: Vec<u32>,
 }
 
@@ -330,12 +333,11 @@ pub fn write_partitioned(dir: impl AsRef<Path>, pg: &PartitionedGraph) -> Result
         partitions: Vec::new(),
         checksums: Vec::new(),
     };
+    let mut buf = Vec::new();
     for pid in pg.partitions() {
         let meta = pg.meta(pid);
-        let mut buf = BytesMut::with_capacity(meta.bytes as usize);
-        for &v in &meta.members {
-            AdjacencyRecord { id: v, neighbors: g.neighbors(v).to_vec() }.encode(&mut buf);
-        }
+        buf.clear();
+        adjacency::encode(g, &meta.members, &mut buf);
         std::fs::write(dir.join(format!("part-{pid}.adj")), &buf)?;
         if surfer_obs::enabled() {
             surfer_obs::counter_add("fs.part.writes", 1);
@@ -359,13 +361,9 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<Manifest> {
     let text = std::fs::read_to_string(dir.as_ref().join("manifest.txt"))?;
     let mut lines = text.lines();
     let corrupt = |msg: &str| GraphError::Corrupt(format!("manifest: {msg}"));
-    // v1 manifests (pre-checksum) are still readable; they just carry no
-    // per-partition CRCs for load_partitioned to verify.
-    let has_checksums = match lines.next() {
-        Some("surfer-partitions v1") => false,
-        Some("surfer-partitions v2") => true,
-        _ => return Err(corrupt("bad header")),
-    };
+    if lines.next() != Some("surfer-partitions v2") {
+        return Err(corrupt("bad header"));
+    }
     let field = |line: Option<&str>, key: &str| -> Result<u32> {
         let line = line.ok_or_else(|| corrupt("truncated"))?;
         let rest = line
@@ -376,7 +374,7 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<Manifest> {
     let num_vertices = field(lines.next(), "vertices ")?;
     let count = field(lines.next(), "partitions ")?;
     let mut partitions = Vec::with_capacity(count as usize);
-    let mut checksums = Vec::new();
+    let mut checksums = Vec::with_capacity(count as usize);
     for pid in 0..count {
         let line = lines.next().ok_or_else(|| corrupt("missing partition row"))?;
         let mut it = line.split_whitespace();
@@ -389,79 +387,67 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<Manifest> {
             it.next().and_then(|t| t.parse().ok()).ok_or_else(|| corrupt("bad machine"))?;
         let members: u32 =
             it.next().and_then(|t| t.parse().ok()).ok_or_else(|| corrupt("bad count"))?;
+        let crc = it
+            .next()
+            .and_then(|t| u32::from_str_radix(t, 16).ok())
+            .ok_or_else(|| corrupt("bad checksum"))?;
         partitions.push((MachineId(machine), members));
-        if has_checksums {
-            let crc = it
-                .next()
-                .and_then(|t| u32::from_str_radix(t, 16).ok())
-                .ok_or_else(|| corrupt("bad checksum"))?;
-            checksums.push(crc);
-        }
+        checksums.push(crc);
     }
     Ok(Manifest { num_vertices, partitions, checksums })
 }
 
-/// Read one partition's raw records.
-pub fn read_partition(dir: impl AsRef<Path>, pid: u32) -> Result<Vec<AdjacencyRecord>> {
-    read_partition_verified(dir, pid, None)
-}
-
-/// [`read_partition`] that additionally checks the blob's CRC32 against
-/// `expect_crc` (from a v2 manifest) before decoding.
-pub fn read_partition_verified(
-    dir: impl AsRef<Path>,
-    pid: u32,
-    expect_crc: Option<u32>,
-) -> Result<Vec<AdjacencyRecord>> {
-    let blob = std::fs::read(dir.as_ref().join(format!("part-{pid}.adj")))?;
-    if surfer_obs::enabled() {
-        surfer_obs::counter_add("fs.part.reads", 1);
-        surfer_obs::counter_add("fs.part.read_bytes", blob.len() as u64);
-    }
-    if let Some(want) = expect_crc {
+/// Load a full [`PartitionedGraph`] back from `dir`, checking each
+/// partition blob's CRC32 and record count against the manifest.
+pub fn load_partitioned(dir: impl AsRef<Path>) -> Result<PartitionedGraph> {
+    let dir = dir.as_ref();
+    let manifest = read_manifest(dir)?;
+    let n = manifest.num_vertices;
+    let mut pids = vec![u32::MAX; n as usize];
+    let mut b = GraphBuilder::new(n);
+    let mut scratch = Vec::new();
+    let rows = manifest.partitions.iter().zip(&manifest.checksums);
+    for (pid, (&(_, count), &want)) in (0u32..).zip(rows) {
+        let blob = std::fs::read(dir.join(format!("part-{pid}.adj")))?;
+        if surfer_obs::enabled() {
+            surfer_obs::counter_add("fs.part.reads", 1);
+            surfer_obs::counter_add("fs.part.read_bytes", blob.len() as u64);
+        }
         let got = crc32(&blob);
         if got != want {
             return Err(GraphError::Corrupt(format!(
                 "partition {pid} blob checksum mismatch (manifest {want:#010x}, file {got:#010x})"
             )));
         }
-    }
-    RecordReader::new(&blob).collect()
-}
-
-/// Load a full [`PartitionedGraph`] back from `dir`.
-pub fn load_partitioned(dir: impl AsRef<Path>) -> Result<PartitionedGraph> {
-    let dir = dir.as_ref();
-    let manifest = read_manifest(dir)?;
-    let p = manifest.partitions.len() as u32;
-    let mut pids = vec![u32::MAX; manifest.num_vertices as usize];
-    let mut b = GraphBuilder::new(manifest.num_vertices);
-    for pid in 0..p {
-        let expect_crc = manifest.checksums.get(pid as usize).copied();
-        for rec in read_partition_verified(dir, pid, expect_crc)? {
-            if rec.id.0 >= manifest.num_vertices {
+        let mut records = 0u32;
+        adjacency::scan(&blob, &mut scratch, |id, neighbors| {
+            if id.0 >= n {
                 return Err(GraphError::VertexOutOfRange {
-                    vertex: rec.id.0 as u64,
-                    num_vertices: manifest.num_vertices as u64,
+                    vertex: id.0 as u64,
+                    num_vertices: n as u64,
                 });
             }
-            if pids[rec.id.index()] != u32::MAX {
-                return Err(GraphError::Corrupt(format!(
-                    "vertex {} appears in two partitions",
-                    rec.id
-                )));
+            if pids[id.index()] != u32::MAX {
+                return Err(GraphError::Corrupt(format!("vertex {id} appears in two partitions")));
             }
-            pids[rec.id.index()] = pid;
-            for n in rec.neighbors {
-                b.add_edge(surfer_graph::Edge::new(rec.id, n));
+            pids[id.index()] = pid;
+            records += 1;
+            for &to in neighbors {
+                b.add_edge(Edge::new(id, to));
             }
+            Ok(())
+        })?;
+        if records != count {
+            return Err(GraphError::Corrupt(format!(
+                "partition {pid} holds {records} records, manifest lists {count}"
+            )));
         }
     }
     if let Some(missing) = pids.iter().position(|&p| p == u32::MAX) {
         return Err(GraphError::Corrupt(format!("vertex {missing} is in no partition")));
     }
     let graph = b.try_build()?;
-    let partitioning = Partitioning::new(pids, p);
+    let partitioning = Partitioning::new(pids, manifest.partitions.len() as u32);
     let placement = manifest.partitions.iter().map(|&(m, _)| m).collect();
     Ok(PartitionedGraph::from_parts(Arc::new(graph), partitioning, placement))
 }
@@ -513,11 +499,14 @@ mod tests {
         let dir = tmp("members");
         write_partitioned(&dir, &pg).unwrap();
         for pid in pg.partitions() {
-            let recs = read_partition(&dir, pid).unwrap();
-            assert_eq!(recs.len(), pg.meta(pid).members.len());
-            for rec in recs {
-                assert_eq!(pg.pid_of(rec.id), pid);
-            }
+            let blob = std::fs::read(dir.join(format!("part-{pid}.adj"))).unwrap();
+            let mut ids = Vec::new();
+            adjacency::scan(&blob, &mut Vec::new(), |id, _| {
+                ids.push(id);
+                Ok::<(), GraphError>(())
+            })
+            .unwrap();
+            assert_eq!(ids, pg.meta(pid).members);
         }
     }
 
@@ -563,23 +552,34 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifest_without_checksums_still_loads() {
+    fn v1_manifest_is_corrupt() {
         let pg = fixture();
-        let dir = tmp("v1-compat");
+        let dir = tmp("v1-header");
         write_partitioned(&dir, &pg).unwrap();
-        // Rewrite the manifest in v1 format (no checksum column).
-        let manifest = read_manifest(&dir).unwrap();
-        let mut text = String::from("surfer-partitions v1\n");
-        text.push_str(&format!("vertices {}\n", manifest.num_vertices));
-        text.push_str(&format!("partitions {}\n", manifest.partitions.len()));
-        for (pid, (m, count)) in manifest.partitions.iter().enumerate() {
-            text.push_str(&format!("{pid} {} {count}\n", m.0));
-        }
-        std::fs::write(dir.join("manifest.txt"), text).unwrap();
-        let loaded = read_manifest(&dir).unwrap();
-        assert!(loaded.checksums.is_empty());
-        let back = load_partitioned(&dir).unwrap();
-        assert_eq!(back.graph(), pg.graph());
+        let path = dir.join("manifest.txt");
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("surfer-partitions v2", "surfer-partitions v1")).unwrap();
+        assert!(matches!(read_manifest(&dir), Err(GraphError::Corrupt(ref m)) if m.contains("header")));
+        assert!(matches!(load_partitioned(&dir), Err(GraphError::Corrupt(_))));
+    }
+
+    #[test]
+    fn member_count_off_the_manifest_is_corrupt() {
+        let pg = fixture();
+        let dir = tmp("member-count");
+        let written = write_partitioned(&dir, &pg).unwrap();
+        let path = dir.join("manifest.txt");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (m, count) = written.partitions[1];
+        let row = format!("\n1 {} {count} ", m.0);
+        assert!(text.contains(&row));
+        let edited = text.replace(&row, &format!("\n1 {} {} ", m.0, count - 1));
+        std::fs::write(&path, edited).unwrap();
+        let err = load_partitioned(&dir).unwrap_err();
+        assert!(
+            matches!(err, GraphError::Corrupt(ref m) if m.contains("manifest lists")),
+            "expected member-count error, got {err:?}"
+        );
     }
 
     #[test]

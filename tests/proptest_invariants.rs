@@ -11,9 +11,7 @@ use surfer::apps::pagerank::NetworkRanking;
 use surfer::apps::ExactOutput;
 use surfer::cluster::{ClusterConfig, MachineId};
 use surfer::core::{EngineOptions, PropagationEngine, Surfer, SurferApp};
-use surfer::graph::{
-    adjacency, block, builder::from_edges, CsrGraph, GraphBuilder, GraphError, VertexId,
-};
+use surfer::graph::{adjacency, builder::from_edges, CsrGraph, GraphBuilder, GraphError, VertexId};
 use surfer::partition::{
     hash_partition, quality, random_partition, Partitioning, PartitionedGraph,
     RecursivePartitioner, VertexEncoding,
@@ -31,11 +29,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn adjacency_codec_roundtrips(g in arb_graph()) {
+    fn adjacency_codec_roundtrips(
+        g in arb_graph(),
+        p in 1u32..6,
+        seed in 0u64..1000,
+        target in 1u64..256,
+    ) {
         let blob = adjacency::encode_graph(&g);
         prop_assert_eq!(blob.len() as u64, g.storage_bytes());
         let back = adjacency::decode_graph(&blob).unwrap();
-        prop_assert_eq!(back, g);
+        prop_assert_eq!(&back, &g);
+        // The one size formula against the one encoder: a partition's
+        // encoded members are its `PartitionMeta::bytes` long, and a
+        // planned edge block's `bytes` is its encoded length.
+        let n = g.num_vertices();
+        let p = p.min(n);
+        let placement = vec![MachineId(0); p as usize];
+        let pg = PartitionedGraph::from_parts(Arc::new(g), random_partition(n, p, seed), placement);
+        let g = pg.graph();
+        let mut buf = Vec::new();
+        for pid in pg.partitions() {
+            let meta = pg.meta(pid);
+            buf.clear();
+            adjacency::encode(g, &meta.members, &mut buf);
+            prop_assert_eq!(buf.len() as u64, meta.bytes);
+            for span in adjacency::plan_edge_blocks(g, &meta.members, target) {
+                buf.clear();
+                adjacency::encode(g, &meta.members[span.start..span.end], &mut buf);
+                prop_assert_eq!(buf.len() as u64, span.bytes);
+            }
+        }
     }
 
     #[test]
@@ -187,10 +210,12 @@ proptest! {
                 // The spilled lane codes each record it streams from the
                 // partition's edge blocks into one reused row; the rows, in
                 // stream order, are the stored slice.
-                let (mut row, mut scratch, mut at) = (Vec::new(), Vec::new(), 0);
-                for span in block::plan_edge_blocks(&g, members, 64) {
-                    let blob = block::encode_edge_block(&g, &members[span.start..span.end]);
-                    block::scan_edge_block::<GraphError>(&blob, &mut scratch, |_, nbrs| {
+                let (mut row, mut scratch, mut blob, mut at) =
+                    (Vec::new(), Vec::new(), Vec::new(), 0);
+                for span in adjacency::plan_edge_blocks(&g, members, 64) {
+                    blob.clear();
+                    adjacency::encode(&g, &members[span.start..span.end], &mut blob);
+                    adjacency::scan::<GraphError>(&blob, &mut scratch, |_, nbrs| {
                         row.clear();
                         row.extend(nbrs.iter().map(|&to| pg.dest_code(pid, to)));
                         assert_eq!(row[..], stored[at..at + row.len()], "partition {pid}");

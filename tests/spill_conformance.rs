@@ -21,7 +21,7 @@ use surfer::apps::{
 };
 use surfer::cluster::{resolve_threads, ClusterConfig};
 use surfer::core::{working_set_bytes, MemoryBudget, OptimizationLevel, Surfer, SurferApp};
-use surfer::graph::block;
+use surfer::graph::adjacency;
 use surfer::graph::generators::social::{msn_like, MsnScale};
 use surfer::graph::{builder::from_edges, CsrGraph, GraphError, VertexId};
 use surfer::obs::ObsSession;
@@ -236,14 +236,20 @@ proptest! {
     #[test]
     fn edge_blocks_roundtrip(g in arb_graph(), target in 1u64..4096) {
         let members: Vec<VertexId> = g.vertices().collect();
-        for span in block::plan_edge_blocks(&g, &members, target) {
+        for span in adjacency::plan_edge_blocks(&g, &members, target) {
             let run = &members[span.start..span.end];
-            let blob = block::encode_edge_block(&g, run);
-            let records = block::decode_edge_block(&blob).unwrap();
+            let mut blob = Vec::new();
+            adjacency::encode(&g, run, &mut blob);
+            let mut records = Vec::new();
+            adjacency::scan(&blob, &mut Vec::new(), |id, neighbors| {
+                records.push((id, neighbors.to_vec()));
+                Ok::<(), GraphError>(())
+            })
+            .unwrap();
             prop_assert_eq!(records.len(), run.len());
-            for (rec, &v) in records.iter().zip(run) {
-                prop_assert_eq!(rec.id, v);
-                prop_assert_eq!(&rec.neighbors[..], g.neighbors(v));
+            for ((id, neighbors), &v) in records.iter().zip(run) {
+                prop_assert_eq!(*id, v);
+                prop_assert_eq!(&neighbors[..], g.neighbors(v));
             }
         }
     }
