@@ -9,7 +9,7 @@
 use crate::ExactOutput;
 use std::collections::HashMap;
 use surfer_cluster::ExecReport;
-use surfer_core::{Bag, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
+use surfer_core::{Bag, Propagation, PropagationEngine, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -179,37 +179,6 @@ impl Reducer for PageRankReducer {
     // LOC:END(nr_mapreduce_reduce)
 }
 
-/// Convergence-driven extension: iterate until the L1 rank delta between
-/// consecutive iterations drops below `epsilon` (or `max_iterations` is
-/// reached). Returns the ranks, the accumulated report and the iterations
-/// actually run. This is how production PageRank jobs terminate; the paper
-/// runs fixed iteration counts, so the fixed-count path stays the default.
-impl NetworkRanking {
-    /// Run to an L1 tolerance with the propagation primitive.
-    pub fn run_propagation_to_tolerance(
-        &self,
-        engine: &PropagationEngine<'_>,
-        epsilon: f64,
-        max_iterations: u32,
-    ) -> SurferResult<(PageRankOutput, ExecReport, u32)> {
-        assert!(epsilon > 0.0, "tolerance must be positive");
-        let g = engine.graph().graph();
-        let prog = PageRankPropagation { damping: self.damping, n: g.num_vertices() as u64 };
-        let mut state = engine.init_state(&prog);
-        let mut total = ExecReport::new(engine.cluster().num_machines());
-        for it in 1..=max_iterations {
-            let prev = state.clone();
-            let report = engine.run_iteration(&prog, &mut state, &RoundCtx::default())?.0;
-            total.absorb(&report);
-            let delta: f64 = state.iter().zip(&prev).map(|(a, b)| (a - b).abs()).sum();
-            if delta < epsilon {
-                return Ok((PageRankOutput { ranks: state }, total, it));
-            }
-        }
-        Ok((PageRankOutput { ranks: state }, total, max_iterations))
-    }
-}
-
 // ------------------------------------------------------------------- SurferApp
 
 impl SurferApp for NetworkRanking {
@@ -292,18 +261,6 @@ mod tests {
             prop.report.network_bytes,
             mr.report.network_bytes
         );
-    }
-
-    #[test]
-    fn tolerance_run_converges_and_is_stable() {
-        let (g, surfer) = surfer_fixture(4, 4);
-        let app = NetworkRanking::new(0);
-        let engine = surfer.propagation();
-        let (out, _, iters) = app.run_propagation_to_tolerance(&engine, 1e-6, 200).unwrap();
-        assert!(iters > 2 && iters < 200, "converged in {iters} iterations");
-        // One more iteration barely moves the ranks.
-        let more = NetworkRanking::new(iters + 1).reference(&g);
-        assert!(out.approx_eq(&more, 1e-4), "not actually converged");
     }
 
     #[test]

@@ -24,13 +24,17 @@
 //! expected schema — `reproduce -- profile` exits non-zero on drift. The
 //! document embeds the timing-free [`TraceReport::canonical_json`], so it is
 //! byte-identical at every worker-thread count, and the committed copy pins
-//! every counter, histogram and flight-recorder sample of the run (CI diffs
-//! it). The session's host time goes to the Perfetto export instead
+//! every counter, span count and flight-recorder sample of the run, and the
+//! serving stage's latency percentiles (CI diffs it). Those come from the
+//! served jobs' outcomes ([`latency_percentiles`]), not from obs: p50, p90
+//! and p99 in simulated µs, overall and per tenant, in the `serve_latency`
+//! section. The session's host time goes to the Perfetto export instead
 //! (`TRACE_perfetto.json`).
 
 use crate::Workload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use surfer_apps::pagerank::PageRankPropagation;
 use surfer_apps::VertexDegreeDistribution;
 use surfer_cluster::{FaultPlan, MachineCrash, SimDuration, SimTime};
@@ -40,7 +44,10 @@ use surfer_core::{
 };
 use surfer_obs::{ObsSession, TraceReport, SCHEMA_VERSION};
 use surfer_partition::{load_partitioned, sketch_quality, write_partitioned, SketchQuality};
-use surfer_serve::{CacheKey, JobManager, JobSpec, PropagationJob, ServeConfig, TenantId};
+use surfer_serve::{
+    latency_percentiles, CacheKey, JobManager, JobSpec, LatencyPercentiles, PropagationJob,
+    ServeConfig, TenantId,
+};
 
 /// Propagation iterations of the profiled job.
 pub const ITERATIONS: u32 = 4;
@@ -70,6 +77,8 @@ pub struct ProfileResult {
     pub report: TraceReport,
     /// The exported JSON document (written to `TRACE_profile.json`).
     pub json: String,
+    /// The serving stage's latency percentiles: overall and per tenant.
+    pub serve_latency: (LatencyPercentiles, BTreeMap<TenantId, LatencyPercentiles>),
 }
 
 /// Run the six instrumented subsystems under one recording session.
@@ -186,6 +195,7 @@ pub fn run(w: &Workload) -> ProfileResult {
         .expect("a repeatable query completed");
     jm.submit(JobSpec::new(tenant).cached_as(key(iterations)), job(iterations))
         .expect("cache-hit submit");
+    let serve_latency = latency_percentiles(jm.outcomes());
 
     // 6. Out-of-core propagation: the same job under a memory budget of
     // ~1/10th the working set streams adjacency from spilled edge blocks
@@ -207,13 +217,24 @@ pub fn run(w: &Workload) -> ProfileResult {
 
     let report = session.finish();
     let placement: Vec<u16> = pg.placement().iter().map(|m| m.0).collect();
-    let json = render_json(w, &report, &placement);
-    ProfileResult { report, json }
+    let json = render_json(w, &report, &placement, &serve_latency);
+    ProfileResult { report, json, serve_latency }
 }
 
-/// The `TRACE_profile.json` document: run configuration, partition quality
-/// and the machine-pair traffic wrapping the canonical trace export.
-fn render_json(w: &Workload, report: &TraceReport, placement: &[u16]) -> String {
+/// One set of percentiles as `{"p50_us", "p90_us", "p99_us"}`.
+fn percentiles_json(p: &LatencyPercentiles) -> String {
+    format!("{{\"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}}}", p.p50.0, p.p90.0, p.p99.0)
+}
+
+/// The `TRACE_profile.json` document: run configuration, partition
+/// quality, the machine-pair traffic and the serving latency percentiles
+/// wrapping the canonical trace export.
+fn render_json(
+    w: &Workload,
+    report: &TraceReport,
+    placement: &[u16],
+    (all, tenants): &(LatencyPercentiles, BTreeMap<TenantId, LatencyPercentiles>),
+) -> String {
     let q = quality_of(w);
     let locality: Vec<String> = q.level_locality.iter().map(|l| format!("{l:.6}")).collect();
     let mm = match report.machine_matrix(placement, w.cfg.machines as usize) {
@@ -225,6 +246,8 @@ fn render_json(w: &Workload, report: &TraceReport, placement: &[u16]) -> String 
         ),
         Err(e) => format!("{{\"error\": \"{e}\"}}"),
     };
+    let tenants: Vec<String> =
+        tenants.iter().map(|(t, p)| format!("\"{}\": {}", t.0, percentiles_json(p))).collect();
     let trace = report.canonical_json();
     format!(
         "{{\n\"schema_version\": {v},\n\"experiment\": \"profile\",\n\
@@ -233,6 +256,7 @@ fn render_json(w: &Workload, report: &TraceReport, placement: &[u16]) -> String 
          \"partition_quality\": {{\"edge_cut_ratio\": {ec:.6}, \"balance\": {bal:.6}, \
          \"monotone\": {mono}, \"level_locality\": [{loc}]}},\n\
          \"machine_matrix\": {mm},\n\
+         \"serve_latency\": {{\"all\": {all},\n  \"tenants\": {{\n    {tenants}}}}},\n\
          \"trace\": {t}}}\n",
         v = SCHEMA_VERSION,
         sc = w.cfg.scale,
@@ -245,6 +269,8 @@ fn render_json(w: &Workload, report: &TraceReport, placement: &[u16]) -> String 
         bal = q.balance,
         mono = q.monotone,
         loc = locality.join(", "),
+        all = percentiles_json(all),
+        tenants = tenants.join(",\n    "),
         t = trace.trim_end(),
     )
 }
@@ -258,7 +284,6 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "\"experiment\"",
     "\"trace\"",
     "\"counters\"",
-    "\"histograms\"",
     "\"spans\"",
     // Flight recorder.
     "\"iterations\"",
@@ -289,14 +314,16 @@ pub const REQUIRED_KEYS: &[&str] = &[
     // Executor accounting.
     "\"exec.tasks\"",
     "\"exec.net_bytes\"",
-    // Serving (the labeled per-tenant histogram exports as
-    // `serve.tenant.latency_us.<tenant>`, hence the open-ended key).
+    // Serving: the admission counters and the outcomes' latency
+    // percentiles.
     "\"serve.admitted\"",
     "\"serve.rejected_overloaded\"",
     "\"serve.rejected_quota\"",
     "\"serve.cache_hits\"",
-    "\"serve.latency_us\"",
-    "\"serve.tenant.latency_us.",
+    "\"serve_latency\"",
+    "\"p50_us\"",
+    "\"p90_us\"",
+    "\"p99_us\"",
     // Out-of-core spill I/O.
     "\"spill.bytes_spilled\"",
     "\"spill.bytes_reread\"",
@@ -342,10 +369,12 @@ mod tests {
             ITERATIONS as u64,
             "every out-of-core iteration took the spill lane"
         );
-        assert!(
-            r.report.labeled_hist(names::SERVE_TENANT_LATENCY_US, 0).is_some(),
-            "per-tenant latency recorded"
-        );
+        let (all, tenants) = &r.serve_latency;
+        assert!(all.p50 <= all.p90 && all.p90 <= all.p99, "{all:?}");
+        let tenant0 = tenants.get(&TenantId(0)).expect("per-tenant latency recorded");
+        let exported = format!("\"0\": {}", percentiles_json(tenant0));
+        assert!(r.json.contains(&exported), "serve_latency exports {exported}");
+        assert!(r.json.contains(&format!("\"all\": {}", percentiles_json(all))));
         assert!(r.report.span_count("prop.iteration") > 0);
         let samples = r.report.samples_of(surfer_obs::StageKind::Propagation).count();
         assert!(samples >= ITERATIONS as usize, "one flight-recorder sample per iteration");

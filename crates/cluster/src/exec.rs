@@ -236,12 +236,32 @@ struct TransferRec {
     bytes: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// `Ord` only lets an event sit in the heap beside its `(time, seq)` key,
+/// which is unique: the event's own order is never consulted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     TaskDone { task: TaskId, generation: u32 },
     TransferArrive { transfer: TransferId, dst_generation: u32 },
     MachineFail { machine: MachineId },
     FailureDetected { machine: MachineId },
+}
+
+/// The pending events, popped in `(time, sequence-number)` order.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
+    seq: u64,
+}
+
+impl EventQueue {
+    fn push(&mut self, at: SimTime, ev: Event) {
+        self.heap.push(Reverse((at, self.seq, ev)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        self.heap.pop().map(|Reverse((at, _, ev))| (at, ev))
+    }
 }
 
 struct MachineState {
@@ -364,21 +384,9 @@ impl<'c> Executor<'c> {
                 nic_free: SimTime::ZERO,
             })
             .collect();
-        let mut queue: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::new();
-        let mut events: Vec<Event> = Vec::new();
-        let mut seq = 0u64;
-        let push = |queue: &mut BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-                        events: &mut Vec<Event>,
-                        seq: &mut u64,
-                        at: SimTime,
-                        ev: Event| {
-            events.push(ev);
-            queue.push(Reverse((at, *seq, events.len() - 1)));
-            *seq += 1;
-        };
-
+        let mut queue = EventQueue::default();
         for f in faults {
-            push(&mut queue, &mut events, &mut seq, f.at, Event::MachineFail { machine: f.machine });
+            queue.push(f.at, Event::MachineFail { machine: f.machine });
         }
 
         // Seed: compute pending counts, enqueue ready tasks.
@@ -394,14 +402,12 @@ impl<'c> Executor<'c> {
         let mut end_time = SimTime::ZERO;
 
         // Start anything dispatchable at t=0.
-        for m in 0..n as usize {
-            self.dispatch(MachineId(m as u16), SimTime::ZERO, &mut machines, &mut |at, ev| {
-                push(&mut queue, &mut events, &mut seq, at, ev)
-            });
+        for m in 0..n {
+            self.dispatch(MachineId(m), SimTime::ZERO, &mut machines, &mut queue);
         }
 
-        while let Some(Reverse((now, _, ev_idx))) = queue.pop() {
-            match events[ev_idx] {
+        while let Some((now, ev)) = queue.pop() {
+            match ev {
                 Event::TaskDone { task, generation } => {
                     if self.tasks[task].generation != generation
                         || self.tasks[task].state != TaskState::Running
@@ -433,47 +439,17 @@ impl<'c> Executor<'c> {
                     });
                     // Free the slot, start the next queued task.
                     machines[spec.machine.index()].free_slots += 1;
-                    self.dispatch(spec.machine, now, &mut machines, &mut |at, ev| {
-                        push(&mut queue, &mut events, &mut seq, at, ev)
-                    });
+                    self.dispatch(spec.machine, now, &mut machines, &mut queue);
                     // Unblock dependents.
-                    let deps_out = self.tasks[task].deps_out.clone();
-                    for dep in deps_out {
-                        self.satisfy(dep, now, &mut machines, &mut |at, ev| {
-                            push(&mut queue, &mut events, &mut seq, at, ev)
-                        });
+                    for i in 0..self.tasks[task].deps_out.len() {
+                        let dep = self.tasks[task].deps_out[i];
+                        self.satisfy(dep, now, &mut machines, &mut queue);
                     }
                     // Launch outgoing transfers, serialized through the
                     // sender's NIC in declaration order.
-                    let outs = self.tasks[task].transfers_out.clone();
-                    for tr_id in outs {
-                        let tr = &self.transfers[tr_id];
-                        let from = self.tasks[tr.src].spec.machine;
-                        let to = self.tasks[tr.dst].spec.machine;
-                        let arrival = if from == to {
-                            now
-                        } else {
-                            report.network_bytes += tr.bytes;
-                            if self.cluster.crosses_pod(from, to) {
-                                report.cross_pod_bytes += tr.bytes;
-                            }
-                            let nic = &mut machines[from.index()].nic_free;
-                            let start = now.max(*nic);
-                            let end = start + self.cluster.transfer_occupancy(from, to, tr.bytes);
-                            *nic = end;
-                            end + self.cluster.transfer_latency()
-                        };
-                        report.transfers_completed += 1;
-                        push(
-                            &mut queue,
-                            &mut events,
-                            &mut seq,
-                            arrival,
-                            Event::TransferArrive {
-                                transfer: tr_id,
-                                dst_generation: self.tasks[tr.dst].generation,
-                            },
-                        );
+                    for i in 0..self.tasks[task].transfers_out.len() {
+                        let tr_id = self.tasks[task].transfers_out[i];
+                        self.launch(tr_id, now, &mut machines, &mut report, &mut queue);
                     }
                 }
                 Event::TransferArrive { transfer, dst_generation } => {
@@ -481,9 +457,7 @@ impl<'c> Executor<'c> {
                     if self.tasks[dst].generation != dst_generation {
                         continue; // destination was reassigned; data lost
                     }
-                    self.satisfy(dst, now, &mut machines, &mut |at, ev| {
-                        push(&mut queue, &mut events, &mut seq, at, ev)
-                    });
+                    self.satisfy(dst, now, &mut machines, &mut queue);
                 }
                 Event::MachineFail { machine } => {
                     let ms = &mut machines[machine.index()];
@@ -500,10 +474,7 @@ impl<'c> Executor<'c> {
                             t.generation += 1; // stale any in-flight events
                         }
                     }
-                    push(
-                        &mut queue,
-                        &mut events,
-                        &mut seq,
+                    queue.push(
                         now + self.cluster.heartbeat_interval(),
                         Event::FailureDetected { machine },
                     );
@@ -544,39 +515,14 @@ impl<'c> Executor<'c> {
                             .iter()
                             .filter(|&&d| self.tasks[d].state != TaskState::Finished)
                             .count();
-                        let t_in = self.tasks[id].transfers_in.clone();
-                        self.tasks[id].pending = unfinished_deps + t_in.len();
+                        let inputs = self.tasks[id].transfers_in.len();
+                        self.tasks[id].pending = unfinished_deps + inputs;
                         // Re-issue transfers whose producer already finished
                         // (App. B: re-transfer inputs before re-execution).
-                        for tr_id in t_in {
-                            let tr = &self.transfers[tr_id];
-                            if self.tasks[tr.src].state == TaskState::Finished {
-                                let from = self.tasks[tr.src].spec.machine;
-                                let arrival = if from == new_m {
-                                    now
-                                } else {
-                                    report.network_bytes += tr.bytes;
-                                    if self.cluster.crosses_pod(from, new_m) {
-                                        report.cross_pod_bytes += tr.bytes;
-                                    }
-                                    let nic = &mut machines[from.index()].nic_free;
-                                    let start = now.max(*nic);
-                                    let end = start
-                                        + self.cluster.transfer_occupancy(from, new_m, tr.bytes);
-                                    *nic = end;
-                                    end + self.cluster.transfer_latency()
-                                };
-                                report.transfers_completed += 1;
-                                push(
-                                    &mut queue,
-                                    &mut events,
-                                    &mut seq,
-                                    arrival,
-                                    Event::TransferArrive {
-                                        transfer: tr_id,
-                                        dst_generation: self.tasks[tr.dst].generation,
-                                    },
-                                );
+                        for i in 0..self.tasks[id].transfers_in.len() {
+                            let tr_id = self.tasks[id].transfers_in[i];
+                            if self.tasks[self.transfers[tr_id].src].state == TaskState::Finished {
+                                self.launch(tr_id, now, &mut machines, &mut report, &mut queue);
                             }
                         }
                         if self.tasks[id].pending == 0 {
@@ -584,10 +530,8 @@ impl<'c> Executor<'c> {
                             machines[new_m.index()].ready.push_back(id);
                         }
                     }
-                    for m in 0..n as usize {
-                        self.dispatch(MachineId(m as u16), now, &mut machines, &mut |at, ev| {
-                            push(&mut queue, &mut events, &mut seq, at, ev)
-                        });
+                    for m in 0..n {
+                        self.dispatch(MachineId(m), now, &mut machines, &mut queue);
                     }
                 }
             }
@@ -600,13 +544,46 @@ impl<'c> Executor<'c> {
         Ok(report)
     }
 
+    /// Send transfer `tr_id` from its finished producer to its consumer's
+    /// current machine, starting at `now`: free and instant on one machine;
+    /// otherwise serialized through the sender's NIC, then one network
+    /// latency, with its bytes charged to the network (and cross-pod) totals.
+    fn launch(
+        &self,
+        tr_id: TransferId,
+        now: SimTime,
+        machines: &mut [MachineState],
+        report: &mut ExecReport,
+        queue: &mut EventQueue,
+    ) {
+        let tr = &self.transfers[tr_id];
+        let from = self.tasks[tr.src].spec.machine;
+        let to = self.tasks[tr.dst].spec.machine;
+        let arrival = if from == to {
+            now
+        } else {
+            report.network_bytes += tr.bytes;
+            if self.cluster.crosses_pod(from, to) {
+                report.cross_pod_bytes += tr.bytes;
+            }
+            let nic = &mut machines[from.index()].nic_free;
+            let start = now.max(*nic);
+            let end = start + self.cluster.transfer_occupancy(from, to, tr.bytes);
+            *nic = end;
+            end + self.cluster.transfer_latency()
+        };
+        report.transfers_completed += 1;
+        let dst_generation = self.tasks[tr.dst].generation;
+        queue.push(arrival, Event::TransferArrive { transfer: tr_id, dst_generation });
+    }
+
     /// Decrement `task`'s pending count; enqueue + dispatch when it hits zero.
     fn satisfy(
         &mut self,
         task: TaskId,
         now: SimTime,
         machines: &mut [MachineState],
-        push: &mut dyn FnMut(SimTime, Event),
+        queue: &mut EventQueue,
     ) {
         let t = &mut self.tasks[task];
         if t.state != TaskState::Pending {
@@ -618,7 +595,7 @@ impl<'c> Executor<'c> {
             t.state = TaskState::Ready;
             let m = t.spec.machine;
             machines[m.index()].ready.push_back(task);
-            self.dispatch(m, now, machines, push);
+            self.dispatch(m, now, machines, queue);
         }
     }
 
@@ -628,7 +605,7 @@ impl<'c> Executor<'c> {
         machine: MachineId,
         now: SimTime,
         machines: &mut [MachineState],
-        push: &mut dyn FnMut(SimTime, Event),
+        queue: &mut EventQueue,
     ) {
         loop {
             let ms = &mut machines[machine.index()];
@@ -647,7 +624,7 @@ impl<'c> Executor<'c> {
                 + self
                     .cluster
                     .disk_duration(t.spec.disk_read_bytes + t.spec.disk_write_bytes, t.spec.random_io);
-            push(now + dur, Event::TaskDone { task, generation: t.generation });
+            queue.push(now + dur, Event::TaskDone { task, generation: t.generation });
         }
     }
 }

@@ -57,11 +57,11 @@ use surfer_partition::{DestCode, PartitionedGraph};
 /// [`PartitionedGraph`]'s placement).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
-    /// Consume inner-vertex messages in memory (§5.1 local propagation).
-    pub local_propagation: bool,
-    /// Merge cross-partition messages per destination vertex when the
-    /// program is associative (§5.1 local combination).
-    pub local_combination: bool,
+    /// The §5.1 local optimizations: consume inner-vertex messages in
+    /// memory (local propagation) and merge cross-partition messages per
+    /// destination vertex when the program is associative (local
+    /// combination).
+    pub local: bool,
     /// Host worker threads for the real Transfer/Combine computation.
     /// `0` (the default) means one per available core; `1` runs every
     /// partition on the calling thread. Any value produces identical results.
@@ -77,23 +77,18 @@ pub struct EngineOptions {
 impl EngineOptions {
     /// Options implied by an optimization level.
     pub fn from_level(level: OptimizationLevel) -> Self {
-        EngineOptions {
-            local_propagation: level.local_propagation(),
-            local_combination: level.local_combination(),
-            ..EngineOptions::none()
-        }
+        EngineOptions { local: level.local(), ..EngineOptions::none() }
     }
 
     /// Everything on (O4 behaviour).
     pub fn full() -> Self {
-        EngineOptions { local_propagation: true, local_combination: true, ..EngineOptions::none() }
+        EngineOptions { local: true, ..EngineOptions::none() }
     }
 
     /// Everything off (O1 behaviour).
     pub fn none() -> Self {
         EngineOptions {
-            local_propagation: false,
-            local_combination: false,
+            local: false,
             threads: 0,
             memory_budget: MemoryBudget::unlimited(),
         }
@@ -152,7 +147,7 @@ type SlotAcc<M> = Vec<Option<M>>;
 /// Merge `msg` into an accumulator slot, after whatever it already holds.
 /// A borrowed (per-source) message is cloned only when it fills an empty
 /// slot.
-#[inline]
+#[inline(always)]
 fn merge_into<P: Propagation>(prog: &P, slot: &mut Option<P::Msg>, msg: Cow<'_, P::Msg>) {
     match slot {
         Some(acc) => prog.merge(acc, &msg),
@@ -278,7 +273,11 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
     /// Scan the out-edges of member `v`; `codes[i]` is the destination code
     /// of `neighbors[i]`. A per-source program's one value is lent to every
     /// edge; any other program's `transfer` runs per edge.
-    #[inline]
+    // The per-edge path (`vertex`, `edge`, `accumulate`, `merge_into`) is
+    // forced inline: under a plain `#[inline]` LLVM's budget decided, and
+    // an unrelated change that moved the record scan into its caller left
+    // `edge` a call per message, a third slower on the spill lane.
+    #[inline(always)]
     fn vertex(
         &mut self,
         v: VertexId,
@@ -314,7 +313,7 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
 
     /// One message along one edge: local or cross by the edge's code, then
     /// folded, merged or pushed.
-    #[inline]
+    #[inline(always)]
     fn edge(
         &mut self,
         n: &mut EdgeCounts,
@@ -352,7 +351,7 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
     /// Merge `msg` into its slot of remote partition `q`'s accumulator,
     /// which the first message to `q` allocates. Returns whether the slot
     /// was empty.
-    #[inline]
+    #[inline(always)]
     fn accumulate(&mut self, q: u32, to: VertexId, msg: Cow<'_, P::Msg>) -> bool {
         let enc = self.pg.encoding();
         let (first, end) = enc.range(q);
@@ -619,7 +618,7 @@ impl<'a> PropagationEngine<'a> {
             lane: if session.is_some() { "spill" } else { "resident" },
         });
         let threads = self.options.resolved_threads();
-        let merge_cross = self.options.local_combination && prog.associative();
+        let merge_cross = self.options.local && prog.associative();
         // An associative program needs no sorted mailbox: every message is
         // folded into its destination's slot with `merge` — a local one by
         // the scan itself, the rest by Combine in ascending source order —
@@ -946,7 +945,7 @@ impl<'a> PropagationEngine<'a> {
                 // they are consumed in memory during the partition scan — the
                 // partition was sized to fit in memory precisely to allow
                 // this (P2, §4.1).
-                let spill = if self.options.local_propagation { 0 } else { t.local_bytes };
+                let spill = if self.options.local { 0 } else { t.local_bytes };
                 let incoming: u64 = tally
                     .iter()
                     .map(|s| s.cross_out.get(&pid).copied().unwrap_or(0))
@@ -967,7 +966,7 @@ impl<'a> PropagationEngine<'a> {
         for pid in pg.partitions() {
             let t = &tally[pid as usize];
             let meta = pg.meta(pid);
-            let spill = if self.options.local_propagation { 0 } else { t.local_bytes };
+            let spill = if self.options.local { 0 } else { t.local_bytes };
             let transfer_task = ex.add_task(
                 TaskSpec::new(pg.machine_of(pid), TaskKind::Transfer)
                     .label(pid as u64)
@@ -1016,7 +1015,7 @@ impl<'a> PropagationEngine<'a> {
         let machines = self.cluster.num_machines();
         let route = |vid: u64| (vid % machines as u64) as u16;
         let threads = self.options.resolved_threads();
-        let merge = self.options.local_combination && task.associative();
+        let merge = self.options.local && task.associative();
 
         // Real transfer, one worker item per partition. Each outbox lists
         // `(virtual id, (pid, msg))` in the sequential emission order — a

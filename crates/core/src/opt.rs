@@ -36,15 +36,11 @@ impl OptimizationLevel {
         }
     }
 
-    /// Whether local propagation is applied (inner vertices combined
-    /// in-memory, §5.1).
-    pub fn local_propagation(self) -> bool {
-        matches!(self, OptimizationLevel::O3 | OptimizationLevel::O4)
-    }
-
-    /// Whether local combination is applied (cross-partition messages merged
-    /// per destination when `combine` is associative, §5.1).
-    pub fn local_combination(self) -> bool {
+    /// Whether the §5.1 local optimizations apply: local propagation
+    /// (inner vertices combined in memory) and local combination
+    /// (cross-partition messages merged per destination when `combine` is
+    /// associative).
+    pub fn local(self) -> bool {
         matches!(self, OptimizationLevel::O3 | OptimizationLevel::O4)
     }
 }
@@ -72,8 +68,8 @@ mod tests {
         assert_eq!(O2.placement(), PlacementPolicy::BandwidthAware);
         assert_eq!(O3.placement(), PlacementPolicy::RandomBaseline);
         assert_eq!(O4.placement(), PlacementPolicy::BandwidthAware);
-        assert!(!O1.local_propagation() && !O2.local_propagation());
-        assert!(O3.local_propagation() && O4.local_combination());
+        assert!(!O1.local() && !O2.local());
+        assert!(O3.local() && O4.local());
     }
 
     #[test]

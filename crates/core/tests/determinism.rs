@@ -2,8 +2,8 @@
 //! states, outputs, message counts and `ExecReport`s whether they run the
 //! sequential legacy path (`threads = 1`) or any number of host workers —
 //! across programs (PageRank-style float sums, shortest-paths min-fold),
-//! the local_propagation/local_combination matrix, and both the edge and
-//! virtual-vertex primitives.
+//! the local optimizations off and on, and both the edge and virtual-vertex
+//! primitives.
 //!
 //! Float programs are the sharp edge: `f64` addition is not associative, so
 //! equality here proves the parallel engine folds every message bag in
@@ -121,20 +121,7 @@ fn testbed() -> (surfer_cluster::SimCluster, PartitionedGraph) {
 /// The option matrix crossed with thread counts under test. `threads = 0`
 /// (auto) is included: it must match too, whatever the host core count.
 fn option_matrix() -> Vec<EngineOptions> {
-    let mut m = Vec::new();
-    for lp in [false, true] {
-        for lc in [false, true] {
-            m.push(
-                EngineOptions {
-                    local_propagation: lp,
-                    local_combination: lc,
-                    ..EngineOptions::none()
-                }
-                .threads(1),
-            );
-        }
-    }
-    m
+    vec![EngineOptions::none().threads(1), EngineOptions::full().threads(1)]
 }
 
 const THREAD_COUNTS: [usize; 4] = [2, 3, 8, 0];
@@ -226,7 +213,7 @@ fn virtual_vertices_match_across_threads() {
     for base in option_matrix() {
         let engine = PropagationEngine::new(&cluster, &pg, base);
         let (out1, rep1) = engine.run_virtual(&DegreeHistogram).unwrap();
-        let reference = reference_histogram(&pg, base.local_combination);
+        let reference = reference_histogram(&pg, base.local);
         assert_eq!(out1.len(), reference.len());
         assert!(
             out1.iter().zip(&reference).all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()),

@@ -8,19 +8,18 @@
 //!
 //! Records are fixed little-endian: `u32 id, u32 d, d × u32 neighbor`, and
 //! every blob of them is records back to back — a partition file of
-//! `surfer_partition::store_fs`, an edge block of the out-of-core lane, the
-//! binary graph file of [`crate::io`]. [`record_bytes`] sizes a record (the
-//! partition sizes and the simulator's disk and network charges use it),
-//! [`encode`] writes records, [`scan`] reads them where they lie, and
-//! [`plan_edge_blocks`] slices a member list into **edge blocks**:
-//! contiguous member runs whose records fit a target byte size, so the
-//! out-of-core engine (GraphD-style: stream edges from disk, keep only
-//! O(|V|) resident) decodes one block at a time in exactly the member order
-//! a resident scan would use.
+//! `surfer_partition::store_fs` or an edge block of the out-of-core lane.
+//! [`record_bytes`] sizes a record (the partition sizes and the simulator's
+//! disk and network charges use it), [`encode`] writes records, [`scan`]
+//! reads them where they lie, and [`plan_edge_blocks`] slices a member list
+//! into **edge blocks**: contiguous member runs whose records fit a target
+//! byte size, so the out-of-core engine (GraphD-style: stream edges from
+//! disk, keep only O(|V|) resident) decodes one block at a time in exactly
+//! the member order a resident scan would use.
 
 use crate::csr::CsrGraph;
 use crate::vertex::VertexId;
-use crate::{GraphError, Result};
+use crate::GraphError;
 
 /// Encoded size of one record of degree `d`: an 8-byte header (id, d) plus
 /// 4 bytes per neighbor.
@@ -116,37 +115,12 @@ pub fn plan_edge_blocks(g: &CsrGraph, members: &[VertexId], target_bytes: u64) -
     spans
 }
 
-/// Encode an entire graph into one blob, vertices in id order.
-pub fn encode_graph(g: &CsrGraph) -> Vec<u8> {
-    let mut out = Vec::with_capacity(g.storage_bytes() as usize);
-    encode(g, &g.vertices().collect::<Vec<_>>(), &mut out);
-    out
-}
-
-/// Decode a blob produced by [`encode_graph`]: one record per vertex, ids
-/// forming the dense range `0..n` in order.
-pub fn decode_graph(blob: &[u8]) -> Result<CsrGraph> {
-    let mut offsets = vec![0u64];
-    let mut targets = Vec::new();
-    scan(blob, &mut Vec::new(), |id, neighbors| {
-        let expected = offsets.len() - 1;
-        if id.index() != expected {
-            return Err(GraphError::Corrupt(format!(
-                "expected record for vertex {expected}, found {id}"
-            )));
-        }
-        targets.extend_from_slice(neighbors);
-        offsets.push(targets.len() as u64);
-        Ok(())
-    })?;
-    CsrGraph::from_raw_parts(offsets, targets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::from_edges;
     use crate::generators::social::{msn_like, MsnScale};
+    use crate::Result;
 
     fn records(blob: &[u8]) -> Result<Vec<(VertexId, Vec<VertexId>)>> {
         let mut out = Vec::new();
@@ -167,15 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_roundtrip() {
-        let g = from_edges(5, [(0, 1), (0, 4), (2, 3), (4, 0)]);
-        let blob = encode_graph(&g);
-        assert_eq!(blob.len() as u64, g.storage_bytes());
-        let back = decode_graph(&blob).unwrap();
-        assert_eq!(back, g);
-    }
-
-    #[test]
     fn truncated_header_is_corrupt() {
         assert!(matches!(records(&[1u8, 0, 0]), Err(GraphError::Corrupt(_))));
     }
@@ -185,14 +150,6 @@ mod tests {
         // Claims 3 neighbors, provides 1.
         let blob: Vec<u8> = [0u32, 3, 1].iter().flat_map(|x| x.to_le_bytes()).collect();
         assert!(matches!(records(&blob), Err(GraphError::Corrupt(_))));
-    }
-
-    #[test]
-    fn decode_graph_rejects_out_of_order_ids() {
-        let g = from_edges(2, std::iter::empty());
-        let mut buf = Vec::new();
-        encode(&g, &[VertexId(1)], &mut buf);
-        assert!(decode_graph(&buf).is_err());
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! * [`properties`] — reference implementations of the graph statistics the
 //!   evaluation relies on (degree distributions, triangle counts, BFS,
 //!   diameter estimation, connected components).
-//! * [`io`] — text edge-list and binary serialization.
 //!
 //! All generators take an explicit seed so every experiment in the
 //! reproduction harness is deterministic.
@@ -29,7 +28,6 @@ pub mod builder;
 pub mod csr;
 pub mod edge;
 pub mod generators;
-pub mod io;
 pub mod properties;
 pub mod subgraph;
 pub mod vertex;
@@ -39,7 +37,7 @@ pub use csr::CsrGraph;
 pub use edge::Edge;
 pub use vertex::VertexId;
 
-/// Errors produced by graph construction, codecs and I/O.
+/// Errors produced by graph construction and the adjacency codec.
 #[derive(Debug)]
 pub enum GraphError {
     /// A vertex id referenced by an edge is outside the declared vertex range.
@@ -48,8 +46,6 @@ pub enum GraphError {
     Corrupt(String),
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// Text parse failure with 1-based line number.
-    Parse { line: usize, message: String },
 }
 
 impl std::fmt::Display for GraphError {
@@ -60,7 +56,6 @@ impl std::fmt::Display for GraphError {
             }
             GraphError::Corrupt(msg) => write!(f, "corrupt graph data: {msg}"),
             GraphError::Io(e) => write!(f, "graph i/o error: {e}"),
-            GraphError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
         }
     }
 }

@@ -26,7 +26,7 @@
 //! | `TailRecompute` | `ckpt.tail_recomputed` +1 |
 //! | `UdfRetry` | `ckpt.udf_retries` +1 |
 //! | `SpillRetry` | `ckpt.spill_retries` +1 |
-//! | `AdmissionAdmit` | `serve.admitted` +1 |
+//! | `AdmissionAdmit { in_flight }` | `serve.admitted` +1 |
 //! | `AdmissionReject { reason: "quota" }` / `{ reason: "overloaded" }` | `serve.rejected_quota` / `serve.rejected_overloaded` +1 |
 //! | `JobCompleted` | `serve.completed` +1 |
 //! | `JobFailed { variant }` | `serve.failed` +1, and `serve.deadline_exceeded` +1 when `variant` is `"DeadlineExceeded"` |
@@ -127,8 +127,10 @@ pub enum EventKind {
     UdfRetry { attempt: u32 },
     /// A faulted spill iteration is being retried.
     SpillRetry,
-    /// The serving layer admitted a job.
-    AdmissionAdmit,
+    /// The serving layer admitted a job; `in_flight` is the count of jobs
+    /// in flight that the admission decision read (the queue depth the job
+    /// joined).
+    AdmissionAdmit { in_flight: u32 },
     /// The serving layer rejected a submission (`"quota"`, `"overloaded"`).
     AdmissionReject { reason: &'static str },
     /// A job finished successfully.
@@ -156,7 +158,7 @@ impl EventKind {
             EventKind::SpillRead { .. } => "spill_read",
             EventKind::UdfRetry { .. } => "udf_retry",
             EventKind::SpillRetry => "spill_retry",
-            EventKind::AdmissionAdmit => "admission_admit",
+            EventKind::AdmissionAdmit { .. } => "admission_admit",
             EventKind::AdmissionReject { .. } => "admission_reject",
             EventKind::JobCompleted => "job_completed",
             EventKind::JobFailed { .. } => "job_failed",
@@ -189,9 +191,8 @@ impl EventKind {
                  \"bytes\": {bytes}}}"
             ),
             EventKind::UdfRetry { attempt } => format!("{{\"attempt\": {attempt}}}"),
-            EventKind::SpillRetry | EventKind::AdmissionAdmit | EventKind::JobCompleted => {
-                "{}".to_string()
-            }
+            EventKind::SpillRetry | EventKind::JobCompleted => "{}".to_string(),
+            EventKind::AdmissionAdmit { in_flight } => format!("{{\"in_flight\": {in_flight}}}"),
             EventKind::AdmissionReject { reason } => format!("{{\"reason\": \"{reason}\"}}"),
             EventKind::JobFailed { variant } => format!("{{\"variant\": \"{variant}\"}}"),
             EventKind::Error { variant, detail } => {
@@ -228,7 +229,7 @@ impl EventKind {
             EventKind::TailRecompute { .. } => add(CKPT_TAIL_RECOMPUTED, 1),
             EventKind::UdfRetry { .. } => add(CKPT_UDF_RETRIES, 1),
             EventKind::SpillRetry => add(CKPT_SPILL_RETRIES, 1),
-            EventKind::AdmissionAdmit => add(SERVE_ADMITTED, 1),
+            EventKind::AdmissionAdmit { .. } => add(SERVE_ADMITTED, 1),
             EventKind::AdmissionReject { reason: "quota" } => add(SERVE_REJECTED_QUOTA, 1),
             EventKind::AdmissionReject { reason: "overloaded" } => {
                 add(SERVE_REJECTED_OVERLOADED, 1)
@@ -432,7 +433,7 @@ mod tests {
             ),
             (EventKind::UdfRetry { attempt: 1 }, vec![(CKPT_UDF_RETRIES, 1)]),
             (EventKind::SpillRetry, vec![(CKPT_SPILL_RETRIES, 1)]),
-            (EventKind::AdmissionAdmit, vec![(SERVE_ADMITTED, 1)]),
+            (EventKind::AdmissionAdmit { in_flight: 3 }, vec![(SERVE_ADMITTED, 1)]),
             (EventKind::AdmissionReject { reason: "quota" }, vec![(SERVE_REJECTED_QUOTA, 1)]),
             (
                 EventKind::AdmissionReject { reason: "overloaded" },

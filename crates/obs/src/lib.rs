@@ -13,8 +13,12 @@
 //!   thread, parent span and a label
 //!   (`span_with("prop.transfer.part", || format!("p{pid}"))`). Spans are
 //!   the only record of host time.
-//! * **Metrics** — a registry of counters ([`counter_add`]) and
-//!   count/sum/min/max histograms ([`observe`]).
+//! * **Counters** ([`counter_add`]) — the one metric kind. A served job's
+//!   latency is not a metric: its `JobOutcome` (`surfer-serve`) is the one
+//!   record of it, and percentiles are computed from the outcomes.
+//!
+//! Beside them sit the flight recorder's per-round samples
+//! ([`record_sample`]) and the always-on [`journal`].
 //!
 //! ## Design constraints
 //!
@@ -22,8 +26,8 @@
 //!    thread-local check ([`enabled`]); on a thread that is not recording
 //!    every call is a read + branch and a span's label closure never
 //!    runs.
-//! 2. **Values are deterministic.** Counter deltas and histogram samples are
-//!    recorded per *work item* (partition, machine, checkpoint round) and
+//! 2. **Values are deterministic.** Counter deltas and flight-recorder
+//!    samples are recorded per *work item* (partition, machine, checkpoint round) and
 //!    aggregated commutatively, so every non-timing value is bit-identical
 //!    for any worker-thread count. [`TraceReport::canonical_json`] strips
 //!    timing/thread/id fields and sorts spans, producing a byte-identical
@@ -61,12 +65,12 @@ pub use recorder::{IterationSample, ShapeMismatch, StageKind, TrafficMatrix};
 
 /// Version stamp of the exported JSON documents; bump on any breaking
 /// change to the schema (`reproduce -- profile` fails on drift).
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Metric names shared between emitters and their readers, kept as named
 /// constants so they cannot drift apart on a typo. All values are
-/// per-work-item deterministic (rule 2 above) and pinned in the counters and
-/// histograms of the committed `TRACE_profile.json`.
+/// per-work-item deterministic (rule 2 above) and pinned in the counters of
+/// the committed `TRACE_profile.json`.
 pub mod names {
     // The `serve.*` namespace: admission control, scheduling and result
     // caching of the multi-tenant serving layer (`crates/serve`). All values
@@ -98,13 +102,6 @@ pub mod names {
     pub const SERVE_CACHE_MISSES: &str = "serve.cache_misses";
     /// Cache entries dropped by typed invalidations.
     pub const SERVE_CACHE_INVALIDATED: &str = "serve.cache_invalidated";
-    /// Job latency (submit → completion) in simulated microseconds.
-    pub const SERVE_LATENCY_US: &str = "serve.latency_us";
-    /// Queue depth observed at each admission.
-    pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
-    /// Per-tenant job latency in simulated microseconds (labeled histogram,
-    /// label = tenant id).
-    pub const SERVE_TENANT_LATENCY_US: &str = "serve.tenant.latency_us";
 
     // The `spill.*` namespace: the out-of-core lane (`surfer-core/src/ooc`).
     // Byte and frame totals are functions of the graph, program and budget
@@ -242,42 +239,10 @@ pub struct SpanRec {
     pub end_ns: u64,
 }
 
-/// A histogram summary: exact count/sum/min/max. All fields aggregate
-/// commutatively, so histograms are thread-count-invariant when samples
-/// are.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hist {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Smallest sample.
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-}
-
-impl Hist {
-    fn new() -> Self {
-        Hist { count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-
-    fn record(&mut self, v: u64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-}
-
 #[derive(Default)]
 struct State {
     spans: Vec<SpanRec>,
     counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Hist>,
-    /// Histograms keyed by `(name, integer label)` — the per-tenant series
-    /// of the serving layer (`serve.tenant.latency_us` per tenant id).
-    labeled_hists: BTreeMap<(&'static str, u64), Hist>,
     /// Occurrence counters for [`span_seq`].
     seq: BTreeMap<&'static str, u64>,
     /// The flight recorder's per-iteration samples, in record order.
@@ -361,8 +326,6 @@ impl ObsSession {
         TraceReport {
             spans: state.spans,
             counters: state.counters,
-            hists: state.hists,
-            labeled_hists: state.labeled_hists,
             iterations: state.samples,
         }
     }
@@ -480,18 +443,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
     with_state(|st| *st.counters.entry(name).or_insert(0) += delta);
 }
 
-/// Record one histogram sample.
-pub fn observe(name: &'static str, value: u64) {
-    with_state(|st| st.hists.entry(name).or_insert_with(Hist::new).record(value));
-}
-
-/// Record one sample into the `(name, label)` histogram — the per-tenant
-/// variant of [`observe`]. Labels are integers (tenant ids, partition ids),
-/// which keeps the registry allocation-free and the export keys sortable.
-pub fn observe_labeled(name: &'static str, label: u64, value: u64) {
-    with_state(|st| st.labeled_hists.entry((name, label)).or_insert_with(Hist::new).record(value));
-}
-
 /// Feed one engine round to the flight recorder. The recorder assigns the
 /// sample's `seq` (occurrence index within its [`StageKind`]), so callers
 /// leave it 0. Call from the coordinating thread only — like [`span_seq`],
@@ -546,10 +497,6 @@ pub struct TraceReport {
     pub spans: Vec<SpanRec>,
     /// Counter totals.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Histograms.
-    pub hists: BTreeMap<&'static str, Hist>,
-    /// Labeled histograms keyed `(name, label)`; exported as `name.label`.
-    pub labeled_hists: BTreeMap<(&'static str, u64), Hist>,
     /// Flight-recorder samples, one per engine round, in record order.
     pub iterations: Vec<IterationSample>,
 }
@@ -558,11 +505,6 @@ impl TraceReport {
     /// A counter's total (0 when never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The `(name, label)` histogram, if any samples were recorded.
-    pub fn labeled_hist(&self, name: &str, label: u64) -> Option<&Hist> {
-        self.labeled_hists.iter().find(|((n, l), _)| *n == name && *l == label).map(|(_, h)| h)
     }
 
     /// Number of spans recorded under `name`.
@@ -693,9 +635,11 @@ impl TraceReport {
                 comma(i, agg.len()),
             ));
         }
-        out.push_str("  ],\n");
-        self.push_metrics_json(&mut out);
-        out.push_str(",\n");
+        out.push_str("  ],\n  \"counters\": {");
+        for (i, (k, v)) in self.counters.iter().enumerate() {
+            out.push_str(&format!("{}\n    \"{}\": {}", if i == 0 { "" } else { "," }, esc(k), v));
+        }
+        out.push_str("\n  },\n");
         self.push_iterations_json(&mut out);
         out.push_str("\n}\n");
         out
@@ -723,32 +667,6 @@ impl TraceReport {
         out.push_str("  ],\n");
         out.push_str("  \"traffic_matrix\": ");
         out.push_str(&matrix_json(self.traffic_matrix()));
-    }
-
-    /// The counters/histograms section of the export.
-    fn push_metrics_json(&self, out: &mut String) {
-        out.push_str("  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            out.push_str(&format!("{}\n    \"{}\": {}", if i == 0 { "" } else { "," }, esc(k), v));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        // Labeled histograms render as `name.label` entries after the plain
-        // ones; both maps iterate sorted, so the document is deterministic.
-        let mut entries: Vec<(String, &Hist)> =
-            self.hists.iter().map(|(k, h)| ((*k).to_string(), h)).collect();
-        entries.extend(self.labeled_hists.iter().map(|((k, l), h)| (format!("{k}.{l}"), h)));
-        for (i, (k, h)) in entries.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                if i == 0 { "" } else { "," },
-                esc(k),
-                h.count,
-                h.sum,
-                if h.count == 0 { 0 } else { h.min },
-                h.max,
-            ));
-        }
-        out.push_str("\n  }");
     }
 }
 
@@ -857,7 +775,7 @@ mod tests {
         postmortem::record_failure("ClusterLost", "gone", ctx);
         let session = ObsSession::begin();
         assert_eq!(journal::current_ctx(), ctx, "begin must not swap the context stack");
-        journal::record(journal::EventKind::AdmissionAdmit);
+        journal::record(journal::EventKind::AdmissionAdmit { in_flight: 0 });
         {
             let _in = scope().enter();
             assert_eq!(journal::current_ctx(), ctx, "enter must not swap the context stack");
@@ -887,7 +805,6 @@ mod tests {
     fn disabled_is_inert() {
         assert!(!enabled());
         counter_add("x", 5);
-        observe("h", 3);
         let s = span_with("nothing", || unreachable!("labels are built only while recording"));
         assert_eq!(s.id(), None);
         drop(s);
@@ -902,13 +819,8 @@ mod tests {
         let session = ObsSession::begin();
         counter_add("msgs", 3);
         counter_add("msgs", 4);
-        observe("mailbox", 0);
-        observe("mailbox", 5);
-        observe("mailbox", 5);
         let r = session.finish();
         assert_eq!(r.counter("msgs"), 7);
-        let h = &r.hists["mailbox"];
-        assert_eq!((h.count, h.sum, h.min, h.max), (3, 10, 0, 5));
         assert!(!enabled(), "finish must disable recording");
     }
 
@@ -1051,25 +963,6 @@ mod tests {
         assert!((found[0].skew - 10.0).abs() < 1e-9, "skew {}", found[0].skew);
         assert_eq!((found[1].max_ns, found[1].median_ns), (300, 100));
         assert!(report.stragglers(11.0).is_empty(), "a threshold above every skew flags nothing");
-    }
-
-    #[test]
-    fn labeled_histograms_export_as_dotted_keys() {
-        let session = ObsSession::begin();
-        observe("serve.latency_us", 100);
-        observe_labeled("serve.tenant.latency_us", 3, 40);
-        observe_labeled("serve.tenant.latency_us", 3, 60);
-        observe_labeled("serve.tenant.latency_us", 7, 9);
-        let report = session.finish();
-        let h = report.labeled_hist("serve.tenant.latency_us", 3).expect("tenant 3 recorded");
-        assert_eq!((h.count, h.sum, h.min, h.max), (2, 100, 40, 60));
-        assert!(report.labeled_hist("serve.tenant.latency_us", 5).is_none());
-        let j = report.canonical_json();
-        assert!(
-            j.contains("\"serve.tenant.latency_us.3\": {\"count\": 2, \"sum\": 100"),
-            "labeled hist in histograms object: {j}"
-        );
-        assert!(j.contains("\"serve.tenant.latency_us.7\""));
     }
 
     #[test]

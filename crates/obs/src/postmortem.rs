@@ -211,7 +211,7 @@ mod tests {
         let ctx = TraceCtx::for_job(3, 1).with_iteration(2);
         journal::record_with(ctx.with_iteration(0), EventKind::IterationStart { lane: "resident" });
         journal::record_with(ctx.with_iteration(0), EventKind::IterationEnd { messages: 12 });
-        journal::record_with(TraceCtx::for_job(4, 2), EventKind::AdmissionAdmit);
+        journal::record_with(TraceCtx::for_job(4, 2), EventKind::AdmissionAdmit { in_flight: 0 });
         journal::record_with(ctx, EventKind::MachineCrash { machine: 1 });
         record_failure("ClusterLost", "every machine of the cluster has crashed", ctx);
         take_last().expect("bundle recorded")

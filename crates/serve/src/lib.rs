@@ -30,9 +30,11 @@
 //! faulty neighbor, for any worker-thread count. The multi-tenant chaos
 //! suite (`tests/serve_chaos.rs`) asserts exactly that.
 //!
-//! Everything is observable through `surfer-obs` under the `serve.*`
-//! namespace: admission counters, queue-depth and per-job latency
-//! histograms, and a per-tenant latency histogram series.
+//! Admission, completion and cache decisions are counted through
+//! `surfer-obs` under the `serve.*` namespace; each admission's journal
+//! event carries the in-flight count it read. A job's latency has one
+//! record, its [`JobOutcome`]: [`latency_percentiles`] turns outcomes into
+//! p50, p90 and p99 per tenant and overall.
 
 pub mod cache;
 pub mod job;
@@ -40,4 +42,4 @@ pub mod manager;
 
 pub use cache::{CacheKey, Invalidation, ResultCache};
 pub use job::{JobId, JobSpec, JobTask, PropagationJob, RecoveredJob, StepOutcome, TenantId};
-pub use manager::{JobManager, JobOutcome, ServeConfig};
+pub use manager::{latency_percentiles, JobManager, JobOutcome, LatencyPercentiles, ServeConfig};

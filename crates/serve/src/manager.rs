@@ -51,7 +51,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// How one submitted job ended.
+/// How one submitted job ended — the one record of its latency.
 #[derive(Debug)]
 pub struct JobOutcome {
     /// The job.
@@ -70,6 +70,37 @@ pub struct JobOutcome {
     pub retries: u32,
     /// Whether the result came straight from the cache.
     pub from_cache: bool,
+}
+
+/// The p50, p90 and p99 of some jobs' latencies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencyPercentiles {
+    /// Median.
+    pub p50: SimDuration,
+    /// 90th percentile.
+    pub p90: SimDuration,
+    /// 99th percentile.
+    pub p99: SimDuration,
+}
+
+/// Latency percentiles of `outcomes`, overall and per tenant. Every
+/// terminal outcome counts: a cache hit at its 0 µs, a failed job at the
+/// time it took to fail. Percentile `p` of `n` sorted latencies is the one
+/// at index ⌊n·p⌋ (zero when `n` is 0).
+pub fn latency_percentiles(
+    outcomes: &[JobOutcome],
+) -> (LatencyPercentiles, BTreeMap<TenantId, LatencyPercentiles>) {
+    let mut tenants: BTreeMap<TenantId, Vec<u64>> = BTreeMap::new();
+    for o in outcomes {
+        tenants.entry(o.tenant).or_default().push(o.latency.0);
+    }
+    let percentiles = |mut lat: Vec<u64>| {
+        lat.sort_unstable();
+        let at = |pct: usize| SimDuration(lat.get(lat.len() * pct / 100).copied().unwrap_or(0));
+        LatencyPercentiles { p50: at(50), p90: at(90), p99: at(99) }
+    };
+    let all = percentiles(outcomes.iter().map(|o| o.latency.0).collect());
+    (all, tenants.into_iter().map(|(t, lat)| (t, percentiles(lat))).collect())
 }
 
 struct Active<'a> {
@@ -91,9 +122,6 @@ pub struct JobManager<'a> {
     cache: ResultCache,
     /// Lifetime simulated work per tenant — the fair-share key.
     charged: BTreeMap<u16, u64>,
-    /// `(completed jobs, summed latency µs)` — the `retry_after_hint`
-    /// estimator.
-    service: (u64, u64),
 }
 
 impl<'a> JobManager<'a> {
@@ -107,7 +135,6 @@ impl<'a> JobManager<'a> {
             outcomes: Vec::new(),
             cache: ResultCache::new(),
             charged: BTreeMap::new(),
-            service: (0, 0),
         }
     }
 
@@ -176,36 +203,15 @@ impl<'a> JobManager<'a> {
         }
         let id = JobId(self.next_id);
         self.next_id += 1;
-        journal::record_with(TraceCtx::for_job(id.0, tenant.0), EventKind::AdmissionAdmit);
+        let ctx = TraceCtx::for_job(id.0, tenant.0);
+        journal::record_with(ctx, EventKind::AdmissionAdmit { in_flight });
 
-        if let Some(key) = &spec.cache_key {
-            if let Some(output) = self.cache.get(key) {
-                journal::record_with(TraceCtx::for_job(id.0, tenant.0), EventKind::JobCompleted);
-                surfer_obs::observe(names::SERVE_LATENCY_US, 0);
-                surfer_obs::observe_labeled(names::SERVE_TENANT_LATENCY_US, tenant.0 as u64, 0);
-                self.outcomes.push(JobOutcome {
-                    job: id,
-                    tenant,
-                    result: Ok(output),
-                    submitted_at: self.now,
-                    completed_at: self.now,
-                    latency: SimDuration::ZERO,
-                    retries: 0,
-                    from_cache: true,
-                });
-                return Ok(id);
-            }
+        let now = self.now;
+        let job = Active { id, spec, task, submitted_at: now, resume_at: now, retries: 0 };
+        match job.spec.cache_key.as_ref().and_then(|key| self.cache.get(key)) {
+            Some(output) => self.finish(job, Ok(output), true),
+            None => self.active.push(job),
         }
-
-        self.active.push(Active {
-            id,
-            spec,
-            task,
-            submitted_at: self.now,
-            resume_at: self.now,
-            retries: 0,
-        });
-        surfer_obs::observe(names::SERVE_QUEUE_DEPTH, self.active.len() as u64);
         Ok(id)
     }
 
@@ -273,7 +279,8 @@ impl<'a> JobManager<'a> {
         if let Some(d) = self.active[idx].spec.deadline {
             if self.now >= d {
                 let job = self.active.remove(idx);
-                self.finish(job, Err(SurferError::DeadlineExceeded { deadline: d, now: self.now }));
+                let err = SurferError::DeadlineExceeded { deadline: d, now: self.now };
+                self.finish(job, Err(err), false);
                 return true;
             }
         }
@@ -296,7 +303,7 @@ impl<'a> JobManager<'a> {
                 self.charge(tenant, cost);
                 surfer_obs::counter_add(names::SERVE_SLICES, 1);
                 let job = self.active.remove(idx);
-                self.finish(job, Ok(Arc::new(output)));
+                self.finish(job, Ok(Arc::new(output)), false);
             }
             Err(e) => {
                 let transient = matches!(e, SurferError::UdfPanic { .. });
@@ -310,7 +317,7 @@ impl<'a> JobManager<'a> {
                     job.task.reset();
                 } else {
                     let job = self.active.remove(idx);
-                    self.finish(job, Err(e));
+                    self.finish(job, Err(e), false);
                 }
             }
         }
@@ -331,35 +338,28 @@ impl<'a> JobManager<'a> {
     }
 
     /// What an [`SurferError::Overloaded`] rejection tells the client to
-    /// wait: the mean completion latency of executed jobs so far, or the
-    /// base backoff before any job completed. Derived purely from simulated
-    /// time, so it is replay-stable.
+    /// wait: the mean latency of the jobs that executed and succeeded so
+    /// far, or the base backoff before any did. Derived purely from
+    /// simulated time, so it is replay-stable.
     fn retry_after_hint(&self) -> SimDuration {
-        self.service
-            .1
-            .checked_div(self.service.0)
-            .map_or(self.cfg.retry_backoff, SimDuration)
+        let served = self.outcomes.iter().filter(|o| !o.from_cache && o.result.is_ok());
+        let (jobs, total) = served.fold((0, 0), |(n, sum), o| (n + 1, sum + o.latency.0));
+        total.checked_div(jobs).map_or(self.cfg.retry_backoff, SimDuration)
     }
 
     fn charge(&mut self, tenant: TenantId, cost: SimDuration) {
         *self.charged.entry(tenant.0).or_insert(0) += cost.0;
     }
 
-    fn finish(&mut self, job: Active<'a>, result: SurferResult<Arc<Vec<u8>>>) {
-        let latency = self.now - job.submitted_at;
-        surfer_obs::observe(names::SERVE_LATENCY_US, latency.0);
-        surfer_obs::observe_labeled(
-            names::SERVE_TENANT_LATENCY_US,
-            u64::from(job.spec.tenant.0),
-            latency.0,
-        );
+    /// The one completion path: cache a successful result (a hit stores
+    /// back the entry it read), journal how the job ended and push its
+    /// [`JobOutcome`], completed now.
+    fn finish(&mut self, job: Active<'a>, result: SurferResult<Arc<Vec<u8>>>, from_cache: bool) {
         let mut ctx = TraceCtx::for_job(job.id.0, job.spec.tenant.0).with_attempt(job.retries);
         match &result {
             Ok(output) => {
                 journal::record_with(ctx, EventKind::JobCompleted);
-                self.service.0 += 1;
-                self.service.1 += latency.0;
-                if let Some(key) = job.spec.cache_key.clone() {
+                if let Some(key) = job.spec.cache_key {
                     self.cache.insert(key, Arc::clone(output));
                 }
             }
@@ -373,11 +373,7 @@ impl<'a> JobManager<'a> {
                 // manager-level bundle when no lower layer already
                 // attributed this job's failure.
                 if !surfer_obs::postmortem::last_is_for_job(job.id.0) {
-                    surfer_obs::postmortem::record_failure(
-                        e.variant_name(),
-                        &e.to_string(),
-                        ctx,
-                    );
+                    surfer_obs::postmortem::record_failure(e.variant_name(), &e.to_string(), ctx);
                 }
             }
         }
@@ -387,9 +383,9 @@ impl<'a> JobManager<'a> {
             result,
             submitted_at: job.submitted_at,
             completed_at: self.now,
-            latency,
+            latency: self.now - job.submitted_at,
             retries: job.retries,
-            from_cache: false,
+            from_cache,
         });
     }
 }
@@ -458,6 +454,7 @@ mod tests {
 
     #[test]
     fn admission_is_bounded_and_typed() {
+        journal::reset();
         let mut m = JobManager::new(cfg());
         m.submit(JobSpec::new(TenantId(0)), Box::new(FakeTask::new(1, 10))).unwrap();
 
@@ -486,14 +483,37 @@ mod tests {
         m.run_to_completion();
         assert_eq!(m.in_flight(), 0);
         m.submit(JobSpec::new(TenantId(2)), Box::new(FakeTask::new(1, 10))).unwrap();
+
+        // Each admission journals the in-flight count it read: below capacity.
+        let admitted: Vec<u32> = journal::snapshot()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::AdmissionAdmit { in_flight } => Some(in_flight),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(admitted, [0, 1, 0]);
+        assert!(admitted.iter().all(|&n| n < m.cfg.capacity));
+        journal::reset();
     }
 
     #[test]
     fn overload_hint_tracks_observed_latency() {
+        let key = CacheKey { app: "fake", graph_version: 1, params: 3 };
         let mut m = JobManager::new(cfg());
-        m.submit(JobSpec::new(TenantId(0)), Box::new(FakeTask::new(3, 50))).unwrap();
+        let spec = JobSpec::new(TenantId(0)).cached_as(key.clone());
+        m.submit(spec, Box::new(FakeTask::new(3, 50))).unwrap();
         m.run_to_completion();
         assert_eq!(m.outcomes()[0].latency, SimDuration(150));
+        // Neither a cache hit (0 µs) nor a failed job (its backoff) is a
+        // served job: the hint stays the mean of the one that was.
+        m.submit(JobSpec::new(TenantId(1)).cached_as(key), Box::new(FakeTask::new(3, 50))).unwrap();
+        let failing = Box::new(FakeTask::new(1, 10).failing(5));
+        m.submit(JobSpec::new(TenantId(1)).retries(1), failing).unwrap();
+        m.run_to_completion();
+        let [_, hit, failed] = m.outcomes() else { panic!("three outcomes") };
+        assert!(hit.from_cache && hit.latency == SimDuration::ZERO);
+        assert!(failed.result.is_err() && failed.latency > SimDuration(150));
         m.submit(JobSpec::new(TenantId(0)), Box::new(FakeTask::new(1, 10))).unwrap();
         m.submit(JobSpec::new(TenantId(1)), Box::new(FakeTask::new(1, 10))).unwrap();
         let err = m.submit(JobSpec::new(TenantId(2)), Box::new(FakeTask::new(1, 10))).unwrap_err();
@@ -503,6 +523,55 @@ mod tests {
             }
             other => panic!("expected Overloaded, got {other:?}"),
         }
+    }
+
+    /// The percentile at `pct` of a brute-force sort: take the smallest
+    /// remaining latency until none remain, then read index ⌊n·pct/100⌋.
+    fn brute_force_percentile(latencies: &[u64], pct: usize) -> SimDuration {
+        let (mut rest, mut sorted) = (latencies.to_vec(), Vec::new());
+        while let Some(i) = (0..rest.len()).min_by_key(|&i| rest[i]) {
+            sorted.push(rest.swap_remove(i));
+        }
+        SimDuration(sorted.get(latencies.len() * pct / 100).copied().unwrap_or(0))
+    }
+
+    #[test]
+    fn latency_percentiles_match_a_brute_force_sort() {
+        let outcome = |tenant: u16, latency: u64, ok: bool| JobOutcome {
+            job: JobId(0),
+            tenant: TenantId(tenant),
+            result: if ok { Ok(Arc::new(Vec::new())) } else { Err(SurferError::ClusterLost) },
+            submitted_at: SimTime::ZERO,
+            completed_at: SimTime(latency),
+            latency: SimDuration(latency),
+            retries: 0,
+            from_cache: ok && latency == 0,
+        };
+        let mut outcomes: Vec<JobOutcome> = (0..37u64)
+            .map(|i| outcome((i % 3) as u16, (i * 7919) % 1000 + 1, i % 5 != 0))
+            .collect();
+        outcomes.push(outcome(0, 0, true)); // a cache hit
+        outcomes.push(outcome(1, 5_000, false)); // a failed job
+        outcomes.push(outcome(9, 42, true)); // a tenant with one outcome
+        let check = |got: LatencyPercentiles, latencies: &[u64]| {
+            assert_eq!(got.p50, brute_force_percentile(latencies, 50), "{latencies:?}");
+            assert_eq!(got.p90, brute_force_percentile(latencies, 90), "{latencies:?}");
+            assert_eq!(got.p99, brute_force_percentile(latencies, 99), "{latencies:?}");
+        };
+        let (all, tenants) = latency_percentiles(&outcomes);
+        check(all, &outcomes.iter().map(|o| o.latency.0).collect::<Vec<_>>());
+        assert_eq!(all.p99, SimDuration(5_000), "the failed job is the slowest");
+        assert_eq!(tenants.keys().map(|t| t.0).collect::<Vec<_>>(), [0, 1, 2, 9]);
+        for (t, got) in &tenants {
+            let mine: Vec<u64> =
+                outcomes.iter().filter(|o| o.tenant == *t).map(|o| o.latency.0).collect();
+            check(*got, &mine);
+        }
+        let one = SimDuration(42);
+        assert_eq!(tenants[&TenantId(9)], LatencyPercentiles { p50: one, p90: one, p99: one });
+        let empty = latency_percentiles(&[]);
+        assert_eq!(empty.0.p50, SimDuration::ZERO);
+        assert!(empty.1.is_empty());
     }
 
     #[test]

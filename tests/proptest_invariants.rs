@@ -35,10 +35,19 @@ proptest! {
         seed in 0u64..1000,
         target in 1u64..256,
     ) {
-        let blob = adjacency::encode_graph(&g);
+        // The whole graph, vertices in id order, scans back record by record.
+        let mut blob = Vec::new();
+        adjacency::encode(&g, &g.vertices().collect::<Vec<_>>(), &mut blob);
         prop_assert_eq!(blob.len() as u64, g.storage_bytes());
-        let back = adjacency::decode_graph(&blob).unwrap();
-        prop_assert_eq!(&back, &g);
+        let mut records = Vec::new();
+        adjacency::scan(&blob, &mut Vec::new(), |id, neighbors| {
+            records.push((id, neighbors.to_vec()));
+            Ok::<(), GraphError>(())
+        })
+        .unwrap();
+        let want: Vec<(VertexId, Vec<VertexId>)> =
+            g.vertices().map(|v| (v, g.neighbors(v).to_vec())).collect();
+        prop_assert_eq!(records, want);
         // The one size formula against the one encoder: a partition's
         // encoded members are its `PartitionMeta::bytes` long, and a
         // planned edge block's `bytes` is its encoded length.
