@@ -10,7 +10,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Bag, Propagation, PropagationEngine, SurferApp, SurferResult};
+use surfer_core::{Bag, Merge, Propagation, PropagationEngine, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -102,13 +102,7 @@ impl Propagation for ComponentPropagation {
 
     fn per_source(&self) -> bool { true }
 
-    fn associative(&self) -> bool {
-        true
-    }
-
-    fn merge(&self, acc: &mut u32, next: &u32) {
-        *acc = (*acc).min(*next);
-    }
+    const MERGE: Option<Merge<u32>> = Some(|acc, next| *acc = (*acc).min(*next));
     // LOC:END(cc_propagation)
 
     fn msg_bytes(&self, _m: &u32) -> u64 {

@@ -8,7 +8,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Bag, PropagationEngine, SurferApp, SurferResult, VirtualVertexTask};
+use surfer_core::{Bag, Merge, PropagationEngine, SurferApp, SurferResult, VirtualVertexTask};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -56,13 +56,7 @@ impl VirtualVertexTask for DegreeVirtualTask {
         (vid as u32, msgs.sum())
     }
 
-    fn associative(&self) -> bool {
-        true
-    }
-
-    fn merge(&self, acc: &mut u64, next: &u64) {
-        *acc += next;
-    }
+    const MERGE: Option<Merge<u64>> = Some(|acc, next| *acc += next);
     // LOC:END(vdd_propagation)
 
     fn msg_bytes(&self, _m: &u64) -> u64 {

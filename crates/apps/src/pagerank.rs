@@ -9,7 +9,7 @@
 use crate::ExactOutput;
 use std::collections::HashMap;
 use surfer_cluster::ExecReport;
-use surfer_core::{Bag, Propagation, PropagationEngine, SurferApp, SurferResult};
+use surfer_core::{Bag, Merge, Propagation, PropagationEngine, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -99,13 +99,7 @@ impl Propagation for PageRankPropagation {
 
     fn per_source(&self) -> bool { true }
 
-    fn associative(&self) -> bool {
-        true
-    }
-
-    fn merge(&self, acc: &mut f64, next: &f64) {
-        *acc += next;
-    }
+    const MERGE: Option<Merge<f64>> = Some(|acc, next| *acc += next);
     // LOC:END(nr_propagation)
 
     fn msg_bytes(&self, _m: &f64) -> u64 {

@@ -8,7 +8,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Bag, Propagation, PropagationEngine, SurferApp, SurferResult};
+use surfer_core::{Bag, Merge, Propagation, PropagationEngine, SurferApp, SurferResult};
 use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
@@ -121,11 +121,7 @@ impl Propagation for RecommendPropagation {
 
     fn per_source(&self) -> bool { true }
 
-    fn associative(&self) -> bool {
-        true
-    }
-
-    fn merge(&self, _acc: &mut (), _next: &()) {}
+    const MERGE: Option<Merge<()>> = Some(|_, _| {});
     // LOC:END(rs_propagation)
 
     fn msg_bytes(&self, _m: &()) -> u64 {

@@ -7,7 +7,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Bag, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
+use surfer_core::{Bag, Merge, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
 use surfer_graph::adjacency::record_bytes;
 use surfer_graph::{CsrGraph, GraphBuilder, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
@@ -71,20 +71,14 @@ impl Propagation for ReversePropagation {
 
     fn combine(&self, _v: VertexId, _old: &Vec<u32>, msgs: Bag<'_, Vec<u32>>, _g: &CsrGraph) -> Vec<u32> {
         // Under the engine's fold the bag holds one message: move it out.
-        let mut sources = msgs.reduce(|mut a, b| { self.merge(&mut a, &b); a }).unwrap_or_default();
+        let mut sources = msgs.reduce(|mut a, b| { append(&mut a, &b); a }).unwrap_or_default();
         sources.sort_unstable();
         sources
     }
 
     fn per_source(&self) -> bool { true }
 
-    fn associative(&self) -> bool {
-        true
-    }
-
-    fn merge(&self, acc: &mut Vec<u32>, next: &Vec<u32>) {
-        acc.extend_from_slice(next);
-    }
+    const MERGE: Option<Merge<Vec<u32>>> = Some(|acc, next| append(acc, next));
     // LOC:END(rlg_propagation)
 
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
@@ -95,6 +89,13 @@ impl Propagation for ReversePropagation {
         16 // amortized adjacency record header + average payload
     }
 }
+
+// LOC:BEGIN(rlg_propagation)
+/// RLG's fold: the sources of both batches, `acc`'s first.
+fn append(acc: &mut Vec<u32>, next: &[u32]) {
+    acc.extend_from_slice(next);
+}
+// LOC:END(rlg_propagation)
 
 // ----------------------------------------------------------------- mapreduce
 

@@ -9,7 +9,7 @@
 
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
-use surfer_core::{Bag, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
+use surfer_core::{Bag, Merge, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
 use surfer_graph::adjacency::record_bytes;
 use surfer_graph::subgraph::sample_vertices;
 use surfer_graph::{CsrGraph, VertexId};
@@ -110,7 +110,7 @@ impl Propagation for TwoHopPropagation {
 
     fn combine(&self, _v: VertexId, _old: &Vec<u32>, msgs: Bag<'_, Vec<u32>>, _g: &CsrGraph) -> Vec<u32> {
         // Under the engine's fold the bag holds one message: move it out.
-        let mut all = msgs.reduce(|mut a, b| { self.merge(&mut a, &b); a }).unwrap_or_default();
+        let mut all = msgs.reduce(|mut a, b| { union_sorted(&mut a, &b); a }).unwrap_or_default();
         all.sort_unstable();
         all.dedup();
         all
@@ -118,23 +118,7 @@ impl Propagation for TwoHopPropagation {
 
     fn per_source(&self) -> bool { true }
 
-    fn associative(&self) -> bool {
-        true
-    }
-
-    fn merge(&self, acc: &mut Vec<u32>, next: &Vec<u32>) {
-        // One pass over two sorted lists; an id both hold is written once.
-        let (a, b) = (std::mem::take(acc), next);
-        acc.reserve(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            acc.push(a[i].min(b[j]));
-            (i, j) = (i + usize::from(a[i] <= b[j]), j + usize::from(b[j] <= a[i]));
-        }
-        acc.extend_from_slice(&a[i..]);
-        acc.extend_from_slice(&b[j..]);
-        acc.dedup();
-    }
+    const MERGE: Option<Merge<Vec<u32>>> = Some(|acc, next| union_sorted(acc, next));
     // LOC:END(tfl_propagation)
 
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
@@ -149,6 +133,24 @@ impl Propagation for TwoHopPropagation {
         64 // two-hop lists are long; amortized record size
     }
 }
+
+// LOC:BEGIN(tfl_propagation)
+/// TFL's fold: the union of two sorted, deduplicated id lists, itself
+/// sorted and deduplicated.
+fn union_sorted(acc: &mut Vec<u32>, next: &[u32]) {
+    // One pass over two sorted lists; an id both hold is written once.
+    let (a, b) = (std::mem::take(acc), next);
+    acc.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        acc.push(a[i].min(b[j]));
+        (i, j) = (i + usize::from(a[i] <= b[j]), j + usize::from(b[j] <= a[i]));
+    }
+    acc.extend_from_slice(&a[i..]);
+    acc.extend_from_slice(&b[j..]);
+    acc.dedup();
+}
+// LOC:END(tfl_propagation)
 
 // ----------------------------------------------------------------- mapreduce
 

@@ -160,7 +160,7 @@ pub fn run_cascaded<P: Propagation>(
 mod tests {
     use super::*;
     use crate::engine::EngineOptions;
-    use crate::primitive::Bag;
+    use crate::primitive::{Bag, Merge};
     use proptest::prelude::*;
     use std::sync::Arc;
     use surfer_cluster::{ClusterConfig, MachineId};
@@ -261,6 +261,7 @@ mod tests {
     impl Propagation for Forward {
         type State = u64;
         type Msg = u64;
+        const MERGE: Option<Merge<u64>> = Some(|acc, next| *acc += next);
         fn init(&self, v: VertexId, _g: &CsrGraph) -> u64 {
             v.0 as u64
         }
@@ -269,12 +270,6 @@ mod tests {
         }
         fn combine(&self, _v: VertexId, old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
             old + msgs.sum::<u64>()
-        }
-        fn associative(&self) -> bool {
-            true
-        }
-        fn merge(&self, acc: &mut u64, next: &u64) {
-            *acc += next;
         }
         fn msg_bytes(&self, _m: &u64) -> u64 {
             12

@@ -23,7 +23,7 @@
 use crate::codec::Codec;
 use crate::engine::{EngineOptions, PropagationEngine, RoundCtx};
 use crate::error::{SurferError, SurferResult};
-use crate::primitive::{Bag, Propagation};
+use crate::primitive::{Bag, Merge, Propagation};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -39,7 +39,8 @@ use surfer_partition::{read_snapshot, write_snapshot, PartitionedGraph};
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
     /// Snapshot every this-many iterations (checkpoint 0 is always written
-    /// before the first iteration). Must be >= 1.
+    /// before the first iteration). Must be >= 1: [`run_with_recovery`]
+    /// rejects 0 with [`SurferError::InvalidArgument`].
     pub checkpoint_interval: u32,
     /// Root directory for snapshot files; one `m<id>` subdirectory per
     /// machine stands in for that machine's local disk.
@@ -60,7 +61,6 @@ impl RecoveryConfig {
     /// for both UDF panics and transient snapshot-write failures (10 ms of
     /// simulated backoff before the first write retry, doubling after).
     pub fn new(interval: u32, dir: impl Into<PathBuf>) -> Self {
-        assert!(interval >= 1, "checkpoint interval must be at least 1");
         RecoveryConfig {
             checkpoint_interval: interval,
             dir: dir.into(),
@@ -147,6 +147,7 @@ impl<'p, P: Propagation> ChaosProgram<'p, P> {
 impl<P: Propagation> Propagation for ChaosProgram<'_, P> {
     type State = P::State;
     type Msg = P::Msg;
+    const MERGE: Option<Merge<P::Msg>> = P::MERGE;
 
     fn init(&self, v: VertexId, g: &CsrGraph) -> Self::State {
         self.inner.init(v, g)
@@ -196,14 +197,6 @@ impl<P: Propagation> Propagation for ChaosProgram<'_, P> {
 
     fn per_source(&self) -> bool {
         self.inner.per_source()
-    }
-
-    fn associative(&self) -> bool {
-        self.inner.associative()
-    }
-
-    fn merge(&self, acc: &mut Self::Msg, next: &Self::Msg) {
-        self.inner.merge(acc, next)
     }
 
     fn msg_bytes(&self, msg: &Self::Msg) -> u64 {
@@ -649,10 +642,8 @@ fn restore_checkpoint<S: Codec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use surfer_cluster::{ClusterConfig, MachineCrash, UdfPanicAt};
-    use surfer_graph::generators::deterministic::cycle;
-    use surfer_partition::Partitioning;
+    use crate::testkit::{two_partition_cycle, Rotate};
+    use surfer_cluster::{MachineCrash, UdfPanicAt};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("surfer-checkpoint").join(name);
@@ -660,42 +651,9 @@ mod tests {
         dir
     }
 
-    /// Each vertex forwards its value around a cycle; combine sums.
-    struct Rotate;
-    impl Propagation for Rotate {
-        type State = u64;
-        type Msg = u64;
-        fn init(&self, v: VertexId, _g: &CsrGraph) -> u64 {
-            v.0 as u64 + 1
-        }
-        fn transfer(&self, _f: VertexId, s: &u64, _t: VertexId, _g: &CsrGraph) -> Option<u64> {
-            Some(*s)
-        }
-        fn combine(&self, _v: VertexId, _old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
-            msgs.sum()
-        }
-        fn associative(&self) -> bool {
-            true
-        }
-        fn merge(&self, acc: &mut u64, next: &u64) {
-            *acc += next;
-        }
-        fn msg_bytes(&self, _m: &u64) -> u64 {
-            12
-        }
-    }
-
-    fn fixture(machines: u16) -> (SimCluster, PartitionedGraph) {
-        let g = cycle(8);
-        let p = Partitioning::new(vec![0, 0, 0, 0, 1, 1, 1, 1], 2);
-        let placement = vec![MachineId(0), MachineId(1 % machines)];
-        let pg = PartitionedGraph::from_parts(Arc::new(g), p, placement);
-        (ClusterConfig::flat(machines).build(), pg)
-    }
-
     #[test]
     fn fault_free_recovery_run_matches_plain_run() {
-        let (c, pg) = fixture(4);
+        let (c, pg) = two_partition_cycle(4);
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
         let mut plain = engine.init_state(&Rotate);
         engine.run(&Rotate, &mut plain, 5).unwrap();
@@ -723,7 +681,7 @@ mod tests {
 
     #[test]
     fn crash_recovers_from_checkpoint_bit_identically() {
-        let (c, pg) = fixture(4);
+        let (c, pg) = two_partition_cycle(4);
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
         let mut plain = engine.init_state(&Rotate);
         engine.run(&Rotate, &mut plain, 6).unwrap();
@@ -758,7 +716,7 @@ mod tests {
 
     #[test]
     fn udf_retries_exhaust_into_typed_error() {
-        let (c, pg) = fixture(2);
+        let (c, pg) = two_partition_cycle(2);
         // Poison the same vertex in three *different* iterations so every
         // retry budget of a single iteration is irrelevant — instead cap
         // retries at 0 and poison iteration 0 once.
@@ -790,10 +748,8 @@ mod tests {
 
     #[test]
     fn zero_checkpoint_interval_is_a_typed_error() {
-        let (c, pg) = fixture(2);
-        // `new` rejects 0; the field is public, so the run checks it too.
-        let mut cfg = RecoveryConfig::new(1, tmp("zero-interval"));
-        cfg.checkpoint_interval = 0;
+        let (c, pg) = two_partition_cycle(2);
+        let cfg = RecoveryConfig::new(0, tmp("zero-interval"));
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
         let mut state = engine.init_state(&Rotate);
         let before = state.clone();

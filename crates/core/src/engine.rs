@@ -10,19 +10,19 @@
 //!   without a lookup; only a cross edge asks the partitioning for its
 //!   remote partition. A [`Propagation::per_source`] program has
 //!   `transfer` called once per member with out-edges and its value sent
-//!   along each of them. Messages to the same partition stay local. An
-//!   associative program folds: it merges each one into its partition's
-//!   slot accumulator during the scan, so it is never routed, and that
-//!   accumulator becomes Combine's starting point; any other program
-//!   routes its local messages to its own Combine. With
+//!   along each of them. Messages to the same partition stay local. A
+//!   program that declares a fold ([`Propagation::MERGE`]) merges each one
+//!   into its partition's slot accumulator during the scan, so it is never
+//!   routed, and that accumulator becomes Combine's starting point; any
+//!   other program routes its local messages to its own Combine. With
 //!   **local propagation** the simulator charges local messages as consumed
 //!   in memory, otherwise as spilled to disk and reread. Messages crossing
-//!   partitions are — with **local combination**, when `combine` is
-//!   associative — first merged per remote destination vertex, then sent
+//!   partitions are — with **local combination**, when the program has a
+//!   fold — first merged per remote destination vertex, then sent
 //!   over the (simulated) network sized by the topology's pair bandwidth.
 //! * **Combine** — once all incoming data is local, call `combine` on every
-//!   member vertex with its messages and write the updated values. An
-//!   associative program's messages to one vertex meet in the order: the
+//!   member vertex with its messages and write the updated values. A
+//!   folding program's messages to one vertex meet in the order: the
 //!   vertex's own partition in scan order, then the other source partitions
 //!   ascending, emission order within one. Any other program's bag holds
 //!   them with source partitions ascending, own partition included.
@@ -40,7 +40,7 @@
 use crate::error::{SurferError, SurferResult};
 use crate::ooc::{working_set_bytes, MemoryBudget, MsgSink, OocSession};
 use crate::opt::OptimizationLevel;
-use crate::primitive::{Bag, Propagation, VirtualVertexTask};
+use crate::primitive::{Bag, Merge, Propagation, VirtualVertexTask};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -59,7 +59,7 @@ use surfer_partition::{DestCode, PartitionedGraph};
 pub struct EngineOptions {
     /// The §5.1 local optimizations: consume inner-vertex messages in
     /// memory (local propagation) and merge cross-partition messages per
-    /// destination vertex when the program is associative (local
+    /// destination vertex when the program has a fold (local
     /// combination).
     pub local: bool,
     /// Host worker threads for the real Transfer/Combine computation.
@@ -144,13 +144,14 @@ pub(crate) type Routed<M> = Vec<(VertexId, M)>;
 /// slot — the destination's encoded id less its partition's first.
 type SlotAcc<M> = Vec<Option<M>>;
 
-/// Merge `msg` into an accumulator slot, after whatever it already holds.
-/// A borrowed (per-source) message is cloned only when it fills an empty
-/// slot.
+/// Merge `msg` into an accumulator slot with `merge`, after
+/// whatever the slot already holds. A borrowed (per-source) message is
+/// cloned only when it fills an empty slot. Callers pass `P::MERGE`'s
+/// value, a compile-time constant, so the call is direct.
 #[inline(always)]
-fn merge_into<P: Propagation>(prog: &P, slot: &mut Option<P::Msg>, msg: Cow<'_, P::Msg>) {
+fn merge_into<M: Clone>(merge: Merge<M>, slot: &mut Option<M>, msg: Cow<'_, M>) {
     match slot {
-        Some(acc) => prog.merge(acc, &msg),
+        Some(acc) => merge(acc, &msg),
         None => *slot = Some(msg.into_owned()),
     }
 }
@@ -179,12 +180,10 @@ struct TransferScan<'a, P: Propagation> {
     pid: u32,
     tally: PartitionTally,
     emitted: u64,
-    /// Local propagation executed in the scan: an associative program
-    /// merges each message to its own partition into `own`, in scan order,
-    /// and routes none of them.
-    fold: bool,
     /// The partition's own slot accumulator, indexed by a local edge's
-    /// slot; sized to the partition when the program folds, empty
+    /// slot: local propagation executed in the scan. A program with a fold
+    /// merges each message to its own partition into it, in scan order, and
+    /// routes none of them; it is sized to the partition then, empty
     /// otherwise. It moves to Combine.
     own: SlotAcc<P::Msg>,
     /// Local combination: cross messages merge into `acc[q]` and are
@@ -233,7 +232,6 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
         pg: &'a PartitionedGraph,
         state: &'a [P::State],
         pid: u32,
-        fold: bool,
         merge_cross: bool,
         segments: Option<MsgSink<'a>>,
     ) -> Self {
@@ -249,7 +247,7 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
         }
         let parts = pg.num_partitions() as usize;
         let mut own = Vec::new();
-        if fold {
+        if P::MERGE.is_some() {
             own.resize_with(meta.members.len(), || None);
         }
         TransferScan {
@@ -259,7 +257,6 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
             pid,
             tally: PartitionTally::default(),
             emitted: 0,
-            fold,
             own,
             merge_cross,
             mem: (0..parts).map(|_| Vec::new()).collect(),
@@ -329,21 +326,23 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
             if inner {
                 n.local_inner_bytes += bytes;
             }
-            if self.fold {
-                merge_into(self.prog, &mut self.own[slot], msg);
-                Ok(())
-            } else {
-                self.push(self.pid, to, msg)
+            match P::MERGE {
+                Some(merge) => {
+                    merge_into(merge, &mut self.own[slot], msg);
+                    Ok(())
+                }
+                None => self.push(self.pid, to, msg),
             }
         } else {
             let q = self.pg.pid_of(to);
-            if self.merge_cross {
-                if self.accumulate(q, to, msg) {
-                    self.touched.push(to.0);
+            match P::MERGE {
+                Some(merge) if self.merge_cross => {
+                    if self.accumulate(merge, q, to, msg) {
+                        self.touched.push(to.0);
+                    }
+                    Ok(())
                 }
-                Ok(())
-            } else {
-                self.send_cross(q, to, msg)
+                _ => self.send_cross(q, to, msg),
             }
         }
     }
@@ -352,7 +351,13 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
     /// which the first message to `q` allocates. Returns whether the slot
     /// was empty.
     #[inline(always)]
-    fn accumulate(&mut self, q: u32, to: VertexId, msg: Cow<'_, P::Msg>) -> bool {
+    fn accumulate(
+        &mut self,
+        merge: Merge<P::Msg>,
+        q: u32,
+        to: VertexId,
+        msg: Cow<'_, P::Msg>,
+    ) -> bool {
         let enc = self.pg.encoding();
         let (first, end) = enc.range(q);
         let acc = &mut self.acc[q as usize];
@@ -361,7 +366,7 @@ impl<'a, P: Propagation> TransferScan<'a, P> {
         }
         let slot = &mut acc[enc.encode(to).index() - first.index()];
         let was_empty = slot.is_none();
-        merge_into(self.prog, slot, msg);
+        merge_into(merge, slot, msg);
         was_empty
     }
 
@@ -618,12 +623,12 @@ impl<'a> PropagationEngine<'a> {
             lane: if session.is_some() { "spill" } else { "resident" },
         });
         let threads = self.options.resolved_threads();
-        let merge_cross = self.options.local && prog.associative();
-        // An associative program needs no sorted mailbox: every message is
-        // folded into its destination's slot with `merge` — a local one by
-        // the scan itself, the rest by Combine in ascending source order —
-        // and `combine` is handed the one folded value.
-        let fold = prog.associative();
+        // A program with a fold needs no sorted mailbox: every message is
+        // folded into its destination's slot with `P::MERGE` — a local one
+        // by the scan itself, the rest by Combine in ascending source order
+        // — and `combine` is handed the one folded value.
+        let fold = P::MERGE.is_some();
+        let merge_cross = self.options.local && fold;
         let enc = pg.encoding();
         let parts = pg.num_partitions() as usize;
         let blocks_written = match session {
@@ -632,8 +637,8 @@ impl<'a> PropagationEngine<'a> {
         };
 
         // ---- Transfer stage (real, one worker item per partition). ----
-        // Each scan folds its own partition's messages in scan order (an
-        // associative program) and routes the rest into private
+        // Each scan folds its own partition's messages in scan order (a
+        // program with a fold) and routes the rest into private
         // per-destination buckets in exactly the sequential push order; the
         // buckets are gathered below in ascending pid order, so every
         // combine() input — and every tally — is identical no matter how
@@ -648,7 +653,7 @@ impl<'a> PropagationEngine<'a> {
             let _s = surfer_obs::span_under("prop.transfer.part", transfer_sid, || format!("p{pid}"));
             let segments = session.map(|s| MsgSink::new(s, pid, parts));
             let mut scan =
-                TransferScan::begin(prog, pg, state_ro, pid, fold, merge_cross, segments);
+                TransferScan::begin(prog, pg, state_ro, pid, merge_cross, segments);
             let streamed = match session {
                 Some(session) => session
                     .stream_edge_blocks(pg, pid, |v, nbrs, codes| scan.vertex(v, nbrs, codes))?,
@@ -756,7 +761,7 @@ impl<'a> PropagationEngine<'a> {
 
                 // The mailbox: every routed message once, in fold order
                 // (source partitions ascending, emission order within one).
-                // An associative program keeps one merged message per slot,
+                // A program with a fold keeps one merged message per slot,
                 // starting from the accumulator its own scan folded the
                 // partition's local messages into; any other keeps each
                 // arrival as a `(slot, msg)` pair. Segments decode straight
@@ -768,10 +773,9 @@ impl<'a> PropagationEngine<'a> {
                 let mut deliver = |to: VertexId, msg: P::Msg| {
                     let slot = enc.encode(to).index() - first;
                     arrived += 1;
-                    if fold {
-                        merge_into(prog, &mut folded[slot], Cow::Owned(msg));
-                    } else {
-                        mailbox.push((slot as u32, msg));
+                    match P::MERGE {
+                        Some(merge) => merge_into(merge, &mut folded[slot], Cow::Owned(msg)),
+                        None => mailbox.push((slot as u32, msg)),
                     }
                 };
                 for (to, msg) in buckets.into_iter().flatten() {
@@ -1015,7 +1019,7 @@ impl<'a> PropagationEngine<'a> {
         let machines = self.cluster.num_machines();
         let route = |vid: u64| (vid % machines as u64) as u16;
         let threads = self.options.resolved_threads();
-        let merge = self.options.local && task.associative();
+        let local = self.options.local;
 
         // Real transfer, one worker item per partition. Each outbox lists
         // `(virtual id, (pid, msg))` in the sequential emission order — a
@@ -1033,11 +1037,11 @@ impl<'a> PropagationEngine<'a> {
                 let mut msgs: VirtualOutbox<T::Msg> = members
                     .filter_map(|&v| task.transfer(v, g).map(|(vid, msg)| (vid, (pid, msg))))
                     .collect();
-                if merge {
+                if let (true, Some(merge)) = (local, T::MERGE) {
                     msgs.sort_by_key(|&(vid, _)| vid);
                     msgs.dedup_by(|later, earlier| {
                         later.0 == earlier.0 && {
-                            task.merge(&mut earlier.1 .1, &later.1 .1);
+                            merge(&mut earlier.1 .1, &later.1 .1);
                             true
                         }
                     });
@@ -1052,11 +1056,11 @@ impl<'a> PropagationEngine<'a> {
         if surfer_obs::enabled() {
             surfer_obs::counter_add("virt.messages", outboxes.iter().map(|m| m.len() as u64).sum());
             surfer_obs::counter_add("virt.transfer_calls", g.num_vertices() as u64);
-            surfer_obs::counter_add("virt.cross_bytes", traffic.total());
-
             // Flight recorder: virtual rounds route partition → machine, so
-            // the matrix is P×M.
-            surfer_obs::record_sample(traffic.sample(surfer_obs::StageKind::Virtual));
+            // the matrix is P×M; only pairs leaving their home machine cross.
+            let sample = traffic.sample(surfer_obs::StageKind::Virtual);
+            surfer_obs::counter_add("virt.cross_bytes", sample.cross_bytes);
+            surfer_obs::record_sample(sample);
         }
 
         // Real combine, one worker item per virtual vertex; the shuffle's
@@ -1117,53 +1121,16 @@ impl<'a> PropagationEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{two_partition_cycle, Rotate};
     use std::sync::Arc;
     use surfer_cluster::ClusterConfig;
     use surfer_graph::builder::from_edges;
-    use surfer_graph::generators::deterministic::cycle;
     use surfer_graph::CsrGraph;
     use surfer_partition::Partitioning;
 
-    /// Each vertex forwards a counter; combine sums. One iteration on a
-    /// cycle rotates the values. It folds.
-    struct Rotate;
-    impl Propagation for Rotate {
-        type State = u64;
-        type Msg = u64;
-        fn init(&self, v: VertexId, _g: &CsrGraph) -> u64 {
-            v.0 as u64 + 1
-        }
-        fn transfer(&self, _from: VertexId, s: &u64, _to: VertexId, _g: &CsrGraph) -> Option<u64> {
-            Some(*s)
-        }
-        fn combine(&self, _v: VertexId, _old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
-            msgs.sum()
-        }
-        fn associative(&self) -> bool {
-            true
-        }
-        fn merge(&self, acc: &mut u64, next: &u64) {
-            *acc += next;
-        }
-        fn msg_bytes(&self, _m: &u64) -> u64 {
-            12
-        }
-    }
-
-    fn two_partition_cycle() -> (SimCluster, PartitionedGraph) {
-        let g = cycle(8);
-        let p = Partitioning::new(vec![0, 0, 0, 0, 1, 1, 1, 1], 2);
-        let pg = PartitionedGraph::from_parts(
-            Arc::new(g),
-            p,
-            vec![MachineId(0), MachineId(1)],
-        );
-        (ClusterConfig::flat(2).build(), pg)
-    }
-
     #[test]
     fn rotation_is_exact() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
         let prog = Rotate;
         let mut state = engine.init_state(&prog);
@@ -1175,7 +1142,7 @@ mod tests {
 
     #[test]
     fn short_state_vector_is_a_typed_error() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
         let mut state = vec![1u64; 7];
         let err = engine.run_iteration(&Rotate, &mut state, &RoundCtx::default()).unwrap_err();
@@ -1186,7 +1153,7 @@ mod tests {
 
     #[test]
     fn optimization_level_does_not_change_results() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         let mut results = Vec::new();
         for opts in [EngineOptions::none(), EngineOptions::full()] {
             let engine = PropagationEngine::new(&c, &pg, opts);
@@ -1199,7 +1166,7 @@ mod tests {
 
     #[test]
     fn cross_partition_bytes_counted_exactly() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         // Without local combination: the cycle has exactly 2 cross edges
         // (3->4 and 7->0), one message each way, 12 bytes each.
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::none());
@@ -1238,7 +1205,7 @@ mod tests {
 
     #[test]
     fn local_propagation_reduces_disk() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         let run = |opts: EngineOptions| {
             let engine = PropagationEngine::new(&c, &pg, opts);
             let mut state = engine.init_state(&Rotate);
@@ -1273,17 +1240,12 @@ mod tests {
     impl VirtualVertexTask for DegreeCount {
         type Msg = u64;
         type Out = (u64, u64);
+        const MERGE: Option<Merge<u64>> = Some(|acc, next| *acc += next);
         fn transfer(&self, v: VertexId, g: &CsrGraph) -> Option<(u64, u64)> {
             Some((g.out_degree(v) as u64, 1))
         }
         fn combine(&self, vid: u64, msgs: Bag<'_, u64>) -> (u64, u64) {
             (vid, msgs.sum())
-        }
-        fn associative(&self) -> bool {
-            true
-        }
-        fn merge(&self, acc: &mut u64, next: &u64) {
-            *acc += next;
         }
         fn msg_bytes(&self, _m: &u64) -> u64 {
             16
@@ -1292,11 +1254,19 @@ mod tests {
 
     #[test]
     fn virtual_vertices_compute_degree_histogram() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
+        let session = surfer_obs::ObsSession::begin();
         let (out, report) = engine.run_virtual(&DegreeCount).unwrap();
+        let trace = session.finish();
         assert_eq!(out, vec![(1, 8)]); // all 8 vertices have out-degree 1
         assert!(report.tasks_completed >= 3);
+        // Virtual vertex 1 lives on machine 1, partition 1's home: only
+        // partition 0's merged pair leaves its machine.
+        let sample = trace.samples_of(surfer_obs::StageKind::Virtual).next().unwrap();
+        assert_eq!(trace.counter("virt.cross_bytes"), sample.cross_bytes);
+        assert_eq!((sample.cross_bytes, sample.local_bytes), (16, 16), "one merged pair each");
+        assert!(sample.cross_bytes < sample.traffic.total());
     }
 
     /// Tokens start on the vertices of a bit mask, move one step a round
@@ -1323,7 +1293,7 @@ mod tests {
 
     #[test]
     fn a_pair_gone_quiet_leaves_no_segment_to_replay() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         let opts = EngineOptions::none().memory_budget(MemoryBudget::bytes(16));
         let engine = PropagationEngine::new(&c, &pg, opts);
         let segment = engine.ooc.as_ref().unwrap().seg_file(0, 1);
@@ -1343,7 +1313,7 @@ mod tests {
 
     #[test]
     fn a_pair_written_again_keeps_its_file_cut_to_the_new_length() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         let opts = EngineOptions::none().memory_budget(MemoryBudget::bytes(16));
         let engine = PropagationEngine::new(&c, &pg, opts);
         let segment = engine.ooc.as_ref().unwrap().seg_file(0, 0);
@@ -1362,7 +1332,7 @@ mod tests {
 
     #[test]
     fn a_folding_program_spills_only_what_crosses() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         let opts = EngineOptions::full().memory_budget(MemoryBudget::bytes(16));
         let engine = PropagationEngine::new(&c, &pg, opts);
         let session = engine.ooc.as_ref().unwrap();
@@ -1403,7 +1373,7 @@ mod tests {
 
     #[test]
     fn udf_panic_is_typed_and_leaves_state_untouched() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         for threads in [1, 2, 0] {
             let engine =
                 PropagationEngine::new(&c, &pg, EngineOptions::full().threads(threads));

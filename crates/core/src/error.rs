@@ -63,14 +63,6 @@ pub enum SurferError {
     Storage(GraphError),
     /// The MapReduce baseline engine failed.
     MapReduce(MapReduceError),
-    /// The application does not implement the requested execution primitive
-    /// (e.g. a propagation-only app asked to run as MapReduce).
-    Unsupported {
-        /// The application's `SurferApp::name()`.
-        app: &'static str,
-        /// The primitive it lacks (`"mapreduce"`, `"propagation"`).
-        primitive: &'static str,
-    },
     /// The serving layer's global admitted-job capacity is full; the
     /// submission was rejected *immediately* (bounded queueing, never
     /// unbounded buffering). Back-pressure, not failure: resubmit after the
@@ -127,9 +119,6 @@ impl std::fmt::Display for SurferError {
             }
             SurferError::Storage(e) => write!(f, "checkpoint storage error: {e}"),
             SurferError::MapReduce(e) => write!(f, "mapreduce job failed: {e}"),
-            SurferError::Unsupported { app, primitive } => {
-                write!(f, "app '{app}' does not implement the {primitive} primitive")
-            }
             SurferError::Overloaded { in_flight, capacity, retry_after_hint } => write!(
                 f,
                 "serving queue at capacity ({in_flight}/{capacity} jobs in flight); \
@@ -214,7 +203,6 @@ impl SurferError {
             SurferError::RetriesExhausted { .. } => "RetriesExhausted",
             SurferError::Storage(_) => "Storage",
             SurferError::MapReduce(_) => "MapReduce",
-            SurferError::Unsupported { .. } => "Unsupported",
             SurferError::Overloaded { .. } => "Overloaded",
             SurferError::QuotaExceeded { .. } => "QuotaExceeded",
             SurferError::DeadlineExceeded { .. } => "DeadlineExceeded",
@@ -266,7 +254,6 @@ mod tests {
     fn non_udf_errors_are_not_retryable() {
         assert!(!SurferError::ClusterLost.is_retryable());
         assert!(!SurferError::ReplicasExhausted { partition: 0, iteration: 0 }.is_retryable());
-        assert!(!SurferError::Unsupported { app: "x", primitive: "mapreduce" }.is_retryable());
     }
 
     #[test]
@@ -305,12 +292,5 @@ mod tests {
                 .iteration(),
             None
         );
-    }
-
-    #[test]
-    fn unsupported_names_app_and_primitive() {
-        let e = SurferError::Unsupported { app: "spread", primitive: "mapreduce" };
-        assert!(e.to_string().contains("spread"));
-        assert!(e.to_string().contains("mapreduce"));
     }
 }

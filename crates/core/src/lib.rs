@@ -22,6 +22,8 @@ pub mod ooc;
 pub mod opt;
 pub mod primitive;
 pub mod surfer;
+#[cfg(test)]
+mod testkit;
 
 pub use cascade::{run_cascaded, CascadeAnalysis};
 pub use checkpoint::{run_with_recovery, RecoveryConfig, RecoveryOutcome, RecoveryStats};
@@ -30,5 +32,5 @@ pub use engine::{EngineOptions, PropagationEngine, RoundCtx};
 pub use error::{SurferError, SurferResult};
 pub use ooc::{working_set_bytes, MemoryBudget};
 pub use opt::OptimizationLevel;
-pub use primitive::{Bag, Propagation, VirtualVertexTask};
+pub use primitive::{Bag, Merge, Propagation, VirtualVertexTask};
 pub use surfer::{auto_partition_count, Surfer, SurferApp, SurferBuilder, SurferRun};

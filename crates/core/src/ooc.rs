@@ -462,49 +462,14 @@ pub(crate) fn damage_file(path: &Path, kind: SpillFaultKind) -> SurferResult<()>
 mod tests {
     use super::*;
     use crate::engine::{EngineOptions, PropagationEngine, RoundCtx};
-    use crate::primitive::{Bag, Propagation};
+    use crate::primitive::Propagation;
+    use crate::testkit::{two_partition_cycle, Rotate};
     use std::sync::Arc;
-    use surfer_cluster::{ClusterConfig, MachineId};
-    use surfer_graph::generators::deterministic::cycle;
-    use surfer_graph::CsrGraph;
-    use surfer_partition::Partitioning;
-
-    /// Rotate-and-sum (the engine's own test program).
-    struct SpillRotate;
-    impl Propagation for SpillRotate {
-        type State = u64;
-        type Msg = u64;
-        fn init(&self, v: VertexId, _g: &CsrGraph) -> u64 {
-            v.0 as u64 + 1
-        }
-        fn transfer(&self, _from: VertexId, s: &u64, _to: VertexId, _g: &CsrGraph) -> Option<u64> {
-            Some(*s)
-        }
-        fn combine(&self, _v: VertexId, _old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
-            msgs.sum()
-        }
-        fn associative(&self) -> bool {
-            true
-        }
-        fn merge(&self, acc: &mut u64, next: &u64) {
-            *acc += next;
-        }
-        fn msg_bytes(&self, _m: &u64) -> u64 {
-            12
-        }
-    }
-
-    fn two_partition_cycle() -> (surfer_cluster::SimCluster, PartitionedGraph) {
-        let g = cycle(8);
-        let p = Partitioning::new(vec![0, 0, 0, 0, 1, 1, 1, 1], 2);
-        let pg =
-            PartitionedGraph::from_parts(Arc::new(g), p, vec![MachineId(0), MachineId(1)]);
-        (ClusterConfig::flat(2).build(), pg)
-    }
+    use surfer_cluster::MachineId;
 
     #[test]
     fn budget_unlimited_by_default_and_gates_spill() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         assert!(!MemoryBudget::default().is_limited());
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
         assert!(!engine.spill_active(12));
@@ -520,14 +485,14 @@ mod tests {
 
     #[test]
     fn spilled_iterations_are_bit_identical() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         let plain = RoundCtx::default();
         for opts in [EngineOptions::full(), EngineOptions::none()] {
             let reference = {
                 let engine = PropagationEngine::new(&c, &pg, opts);
-                let mut state = engine.init_state(&SpillRotate);
+                let mut state = engine.init_state(&Rotate);
                 let reports: Vec<_> = (0..3)
-                    .map(|_| engine.run_iteration(&SpillRotate, &mut state, &plain).unwrap().0)
+                    .map(|_| engine.run_iteration(&Rotate, &mut state, &plain).unwrap().0)
                     .collect();
                 (state, reports)
             };
@@ -535,10 +500,10 @@ mod tests {
                 let budgeted =
                     opts.threads(threads).memory_budget(MemoryBudget::bytes(16));
                 let engine = PropagationEngine::new(&c, &pg, budgeted);
-                assert!(engine.spill_active(SpillRotate.state_bytes()));
-                let mut state = engine.init_state(&SpillRotate);
+                assert!(engine.spill_active(Rotate.state_bytes()));
+                let mut state = engine.init_state(&Rotate);
                 let reports: Vec<_> = (0..3)
-                    .map(|_| engine.run_iteration(&SpillRotate, &mut state, &plain).unwrap().0)
+                    .map(|_| engine.run_iteration(&Rotate, &mut state, &plain).unwrap().0)
                     .collect();
                 assert_eq!(state, reference.0, "threads={threads}");
                 assert_eq!(
@@ -575,17 +540,17 @@ mod tests {
 
     #[test]
     fn spill_faults_surface_as_storage_and_leave_state_retryable() {
-        let (c, pg) = two_partition_cycle();
+        let (c, pg) = two_partition_cycle(2);
         let opts = EngineOptions::full().memory_budget(MemoryBudget::bytes(16));
         let engine = PropagationEngine::new(&c, &pg, opts);
-        let mut state = engine.init_state(&SpillRotate);
+        let mut state = engine.init_state(&Rotate);
         let before = state.clone();
         for kind in
             [SpillFaultKind::CorruptEdgeBlock, SpillFaultKind::ShortWrite, SpillFaultKind::CorruptFrame]
         {
             let fault = SpillFault { iteration: 0, partition: 0, kind };
             let ctx = RoundCtx { spill_faults: &[fault], ..RoundCtx::default() };
-            let err = engine.run_iteration(&SpillRotate, &mut state, &ctx).unwrap_err();
+            let err = engine.run_iteration(&Rotate, &mut state, &ctx).unwrap_err();
             assert!(
                 matches!(err, SurferError::Storage(_)),
                 "{kind:?} should be a typed storage error, got {err:?}"
@@ -593,7 +558,7 @@ mod tests {
             assert_eq!(state, before, "{kind:?} must leave state untouched");
         }
         // Clean retry recovers (edge-block cache invalidated on error).
-        engine.run_iteration(&SpillRotate, &mut state, &RoundCtx::default()).unwrap();
+        engine.run_iteration(&Rotate, &mut state, &RoundCtx::default()).unwrap();
         let expect: Vec<u64> = (0..8u64).map(|v| (v + 7) % 8 + 1).collect();
         assert_eq!(state, expect);
     }

@@ -7,9 +7,10 @@
 //! * `combine: (v, bag of values) -> (v, value')` — how a vertex folds the
 //!   values it received into its new state.
 //!
-//! Annotating `combine` as **associative** unlocks the local-combination
-//! optimization (§5.1): messages from one partition to the same remote
-//! vertex are merged before crossing the network.
+//! Declaring a fold ([`Propagation::MERGE`]) marks `combine` as
+//! **associative** and unlocks the local-combination optimization (§5.1):
+//! messages from one partition to the same remote vertex are merged before
+//! crossing the network.
 //!
 //! Vertex-oriented tasks that do not fit the edge-flow pattern use
 //! *virtual vertices* ([`VirtualVertexTask`]): every vertex may send to a
@@ -19,12 +20,16 @@
 use crate::codec::Codec;
 use surfer_graph::{CsrGraph, VertexId};
 
+/// A program's fold of two messages to one vertex: merge the second into
+/// the first (see [`Propagation::MERGE`]).
+pub type Merge<M> = fn(&mut M, &M);
+
 /// The bag of values `combine` is handed: every message that reached one
 /// vertex this round, in arrival order (source partitions ascending,
-/// emission order within one). For an [`Propagation::associative`]
-/// program the engine folds every message, heap-owning ones included, so
-/// the bag holds at most one value — every arrival merged in the order
-/// given at [`Propagation::merge`] — which `combine` may move out. It
+/// emission order within one). For a program with a
+/// [`Propagation::MERGE`] the engine folds every message, heap-owning ones
+/// included, so the bag holds at most one value — every arrival merged in
+/// the order given there — which `combine` may move out. It
 /// drains a run of `(key, msg)` pairs from the engine's mailbox as it is
 /// read — the key is the engine's and never shows — and whatever `combine`
 /// leaves unread is dropped with it.
@@ -90,21 +95,17 @@ pub trait Propagation: Sync {
         false
     }
 
-    /// True when `combine` is associative and commutative over messages, so
-    /// the engine may pre-merge messages with [`Propagation::merge`]
-    /// (local combination, §5.1).
-    fn associative(&self) -> bool {
-        false
-    }
-
-    /// Merge `next` into `acc`, two messages destined for the same vertex.
-    /// Must satisfy `combine(v, s, [a ⊕ b, rest...]) == combine(v, s, [a, b,
-    /// rest...])`, where `a ⊕ b` is `a` after `merge(&mut a, &b)`. Only
-    /// called when [`Propagation::associative`] is true. `next` is borrowed
-    /// because one [`Propagation::per_source`] value may merge into many
-    /// destinations; the engine clones a message only to fill an empty slot.
+    /// The fold: merge `next` into `acc`, two messages destined for the
+    /// same vertex. Declaring it says `combine` is associative and
+    /// commutative over messages, so the engine may pre-merge them (local
+    /// combination, §5.1); `None`, the default, hands `combine` every
+    /// message. It must satisfy `combine(v, s, [a ⊕ b, rest...]) ==
+    /// combine(v, s, [a, b, rest...])`, where `a ⊕ b` is `a` after
+    /// `merge(&mut a, &b)`. `next` is borrowed because one
+    /// [`Propagation::per_source`] value may merge into many destinations;
+    /// the engine clones a message only to fill an empty slot.
     ///
-    /// The engine folds every message of an associative program per
+    /// The engine folds every message of a program with a fold per
     /// destination vertex, with `acc` holding the earlier arrivals. Under
     /// local combination a partition first merges its messages to each
     /// remote vertex, in scan order. The fold then runs in a fixed order:
@@ -112,12 +113,9 @@ pub trait Propagation: Sync {
     /// during that partition's scan), then those from each other partition,
     /// source partitions ascending, emission order within one. The order is
     /// the same at any thread count and memory budget; for a merely
-    /// approximately associative `merge` (floating-point sums) it still
+    /// approximately associative fold (floating-point sums) it still
     /// decides the last bits.
-    #[expect(clippy::panic, reason = "documented contract: only called when associative() is true")]
-    fn merge(&self, _acc: &mut Self::Msg, _next: &Self::Msg) {
-        panic!("merge() called on a non-associative propagation program")
-    }
+    const MERGE: Option<Merge<Self::Msg>> = None;
 
     /// Serialized size of one message in bytes (exact byte accounting for
     /// the network/disk metrics). Includes the 4-byte destination id.
@@ -156,17 +154,10 @@ pub trait VirtualVertexTask: Sync {
     /// Combine all values that reached virtual vertex `vid`.
     fn combine(&self, vid: u64, msgs: Bag<'_, Self::Msg>) -> Self::Out;
 
-    /// True when `combine` tolerates pre-merged messages.
-    fn associative(&self) -> bool {
-        false
-    }
-
-    /// Merge `next` into `acc`, two messages for the same virtual vertex
-    /// (the contract of [`Propagation::merge`]).
-    #[expect(clippy::panic, reason = "documented contract: only called when associative() is true")]
-    fn merge(&self, _acc: &mut Self::Msg, _next: &Self::Msg) {
-        panic!("merge() called on a non-associative virtual-vertex task")
-    }
+    /// The fold of two messages for the same virtual vertex, or `None` when
+    /// `combine` must see every message (the contract of
+    /// [`Propagation::MERGE`]).
+    const MERGE: Option<Merge<Self::Msg>> = None;
 
     /// Serialized message size (including the 8-byte virtual id).
     fn msg_bytes(&self, msg: &Self::Msg) -> u64;

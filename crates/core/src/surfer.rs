@@ -31,16 +31,10 @@ pub trait SurferApp {
     ) -> SurferResult<(Self::Output, ExecReport)>;
 
     /// Execute with the MapReduce primitive.
-    ///
-    /// Propagation-only apps keep this default, which fails as a typed
-    /// [`SurferError::Unsupported`](crate::error::SurferError::Unsupported)
-    /// naming the app — never a panic.
     fn run_mapreduce(
         &self,
-        _engine: &MapReduceEngine<'_>,
-    ) -> SurferResult<(Self::Output, ExecReport)> {
-        Err(crate::error::SurferError::Unsupported { app: self.name(), primitive: "mapreduce" })
-    }
+        engine: &MapReduceEngine<'_>,
+    ) -> SurferResult<(Self::Output, ExecReport)>;
 }
 
 /// Result of running an application.

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use surfer_cluster::{ClusterConfig, ExecReport, MachineId};
 use surfer_core::{
-    Bag, EngineOptions, Propagation, PropagationEngine, RoundCtx, VirtualVertexTask,
+    Bag, EngineOptions, Merge, Propagation, PropagationEngine, RoundCtx, VirtualVertexTask,
 };
 use surfer_graph::generators::social::{msn_like, MsnScale};
 use surfer_graph::{CsrGraph, VertexId};
@@ -32,6 +32,7 @@ struct PageRankish;
 impl Propagation for PageRankish {
     type State = f64;
     type Msg = f64;
+    const MERGE: Option<Merge<f64>> = Some(|acc, next| *acc += next);
 
     fn init(&self, v: VertexId, _g: &CsrGraph) -> f64 {
         1.0 + (v.0 as f64) * 1e-3
@@ -46,12 +47,6 @@ impl Propagation for PageRankish {
         }
         acc
     }
-    fn associative(&self) -> bool {
-        true
-    }
-    fn merge(&self, acc: &mut f64, next: &f64) {
-        *acc += next;
-    }
     fn msg_bytes(&self, _m: &f64) -> u64 {
         12
     }
@@ -63,6 +58,7 @@ struct ShortestPaths;
 impl Propagation for ShortestPaths {
     type State = u64;
     type Msg = u64;
+    const MERGE: Option<Merge<u64>> = Some(|acc, next| *acc = (*acc).min(*next));
 
     fn init(&self, v: VertexId, _g: &CsrGraph) -> u64 {
         if v.0 == 0 { 0 } else { u64::MAX }
@@ -72,12 +68,6 @@ impl Propagation for ShortestPaths {
     }
     fn combine(&self, _v: VertexId, old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
         msgs.fold(*old, |a, b| a.min(b))
-    }
-    fn associative(&self) -> bool {
-        true
-    }
-    fn merge(&self, acc: &mut u64, next: &u64) {
-        *acc = (*acc).min(*next);
     }
     fn msg_bytes(&self, _m: &u64) -> u64 {
         12
@@ -90,18 +80,13 @@ struct DegreeHistogram;
 impl VirtualVertexTask for DegreeHistogram {
     type Msg = f64;
     type Out = (u64, f64);
+    const MERGE: Option<Merge<f64>> = Some(|acc, next| *acc += next);
 
     fn transfer(&self, v: VertexId, g: &CsrGraph) -> Option<(u64, f64)> {
         Some((g.out_degree(v) as u64, 1.0 + v.0 as f64 * 1e-6))
     }
     fn combine(&self, vid: u64, msgs: Bag<'_, f64>) -> (u64, f64) {
         (vid, msgs.sum())
-    }
-    fn associative(&self) -> bool {
-        true
-    }
-    fn merge(&self, acc: &mut f64, next: &f64) {
-        *acc += next;
     }
     fn msg_bytes(&self, _m: &f64) -> u64 {
         16
@@ -193,7 +178,7 @@ fn reference_histogram(pg: &PartitionedGraph, merge: bool) -> Vec<(u64, f64)> {
         for &v in &pg.meta(pid).members {
             let (vid, msg) = DegreeHistogram.transfer(v, g).unwrap();
             match local.entry(vid) {
-                Entry::Occupied(mut acc) if merge => DegreeHistogram.merge(acc.get_mut(), &msg),
+                Entry::Occupied(mut acc) if merge => *acc.get_mut() += msg,
                 Entry::Vacant(slot) if merge => {
                     slot.insert(msg);
                 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use surfer_cluster::{ClusterConfig, MachineId};
 use surfer_core::{
     cascade::{CascadeAnalysis, INF},
-    run_cascaded, Bag, EngineOptions, Propagation, PropagationEngine,
+    run_cascaded, Bag, EngineOptions, Merge, Propagation, PropagationEngine,
 };
 use surfer_graph::builder::from_edges;
 use surfer_graph::{CsrGraph, VertexId};
@@ -18,6 +18,7 @@ struct SumForward;
 impl Propagation for SumForward {
     type State = u64;
     type Msg = u64;
+    const MERGE: Option<Merge<u64>> = Some(|acc, next| *acc += next);
     fn init(&self, v: VertexId, _g: &CsrGraph) -> u64 {
         v.0 as u64 + 1
     }
@@ -26,12 +27,6 @@ impl Propagation for SumForward {
     }
     fn combine(&self, _v: VertexId, _o: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
         msgs.sum()
-    }
-    fn associative(&self) -> bool {
-        true
-    }
-    fn merge(&self, acc: &mut u64, next: &u64) {
-        *acc += next;
     }
     fn msg_bytes(&self, _m: &u64) -> u64 {
         12

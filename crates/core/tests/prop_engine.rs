@@ -1,9 +1,9 @@
 //! Property-based tests of the propagation engine: results must be
 //! invariant to partitioning, placement, optimization level and cluster
 //! shape; byte accounting must be exact; convergence must be stable;
-//! Combine folds every associative program's messages per slot, heap
-//! messages included, while a non-associative program keeps its bag; and a
-//! per-source `transfer` changes nothing but how often it is called.
+//! Combine folds every message of a program that declares a `MERGE` per
+//! slot, heap messages included, while any other program keeps its bag; and
+//! a per-source `transfer` changes nothing but how often it is called.
 
 #![expect(
     clippy::unwrap_used,
@@ -13,10 +13,11 @@
 use proptest::prelude::*;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use surfer_cluster::{ClusterConfig, MachineId, SimCluster};
 use surfer_core::{
-    Bag, EngineOptions, MemoryBudget, OptimizationLevel, Propagation, PropagationEngine, RoundCtx,
+    Bag, EngineOptions, MemoryBudget, Merge, OptimizationLevel, Propagation, PropagationEngine,
+    RoundCtx,
 };
 use surfer_graph::builder::from_edges;
 use surfer_graph::{CsrGraph, VertexId};
@@ -30,6 +31,7 @@ struct SumForward;
 impl Propagation for SumForward {
     type State = u64;
     type Msg = u64;
+    const MERGE: Option<Merge<u64>> = Some(|acc, next| *acc += next);
 
     fn init(&self, v: VertexId, _g: &CsrGraph) -> u64 {
         v.0 as u64 + 1
@@ -39,12 +41,6 @@ impl Propagation for SumForward {
     }
     fn combine(&self, _v: VertexId, _old: &u64, msgs: Bag<'_, u64>, _g: &CsrGraph) -> u64 {
         msgs.sum()
-    }
-    fn associative(&self) -> bool {
-        true
-    }
-    fn merge(&self, acc: &mut u64, next: &u64) {
-        *acc += next;
     }
     fn msg_bytes(&self, _m: &u64) -> u64 {
         12
@@ -188,18 +184,18 @@ fn order_merge(a: u64, b: u64) -> u64 {
     a.wrapping_mul(1_000_003).wrapping_add(b)
 }
 
-/// A `u64`-message program whose `merge` is sensitive to order, so the
+/// A `u64`-message program whose merge is sensitive to order, so the
 /// state shows in which order arrivals were merged — by the engine when the
-/// program says it is associative, by `combine` itself when it does not.
-/// The state is what `combine` was handed: the bag's length, and its
-/// messages merged left to right.
-struct OrderProbe {
-    associative: bool,
-}
+/// program declares it as its `MERGE` (`FOLD`), by `combine` itself when it
+/// does not. The state is what `combine` was handed: the bag's length, and
+/// its messages merged left to right.
+struct OrderProbe<const FOLD: bool>;
 
-impl Propagation for OrderProbe {
+impl<const FOLD: bool> Propagation for OrderProbe<FOLD> {
     type State = (usize, Option<u64>);
     type Msg = u64;
+    const MERGE: Option<Merge<u64>> =
+        if FOLD { Some(|acc, next| *acc = order_merge(*acc, *next)) } else { None };
 
     fn init(&self, _v: VertexId, _g: &CsrGraph) -> Self::State {
         (0, None)
@@ -210,12 +206,6 @@ impl Propagation for OrderProbe {
     fn combine(&self, _v: VertexId, _o: &Self::State, msgs: Bag<'_, u64>, _g: &CsrGraph) -> Self::State {
         (msgs.len(), msgs.reduce(order_merge))
     }
-    fn associative(&self) -> bool {
-        self.associative
-    }
-    fn merge(&self, acc: &mut u64, next: &u64) {
-        *acc = order_merge(*acc, *next);
-    }
     fn msg_bytes(&self, _m: &u64) -> u64 {
         12
     }
@@ -224,17 +214,29 @@ impl Propagation for OrderProbe {
     }
 }
 
-/// A `Vec<u32>`-message program (the TFL/RLG shape) that counts its `merge`
-/// calls. The state is the length of the bag `combine` was handed and the
-/// bag flattened.
-struct BagProbe {
-    associative: bool,
-    merges: AtomicUsize,
-}
+/// The calls of [`BagProbe`]'s merge, from every test and thread.
+static BAG_MERGES: AtomicUsize = AtomicUsize::new(0);
 
-impl Propagation for BagProbe {
+/// Held by each test that runs a [`BagProbe`], so that one test's merges
+/// do not land in the count another reads.
+static BAG_PROBES: Mutex<()> = Mutex::new(());
+
+/// A `Vec<u32>`-message program (the TFL/RLG shape) that declares a merge
+/// when `FOLD` and counts its calls in [`BAG_MERGES`]. The state is the
+/// length of the bag `combine` was handed and the bag flattened.
+struct BagProbe<const FOLD: bool>;
+
+impl<const FOLD: bool> Propagation for BagProbe<FOLD> {
     type State = (usize, Vec<u32>);
     type Msg = Vec<u32>;
+    const MERGE: Option<Merge<Vec<u32>>> = if FOLD {
+        Some(|acc, next| {
+            BAG_MERGES.fetch_add(1, Ordering::Relaxed);
+            acc.extend_from_slice(next);
+        })
+    } else {
+        None
+    };
 
     fn init(&self, _v: VertexId, _g: &CsrGraph) -> Self::State {
         (0, Vec::new())
@@ -244,13 +246,6 @@ impl Propagation for BagProbe {
     }
     fn combine(&self, _v: VertexId, _o: &Self::State, msgs: Bag<'_, Vec<u32>>, _g: &CsrGraph) -> Self::State {
         (msgs.len(), msgs.flatten().collect())
-    }
-    fn associative(&self) -> bool {
-        self.associative
-    }
-    fn merge(&self, acc: &mut Vec<u32>, next: &Vec<u32>) {
-        self.merges.fetch_add(1, Ordering::Relaxed);
-        acc.extend_from_slice(next);
     }
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
         4 + 4 * m.len() as u64
@@ -343,10 +338,10 @@ proptest! {
     fn scalar_associative_messages_fold_in_arrival_order(g in arb_graph(), seed in 0u64..50) {
         let pg = partitioned(&g, 4u32.min(g.num_vertices()), 2, seed);
         let cluster = ClusterConfig::flat(2).build();
-        let probe = OrderProbe { associative: true };
+        let probe = OrderProbe::<true>;
         let (folded, folded_report) = sweep(&cluster, &pg, EngineOptions::none(), &probe);
         let (bagged, bagged_report) =
-            sweep(&cluster, &pg, EngineOptions::none(), &OrderProbe { associative: false });
+            sweep(&cluster, &pg, EngineOptions::none(), &OrderProbe::<false>);
         for v in g.vertices() {
             let merged = |order| {
                 let sources = arrivals(&pg, v, order);
@@ -366,32 +361,15 @@ proptest! {
     }
 
     #[test]
-    fn associative_heap_messages_fold_and_non_associative_programs_keep_their_bags(
+    fn heap_messages_fold_and_programs_without_merge_keep_their_bags(
         g in arb_graph(),
         seed in 0u64..50,
     ) {
         let pg = partitioned(&g, 4u32.min(g.num_vertices()), 2, seed);
         let cluster = ClusterConfig::flat(2).build();
-        for associative in [true, false] {
-            for opts in [EngineOptions::none(), EngineOptions::full()] {
-                let probe = BagProbe { associative, merges: AtomicUsize::new(0) };
-                let (seen, _) = sweep(&cluster, &pg, opts, &probe);
-                // Each merge turns two messages into one, whether the sender
-                // merged them (local combination) or Combine folded them: an
-                // associative program merges n arrivals into one with n - 1
-                // calls, a non-associative one never merges.
-                let mut merges = 0;
-                for v in g.vertices() {
-                    let order = if associative { Order::Fold } else { Order::Bag };
-                    let sources = arrivals(&pg, v, order);
-                    let bag = if associative { sources.len().min(1) } else { sources.len() };
-                    merges += sources.len() - bag;
-                    let flat: Vec<u32> = sources.iter().map(|s| s.0).collect();
-                    prop_assert_eq!(&seen[v.index()], &(bag, flat), "vertex {}", v);
-                }
-                prop_assert_eq!(probe.merges.load(Ordering::Relaxed), SWEEP_RUNS * merges);
-            }
-        }
+        let _probes = BAG_PROBES.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_bags::<true>(&cluster, &pg);
+        assert_bags::<false>(&cluster, &pg);
     }
 
     #[test]
@@ -409,6 +387,34 @@ proptest! {
     }
 }
 
+/// [`BagProbe`] at both optimization levels: a fold's bag holds at most one
+/// message, in fold order, merged with one call per pair of messages it
+/// joined; any other bag holds every arrival, and nothing merges.
+fn assert_bags<const FOLD: bool>(
+    cluster: &SimCluster,
+    pg: &PartitionedGraph,
+) {
+    let g = pg.graph();
+    for opts in [EngineOptions::none(), EngineOptions::full()] {
+        let before = BAG_MERGES.load(Ordering::Relaxed);
+        let (seen, _) = sweep(cluster, pg, opts, &BagProbe::<FOLD>);
+        // Each merge turns two messages into one, whether the sender
+        // merged them (local combination) or Combine folded them: a
+        // program with a fold merges n arrivals into one with n - 1
+        // calls, any other never merges.
+        let mut merges = 0;
+        for v in g.vertices() {
+            let order = if FOLD { Order::Fold } else { Order::Bag };
+            let sources = arrivals(pg, v, order);
+            let bag = if FOLD { sources.len().min(1) } else { sources.len() };
+            merges += sources.len() - bag;
+            let flat: Vec<u32> = sources.iter().map(|s| s.0).collect();
+            assert_eq!(&seen[v.index()], &(bag, flat), "vertex {}", v);
+        }
+        assert_eq!(BAG_MERGES.load(Ordering::Relaxed) - before, SWEEP_RUNS * merges);
+    }
+}
+
 /// Runs `inner` with its `per_source` declaration set to `per_source`,
 /// counting `transfer` calls per source vertex.
 struct PerSource<'a, P> {
@@ -420,6 +426,7 @@ struct PerSource<'a, P> {
 impl<P: Propagation> Propagation for PerSource<'_, P> {
     type State = P::State;
     type Msg = P::Msg;
+    const MERGE: Option<Merge<P::Msg>> = P::MERGE;
 
     fn init(&self, v: VertexId, g: &CsrGraph) -> P::State {
         self.inner.init(v, g)
@@ -433,12 +440,6 @@ impl<P: Propagation> Propagation for PerSource<'_, P> {
     }
     fn per_source(&self) -> bool {
         self.per_source
-    }
-    fn associative(&self) -> bool {
-        self.inner.associative()
-    }
-    fn merge(&self, acc: &mut P::Msg, next: &P::Msg) {
-        self.inner.merge(acc, next)
     }
     fn msg_bytes(&self, m: &P::Msg) -> u64 {
         self.inner.msg_bytes(m)
@@ -507,11 +508,11 @@ proptest! {
     fn per_source_transfer_changes_only_the_call_count(g in arb_graph(), seed in 0u64..50) {
         let pg = partitioned(&g, 4u32.min(g.num_vertices()), 2, seed);
         let cluster = ClusterConfig::flat(2).build();
-        for associative in [true, false] {
-            assert_per_source_is_invisible(&cluster, &pg, &OrderProbe { associative });
-            let probe = BagProbe { associative, merges: AtomicUsize::new(0) };
-            assert_per_source_is_invisible(&cluster, &pg, &probe);
-        }
+        assert_per_source_is_invisible(&cluster, &pg, &OrderProbe::<true>);
+        assert_per_source_is_invisible(&cluster, &pg, &OrderProbe::<false>);
+        let _probes = BAG_PROBES.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_per_source_is_invisible(&cluster, &pg, &BagProbe::<true>);
+        assert_per_source_is_invisible(&cluster, &pg, &BagProbe::<false>);
         assert_per_source_is_invisible(&cluster, &pg, &FirstOnly);
     }
 }

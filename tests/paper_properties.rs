@@ -10,7 +10,8 @@ use surfer::partition::{
     RecursivePartitioner,
 };
 use surfer_apps::pagerank::{NetworkRanking, PageRankPropagation};
-use surfer_core::SurferApp;
+use surfer_apps::{components, degree_dist, recommender, reverse, shortest_paths, triangle, two_hop};
+use surfer_core::{Propagation, SurferApp, VirtualVertexTask};
 
 const SEED: u64 = 0x9A9E4;
 
@@ -169,4 +170,23 @@ fn app_trait_names_are_stable() {
     let s = Surfer::builder(cluster).partitions(2).load(&g);
     let _ = s; // names are static, no run needed
     assert_eq!(NetworkRanking::new(1).name(), "NR");
+
+    // Which programs fold changes only speed, never a result, so no other
+    // test notices a dropped declaration.
+    let folds = [
+        ("NR", <PageRankPropagation as Propagation>::MERGE.is_some()),
+        ("CC", <components::ComponentPropagation as Propagation>::MERGE.is_some()),
+        ("BFS", <shortest_paths::BfsPropagation as Propagation>::MERGE.is_some()),
+        ("RS", <recommender::RecommendPropagation as Propagation>::MERGE.is_some()),
+        ("RLG", <reverse::ReversePropagation as Propagation>::MERGE.is_some()),
+        ("TFL", <two_hop::TwoHopPropagation as Propagation>::MERGE.is_some()),
+        ("VDD", <degree_dist::DegreeVirtualTask as VirtualVertexTask>::MERGE.is_some()),
+    ];
+    for (app, folds) in folds {
+        assert!(folds, "{app} must declare its MERGE");
+    }
+    assert!(
+        <triangle::TrianglePropagation as Propagation>::MERGE.is_none(),
+        "TC's combine needs every message"
+    );
 }

@@ -21,7 +21,7 @@ use surfer::cluster::{
     ClusterConfig, FaultPlan, MachineCrash, MachineId, SimCluster, SnapshotCorruption, UdfPanicAt,
 };
 use surfer::core::{
-    Bag, EngineOptions, Propagation, PropagationEngine, RecoveryConfig, SurferError,
+    Bag, EngineOptions, Merge, Propagation, PropagationEngine, RecoveryConfig, SurferError,
 };
 use surfer::graph::builder::from_edges;
 use surfer::graph::{CsrGraph, VertexId};
@@ -68,6 +68,7 @@ struct PoisonedPageRank {
 impl Propagation for PoisonedPageRank {
     type State = <PageRankPropagation as Propagation>::State;
     type Msg = <PageRankPropagation as Propagation>::Msg;
+    const MERGE: Option<Merge<Self::Msg>> = PageRankPropagation::MERGE;
 
     fn init(&self, v: VertexId, g: &CsrGraph) -> Self::State {
         self.inner.init(v, g)
@@ -96,14 +97,6 @@ impl Propagation for PoisonedPageRank {
 
     fn per_source(&self) -> bool {
         self.inner.per_source()
-    }
-
-    fn associative(&self) -> bool {
-        self.inner.associative()
-    }
-
-    fn merge(&self, acc: &mut Self::Msg, next: &Self::Msg) {
-        self.inner.merge(acc, next)
     }
 
     fn msg_bytes(&self, msg: &Self::Msg) -> u64 {
