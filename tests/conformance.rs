@@ -12,9 +12,10 @@
 //! counts within a mode (compared via `Debug` formatting, which renders
 //! every f64 bit-exactly). Separate tests push the PageRank propagation
 //! program through cascaded execution and the fault-free recovery path and
-//! require bit-identical final vertex states against the plain engine. A
-//! golden table pins what NR, CC, BFS, VDD and cascaded NR compute, count
-//! and are charged, across levels, thread counts and memory budgets.
+//! require bit-identical final vertex states against the plain engine. Two
+//! golden tables pin what NR, CC, BFS, VDD and cascaded NR, and the
+//! set-valued RLG and TFL (TFL also through MapReduce), compute, count and
+//! are charged, across levels, thread counts and memory budgets.
 //!
 //! Optimization levels and MapReduce may legitimately differ from each
 //! other in the last float bits (local combination regroups f64 sums), so
@@ -39,6 +40,7 @@ use surfer::core::{
 use surfer::graph::builder::from_edges;
 use surfer::graph::generators::social::{msn_like, MsnScale};
 use surfer::graph::{CsrGraph, VertexId};
+use surfer::mapreduce::MapReduceEngine;
 use surfer::partition::{PartitionedGraph, Partitioning, PlacementPolicy};
 
 const SEED: u64 = 0xE2E;
@@ -256,7 +258,7 @@ impl Fnv {
 /// their last bits. CC and BFS (min), VDD (integer sum) and every report
 /// digest are the values recorded on the lane.
 #[rustfmt::skip]
-const GOLDEN: &[(&str, &str, [u64; 5], [u64; 5])] = &[
+const GOLDEN: &[GoldenRow<5>] = &[
     ("small", "O1",
         [0xdfc39f7aa4e58e06, 0xeed2c9059ebd5dfd, 0x115f5853f4773b4c, 0xbbef36aa3d192c77, 0xdfc39f7aa4e58e06],
         [0xf5ee3851110745b4, 0x331be2e189343aa7, 0xb42dbd9eb179a77c, 0x271884c97f577521, 0x424e74b08a68a6cb]),
@@ -297,6 +299,57 @@ const GOLDEN: &[(&str, &str, [u64; 5], [u64; 5])] = &[
 
 /// The programs of one golden row, in column order.
 const GOLDEN_PROGRAMS: [&str; 5] = ["NR", "CC", "BFS", "VDD", "cascaded NR"];
+
+/// The set-valued programs' digests, recorded before their id lists moved
+/// to inline storage and a shared linear union kernel: per world and level,
+/// RLG and TFL through propagation and TFL through MapReduce, each as a
+/// digest of the app's output and of its `ExecReport`. They pin that
+/// change as bit-identical in what the programs compute and are charged.
+#[rustfmt::skip]
+const GOLDEN_SET_VALUED: &[GoldenRow<3>] = &[
+    ("small", "O1",
+        [0xfeb8fa0651e94208, 0xabc56fc6142274f4, 0xabc56fc6142274f4],
+        [0xb0681e906f6de446, 0x49c9c258d7d8fe75, 0xe279037cb5c49119]),
+    ("small", "O2",
+        [0xfeb8fa0651e94208, 0xabc56fc6142274f4, 0xabc56fc6142274f4],
+        [0xbe5e45ea5c53a6ed, 0x20616dba045534ac, 0x83e4cc25fb150d55]),
+    ("small", "O3",
+        [0xfeb8fa0651e94208, 0xabc56fc6142274f4, 0xabc56fc6142274f4],
+        [0x170efc8f17d72c93, 0xe1097eddbb740881, 0xe279037cb5c49119]),
+    ("small", "O4",
+        [0xfeb8fa0651e94208, 0xabc56fc6142274f4, 0xabc56fc6142274f4],
+        [0x7a5f8d5cca5eb544, 0x775f5e6f09c03b73, 0x83e4cc25fb150d55]),
+    ("tiny", "O1",
+        [0xbe199390ac071b5d, 0x03bff13f4340274a, 0x03bff13f4340274a],
+        [0xbd283fca53c63525, 0x802bd057ad6affd3, 0xda61dbdc0a5d15de]),
+    ("tiny", "O2",
+        [0xbe199390ac071b5d, 0x03bff13f4340274a, 0x03bff13f4340274a],
+        [0x1cfd8c411cf8ff7d, 0x7adac61bd99a606d, 0x99cd42594063be5d]),
+    ("tiny", "O3",
+        [0xbe199390ac071b5d, 0x03bff13f4340274a, 0x03bff13f4340274a],
+        [0xb11aa4e2ac4d33b4, 0xff2ca7e18ecbc616, 0xda61dbdc0a5d15de]),
+    ("tiny", "O4",
+        [0xbe199390ac071b5d, 0x03bff13f4340274a, 0x03bff13f4340274a],
+        [0x95a002890953bea3, 0x453d8c684a1b02fa, 0x99cd42594063be5d]),
+    ("hand-built", "O1",
+        [0x02ba0e679ef1e63d, 0x5cb7618b8478bca5, 0x5cb7618b8478bca5],
+        [0x37e38f91adecefc9, 0x9e545f8efd8a7e0e, 0x333861c22c2239dd]),
+    ("hand-built", "O2",
+        [0x02ba0e679ef1e63d, 0x5cb7618b8478bca5, 0x5cb7618b8478bca5],
+        [0xae1abf36fcd2c1a3, 0xaba30af9614693f3, 0x81786a6aaca508ea]),
+    ("hand-built", "O3",
+        [0x02ba0e679ef1e63d, 0x5cb7618b8478bca5, 0x5cb7618b8478bca5],
+        [0x8e11a672cebdb9fb, 0xf42f4abb251faf0e, 0x333861c22c2239dd]),
+    ("hand-built", "O4",
+        [0x02ba0e679ef1e63d, 0x5cb7618b8478bca5, 0x5cb7618b8478bca5],
+        [0x4f8a433abd363e34, 0xa1ff3914ece272b3, 0x81786a6aaca508ea]),
+];
+
+/// The programs of one [`GOLDEN_SET_VALUED`] row, in column order.
+const SET_VALUED_PROGRAMS: [&str; 3] = ["RLG", "TFL", "TFL (MapReduce)"];
+
+/// One golden row: world, level, per program a state and a report digest.
+type GoldenRow<const N: usize> = (&'static str, &'static str, [u64; N], [u64; N]);
 
 /// One program's digests: `(state, report)`. The state digest covers what
 /// it computed (final vertex states, VDD's outputs); the report digest
@@ -357,12 +410,39 @@ fn golden_cell(engine: &PropagationEngine<'_>, flood_rounds: u32) -> ([u64; 5], 
     (cell.map(|d| d.0), cell.map(|d| d.1))
 }
 
+/// One cell of [`GOLDEN_SET_VALUED`]: RLG and TFL through `engine`, and TFL
+/// through MapReduce on the same world and thread count.
+fn set_valued_cell(engine: &PropagationEngine<'_>) -> ([u64; 3], [u64; 3]) {
+    let lists = |d: Fnv, list: &[u32]| d.word(list.len() as u64).bytes(&list_bytes(list));
+    let tfl = TwoHopFriends::new(SEED);
+    let (rlg, rlg_report) = ReverseLinkGraph.run_propagation(engine).expect("RLG");
+    let rlg = rlg.graph.vertices().fold(Fnv::new(), |d, v| {
+        let ids: Vec<u32> = rlg.graph.neighbors(v).iter().map(|t| t.0).collect();
+        lists(d, &ids)
+    });
+    let (two_hop, tfl_report) = tfl.run_propagation(engine).expect("TFL");
+    let two_hop = two_hop.lists.iter().fold(Fnv::new(), |d, l| lists(d, l));
+    let mapreduce = MapReduceEngine::new(engine.cluster(), engine.graph())
+        .with_threads(engine.options().resolved_threads());
+    let (mr, mr_report) = tfl.run_mapreduce(&mapreduce).expect("TFL (MapReduce)");
+    let mr = mr.lists.iter().fold(Fnv::new(), |d, l| lists(d, l));
+    let reports = [rlg_report, tfl_report, mr_report].map(|r| Fnv::new().debug(&r).0);
+    ([rlg.0, two_hop.0, mr.0], reports)
+}
+
+/// Little-endian bytes of an id list.
+fn list_bytes(list: &[u32]) -> Vec<u8> {
+    list.iter().flat_map(|id| id.to_le_bytes()).collect()
+}
+
 /// Run one world at every optimization level × the thread sweep × budget
-/// {unlimited, working set / 10} and hold each cell to its golden row.
-/// `flood_rounds` caps CC and BFS.
-fn golden_world(
+/// {unlimited, working set / 10} and hold each cell to its row of `table`,
+/// whose columns are `programs`.
+fn golden_world<const N: usize>(
     name: &str,
-    flood_rounds: u32,
+    table: &[GoldenRow<N>],
+    programs: [&str; N],
+    cell: impl Fn(&PropagationEngine<'_>) -> ([u64; N], [u64; N]),
     load: impl Fn(OptimizationLevel) -> (SimCluster, PartitionedGraph),
 ) {
     let mut computed = Vec::new();
@@ -375,7 +455,7 @@ fn golden_world(
                 let options =
                     EngineOptions::from_level(level).threads(threads).memory_budget(budget);
                 let engine = PropagationEngine::new(&cluster, &pg, options);
-                cells.push((threads, budget, golden_cell(&engine, flood_rounds)));
+                cells.push((threads, budget, cell(&engine)));
             }
         }
         for (threads, budget, cell) in &cells[1..] {
@@ -387,9 +467,9 @@ fn golden_world(
         computed.push(cells[0].2);
     }
     let golden: Vec<_> =
-        GOLDEN.iter().filter(|row| row.0 == name).map(|row| (row.2, row.3)).collect();
+        table.iter().filter(|row| row.0 == name).map(|row| (row.2, row.3)).collect();
     if computed != golden {
-        let hex = |ds: &[u64; 5]| ds.map(|d| format!("{d:#018x}")).join(", ");
+        let hex = |ds: &[u64; N]| ds.map(|d| format!("{d:#018x}")).join(", ");
         let mut table = String::new();
         for (level, (states, reports)) in OptimizationLevel::ALL.iter().zip(&computed) {
             table += &format!(
@@ -398,7 +478,7 @@ fn golden_world(
                 hex(reports)
             );
         }
-        panic!("{name} {GOLDEN_PROGRAMS:?} left the golden table; computed:\n{table}");
+        panic!("{name} {programs:?} left the golden table; computed:\n{table}");
     }
 }
 
@@ -440,7 +520,7 @@ fn loaded_world(
 #[test]
 fn small_world_reproduces_the_golden_digests() {
     let g = msn_like(MsnScale::Small, 2010);
-    golden_world("small", 6, |level| {
+    golden_world("small", GOLDEN, GOLDEN_PROGRAMS, |e| golden_cell(e, 6), |level| {
         loaded_world(&g, ClusterConfig::paper_regime(Topology::t2(2, 1, 32)), 32, level)
     });
 }
@@ -448,12 +528,33 @@ fn small_world_reproduces_the_golden_digests() {
 #[test]
 fn tiny_world_reproduces_the_golden_digests() {
     let g = graph();
-    golden_world("tiny", 64, |level| {
+    golden_world("tiny", GOLDEN, GOLDEN_PROGRAMS, |e| golden_cell(e, 64), |level| {
         loaded_world(&g, ClusterConfig::new(Topology::t1(8)), PARTITIONS, level)
     });
 }
 
 #[test]
 fn hand_built_world_reproduces_the_golden_digests() {
-    golden_world("hand-built", 64, hand_built_world);
+    golden_world("hand-built", GOLDEN, GOLDEN_PROGRAMS, |e| golden_cell(e, 64), hand_built_world);
+}
+
+#[test]
+fn small_world_reproduces_the_set_valued_golden_digests() {
+    let g = msn_like(MsnScale::Small, 2010);
+    golden_world("small", GOLDEN_SET_VALUED, SET_VALUED_PROGRAMS, set_valued_cell, |level| {
+        loaded_world(&g, ClusterConfig::paper_regime(Topology::t2(2, 1, 32)), 32, level)
+    });
+}
+
+#[test]
+fn tiny_world_reproduces_the_set_valued_golden_digests() {
+    let g = graph();
+    golden_world("tiny", GOLDEN_SET_VALUED, SET_VALUED_PROGRAMS, set_valued_cell, |level| {
+        loaded_world(&g, ClusterConfig::new(Topology::t1(8)), PARTITIONS, level)
+    });
+}
+
+#[test]
+fn hand_built_world_reproduces_the_set_valued_golden_digests() {
+    golden_world("hand-built", GOLDEN_SET_VALUED, SET_VALUED_PROGRAMS, set_valued_cell, hand_built_world);
 }
