@@ -13,7 +13,9 @@
 //! | RLG | Reverse link graph           | single-iteration propagation |
 //! | TFL | Two-hop friend lists (10%)   | single-iteration propagation |
 //!
-//! [`loc`] counts the real UDF source lines for Table 4.
+//! [`loc`] counts the real UDF source lines for Table 4. [`id_list`] holds
+//! the library helpers of the two set-valued apps, RLG and TFL: an id list
+//! stored in place while short, and a linear sorted-union kernel.
 //!
 //! Two *extension* applications beyond the paper's six exercise
 //! convergence-driven propagation: [`components`] (connected components by
@@ -21,6 +23,7 @@
 
 pub mod components;
 pub mod degree_dist;
+pub mod id_list;
 pub mod loc;
 pub mod shortest_paths;
 pub mod pagerank;
@@ -57,17 +60,34 @@ pub(crate) mod testutil {
     /// A small community graph loaded onto a flat cluster.
     pub fn surfer_fixture(partitions: u32, machines: u16) -> (CsrGraph, Surfer) {
         let g = stitched_small_worlds(&SocialGraphConfig::new(4, 8, FIXTURE_SEED));
-        let cluster: SimCluster = ClusterConfig::flat(machines).build();
-        let s = Surfer::builder(cluster).partitions(partitions).load(&g);
+        let s = surfer_on(&g, partitions, machines);
         (g, s)
+    }
+
+    /// `g` loaded onto a flat cluster.
+    pub fn surfer_on(g: &CsrGraph, partitions: u32, machines: u16) -> Surfer {
+        let cluster: SimCluster = ClusterConfig::flat(machines).build();
+        Surfer::builder(cluster).partitions(partitions).load(g)
+    }
+
+    /// `g` with every edge twice: a multigraph, which
+    /// `CsrGraph::from_raw_parts` accepts and `GraphBuilder` would have
+    /// deduplicated.
+    pub fn multigraph(g: &CsrGraph) -> CsrGraph {
+        let mut offsets = vec![0u64];
+        let mut targets = Vec::new();
+        for v in g.vertices() {
+            targets.extend(g.neighbors(v).iter().flat_map(|&t| [t, t]));
+            offsets.push(targets.len() as u64);
+        }
+        CsrGraph::from_raw_parts(offsets, targets).expect("a valid multigraph")
     }
 
     /// The same fixture, symmetrized (connected-components needs
     /// bidirectional message flow).
     pub fn surfer_symmetric_fixture(partitions: u32, machines: u16) -> (CsrGraph, Surfer) {
         let g = stitched_small_worlds(&SocialGraphConfig::new(4, 8, FIXTURE_SEED)).symmetrize();
-        let cluster: SimCluster = ClusterConfig::flat(machines).build();
-        let s = Surfer::builder(cluster).partitions(partitions).load(&g);
+        let s = surfer_on(&g, partitions, machines);
         (g, s)
     }
 }

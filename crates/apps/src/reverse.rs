@@ -5,11 +5,12 @@
 //! list."* Transfer ships the reversed edge to its new source; combine
 //! assembles each vertex's in-neighbor list.
 
+use crate::id_list::IdList;
 use crate::ExactOutput;
 use surfer_cluster::ExecReport;
 use surfer_core::{Bag, Merge, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
 use surfer_graph::adjacency::record_bytes;
-use surfer_graph::{CsrGraph, GraphBuilder, VertexId};
+use surfer_graph::{CsrGraph, VertexId};
 use surfer_mapreduce::{Emitter, MapReduceEngine, PartitionMapper, Reducer};
 use surfer_partition::PartitionedGraph;
 
@@ -36,14 +37,26 @@ impl ReverseLinkGraph {
         ReversedGraph { graph: g.transpose() }
     }
 
-    fn assemble(n: u32, lists: Vec<(u32, Vec<u32>)>) -> ReversedGraph {
-        let mut b = GraphBuilder::new(n);
+    /// The reversed graph from each vertex's in-neighbour list, one list per
+    /// vertex at most: offsets from the list lengths, targets their
+    /// concatenation. `from_raw_parts` sorts each row and, like the
+    /// transpose, keeps a repeated edge.
+    fn assemble<L: AsRef<[u32]>>(n: u32, lists: &[(u32, L)]) -> SurferResult<ReversedGraph> {
+        let mut offsets = vec![0u64; n as usize + 1];
         for (v, sources) in lists {
-            for s in sources {
-                b.add_edge_raw(v, s);
+            offsets[*v as usize + 1] = sources.as_ref().len() as u64;
+        }
+        for v in 0..n as usize {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut targets = vec![VertexId(0); offsets[n as usize] as usize];
+        for (v, sources) in lists {
+            let row = &mut targets[offsets[*v as usize] as usize..offsets[*v as usize + 1] as usize];
+            for (t, &s) in row.iter_mut().zip(sources.as_ref()) {
+                *t = VertexId(s);
             }
         }
-        ReversedGraph { graph: b.build() }
+        Ok(ReversedGraph { graph: CsrGraph::from_raw_parts(offsets, targets)? })
     }
 }
 
@@ -54,34 +67,32 @@ impl ReverseLinkGraph {
 pub struct ReversePropagation;
 
 impl Propagation for ReversePropagation {
-    /// Collected in-neighbors.
-    type State = Vec<u32>;
+    /// Collected in-neighbors, in arrival order.
+    type State = IdList;
     /// A batch of reversed-edge sources (singletons merge under local
-    /// combination).
-    type Msg = Vec<u32>;
+    /// combination), held in place while short.
+    type Msg = IdList;
 
-    fn init(&self, _v: VertexId, _g: &CsrGraph) -> Vec<u32> {
-        Vec::new()
+    fn init(&self, _v: VertexId, _g: &CsrGraph) -> IdList {
+        IdList::default()
     }
 
     // LOC:BEGIN(rlg_propagation)
-    fn transfer(&self, from: VertexId, _s: &Vec<u32>, _to: VertexId, _g: &CsrGraph) -> Option<Vec<u32>> {
-        Some(vec![from.0])
+    fn transfer(&self, from: VertexId, _s: &IdList, _to: VertexId, _g: &CsrGraph) -> Option<IdList> {
+        Some(IdList::one(from.0))
     }
 
-    fn combine(&self, _v: VertexId, _old: &Vec<u32>, msgs: Bag<'_, Vec<u32>>, _g: &CsrGraph) -> Vec<u32> {
+    fn combine(&self, _v: VertexId, _old: &IdList, msgs: Bag<'_, IdList>, _g: &CsrGraph) -> IdList {
         // Under the engine's fold the bag holds one message: move it out.
-        let mut sources = msgs.reduce(|mut a, b| { append(&mut a, &b); a }).unwrap_or_default();
-        sources.sort_unstable();
-        sources
+        msgs.reduce(|mut a, b| { append(&mut a, &b); a }).unwrap_or_default()
     }
 
     fn per_source(&self) -> bool { true }
 
-    const MERGE: Option<Merge<Vec<u32>>> = Some(|acc, next| append(acc, next));
+    const MERGE: Option<Merge<IdList>> = Some(append);
     // LOC:END(rlg_propagation)
 
-    fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
+    fn msg_bytes(&self, m: &IdList) -> u64 {
         record_bytes(m.len()) // destination + length header + ids
     }
 
@@ -92,7 +103,7 @@ impl Propagation for ReversePropagation {
 
 // LOC:BEGIN(rlg_propagation)
 /// RLG's fold: the sources of both batches, `acc`'s first.
-fn append(acc: &mut Vec<u32>, next: &[u32]) {
+fn append(acc: &mut IdList, next: &IdList) {
     acc.extend_from_slice(next);
 }
 // LOC:END(rlg_propagation)
@@ -153,22 +164,21 @@ impl SurferApp for ReverseLinkGraph {
         let prog = ReversePropagation;
         let mut state = engine.init_state(&prog);
         let report = engine.run_iteration(&prog, &mut state, &RoundCtx::default())?.0;
-        let lists =
-            state.into_iter().enumerate().map(|(v, l)| (v as u32, l)).collect();
-        Ok((Self::assemble(g.num_vertices(), lists), report))
+        let lists: Vec<_> = state.into_iter().enumerate().map(|(v, l)| (v as u32, l)).collect();
+        Ok((Self::assemble(g.num_vertices(), &lists)?, report))
     }
 
     fn run_mapreduce(&self, engine: &MapReduceEngine<'_>) -> SurferResult<(ReversedGraph, ExecReport)> {
         let g = engine.graph().graph();
         let run = engine.run(&ReverseMapper, &ReverseReducer)?;
-        Ok((Self::assemble(g.num_vertices(), run.outputs), run.report))
+        Ok((Self::assemble(g.num_vertices(), &run.outputs)?, run.report))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::surfer_fixture;
+    use crate::testutil::{multigraph, surfer_fixture, surfer_on};
 
     #[test]
     fn propagation_matches_reference() {
@@ -182,6 +192,21 @@ mod tests {
         let (g, surfer) = surfer_fixture(4, 4);
         let run = surfer.run_mapreduce(&ReverseLinkGraph).unwrap();
         assert_eq!(run.output, ReverseLinkGraph.reference(&g));
+    }
+
+    #[test]
+    fn both_lanes_keep_a_multigraphs_repeated_edges() {
+        // Three vertices, `0 -> 1` twice: the transpose holds `1 -> 0` twice.
+        let tiny = CsrGraph::from_raw_parts(vec![0, 2, 3, 3], [1, 1, 2].map(VertexId).to_vec())
+            .unwrap();
+        let (fixture, _) = surfer_fixture(4, 4);
+        for (g, partitions) in [(tiny, 2), (multigraph(&fixture), 4)] {
+            let surfer = surfer_on(&g, partitions, 2);
+            let reference = ReverseLinkGraph.reference(&g);
+            assert_eq!(reference.graph.num_edges(), g.num_edges());
+            assert_eq!(surfer.run(&ReverseLinkGraph).unwrap().output, reference);
+            assert_eq!(surfer.run_mapreduce(&ReverseLinkGraph).unwrap().output, reference);
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! partition before they cross the network, which is why TFL shows the
 //! paper's most dramatic traffic reduction (2886 GB -> 138 GB in Table 3).
 
+use crate::id_list::{union_all, union_into};
 use crate::ExactOutput;
+use std::sync::Arc;
 use surfer_cluster::ExecReport;
 use surfer_core::{Bag, Merge, Propagation, PropagationEngine, RoundCtx, SurferApp, SurferResult};
 use surfer_graph::adjacency::record_bytes;
@@ -93,7 +95,7 @@ pub struct TwoHopPropagation {
 impl Propagation for TwoHopPropagation {
     /// Accumulated distinct two-hop friends.
     type State = Vec<u32>;
-    /// A sorted, deduplicated batch of friend ids.
+    /// A sorted batch of friend ids, distinct once merged.
     type Msg = Vec<u32>;
 
     fn init(&self, _v: VertexId, _g: &CsrGraph) -> Vec<u32> {
@@ -110,15 +112,14 @@ impl Propagation for TwoHopPropagation {
 
     fn combine(&self, _v: VertexId, _old: &Vec<u32>, msgs: Bag<'_, Vec<u32>>, _g: &CsrGraph) -> Vec<u32> {
         // Under the engine's fold the bag holds one message: move it out.
-        let mut all = msgs.reduce(|mut a, b| { union_sorted(&mut a, &b); a }).unwrap_or_default();
-        all.sort_unstable();
-        all.dedup();
+        let mut all = msgs.reduce(|mut a, b| { union_into(&mut a, &b); a }).unwrap_or_default();
+        all.dedup(); // a list never merged keeps a multigraph's repeats
         all
     }
 
     fn per_source(&self) -> bool { true }
 
-    const MERGE: Option<Merge<Vec<u32>>> = Some(|acc, next| union_sorted(acc, next));
+    const MERGE: Option<Merge<Vec<u32>>> = Some(|acc, next| union_into(acc, next));
     // LOC:END(tfl_propagation)
 
     fn msg_bytes(&self, m: &Vec<u32>) -> u64 {
@@ -134,24 +135,6 @@ impl Propagation for TwoHopPropagation {
     }
 }
 
-// LOC:BEGIN(tfl_propagation)
-/// TFL's fold: the union of two sorted, deduplicated id lists, itself
-/// sorted and deduplicated.
-fn union_sorted(acc: &mut Vec<u32>, next: &[u32]) {
-    // One pass over two sorted lists; an id both hold is written once.
-    let (a, b) = (std::mem::take(acc), next);
-    acc.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        acc.push(a[i].min(b[j]));
-        (i, j) = (i + usize::from(a[i] <= b[j]), j + usize::from(b[j] <= a[i]));
-    }
-    acc.extend_from_slice(&a[i..]);
-    acc.extend_from_slice(&b[j..]);
-    acc.dedup();
-}
-// LOC:END(tfl_propagation)
-
 // ----------------------------------------------------------------- mapreduce
 
 /// TFL map: each selected vertex pushes its friend list to each friend.
@@ -162,24 +145,25 @@ pub struct TwoHopMapper<'a> {
 }
 
 impl PartitionMapper for TwoHopMapper<'_> {
-    type Value = Vec<u32>;
+    /// A pusher's friend list, shared by every pair it emits.
+    type Value = Arc<[u32]>;
 
     // LOC:BEGIN(tfl_mapreduce)
-    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<Vec<u32>>) {
+    fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<Arc<[u32]>>) {
         let g = pg.graph();
         for &v in &pg.meta(pid).members {
             if !self.selected[v.index()] {
                 continue;
             }
-            let friends: Vec<u32> = g.neighbors(v).iter().map(|t| t.0).collect();
+            let friends: Arc<[u32]> = g.neighbors(v).iter().map(|t| t.0).collect();
             for &t in g.neighbors(v) {
-                out.emit(t.0, friends.clone());
+                out.emit(t.0, Arc::clone(&friends));
             }
         }
     }
     // LOC:END(tfl_mapreduce)
 
-    fn pair_bytes(&self, list: &Vec<u32>) -> u64 {
+    fn pair_bytes(&self, list: &Arc<[u32]>) -> u64 {
         record_bytes(list.len()) // same record format as the propagation side
     }
 }
@@ -189,15 +173,12 @@ impl PartitionMapper for TwoHopMapper<'_> {
 pub struct TwoHopReducer;
 
 impl Reducer for TwoHopReducer {
-    type Value = Vec<u32>;
+    type Value = Arc<[u32]>;
     type Out = (u32, Vec<u32>);
 
     // LOC:BEGIN(tfl_mapreduce_reduce)
-    fn reduce(&self, v: &u32, values: &[Vec<u32>], out: &mut Vec<(u32, Vec<u32>)>) {
-        let mut all: Vec<u32> = values.iter().flatten().copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        out.push((*v, all));
+    fn reduce(&self, v: &u32, values: &[Arc<[u32]>], out: &mut Vec<(u32, Vec<u32>)>) {
+        out.push((*v, union_all(values)));
     }
     // LOC:END(tfl_mapreduce_reduce)
 
@@ -238,7 +219,7 @@ impl SurferApp for TwoHopFriends {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{surfer_fixture, FIXTURE_SEED};
+    use crate::testutil::{multigraph, surfer_fixture, surfer_on, FIXTURE_SEED};
 
     #[test]
     fn propagation_matches_reference() {
@@ -256,6 +237,23 @@ mod tests {
         let app = TwoHopFriends::new(FIXTURE_SEED);
         let run = surfer.run_mapreduce(&app).unwrap();
         assert_eq!(run.output, app.reference(&g));
+    }
+
+    #[test]
+    fn both_lanes_match_the_reference_on_a_multigraph() {
+        // Every vertex pushes. In the three-vertex graph `0 -> 2` is there
+        // twice, so 1 gets one list, `[1, 2, 2]`, which no merge dedups.
+        let tiny = CsrGraph::from_raw_parts(vec![0, 3, 3, 3], [1, 2, 2].map(VertexId).to_vec())
+            .unwrap();
+        let (fixture, _) = surfer_fixture(4, 4);
+        let app = TwoHopFriends { ratio: 1.0, seed: FIXTURE_SEED };
+        for (g, partitions) in [(tiny, 2), (multigraph(&fixture), 4)] {
+            let surfer = surfer_on(&g, partitions, 2);
+            let reference = app.reference(&g);
+            assert_eq!(surfer.run(&app).unwrap().output, reference);
+            assert_eq!(surfer.run_mapreduce(&app).unwrap().output, reference);
+        }
+        assert_eq!(app.reference(&multigraph(&fixture)), app.reference(&fixture));
     }
 
     #[test]
