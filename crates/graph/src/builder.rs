@@ -24,6 +24,11 @@ impl GraphBuilder {
         GraphBuilder { num_vertices: n, edges: Vec::new(), dedup: true, drop_self_loops: false }
     }
 
+    /// A builder over an edge list the caller has already filled.
+    pub(crate) fn from_edge_vec(n: u32, edges: Vec<Edge>) -> Self {
+        GraphBuilder { edges, ..Self::new(n) }
+    }
+
     /// Pre-allocate for an expected number of edges.
     pub fn with_capacity(n: u32, edges: usize) -> Self {
         let mut b = Self::new(n);
@@ -81,31 +86,69 @@ impl GraphBuilder {
     }
 
     /// Build the graph, validating ranges and (by default) deduplicating.
-    pub fn try_build(mut self) -> crate::Result<CsrGraph> {
-        let n = self.num_vertices;
-        if let Some(bad) =
-            self.edges.iter().find(|e| e.src.0 >= n || e.dst.0 >= n)
-        {
-            let v = if bad.src.0 >= n { bad.src.0 } else { bad.dst.0 };
-            return Err(crate::GraphError::VertexOutOfRange { vertex: v as u64, num_vertices: n as u64 });
-        }
-        if self.drop_self_loops {
-            self.edges.retain(|e| !e.is_self_loop());
-        }
-        self.edges.sort_unstable();
-        if self.dedup {
-            self.edges.dedup();
-        }
-        let mut offsets = vec![0u64; n as usize + 1];
+    ///
+    /// Counting passes instead of a comparison sort: sources are bucketed by
+    /// destination, then the buckets are visited in destination order and
+    /// each source appends to its own row, so every row comes out sorted.
+    /// The whole build is O(n + m) whatever the input order.
+    pub fn try_build(self) -> crate::Result<CsrGraph> {
+        let n = self.num_vertices as usize;
+        let keep = |e: &Edge| !(self.drop_self_loops && e.is_self_loop());
+        // In-degrees, shifted by one so the prefix sum below turns them into
+        // bucket starts. The range check rides along and reports the first
+        // bad edge in insertion order.
+        let mut bucket = vec![0usize; n + 1];
         for e in &self.edges {
-            offsets[e.src.index() + 1] += 1;
+            let (s, d) = (e.src.index(), e.dst.index());
+            if s >= n || d >= n {
+                let vertex = if s >= n { s } else { d };
+                return Err(crate::GraphError::VertexOutOfRange { vertex: vertex as u64, num_vertices: n as u64 });
+            }
+            if keep(e) {
+                bucket[d + 1] += 1;
+            }
         }
-        for i in 1..offsets.len() {
+        for i in 1..=n {
+            bucket[i] += bucket[i - 1];
+        }
+
+        // Sources bucketed by destination. Afterwards `bucket[d]` is where
+        // bucket `d` ends.
+        let mut srcs = vec![0u32; bucket[n]];
+        for e in self.edges.iter().filter(|e| keep(e)) {
+            let at = &mut bucket[e.dst.index()];
+            srcs[*at] = e.src.0;
+            *at += 1;
+        }
+        drop(self.edges);
+
+        // A source meets its destinations in increasing order, so a repeat
+        // comes right after the edge it repeats: `last[s]` is the
+        // destination `s` met last. One sweep sizes the rows exactly, the
+        // next fills them, with `offsets[s]` as row `s`'s cursor.
+        let fresh = |last: &mut [u32], s: usize, d: u32| !self.dedup || std::mem::replace(&mut last[s], d) != d;
+        let mut last = vec![u32::MAX; n];
+        let mut offsets = vec![0u64; n + 1];
+        by_destination(&bucket[..n], &srcs, |s, d| {
+            if fresh(&mut last, s, d) {
+                offsets[s + 1] += 1;
+            }
+        });
+        for i in 1..=n {
             offsets[i] += offsets[i - 1];
         }
-        let targets: Vec<VertexId> = self.edges.iter().map(|e| e.dst).collect();
-        // Sorted (src, dst) input means each adjacency slice is already sorted,
-        // so from_raw_parts' per-list sort is a no-op pass.
+        last.fill(u32::MAX);
+        let mut targets = vec![VertexId(0); offsets[n] as usize];
+        by_destination(&bucket[..n], &srcs, |s, d| {
+            if fresh(&mut last, s, d) {
+                let at = &mut offsets[s];
+                targets[*at as usize] = VertexId(d);
+                *at += 1;
+            }
+        });
+        // Each cursor stopped at the next row's start; shift them back.
+        offsets.copy_within(..n, 1);
+        offsets[0] = 0;
         CsrGraph::from_raw_parts(offsets, targets)
     }
 
@@ -117,6 +160,19 @@ impl GraphBuilder {
     )]
     pub fn build(self) -> CsrGraph {
         self.try_build().expect("graph builder produced invalid graph")
+    }
+}
+
+/// Calls `visit(s, d)` for every edge `s -> d` held as `srcs` bucketed by
+/// destination, where bucket `d` ends at `ends[d]`: buckets in destination
+/// order, each in insertion order.
+fn by_destination(ends: &[usize], srcs: &[u32], mut visit: impl FnMut(usize, u32)) {
+    let mut begin = 0;
+    for (d, &end) in (0u32..).zip(ends) {
+        for &s in &srcs[begin..end] {
+            visit(s as usize, d);
+        }
+        begin = end;
     }
 }
 

@@ -8,6 +8,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
+use crate::edge::Edge;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,7 +42,7 @@ impl RmatConfig {
         RmatConfig { scale, edges, a: 0.57, b: 0.19, c: 0.19, d: 0.05, noise: 0.1, seed }
     }
 
-    fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.scale > 0 && self.scale <= 31, "scale must be in 1..=31");
         let sum = self.a + self.b + self.c + self.d;
         assert!((sum - 1.0).abs() < 1e-6, "quadrant probabilities must sum to 1, got {sum}");
@@ -55,14 +56,61 @@ impl RmatConfig {
 /// Generate a directed R-MAT graph.
 pub fn rmat(cfg: &RmatConfig) -> CsrGraph {
     cfg.validate();
-    let n = 1u32 << cfg.scale;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut b = GraphBuilder::with_capacity(n, cfg.edges as usize).drop_self_loops();
-    for _ in 0..cfg.edges {
-        let (src, dst) = sample_edge(cfg, &mut rng);
-        b.add_edge_raw(src, dst);
-    }
+    let mut b = GraphBuilder::with_capacity(1u32 << cfg.scale, cfg.edges as usize).drop_self_loops();
+    b.extend(samples(cfg));
     b.build()
+}
+
+/// The `cfg.edges` sampled edge positions in sampling order, self-loops and
+/// repeats included. `cfg` must be valid.
+fn samples(cfg: &RmatConfig) -> impl Iterator<Item = Edge> + '_ {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    (0..cfg.edges).map(move |_| {
+        let (src, dst) = sample_edge(cfg, &mut rng);
+        Edge::raw(src, dst)
+    })
+}
+
+/// Sample `cfg.edges` edges into the front of `slot`, then sort them and
+/// drop self-loops and repeats in place: the edges of [`rmat`]`(cfg)` in
+/// (src, dst) order. Returns how many there are. The sort is two stable
+/// counting passes through `scratch`, by dst and then by src, and allocates
+/// nothing. `cfg` must be valid, `slot` and `scratch` at least `cfg.edges`
+/// long, and `counts` one longer than the vertex count `2^cfg.scale`.
+pub(crate) fn sample_distinct(cfg: &RmatConfig, slot: &mut [Edge], scratch: &mut [Edge], counts: &mut [usize]) -> usize {
+    let mut len = 0;
+    for e in samples(cfg).filter(|e| !e.is_self_loop()) {
+        slot[len] = e;
+        len += 1;
+    }
+    let (slot, scratch) = (&mut slot[..len], &mut scratch[..len]);
+    scatter(slot, scratch, counts, |e| e.dst.index());
+    scatter(scratch, slot, counts, |e| e.src.index());
+    let mut distinct = 0;
+    for r in 0..len {
+        if distinct == 0 || slot[distinct - 1] != slot[r] {
+            slot[distinct] = slot[r];
+            distinct += 1;
+        }
+    }
+    distinct
+}
+
+/// Stable counting sort of `from` into `to` by `key`, which is below
+/// `counts.len() - 1`.
+fn scatter(from: &[Edge], to: &mut [Edge], counts: &mut [usize], key: impl Fn(&Edge) -> usize) {
+    counts.fill(0);
+    for e in from {
+        counts[key(e) + 1] += 1;
+    }
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+    for e in from {
+        let at = &mut counts[key(e)];
+        to[*at] = *e;
+        *at += 1;
+    }
 }
 
 /// Sample one edge position by recursive quadrant descent.

@@ -18,9 +18,11 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
-use crate::generators::rmat::{rmat, RmatConfig};
+use crate::edge::Edge;
+use crate::generators::rmat::{sample_distinct, RmatConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::num::NonZeroUsize;
 
 /// Configuration for [`stitched_small_worlds`].
 #[derive(Debug, Clone)]
@@ -66,42 +68,92 @@ impl SocialGraphConfig {
 }
 
 /// Generate the paper's synthetic graph: R-MAT communities stitched with a
-/// `rewire_ratio` of cross-community endpoints.
+/// `rewire_ratio` of cross-community endpoints. The communities are sampled
+/// on all of the host's cores.
 pub fn stitched_small_worlds(cfg: &SocialGraphConfig) -> CsrGraph {
+    stitch(cfg, std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// [`stitched_small_worlds`], sampling the communities on up to `workers`
+/// threads. Each community has its own seed and the rewiring pass runs in
+/// community order on one rng, so the graph does not depend on `workers`.
+pub(crate) fn stitch(cfg: &SocialGraphConfig, workers: usize) -> CsrGraph {
     assert!(cfg.communities >= 1, "need at least one community");
     assert!((0.0..=1.0).contains(&cfg.rewire_ratio), "rewire_ratio in [0,1]");
     assert!((0.0..=1.0).contains(&cfg.locality), "locality in [0,1]");
     let community_size = 1u32 << cfg.community_scale;
-    let n = cfg.num_vertices();
+    let local_cfg = |c: usize| {
+        let seed = cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(c as u64);
+        RmatConfig::new(cfg.community_scale, cfg.edges_per_community, seed)
+    };
+    local_cfg(0).validate();
+
+    // Every buffer comes from this thread's allocator: one slot of `per`
+    // edges per community, and one slot plus one count per local vertex id
+    // for each group's counting sort. Slot `c` ends up holding community
+    // `c`'s distinct edges in its first `lens[c]` entries. Workers only
+    // write into these, so no per-thread heap is left holding set-up data.
+    let communities = cfg.communities as usize;
+    let per = cfg.edges_per_community as usize;
+    let ids = community_size as usize + 1;
+    let group = communities.div_ceil(workers.max(1));
+    let groups = communities.div_ceil(group);
+    let mut edges = vec![Edge::raw(0, 0); communities * per];
+    let mut lens = vec![0usize; communities];
+    let mut scratch = vec![Edge::raw(0, 0); groups * per];
+    let mut counts = vec![0usize; groups * ids];
+    let sample_group = |first: usize, slots: &mut [Edge], lens: &mut [usize], scratch: &mut [Edge], counts: &mut [usize]| {
+        for (i, (slot, len)) in slots.chunks_mut(per.max(1)).zip(lens).enumerate() {
+            *len = sample_distinct(&local_cfg(first + i), slot, scratch, counts);
+        }
+    };
+    std::thread::scope(|s| {
+        let mut groups = edges
+            .chunks_mut((group * per).max(1))
+            .zip(lens.chunks_mut(group))
+            .zip(scratch.chunks_mut(per.max(1)).zip(counts.chunks_mut(ids)))
+            .enumerate();
+        let own = groups.next();
+        for (g, ((slots, lens), (scratch, counts))) in groups {
+            s.spawn(move || sample_group(g * group, slots, lens, scratch, counts));
+        }
+        if let Some((_, ((slots, lens), (scratch, counts)))) = own {
+            sample_group(0, slots, lens, scratch, counts);
+        }
+    });
+    drop((scratch, counts));
+
+    // Rewire each endpoint across communities with probability p_r,
+    // targeting a hierarchically-near community, and compact the kept
+    // edges to the front: the write cursor never passes the read cursor.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut b = GraphBuilder::with_capacity(n, (cfg.edges_per_community * cfg.communities as u64) as usize)
-        .drop_self_loops();
-    for c in 0..cfg.communities {
+    let mut kept = 0;
+    for (c, &len) in (0u32..).zip(&lens) {
         let base = c * community_size;
-        let local = rmat(&RmatConfig::new(
-            cfg.community_scale,
-            cfg.edges_per_community,
-            cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(c as u64),
-        ));
-        for e in local.edges() {
-            // Rewire each endpoint across communities with probability p_r,
-            // targeting a hierarchically-near community.
-            let pick = |orig: u32, rng: &mut StdRng| -> u32 {
-                if cfg.communities > 1 && rng.gen::<f64>() < cfg.rewire_ratio {
-                    let tc = hierarchical_target(c, cfg.communities, cfg.locality, rng);
-                    tc * community_size + rng.gen_range(0..community_size)
-                } else {
-                    base + orig
-                }
-            };
-            let src = pick(e.src.0, &mut rng);
-            let dst = pick(e.dst.0, &mut rng);
+        let mut pick = |orig: u32| -> u32 {
+            if cfg.communities > 1 && rng.gen::<f64>() < cfg.rewire_ratio {
+                let tc = hierarchical_target(c, cfg.communities, cfg.locality, &mut rng);
+                tc * community_size + rng.gen_range(0..community_size)
+            } else {
+                base + orig
+            }
+        };
+        let from = c as usize * per;
+        for r in from..from + len {
+            let e = edges[r];
+            let src = pick(e.src.0);
+            let dst = pick(e.dst.0);
             if src != dst {
-                b.add_edge_raw(src, dst);
+                edges[kept] = Edge::raw(src, dst);
+                kept += 1;
             }
         }
     }
-    b.build()
+    // Hand the slots' unused tails (about a third) back before the build
+    // allocates its arrays, so the set-up's peak stays at the old one's.
+    edges.truncate(kept);
+    edges.shrink_to_fit();
+    GraphBuilder::from_edge_vec(cfg.num_vertices(), edges).build()
 }
 
 /// Choose a target community for a rewired endpoint.
@@ -284,6 +336,31 @@ mod tests {
         }
         let ratio = (sibling as f64 / 8.0) / (top as f64 / 32.0);
         assert!((0.7..1.4).contains(&ratio), "uniform stitching should be flat, ratio {ratio}");
+    }
+
+    #[test]
+    fn worker_count_does_not_change_the_graph() {
+        // Five communities: uneven groups at 2 and 3 workers, idle ones at 8.
+        let mut odd = SocialGraphConfig::new(5, 7, 21);
+        odd.rewire_ratio = 0.2;
+        let pow2 = SocialGraphConfig::new(4, 8, 3);
+        for cfg in [odd, pow2] {
+            let one = stitch(&cfg, 1);
+            assert!(one.num_edges() > 0);
+            for workers in [0, 2, 3, 8] {
+                assert_eq!(stitch(&cfg, workers), one, "{workers} workers");
+            }
+            assert_eq!(stitched_small_worlds(&cfg), one);
+        }
+    }
+
+    #[test]
+    fn communities_without_edges_stitch_to_an_edgeless_graph() {
+        let mut cfg = SocialGraphConfig::new(3, 4, 1);
+        cfg.edges_per_community = 0;
+        for workers in [1, 2] {
+            assert_eq!(stitch(&cfg, workers), CsrGraph::empty(48));
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use surfer_graph::properties::{
     bfs_distances, sorted_intersection_size, triangle_count, weakly_connected_components,
 };
 use surfer_graph::subgraph::induced;
-use surfer_graph::VertexId;
+use surfer_graph::{GraphError, VertexId};
 
 fn arb_edges(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0..n, 0..n), 0..max_edges)
@@ -164,6 +164,76 @@ proptest! {
         let mut blob = Vec::new();
         encode(&g, &g.vertices().collect::<Vec<_>>(), &mut blob);
         prop_assert_eq!(blob.len() as u64, g.storage_bytes());
+    }
+}
+
+/// `(n, edges)`: `n` is 0, 1, small or large, and every endpoint comes from
+/// a window of at most 15 ids at the top of `0..n`. Small windows make
+/// duplicates and self-loops common, and at the large `n` the edges touch
+/// only high ids. One case in eight widens the window past `n - 1`, so some
+/// edges are out of range.
+fn arb_build_input() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
+    (0usize..4, 1u32..16, 0u32..8).prop_flat_map(|(class, span, overshoot)| {
+        let n: u32 = [0, 1, 9, 70_000][class];
+        let end = if overshoot == 0 { n + 2 } else { n.max(1) };
+        let ids = end.saturating_sub(span)..end;
+        (Just(n), proptest::collection::vec((ids.clone(), ids), 0..40))
+    })
+}
+
+/// What `try_build` returns, computed with a comparison sort: each row's
+/// targets, or the vertex of the first out-of-range edge.
+fn sorted_reference(n: u32, edges: &[(u32, u32)], drop_self_loops: bool, dedup: bool) -> Result<Vec<Vec<u32>>, u32> {
+    if let Some(&(s, d)) = edges.iter().find(|&&(s, d)| s >= n || d >= n) {
+        return Err(if s >= n { s } else { d });
+    }
+    let mut sorted: Vec<(u32, u32)> = edges.iter().copied().filter(|&(s, d)| !(drop_self_loops && s == d)).collect();
+    sorted.sort_unstable();
+    if dedup {
+        sorted.dedup();
+    }
+    let mut rows = vec![Vec::new(); n as usize];
+    for (s, d) in sorted {
+        rows[s as usize].push(d);
+    }
+    Ok(rows)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn counting_build_matches_a_sorted_reference(
+        (n, edges) in arb_build_input(),
+        drop_self_loops in 0u8..2,
+        dedup in 0u8..2,
+    ) {
+        let (drop_self_loops, dedup) = (drop_self_loops == 1, dedup == 1);
+        let mut b = GraphBuilder::with_capacity(n, edges.len());
+        if drop_self_loops {
+            b = b.drop_self_loops();
+        }
+        if !dedup {
+            b = b.assume_distinct();
+        }
+        // `extend` skips `add_edge`'s debug range check, as a release
+        // build would.
+        b.extend(edges.iter().map(|&e| e.into()));
+        match (b.try_build(), sorted_reference(n, &edges, drop_self_loops, dedup)) {
+            (Ok(g), Ok(rows)) => {
+                prop_assert_eq!(g.num_vertices(), n);
+                prop_assert_eq!(g.num_edges(), rows.iter().map(|r| r.len() as u64).sum::<u64>());
+                for (v, row) in g.vertices().zip(&rows) {
+                    let got: Vec<u32> = g.neighbors(v).iter().map(|t| t.0).collect();
+                    prop_assert_eq!(&got, row, "row {} of {:?}", v, edges);
+                }
+            }
+            (Err(GraphError::VertexOutOfRange { vertex, num_vertices }), Err(bad)) => {
+                prop_assert_eq!(vertex, u64::from(bad));
+                prop_assert_eq!(num_vertices, u64::from(n));
+            }
+            (got, want) => prop_assert!(false, "build gave {:?}, reference {:?}", got, want),
+        }
     }
 }
 

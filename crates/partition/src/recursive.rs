@@ -114,7 +114,13 @@ impl RecursivePartitioner {
         let (left_ids, right_ids, cut_weight) = if ids.len() >= 2 {
             let mut cfg = self.config.clone();
             cfg.seed = seed;
-            let b = bisect_wgraph(&run.root.induced(&ids), &cfg);
+            // `ids` is strictly increasing, so covering every vertex means
+            // it is the identity: bisect the root itself, not a copy of it.
+            let b = if ids.len() == run.root.num_vertices() {
+                bisect_wgraph(run.root, &cfg)
+            } else {
+                bisect_wgraph(&run.root.induced(&ids), &cfg)
+            };
             let mut left = Vec::new();
             let mut right = Vec::new();
             for (&v, &s) in ids.iter().zip(&b.side) {

@@ -206,7 +206,13 @@ impl WGraph {
         let vwgt = ids.iter().map(|&v| self.vwgt[v as usize]).collect();
         let mut xadj = Vec::with_capacity(ids.len() + 1);
         xadj.push(0);
-        let (mut adjncy, mut adjwgt) = (Vec::new(), Vec::new());
+        // A counting pass first, so the rows are written into exact-size
+        // arrays instead of doubling ones.
+        let entries = ids
+            .iter()
+            .map(|&v| self.neighbors(v as usize).filter(|&(u, _)| local_of[u as usize] != u32::MAX).count())
+            .sum();
+        let (mut adjncy, mut adjwgt) = (Vec::with_capacity(entries), Vec::with_capacity(entries));
         for &v in ids {
             // `local_of` is monotone on `ids`, so rows stay sorted.
             for (u, w) in self.neighbors(v as usize) {
