@@ -13,9 +13,10 @@
 //!   `latency + bytes / pair_bandwidth` — pair bandwidth embodies the
 //!   topology's unevenness;
 //! * machine failures abort that machine's unfinished tasks; after one
-//!   heartbeat interval the failure is detected and a [`Replanner`] is asked
-//!   to reassign the affected tasks, with incoming data re-transferred
-//!   exactly as App. B prescribes for Combine tasks.
+//!   heartbeat interval the failure is detected and each affected task moves
+//!   to the machine [`PartitionStore::failover`] picks for the partition its
+//!   label names, with incoming data re-transferred exactly as App. B
+//!   prescribes for Combine tasks.
 //!
 //! Event ordering is `(time, sequence-number)`, so runs are bit-for-bit
 //! deterministic.
@@ -23,6 +24,7 @@
 use crate::cluster::SimCluster;
 use crate::machine::MachineId;
 use crate::metrics::ExecReport;
+use crate::storage::PartitionStore;
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -64,8 +66,9 @@ pub enum ExecError {
     ClusterLost,
     /// A fault names a machine beyond the cluster's `machines`.
     UnknownMachine { machine: MachineId, machines: u16 },
-    /// The [`Replanner`] moved `task` to a machine that is not alive.
-    DeadReplacement { task: TaskId, machine: MachineId },
+    /// `task` sat on a failed machine, but its `label` names no partition of
+    /// the [`PartitionStore`], so no replica holder can take it over.
+    UnknownPartition { task: TaskId, label: u64 },
     /// The event queue drained with `finished < tasks`: the dependencies
     /// form a cycle.
     Deadlock { finished: usize, tasks: usize },
@@ -80,8 +83,8 @@ impl std::fmt::Display for ExecError {
             ExecError::UnknownMachine { machine, machines } => {
                 write!(f, "fault on unknown machine {machine} (the cluster has {machines})")
             }
-            ExecError::DeadReplacement { task, machine } => {
-                write!(f, "replanner moved task {task} to machine {machine}, which is not alive")
+            ExecError::UnknownPartition { task, label } => {
+                write!(f, "failed task {task} has label {label}, not a stored partition")
             }
             ExecError::Deadlock { finished, tasks } => {
                 write!(f, "executor deadlock: {finished}/{tasks} tasks finished (cyclic deps)")
@@ -99,7 +102,9 @@ pub struct TaskSpec {
     pub machine: MachineId,
     /// Task kind (recovery policy / reporting).
     pub kind: TaskKind,
-    /// Engine-defined label (e.g. the partition id the task handles).
+    /// Engine-defined label: the partition id the task handles. A task
+    /// stranded on a failed machine moves to that partition's failover
+    /// machine.
     pub label: u64,
     /// Abstract CPU record-operations.
     pub cpu_ops: f64,
@@ -163,50 +168,6 @@ pub struct Fault {
     pub machine: MachineId,
     /// When it dies.
     pub at: SimTime,
-}
-
-/// Context handed to a [`Replanner`] for one affected task.
-#[derive(Debug)]
-pub struct ReassignRequest<'a> {
-    /// The task to move.
-    pub task: TaskId,
-    /// The machine that failed.
-    pub failed: MachineId,
-    /// The task's kind.
-    pub kind: TaskKind,
-    /// The engine label of the task.
-    pub label: u64,
-    /// Machines still alive, ascending.
-    pub alive: &'a [MachineId],
-}
-
-/// Chooses a new machine for a task whose machine failed. Engines implement
-/// this to respect data placement (e.g. move a Transfer task to a machine
-/// holding a replica of its partition).
-pub trait Replanner {
-    /// Pick the replacement machine; must be one of `req.alive`. Returns
-    /// [`ExecError::ClusterLost`] when no machine can take the task over (in
-    /// practice: `req.alive` is empty).
-    fn reassign(&mut self, req: ReassignRequest<'_>) -> Result<MachineId, ExecError>;
-}
-
-/// Replanner that spreads affected tasks over alive machines round-robin —
-/// the fallback when any alive machine can serve the task (partition data is
-/// 3-way replicated, so this is usually true).
-#[derive(Debug, Default)]
-pub struct RoundRobinReplanner {
-    next: usize,
-}
-
-impl Replanner for RoundRobinReplanner {
-    fn reassign(&mut self, req: ReassignRequest<'_>) -> Result<MachineId, ExecError> {
-        if req.alive.is_empty() {
-            return Err(ExecError::ClusterLost);
-        }
-        let m = req.alive[self.next % req.alive.len()];
-        self.next += 1;
-        Ok(m)
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -358,18 +319,20 @@ impl<'c> Executor<'c> {
         reason = "without faults only a cyclic task graph fails, a caller bug"
     )]
     pub fn run(self) -> ExecReport {
-        self.run_with_faults(&[], &mut RoundRobinReplanner::default())
+        // Without faults no task is stranded, so the store is never asked.
+        self.run_with_faults(&[], &PartitionStore::default())
             .expect("a fault-free run fails only by deadlock on cyclic dependencies")
     }
 
-    /// Run to completion with injected machine failures, consulting
-    /// `replanner` for every task stranded on a dead machine. Returns
-    /// [`ExecError::ClusterLost`] when every machine has failed before the
-    /// job finished; the other [`ExecError`]s name a caller's mistake.
+    /// Run to completion with injected machine failures, moving every task
+    /// stranded on a dead machine to `store`'s failover machine for the
+    /// partition its label names. Returns [`ExecError::ClusterLost`] when
+    /// every machine has failed before the job finished; the other
+    /// [`ExecError`]s name a caller's mistake.
     pub fn run_with_faults(
         mut self,
         faults: &[Fault],
-        replanner: &mut dyn Replanner,
+        store: &PartitionStore,
     ) -> Result<ExecReport, ExecError> {
         let n = self.cluster.num_machines();
         if let Some(f) = faults.iter().find(|f| f.machine.0 >= n) {
@@ -494,16 +457,13 @@ impl<'c> Executor<'c> {
                         })
                         .collect();
                     for id in affected {
-                        let new_m = replanner.reassign(ReassignRequest {
-                            task: id,
-                            failed: machine,
-                            kind: self.tasks[id].spec.kind,
-                            label: self.tasks[id].spec.label,
-                            alive: &alive,
-                        })?;
-                        if !machines.get(new_m.index()).is_some_and(|s| s.alive) {
-                            return Err(ExecError::DeadReplacement { task: id, machine: new_m });
-                        }
+                        // `alive` is not empty, so only an unknown label
+                        // leaves the store without an answer.
+                        let label = self.tasks[id].spec.label;
+                        let new_m = u32::try_from(label)
+                            .ok()
+                            .and_then(|pid| store.failover(pid, &alive))
+                            .ok_or(ExecError::UnknownPartition { task: id, label })?;
                         report.tasks_recovered += 1;
                         self.tasks[id].spec.machine = new_m;
                         self.tasks[id].generation += 1;
@@ -587,7 +547,7 @@ impl<'c> Executor<'c> {
     ) {
         let t = &mut self.tasks[task];
         if t.state != TaskState::Pending {
-            return; // failed tasks wait for replanning; finished ignore
+            return; // failed tasks wait for failover; finished ignore
         }
         debug_assert!(t.pending > 0, "satisfy on task with no pending inputs");
         t.pending -= 1;
@@ -637,6 +597,13 @@ mod tests {
 
     fn flat(n: u16) -> SimCluster {
         ClusterConfig::flat(n).build()
+    }
+
+    /// The store of `cluster` whose partition `pid` has its primary on
+    /// `primaries[pid]`.
+    fn store(cluster: &SimCluster, primaries: &[u16]) -> PartitionStore {
+        let assignment: Vec<MachineId> = primaries.iter().copied().map(MachineId).collect();
+        PartitionStore::from_assignment(cluster.topology(), &assignment)
     }
 
     #[test]
@@ -778,12 +745,13 @@ mod tests {
             .heartbeat_interval(SimDuration::from_secs_f64(0.5))
             .build();
         let mut ex = Executor::new(&c);
-        // Two serial tasks on machine 1; machine 1 dies immediately.
+        // Two serial tasks of partition 0 on machine 1; machine 1 dies
+        // immediately and partition 0's other replica is on machine 0.
         let a = ex.add_task(TaskSpec::new(MachineId(1), TaskKind::Transfer).cpu(50e6));
         let b = ex.add_task(TaskSpec::new(MachineId(1), TaskKind::Combine).cpu(50e6));
         ex.add_dep(a, b);
         let faults = [Fault { machine: MachineId(1), at: SimTime::ZERO }];
-        let r = ex.run_with_faults(&faults, &mut RoundRobinReplanner::default()).unwrap();
+        let r = ex.run_with_faults(&faults, &store(&c, &[1])).unwrap();
         assert_eq!(r.tasks_recovered, 2);
         assert_eq!(r.tasks_completed, 2);
         // 0.5s detection + 2s serial work on machine 0.
@@ -796,7 +764,7 @@ mod tests {
         let mut ex = Executor::new(&c);
         ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).cpu(50e6));
         let faults = [Fault { machine: MachineId(2), at: SimTime::ZERO }];
-        let err = ex.run_with_faults(&faults, &mut RoundRobinReplanner::default()).unwrap_err();
+        let err = ex.run_with_faults(&faults, &store(&c, &[0])).unwrap_err();
         assert_eq!(err, ExecError::UnknownMachine { machine: MachineId(2), machines: 2 });
         assert!(err.to_string().contains("unknown machine"), "{err}");
     }
@@ -811,18 +779,14 @@ mod tests {
         // Producer on m0 finishes at t=1, ships 125 MB to consumer on m1
         // (arrives t=2). m1 dies at t=2.5 while the consumer runs; detection
         // at 3.5; consumer reassigned, data re-transferred (1s), re-runs (1s).
+        // The consumer's partition 1 has replicas [m1, m2, m0]: it moves to m2.
         let a = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer).cpu(50e6));
-        let b = ex.add_task(TaskSpec::new(MachineId(1), TaskKind::Combine).cpu(50e6));
+        let b = ex.add_task(TaskSpec::new(MachineId(1), TaskKind::Combine).cpu(50e6).label(1));
         ex.add_transfer(a, b, 125_000_000);
-        struct ToMachine2;
-        impl Replanner for ToMachine2 {
-            fn reassign(&mut self, _req: ReassignRequest<'_>) -> Result<MachineId, ExecError> {
-                Ok(MachineId(2))
-            }
-        }
         let faults = [Fault { machine: MachineId(1), at: SimTime::from_secs_f64(2.5) }];
-        let r = ex.run_with_faults(&faults, &mut ToMachine2).unwrap();
+        let r = ex.run_with_faults(&faults, &store(&c, &[0, 1])).unwrap();
         assert_eq!(r.tasks_recovered, 1);
+        assert_eq!(r.trace.last().map(|t| t.machine), Some(MachineId(2)));
         // Bytes counted twice: original + re-transfer.
         assert_eq!(r.network_bytes, 250_000_000);
         assert!((r.response_time.as_secs_f64() - 5.5).abs() < 1e-4, "{:?}", r.response_time);
@@ -865,27 +829,43 @@ mod tests {
     }
 
     #[test]
-    fn caller_mistakes_are_typed_errors() {
+    fn task_whose_every_replica_holder_died_moves_to_the_first_alive_machine() {
+        let c = ClusterConfig::flat(5)
+            .heartbeat_interval(SimDuration::from_secs_f64(0.5))
+            .build();
+        let mut ex = Executor::new(&c);
+        // Partition 0's replicas are [m0, m1, m2]; all three die at once.
+        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer).cpu(50e6));
+        let faults = [0, 1, 2].map(|m| Fault { machine: MachineId(m), at: SimTime::ZERO });
+        let r = ex.run_with_faults(&faults, &store(&c, &[0])).unwrap();
+        assert_eq!(r.tasks_recovered, 1);
+        assert_eq!(r.trace.iter().map(|t| t.machine).collect::<Vec<_>>(), [MachineId(3)]);
+    }
+
+    #[test]
+    fn stranded_task_of_an_unknown_partition_is_a_typed_error() {
+        let c = flat(2);
+        let faults = [Fault { machine: MachineId(1), at: SimTime::ZERO }];
+        for label in [1, u64::MAX] {
+            let mut ex = Executor::new(&c);
+            ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).cpu(50e6));
+            ex.add_task(TaskSpec::new(MachineId(1), TaskKind::Generic).cpu(50e6).label(label));
+            let err = ex.run_with_faults(&faults, &store(&c, &[0])).unwrap_err();
+            assert_eq!(err, ExecError::UnknownPartition { task: 1, label });
+            assert!(err.to_string().contains("not a stored partition"), "{err}");
+        }
+    }
+
+    #[test]
+    fn cyclic_dependencies_are_a_typed_error() {
         let c = flat(2);
         let mut ex = Executor::new(&c);
         let a = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic));
         let b = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic));
         ex.add_dep(a, b);
         ex.add_dep(b, a);
-        let err = ex.run_with_faults(&[], &mut RoundRobinReplanner::default()).unwrap_err();
+        let err = ex.run_with_faults(&[], &PartitionStore::default()).unwrap_err();
         assert_eq!(err, ExecError::Deadlock { finished: 0, tasks: 2 });
-
-        struct BackToFailed;
-        impl Replanner for BackToFailed {
-            fn reassign(&mut self, req: ReassignRequest<'_>) -> Result<MachineId, ExecError> {
-                Ok(req.failed)
-            }
-        }
-        let mut ex = Executor::new(&c);
-        ex.add_task(TaskSpec::new(MachineId(1), TaskKind::Generic).cpu(50e6));
-        let faults = [Fault { machine: MachineId(1), at: SimTime::ZERO }];
-        let err = ex.run_with_faults(&faults, &mut BackToFailed).unwrap_err();
-        assert_eq!(err, ExecError::DeadReplacement { task: 0, machine: MachineId(1) });
     }
 
     #[test]

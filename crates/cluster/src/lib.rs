@@ -14,41 +14,35 @@
 //!   sequential/random disk rates, NIC rate, transfer latency, heartbeats).
 //! * [`Executor`] — the event-driven task-graph simulator: per-machine task
 //!   slots, data transfers priced by pair bandwidth, deterministic event
-//!   ordering, fault injection with heartbeat detection and task-type-aware
-//!   recovery via [`Replanner`] policies.
-//! * [`PartitionStore`] + [`StoreReplanner`] — GFS-style 3-way replica
-//!   placement and placement-aware failover.
+//!   ordering, fault injection with heartbeat detection, and recovery that
+//!   moves a dead machine's tasks where the partition store says.
+//! * [`PartitionStore`] — GFS-style 3-way replica placement and
+//!   [`PartitionStore::failover`], the one rule that picks the machine a
+//!   dead machine's partition work moves to.
 //! * [`ExecReport`] — the paper's four metrics (response time, total machine
 //!   time, network I/O, disk I/O) plus the disk-rate time series of Fig. 10.
 
 pub mod cluster;
 pub mod exec;
 pub mod fault;
-pub mod jobmanager;
 pub mod machine;
 pub mod metrics;
 pub mod par;
-pub mod replication;
 pub mod storage;
 pub mod time;
 pub mod topology;
 pub mod trace;
 
 pub use cluster::{ClusterConfig, SimCluster};
-pub use exec::{
-    ExecError, Executor, Fault, ReassignRequest, Replanner, RoundRobinReplanner, TaskId,
-    TaskKind, TaskSpec, TransferId,
-};
+pub use exec::{ExecError, Executor, Fault, TaskId, TaskKind, TaskSpec, TransferId};
 pub use fault::{
     FaultPlan, MachineCrash, SnapshotCorruption, SnapshotWriteFailure, SpillFault, SpillFaultKind,
     UdfPanicAt,
 };
-pub use jobmanager::StoreReplanner;
 pub use par::{resolve_threads, try_par_map_vec, WorkerPanic};
 pub use machine::{MachineId, MachineSpec};
 pub use metrics::{ExecReport, TaskTrace, TimeSeries};
 pub use trace::{render_gantt, utilization};
-pub use replication::{place_replicas, ReplicaSet};
-pub use storage::{PartitionId, PartitionStore};
+pub use storage::PartitionStore;
 pub use time::{SimDuration, SimTime};
 pub use topology::Topology;

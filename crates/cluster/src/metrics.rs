@@ -26,9 +26,13 @@
 //! `network_bytes`, `cross_pod_bytes`, `disk_read_bytes` and
 //! `disk_write_bytes`. In a fault-free run the pairs are *equal by
 //! construction* (charged at the same call sites), and the
-//! `obs_properties` suite asserts exactly that; under injected faults the
-//! obs counters keep charging re-executions while the report nets them out,
-//! so the simulated side stays authoritative for costs. No other
+//! `obs_properties` suite asserts exactly that. Under injected faults the
+//! transfer pairs part: the obs counters are charged once per transfer as
+//! the graph is built, while the report charges a transfer each time it is
+//! sent, between the machines its tasks run on then — re-transfers after a
+//! failure included. An aborted attempt is charged to neither, so task
+//! counts and disk bytes still agree. The simulated side stays
+//! authoritative for costs. No other
 //! `ExecReport` field is mirrored — anything derivable from one system must
 //! query that system rather than duplicate the counter.
 

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use surfer_cluster::{
-    ClusterConfig, Executor, Fault, MachineId, RoundRobinReplanner, SimTime, TaskKind, TaskSpec,
+    ClusterConfig, Executor, Fault, MachineId, PartitionStore, SimTime, TaskKind, TaskSpec,
 };
 
 /// A randomly generated layered task DAG description.
@@ -46,9 +46,11 @@ fn build<'c>(
     let ids: Vec<usize> = dag
         .tasks
         .iter()
-        .map(|&(m, cpu, read)| {
+        .enumerate()
+        .map(|(i, &(m, cpu, read))| {
             ex.add_task(
                 TaskSpec::new(MachineId(m), TaskKind::Generic)
+                    .label(i as u64)
                     .cpu(cpu as f64)
                     .reads(read as u64),
             )
@@ -123,8 +125,11 @@ proptest! {
             .build();
         let fail_m = fail_m % machines;
         let ex = build(&cluster, &dag);
+        // Every task is its own partition, with its primary where it runs.
+        let primaries: Vec<MachineId> = dag.tasks.iter().map(|&(m, _, _)| MachineId(m)).collect();
+        let store = PartitionStore::from_assignment(cluster.topology(), &primaries);
         let faults = [Fault { machine: MachineId(fail_m), at: SimTime(at_ms * 1000) }];
-        let r = ex.run_with_faults(&faults, &mut RoundRobinReplanner::default()).unwrap();
+        let r = ex.run_with_faults(&faults, &store).unwrap();
         // Completion count: every task ran (recovered tasks may run twice,
         // but tasks_completed counts final completions only once each).
         prop_assert_eq!(r.tasks_completed as usize, dag.tasks.len());

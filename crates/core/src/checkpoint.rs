@@ -8,12 +8,13 @@
 //! partition's GFS-style replica set. When a machine fail-stops, the driver
 //! rolls the job back to the last checkpoint: each partition's snapshot is
 //! read from the first replica that is alive *and* passes its checksum,
-//! partitions homed on dead machines are re-homed to a surviving replica
-//! holder, the lost tail of iterations is recomputed, and the interrupted
-//! iteration re-runs with the failure injected into the simulated executor —
-//! so the [`ExecReport`] is charged for failure detection, state
-//! re-transfer, and re-execution, exactly like the simulated-only path of
-//! Figure 10.
+//! partitions homed on dead machines are re-homed to the machine
+//! [`PartitionStore::failover`] picks, the lost tail of iterations is
+//! recomputed, and the interrupted iteration re-runs on the new placement.
+//! The [`ExecReport`] is charged for the restore round and the recomputed
+//! tail; no task of the re-run sits on a dead machine, so there is nothing
+//! left for the executor's own failover (Figure 10's simulated-only path)
+//! to do.
 //!
 //! Faults come from a declarative [`FaultPlan`]; because every injection
 //! point is pinned to an iteration (and the engines are bit-deterministic
@@ -28,8 +29,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use surfer_cluster::{
-    ExecReport, Executor, Fault, FaultPlan, MachineId, PartitionStore, SimCluster, SimDuration,
-    SimTime, TaskKind, TaskSpec,
+    ExecError, ExecReport, Executor, FaultPlan, MachineId, PartitionStore, SimCluster,
+    SimDuration, TaskKind, TaskSpec,
 };
 use surfer_graph::{CsrGraph, GraphError, VertexId};
 use surfer_obs::journal::{self, EventKind};
@@ -258,9 +259,9 @@ fn corrupt_snapshot_file(path: &Path) -> SurferResult<()> {
 /// Run `iterations` of `prog` with checkpoint/restore under the failure
 /// schedule of `plan`. `state` ends bit-identical to a fault-free
 /// [`PropagationEngine::run`] of the same job; the returned report
-/// additionally charges checkpoint writes, snapshot restores, recomputed
-/// tail iterations, and the executor's failure-detection/re-execution
-/// rounds.
+/// additionally charges checkpoint writes, snapshot restores and recomputed
+/// tail iterations. A crash naming a machine beyond the cluster is
+/// [`SurferError::Executor`] with [`ExecError::UnknownMachine`].
 ///
 /// Every recovery event (crash, restore, failover, retry) lands in the
 /// always-on flight journal under the ambient
@@ -324,6 +325,12 @@ where
         });
     }
     let machines = cluster.num_machines();
+    if let Some(c) = plan.crashes.iter().find(|c| c.machine.0 >= machines) {
+        return Err(SurferError::Executor(ExecError::UnknownMachine {
+            machine: c.machine,
+            machines,
+        }));
+    }
     // Replica sets are fixed at job start from the *original* placement —
     // re-homing a partition moves its tasks, not its replicas.
     let store = PartitionStore::from_assignment(cluster.topology(), pg.placement());
@@ -346,46 +353,33 @@ where
     let mut it = 0u32;
     while it < iterations {
         surfer_obs::journal::set_iteration(it);
-        let crashed: Vec<MachineId> =
-            plan.crashes_at(it).filter(|m| alive[m.0 as usize]).collect();
-        let mut iter_faults: Vec<Fault> = Vec::new();
-        if !crashed.is_empty() {
-            for &m in &crashed {
-                alive[m.0 as usize] = false;
-                iter_faults.push(Fault { machine: m, at: SimTime::ZERO });
-                note(&mut stats, EventKind::MachineCrash { machine: m.0 });
-            }
-            let alive_ids: Vec<MachineId> = (0..machines)
-                .map(MachineId)
-                .filter(|m| alive[m.0 as usize])
-                .collect();
-            if alive_ids.is_empty() {
-                return Err(SurferError::ClusterLost);
-            }
+        let down: Vec<MachineId> = plan.crashes_at(it).filter(|m| alive[m.index()]).collect();
+        for &m in &down {
+            alive[m.index()] = false;
+            note(&mut stats, EventKind::MachineCrash { machine: m.0 });
+        }
+        let crashed = !down.is_empty();
+        if crashed {
+            // Re-home partitions stranded on dead machines where the store
+            // says: an alive replica holder (the data is already there),
+            // else the first alive machine. With no machine alive there is
+            // nowhere to go.
+            let alive_ids: Vec<MachineId> =
+                (0..machines).map(MachineId).filter(|m| alive[m.index()]).collect();
+            let new_placement = cur
+                .partitions()
+                .map(|pid| match cur.machine_of(pid) {
+                    home if alive[home.index()] => Ok(home),
+                    _ => store.failover(pid, &alive_ids).ok_or(SurferError::ClusterLost),
+                })
+                .collect::<SurferResult<Vec<MachineId>>>()?;
+            let next = pg.with_placement(new_placement);
 
             // Roll back: reload every partition's checkpoint-`last_ckpt`
             // snapshot from its first alive, checksum-clean replica.
             total.absorb(&restore_checkpoint(
                 cluster, &cur, &store, &alive, cfg, last_ckpt, state, &mut stats,
             )?);
-
-            // Re-home partitions stranded on dead machines: prefer an alive
-            // replica holder (the data is already there), else any alive
-            // machine round-robin.
-            let new_placement: Vec<MachineId> = cur
-                .partitions()
-                .map(|pid| {
-                    let home = cur.machine_of(pid);
-                    if alive[home.0 as usize] {
-                        home
-                    } else {
-                        store
-                            .failover(pid, &alive_ids)
-                            .unwrap_or(alive_ids[pid as usize % alive_ids.len()])
-                    }
-                })
-                .collect();
-            let next = pg.with_placement(new_placement);
 
             // Recompute the lost tail on the new placement. These are plain
             // re-runs: any UDF panic pinned inside the tail already fired
@@ -399,10 +393,8 @@ where
             cur = next;
         }
 
-        // Run iteration `it`. The first crash-interrupted attempt injects
-        // the machine failures into the simulated executor, charging
-        // heartbeat detection and task re-assignment; a UDF panic fails the
-        // attempt (state untouched) and the iteration retries.
+        // Run iteration `it`. A UDF panic fails the attempt (state
+        // untouched) and the iteration retries.
         let engine = job_engine.replaced(&cur);
         chaos.set_iteration(it);
         // Spill-I/O faults (short writes, corrupted spill blocks) fire on
@@ -415,17 +407,14 @@ where
         let spill_faults = plan.spill_faults_at(it);
         let mut attempts = 0u32;
         let report = loop {
-            let first_clean_attempt = iter_faults.is_empty() && attempts == 0;
+            let first_clean_attempt = !crashed && attempts == 0;
             let ctx = RoundCtx {
-                faults: &iter_faults,
                 spill_faults: if first_clean_attempt { &spill_faults } else { &[] },
                 ..RoundCtx::default()
             };
             match engine.run_iteration(&chaos, state, &ctx) {
                 Ok((r, _)) => break r,
-                Err(SurferError::Storage(_))
-                    if attempts == 0 && iter_faults.is_empty() && !spill_faults.is_empty() =>
-                {
+                Err(SurferError::Storage(_)) if first_clean_attempt && !spill_faults.is_empty() => {
                     attempts += 1;
                     note(&mut stats, EventKind::SpillRetry);
                 }
@@ -510,7 +499,7 @@ fn write_checkpoint<S: Codec>(
         let len = payload.len() as u64;
         let home = cur.machine_of(pid);
         let mut sinks = Vec::new();
-        for (idx, &m) in store.replicas(pid).machines.iter().enumerate() {
+        for (idx, &m) in store.replicas(pid).iter().enumerate() {
             if !alive[m.0 as usize] {
                 continue;
             }
@@ -585,7 +574,7 @@ fn restore_checkpoint<S: Codec>(
     let mut sample = surfer_obs::IterationSample::new(surfer_obs::StageKind::Restore);
     for pid in cur.partitions() {
         let mut found: Option<(MachineId, u64, Vec<u8>)> = None;
-        for &m in &store.replicas(pid).machines {
+        for &m in store.replicas(pid) {
             if !alive[m.0 as usize] {
                 note(stats, EventKind::ReplicaFailover { partition: pid });
                 continue;

@@ -46,8 +46,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use surfer_cluster::par::try_par_map_vec;
 use surfer_cluster::{
-    ExecReport, Executor, Fault, MachineId, PartitionStore, SimCluster, SpillFault, StoreReplanner,
-    TaskKind, TaskSpec,
+    ExecReport, Executor, Fault, MachineId, PartitionStore, SimCluster, SpillFault, TaskKind,
+    TaskSpec,
 };
 use surfer_graph::{GraphError, VertexId};
 use surfer_mapreduce::shuffle::{group, Traffic};
@@ -999,8 +999,7 @@ impl<'a> PropagationEngine<'a> {
                 self.cluster.topology(),
                 pg.placement(),
             );
-            let mut replanner = StoreReplanner::new(&store);
-            Ok(ex.run_with_faults(faults, &mut replanner)?)
+            Ok(ex.run_with_faults(faults, &store)?)
         }
     }
 

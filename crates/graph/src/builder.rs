@@ -149,7 +149,7 @@ impl GraphBuilder {
         // Each cursor stopped at the next row's start; shift them back.
         offsets.copy_within(..n, 1);
         offsets[0] = 0;
-        CsrGraph::from_raw_parts(offsets, targets)
+        Ok(CsrGraph::from_sorted_rows(offsets, targets))
     }
 
     /// Build, panicking on invalid input. Convenient for generators and tests

@@ -54,6 +54,24 @@ impl CsrGraph {
         Ok(CsrGraph { offsets, targets })
     }
 
+    /// Wrap CSR arrays that already meet [`CsrGraph::from_raw_parts`]'s
+    /// contract with every row sorted — what [`crate::GraphBuilder`] makes.
+    /// Debug builds check the contract; release builds trust the caller.
+    pub(crate) fn from_sorted_rows(offsets: Vec<u64>, targets: Vec<VertexId>) -> Self {
+        debug_assert_eq!(offsets.first(), Some(&0), "offsets must start with 0");
+        debug_assert_eq!(offsets.last(), Some(&(targets.len() as u64)), "last offset != targets");
+        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets not monotone");
+        debug_assert!(
+            offsets.windows(2).all(|w| {
+                let row = &targets[w[0] as usize..w[1] as usize];
+                row.windows(2).all(|p| p[0] <= p[1])
+                    && row.iter().all(|t| u64::from(t.0) < offsets.len() as u64 - 1)
+            }),
+            "rows must be sorted and in range"
+        );
+        CsrGraph { offsets, targets }
+    }
+
     /// An empty graph with `n` vertices and no edges.
     pub fn empty(n: u32) -> Self {
         CsrGraph { offsets: vec![0; n as usize + 1], targets: Vec::new() }

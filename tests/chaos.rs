@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use surfer::apps::pagerank::PageRankPropagation;
 use surfer::cluster::{
-    ClusterConfig, FaultPlan, MachineCrash, MachineId, SimCluster, SnapshotCorruption,
+    ClusterConfig, ExecError, FaultPlan, MachineCrash, MachineId, SimCluster, SnapshotCorruption,
     SnapshotWriteFailure, SpillFault, SpillFaultKind, UdfPanicAt,
 };
 use surfer::core::{
@@ -170,6 +170,39 @@ fn exhausting_all_replicas_is_a_typed_error() {
     let problems = surfer::obs::postmortem::validate(&bundle.to_json());
     assert!(problems.is_empty(), "schema problems: {problems:?}");
     let _ = std::fs::remove_dir_all(&cfg.dir);
+}
+
+/// A crash on a machine the cluster does not have is a typed error before
+/// any work runs, never an index out of bounds.
+#[test]
+fn crash_on_an_unknown_machine_is_a_typed_error() {
+    let (c, pg) = fixture();
+    let p = prog();
+    let plan = FaultPlan {
+        crashes: vec![MachineCrash { machine: MachineId(99), at_iteration: 3 }],
+        ..FaultPlan::none()
+    };
+    let cfg = RecoveryConfig::new(INTERVAL, tmp("unknown-machine"));
+    let mut state = PropagationEngine::new(&c, &pg, EngineOptions::full()).init_state(&p);
+    let err = run_with_recovery(
+        &c,
+        &pg,
+        EngineOptions::full(),
+        &p,
+        &mut state,
+        ITERATIONS,
+        &cfg,
+        &plan,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SurferError::Executor(ExecError::UnknownMachine { machine: MachineId(99), machines: 4 })
+        ),
+        "{err:?}"
+    );
+    assert!(!cfg.dir.exists(), "no checkpoint is written for a plan that cannot run");
 }
 
 /// Recovery recomputes only the tail between the last checkpoint and the

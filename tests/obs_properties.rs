@@ -15,8 +15,9 @@
 //!   thread counts; so are whole flight-recorder samples of every kind;
 //! * flight-recorder traffic matrices: row/column sums equal the `prop.*`
 //!   byte counters, the `P×P` matrix is bit-identical across worker thread
-//!   counts {1, 2, max}, and the machine-pair matrix is invariant under a
-//!   no-op replanner (all-alive failover through the partition store);
+//!   counts {1, 2, max}, and the machine-pair matrix is invariant under
+//!   failover with every machine alive (the partition store keeps each
+//!   partition on its primary);
 //!   a session that ran two partition counts gets a typed `ShapeMismatch`;
 //! * isolation: an unrecorded neighbor thread, a concurrent session on
 //!   another thread and a nested session on the same thread leave a
@@ -134,8 +135,8 @@ fn traffic_matrices_are_thread_invariant_and_replanner_stable() {
         );
     }
 
-    // The machine-pair fold is invariant under a no-op replanner: rebuild
-    // the placement through the partition store's failover path with every
+    // The machine-pair fold is invariant under a no-op failover: rebuild
+    // the placement through the partition store's failover with every
     // machine alive — it must hand every partition back to its primary.
     let mm = base.machine_matrix(placement, MATRIX_MACHINES as usize).unwrap();
     assert_eq!(mm.total(), m0.total(), "folding must preserve total traffic");
@@ -146,11 +147,11 @@ fn traffic_matrices_are_thread_invariant_and_replanner_stable() {
     let replanned: Vec<u16> = (0..PARTITIONS)
         .map(|pid| store.failover(pid, &alive).expect("machines alive").0)
         .collect();
-    assert_eq!(&replanned, placement, "all-alive failover is the identity replanner");
+    assert_eq!(&replanned, placement, "all-alive failover is the identity");
     assert_eq!(
         base.machine_matrix(&replanned, MATRIX_MACHINES as usize).unwrap(),
         mm,
-        "machine-pair matrix must be invariant under a no-op replanner"
+        "machine-pair matrix must be invariant under a no-op failover"
     );
 }
 

@@ -18,7 +18,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use surfer::apps::pagerank::PageRankPropagation;
 use surfer::cluster::{
-    ClusterConfig, FaultPlan, MachineCrash, MachineId, SimCluster, SnapshotCorruption, UdfPanicAt,
+    ClusterConfig, ExecError, FaultPlan, MachineCrash, MachineId, SimCluster, SnapshotCorruption,
+    UdfPanicAt,
 };
 use surfer::core::{
     Bag, EngineOptions, Merge, Propagation, PropagationEngine, RecoveryConfig, SurferError,
@@ -227,6 +228,26 @@ fn losing_the_whole_cluster_is_contained_to_its_tenant() {
         &plan,
         |_| {},
         |e| matches!(e, SurferError::ClusterLost),
+    );
+}
+
+/// A tenant whose fault plan crashes a machine the cluster does not have
+/// fails with `UnknownMachine` before any work runs; neighbors are
+/// unaffected.
+#[test]
+fn crashing_an_unknown_machine_is_contained_to_its_tenant() {
+    let plan = FaultPlan {
+        crashes: vec![MachineCrash { machine: MachineId(99), at_iteration: 2 }],
+        ..FaultPlan::none()
+    };
+    assert_isolated(
+        "unknown-machine",
+        &plan,
+        |_| {},
+        |e| {
+            let want = ExecError::UnknownMachine { machine: MachineId(99), machines: 4 };
+            matches!(e, SurferError::Executor(got) if *got == want)
+        },
     );
 }
 
