@@ -8,12 +8,16 @@
 //! the partitioning itself changed — every simulated table downstream would
 //! move with it. Do not refresh these values to make a change pass.
 //!
+//! The multigraph world and the held-out seed 2013 were recorded later, on
+//! the commit before each recursion node came to own its subgraph and edge
+//! weights moved to `u32`.
+//!
 //! Each world case also pins a second digest: `place`'s `placement` and
 //! `machine_sets` under both policies, on a flat and a tree topology. It was
 //! recorded before the sketch node's leaf/split shape changed, and pins the
 //! placement walk, the random baseline's RNG sequence included.
 
-use surfer_graph::builder::from_edges;
+use surfer_graph::builder::{from_edges, GraphBuilder};
 use surfer_graph::generators::deterministic::{grid, star};
 use surfer_graph::generators::erdos::gnm;
 use surfer_graph::generators::social::{msn_like, MsnScale};
@@ -119,6 +123,27 @@ fn disconnected() -> CsrGraph {
     from_edges(68, edges)
 }
 
+/// A multigraph: each sampled pair is added 1 to 4 times one way and 0 to 4
+/// times back, and about one in thirty is a self-loop, so the merged edge
+/// weights of the partitioner's first level reach 8 where a deduplicated
+/// graph stops at 2.
+fn multigraph(n: u32, edges: u32, seed: u64) -> CsrGraph {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new(n).assume_distinct();
+    for _ in 0..edges {
+        let s = rng.gen_range(0..n);
+        let d = if rng.gen_range(0..30u32) == 0 { s } else { rng.gen_range(0..n) };
+        for _ in 0..rng.gen_range(1..5u32) {
+            b.add_edge_raw(s, d);
+        }
+        for _ in 0..rng.gen_range(0..5u32) {
+            b.add_edge_raw(d, s);
+        }
+    }
+    b.build()
+}
+
 /// `(case, partitioning digest, placement digest, result)`: checks both.
 fn check_worlds(cases: &[(&str, u64, u64, KWayResult)]) {
     check(cases.iter().flat_map(|(name, part, placed, r)| {
@@ -142,6 +167,10 @@ fn check<N: std::fmt::Display>(cases: impl IntoIterator<Item = (N, u64, u64)>) {
 fn small_worlds_match_recorded_digests() {
     let star8 = star(8);
     let grid80 = grid(80, 80);
+    let multi = multigraph(6000, 30_000, 5);
+    let w = WGraph::from_csr(&multi);
+    let heaviest = (0..w.num_vertices()).flat_map(|v| w.neighbors(v)).map(|(_, x)| x).max();
+    assert!(heaviest > Some(2), "the multigraph world must merge parallel edges");
     let odd = RecursivePartitioner::new(BisectConfig {
         coarsen_target: 16,
         min_shrink: 0.9,
@@ -183,12 +212,15 @@ fn small_worlds_match_recorded_digests() {
         ("edgeless(8) P=8", 0xcf11_15d4_3192_412d, 0x4d71_9425_8351_2f8b, seeded(1).partition(&from_edges(8, []), 8)),
         ("gnm(3000, 20000) custom config P=8", 0x4eb1_858d_1996_7997, 0x969d_3eb3_922d_49ca, odd.partition(&gnm(3000, 20_000, 5), 8)),
         ("P=1", 0x2905_8f52_ba51_e75d, 0x2f61_c329_3154_d1f7, RecursivePartitioner::default().partition(&grid(3, 3), 1)),
+        // Above the fan-out threshold, with parallel edges and self-loops.
+        ("multigraph(6000, 30000) P=16", 0x6282_9a0f_c8a8_cb9d, 0x52f7_ebc9_8295_e9d5, seeded(5).partition(&multi, 16)),
     ]);
 }
 
 #[test]
 fn benchmark_worlds_match_recorded_digests() {
     let small = msn_like(MsnScale::Small, 2010);
+    let held_out = msn_like(MsnScale::Small, 2013);
     check_worlds(&[
         ("msn_like(Small, 2010) P=16", 0x2bfe_0339_8ae6_4217, 0x2048_095a_a850_2bff, seeded(2010).partition(&small, 16)),
         (
@@ -197,6 +229,9 @@ fn benchmark_worlds_match_recorded_digests() {
             0x4c24_b859_fa33_8858,
             seeded(2010).partition(&small, 32),
         ),
+        // Held out: a seed the benchmark runs at beside its default.
+        ("msn_like(Small, 2013) P=16", 0x6219_d79b_9c8d_d66a, 0x2048_095a_a850_2bff, seeded(2013).partition(&held_out, 16)),
+        ("msn_like(Small, 2013) P=32", 0xd2c3_413b_f930_39e2, 0x4c24_b859_fa33_8858, seeded(2013).partition(&held_out, 32)),
         (
             "msn_like(Small, 4242) P=16",
             0xe76f_9180_b399_caf5,
