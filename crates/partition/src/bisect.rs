@@ -7,7 +7,7 @@
 
 use crate::initial::gggp;
 use crate::refine::{fm_refine_with, FmScratch};
-use crate::wgraph::WGraph;
+use crate::wgraph::{RowScratch, WGraph};
 use surfer_graph::CsrGraph;
 
 /// Tuning knobs for the multilevel pipeline.
@@ -55,36 +55,53 @@ pub struct Bisection {
 pub fn bisect_wgraph(g: &WGraph, cfg: &BisectConfig) -> Bisection {
     assert!(g.num_vertices() >= 2, "cannot bisect fewer than 2 vertices");
     // Coarsening phase. `g` is level 0; `levels[i]` holds the graph of level
-    // `i + 1` and the map from level `i`'s vertices onto it.
+    // `i + 1` and the map from level `i`'s vertices onto it. Every level's
+    // rows are merged in one scratch, dropped before refinement starts.
     let mut levels: Vec<(WGraph, Vec<u32>)> = Vec::new();
+    let mut rows = RowScratch::default();
     loop {
         let cur = levels.last().map_or(g, |(coarse, _)| coarse);
         if cur.num_vertices() <= cfg.coarsen_target {
             break;
         }
         let matching = cur.heavy_edge_matching(cfg.seed.wrapping_add(levels.len() as u64));
-        let (coarse, map) = cur.contract(&matching);
+        let (coarse, map) = cur.contract_with(&mut rows, &matching);
         let shrink = coarse.num_vertices() as f64 / cur.num_vertices() as f64;
         if shrink > cfg.min_shrink {
             break; // diminishing returns (e.g. star graphs)
         }
         levels.push((coarse, map));
     }
+    drop(rows);
 
     // Initial partitioning on the coarsest graph.
     let mut fm = FmScratch::new(g.num_vertices());
     let coarsest = levels.last().map_or(g, |(coarse, _)| coarse);
     let mut side = gggp(coarsest, cfg.initial_tries, cfg.seed ^ 0xF00D);
-    let mut cut_weight =
-        fm_refine_with(&mut fm, coarsest, &mut side, cfg.refine_passes, cfg.max_side_fraction);
+    let mut cut_weight = coarsest.cut_weight(&side);
+    cut_weight = fm_refine_with(
+        &mut fm,
+        coarsest,
+        &mut side,
+        cut_weight,
+        cfg.refine_passes,
+        cfg.max_side_fraction,
+    );
 
-    // Uncoarsening phase: project through each map, refine.
-    for level in (0..levels.len()).rev() {
-        let fine = if level == 0 { g } else { &levels[level - 1].0 };
-        let mut fine_side: Vec<bool> =
-            levels[level].1.iter().map(|&cv| side[cv as usize]).collect();
-        cut_weight =
-            fm_refine_with(&mut fm, fine, &mut fine_side, cfg.refine_passes, cfg.max_side_fraction);
+    // Uncoarsening phase: project through each map, refine. Projection keeps
+    // the cut: a fine edge is cut exactly when its coarse edge is, and the
+    // edges a contraction absorbed join vertices that share a side.
+    while let Some((_, map)) = levels.pop() {
+        let fine = levels.last().map_or(g, |(fine, _)| fine);
+        let mut fine_side: Vec<bool> = map.iter().map(|&cv| side[cv as usize]).collect();
+        cut_weight = fm_refine_with(
+            &mut fm,
+            fine,
+            &mut fine_side,
+            cut_weight,
+            cfg.refine_passes,
+            cfg.max_side_fraction,
+        );
         side = fine_side;
     }
 

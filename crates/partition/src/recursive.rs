@@ -35,7 +35,6 @@ const PARALLEL_MIN_VERTICES: usize = 4096;
 
 /// What every recursion node of one `partition` call shares.
 struct Run<'a> {
-    root: &'a WGraph,
     /// Depth of the leaves (`P = 2^levels`).
     levels: u32,
     /// Host parallelism; bounds the recursion's thread fan-out.
@@ -76,14 +75,13 @@ impl RecursivePartitioner {
         let w = WGraph::from_csr(g);
         let pids: Vec<AtomicU32> = (0..g.num_vertices()).map(|_| AtomicU32::new(0)).collect();
         let run = Run {
-            root: &w,
             levels: num_partitions.trailing_zeros(),
             threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             pids: &pids,
         };
         let ids: Vec<u32> = (0..g.num_vertices()).collect();
         let root = Slot { level: 0, id: 0, parent: None, first_pid: 0 };
-        let nodes = self.recurse(&run, ids, root, self.config.seed);
+        let nodes = self.recurse(&run, ids, w, root, self.config.seed);
 
         let pids = pids.into_iter().map(AtomicU32::into_inner).collect();
         let mut sketch = PartitionSketch::new();
@@ -93,10 +91,17 @@ impl RecursivePartitioner {
         KWayResult { partitioning: Partitioning::new(pids, num_partitions), sketch }
     }
 
-    /// Partition the subgraph induced by `ids` (increasing indices into the
-    /// root graph) into `2^(levels - level)` parts with pids starting at
-    /// `at.first_pid`. Returns the sketch subtree rooted at `at`, in pre-order.
-    fn recurse(&self, run: &Run<'_>, ids: Vec<u32>, at: Slot, seed: u64) -> Vec<SketchNode> {
+    /// Partition `g`, the subgraph the root graph induces on `ids` (its
+    /// vertices' increasing root ids), into `2^(levels - level)` parts with
+    /// pids starting at `at.first_pid`. Returns the sketch subtree rooted at
+    /// `at`, in pre-order.
+    ///
+    /// Each node owns its graph: it induces its children's graphs from it and
+    /// drops it before they run. A subgraph induced from a subgraph equals
+    /// the one induced from the root, since both keep ids in order and drop
+    /// the same edges, so the result is the same as inducing every node from
+    /// the root, without holding the root for the whole run.
+    fn recurse(&self, run: &Run<'_>, ids: Vec<u32>, g: WGraph, at: Slot, seed: u64) -> Vec<SketchNode> {
         let vertex_count = ids.len() as u32;
         let sketch_node = |kind, cut_weight| SketchNode {
             level: at.level,
@@ -111,23 +116,19 @@ impl RecursivePartitioner {
             }
             return vec![sketch_node(SketchKind::Leaf { pid: at.first_pid }, 0)];
         }
-        let (left_ids, right_ids, cut_weight) = if ids.len() >= 2 {
+        debug_assert_eq!(ids.len(), g.num_vertices());
+        let ((left_ids, left_g), (right_ids, right_g), cut_weight) = if ids.len() >= 2 {
             let mut cfg = self.config.clone();
             cfg.seed = seed;
-            // `ids` is strictly increasing, so covering every vertex means
-            // it is the identity: bisect the root itself, not a copy of it.
-            let b = if ids.len() == run.root.num_vertices() {
-                bisect_wgraph(run.root, &cfg)
-            } else {
-                bisect_wgraph(&run.root.induced(&ids), &cfg)
-            };
+            let b = bisect_wgraph(&g, &cfg);
+            // Local indices into `g`, increasing.
             let mut left = Vec::new();
             let mut right = Vec::new();
-            for (&v, &s) in ids.iter().zip(&b.side) {
+            for (i, &s) in b.side.iter().enumerate() {
                 if s {
-                    left.push(v);
+                    left.push(i as u32);
                 } else {
-                    right.push(v);
+                    right.push(i as u32);
                 }
             }
             // Guard: a degenerate bisection (empty side) cannot seed the next
@@ -137,10 +138,17 @@ impl RecursivePartitioner {
             } else if right.is_empty() {
                 right.extend(left.pop());
             }
-            (left, right, b.cut_weight)
+            // Leaves never look at their graph.
+            let child = |local: &[u32]| {
+                let graph = if at.level + 1 < run.levels { g.induced(local) } else { WGraph::empty() };
+                (local.iter().map(|&i| ids[i as usize]).collect::<Vec<u32>>(), graph)
+            };
+            let halves = (child(&left), child(&right), b.cut_weight);
+            drop(g);
+            halves
         } else {
             // 0- or 1-vertex subgraph: halves are (rest, empty-but-padded).
-            (ids, Vec::new(), 0)
+            ((ids, g), (Vec::new(), WGraph::empty()), 0)
         };
 
         let below = run.levels - at.level; // levels under this node; >= 1
@@ -169,14 +177,14 @@ impl RecursivePartitioner {
             let mut left_nodes = Vec::new();
             // A panic in the spawned half resurfaces when the scope ends.
             let right_nodes = std::thread::scope(|s| {
-                s.spawn(|| left_nodes = self.recurse(run, left_ids, left_at, lseed));
-                self.recurse(run, right_ids, right_at, rseed)
+                s.spawn(|| left_nodes = self.recurse(run, left_ids, left_g, left_at, lseed));
+                self.recurse(run, right_ids, right_g, right_at, rseed)
             });
             (left_nodes, right_nodes)
         } else {
             (
-                self.recurse(run, left_ids, left_at, lseed),
-                self.recurse(run, right_ids, right_at, rseed),
+                self.recurse(run, left_ids, left_g, left_at, lseed),
+                self.recurse(run, right_ids, right_g, right_at, rseed),
             )
         };
 

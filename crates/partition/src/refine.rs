@@ -80,24 +80,27 @@ pub fn fm_refine_bounded(
     max_passes: u32,
     max_side_fraction: f64,
 ) -> u64 {
-    fm_refine_with(&mut FmScratch::new(g.num_vertices()), g, side, max_passes, max_side_fraction)
+    let cut = g.cut_weight(side);
+    fm_refine_with(&mut FmScratch::new(g.num_vertices()), g, side, cut, max_passes, max_side_fraction)
 }
 
-/// [`fm_refine_bounded`] on caller-provided scratch.
+/// [`fm_refine_bounded`] on caller-provided scratch, from `side`'s known
+/// cut weight `cut`.
 pub(crate) fn fm_refine_with(
     scratch: &mut FmScratch,
     g: &WGraph,
     side: &mut [bool],
+    mut cut: u64,
     max_passes: u32,
     max_side_fraction: f64,
 ) -> u64 {
+    debug_assert_eq!(cut, g.cut_weight(side), "the carried cut is out of sync");
     assert!(
         (0.5..=1.0).contains(&max_side_fraction),
         "max_side_fraction must be in [0.5, 1], got {max_side_fraction}"
     );
     let total = g.total_vwgt();
     let max_side = (total as f64 * max_side_fraction) as u64;
-    let mut cut = g.cut_weight(side);
     for _ in 0..max_passes {
         let improved = fm_pass(scratch, g, side, &mut cut, total, max_side);
         if !improved {

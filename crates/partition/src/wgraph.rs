@@ -17,84 +17,157 @@ use surfer_graph::CsrGraph;
 /// Undirected weighted graph with weighted vertices, stored as one CSR
 /// triple: the neighbors of `v` are `adjncy[xadj[v]..xadj[v + 1]]`, sorted by
 /// id with no duplicates and no self-edges, and `adjwgt` runs parallel to
-/// `adjncy`. Every edge is stored in both endpoints' rows.
+/// `adjncy`. Every edge is stored in both endpoints' rows, and every array
+/// is exactly as long as its content.
+///
+/// Edge weights are `u32`: a merged weight counts original directed edges,
+/// and [`WGraph::from_csr`] refuses a graph with more than `u32::MAX` of
+/// them, so no weight of it, of a contraction or of an induced subgraph can
+/// overflow. Sums of weights (cuts, degrees, gains) are taken in 64 bits.
 #[derive(Debug, Clone)]
 pub struct WGraph {
     vwgt: Vec<u64>,
     xadj: Vec<usize>,
     adjncy: Vec<u32>,
-    adjwgt: Vec<u64>,
+    adjwgt: Vec<u32>,
 }
 
-/// Builds CSR rows that sum the weights of repeated neighbors: a dense
-/// accumulator indexed by neighbor id plus the list of slots in use, so a row
-/// costs its own length (and a sort of its distinct neighbors) whatever the
-/// graph's size. Edge weights are positive, so a zero slot means "unused".
-struct RowMerger {
-    acc: Vec<u64>,
-    touched: Vec<u32>,
+/// Working rows for the graph builders. Each row's neighbors are merged
+/// through a dense accumulator indexed by neighbor id and written in the
+/// order they are first seen; [`RowScratch::build`] then puts every row in
+/// id order with one counting transpose. The rows are those of a symmetric
+/// graph, so the transpose is the graph itself, and scanning the rows in id
+/// order writes each transposed row sorted. A row costs its own length
+/// whatever the graph's size, and the arrays are reused by every level of a
+/// coarsening. Edge weights are positive, so a zero slot means "unused".
+#[derive(Debug, Default)]
+pub(crate) struct RowScratch {
+    acc: Vec<u32>,
     xadj: Vec<usize>,
     adjncy: Vec<u32>,
-    adjwgt: Vec<u64>,
+    adjwgt: Vec<u32>,
 }
 
-impl RowMerger {
-    /// For a graph of `n` vertices with at most `max_entries` adjacency entries.
-    fn new(n: usize, max_entries: usize) -> Self {
-        let mut xadj = Vec::with_capacity(n + 1);
-        xadj.push(0);
-        RowMerger {
-            acc: vec![0; n],
-            touched: Vec::new(),
-            xadj,
-            adjncy: Vec::with_capacity(max_entries),
-            adjwgt: Vec::with_capacity(max_entries),
+impl RowScratch {
+    /// Begin the rows of a graph of `n` vertices with at most `max_entries`
+    /// adjacency entries. The entry arrays are resized to that bound, down
+    /// as well as up: each level of a coarsening is smaller than the one
+    /// before, and the scratch is live beside all of them.
+    fn start(&mut self, n: usize, max_entries: usize) {
+        self.acc.clear();
+        self.acc.resize(n, 0);
+        self.xadj.clear();
+        self.xadj.push(0);
+        for entries in [&mut self.adjncy, &mut self.adjwgt] {
+            entries.clear();
+            entries.shrink_to(max_entries);
+            entries.reserve_exact(max_entries);
         }
     }
 
     #[inline]
-    fn add(&mut self, u: u32, w: u64) {
+    fn add(&mut self, u: u32, w: u32) {
         let slot = &mut self.acc[u as usize];
         if *slot == 0 {
-            self.touched.push(u);
+            self.adjncy.push(u);
         }
         *slot += w;
     }
 
-    /// Close the current row: emit its neighbors in id order and leave the
+    /// Close the current row: collect its merged weights and leave the
     /// accumulator all-zero for the next one.
     fn finish_row(&mut self) {
-        self.touched.sort_unstable();
-        for &u in &self.touched {
-            self.adjncy.push(u);
-            self.adjwgt.push(std::mem::take(&mut self.acc[u as usize]));
+        let RowScratch { acc, xadj, adjncy, adjwgt } = self;
+        // Every earlier row's weights are written, so the current row
+        // starts at `adjwgt.len()`.
+        for &u in &adjncy[adjwgt.len()..] {
+            adjwgt.push(std::mem::take(&mut acc[u as usize]));
         }
-        self.touched.clear();
-        self.xadj.push(self.adjncy.len());
+        xadj.push(adjncy.len());
     }
 
-    fn build(self, vwgt: Vec<u64>) -> WGraph {
-        debug_assert_eq!(self.xadj.len(), vwgt.len() + 1);
-        WGraph { vwgt, xadj: self.xadj, adjncy: self.adjncy, adjwgt: self.adjwgt }
+    /// The finished rows as a graph with `vwgt`, every row sorted, in
+    /// exact-size arrays.
+    fn build(&mut self, vwgt: Vec<u64>) -> WGraph {
+        let n = vwgt.len();
+        debug_assert_eq!(self.xadj.len(), n + 1);
+        // Row `v` of a symmetric graph's transpose is as long as row `v`,
+        // so the rows keep their offsets; `self.xadj` becomes the cursor.
+        let xadj = self.xadj.clone();
+        let entries = self.adjncy.len();
+        let (mut adjncy, mut adjwgt) = (vec![0u32; entries], vec![0u32; entries]);
+        for c in 0..n {
+            for i in xadj[c]..xadj[c + 1] {
+                let r = self.adjncy[i] as usize;
+                let at = self.xadj[r];
+                self.xadj[r] += 1;
+                adjncy[at] = c as u32;
+                adjwgt[at] = self.adjwgt[i];
+            }
+        }
+        debug_assert!((0..n).all(|v| self.xadj[v] == xadj[v + 1]), "rows are not symmetric");
+        WGraph { vwgt, xadj, adjncy, adjwgt }
     }
 }
 
 impl WGraph {
     /// Build the undirected weighted view of a directed graph.
+    ///
+    /// # Panics
+    ///
+    /// If `g` has more than `u32::MAX` edges: merged edge weights are `u32`.
     pub fn from_csr(g: &CsrGraph) -> Self {
+        assert!(
+            g.num_edges() <= u64::from(u32::MAX),
+            "{} edges overflow the partitioner's u32 edge weights",
+            g.num_edges()
+        );
         let n = g.num_vertices() as usize;
-        let incoming = g.transpose();
-        let mut rows = RowMerger::new(n, 2 * g.num_edges() as usize);
+        // Every directed edge but a self-loop (which never crosses a cut) is
+        // an entry of both endpoints' rows. Scatter the entries into one
+        // bucket per row, in no particular order and with repeats.
+        let mut start = vec![0usize; n + 1];
         for v in g.vertices() {
-            for &u in g.neighbors(v).iter().chain(incoming.neighbors(v)) {
+            for &u in g.neighbors(v) {
                 if u != v {
-                    rows.add(u.0, 1); // self-loops never cross a cut
+                    start[v.0 as usize + 1] += 1;
+                    start[u.0 as usize + 1] += 1;
                 }
+            }
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start[..n].to_vec();
+        let mut bucket = vec![0u32; start[n]];
+        for v in g.vertices() {
+            for &u in g.neighbors(v) {
+                if u != v {
+                    let (vi, ui) = (v.0 as usize, u.0 as usize);
+                    bucket[fill[vi]] = u.0;
+                    fill[vi] += 1;
+                    bucket[fill[ui]] = v.0;
+                    fill[ui] += 1;
+                }
+            }
+        }
+        drop(fill);
+        let mut rows = RowScratch::default();
+        rows.start(n, bucket.len());
+        for v in 0..n {
+            for &u in &bucket[start[v]..start[v + 1]] {
+                rows.add(u, 1);
             }
             rows.finish_row();
         }
+        drop(bucket);
         let vwgt = g.vertices().map(|v| 1 + u64::from(g.out_degree(v))).collect();
         rows.build(vwgt)
+    }
+
+    /// The graph with no vertices.
+    pub(crate) fn empty() -> Self {
+        WGraph { vwgt: Vec::new(), xadj: vec![0], adjncy: Vec::new(), adjwgt: Vec::new() }
     }
 
     /// Number of vertices.
@@ -110,8 +183,15 @@ impl WGraph {
     /// `(neighbor, edge weight)` pairs of `v`, in increasing neighbor id.
     #[inline]
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let (adj, wgt) = self.row(v);
+        adj.iter().copied().zip(wgt.iter().map(|&w| u64::from(w)))
+    }
+
+    /// Row `v`'s neighbors and their weights, as stored.
+    #[inline]
+    fn row(&self, v: usize) -> (&[u32], &[u32]) {
         let row = self.xadj[v]..self.xadj[v + 1];
-        self.adjncy[row.clone()].iter().copied().zip(self.adjwgt[row].iter().copied())
+        (&self.adjncy[row.clone()], &self.adjwgt[row])
     }
 
     /// Total vertex weight.
@@ -121,12 +201,12 @@ impl WGraph {
 
     /// Sum of edge weights incident to `v`.
     pub fn degree_weight(&self, v: usize) -> u64 {
-        self.adjwgt[self.xadj[v]..self.xadj[v + 1]].iter().sum()
+        self.row(v).1.iter().map(|&w| u64::from(w)).sum()
     }
 
     /// Total edge weight (each undirected edge counted once).
     pub fn total_edge_weight(&self) -> u64 {
-        self.adjwgt.iter().sum::<u64>() / 2
+        self.adjwgt.iter().map(|&w| u64::from(w)).sum::<u64>() / 2
     }
 
     /// Heavy-edge matching in a seeded random vertex order: each unmatched
@@ -159,6 +239,11 @@ impl WGraph {
     /// Contract a matching into a coarser graph. Returns the coarse graph
     /// and `coarse_of[v]` mapping each fine vertex to its coarse vertex.
     pub fn contract(&self, match_of: &[u32]) -> (WGraph, Vec<u32>) {
+        self.contract_with(&mut RowScratch::default(), match_of)
+    }
+
+    /// [`WGraph::contract`] on caller-provided row scratch.
+    pub(crate) fn contract_with(&self, rows: &mut RowScratch, match_of: &[u32]) -> (WGraph, Vec<u32>) {
         let n = self.num_vertices();
         let mut coarse_of = vec![u32::MAX; n];
         // Coarse ids follow each pair's smaller fine id, so `firsts` is the
@@ -177,11 +262,14 @@ impl WGraph {
         for v in 0..n {
             vwgt[coarse_of[v] as usize] += self.vwgt[v];
         }
-        let mut rows = RowMerger::new(firsts.len(), self.adjncy.len());
+        // Merging only drops entries, so the fine graph's count bounds the
+        // coarse one's.
+        rows.start(firsts.len(), self.adjncy.len());
         for (cv, &v) in firsts.iter().enumerate() {
             let partner = match_of[v as usize];
             for member in std::iter::once(v).chain((partner != v).then_some(partner)) {
-                for (u, w) in self.neighbors(member as usize) {
+                let (adj, wgt) = self.row(member as usize);
+                for (&u, &w) in adj.iter().zip(wgt) {
                     let cu = coarse_of[u as usize];
                     if cu as usize != cv {
                         rows.add(cu, w);
@@ -210,12 +298,13 @@ impl WGraph {
         // arrays instead of doubling ones.
         let entries = ids
             .iter()
-            .map(|&v| self.neighbors(v as usize).filter(|&(u, _)| local_of[u as usize] != u32::MAX).count())
+            .map(|&v| self.row(v as usize).0.iter().filter(|&&u| local_of[u as usize] != u32::MAX).count())
             .sum();
         let (mut adjncy, mut adjwgt) = (Vec::with_capacity(entries), Vec::with_capacity(entries));
         for &v in ids {
             // `local_of` is monotone on `ids`, so rows stay sorted.
-            for (u, w) in self.neighbors(v as usize) {
+            let (adj, wgt) = self.row(v as usize);
+            for (&u, &w) in adj.iter().zip(wgt) {
                 let lu = local_of[u as usize];
                 if lu != u32::MAX {
                     adjncy.push(lu);
