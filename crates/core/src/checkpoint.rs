@@ -376,9 +376,10 @@ where
             let next = pg.with_placement(new_placement);
 
             // Roll back: reload every partition's checkpoint-`last_ckpt`
-            // snapshot from its first alive, checksum-clean replica.
+            // snapshot from its first alive, checksum-clean replica, and ship
+            // it to the home the tail recomputes on.
             total.absorb(&restore_checkpoint(
-                cluster, &cur, &store, &alive, cfg, last_ckpt, state, &mut stats,
+                cluster, &next, &store, &alive, cfg, last_ckpt, state, &mut stats,
             )?);
 
             // Recompute the lost tail on the new placement. These are plain
@@ -553,14 +554,15 @@ fn write_checkpoint<S: Codec>(
 
 /// Reload every partition's checkpoint-`iteration` snapshot into `state`
 /// from the first alive replica whose copy verifies; returns the simulated
-/// restore round (replica read + transfer to the partition's home).
+/// restore round (replica read + transfer to the partition's home in
+/// `placed`, the placement after re-homing).
 #[allow(
     clippy::too_many_arguments,
     reason = "a private helper of the recovery loop; its locals are passed as they are"
 )]
 fn restore_checkpoint<S: Codec>(
     cluster: &SimCluster,
-    cur: &PartitionedGraph,
+    placed: &PartitionedGraph,
     store: &PartitionStore,
     alive: &[bool],
     cfg: &RecoveryConfig,
@@ -572,7 +574,7 @@ fn restore_checkpoint<S: Codec>(
     note(stats, EventKind::CheckpointRestore { checkpoint: iteration });
     let mut sources: Vec<(MachineId, u64)> = Vec::new();
     let mut sample = surfer_obs::IterationSample::new(surfer_obs::StageKind::Restore);
-    for pid in cur.partitions() {
+    for pid in placed.partitions() {
         let mut found: Option<(MachineId, u64, Vec<u8>)> = None;
         for &m in store.replicas(pid) {
             if !alive[m.0 as usize] {
@@ -598,14 +600,14 @@ fn restore_checkpoint<S: Codec>(
             return Err(SurferError::ReplicasExhausted { partition: pid, iteration });
         };
         let mut buf = payload.as_slice();
-        for &v in &cur.meta(pid).members {
+        for &v in &placed.meta(pid).members {
             state[v.index()] = S::decode(&mut buf).ok_or_else(|| {
                 GraphError::Corrupt(format!("snapshot of partition {pid} too short"))
             })?;
         }
         // Recorder split: a snapshot read off the partition's home machine
         // must ship its payload back over the network.
-        if m == cur.machine_of(pid) {
+        if m == placed.machine_of(pid) {
             sample.local_bytes += len;
         } else {
             sample.cross_bytes += len;
@@ -619,8 +621,10 @@ fn restore_checkpoint<S: Codec>(
         let src = ex.add_task(
             TaskSpec::new(*src_machine, TaskKind::Restore).label(pid as u64).reads(*len),
         );
-        let home = cur.machine_of(pid as u32);
-        if home != *src_machine && alive[home.0 as usize] {
+        // Re-homing left every partition on an alive machine.
+        let home = placed.machine_of(pid as u32);
+        debug_assert!(alive[home.index()], "partition {pid} homed on a dead machine");
+        if home != *src_machine {
             let dst = ex.add_task(TaskSpec::new(home, TaskKind::Restore).label(pid as u64));
             ex.add_transfer(src, dst, *len);
         }

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use surfer::apps::pagerank::PageRankPropagation;
 use surfer::cluster::{
-    ClusterConfig, ExecError, FaultPlan, MachineCrash, MachineId, SimCluster, SnapshotCorruption,
-    SnapshotWriteFailure, SpillFault, SpillFaultKind, UdfPanicAt,
+    ClusterConfig, ExecError, ExecReport, FaultPlan, MachineCrash, MachineId, SimCluster, SnapshotCorruption,
+    SnapshotWriteFailure, SpillFault, SpillFaultKind, TaskKind, UdfPanicAt,
 };
 use surfer::core::{
     run_with_recovery, working_set_bytes, EngineOptions, MemoryBudget, Propagation,
@@ -123,6 +123,48 @@ fn corrupt_snapshot_falls_back_to_next_replica() {
     assert!(out.stats.corrupt_snapshots >= 1, "CRC must reject the corrupted copy");
     assert!(out.stats.replica_failovers >= 1, "restore must skip the dead primary");
     let _ = std::fs::remove_dir_all(&cfg.dir);
+}
+
+/// The restore round ships a re-homed partition's state to its new home.
+/// Partition 0's home m0 crashes and it fails over to m1, its first alive
+/// replica holder. With m1's copy corrupt, the snapshot is read on m2 and
+/// has to travel m2 -> m1; with it clean, m1 reads its own copy.
+#[test]
+fn restore_ships_a_rehomed_partition_to_its_new_home() {
+    let (c, pg) = fixture();
+    let p = prog();
+    let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
+    let run = |corruptions: Vec<SnapshotCorruption>, name: &str| {
+        let plan = FaultPlan {
+            crashes: vec![MachineCrash { machine: MachineId(0), at_iteration: 3 }],
+            corruptions,
+            ..FaultPlan::none()
+        };
+        let cfg = RecoveryConfig::new(INTERVAL, tmp(name));
+        let mut state = engine.init_state(&p);
+        let out = run_with_recovery(
+            &c,
+            &pg,
+            EngineOptions::full(),
+            &p,
+            &mut state,
+            ITERATIONS,
+            &cfg,
+            &plan,
+        )
+        .unwrap();
+        let _ = std::fs::remove_dir_all(&cfg.dir);
+        out.report
+    };
+    let restores_of_partition_0 = |r: &ExecReport| -> Vec<MachineId> {
+        r.trace.iter().filter(|t| t.kind == TaskKind::Restore && t.label == 0).map(|t| t.machine).collect()
+    };
+    let clean = run(vec![], "rehome-clean");
+    let corrupt =
+        run(vec![SnapshotCorruption { checkpoint: 2, partition: 0, replica: 1 }], "rehome-corrupt");
+    assert_eq!(restores_of_partition_0(&clean), [MachineId(1)], "read at the new home, not shipped");
+    assert_eq!(restores_of_partition_0(&corrupt), [MachineId(2), MachineId(1)], "read on m2, shipped to m1");
+    assert!(corrupt.network_bytes > clean.network_bytes, "the m2 -> m1 transfer must be charged");
 }
 
 /// Exhausting every replica of a partition is a typed error, not a panic.
