@@ -11,7 +11,7 @@ use surfer_core::Codec;
 /// `Option<IdList>` accumulator slot as small as an `Option<Vec<u32>>`.
 const INLINE: usize = 3;
 
-/// A list of vertex ids that stores up to [`INLINE`] of them in place and
+/// A list of vertex ids that stores up to `INLINE` (3) of them in place and
 /// moves to the heap only past that. Most slots a reversed edge fills hold
 /// no more (80 % of the cross slots on `apps-cross`), so most never
 /// allocate. Two lists are equal when their ids are, however each is

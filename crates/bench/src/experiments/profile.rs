@@ -375,7 +375,7 @@ mod tests {
         let exported = format!("\"0\": {}", percentiles_json(tenant0));
         assert!(r.json.contains(&exported), "serve_latency exports {exported}");
         assert!(r.json.contains(&format!("\"all\": {}", percentiles_json(all))));
-        assert!(r.report.span_count("prop.iteration") > 0);
+        assert!(r.report.spans.iter().any(|s| s.name == "prop.iteration"));
         let samples = r.report.samples_of(surfer_obs::StageKind::Propagation).count();
         assert!(samples >= ITERATIONS as usize, "one flight-recorder sample per iteration");
         let m = r.report.traffic_matrix().expect("one partition count");

@@ -130,11 +130,6 @@ impl ClusterConfig {
         ClusterConfig::new(Topology::t2(pods, levels, n))
     }
 
-    /// A `T3` heterogeneous cluster of `n` machines.
-    pub fn heterogeneous(n: u16, seed: u64) -> Self {
-        ClusterConfig::new(Topology::t3(n, seed))
-    }
-
     /// A cluster scaled to the *paper's regime*: the paper runs >100 GB
     /// graphs (2 GB partitions) on 1 GbE NICs and ~100 MB/s disks; the
     /// reproduction's stand-in graphs are ~1/3000 of that, so every rate is

@@ -162,11 +162,6 @@ impl ExecReport {
         self.disk_read_bytes + self.disk_write_bytes
     }
 
-    /// Busy time of one machine.
-    pub fn busy(&self, m: MachineId) -> SimDuration {
-        self.machine_busy[m.index()]
-    }
-
     /// Merge another report (for jobs composed of sequential phases): times
     /// add, byte counters add, busy vectors add element-wise.
     pub fn absorb(&mut self, other: &ExecReport) {

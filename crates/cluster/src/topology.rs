@@ -19,8 +19,6 @@ use serde::{Deserialize, Serialize};
 
 /// Default cross-pod slowdown through the top-level switch (paper: 32×).
 pub const DEFAULT_TOP_DELAY: f64 = 32.0;
-/// Default cross-pod slowdown through a second-level switch (paper: 16×).
-pub const DEFAULT_SECOND_DELAY: f64 = 16.0;
 /// T3's bandwidth reduction for the LOW half of the machines (paper: one half).
 pub const DEFAULT_LOW_FACTOR: f64 = 0.5;
 
@@ -43,21 +41,17 @@ pub enum Topology {
         pods: u16,
         /// 1 or 2 switch levels above the pods.
         levels: u8,
-        /// Bandwidth factor for pairs crossing a second-level switch
-        /// (default 1/16).
-        second_factor: f64,
-        /// Bandwidth factor for pairs crossing the top-level switch
-        /// (default 1/32).
-        top_factor: f64,
+        /// Slowdown of pairs crossing the top-level switch (default 32):
+        /// their bandwidth factor is `1 / top_delay`. Pairs crossing a
+        /// second-level switch see half that delay, `2 / top_delay`.
+        top_delay: f64,
     },
     /// `T3`: heterogeneous hardware — a seeded random half of the machines
-    /// has `low_factor` of the NIC bandwidth; a pair's bandwidth is limited
-    /// by its slower endpoint.
+    /// has [`DEFAULT_LOW_FACTOR`] of the NIC bandwidth; a pair's bandwidth
+    /// is limited by its slower endpoint.
     Heterogeneous {
         /// Number of machines.
         machines: u16,
-        /// Bandwidth multiplier of the LOW half (default 0.5).
-        low_factor: f64,
         /// Seed selecting which machines are LOW.
         seed: u64,
     },
@@ -85,18 +79,12 @@ impl Topology {
         if levels == 2 {
             assert!(pods.is_multiple_of(2), "2-level trees need an even pod count");
         }
-        Topology::Tree {
-            machines,
-            pods,
-            levels,
-            second_factor: 2.0 / top_delay,
-            top_factor: 1.0 / top_delay,
-        }
+        Topology::Tree { machines, pods, levels, top_delay }
     }
 
     /// The paper's `T3`: half the machines at half bandwidth.
     pub fn t3(machines: u16, seed: u64) -> Topology {
-        Topology::Heterogeneous { machines, low_factor: DEFAULT_LOW_FACTOR, seed }
+        Topology::Heterogeneous { machines, seed }
     }
 
     /// Number of machines.
@@ -149,7 +137,7 @@ impl Topology {
         }
         match *self {
             Topology::Flat { .. } => 1.0,
-            Topology::Tree { levels, second_factor, top_factor, .. } => {
+            Topology::Tree { levels, top_delay, .. } => {
                 let (pa, pb) = (self.pod_of(a), self.pod_of(b));
                 if pa == pb {
                     1.0
@@ -157,19 +145,19 @@ impl Topology {
                     // Pods are split in two halves, one per second-level switch.
                     let half = self.num_pods() / 2;
                     if (pa < half) == (pb < half) {
-                        second_factor
+                        2.0 / top_delay
                     } else {
-                        top_factor
+                        1.0 / top_delay
                     }
                 } else {
-                    top_factor
+                    1.0 / top_delay
                 }
             }
-            Topology::Heterogeneous { low_factor, .. } => {
+            Topology::Heterogeneous { .. } => {
                 let low = self.low_machines();
                 let is_low = |m: MachineId| low.binary_search(&m).is_ok();
                 if is_low(a) || is_low(b) {
-                    low_factor
+                    DEFAULT_LOW_FACTOR
                 } else {
                     1.0
                 }

@@ -75,8 +75,7 @@ impl CascadeAnalysis {
                 continue;
             }
             // Partition diameter bounds the useful phase length.
-            let sub = induced(g, &meta.members);
-            let diam = estimate_diameter(&sub.graph, 4, 0xD1A).max(1);
+            let diam = estimate_diameter(&induced(g, &meta.members), 4, 0xD1A).max(1);
             d_min = d_min.min(diam);
         }
         CascadeAnalysis { depth, d_min: if d_min == u32::MAX { 1 } else { d_min } }

@@ -105,14 +105,6 @@ impl EngineOptions {
         self.memory_budget = budget;
         self
     }
-
-    /// The worker count the engine stages actually use: the `threads` knob
-    /// resolved (`0` = available parallelism) and clamped to host cores —
-    /// oversubscribing the CPU-bound partition scans only adds scheduler
-    /// churn.
-    pub fn resolved_threads(&self) -> usize {
-        surfer_cluster::par::resolve_threads_clamped(self.threads)
-    }
 }
 
 /// What one round runs under besides the program and its state. The
@@ -571,13 +563,6 @@ impl<'a> PropagationEngine<'a> {
         (working_set_bytes(self.graph, state_bytes) > session.budget()).then_some(session)
     }
 
-    /// Will a program with this per-vertex state size run through the
-    /// out-of-core lane? True exactly when a memory budget is configured
-    /// and the program's [`working_set_bytes`] exceeds it.
-    pub fn spill_active(&self, state_bytes: u64) -> bool {
-        self.spill_session(state_bytes).is_some()
-    }
-
     /// Initialize the per-vertex state vector for a program.
     pub fn init_state<P: Propagation>(&self, prog: &P) -> Vec<P::State> {
         let g = self.graph.graph();
@@ -622,7 +607,7 @@ impl<'a> PropagationEngine<'a> {
         surfer_obs::journal::record(surfer_obs::journal::EventKind::IterationStart {
             lane: if session.is_some() { "spill" } else { "resident" },
         });
-        let threads = self.options.resolved_threads();
+        let threads = self.options.threads;
         // A program with a fold needs no sorted mailbox: every message is
         // folded into its destination's slot with `P::MERGE` — a local one
         // by the scan itself, the rest by Combine in ascending source order
@@ -1017,7 +1002,7 @@ impl<'a> PropagationEngine<'a> {
         let g = pg.graph();
         let machines = self.cluster.num_machines();
         let route = |vid: u64| (vid % machines as u64) as u16;
-        let threads = self.options.resolved_threads();
+        let threads = self.options.threads;
         let local = self.options.local;
 
         // Real transfer, one worker item per partition. Each outbox lists

@@ -72,11 +72,6 @@ impl MemoryBudget {
         MemoryBudget(Some(limit))
     }
 
-    /// Is a limit configured?
-    pub fn is_limited(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// The configured limit, if any.
     pub fn limit(&self) -> Option<u64> {
         self.0
@@ -467,20 +462,31 @@ mod tests {
     use std::sync::Arc;
     use surfer_cluster::MachineId;
 
+    /// How many of `rounds` rounds of `Rotate` on `engine` ran through the
+    /// spilled lane (the `spill.iterations` counter).
+    fn spilled_rounds(engine: &PropagationEngine, rounds: usize) -> u64 {
+        let obs = surfer_obs::ObsSession::begin();
+        let mut state = engine.init_state(&Rotate);
+        for _ in 0..rounds {
+            engine.run_iteration(&Rotate, &mut state, &RoundCtx::default()).unwrap();
+        }
+        obs.finish().counter(surfer_obs::names::SPILL_ITERATIONS)
+    }
+
     #[test]
     fn budget_unlimited_by_default_and_gates_spill() {
         let (c, pg) = two_partition_cycle(2);
-        assert!(!MemoryBudget::default().is_limited());
+        assert_eq!(MemoryBudget::default().limit(), None);
         let engine = PropagationEngine::new(&c, &pg, EngineOptions::full());
-        assert!(!engine.spill_active(12));
+        assert_eq!(spilled_rounds(&engine, 1), 0);
         let tight = EngineOptions::full().memory_budget(MemoryBudget::bytes(16));
         let engine = PropagationEngine::new(&c, &pg, tight);
-        assert!(engine.spill_active(12));
+        assert_eq!(spilled_rounds(&engine, 1), 1);
         // A budget above the working set never spills.
-        let ws = working_set_bytes(&pg, 12);
+        let ws = working_set_bytes(&pg, Rotate.state_bytes());
         let loose = EngineOptions::full().memory_budget(MemoryBudget::bytes(ws));
         let engine = PropagationEngine::new(&c, &pg, loose);
-        assert!(!engine.spill_active(12));
+        assert_eq!(spilled_rounds(&engine, 1), 0);
     }
 
     #[test]
@@ -500,11 +506,13 @@ mod tests {
                 let budgeted =
                     opts.threads(threads).memory_budget(MemoryBudget::bytes(16));
                 let engine = PropagationEngine::new(&c, &pg, budgeted);
-                assert!(engine.spill_active(Rotate.state_bytes()));
+                let obs = surfer_obs::ObsSession::begin();
                 let mut state = engine.init_state(&Rotate);
                 let reports: Vec<_> = (0..3)
                     .map(|_| engine.run_iteration(&Rotate, &mut state, &plain).unwrap().0)
                     .collect();
+                let spilled = obs.finish().counter(surfer_obs::names::SPILL_ITERATIONS);
+                assert_eq!(spilled, 3, "threads={threads}");
                 assert_eq!(state, reference.0, "threads={threads}");
                 assert_eq!(
                     format!("{reports:?}"),

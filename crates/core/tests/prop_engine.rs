@@ -294,9 +294,11 @@ where
     for threads in [1, 2, 0] {
         for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(16)] {
             let engine = PropagationEngine::new(cluster, pg, opts.threads(threads).memory_budget(budget));
-            assert_eq!(engine.spill_active(prog.state_bytes()), budget.is_limited());
+            let obs = surfer_obs::ObsSession::begin();
             let mut state = engine.init_state(prog);
             let report = engine.run_iteration(prog, &mut state, &RoundCtx::default()).unwrap().0;
+            let spilled = obs.finish().counter(surfer_obs::names::SPILL_ITERATIONS);
+            assert_eq!(spilled, u64::from(budget.limit().is_some()), "lane at {budget:?}");
             runs.push((state, format!("{report:?}")));
         }
     }

@@ -54,11 +54,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of edges accumulated so far (before dedup).
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add a directed edge. Panics in debug builds if an endpoint is out of
     /// range; release builds defer the check to [`GraphBuilder::build`].
     #[inline]

@@ -17,8 +17,8 @@
 //!   R-MAT-communities-stitched-with-rewiring construction the paper uses for
 //!   its synthetic 100 GB graphs (App. F.1) and an MSN-like social graph.
 //! * [`properties`] — reference implementations of the graph statistics the
-//!   evaluation relies on (degree distributions, triangle counts, BFS,
-//!   diameter estimation, connected components).
+//!   evaluation relies on (degree distributions, BFS, diameter estimation,
+//!   connected components).
 //!
 //! All generators take an explicit seed so every experiment in the
 //! reproduction harness is deterministic.

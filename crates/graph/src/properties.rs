@@ -102,51 +102,6 @@ pub fn weakly_connected_components(g: &CsrGraph) -> ComponentLabels {
     ComponentLabels { labels, num_components: seen.len() }
 }
 
-/// Exact triangle count, treating the graph as undirected (the paper defines
-/// a triangle as *"three vertices, where there is an edge connect\[ing\] any
-/// two vertices among them"*). Counts each triangle once.
-///
-/// Uses the standard degree-ordered intersection algorithm: orient each
-/// undirected edge from the lower-ranked to the higher-ranked endpoint and
-/// intersect sorted forward-neighbor lists.
-pub fn triangle_count(g: &CsrGraph) -> u64 {
-    let n = g.num_vertices() as usize;
-    // Build undirected closure adjacency, deduplicated.
-    let t = g.transpose();
-    let mut und: Vec<Vec<VertexId>> = Vec::with_capacity(n);
-    for v in g.vertices() {
-        let mut nb: Vec<VertexId> =
-            g.neighbors(v).iter().chain(t.neighbors(v)).copied().filter(|&u| u != v).collect();
-        nb.sort_unstable();
-        nb.dedup();
-        und.push(nb);
-    }
-    // Rank by (degree, id); orient edges toward higher rank.
-    let mut rank = vec![0u32; n];
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&v| (und[v as usize].len(), v));
-    for (r, &v) in order.iter().enumerate() {
-        rank[v as usize] = r as u32;
-    }
-    let forward: Vec<Vec<VertexId>> = (0..n as u32)
-        .map(|v| {
-            und[v as usize]
-                .iter()
-                .copied()
-                .filter(|&u| rank[u.index()] > rank[v as usize])
-                .collect()
-        })
-        .collect();
-    let mut count = 0u64;
-    for v in 0..n {
-        let fv = &forward[v];
-        for &u in fv {
-            count += sorted_intersection_size(fv, &forward[u.index()]);
-        }
-    }
-    count
-}
-
 /// Size of the intersection of two sorted vertex lists.
 pub fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> u64 {
     let (mut i, mut j, mut c) = (0, 0, 0u64);
@@ -168,7 +123,7 @@ pub fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> u64 {
 mod tests {
     use super::*;
     use crate::builder::from_edges;
-    use crate::generators::deterministic::{complete, cycle, grid, path};
+    use crate::generators::deterministic::{cycle, path};
 
     #[test]
     fn degree_histogram_of_path() {
@@ -198,32 +153,6 @@ mod tests {
         assert_eq!(cc.num_components, 3); // {0,1,2}, {3,4}, {5}
         assert_eq!(cc.labels[0], cc.labels[2]);
         assert_ne!(cc.labels[0], cc.labels[3]);
-    }
-
-    #[test]
-    fn triangles_in_complete_graph() {
-        // K4 has C(4,3) = 4 triangles.
-        assert_eq!(triangle_count(&complete(4)), 4);
-        // K5 has 10.
-        assert_eq!(triangle_count(&complete(5)), 10);
-    }
-
-    #[test]
-    fn triangles_in_triangle_with_tail() {
-        let g = from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]);
-        assert_eq!(triangle_count(&g), 1);
-    }
-
-    #[test]
-    fn grid_has_no_triangles() {
-        assert_eq!(triangle_count(&grid(4, 4)), 0);
-    }
-
-    #[test]
-    fn directed_duplicate_edges_count_once() {
-        // Both directions stored: still one undirected triangle.
-        let g = from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]);
-        assert_eq!(triangle_count(&g), 1);
     }
 
     #[test]

@@ -10,35 +10,19 @@ use crate::vertex::VertexId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// An induced subgraph: the selected vertices re-labelled `0..k`, together
-/// with the mapping back to the original ids.
-#[derive(Debug, Clone)]
-pub struct Subgraph {
-    /// The subgraph over local ids `0..global_ids.len()`.
-    pub graph: CsrGraph,
-    /// `global_ids[local]` is the original id of local vertex `local`.
-    pub global_ids: Vec<VertexId>,
-}
-
-impl Subgraph {
-    /// Map a local id back to the original graph's id.
-    pub fn to_global(&self, local: VertexId) -> VertexId {
-        self.global_ids[local.index()]
-    }
-}
-
 /// Extract the subgraph induced by `vertices` (edges with both endpoints
-/// selected). Duplicate ids in the selection are ignored.
-pub fn induced(g: &CsrGraph, vertices: &[VertexId]) -> Subgraph {
-    let mut global_ids: Vec<VertexId> = vertices.to_vec();
-    global_ids.sort_unstable();
-    global_ids.dedup();
+/// selected), with the selected vertices re-labelled `0..k` in ascending
+/// order of their original ids. Duplicate ids in the selection are ignored.
+pub fn induced(g: &CsrGraph, vertices: &[VertexId]) -> CsrGraph {
+    let mut selected: Vec<VertexId> = vertices.to_vec();
+    selected.sort_unstable();
+    selected.dedup();
     let mut local_of = vec![u32::MAX; g.num_vertices() as usize];
-    for (i, v) in global_ids.iter().enumerate() {
+    for (i, v) in selected.iter().enumerate() {
         local_of[v.index()] = i as u32;
     }
-    let mut b = GraphBuilder::new(global_ids.len() as u32);
-    for &v in &global_ids {
+    let mut b = GraphBuilder::new(selected.len() as u32);
+    for &v in &selected {
         let lv = local_of[v.index()];
         for &t in g.neighbors(v) {
             let lt = local_of[t.index()];
@@ -47,7 +31,7 @@ pub fn induced(g: &CsrGraph, vertices: &[VertexId]) -> Subgraph {
             }
         }
     }
-    Subgraph { graph: b.build(), global_ids }
+    b.build()
 }
 
 /// Deterministically sample a `ratio` fraction of vertices (the paper's
@@ -68,26 +52,24 @@ mod tests {
     fn induced_keeps_internal_edges_only() {
         let g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
         let sub = induced(&g, &[VertexId(0), VertexId(1), VertexId(2)]);
-        assert_eq!(sub.graph.num_vertices(), 3);
+        assert_eq!(sub.num_vertices(), 3);
         // 0->1, 1->2 kept; 2->3 and 4->0 dropped.
-        assert_eq!(sub.graph.num_edges(), 2);
-        assert_eq!(sub.to_global(VertexId(2)), VertexId(2));
+        assert_eq!(sub.num_edges(), 2);
     }
 
     #[test]
     fn induced_relabels_sparse_selection() {
         let g = complete(6);
         let sub = induced(&g, &[VertexId(1), VertexId(3), VertexId(5)]);
-        assert_eq!(sub.graph.num_vertices(), 3);
-        assert_eq!(sub.graph.num_edges(), 6); // K3 directed
-        assert_eq!(sub.global_ids, vec![VertexId(1), VertexId(3), VertexId(5)]);
+        assert_eq!(sub.num_vertices(), 3);
+        assert_eq!(sub.num_edges(), 6); // K3 directed
     }
 
     #[test]
     fn induced_ignores_duplicates() {
         let g = complete(3);
         let sub = induced(&g, &[VertexId(0), VertexId(0), VertexId(1)]);
-        assert_eq!(sub.graph.num_vertices(), 2);
+        assert_eq!(sub.num_vertices(), 2);
     }
 
     #[test]

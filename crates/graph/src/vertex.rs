@@ -15,8 +15,6 @@ use serde::{Deserialize, Serialize};
 pub struct VertexId(pub u32);
 
 impl VertexId {
-    /// The smallest vertex id.
-    pub const MIN: VertexId = VertexId(0);
     /// The largest representable vertex id.
     pub const MAX: VertexId = VertexId(u32::MAX);
 
@@ -30,12 +28,6 @@ impl VertexId {
     #[inline]
     pub const fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// The raw `u32` value.
-    #[inline]
-    pub const fn raw(self) -> u32 {
-        self.0
     }
 }
 
@@ -138,7 +130,6 @@ mod tests {
     #[test]
     fn vertex_id_orders_by_raw_value() {
         assert!(VertexId(1) < VertexId(2));
-        assert_eq!(VertexId::MIN, VertexId(0));
     }
 
     #[test]

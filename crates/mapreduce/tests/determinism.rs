@@ -1,7 +1,10 @@
 //! Thread-count determinism for the MapReduce engine: outputs, output
 //! *order*, and `ExecReport`s must be identical whether map/reduce run
-//! sequentially (`threads = 1`) or on any number of host workers.
+//! sequentially (`threads = 1`) or on any number of host workers, and the
+//! workers never outnumber the host's cores.
 
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use surfer_cluster::{ClusterConfig, MachineId};
 use surfer_graph::generators::social::{msn_like, MsnScale};
@@ -63,4 +66,39 @@ fn outputs_and_reports_match_across_threads() {
             "reports diverged at threads={t}"
         );
     }
+}
+
+/// Mapper that counts the distinct threads it runs on: each thread bumps
+/// the count the first time it maps a partition.
+struct WorkerCountingMapper(AtomicUsize);
+impl PartitionMapper for WorkerCountingMapper {
+    type Value = f64;
+    fn map(&self, _pg: &PartitionedGraph, pid: u32, out: &mut Emitter<f64>) {
+        thread_local! {
+            static COUNTED: Cell<bool> = const { Cell::new(false) };
+        }
+        if !COUNTED.replace(true) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        out.emit(pid, 1.0);
+    }
+}
+
+#[test]
+fn map_workers_are_clamped_to_host_cores() {
+    let g = msn_like(MsnScale::Tiny, 9);
+    let p = 64u32;
+    let machines = 4u16;
+    let part = random_partition(g.num_vertices(), p, 13);
+    let placement = (0..p).map(|i| MachineId((i % machines as u32) as u16)).collect();
+    let pg = PartitionedGraph::from_parts(Arc::new(g), part, placement);
+    let cluster = ClusterConfig::flat(machines).build();
+
+    let mapper = WorkerCountingMapper(AtomicUsize::new(0));
+    let engine = MapReduceEngine::new(&cluster, &pg).with_threads(64);
+    let run = engine.run(&mapper, &SumReducer).unwrap();
+    assert_eq!(run.outputs.len(), p as usize);
+    let workers = mapper.0.load(Ordering::Relaxed);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!((1..=cores).contains(&workers), "{workers} map workers on {cores} cores");
 }

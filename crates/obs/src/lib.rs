@@ -100,8 +100,6 @@ pub mod names {
     pub const SERVE_CACHE_HITS: &str = "serve.cache_hits";
     /// Submissions that missed the result cache.
     pub const SERVE_CACHE_MISSES: &str = "serve.cache_misses";
-    /// Cache entries dropped by typed invalidations.
-    pub const SERVE_CACHE_INVALIDATED: &str = "serve.cache_invalidated";
 
     // The `spill.*` namespace: the out-of-core lane (`surfer-core/src/ooc`).
     // Byte and frame totals are functions of the graph, program and budget
@@ -507,11 +505,6 @@ impl TraceReport {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Number of spans recorded under `name`.
-    pub fn span_count(&self, name: &str) -> usize {
-        self.spans.iter().filter(|s| s.name == name).count()
-    }
-
     /// The span with id `id`, if recorded.
     pub fn span_by_id(&self, id: u64) -> Option<&SpanRec> {
         self.spans.iter().find(|s| s.id == id)
@@ -884,8 +877,8 @@ mod tests {
         });
         drop(stage);
         let r = session.finish();
-        assert_eq!(r.span_count("stage.part"), 2);
-        assert_eq!(r.span_count("stranger"), 0);
+        assert_eq!(r.spans.iter().filter(|s| s.name == "stage.part").count(), 2);
+        assert!(r.spans.iter().all(|s| s.name != "stranger"));
         assert_eq!(r.counter("parts"), 2);
         for s in r.spans.iter().filter(|s| s.name == "stage.part") {
             assert_eq!(s.parent, sid);

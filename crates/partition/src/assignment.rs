@@ -30,11 +30,6 @@ impl Partitioning {
         Partitioning { pids, num_partitions }
     }
 
-    /// Trivial single-partition assignment.
-    pub fn single(num_vertices: u32) -> Self {
-        Partitioning { pids: vec![0; num_vertices as usize], num_partitions: 1 }
-    }
-
     /// Number of partitions.
     pub fn num_partitions(&self) -> u32 {
         self.num_partitions
@@ -176,7 +171,7 @@ mod tests {
     #[test]
     fn empty_graph_ier_is_one() {
         let g = from_edges(3, []);
-        let p = Partitioning::single(3);
+        let p = Partitioning::new(vec![0; 3], 1);
         assert!((quality(&g, &p).inner_edge_ratio - 1.0).abs() < 1e-12);
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! *"Instead of maintaining a global mapping from an arbitrary vertex ID to
 //! its partition ID, we encode the vertex IDs such that the vertex IDs
-//! within a partition compose a consecutive range."* The partition of an
-//! encoded ID is then a binary search over `P` range starts — this is what
-//! makes fault recovery's "which partition does this incoming edge come
-//! from" lookup cheap.
+//! within a partition compose a consecutive range."* Partition `p` owns the
+//! encoded ids [`VertexEncoding::range`]`(p)`, so a vertex's slot in its
+//! partition's state is its encoded id minus the range start, with no
+//! global map.
 
 use crate::assignment::Partitioning;
 use serde::{Deserialize, Serialize};
@@ -58,22 +58,9 @@ impl VertexEncoding {
         VertexId(self.decode[e.index()])
     }
 
-    /// Partition of an encoded id — a binary search over range starts, no
-    /// global map needed (the point of the encoding).
-    pub fn pid_of_encoded(&self, e: VertexId) -> u32 {
-        // partition_point handles duplicate starts (empty partitions), where
-        // binary_search could land on any of the equal entries.
-        (self.starts.partition_point(|&s| s <= e.0) - 1) as u32
-    }
-
     /// The encoded-id range `[start, end)` of partition `p`.
     pub fn range(&self, p: u32) -> (VertexId, VertexId) {
         (VertexId(self.starts[p as usize]), VertexId(self.starts[p as usize + 1]))
-    }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> u32 {
-        (self.starts.len() - 1) as u32
     }
 }
 
@@ -90,11 +77,10 @@ mod tests {
 
     #[test]
     fn ranges_are_contiguous_and_sized() {
-        let (p, e) = enc();
+        let (_, e) = enc();
         assert_eq!(e.range(0), (VertexId(0), VertexId(3)));
         assert_eq!(e.range(1), (VertexId(3), VertexId(5)));
         assert_eq!(e.range(2), (VertexId(5), VertexId(6)));
-        assert_eq!(e.num_partitions(), p.num_partitions());
     }
 
     #[test]
@@ -111,9 +97,8 @@ mod tests {
         for v in 0..6u32 {
             let v = VertexId(v);
             let enc = e.encode(v);
-            assert_eq!(e.pid_of_encoded(enc), p.pid_of(v), "vertex {v}");
             let (s, t) = e.range(p.pid_of(v));
-            assert!(enc >= s && enc < t);
+            assert!(enc >= s && enc < t, "vertex {v}");
         }
     }
 
@@ -123,29 +108,5 @@ mod tests {
         // Partition 0 members in original order: 0, 2, 5.
         assert!(e.encode(VertexId(0)) < e.encode(VertexId(2)));
         assert!(e.encode(VertexId(2)) < e.encode(VertexId(5)));
-    }
-
-    #[test]
-    fn empty_partitions_do_not_confuse_lookup() {
-        // 1 vertex in partition 0 of 3; partitions 1 and 2 empty -> starts
-        // contain duplicates and the lookup must stay leftmost-correct.
-        let p = Partitioning::new(vec![0], 3);
-        let e = VertexEncoding::new(&p);
-        assert_eq!(e.pid_of_encoded(VertexId(0)), 0);
-        // Empty partition in the middle.
-        let p = Partitioning::new(vec![0, 0, 2, 2, 2], 3);
-        let e = VertexEncoding::new(&p);
-        for v in 0..5u32 {
-            assert_eq!(e.pid_of_encoded(e.encode(VertexId(v))), p.pid_of(VertexId(v)));
-        }
-    }
-
-    #[test]
-    fn pid_lookup_at_boundaries() {
-        let (_, e) = enc();
-        assert_eq!(e.pid_of_encoded(VertexId(0)), 0);
-        assert_eq!(e.pid_of_encoded(VertexId(2)), 0);
-        assert_eq!(e.pid_of_encoded(VertexId(3)), 1);
-        assert_eq!(e.pid_of_encoded(VertexId(5)), 2);
     }
 }

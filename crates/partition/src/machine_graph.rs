@@ -47,11 +47,6 @@ impl MachineGraph {
         self.machines.is_empty()
     }
 
-    /// Bandwidth between two member machines.
-    pub fn bandwidth(&self, a: MachineId, b: MachineId) -> f64 {
-        self.bw[a.index()][b.index()]
-    }
-
     /// Restrict to a subset of the current machines.
     pub fn subset(&self, machines: Vec<MachineId>) -> MachineGraph {
         debug_assert!(machines.iter().all(|m| self.machines.contains(m)));
@@ -194,7 +189,8 @@ mod tests {
         let mg = MachineGraph::from_topology(&t);
         let sub = mg.subset(vec![MachineId(0), MachineId(5)]);
         assert_eq!(sub.len(), 2);
-        assert!((sub.bandwidth(MachineId(0), MachineId(5)) - 1.0 / 32.0).abs() < 1e-12);
+        let cross = sub.aggregated_bandwidth(&[MachineId(0)], &[MachineId(5)]);
+        assert!((cross - 1.0 / 32.0).abs() < 1e-12);
     }
 
     #[test]

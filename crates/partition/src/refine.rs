@@ -21,11 +21,6 @@
 use crate::gain_heap::GainHeap;
 use crate::wgraph::WGraph;
 
-/// Balance bound: neither side may exceed this fraction of the total vertex
-/// weight (0.55 allows the ~10 % slack heavy-tailed degree distributions
-/// need while keeping partitions "with similar number of edges").
-pub const DEFAULT_MAX_SIDE_FRACTION: f64 = 0.55;
-
 /// Per-vertex state of one FM pass, kept together because a neighbor update
 /// touches all of it.
 #[derive(Debug, Clone, Copy, Default)]
@@ -68,12 +63,8 @@ impl FmScratch {
     }
 }
 
-/// Refine `side` in place; returns the final cut weight.
-pub fn fm_refine(g: &WGraph, side: &mut [bool], max_passes: u32) -> u64 {
-    fm_refine_bounded(g, side, max_passes, DEFAULT_MAX_SIDE_FRACTION)
-}
-
-/// [`fm_refine`] with an explicit balance bound.
+/// Refine `side` in place, keeping neither side above `max_side_fraction`
+/// of the total vertex weight; returns the final cut weight.
 pub fn fm_refine_bounded(
     g: &WGraph,
     side: &mut [bool],
@@ -269,7 +260,7 @@ mod tests {
         let g = WGraph::from_csr(&grid(4, 4));
         let mut side: Vec<bool> = (0..16).map(|v| (v / 4) % 2 == 0).collect();
         let before = g.cut_weight(&side);
-        let after = fm_refine(&g, &mut side, 8);
+        let after = fm_refine_bounded(&g, &mut side, 8, 0.55);
         assert!(after <= before, "worsened: {before} -> {after}");
         assert_eq!(after, g.cut_weight(&side));
     }
@@ -292,7 +283,7 @@ mod tests {
             [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)],
         ));
         let mut side = vec![false, false, false, true, true, true];
-        let cut = fm_refine(&g, &mut side, 4);
+        let cut = fm_refine_bounded(&g, &mut side, 4, 0.55);
         assert_eq!(cut, 1);
         assert_eq!(side, vec![false, false, false, true, true, true]);
     }
@@ -302,7 +293,7 @@ mod tests {
         // Disconnected halves: no boundary vertices, nothing to do.
         let g = WGraph::from_csr(&from_edges(4, [(0, 1), (2, 3)]));
         let mut side = vec![false, false, true, true];
-        assert_eq!(fm_refine(&g, &mut side, 4), 0);
+        assert_eq!(fm_refine_bounded(&g, &mut side, 4, 0.55), 0);
     }
 
     #[test]

@@ -11,13 +11,27 @@
 //!   ([`run_with_recovery`]) as one slice — the unit the chaos suite uses
 //!   to aim a [`FaultPlan`] at a single tenant.
 
-use crate::cache::CacheKey;
 use surfer_cluster::{FaultPlan, SimCluster, SimDuration, SimTime};
 use surfer_core::{
     run_with_recovery, Codec, EngineOptions, Propagation, PropagationEngine, RecoveryConfig,
     RoundCtx, SurferResult,
 };
 use surfer_partition::PartitionedGraph;
+
+/// Identity of a cacheable result. Two submissions with equal keys are
+/// promised (by the submitter) to compute the same bytes: same application,
+/// same loaded graph version, same parameter fingerprint.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct CacheKey {
+    /// Application name ("NR", "pagerank", ...).
+    pub app: &'static str,
+    /// Version stamp of the loaded graph; bump it when the deployment
+    /// reloads or mutates the graph.
+    pub graph_version: u64,
+    /// Fingerprint of the job parameters (iteration count, damping bits,
+    /// source vertex — whatever distinguishes two runs of the same app).
+    pub params: u64,
+}
 
 /// A tenant of the serving deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

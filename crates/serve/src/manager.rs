@@ -1,18 +1,16 @@
 //! The job manager: bounded admission, deadline/retry policy, fair-share
 //! dispatch and the result cache, all driven by the simulated clock.
 //!
-//! The manager is a single-server discrete-event loop over
-//! [`SimTime`](surfer_cluster::SimTime): each dispatch picks the runnable
-//! job whose tenant has consumed the least simulated machine time (ties
-//! break on tenant id, then job id — fully deterministic), runs one slice,
-//! and advances the clock by the slice's simulated cost. Retries wait out
-//! an exponential backoff with seeded jitter before becoming runnable
-//! again. No wall-clock anywhere: identical submissions with an identical
-//! [`ServeConfig`] replay identically, which is what the scheduler
-//! determinism proptest pins down.
+//! The manager is a single-server discrete-event loop over [`SimTime`]:
+//! each dispatch picks the runnable job whose tenant has consumed the least
+//! simulated machine time (ties break on tenant id, then job id — fully
+//! deterministic), runs one slice, and advances the clock by the slice's
+//! simulated cost. Retries wait out an exponential backoff with seeded
+//! jitter before becoming runnable again. No wall-clock anywhere: identical
+//! submissions with an identical [`ServeConfig`] replay identically, which
+//! is what the scheduler determinism proptest pins down.
 
-use crate::cache::{Invalidation, ResultCache};
-use crate::job::{JobId, JobSpec, JobTask, StepOutcome, TenantId};
+use crate::job::{CacheKey, JobId, JobSpec, JobTask, StepOutcome, TenantId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -119,7 +117,9 @@ pub struct JobManager<'a> {
     next_id: u64,
     active: Vec<Active<'a>>,
     outcomes: Vec<JobOutcome>,
-    cache: ResultCache,
+    /// Finished outputs by cache key, shared via `Arc` so a hit never
+    /// copies.
+    cache: BTreeMap<CacheKey, Arc<Vec<u8>>>,
     /// Lifetime simulated work per tenant — the fair-share key.
     charged: BTreeMap<u16, u64>,
 }
@@ -133,7 +133,7 @@ impl<'a> JobManager<'a> {
             next_id: 0,
             active: Vec::new(),
             outcomes: Vec::new(),
-            cache: ResultCache::new(),
+            cache: BTreeMap::new(),
             charged: BTreeMap::new(),
         }
     }
@@ -163,16 +163,12 @@ impl<'a> JobManager<'a> {
         SimDuration(self.charged.get(&tenant.0).copied().unwrap_or(0))
     }
 
-    /// Evict cached results; returns how many entries dropped.
-    pub fn invalidate(&mut self, inv: &Invalidation) -> usize {
-        self.cache.invalidate(inv)
-    }
-
     /// Submit a job. Admission is checked *now*, against the current
     /// in-flight population: quota first, then global capacity — both
     /// failures are typed back-pressure (`is_backpressure()`), never a
     /// silent drop. An admitted job whose cache key already has a result
-    /// completes instantly from the cache.
+    /// completes instantly from the cache; each lookup counts a
+    /// `serve.cache_hits` or `serve.cache_misses`.
     pub fn submit(&mut self, spec: JobSpec, task: Box<dyn JobTask + 'a>) -> SurferResult<JobId> {
         surfer_obs::counter_add(names::SERVE_SUBMITTED, 1);
         let tenant = spec.tenant;
@@ -208,7 +204,14 @@ impl<'a> JobManager<'a> {
 
         let now = self.now;
         let job = Active { id, spec, task, submitted_at: now, resume_at: now, retries: 0 };
-        match job.spec.cache_key.as_ref().and_then(|key| self.cache.get(key)) {
+        let cached = job.spec.cache_key.as_ref().and_then(|key| {
+            let hit = self.cache.get(key).map(Arc::clone);
+            let counter =
+                if hit.is_some() { names::SERVE_CACHE_HITS } else { names::SERVE_CACHE_MISSES };
+            surfer_obs::counter_add(counter, 1);
+            hit
+        });
+        match cached {
             Some(output) => self.finish(job, Ok(output), true),
             None => self.active.push(job),
         }
@@ -393,7 +396,6 @@ impl<'a> JobManager<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheKey;
 
     /// A synthetic task: `slices` steps of `cost` µs each, optionally
     /// failing its first `failures` step attempts with a (retryable) UDF
@@ -649,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeats_and_invalidation_recomputes() {
+    fn cache_serves_repeats() {
         let key = CacheKey { app: "fake", graph_version: 1, params: 9 };
         let mut m = JobManager::new(cfg());
         let a = m
@@ -662,23 +664,28 @@ mod tests {
         assert!(!m.outcome(a).unwrap().from_cache);
 
         let b = m
-            .submit(
-                JobSpec::new(TenantId(1)).cached_as(key.clone()),
-                Box::new(FakeTask::new(1, 10)),
-            )
+            .submit(JobSpec::new(TenantId(1)).cached_as(key), Box::new(FakeTask::new(1, 10)))
             .unwrap();
         let out = m.outcome(b).expect("cache hit completes instantly");
         assert!(out.from_cache);
         assert_eq!(out.latency, SimDuration::ZERO);
         assert_eq!(out.result.as_ref().unwrap().as_slice(), &[7]);
+    }
 
-        assert_eq!(m.invalidate(&Invalidation::Key(key.clone())), 1);
-        let c = m
-            .submit(JobSpec::new(TenantId(1)).cached_as(key), Box::new(FakeTask::new(1, 10)))
-            .unwrap();
-        assert!(m.outcome(c).is_none(), "invalidation forces a recompute");
+    #[test]
+    fn hits_share_the_same_allocation() {
+        let key = CacheKey { app: "fake", graph_version: 1, params: 0 };
+        let mut m = JobManager::new(ServeConfig { capacity: 8, tenant_quota: 8, ..cfg() });
+        let spec = || JobSpec::new(TenantId(0)).cached_as(key.clone());
+        let computed = m.submit(spec(), Box::new(FakeTask::new(1, 10))).unwrap();
         m.run_to_completion();
-        assert!(!m.outcome(c).unwrap().from_cache);
+        let hits = [(); 2].map(|()| m.submit(spec(), Box::new(FakeTask::new(1, 10))).unwrap());
+        let blob = m.outcome(computed).unwrap().result.as_ref().unwrap();
+        for hit in hits {
+            let out = m.outcome(hit).unwrap();
+            assert!(out.from_cache);
+            assert!(Arc::ptr_eq(out.result.as_ref().unwrap(), blob), "a hit copied the output");
+        }
     }
 
     #[test]

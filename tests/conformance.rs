@@ -423,7 +423,7 @@ fn set_valued_cell(engine: &PropagationEngine<'_>) -> ([u64; 3], [u64; 3]) {
     let (two_hop, tfl_report) = tfl.run_propagation(engine).expect("TFL");
     let two_hop = two_hop.lists.iter().fold(Fnv::new(), |d, l| lists(d, l));
     let mapreduce = MapReduceEngine::new(engine.cluster(), engine.graph())
-        .with_threads(engine.options().resolved_threads());
+        .with_threads(engine.options().threads);
     let (mr, mr_report) = tfl.run_mapreduce(&mapreduce).expect("TFL (MapReduce)");
     let mr = mr.lists.iter().fold(Fnv::new(), |d, l| lists(d, l));
     let reports = [rlg_report, tfl_report, mr_report].map(|r| Fnv::new().debug(&r).0);

@@ -83,7 +83,7 @@ proptest! {
 
     /// The flight recorder's merged `P×P` traffic matrix accounts the same
     /// bytes as the `prop.*` counters: diagonal = local, off-diagonal =
-    /// cross, row/column sums = everything.
+    /// cross.
     #[test]
     fn traffic_matrix_sums_match_prop_counters(
         seed in 0u64..1_000_000,
@@ -97,11 +97,6 @@ proptest! {
         prop_assert_eq!(m.cols(), partitions as usize);
         prop_assert_eq!(m.diagonal_total(), trace.counter("prop.local_bytes"));
         prop_assert_eq!(m.off_diagonal_total(), trace.counter("prop.cross_bytes"));
-        let row_total: u64 = (0..m.rows()).map(|r| m.row_sum(r)).sum();
-        let col_total: u64 = (0..m.cols()).map(|c| m.col_sum(c)).sum();
-        let bytes = trace.counter("prop.local_bytes") + trace.counter("prop.cross_bytes");
-        prop_assert_eq!(row_total, bytes);
-        prop_assert_eq!(col_total, bytes);
     }
 }
 
