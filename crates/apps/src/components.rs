@@ -58,7 +58,7 @@ impl ConnectedComponents {
     /// Serial reference (union-find; labels are component minima).
     pub fn reference(&self, g: &CsrGraph) -> ComponentOutput {
         ComponentOutput {
-            labels: surfer_graph::properties::weakly_connected_components(g).labels,
+            labels: surfer_graph::properties::weakly_connected_components(g),
         }
     }
 }
@@ -152,7 +152,9 @@ impl Reducer for ComponentReducer {
 
     // LOC:BEGIN(cc_mapreduce_reduce)
     fn reduce(&self, v: &u32, values: &[u32], out: &mut Vec<(u32, u32)>) {
-        out.push((*v, values.iter().copied().min().expect("state carry guarantees a value")));
+        if let Some(label) = values.iter().copied().min() {
+            out.push((*v, label));
+        }
     }
     // LOC:END(cc_mapreduce_reduce)
 }

@@ -17,15 +17,16 @@
 //! the library helpers of the two set-valued apps, RLG and TFL: an id list
 //! stored in place while short, and a linear sorted-union kernel.
 //!
-//! Two *extension* applications beyond the paper's six exercise
+//! One *extension* application beyond the paper's six exercises
 //! convergence-driven propagation: [`components`] (connected components by
-//! min-label flooding) and [`shortest_paths`] (multi-source BFS).
+//! min-label flooding).
+
+#![deny(clippy::missing_panics_doc)]
 
 pub mod components;
 pub mod degree_dist;
 pub mod id_list;
 pub mod loc;
-pub mod shortest_paths;
 pub mod pagerank;
 pub mod recommender;
 pub mod reverse;
@@ -34,7 +35,6 @@ pub mod two_hop;
 
 pub use components::ConnectedComponents;
 pub use degree_dist::VertexDegreeDistribution;
-pub use shortest_paths::BreadthFirstSearch;
 pub use pagerank::NetworkRanking;
 pub use recommender::RecommenderSystem;
 pub use reverse::ReverseLinkGraph;

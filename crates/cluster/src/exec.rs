@@ -54,8 +54,6 @@ pub enum TaskKind {
     Checkpoint,
     /// Reloading a per-partition state snapshot after a failure.
     Restore,
-    /// Anything else.
-    Generic,
 }
 
 /// Why [`Executor::run_with_faults`] could not finish a job.
@@ -611,7 +609,7 @@ mod tests {
         let c = flat(1);
         let mut ex = Executor::new(&c);
         // 50e6 ops at 50e6 ops/s = 1s; 100 MB read at 100 MB/s = 1s.
-        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).cpu(50e6).reads(100_000_000));
+        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer).cpu(50e6).reads(100_000_000));
         let r = ex.run();
         assert!((r.response_time.as_secs_f64() - 2.0).abs() < 1e-5, "{:?}", r.response_time);
         assert_eq!(r.disk_read_bytes, 100_000_000);
@@ -623,7 +621,7 @@ mod tests {
         let c = flat(4);
         let mut ex = Executor::new(&c);
         for m in 0..4 {
-            ex.add_task(TaskSpec::new(MachineId(m), TaskKind::Generic).cpu(50e6));
+            ex.add_task(TaskSpec::new(MachineId(m), TaskKind::Transfer).cpu(50e6));
         }
         let r = ex.run();
         assert!((r.response_time.as_secs_f64() - 1.0).abs() < 1e-5);
@@ -634,8 +632,8 @@ mod tests {
     fn same_machine_tasks_serialize() {
         let c = flat(1);
         let mut ex = Executor::new(&c);
-        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).cpu(50e6));
-        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).cpu(50e6));
+        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer).cpu(50e6));
+        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer).cpu(50e6));
         let r = ex.run();
         assert!((r.response_time.as_secs_f64() - 2.0).abs() < 1e-5);
     }
@@ -644,8 +642,8 @@ mod tests {
     fn dependency_enforces_order() {
         let c = flat(2);
         let mut ex = Executor::new(&c);
-        let a = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).cpu(50e6));
-        let b = ex.add_task(TaskSpec::new(MachineId(1), TaskKind::Generic).cpu(50e6));
+        let a = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer).cpu(50e6));
+        let b = ex.add_task(TaskSpec::new(MachineId(1), TaskKind::Transfer).cpu(50e6));
         ex.add_dep(a, b);
         let r = ex.run();
         // Serial despite different machines.
@@ -732,7 +730,7 @@ mod tests {
         let c = ClusterConfig::flat(1).machine_spec(spec).build();
         let mut ex = Executor::new(&c);
         for _ in 0..4 {
-            ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).cpu(50e6));
+            ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer).cpu(50e6));
         }
         let r = ex.run();
         // 4 one-second tasks over 2 slots = 2 s.
@@ -762,7 +760,7 @@ mod tests {
     fn fault_on_unknown_machine_is_a_typed_error() {
         let c = flat(2);
         let mut ex = Executor::new(&c);
-        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).cpu(50e6));
+        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer).cpu(50e6));
         let faults = [Fault { machine: MachineId(2), at: SimTime::ZERO }];
         let err = ex.run_with_faults(&faults, &store(&c, &[0])).unwrap_err();
         assert_eq!(err, ExecError::UnknownMachine { machine: MachineId(2), machines: 2 });
@@ -800,7 +798,7 @@ mod tests {
             let mut prev = None;
             for i in 0..20 {
                 let t = ex.add_task(
-                    TaskSpec::new(MachineId(i % 4), TaskKind::Generic).cpu(1e6 * (i as f64 + 1.0)),
+                    TaskSpec::new(MachineId(i % 4), TaskKind::Transfer).cpu(1e6 * (i as f64 + 1.0)),
                 );
                 if let Some(p) = prev {
                     ex.add_transfer(p, t, 10_000 * i as u64 + 1);
@@ -821,8 +819,8 @@ mod tests {
     fn cyclic_dependencies_deadlock() {
         let c = flat(1);
         let mut ex = Executor::new(&c);
-        let a = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic));
-        let b = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic));
+        let a = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer));
+        let b = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer));
         ex.add_dep(a, b);
         ex.add_dep(b, a);
         ex.run();
@@ -848,8 +846,8 @@ mod tests {
         let faults = [Fault { machine: MachineId(1), at: SimTime::ZERO }];
         for label in [1, u64::MAX] {
             let mut ex = Executor::new(&c);
-            ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).cpu(50e6));
-            ex.add_task(TaskSpec::new(MachineId(1), TaskKind::Generic).cpu(50e6).label(label));
+            ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer).cpu(50e6));
+            ex.add_task(TaskSpec::new(MachineId(1), TaskKind::Transfer).cpu(50e6).label(label));
             let err = ex.run_with_faults(&faults, &store(&c, &[0])).unwrap_err();
             assert_eq!(err, ExecError::UnknownPartition { task: 1, label });
             assert!(err.to_string().contains("not a stored partition"), "{err}");
@@ -860,8 +858,8 @@ mod tests {
     fn cyclic_dependencies_are_a_typed_error() {
         let c = flat(2);
         let mut ex = Executor::new(&c);
-        let a = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic));
-        let b = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic));
+        let a = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer));
+        let b = ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer));
         ex.add_dep(a, b);
         ex.add_dep(b, a);
         let err = ex.run_with_faults(&[], &PartitionStore::default()).unwrap_err();
@@ -873,7 +871,7 @@ mod tests {
         let c = flat(1);
         let mut ex = Executor::new(&c);
         // 200 MB read at 100 MB/s -> 2s of disk activity.
-        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).reads(200_000_000));
+        ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer).reads(200_000_000));
         let r = ex.run();
         let rates = r.disk_series.rates();
         assert_eq!(rates.len(), 2);
@@ -885,7 +883,7 @@ mod tests {
         let c = flat(1);
         let mk = |random: bool| {
             let mut ex = Executor::new(&c);
-            ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Generic).reads(100_000_000).random_io(random));
+            ex.add_task(TaskSpec::new(MachineId(0), TaskKind::Transfer).reads(100_000_000).random_io(random));
             ex.run().response_time.as_secs_f64()
         };
         assert!((mk(true) / mk(false) - 20.0).abs() < 1e-3);

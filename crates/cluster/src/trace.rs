@@ -20,7 +20,6 @@ pub fn kind_glyph(kind: TaskKind) -> char {
         TaskKind::Partition => 'P',
         TaskKind::Checkpoint => 'S',
         TaskKind::Restore => 'L',
-        TaskKind::Generic => '#',
     }
 }
 

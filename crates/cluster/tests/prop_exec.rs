@@ -49,7 +49,7 @@ fn build<'c>(
         .enumerate()
         .map(|(i, &(m, cpu, read))| {
             ex.add_task(
-                TaskSpec::new(MachineId(m), TaskKind::Generic)
+                TaskSpec::new(MachineId(m), TaskKind::Transfer)
                     .label(i as u64)
                     .cpu(cpu as f64)
                     .reads(read as u64),

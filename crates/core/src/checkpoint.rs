@@ -208,10 +208,6 @@ impl<P: Propagation> Propagation for ChaosProgram<'_, P> {
         self.inner.state_bytes()
     }
 
-    fn transfer_ops(&self) -> f64 {
-        self.inner.transfer_ops()
-    }
-
     fn combine_ops(&self) -> f64 {
         self.inner.combine_ops()
     }

@@ -9,7 +9,7 @@
 
 use surfer_cluster::exec::ExecError;
 use surfer_cluster::par::WorkerPanic;
-use surfer_cluster::{SimDuration, SimTime};
+use surfer_cluster::SimDuration;
 use surfer_graph::GraphError;
 use surfer_mapreduce::MapReduceError;
 
@@ -86,14 +86,6 @@ pub enum SurferError {
         /// The per-tenant quota that was hit.
         quota: u32,
     },
-    /// The job's deadline passed before it finished; partial work was
-    /// discarded and its admission slot released.
-    DeadlineExceeded {
-        /// The job's deadline (simulated time since serve-node start).
-        deadline: SimTime,
-        /// The simulated clock when the expiry was detected.
-        now: SimTime,
-    },
 }
 
 /// Shorthand result over [`SurferError`].
@@ -128,9 +120,6 @@ impl std::fmt::Display for SurferError {
                 f,
                 "tenant {tenant} is at its admission quota ({in_flight}/{quota} jobs in flight)"
             ),
-            SurferError::DeadlineExceeded { deadline, now } => {
-                write!(f, "job missed its deadline ({deadline:?}, now {now:?})")
-            }
         }
     }
 }
@@ -205,7 +194,6 @@ impl SurferError {
             SurferError::MapReduce(_) => "MapReduce",
             SurferError::Overloaded { .. } => "Overloaded",
             SurferError::QuotaExceeded { .. } => "QuotaExceeded",
-            SurferError::DeadlineExceeded { .. } => "DeadlineExceeded",
         }
     }
 
@@ -272,10 +260,6 @@ mod tests {
         assert!(e.is_backpressure());
         assert!(e.to_string().contains("tenant 3"));
         assert!(e.to_string().contains("2/2"));
-
-        let e = SurferError::DeadlineExceeded { deadline: SimTime(5), now: SimTime(9) };
-        assert!(!e.is_backpressure(), "an expired job must not be resubmitted verbatim");
-        assert!(e.to_string().contains("deadline"));
     }
 
     #[test]

@@ -127,12 +127,8 @@ pub trait Propagation: Sync {
         12
     }
 
-    /// CPU record-operations per transfer call.
-    fn transfer_ops(&self) -> f64 {
-        1.0
-    }
-
-    /// CPU record-operations per combined message.
+    /// CPU record-operations per combined message (a transfer call costs
+    /// one).
     fn combine_ops(&self) -> f64 {
         1.0
     }
@@ -159,16 +155,8 @@ pub trait VirtualVertexTask: Sync {
     /// [`Propagation::MERGE`]).
     const MERGE: Option<Merge<Self::Msg>> = None;
 
-    /// Serialized message size (including the 8-byte virtual id).
+    /// Serialized message size (including the 8-byte virtual id). A
+    /// transfer call and a combined message cost one CPU record-operation
+    /// each.
     fn msg_bytes(&self, msg: &Self::Msg) -> u64;
-
-    /// CPU record-operations per transfer call.
-    fn transfer_ops(&self) -> f64 {
-        1.0
-    }
-
-    /// CPU record-operations per combined message.
-    fn combine_ops(&self) -> f64 {
-        1.0
-    }
 }

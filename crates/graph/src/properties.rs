@@ -64,17 +64,9 @@ pub fn estimate_diameter(g: &CsrGraph, samples: u32, seed: u64) -> u32 {
     best
 }
 
-/// Result of a weakly-connected-components computation.
-#[derive(Debug, Clone)]
-pub struct ComponentLabels {
-    /// `labels[v]` is the component representative of vertex `v`.
-    pub labels: Vec<u32>,
-    /// Number of distinct components.
-    pub num_components: usize,
-}
-
-/// Weakly connected components via union-find with path halving.
-pub fn weakly_connected_components(g: &CsrGraph) -> ComponentLabels {
+/// Weakly connected components via union-find with path halving:
+/// `labels[v]` is the smallest vertex of `v`'s component.
+pub fn weakly_connected_components(g: &CsrGraph) -> Vec<u32> {
     let n = g.num_vertices() as usize;
     let mut parent: Vec<u32> = (0..n as u32).collect();
 
@@ -92,14 +84,7 @@ pub fn weakly_connected_components(g: &CsrGraph) -> ComponentLabels {
             parent[a.max(b) as usize] = a.min(b);
         }
     }
-    let mut labels = vec![0u32; n];
-    let mut seen = std::collections::HashSet::new();
-    for v in 0..n as u32 {
-        let root = find(&mut parent, v);
-        labels[v as usize] = root;
-        seen.insert(root);
-    }
-    ComponentLabels { labels, num_components: seen.len() }
+    (0..n as u32).map(|v| find(&mut parent, v)).collect()
 }
 
 /// Size of the intersection of two sorted vertex lists.
@@ -149,10 +134,8 @@ mod tests {
     #[test]
     fn wcc_counts_islands() {
         let g = from_edges(6, [(0, 1), (1, 2), (3, 4)]);
-        let cc = weakly_connected_components(&g);
-        assert_eq!(cc.num_components, 3); // {0,1,2}, {3,4}, {5}
-        assert_eq!(cc.labels[0], cc.labels[2]);
-        assert_ne!(cc.labels[0], cc.labels[3]);
+        // {0,1,2}, {3,4}, {5}
+        assert_eq!(weakly_connected_components(&g), [0, 0, 0, 3, 3, 5]);
     }
 
     #[test]

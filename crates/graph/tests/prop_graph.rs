@@ -74,12 +74,15 @@ proptest! {
     #[test]
     fn wcc_labels_are_consistent(edges in arb_edges(25, 100)) {
         let g = from_edges(25, edges);
-        let cc = weakly_connected_components(&g);
+        let labels = weakly_connected_components(&g);
         for e in g.edges() {
-            prop_assert_eq!(cc.labels[e.src.index()], cc.labels[e.dst.index()]);
+            prop_assert_eq!(labels[e.src.index()], labels[e.dst.index()]);
         }
-        let distinct: std::collections::HashSet<_> = cc.labels.iter().collect();
-        prop_assert_eq!(distinct.len(), cc.num_components);
+        // Each label is the smallest vertex of its component, so it labels
+        // itself.
+        for (v, &l) in labels.iter().enumerate() {
+            prop_assert!(l as usize <= v && labels[l as usize] == l);
+        }
     }
 
     #[test]

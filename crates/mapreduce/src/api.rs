@@ -50,7 +50,9 @@ pub trait PartitionMapper: Sync {
     /// Intermediate value.
     type Value: Send;
 
-    /// Process partition `pid` of `pg`, emitting intermediate pairs.
+    /// Process partition `pid` of `pg`, emitting intermediate pairs. The
+    /// map reads the partition once and is charged one CPU
+    /// record-operation per edge scanned.
     fn map(&self, pg: &PartitionedGraph, pid: u32, out: &mut Emitter<Self::Value>);
 
     /// Serialized size of one intermediate pair in bytes (drives the
@@ -58,12 +60,6 @@ pub trait PartitionMapper: Sync {
     /// variable-size payloads (neighbor lists) override per pair.
     fn pair_bytes(&self, _value: &Self::Value) -> u64 {
         12
-    }
-
-    /// CPU record-operations charged per edge scanned in the map (the map
-    /// reads the partition once).
-    fn ops_per_edge(&self) -> f64 {
-        1.0
     }
 }
 
@@ -77,17 +73,13 @@ pub trait Reducer: Sync {
     /// Final output record.
     type Out: Send;
 
-    /// Combine all values of `key` into zero or more outputs.
+    /// Combine all values of `key` into zero or more outputs; charged one
+    /// CPU record-operation per value.
     fn reduce(&self, key: &u32, values: &[Self::Value], out: &mut Vec<Self::Out>);
 
     /// Serialized size of one output record (drives simulated output I/O).
     fn output_bytes(&self) -> u64 {
         12
-    }
-
-    /// CPU record-operations charged per reduced value.
-    fn ops_per_value(&self) -> f64 {
-        1.0
     }
 }
 

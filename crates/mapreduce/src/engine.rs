@@ -217,7 +217,7 @@ impl<'a> MapReduceEngine<'a> {
                 ex.add_task(
                     TaskSpec::new(MachineId(m), TaskKind::Reduce)
                         .label(m as u64)
-                        .cpu(values as f64 * reducer.ops_per_value() + sort_ops)
+                        .cpu(values as f64 + sort_ops)
                         // Spool the pulled pairs, sort-read them, and write
                         // the final output (Dean & Ghemawat's reduce side).
                         .reads(incoming)
@@ -230,7 +230,7 @@ impl<'a> MapReduceEngine<'a> {
             let map_task = ex.add_task(
                 TaskSpec::new(pg.machine_of(pid), TaskKind::Map)
                     .label(pid as u64)
-                    .cpu(meta.total_out_edges as f64 * mapper.ops_per_edge())
+                    .cpu(meta.total_out_edges as f64)
                     .reads(meta.bytes)
                     .writes(traffic.bytes[pid as usize].iter().sum())
                     .random_io(!pg.fits_in_memory(pid, self.cluster.spec().memory_bytes)),

@@ -29,7 +29,7 @@
 //! | `AdmissionAdmit { in_flight }` | `serve.admitted` +1 |
 //! | `AdmissionReject { reason: "quota" }` / `{ reason: "overloaded" }` | `serve.rejected_quota` / `serve.rejected_overloaded` +1 |
 //! | `JobCompleted` | `serve.completed` +1 |
-//! | `JobFailed { variant }` | `serve.failed` +1, and `serve.deadline_exceeded` +1 when `variant` is `"DeadlineExceeded"` |
+//! | `JobFailed { .. }` | `serve.failed` +1 |
 //!
 //! `IterationStart { lane: "resident" }`, `IterationEnd` and `Error` move
 //! no counter.
@@ -235,12 +235,7 @@ impl EventKind {
                 add(SERVE_REJECTED_OVERLOADED, 1)
             }
             EventKind::JobCompleted => add(SERVE_COMPLETED, 1),
-            EventKind::JobFailed { variant } => {
-                add(SERVE_FAILED, 1);
-                if variant == "DeadlineExceeded" {
-                    add(SERVE_DEADLINE_EXCEEDED, 1);
-                }
-            }
+            EventKind::JobFailed { .. } => add(SERVE_FAILED, 1),
             EventKind::IterationStart { .. }
             | EventKind::IterationEnd { .. }
             | EventKind::AdmissionReject { .. }
@@ -441,10 +436,6 @@ mod tests {
             ),
             (EventKind::JobCompleted, vec![(SERVE_COMPLETED, 1)]),
             (EventKind::JobFailed { variant: "RetriesExhausted" }, vec![(SERVE_FAILED, 1)]),
-            (
-                EventKind::JobFailed { variant: "DeadlineExceeded" },
-                vec![(SERVE_FAILED, 1), (SERVE_DEADLINE_EXCEEDED, 1)],
-            ),
             (
                 EventKind::Error { variant: "ClusterLost", detail: "a \"quoted\" {detail}".into() },
                 vec![],

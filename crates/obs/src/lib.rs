@@ -90,8 +90,6 @@ pub mod names {
     pub const SERVE_COMPLETED: &str = "serve.completed";
     /// Jobs that finished with a typed error.
     pub const SERVE_FAILED: &str = "serve.failed";
-    /// Jobs expired by their deadline before finishing.
-    pub const SERVE_DEADLINE_EXCEEDED: &str = "serve.deadline_exceeded";
     /// Retry attempts scheduled after retryable job failures.
     pub const SERVE_RETRIES: &str = "serve.retries";
     /// Work slices executed by the fair-share scheduler.

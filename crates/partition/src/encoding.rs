@@ -11,7 +11,7 @@ use crate::assignment::Partitioning;
 use serde::{Deserialize, Serialize};
 use surfer_graph::VertexId;
 
-/// A bijection between original vertex ids and partition-contiguous encoded
+/// A bijection from original vertex ids to partition-contiguous encoded
 /// ids.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VertexEncoding {
@@ -19,8 +19,6 @@ pub struct VertexEncoding {
     starts: Vec<u32>,
     /// `encode[original] = encoded`.
     encode: Vec<u32>,
-    /// `decode[encoded] = original`.
-    decode: Vec<u32>,
 }
 
 impl VertexEncoding {
@@ -35,27 +33,19 @@ impl VertexEncoding {
         }
         let mut cursor = starts.clone();
         let mut encode = vec![0u32; n];
-        let mut decode = vec![0u32; n];
         for v in 0..n as u32 {
             let pid = p.pid_of(VertexId(v)) as usize;
             let e = cursor[pid];
             cursor[pid] += 1;
             encode[v as usize] = e;
-            decode[e as usize] = v;
         }
-        VertexEncoding { starts, encode, decode }
+        VertexEncoding { starts, encode }
     }
 
     /// Encoded id of an original vertex.
     #[inline]
     pub fn encode(&self, v: VertexId) -> VertexId {
         VertexId(self.encode[v.index()])
-    }
-
-    /// Original id of an encoded vertex.
-    #[inline]
-    pub fn decode(&self, e: VertexId) -> VertexId {
-        VertexId(self.decode[e.index()])
     }
 
     /// The encoded-id range `[start, end)` of partition `p`.
@@ -84,11 +74,10 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
+    fn encoding_is_a_permutation() {
         let (_, e) = enc();
-        for v in 0..6u32 {
-            assert_eq!(e.decode(e.encode(VertexId(v))), VertexId(v));
-        }
+        let encoded: Vec<u32> = (0..6).map(|v| e.encode(VertexId(v)).0).collect();
+        assert_eq!(encoded, [0, 3, 1, 5, 4, 2]);
     }
 
     #[test]

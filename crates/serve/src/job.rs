@@ -1,6 +1,6 @@
 //! What a servable job *is*: a resumable task that advances in simulated-
-//! time-costed slices, plus the per-job policy envelope (tenant, deadline,
-//! retry budget, cache identity).
+//! time-costed slices, plus the per-job policy envelope (tenant, retry
+//! budget, cache identity).
 //!
 //! Two ready-made tasks cover the production paths:
 //!
@@ -11,7 +11,7 @@
 //!   ([`run_with_recovery`]) as one slice — the unit the chaos suite uses
 //!   to aim a [`FaultPlan`] at a single tenant.
 
-use surfer_cluster::{FaultPlan, SimCluster, SimDuration, SimTime};
+use surfer_cluster::{FaultPlan, SimCluster, SimDuration};
 use surfer_core::{
     run_with_recovery, Codec, EngineOptions, Propagation, PropagationEngine, RecoveryConfig,
     RoundCtx, SurferResult,
@@ -77,9 +77,6 @@ pub trait JobTask {
 pub struct JobSpec {
     /// Owning tenant (quota + fair-share accounting key).
     pub tenant: TenantId,
-    /// Latest simulated dispatch time; a job picked at or past this instant
-    /// fails with `SurferError::DeadlineExceeded`.
-    pub deadline: Option<SimTime>,
     /// Retries granted after transient failures before the job fails with
     /// the underlying error.
     pub max_retries: u32,
@@ -89,15 +86,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A job for `tenant`: no deadline, 2 retries, not cached.
+    /// A job for `tenant`: 2 retries, not cached.
     pub fn new(tenant: TenantId) -> Self {
-        JobSpec { tenant, deadline: None, max_retries: 2, cache_key: None }
-    }
-
-    /// Set the dispatch deadline.
-    pub fn deadline(mut self, at: SimTime) -> Self {
-        self.deadline = Some(at);
-        self
+        JobSpec { tenant, max_retries: 2, cache_key: None }
     }
 
     /// Set the retry budget.
@@ -244,12 +235,8 @@ mod tests {
     #[test]
     fn spec_builder_sets_the_policy_envelope() {
         let key = CacheKey { app: "NR", graph_version: 1, params: 4 };
-        let spec = JobSpec::new(TenantId(3))
-            .deadline(SimTime(5_000_000))
-            .retries(1)
-            .cached_as(key.clone());
+        let spec = JobSpec::new(TenantId(3)).retries(1).cached_as(key.clone());
         assert_eq!(spec.tenant, TenantId(3));
-        assert_eq!(spec.deadline, Some(SimTime(5_000_000)));
         assert_eq!(spec.max_retries, 1);
         assert_eq!(spec.cache_key, Some(key));
     }

@@ -14,14 +14,11 @@
 //!    service times) or
 //!    [`SurferError::QuotaExceeded`](surfer_core::SurferError::QuotaExceeded);
 //!    the queue is bounded by construction.
-//! 2. **Deadlines & retries** — every job may carry a deadline in simulated
-//!    time; a job dispatched past it fails with
-//!    [`SurferError::DeadlineExceeded`](surfer_core::SurferError::DeadlineExceeded).
-//!    Transient failures (engine UDF panics, which leave state untouched by
-//!    contract) are retried with exponential backoff plus **seeded
-//!    jitter** — all in [`SimTime`](surfer_cluster::SimTime), never
-//!    wall-clock, so a replay with the same seed makes identical scheduling
-//!    decisions.
+//! 2. **Retries** — transient failures (engine UDF panics, which leave
+//!    state untouched by contract) are retried within the job's retry
+//!    budget, with exponential backoff plus **seeded jitter** — all in
+//!    [`SimTime`](surfer_cluster::SimTime), never wall-clock, so a replay
+//!    with the same seed makes identical scheduling decisions.
 //! 3. **Fair-share scheduling & result caching** — the next runnable job is
 //!    the one whose tenant has consumed the least simulated machine time,
 //!    so a tenant flooding cheap jobs cannot starve the others; a repeated
@@ -39,6 +36,8 @@
 //! event carries the in-flight count it read. A job's latency has one
 //! record, its [`JobOutcome`]: [`latency_percentiles`] turns outcomes into
 //! p50, p90 and p99 per tenant and overall.
+
+#![deny(clippy::missing_panics_doc)]
 
 pub mod job;
 pub mod manager;

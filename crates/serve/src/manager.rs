@@ -1,4 +1,4 @@
-//! The job manager: bounded admission, deadline/retry policy, fair-share
+//! The job manager: bounded admission, retry policy, fair-share
 //! dispatch and the result cache, all driven by the simulated clock.
 //!
 //! The manager is a single-server discrete-event loop over [`SimTime`]:
@@ -58,11 +58,7 @@ pub struct JobOutcome {
     pub tenant: TenantId,
     /// The result bytes, or the typed error that ended the job.
     pub result: SurferResult<Arc<Vec<u8>>>,
-    /// When the job entered the system (its arrival stamp).
-    pub submitted_at: SimTime,
-    /// When it reached a terminal state.
-    pub completed_at: SimTime,
-    /// `completed_at - submitted_at`.
+    /// Simulated time from submission to the terminal state.
     pub latency: SimDuration,
     /// Retries consumed.
     pub retries: u32,
@@ -276,18 +272,7 @@ impl<'a> JobManager<'a> {
             return !self.active.is_empty();
         };
 
-        // Deadline check at dispatch: a job picked at or past its deadline
-        // fails typed instead of burning capacity.
         let tenant = self.active[idx].spec.tenant;
-        if let Some(d) = self.active[idx].spec.deadline {
-            if self.now >= d {
-                let job = self.active.remove(idx);
-                let err = SurferError::DeadlineExceeded { deadline: d, now: self.now };
-                self.finish(job, Err(err), false);
-                return true;
-            }
-        }
-
         // Thread the job's trace context through the slice so every journal
         // event the engine records below attributes to this job/tenant —
         // and a mid-slice post-mortem bundle names the right owner.
@@ -384,8 +369,6 @@ impl<'a> JobManager<'a> {
             job: job.id,
             tenant: job.spec.tenant,
             result,
-            submitted_at: job.submitted_at,
-            completed_at: self.now,
             latency: self.now - job.submitted_at,
             retries: job.retries,
             from_cache,
@@ -543,8 +526,6 @@ mod tests {
             job: JobId(0),
             tenant: TenantId(tenant),
             result: if ok { Ok(Arc::new(Vec::new())) } else { Err(SurferError::ClusterLost) },
-            submitted_at: SimTime::ZERO,
-            completed_at: SimTime(latency),
             latency: SimDuration(latency),
             retries: 0,
             from_cache: ok && latency == 0,
@@ -577,27 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn deadlines_fail_typed_at_dispatch() {
-        let mut m = JobManager::new(cfg());
-        m.run_until(SimTime(5_000));
-        let id = m
-            .submit(
-                JobSpec::new(TenantId(0)).deadline(SimTime(4_000)),
-                Box::new(FakeTask::new(1, 10)),
-            )
-            .unwrap();
-        m.run_to_completion();
-        let out = m.outcome(id).unwrap();
-        match &out.result {
-            Err(SurferError::DeadlineExceeded { deadline, now }) => {
-                assert_eq!(*deadline, SimTime(4_000));
-                assert!(*now >= SimTime(5_000));
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn retries_back_off_deterministically() {
         let run = || {
             let mut m = JobManager::new(cfg());
@@ -611,12 +571,10 @@ mod tests {
             let out = m.outcome(id).unwrap();
             assert!(out.result.is_ok(), "{:?}", out.result);
             assert_eq!(out.retries, 2);
-            (out.completed_at, out.latency)
+            out.latency
         };
-        let (a_done, a_lat) = run();
-        let (b_done, b_lat) = run();
-        assert_eq!(a_done, b_done, "same seed, same schedule");
-        assert_eq!(a_lat, b_lat);
+        let a_lat = run();
+        assert_eq!(a_lat, run(), "same seed, same schedule");
         // Two backoffs (1x and 2x base) plus two slices of work.
         assert!(a_lat.0 >= 1_000 + 2_000 + 200, "latency {a_lat:?} must include backoffs");
     }

@@ -16,8 +16,8 @@
 //! * [`apps`] — the six paper applications (NR, RS, TC, VDD, RLG, TFL).
 //! * [`obs`] — zero-dependency span tracing + metrics for the real
 //!   execution path (`reproduce -- profile`).
-//! * [`serve`] — multi-tenant job serving: admission control, deadlines,
-//!   retries with seeded backoff, fair-share scheduling and a result cache.
+//! * [`serve`] — multi-tenant job serving: admission control, retries
+//!   with seeded backoff, fair-share scheduling and a result cache.
 //!
 //! ## Quickstart
 //!

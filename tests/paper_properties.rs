@@ -10,7 +10,7 @@ use surfer::partition::{
     RecursivePartitioner,
 };
 use surfer_apps::pagerank::{NetworkRanking, PageRankPropagation};
-use surfer_apps::{components, degree_dist, recommender, reverse, shortest_paths, triangle, two_hop};
+use surfer_apps::{components, degree_dist, recommender, reverse, triangle, two_hop};
 use surfer_core::{Propagation, SurferApp, VirtualVertexTask};
 
 const SEED: u64 = 0x9A9E4;
@@ -176,7 +176,6 @@ fn app_trait_names_are_stable() {
     let folds = [
         ("NR", <PageRankPropagation as Propagation>::MERGE.is_some()),
         ("CC", <components::ComponentPropagation as Propagation>::MERGE.is_some()),
-        ("BFS", <shortest_paths::BfsPropagation as Propagation>::MERGE.is_some()),
         ("RS", <recommender::RecommendPropagation as Propagation>::MERGE.is_some()),
         ("RLG", <reverse::ReversePropagation as Propagation>::MERGE.is_some()),
         ("TFL", <two_hop::TwoHopPropagation as Propagation>::MERGE.is_some()),

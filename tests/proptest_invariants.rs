@@ -118,7 +118,6 @@ proptest! {
             let e = enc.encode(VertexId(v));
             prop_assert!(!seen[e.index()], "collision at {}", e);
             seen[e.index()] = true;
-            prop_assert_eq!(enc.decode(e), VertexId(v));
             let (start, end) = enc.range(part.pid_of(VertexId(v)));
             prop_assert!(start <= e && e < end, "{} outside its partition's range", e);
         }

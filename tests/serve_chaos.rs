@@ -334,7 +334,7 @@ proptest! {
                             Ok(bytes) => format!("ok:{:016x}", digest(bytes)),
                             Err(e) => format!("err:{e}"),
                         };
-                        (o.job.0, o.completed_at.0, o.retries, r)
+                        (o.job.0, o.latency.0, o.retries, r)
                     })
                     .collect();
                 runs.push(trace);

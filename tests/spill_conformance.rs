@@ -1,7 +1,7 @@
 //! Differential spill conformance: every application through the
 //! out-of-core lane, checked bit-for-bit against the all-in-RAM engine.
 //!
-//! For each of the eight conformance apps the harness runs budgets
+//! For each of the seven conformance apps the harness runs budgets
 //! {unlimited, ~¼ of the working set, ~1/10 of the working set} at
 //! worker-thread counts {1, 2, max} and requires the rendered output **and
 //! `ExecReport`** to equal the unlimited single-thread reference exactly
@@ -16,8 +16,8 @@
 use proptest::prelude::*;
 use std::fmt::Debug;
 use surfer::apps::{
-    BreadthFirstSearch, ConnectedComponents, NetworkRanking, RecommenderSystem, ReverseLinkGraph,
-    TriangleCounting, TwoHopFriends, VertexDegreeDistribution,
+    ConnectedComponents, NetworkRanking, RecommenderSystem, ReverseLinkGraph, TriangleCounting,
+    TwoHopFriends, VertexDegreeDistribution,
 };
 use surfer::cluster::{resolve_threads, ClusterConfig};
 use surfer::core::{working_set_bytes, MemoryBudget, OptimizationLevel, Surfer, SurferApp};
@@ -125,11 +125,6 @@ fn two_hop_friends_spill_conforms() {
 #[test]
 fn connected_components_spill_conforms() {
     spill_conform(&graph().symmetrize(), &ConnectedComponents::new());
-}
-
-#[test]
-fn breadth_first_search_spill_conforms() {
-    spill_conform(&graph(), &BreadthFirstSearch::from_source(VertexId(0)));
 }
 
 /// A working set ≥ 10× the budget must actually spill: the flight recorder
